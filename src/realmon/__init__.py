@@ -1,6 +1,6 @@
 """Reality and irreality of quantum observables under weak non-revealed monitoring.
 
-Core layers: dense complex linear algebra with a compiled-or-pure Jacobi
+Core layers: dense complex linear algebra with one LAPACK-backed Hermitian
 eigensolver (``linalg``), validated states and entropies (``states``),
 projective observables (``observables``), dephasing and monitoring channels
 with a superoperator oracle (``channels``), reality-variation measures and
@@ -11,7 +11,7 @@ and the sweep/CLI front end (``sweeps``, ``cli``).
 
 __version__ = "0.1.0"
 
-from .linalg import eig_backend, hermitian_eig, partial_trace, tensor_product
+from .linalg import hermitian_eig, partial_trace, tensor_product
 from .states import (
     DensityOperator,
     PureState,

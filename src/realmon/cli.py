@@ -19,7 +19,6 @@ import sys
 import numpy as np
 
 from . import __version__
-from .linalg import eig_backend
 from .noise import default_noise_model
 from .sweeps import (
     ConfigError,
@@ -95,16 +94,14 @@ def _cmd_sweep(args) -> int:
         value = getattr(args, key)
         if value is not None:
             overrides[key] = value
+    if args.points is not None:
+        overrides["points"] = args.points
     if args.config:
         if args.scenario is not None:
             overrides["scenario"] = args.scenario
-        if args.points is not None:
-            overrides["points"] = args.points
         config = config_from_json(args.config, **overrides)
     else:
-        scenario = args.scenario or "custom"
-        points = args.points or DEFAULT_GRID_POINTS
-        config = make_config(scenario, points=points, **overrides)
+        config = make_config(args.scenario or "custom", **overrides)
     records = run_sweep(config)
     if config.out:
         emit_csv(records, config.out)
@@ -157,7 +154,6 @@ def _cmd_tomo(args) -> int:
         "median_error": errors_sorted[len(errors) // 2],
         "p90_error": errors_sorted[min(len(errors) - 1, int(0.9 * len(errors)))],
         "max_error": errors_sorted[-1],
-        "eig_backend": eig_backend(),
     }
     print(json.dumps(summary, indent=2, sort_keys=True))
     if args.out:

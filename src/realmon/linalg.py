@@ -1,29 +1,19 @@
 """Dense complex-matrix primitives sized for Hilbert dimensions up to 16.
 
 Everything here is pure: inputs are never mutated and outputs are fresh
-arrays.  The Hermitian eigensolver is a cyclic Jacobi iteration with a
-deterministic sweep order, so repeated runs give identical spectra; the
-rotation loop is the package's one hot kernel and is served by a compiled
-extension when available, with a pure-Python twin selected at import
-otherwise.
+arrays.  ``hermitian_eig`` is the package's one eigensolver: LAPACK's
+Hermitian driver (``numpy.linalg.eigh``), with matrices that are already
+diagonal to within ``OFFDIAG_TOL`` answered from their diagonal, so
+diagonal states (basis states, the maximally mixed state) keep exact
+spectra.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import _jacobi_py
-
-try:
-    from . import _jacobi as _jacobi_ext
-except ImportError:
-    _jacobi_ext = None
-
-_KERNEL = _jacobi_ext if _jacobi_ext is not None else _jacobi_py
-
 HERMITIAN_TOL = 1e-10
 OFFDIAG_TOL = 1e-13
-MAX_SWEEPS = 100
 
 
 class DimensionError(ValueError):
@@ -32,11 +22,6 @@ class DimensionError(ValueError):
 
 class NonHermitianError(ValueError):
     """Input matrix deviates from Hermiticity beyond tolerance."""
-
-
-def eig_backend() -> str:
-    """Name of the Jacobi kernel selected at import: 'compiled' or 'python'."""
-    return "compiled" if _KERNEL is _jacobi_ext and _jacobi_ext is not None else "python"
 
 
 def _as_square_complex(m, name="matrix") -> np.ndarray:
@@ -107,38 +92,33 @@ def partial_trace(m, dims, keep) -> np.ndarray:
 
 
 def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix via cyclic Jacobi rotations.
+    """Eigendecomposition of a finite Hermitian matrix.
 
-    Returns ``(w, v)`` with eigenvalues ``w`` ascending (ties keep the
-    first-encountered column order) and eigenvector columns ``v[:, k]``.
-    The global phase of each column is fixed by making its largest-magnitude
-    component real and positive.
+    Returns ``(w, v)`` with eigenvalues ``w`` ascending and eigenvector
+    columns ``v[:, k]``.  The global phase of each column is fixed by making
+    its largest-magnitude component real and positive.  If every
+    off-diagonal entry is below ``OFFDIAG_TOL`` in magnitude, ``w`` is the
+    real diagonal, stable-sorted, and ``v`` the matching identity columns;
+    otherwise LAPACK decides the column order among exactly tied
+    eigenvalues.
     """
-    return _eig_with_kernel(m, _KERNEL)
-
-
-def _eig_with_kernel(m, kernel) -> tuple[np.ndarray, np.ndarray]:
     arr = _as_square_complex(m)
+    finite = np.isfinite(arr)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise ValueError(f"matrix entry [{i}, {j}] is not finite: {arr[i, j]!r}")
     defect = hermiticity_defect(arr)
     if defect > HERMITIAN_TOL:
         raise NonHermitianError(
             f"matrix is not Hermitian: max |m - m†| = {defect:.3e} exceeds {HERMITIAN_TOL:.0e}"
         )
-    d = arr.shape[0]
-    if d == 1:
-        return np.array([arr[0, 0].real]), np.ones((1, 1), dtype=complex)
-    a = np.ascontiguousarray((arr + arr.conj().T) / 2.0)
-    v = np.eye(d, dtype=complex)
-    kernel.jacobi_sweeps(a, v, OFFDIAG_TOL, MAX_SWEEPS)
-    w = a.diagonal().real.copy()
-    order = np.argsort(w, kind="stable")
-    w = w[order]
-    v = np.ascontiguousarray(v[:, order])
-    for k in range(d):
-        col = v[:, k]
-        idx = int(np.argmax(np.abs(col)))
-        z = col[idx]
-        mag = abs(z)
-        if mag > 0.0:
-            v[:, k] = col * (z.conjugate() / mag)
-    return w, v
+    a = (arr + arr.conj().T) / 2.0
+    offdiag = np.abs(a)
+    np.fill_diagonal(offdiag, 0.0)
+    if offdiag.max() < OFFDIAG_TOL:
+        w = a.diagonal().real
+        order = np.argsort(w, kind="stable")
+        return w[order], np.eye(a.shape[0], dtype=complex)[:, order]
+    w, v = np.linalg.eigh(a)
+    z = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    return w, v * (z.conj() / np.abs(z))

@@ -30,7 +30,6 @@ from .circuits import (
     run_circuit_density,
     strength_of_epsilon,
 )
-from .linalg import eig_backend
 from .noise import DEFAULT_DEPOLARIZING_RATE, DEFAULT_READOUT_FLIPS, NoiseModel, confusion_from_flip
 from .observables import observable_from_axis, standard_mub_observables
 from .reality import (
@@ -164,6 +163,8 @@ def _resolve_state(spec) -> DensityOperator:
             phi = float(spec.get("phi", 0.0))
         except (KeyError, TypeError, ValueError):
             raise ConfigError(f"state: angle spec needs numeric 'theta' (and optional 'phi'), got {spec!r}") from None
+        if not (math.isfinite(theta) and math.isfinite(phi)):
+            raise ConfigError(f"state: 'theta' and 'phi' must be finite, got {spec!r}")
         amp = [math.cos(theta / 2.0), math.sin(theta / 2.0) * complex(math.cos(phi), math.sin(phi))]
         return density_from_pure(PureState(amp))
     raise ConfigError(f"state: expected preset name or angle dict, got {type(spec).__name__}")
@@ -177,6 +178,8 @@ def make_config(scenario: str = "custom", *, points: int = DEFAULT_GRID_POINTS, 
     """Build a validated config from a scenario preset plus field overrides."""
     if scenario not in SCENARIOS:
         raise ConfigError(f"scenario: unknown value {scenario!r}, expected one of {SCENARIOS}")
+    if not isinstance(points, (int, np.integer)) or points < 2:
+        raise ConfigError(f"points: must be an integer of at least 2, got {points!r}")
     base: dict = {"scenario": scenario}
     if scenario == "fig1":
         base.update(
@@ -414,7 +417,6 @@ def emit_csv(records: list[SweepRecord], path: str):
 
 def sweep_metadata(config: SweepConfig) -> dict:
     meta = asdict(config)
-    meta["eig_backend"] = eig_backend()
     meta["tomography"] = (
         "simulated per-axis sampling with symmetric readout confusion; "
         f"shots={config.shots} (default {DEFAULT_SHOTS}), repeats={config.repeats}"

@@ -49,6 +49,11 @@ class TestDensityOperator:
         with pytest.raises(NegativityError):
             DensityOperator(m)
 
+    def test_rejects_non_finite_entry(self):
+        m = np.array([[0.5, math.nan], [math.nan, 0.5]], dtype=complex)
+        with pytest.raises(ValueError, match="not finite"):
+            DensityOperator(m)
+
     def test_matrix_is_read_only(self):
         rho = maximally_mixed(2)
         with pytest.raises(ValueError):

@@ -268,6 +268,19 @@ class TestCLI:
         assert proc.returncode == 3
         assert "config error" in proc.stderr
 
+    @pytest.mark.parametrize("points", ["0", "1"])
+    def test_points_below_two_exit_code(self, points):
+        proc = run_cli("sweep", "--scenario", "fig4a", "--points", points)
+        assert proc.returncode == 3
+        assert "points" in proc.stderr
+
+    def test_non_finite_state_config_exit_code(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"scenario": "fig4a", "state": {"theta": math.nan}}))
+        proc = run_cli("sweep", "--config", str(path), "--points", "3")
+        assert proc.returncode == 3
+        assert "state" in proc.stderr
+
     def test_verify_cases_exit_zero(self):
         proc = run_cli("verify-cases", "--trials", "5")
         assert proc.returncode == 0
