@@ -5,23 +5,21 @@ ancilla prepared by U(theta_m, 0, 0) with a controlled-phase (or
 controlled-NOT) gate, undoes the basis change with V, and discards the
 ancilla.  Controlled-phase coupling gives intensity eps = 1 - cos(theta_m);
 controlled-NOT gives eps = 1 - sin(theta_m), both certified against the
-extracted superoperator rather than assumed.  Evolution is dense unitary
-conjugation of the full-width density matrix, which is trivially correct at
-the register sizes used here (up to three system qubits).
+extracted superoperator rather than assumed.  The register's operator is
+held as a tensor with one row and one column axis per qubit, and each gate
+acts as its own 2x2 or 4x4 matrix on the axes of the qubits it touches.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .channels import Superoperator
 from .linalg import DimensionError, partial_trace, tensor_product
 from .noise import NoiseModel
-from .observables import SIGMA_X, SIGMA_Y, SIGMA_Z
 from .states import DensityOperator
 
 COUPLINGS = ("CZ", "CNOT")
@@ -175,69 +173,69 @@ def strength_of_epsilon(coupling: str, epsilon: float) -> float:
     raise ValueError(f"coupling must be one of {COUPLINGS}, got {coupling!r}")
 
 
-def _embed_single(width: int, qubit: int, u2: np.ndarray) -> np.ndarray:
-    left = np.eye(2**qubit, dtype=complex)
-    right = np.eye(2 ** (width - qubit - 1), dtype=complex)
-    return tensor_product(tensor_product(left, u2), right)
-
-
-def gate_unitary(gate: Gate, width: int) -> np.ndarray:
-    """Full 2^width unitary for one gate (qubit 0 is the leftmost factor)."""
+def gate_matrix(gate: Gate) -> np.ndarray:
+    """The gate on its own qubits: 2x2 for U3, 4x4 in (control, target) order."""
     if gate.kind == "U3":
-        return _embed_single(width, gate.qubits[0], u3_matrix(*gate.params))
-    control, target = gate.qubits
-    p0 = np.array([[1, 0], [0, 0]], dtype=complex)
-    p1 = np.array([[0, 0], [0, 1]], dtype=complex)
-    action = SIGMA_Z if gate.kind == "CZ" else SIGMA_X
-    return _embed_single(width, control, p0) + _embed_single(width, control, p1) @ _embed_single(
-        width, target, action
-    )
+        return u3_matrix(*gate.params)
+    if gate.kind == "CZ":
+        return np.diag([1, 1, 1, -1]).astype(complex)
+    return np.eye(4, dtype=complex)[[0, 1, 3, 2]]
 
 
-@lru_cache(maxsize=None)
-def _pair_paulis(width: int, pair: tuple[int, int]) -> tuple[np.ndarray, ...]:
-    singles = (np.eye(2, dtype=complex), SIGMA_X, SIGMA_Y, SIGMA_Z)
-    out = []
-    for a in singles:
-        for b in singles:
-            out.append(_embed_single(width, pair[0], a) @ _embed_single(width, pair[1], b))
-    return tuple(out)
+def _apply_on_axes(t: np.ndarray, g: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """Contract the k-qubit matrix ``g`` into ``axes`` of the qubit tensor ``t``.
+
+    With the row axes this is g·t; with the column axes and conj(g) it is t·g†.
+    """
+    n = t.ndim
+    new = list(range(n, n + len(axes)))
+    out = [n + axes.index(a) if a in axes else a for a in range(n)]
+    return np.einsum(g.reshape((2,) * 2 * len(axes)), new + list(axes), t, list(range(n)), out)
 
 
-def _depolarize_pair(mat: np.ndarray, width: int, pair: tuple[int, int], rate: float) -> np.ndarray:
-    """Two-qubit depolarizing via the 16-Pauli twirl on the gate's qubit pair."""
-    twirl = np.zeros_like(mat)
-    for p in _pair_paulis(width, pair):
-        twirl += p @ mat @ p.conj().T
-    return (1.0 - rate) * mat + (rate / 16.0) * twirl
+def _depolarize_pair(t: np.ndarray, pair: tuple[int, int], rate: float) -> np.ndarray:
+    """Two-qubit depolarizing on ``pair`` of the qubit tensor ``t``.
+
+    The 16-Pauli twirl of a qubit pair traces the pair out and puts I/4 in
+    its place, so the channel is (1 - rate)·t + rate·(Tr_pair t ⊗ I/4).
+    """
+    width = t.ndim // 2
+    axes = list(range(2 * width))
+    traced = [a - width if a - width in pair else a for a in axes]
+    rest = [a for a in axes if a % width not in pair]
+    reduced = np.einsum(t, traced, rest)
+    pair_axes = [pair[0], pair[1], width + pair[0], width + pair[1]]
+    mixed = np.einsum(reduced, rest, np.eye(4).reshape(2, 2, 2, 2) / 4.0, pair_axes, axes)
+    return (1.0 - rate) * t + rate * mixed
 
 
 def apply_circuit_matrix(circuit: Circuit, mat: np.ndarray, noise: NoiseModel | None = None) -> np.ndarray:
     """Linear action of the circuit-plus-discard pipeline on a system operator.
 
-    Tensors on |0...0><0...0| ancillas, conjugates through the gate list
-    (interleaving two-qubit depolarizing when a noise model is given), and
-    partial-traces the ancillas out again.  Linearity makes this valid on
-    arbitrary matrices, which is what the channel-extraction oracle needs.
+    Tensors on |0...0><0...0| ancillas, conjugates each gate through the
+    row and column axes of the qubits it touches (interleaving two-qubit
+    depolarizing when a noise model is given), and partial-traces the
+    ancillas out again.  Linearity makes this valid on arbitrary matrices,
+    which is what the channel-extraction oracle needs.
     """
     n_sys = circuit.n_system
     d_sys = 2**n_sys
     mat = np.asarray(mat, dtype=complex)
     if mat.shape != (d_sys, d_sys):
         raise DimensionError(f"operator shape {mat.shape} does not match {n_sys} system qubits")
-    n_anc = circuit.width - n_sys
-    anc = np.zeros((2**n_anc, 2**n_anc), dtype=complex)
+    width = circuit.width
+    d_anc = 2 ** (width - n_sys)
+    anc = np.zeros((d_anc, d_anc), dtype=complex)
     anc[0, 0] = 1.0
-    full = tensor_product(mat, anc) if n_anc else mat
+    full = tensor_product(mat, anc).reshape((2,) * 2 * width)
     depol = noise.depolarizing_rate if noise is not None else 0.0
     for g in circuit.gates:
-        u = gate_unitary(g, circuit.width)
-        full = u @ full @ u.conj().T
+        u = gate_matrix(g)
+        full = _apply_on_axes(full, u, g.qubits)
+        full = _apply_on_axes(full, u.conj(), tuple(width + q for q in g.qubits))
         if depol > 0.0 and g.kind in COUPLINGS:
-            full = _depolarize_pair(full, circuit.width, g.qubits, depol)
-    if not n_anc:
-        return full
-    return partial_trace(full, [2] * circuit.width, keep=circuit.system_qubits)
+            full = _depolarize_pair(full, g.qubits, depol)
+    return partial_trace(full.reshape(2**width, 2**width), [2] * width, keep=circuit.system_qubits)
 
 
 def run_circuit_density(

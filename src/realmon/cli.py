@@ -7,7 +7,7 @@ Subcommands:
   tomo-sim         tomography reconstruction-error statistics
 
 Exit codes: 0 on success, 2 when an invariant or certification check is
-violated, 3 for configuration or I/O problems.
+violated, 3 for configuration or I/O problems and malformed command lines.
 """
 
 from __future__ import annotations
@@ -45,8 +45,16 @@ EXIT_VIOLATION = 2
 EXIT_CONFIG = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 3, because argparse's own 2 means a violated invariant here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="realmon",
         description="Reality variation of quantum observables under weak non-revealed monitoring.",
     )
@@ -89,19 +97,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_sweep(args) -> int:
-    overrides = {}
-    for key in ("path", "seed", "shots", "repeats", "epsilon", "coupling", "out", "svg", "json_out"):
+    flags = {}
+    for key in (
+        "scenario", "path", "seed", "shots", "repeats", "points", "epsilon", "coupling", "out", "svg", "json_out"
+    ):
         value = getattr(args, key)
         if value is not None:
-            overrides[key] = value
-    if args.points is not None:
-        overrides["points"] = args.points
-    if args.config:
-        if args.scenario is not None:
-            overrides["scenario"] = args.scenario
-        config = config_from_json(args.config, **overrides)
-    else:
-        config = make_config(args.scenario or "custom", **overrides)
+            flags[key] = value
+    config = config_from_json(args.config, **flags) if args.config else make_config(**flags)
     records = run_sweep(config)
     if config.out:
         emit_csv(records, config.out)

@@ -92,8 +92,9 @@ def sample_shots(probabilities, n_shots: int, rng) -> np.ndarray:
 def apply_readout_noise(probabilities, confusions) -> np.ndarray:
     """Push outcome probabilities through per-qubit confusion matrices.
 
-    ``confusions`` lists one 2x2 column-stochastic matrix per qubit; their
-    tensor extension acts on the 2**n outcome vector.
+    ``confusions`` lists one 2x2 column-stochastic matrix per qubit; matrix
+    k acts along outcome axis k of the 2**n outcome vector (qubit 0 is the
+    most significant bit).
     """
     p = _validated_probabilities(probabilities)
     mats = list(confusions)
@@ -101,7 +102,7 @@ def apply_readout_noise(probabilities, confusions) -> np.ndarray:
         raise DimensionError(
             f"{len(mats)} confusion matrices cannot act on {p.size} outcomes"
         )
-    full = np.array([[1.0]])
-    for c in mats:
-        full = np.kron(full, np.asarray(c, dtype=float))
-    return full @ p
+    t = p.reshape((2,) * len(mats))
+    for axis, c in enumerate(mats):
+        t = np.moveaxis(np.tensordot(np.asarray(c, dtype=float), t, axes=(1, axis)), 0, axis)
+    return t.reshape(-1)

@@ -36,6 +36,10 @@ class PureState:
         arr = np.asarray(amplitudes, dtype=complex).reshape(-1)
         if arr.size < 1:
             raise DimensionError("state vector must have at least one amplitude")
+        finite = np.isfinite(arr)
+        if not finite.all():
+            i = np.flatnonzero(~finite)[0]
+            raise ValueError(f"state vector entry [{i}] is not finite: {arr[i]!r}")
         norm = float(np.linalg.norm(arr))
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state vector norm {norm!r} deviates from 1 beyond {NORM_TOL:.0e}")

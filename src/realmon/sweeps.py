@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -105,6 +106,12 @@ class SweepConfig:
             raise ConfigError(f"grid_kind: unknown value {self.grid_kind!r}")
         if not self.grid_values:
             raise ConfigError("grid_values: grid must be nonempty")
+        if not _finite_numbers(self.grid_values):
+            raise ConfigError(f"grid_values: must be finite numbers, got {self.grid_values!r}")
+        for name in ("monitor_axis", "probe_axis"):
+            axis = getattr(self, name)
+            if not (_finite_numbers(axis) and len(axis) == 2):
+                raise ConfigError(f"{name}: must be two finite numbers (theta, phi), got {axis!r}")
         if self.grid_kind == "epsilon" and any(not 0.0 <= g <= 1.0 for g in self.grid_values):
             raise ConfigError("grid_values: intensity values must lie in [0, 1]")
         if self.grid_kind == "theta_m" and any(
@@ -121,8 +128,16 @@ class SweepConfig:
             raise ConfigError(f"shots: must be nonnegative, got {self.shots}")
         if self.repeats < 1:
             raise ConfigError(f"repeats: must be at least 1, got {self.repeats}")
-        if self.depolarizing < 0.0 or self.depolarizing > 1.0:
+        if not 0.0 <= self.depolarizing <= 1.0:
             raise ConfigError(f"depolarizing: must lie in [0, 1], got {self.depolarizing!r}")
+        if not (
+            self.readout_flips
+            and _finite_numbers(self.readout_flips)
+            and all(0.0 <= p <= 1.0 for p in self.readout_flips)
+        ):
+            raise ConfigError(
+                f"readout_flips: must be flip probabilities in [0, 1], got {self.readout_flips!r}"
+            )
         _resolve_state(self.state)
         return self
 
@@ -147,6 +162,12 @@ class SweepRecord:
     path: str
     se_dR_X: float | None = None
     se_dR_Xp: float | None = None
+
+
+def _finite_numbers(values) -> bool:
+    return isinstance(values, (tuple, list)) and all(
+        isinstance(v, numbers.Real) and math.isfinite(v) for v in values
+    )
 
 
 def _resolve_state(spec) -> DensityOperator:
@@ -235,7 +256,8 @@ def make_config(scenario: str = "custom", *, points: int = DEFAULT_GRID_POINTS, 
     return config.validate()
 
 
-def config_from_json(path: str, **overrides) -> SweepConfig:
+def config_from_json(path: str, /, **overrides) -> SweepConfig:
+    """Build a validated config from a JSON object's fields, ``overrides`` on top."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -245,13 +267,11 @@ def config_from_json(path: str, **overrides) -> SweepConfig:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
-    scenario = data.pop("scenario", "custom")
     for key in ("grid_values", "monitor_axis", "probe_axis", "readout_flips"):
         if key in data and isinstance(data[key], list):
             data[key] = tuple(data[key])
     data.update(overrides)
-    points = data.pop("points", DEFAULT_GRID_POINTS)
-    return make_config(scenario, points=points, **data)
+    return make_config(**data)
 
 
 def _point_parameters(config: SweepConfig, value: float):
@@ -281,6 +301,37 @@ def _circuit_states(config, rho, eps, monitor_axis, probe_axis, noise):
     return mon, probe, probe_mon
 
 
+def _tomography_entropies(config, index, states, noise) -> list[list[float]]:
+    """One entropy row per tomography repeat, each state sampled from its own seed."""
+    repeats = 1 if config.shots == 0 else config.repeats
+    rows = []
+    for rep in range(repeats):
+        row = []
+        for state_idx, state in enumerate(states):
+            rng = np.random.default_rng([config.seed, index, rep, state_idx])
+            est = estimate_pauli(state, config.shots, rng, noise=noise, qubit=0)
+            row.append(von_neumann_entropy(reconstruct_state(est)))
+        rows.append(row)
+    return rows
+
+
+def _record(theta_m: float, epsilon: float, entropies, case, path: str) -> SweepRecord:
+    """One record from rows of (S_rho, S_mon, S_probe, S_probe_mon).
+
+    The exact paths give one row; the noisy path gives one row per
+    tomography repeat, and its records carry the standard errors of the two
+    gains (zero for a single repeat).
+    """
+    s = np.asarray(entropies, dtype=float)
+    rows = np.column_stack((s[:, 1] - s[:, 0], s[:, 2] + s[:, 1] - s[:, 0] - s[:, 3], s))
+    means = [float(m) for m in rows.mean(axis=0)]
+    se = (None, None)
+    if path == "noisy":
+        se = rows[:, :2].std(axis=0, ddof=1) / math.sqrt(len(rows)) if len(rows) > 1 else np.zeros(2)
+        se = (float(se[0]), float(se[1]))
+    return SweepRecord(theta_m, epsilon, *means, case=str(case), path=path, se_dR_X=se[0], se_dR_Xp=se[1])
+
+
 def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     """Evaluate every grid point of a validated config, in grid order."""
     config.validate()
@@ -291,83 +342,25 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
         theta_col, eps, monitor_axis, probe_axis = _point_parameters(config, value)
         x_obs = observable_from_axis(*monitor_axis)
         xp_obs = observable_from_axis(*probe_axis)
-        case = classify_case(x_obs, xp_obs, rho)
         if config.path == "analytic":
             report = reality_report(x_obs, xp_obs, eps, rho)
-            records.append(
-                SweepRecord(
-                    theta_m=theta_col,
-                    epsilon=eps,
-                    dR_X=report.delta_r_monitored,
-                    dR_Xp=report.delta_r_probe,
-                    S_rho=report.entropy_initial,
-                    S_mon=report.entropy_monitored,
-                    S_probe=report.entropy_probe,
-                    S_probe_mon=report.entropy_probe_monitored,
-                    case=str(report.case_label),
-                    path=config.path,
+            case = report.case_label
+            entropies = [
+                (
+                    report.entropy_initial,
+                    report.entropy_monitored,
+                    report.entropy_probe,
+                    report.entropy_probe_monitored,
                 )
-            )
-            continue
-        mon, probe, probe_mon = _circuit_states(config, rho, eps, monitor_axis, probe_axis, noise)
-        if config.path == "circuit":
-            s_rho = von_neumann_entropy(rho)
-            s_mon = von_neumann_entropy(mon)
-            s_probe = von_neumann_entropy(probe)
-            s_probe_mon = von_neumann_entropy(probe_mon)
-            records.append(
-                SweepRecord(
-                    theta_m=theta_col,
-                    epsilon=eps,
-                    dR_X=s_mon - s_rho,
-                    dR_Xp=s_probe + s_mon - s_rho - s_probe_mon,
-                    S_rho=s_rho,
-                    S_mon=s_mon,
-                    S_probe=s_probe,
-                    S_probe_mon=s_probe_mon,
-                    case=str(case),
-                    path=config.path,
-                )
-            )
-            continue
-        repeats = 1 if config.shots == 0 else config.repeats
-        rows = np.empty((repeats, 6))
-        for rep in range(repeats):
-            entropies = []
-            for state_idx, state in enumerate((rho, mon, probe, probe_mon)):
-                rng = np.random.default_rng([config.seed, index, rep, state_idx])
-                est = estimate_pauli(state, config.shots, rng, noise=noise, qubit=0)
-                entropies.append(von_neumann_entropy(reconstruct_state(est)))
-            s_rho, s_mon, s_probe, s_probe_mon = entropies
-            rows[rep] = (
-                s_mon - s_rho,
-                s_probe + s_mon - s_rho - s_probe_mon,
-                s_rho,
-                s_mon,
-                s_probe,
-                s_probe_mon,
-            )
-        means = rows.mean(axis=0)
-        if repeats > 1:
-            sds = rows[:, :2].std(axis=0, ddof=1) / math.sqrt(repeats)
+            ]
         else:
-            sds = np.zeros(2)
-        records.append(
-            SweepRecord(
-                theta_m=theta_col,
-                epsilon=eps,
-                dR_X=float(means[0]),
-                dR_Xp=float(means[1]),
-                S_rho=float(means[2]),
-                S_mon=float(means[3]),
-                S_probe=float(means[4]),
-                S_probe_mon=float(means[5]),
-                case=str(case),
-                path=config.path,
-                se_dR_X=float(sds[0]),
-                se_dR_Xp=float(sds[1]),
-            )
-        )
+            case = classify_case(x_obs, xp_obs, rho)
+            states = (rho, *_circuit_states(config, rho, eps, monitor_axis, probe_axis, noise))
+            if config.path == "circuit":
+                entropies = [[von_neumann_entropy(state) for state in states]]
+            else:
+                entropies = _tomography_entropies(config, index, states, noise)
+        records.append(_record(theta_col, eps, entropies, case, config.path))
     return records
 
 

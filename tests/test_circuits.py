@@ -12,15 +12,15 @@ from realmon.circuits import (
     dump_circuit,
     epsilon_of_strength,
     extract_channel,
-    gate_unitary,
+    gate_matrix,
     run_circuit_density,
     strength_of_epsilon,
     u3_matrix,
     unitary_adjoint_identity_check,
 )
 from realmon.linalg import DimensionError
-from realmon.noise import default_noise_model
-from realmon.observables import observable_from_axis
+from realmon.noise import NoiseModel, default_noise_model
+from realmon.observables import SIGMA_X, SIGMA_Y, SIGMA_Z, observable_from_axis
 from realmon.reality import scenario2_eigenvalues
 from realmon.states import DensityOperator, maximally_mixed
 
@@ -74,12 +74,71 @@ class TestGateAndCircuitValidation:
         with pytest.raises(ValueError, match="exactly one"):
             Circuit(2, gates, (0,), 0.3)
 
-    def test_gate_unitary_embedding(self):
-        cz = gate_unitary(Gate("CZ", (0, 1)), 2)
-        assert np.abs(cz - np.diag([1, 1, 1, -1])).max() <= 1e-15
-        cx = gate_unitary(Gate("CNOT", (0, 1)), 2)
-        expected = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
-        assert np.abs(cx - expected).max() <= 1e-15
+    def test_gate_matrix(self):
+        assert np.array_equal(gate_matrix(Gate("CZ", (0, 1))), np.diag([1, 1, 1, -1]))
+        # (control, target) order: the reversed pair gets the same 4x4 matrix
+        cx = gate_matrix(Gate("CNOT", (1, 0)))
+        assert np.array_equal(cx, np.eye(4)[[0, 1, 3, 2]])
+        u = gate_matrix(Gate("U3", (2,), (0.7, -1.2, 2.4)))
+        assert np.array_equal(u, u3_matrix(0.7, -1.2, 2.4))
+
+
+def _embed(width, factors):
+    """Full-width kron of 2x2 ``factors`` (qubit -> matrix), identity elsewhere."""
+    out = np.eye(1, dtype=complex)
+    for q in range(width):
+        out = np.kron(out, factors.get(q, np.eye(2, dtype=complex)))
+    return out
+
+
+def _full_unitary(gate, width):
+    """Reference full-width unitary of one gate, qubit 0 the leftmost factor."""
+    if gate.kind == "U3":
+        return _embed(width, {gate.qubits[0]: u3_matrix(*gate.params)})
+    control, target = gate.qubits
+    action = SIGMA_Z if gate.kind == "CZ" else SIGMA_X
+    p0 = np.diag([1.0, 0.0]).astype(complex)
+    p1 = np.diag([0.0, 1.0]).astype(complex)
+    return _embed(width, {control: p0}) + _embed(width, {control: p1, target: action})
+
+
+def _random_operator(d, seed):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+
+
+class TestLocalGateOracle:
+    """Gates applied on their own axes against full-width kron conjugation."""
+
+    @pytest.mark.parametrize(
+        "gate",
+        [Gate("U3", (q,), (0.7, -1.2, 2.4)) for q in range(3)]
+        + [Gate(kind, pair) for kind in ("CZ", "CNOT") for pair in ((0, 2), (2, 0))],
+        ids=str,
+    )
+    def test_matches_full_width_conjugation(self, gate):
+        circ = Circuit(3, (gate,), (0, 1, 2), 0.0)
+        m = _random_operator(8, 4)
+        u = _full_unitary(gate, 3)
+        assert np.abs(apply_circuit_matrix(circ, m) - u @ m @ u.conj().T).max() <= 1e-14
+
+    @pytest.mark.parametrize("pair", [(0, 2), (3, 1)])
+    def test_depolarizing_matches_pauli_twirl(self, pair):
+        rate = 0.3
+        gate = Gate("CNOT", pair)
+        circ = Circuit(4, (gate,), (0, 1, 2, 3), 0.0)
+        m = _random_operator(16, 5)
+        u = _full_unitary(gate, 4)
+        conj = u @ m @ u.conj().T
+        singles = (np.eye(2, dtype=complex), SIGMA_X, SIGMA_Y, SIGMA_Z)
+        twirl = np.zeros_like(conj)
+        for a in singles:
+            for b in singles:
+                p = _embed(4, {pair[0]: a, pair[1]: b})
+                twirl += p @ conj @ p.conj().T
+        expected = (1.0 - rate) * conj + (rate / 16.0) * twirl
+        out = apply_circuit_matrix(circ, m, NoiseModel((), rate))
+        assert np.abs(out - expected).max() <= 1e-14
 
 
 class TestBuildAndRun:

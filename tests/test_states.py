@@ -29,6 +29,13 @@ class TestPureState:
         psi = PureState([1.0 + 5e-9, 0.0])
         assert abs(np.linalg.norm(psi.amplitudes) - 1.0) <= 1e-15
 
+    @pytest.mark.parametrize(
+        "amplitudes, entry", [([math.nan, 1.0], 0), ([0.0, math.inf], 1), ([1.0, complex(0, math.nan)], 1)]
+    )
+    def test_rejects_non_finite_amplitude(self, amplitudes, entry):
+        with pytest.raises(ValueError, match=rf"entry \[{entry}\] is not finite"):
+            PureState(amplitudes)
+
 
 class TestDensityOperator:
     def test_validation_accepts_good_state(self):

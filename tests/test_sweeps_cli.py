@@ -64,6 +64,13 @@ class TestConfig:
         config = config_from_json(str(path), shots=128)
         assert config.scenario == "fig4a" and config.seed == 9 and config.shots == 128
 
+    def test_from_json_overrides_path_and_scenario(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"scenario": "fig4a", "points": 3}))
+        config = config_from_json(str(path), path="circuit", scenario="fig4c")
+        assert config.path == "circuit" and config.scenario == "fig4c"
+        assert config.state == "plus" and config.monitor_axis == (math.pi / 4, 0.0)
+
     def test_from_json_bad_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -280,6 +287,56 @@ class TestCLI:
         proc = run_cli("sweep", "--config", str(path), "--points", "3")
         assert proc.returncode == 3
         assert "state" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "fields, name",
+        [
+            ({"grid_kind": "theta_m", "grid_values": [0.1, math.nan]}, "grid_values"),
+            ({"grid_kind": "epsilon", "grid_values": [math.inf]}, "grid_values"),
+            (
+                {"grid_kind": "axis_theta", "sweep_target": "probe", "grid_values": [0.0, math.nan]},
+                "grid_values",
+            ),
+            ({"scenario": "fig4a", "path": "noisy", "readout_flips": [1.5, 0.0]}, "readout_flips"),
+            ({"scenario": "fig4a", "readout_flips": [-0.1]}, "readout_flips"),
+            ({"scenario": "fig4a", "readout_flips": [math.nan]}, "readout_flips"),
+            ({"scenario": "fig4a", "path": "noisy", "readout_flips": []}, "readout_flips"),
+            ({"scenario": "fig4a", "monitor_axis": [0.3]}, "monitor_axis"),
+            ({"scenario": "fig4a", "probe_axis": [0.3, math.inf]}, "probe_axis"),
+            ({"scenario": "fig4a", "probe_axis": [0.3, 0.0, 1.0]}, "probe_axis"),
+            ({"scenario": "fig4a", "path": "noisy", "depolarizing": math.nan}, "depolarizing"),
+        ],
+        ids=[
+            "grid-theta_m-nan", "grid-epsilon-inf", "grid-axis_theta-nan", "flips-above-one",
+            "flips-negative", "flips-nan", "flips-empty", "monitor-axis-one-number", "probe-axis-inf",
+            "probe-axis-three-numbers", "depolarizing-nan",
+        ],
+    )
+    def test_malformed_config_field_exit_code(self, tmp_path, capsys, fields, name):
+        import realmon.cli as cli_mod
+
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(fields))
+        assert cli_mod.main(["sweep", "--config", str(path), "--points", "3"]) == 3
+        assert name in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--path", "circuit"], ["--scenario", "fig4c"]])
+    def test_config_file_with_path_or_scenario_flag(self, tmp_path, flags):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"scenario": "fig4a", "points": 3}))
+        proc = run_cli("sweep", "--config", str(path), *flags)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith(CSV_HEADER)
+        assert len(proc.stdout.splitlines()) == 4
+
+    def test_usage_error_exit_code(self):
+        proc = run_cli("sweep", "--points", "abc")
+        assert proc.returncode == 3
+        assert "invalid int value" in proc.stderr
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_exit_zero(self, flag):
+        assert run_cli(flag).returncode == 0
 
     def test_verify_cases_exit_zero(self):
         proc = run_cli("verify-cases", "--trials", "5")
