@@ -6,7 +6,9 @@ projective observables (``observables``), dephasing and monitoring channels
 with a superoperator oracle (``channels``), reality-variation measures and
 closed-form qubit spectra (``reality``), ancilla-dilation circuits with
 noise (``circuits``, ``noise``), single-qubit tomography (``tomography``),
-and the sweep/CLI front end (``sweeps``, ``cli``).
+and the sweep/CLI front end (``sweeps``, ``cli``).  The eigensolver,
+entropies, channels and reality measures evaluate one configuration or an
+(N, d, d) stack of them through the same code.
 """
 
 __version__ = "0.1.0"
@@ -17,9 +19,11 @@ from .states import (
     PureState,
     bloch_vector,
     density_from_pure,
+    stack_states,
     von_neumann_entropy,
 )
 from .observables import (
+    ObservableStack,
     ProjectiveObservable,
     commutes,
     is_mutually_unbiased,

@@ -5,6 +5,12 @@ composition tree) applied exactly; the superoperator form exists as an
 independent equality oracle.  Superoperators use the row-major matrix-unit
 basis: column k*d+l holds the row-stacked image of the unit E_kl, i.e.
 S[i*d+j, k*d+l] = channel(E_kl)[i, j].
+
+Dephasing and monitoring also act on stacks: a (d, d) matrix or an
+(N, d, d) stack of them, under one observable or an ``ObservableStack`` of N
+(projectors (N, k, d, d)) and one intensity or N of them.  A stack takes one
+batched matrix product per outcome, and each member's image equals its
+image alone.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DimensionError
-from .observables import ProjectiveObservable, observable_from_axis, observable_on_qubit
+from .observables import ObservableStack, ProjectiveObservable, observable_from_axis, observable_on_qubit
 from .states import DensityOperator
 
 SUPEROP_TOL = 1e-10
@@ -25,7 +31,7 @@ class DephasingChannel:
 
     __slots__ = ("observable",)
 
-    def __init__(self, observable: ProjectiveObservable):
+    def __init__(self, observable: ProjectiveObservable | ObservableStack):
         self.observable = observable
 
     @property
@@ -33,23 +39,24 @@ class DephasingChannel:
         return self.observable.dim
 
     def apply_matrix(self, mat: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(mat, dtype=complex)
-        for p in self.observable.projectors:
-            out += p @ mat @ p
-        return out
+        p = self.observable.projectors
+        return sum(p[..., j, :, :] @ mat @ p[..., j, :, :] for j in range(p.shape[-3]))
 
 
 class MonitoringChannel:
-    """Intensity-epsilon interpolation between identity and full dephasing."""
+    """Intensity-epsilon interpolation between identity and full dephasing.
+
+    ``epsilon`` is one intensity, or an (N,) array of them for a stack.
+    """
 
     __slots__ = ("observable", "epsilon")
 
-    def __init__(self, observable: ProjectiveObservable, epsilon: float):
-        epsilon = float(epsilon)
-        if not 0.0 <= epsilon <= 1.0:
+    def __init__(self, observable: ProjectiveObservable | ObservableStack, epsilon):
+        eps = np.asarray(epsilon, dtype=float)
+        if eps.ndim > 1 or not ((0.0 <= eps) & (eps <= 1.0)).all():
             raise ValueError(f"measurement intensity must lie in [0, 1], got {epsilon!r}")
         self.observable = observable
-        self.epsilon = epsilon
+        self.epsilon = float(eps) if eps.ndim == 0 else eps
 
     @property
     def dim(self) -> int:
@@ -57,7 +64,8 @@ class MonitoringChannel:
 
     def apply_matrix(self, mat: np.ndarray) -> np.ndarray:
         dephased = DephasingChannel(self.observable).apply_matrix(mat)
-        return (1.0 - self.epsilon) * mat + self.epsilon * dephased
+        eps = np.asarray(self.epsilon)[..., None, None]
+        return (1.0 - eps) * mat + eps * dephased
 
 
 class ComposedChannel:
@@ -106,14 +114,17 @@ def _check_dims(channel_dim: int, rho: DensityOperator):
         raise DimensionError(f"channel dimension {channel_dim} does not match state dimension {rho.dim}")
 
 
-def dephase(x: ProjectiveObservable, rho: DensityOperator) -> DensityOperator:
-    """Post-measurement state of a non-revealed projective measurement of x."""
+def dephase(x: ProjectiveObservable | ObservableStack, rho: DensityOperator) -> DensityOperator:
+    """Post-measurement state of a non-revealed projective measurement of x.
+
+    A stack of observables or of states gives the stack of images.
+    """
     _check_dims(x.dim, rho)
     return DensityOperator(DephasingChannel(x).apply_matrix(rho.matrix), validate=False)
 
 
 def monitor(ch: MonitoringChannel, rho: DensityOperator) -> DensityOperator:
-    """State after monitoring: (1-eps) rho + eps * dephased(rho)."""
+    """State after monitoring: (1-eps) rho + eps * dephased(rho), per member of a stack."""
     _check_dims(ch.dim, rho)
     return DensityOperator(ch.apply_matrix(rho.matrix), validate=False)
 

@@ -34,6 +34,7 @@ from .sweeps import (
     render_csv,
     run_sweep,
     verify_cases,
+    _check_seed,
     _resolve_state,
     _write_text,
 )
@@ -140,6 +141,11 @@ def _cmd_certify(args) -> int:
 
 def _cmd_tomo(args) -> int:
     rho = _resolve_state(args.state)
+    if args.shots < 0:
+        raise ConfigError(f"shots: must be nonnegative, got {args.shots}")
+    if args.seeds < 1:
+        raise ConfigError(f"seeds: must be at least 1, got {args.seeds}")
+    _check_seed(args.seed)
     noise = default_noise_model(depolarizing_rate=0.0) if args.noisy else None
     errors = []
     for k in range(args.seeds):

@@ -5,7 +5,9 @@ arrays.  ``hermitian_eig`` is the package's one eigensolver: LAPACK's
 Hermitian driver (``numpy.linalg.eigh``), with matrices that are already
 diagonal to within ``OFFDIAG_TOL`` answered from their diagonal, so
 diagonal states (basis states, the maximally mixed state) keep exact
-spectra.
+spectra.  It takes one ``(d, d)`` matrix or an ``(N, d, d)`` stack; a
+single matrix is solved as a stack of one, and each member of a stack gets
+the same answer it would get alone.
 """
 
 from __future__ import annotations
@@ -24,22 +26,24 @@ class NonHermitianError(ValueError):
     """Input matrix deviates from Hermiticity beyond tolerance."""
 
 
-def _as_square_complex(m, name="matrix") -> np.ndarray:
+def _as_square_complex(m, name="matrix", *, stack=False) -> np.ndarray:
+    """``m`` as a complex (d, d) array, or also as an (N, d, d) stack if ``stack``."""
     arr = np.asarray(m, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
-        raise DimensionError(f"{name} must be a square 2-D array, got shape {arr.shape}")
+    if arr.ndim not in ((2, 3) if stack else (2,)) or arr.shape[-1] != arr.shape[-2] or arr.shape[-1] < 1:
+        shape = "a square 2-D array or a stack of them" if stack else "a square 2-D array"
+        raise DimensionError(f"{name} must be {shape}, got shape {arr.shape}")
     return arr
 
 
 def dagger(m) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(m).conj().T
+    """Conjugate transpose (of each member of a stack)."""
+    return np.swapaxes(np.asarray(m), -1, -2).conj()
 
 
 def hermiticity_defect(m) -> float:
-    """Max entrywise magnitude of m - m†."""
+    """Max entrywise magnitude of m - m† (over all members of a stack)."""
     arr = np.asarray(m, dtype=complex)
-    return float(np.abs(arr - arr.conj().T).max())
+    return float(np.abs(arr - dagger(arr)).max())
 
 
 def is_hermitian(m, tol: float = HERMITIAN_TOL) -> bool:
@@ -92,33 +96,52 @@ def partial_trace(m, dims, keep) -> np.ndarray:
 
 
 def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a finite Hermitian matrix.
+    """Eigendecomposition of a finite Hermitian matrix or of an (N, d, d) stack.
 
     Returns ``(w, v)`` with eigenvalues ``w`` ascending and eigenvector
-    columns ``v[:, k]``.  The global phase of each column is fixed by making
-    its largest-magnitude component real and positive.  If every
-    off-diagonal entry is below ``OFFDIAG_TOL`` in magnitude, ``w`` is the
-    real diagonal, stable-sorted, and ``v`` the matching identity columns;
-    otherwise LAPACK decides the column order among exactly tied
-    eigenvalues.
+    columns ``v[:, k]`` (``w[n]`` and ``v[n]`` for member n of a stack).  The
+    global phase of each column is fixed by making its largest-magnitude
+    component real and positive.  If every off-diagonal entry of a matrix is
+    below ``OFFDIAG_TOL`` in magnitude, its ``w`` is the real diagonal,
+    stable-sorted, and its ``v`` the matching identity columns; otherwise
+    LAPACK decides the column order among exactly tied eigenvalues.  Each
+    member of a stack gets bitwise the answer it gets alone.
     """
-    arr = _as_square_complex(m)
+    arr = _as_square_complex(m, stack=True)
     finite = np.isfinite(arr)
     if not finite.all():
-        i, j = np.argwhere(~finite)[0]
-        raise ValueError(f"matrix entry [{i}, {j}] is not finite: {arr[i, j]!r}")
+        entry = tuple(int(i) for i in np.argwhere(~finite)[0])
+        raise ValueError(f"matrix entry {list(entry)} is not finite: {arr[entry]!r}")
     defect = hermiticity_defect(arr)
     if defect > HERMITIAN_TOL:
         raise NonHermitianError(
             f"matrix is not Hermitian: max |m - m†| = {defect:.3e} exceeds {HERMITIAN_TOL:.0e}"
         )
-    a = (arr + arr.conj().T) / 2.0
+    d = arr.shape[-1]
+    a = ((arr + dagger(arr)) / 2.0).reshape(-1, d, d)
     offdiag = np.abs(a)
-    np.fill_diagonal(offdiag, 0.0)
-    if offdiag.max() < OFFDIAG_TOL:
-        w = a.diagonal().real
-        order = np.argsort(w, kind="stable")
-        return w[order], np.eye(a.shape[0], dtype=complex)[:, order]
+    offdiag.reshape(len(a), -1)[:, :: d + 1] = 0.0
+    full = offdiag.max(axis=(1, 2)) >= OFFDIAG_TOL
+    if full.all():
+        w, v = _lapack_eig(a)
+    else:
+        w, v = _diagonal_eig(a)
+        if full.any():
+            w[full], v[full] = _lapack_eig(a[full])
+    return w.reshape(arr.shape[:-1]), v.reshape(arr.shape)
+
+
+def _lapack_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``eigh`` of a Hermitian stack, each column's largest component made real positive."""
     w, v = np.linalg.eigh(a)
-    z = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
-    return w, v * (z.conj() / np.abs(z))
+    n, d = w.shape
+    z = v[np.arange(n)[:, None], np.abs(v).argmax(axis=1), np.arange(d)]
+    return w, v * (z.conj() / np.abs(z))[:, None, :]
+
+
+def _diagonal_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stable-sorted real diagonals of a stack, with permuted identity columns."""
+    w = a.diagonal(axis1=1, axis2=2).real
+    order = np.argsort(w, axis=1, kind="stable")
+    columns = np.swapaxes(np.eye(a.shape[-1], dtype=complex)[order], 1, 2)
+    return w[np.arange(len(w))[:, None], order], columns

@@ -1,8 +1,10 @@
 """Projective observables: eigenbases, compatibility, mutual unbiasedness.
 
-An observable is stored as matched lists of real eigenvalues and Hermitian
-projectors; degenerate spectra are represented by projectors of rank equal
-to the eigenvalue multiplicity.
+An observable is stored as a tuple of real eigenvalues matched with a
+(k, d, d) array of Hermitian projectors; degenerate spectra are represented
+by projectors of rank equal to the eigenvalue multiplicity.  An
+``ObservableStack`` holds the projectors of N observables, one per member of
+a state stack, for batched channel and reality evaluation.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import numpy as np
 
 from .linalg import (
     DimensionError,
-    _as_square_complex,
     dagger,
     hermitian_eig,
     hermiticity_defect,
@@ -40,23 +41,24 @@ class DegenerateObservableError(ValueError):
 
 
 class ProjectiveObservable:
-    """Spectral decomposition sum_j x_j P_j with orthonormal projectors."""
+    """Spectral decomposition sum_j x_j P_j with orthonormal projectors.
+
+    ``projectors`` is one read-only (k, d, d) array holding P_j at index j.
+    """
 
     __slots__ = ("eigenvalues", "projectors")
 
     def __init__(self, eigenvalues, projectors, *, validate: bool = True):
         values = tuple(float(x) for x in eigenvalues)
-        projs = []
-        for p in projectors:
-            arr = np.ascontiguousarray(_as_square_complex(p, "projector"))
-            arr.setflags(write=False)
-            projs.append(arr)
-        projs = tuple(projs)
-        if len(values) != len(projs) or not projs:
+        try:
+            projs = np.array(projectors, dtype=complex)
+        except ValueError:
+            raise DimensionError("projectors must be square matrices of one dimension") from None
+        if not values or projs.shape[:1] != (len(values),):
             raise DimensionError("need one projector per eigenvalue, at least one of each")
-        d = projs[0].shape[0]
-        if any(p.shape[0] != d for p in projs):
-            raise DimensionError("projectors must share one dimension")
+        if projs.ndim != 3 or projs.shape[1] != projs.shape[2] or projs.shape[1] < 1:
+            raise DimensionError(f"projectors must be square matrices, got shape {projs.shape[1:]}")
+        projs.setflags(write=False)
         self.eigenvalues = values
         self.projectors = projs
         if validate:
@@ -85,7 +87,7 @@ class ProjectiveObservable:
 
     @property
     def dim(self) -> int:
-        return self.projectors[0].shape[0]
+        return self.projectors.shape[-1]
 
     @property
     def n_outcomes(self) -> int:
@@ -96,7 +98,8 @@ class ProjectiveObservable:
 
     @property
     def is_nondegenerate(self) -> bool:
-        return all(self.rank(j) == 1 for j in range(self.n_outcomes))
+        ranks = np.rint(self.projectors.trace(axis1=1, axis2=2).real)
+        return bool((ranks == 1).all())
 
     def matrix(self) -> np.ndarray:
         """Reconstruct the Hermitian operator sum_j x_j P_j."""
@@ -107,6 +110,37 @@ class ProjectiveObservable:
 
     def __repr__(self):
         return f"ProjectiveObservable(dim={self.dim}, eigenvalues={self.eigenvalues})"
+
+
+class ObservableStack:
+    """N observables of one dimension and outcome count, one per state of a stack.
+
+    Channels and reality measures read only the projectors, held as one
+    read-only (N, k, d, d) array.  Per-instance tests such as ``commutes`` or
+    ``classify_case`` take the member observables themselves.
+    """
+
+    __slots__ = ("projectors",)
+
+    def __init__(self, observables):
+        projs = [x.projectors for x in observables]
+        if not projs:
+            raise DimensionError("an observable stack needs at least one observable")
+        if any(p.shape != projs[0].shape for p in projs):
+            raise DimensionError("stacked observables must share dimension and outcome count")
+        projs = np.stack(projs)
+        projs.setflags(write=False)
+        self.projectors = projs
+
+    @property
+    def dim(self) -> int:
+        return self.projectors.shape[-1]
+
+    def __len__(self) -> int:
+        return self.projectors.shape[0]
+
+    def __repr__(self):
+        return f"ObservableStack(n={len(self)}, dim={self.dim})"
 
 
 def observable_from_axis(theta: float, phi: float = 0.0) -> ProjectiveObservable:
@@ -169,14 +203,8 @@ def is_mutually_unbiased(
         raise DegenerateObservableError(
             "mutual unbiasedness is defined for nondegenerate observables only"
         )
-    d = x.dim
-    target = 1.0 / d
-    for p in x.projectors:
-        for q in x2.projectors:
-            overlap = float(np.trace(p @ q).real)
-            if abs(overlap - target) > tol:
-                return False
-    return True
+    overlaps = np.einsum("jab,kba->jk", x.projectors, x2.projectors).real
+    return bool(np.abs(overlaps - 1.0 / x.dim).max() <= tol)
 
 
 def observable_on_qubit(n_qubits: int, qubit: int, theta: float, phi: float = 0.0) -> ProjectiveObservable:
@@ -193,10 +221,10 @@ def observable_on_qubit(n_qubits: int, qubit: int, theta: float, phi: float = 0.
     return ProjectiveObservable((1.0, -1.0), projs, validate=False)
 
 
-def _basis_observable(columns: np.ndarray) -> ProjectiveObservable:
-    d = columns.shape[0]
-    projs = [np.outer(columns[:, k], columns[:, k].conj()) for k in range(d)]
-    return ProjectiveObservable(tuple(range(d)), projs, validate=False)
+def observable_from_basis(columns: np.ndarray, eigenvalues) -> ProjectiveObservable:
+    """Observable with eigenvalue k on the k-th column: P_k = |c_k><c_k|."""
+    projs = columns.T[:, :, None] * columns.T.conj()[:, None, :]
+    return ProjectiveObservable(eigenvalues, projs, validate=False)
 
 
 def standard_mub_observables(d: int) -> tuple[ProjectiveObservable, ...]:
@@ -230,15 +258,12 @@ def standard_mub_observables(d: int) -> tuple[ProjectiveObservable, ...]:
         )
         return (z, x, y)
     if d == 3:
+        # column k of Fourier-type basis m has entries omega^(m j^2 + j k) / sqrt(3)
         omega = cmath.exp(2j * cmath.pi / 3)
-        bases = [_basis_observable(np.eye(3, dtype=complex))]
-        for m in range(3):
-            cols = np.empty((3, 3), dtype=complex)
-            for k in range(3):
-                for j in range(3):
-                    cols[j, k] = omega ** ((m * j * j + j * k) % 3) / math.sqrt(3.0)
-            bases.append(_basis_observable(cols))
-        return tuple(bases)
+        phases = np.array([omega**e / math.sqrt(3.0) for e in range(3)])
+        m, j, k = np.arange(3)[:, None, None], np.arange(3)[:, None], np.arange(3)
+        bases = np.concatenate(([np.eye(3)], phases[(m * j * j + j * k) % 3]))
+        return tuple(observable_from_basis(cols, range(3)) for cols in bases)
     raise DimensionError(f"no standard mutually unbiased set stored for dimension {d}")
 
 

@@ -7,12 +7,19 @@ changes the reality of any probe observable X' by the four-entropy
 combination computed here.  All general-path quantities come from entropies
 of explicitly constructed states; the closed-form qubit spectra are kept as
 independent cross-check oracles.
+
+Every measure takes one configuration or a stack of N: the observables may
+be ``ObservableStack``s, the intensity an (N,) array and the state an
+(N, d, d) ``DensityOperator`` stack, and the result is then the (N,) array
+of the members' values.  A single configuration is evaluated by the same
+code as a stack of one.  Case labels are per configuration and are computed
+only where they are asked for.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -20,6 +27,7 @@ import numpy as np
 from .channels import ComposedChannel, DephasingChannel, MonitoringChannel, dephase, monitor
 from .linalg import DimensionError
 from .observables import (
+    ObservableStack,
     ProjectiveObservable,
     commutes,
     is_mutually_unbiased,
@@ -44,9 +52,14 @@ class CaseLabel(str, Enum):
         return self.value
 
 
+Observable = ProjectiveObservable | ObservableStack
+
+
 @dataclass(frozen=True)
 class RealityReport:
-    """Entropies and reality variations for one monitoring configuration (bits)."""
+    """Entropies and reality variations in bits: floats for one monitoring
+    configuration, (N,) arrays for a stack (a quantity of an unstacked state,
+    such as ``entropy_initial``, stays a float)."""
 
     irreality_before: float
     reality_before: float
@@ -56,30 +69,35 @@ class RealityReport:
     entropy_monitored: float
     entropy_probe: float
     entropy_probe_monitored: float
-    case_label: CaseLabel
+    configuration: tuple = field(repr=False, compare=False)
+
+    @property
+    def case_label(self) -> CaseLabel:
+        """:func:`classify_case` of a single configuration, computed on access."""
+        return classify_case(*self.configuration)
 
 
-def irreality(x: ProjectiveObservable, rho: DensityOperator) -> float:
+def irreality(x: Observable, rho: DensityOperator) -> float:
     """Entropy gained by fully dephasing rho in the eigenbasis of x, in bits."""
     if x.dim != rho.dim:
         raise DimensionError(f"observable dim {x.dim} does not match state dim {rho.dim}")
     return von_neumann_entropy(dephase(x, rho)) - von_neumann_entropy(rho)
 
 
-def reality(x: ProjectiveObservable, rho: DensityOperator) -> float:
+def reality(x: Observable, rho: DensityOperator) -> float:
     """log2(d) minus the irreality of x: how definite x already is in rho."""
     return math.log2(rho.dim) - irreality(x, rho)
 
 
-def delta_reality_monitored(x: ProjectiveObservable, epsilon: float, rho: DensityOperator) -> float:
+def delta_reality_monitored(x: Observable, epsilon: float, rho: DensityOperator) -> float:
     """Reality gain of the monitored observable itself: S(monitored) - S(rho)."""
     mon = monitor(MonitoringChannel(x, epsilon), rho)
     return von_neumann_entropy(mon) - von_neumann_entropy(rho)
 
 
 def delta_reality_other(
-    xprime: ProjectiveObservable,
-    x: ProjectiveObservable,
+    xprime: Observable,
+    x: Observable,
     epsilon: float,
     rho: DensityOperator,
 ) -> float:
@@ -128,8 +146,11 @@ def classify_case(
     for mutually unbiased pairs a search over the stored MU sets (d=2: Pauli
     triple; d=3: Fourier-type quadruple) for a third basis that is MU with
     both observables and leaves rho invariant, which upgrades MU to
-    triple-MU.  Anything else is generic.
+    triple-MU.  Anything else is generic.  Labels one configuration; the
+    members of a stack are classified one at a time.
     """
+    if isinstance(x, ObservableStack) or isinstance(xprime, ObservableStack) or rho.batch is not None:
+        raise DimensionError("classify_case labels one configuration, not a stack")
     if x.dim != xprime.dim or x.dim != rho.dim:
         raise DimensionError("observables and state must share one dimension")
     if commutes(x, xprime):
@@ -152,12 +173,12 @@ def classify_case(
 
 
 def reality_report(
-    x: ProjectiveObservable,
-    xprime: ProjectiveObservable,
+    x: Observable,
+    xprime: Observable,
     epsilon: float,
     rho: DensityOperator,
 ) -> RealityReport:
-    """Full entropy bookkeeping for one (X, X', epsilon, rho) configuration.
+    """Full entropy bookkeeping for one (X, X', epsilon, rho) configuration or a stack.
 
     The chained state is produced through the channel-composition route,
     which keeps it an independent consistency check against the sequential
@@ -184,7 +205,7 @@ def reality_report(
         entropy_monitored=s_mon,
         entropy_probe=s_probe,
         entropy_probe_monitored=s_probe_mon,
-        case_label=classify_case(x, xprime, rho),
+        configuration=(x, xprime, rho),
     )
 
 

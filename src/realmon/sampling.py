@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import DimensionError
-from .observables import ProjectiveObservable, standard_mub_observables
+from .observables import ProjectiveObservable, observable_from_basis, standard_mub_observables
 from .states import DensityOperator, PureState
 
 MIN_EIGENVALUE_GAP = 1e-3
@@ -57,12 +57,6 @@ def _distinct_eigenvalues(d: int, rng: np.random.Generator) -> np.ndarray:
         vals = np.sort(rng.uniform(-1.0, 1.0, size=d))
         if d == 1 or np.diff(vals).min() > MIN_EIGENVALUE_GAP:
             return vals
-
-
-def observable_from_basis(columns: np.ndarray, eigenvalues) -> ProjectiveObservable:
-    d = columns.shape[0]
-    projs = [np.outer(columns[:, k], columns[:, k].conj()) for k in range(d)]
-    return ProjectiveObservable(eigenvalues, projs, validate=False)
 
 
 def random_observable(d: int, rng: np.random.Generator) -> ProjectiveObservable:

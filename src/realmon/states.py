@@ -1,12 +1,13 @@
 """Validated density operators, pure states, and entropic functionals.
 
 Entropy is measured in bits (base-2 logarithm) throughout, so a qubit has
-at most 1 bit and a dimension-d system at most log2(d) bits.
+at most 1 bit and a dimension-d system at most log2(d) bits.  A
+``DensityOperator`` holds one (d, d) state or an (N, d, d) stack of states
+of one dimension; the entropy of a stack is the array of its members'
+entropies, each equal to the entropy of that member alone.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -56,18 +57,20 @@ class PureState:
 
 
 class DensityOperator:
-    """Hermitian, unit-trace, positive-semidefinite operator.
+    """Hermitian, unit-trace, positive-semidefinite operator, or a stack of them.
 
-    Validation (Hermiticity 1e-10, trace 1e-10, min eigenvalue >= -1e-9)
-    runs by default; channel code that produces states valid by construction
-    passes ``validate=False`` to skip the eigensolve.  The spectrum is
-    computed lazily and cached, so validation and entropy share one solve.
+    ``matrix`` is (d, d) for one state and (N, d, d) for a stack of N.
+    Validation (Hermiticity 1e-10, trace 1e-10, min eigenvalue >= -1e-9, for
+    every member) runs by default; channel code that produces states valid
+    by construction passes ``validate=False`` to skip the eigensolve.  The
+    spectrum is computed lazily and cached, so validation and entropy share
+    one solve.
     """
 
     __slots__ = ("matrix", "_eigensystem")
 
     def __init__(self, matrix, *, validate: bool = True):
-        arr = np.ascontiguousarray(_as_square_complex(matrix, "density matrix"))
+        arr = np.ascontiguousarray(_as_square_complex(matrix, "density matrix", stack=True))
         arr.setflags(write=False)
         self.matrix = arr
         self._eigensystem = None
@@ -75,20 +78,25 @@ class DensityOperator:
             defect = hermiticity_defect(arr)
             if defect > HERMITIAN_TOL:
                 raise ValueError(f"density matrix not Hermitian: defect {defect:.3e}")
-            tr = complex(np.trace(arr))
-            if abs(tr - 1.0) > TRACE_TOL:
-                raise ValueError(f"density matrix trace {tr!r} deviates from 1")
-            if self.eigenvalues()[0] < -NEGATIVITY_TOL:
-                raise NegativityError(
-                    f"density matrix has eigenvalue {self.eigenvalues()[0]:.3e} < -{NEGATIVITY_TOL:.0e}"
-                )
+            traces = np.trace(arr, axis1=-2, axis2=-1).reshape(-1)
+            bad = np.abs(traces - 1.0) > TRACE_TOL
+            if bad.any():
+                raise ValueError(f"density matrix trace {complex(traces[bad][0])!r} deviates from 1")
+            low = float(self.eigenvalues()[..., 0].min())
+            if low < -NEGATIVITY_TOL:
+                raise NegativityError(f"density matrix has eigenvalue {low:.3e} < -{NEGATIVITY_TOL:.0e}")
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
+
+    @property
+    def batch(self) -> int | None:
+        """Number of states in a stack; None for a single state."""
+        return self.matrix.shape[0] if self.matrix.ndim == 3 else None
 
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cached ascending eigenvalues and eigenvector columns."""
+        """Cached ascending eigenvalues and eigenvector columns (per member of a stack)."""
         if self._eigensystem is None:
             self._eigensystem = hermitian_eig(self.matrix)
         return self._eigensystem
@@ -100,37 +108,45 @@ class DensityOperator:
         return f"DensityOperator(dim={self.dim})"
 
 
+def stack_states(states) -> DensityOperator:
+    """One (N, d, d) stack of N single states of one dimension."""
+    return DensityOperator(np.stack([s.matrix for s in states]), validate=False)
+
+
 def density_from_pure(psi: PureState) -> DensityOperator:
     """Rank-1 projector onto ``psi``."""
     amp = psi.amplitudes
     return DensityOperator(np.outer(amp, amp.conj()), validate=False)
 
 
-def entropy_of_probabilities(probs) -> float:
-    """Shannon entropy in bits with 0*log(0) = 0.
+def entropy_of_probabilities(probs):
+    """Shannon entropy in bits with 0*log(0) = 0, along the last axis.
 
-    Eigenvalues in [-1e-9, 0) are clamped to zero and values a rounding
-    error above 1 are clamped to 1; no renormalization is applied.
+    A 1-D list of probabilities gives a float; an (N, d) stack gives the N
+    entropies.  Eigenvalues in [-1e-9, 0) are clamped to zero and values a
+    rounding error above 1 are clamped to 1; no renormalization is applied.
     """
-    total = 0.0
-    for p in np.asarray(probs, dtype=float).reshape(-1):
-        if p < -NEGATIVITY_TOL:
-            raise NegativityError(f"probability {p!r} below -{NEGATIVITY_TOL:.0e}")
-        if p > 1.0:
-            p = 1.0
-        if p > 0.0:
-            total -= p * math.log2(p)
-    return total
+    p = np.minimum(np.asarray(probs, dtype=float), 1.0)
+    low = p.min()
+    if low < -NEGATIVITY_TOL:
+        raise NegativityError(f"probability {float(low)!r} below -{NEGATIVITY_TOL:.0e}")
+    terms = p * np.log2(np.where(p > 0.0, p, 1.0))
+    # accumulate adds the terms strictly in order, as a scalar loop would
+    total = 0.0 - np.add.accumulate(terms, axis=-1)[..., -1]
+    return float(total) if p.ndim == 1 else total
 
 
-def von_neumann_entropy(rho: DensityOperator) -> float:
-    """Spectral entropy -sum(p log2 p) of a density operator, in bits."""
+def von_neumann_entropy(rho: DensityOperator):
+    """Spectral entropy -sum(p log2 p) of a density operator, in bits.
+
+    A float for one state, an array of the members' entropies for a stack.
+    """
     return entropy_of_probabilities(rho.eigenvalues())
 
 
 def bloch_vector(rho: DensityOperator) -> tuple[float, float, float]:
     """(Tr rho*sigma_x, Tr rho*sigma_y, Tr rho*sigma_z) for a qubit state."""
-    if rho.dim != 2:
+    if rho.dim != 2 or rho.batch is not None:
         raise DimensionError(f"Bloch vector requires a qubit state, got dim {rho.dim}")
     m = rho.matrix
     rx = float((m[0, 1] + m[1, 0]).real)

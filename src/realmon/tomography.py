@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DimensionError, hermitian_eig
+from .linalg import DimensionError
 from .noise import NoiseModel, apply_readout_noise, sample_shots
 from .observables import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
 from .states import DensityOperator
@@ -82,10 +82,10 @@ def reconstruct_state(est: PauliEstimates) -> DensityOperator:
     clamped to zero and the spectrum renormalized to unit trace.
     """
     rx, ry, rz = est.means
-    m = 0.5 * (IDENTITY_2 + rx * SIGMA_X + ry * SIGMA_Y + rz * SIGMA_Z)
-    w, v = hermitian_eig(m)
+    rho = DensityOperator(0.5 * (IDENTITY_2 + rx * SIGMA_X + ry * SIGMA_Y + rz * SIGMA_Z), validate=False)
+    w, v = rho.eigensystem()  # kept on rho, so its entropy needs no second solve
     if w[0] < 0.0:
         w = np.clip(w, 0.0, None)
         w = w / w.sum()
-        m = (v * w) @ v.conj().T
-    return DensityOperator(m, validate=False)
+        rho = DensityOperator((v * w) @ v.conj().T, validate=False)
+    return rho

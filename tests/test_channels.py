@@ -17,9 +17,16 @@ from realmon.channels import (
     to_superoperator,
 )
 from realmon.linalg import DimensionError
-from realmon.observables import observable_from_axis, pauli_observable
+from realmon.observables import ObservableStack, observable_from_axis, pauli_observable
 from realmon.sampling import ginibre_density, random_mu_pair, random_observable
-from realmon.states import DensityOperator, PureState, density_from_pure, maximally_mixed, von_neumann_entropy
+from realmon.states import (
+    DensityOperator,
+    PureState,
+    density_from_pure,
+    maximally_mixed,
+    stack_states,
+    von_neumann_entropy,
+)
 
 PLUS = DensityOperator(np.full((2, 2), 0.5, dtype=complex))
 ZERO = DensityOperator(np.diag([1.0, 0.0]).astype(complex))
@@ -213,3 +220,37 @@ class TestProductMonitor:
 def test_superoperator_is_dataclass_with_dim():
     s = to_superoperator(IdentityChannel(3))
     assert isinstance(s, Superoperator) and s.dim == 3 and s.matrix.shape == (9, 9)
+
+
+class TestStacks:
+    def test_dephase_and_monitor_stacks_match_members_bitwise(self):
+        rng = np.random.default_rng(31)
+        for d in (2, 3, 4):
+            xs = [random_observable(d, rng) for _ in range(5)]
+            rhos = [ginibre_density(d, rng) for _ in range(5)]
+            eps = rng.random(5)
+            x, rho = ObservableStack(xs), stack_states(rhos)
+            dephased = dephase(x, rho).matrix
+            monitored = monitor(MonitoringChannel(x, eps), rho).matrix
+            for n in range(5):
+                assert np.array_equal(dephased[n], dephase(xs[n], rhos[n]).matrix)
+                assert np.array_equal(monitored[n], monitor(MonitoringChannel(xs[n], eps[n]), rhos[n]).matrix)
+
+    def test_one_observable_broadcasts_over_a_state_stack(self):
+        rng = np.random.default_rng(32)
+        rhos = [ginibre_density(2, rng) for _ in range(3)]
+        out = dephase(SZ, stack_states(rhos))
+        assert out.batch == 3
+        for n, rho in enumerate(rhos):
+            assert np.array_equal(out.matrix[n], dephase(SZ, rho).matrix)
+
+    def test_intensity_array_over_one_state(self):
+        eps = np.array([0.0, 0.5, 1.0])
+        out = monitor(MonitoringChannel(SZ, eps), PLUS).matrix
+        assert np.array_equal(out[:, 0, 1], [0.5, 0.25, 0.0])
+
+    def test_intensity_array_range_enforced(self):
+        with pytest.raises(ValueError):
+            MonitoringChannel(SZ, np.array([0.2, 1.5]))
+        with pytest.raises(ValueError):
+            MonitoringChannel(SZ, np.array([0.2, math.nan]))

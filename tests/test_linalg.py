@@ -194,3 +194,38 @@ class TestHermitianEig:
         m[0, 1] = m[1, 0] = value
         with pytest.raises(ValueError, match=r"entry \[0, 1\] is not finite"):
             hermitian_eig(m)
+
+
+class TestHermitianEigStack:
+    def test_members_match_single_solves_bitwise(self):
+        # a stack mixing full matrices with one answered from its diagonal
+        rng = np.random.default_rng(21)
+        for d in (2, 3, 4):
+            members = [random_hermitian(d, rng) for _ in range(5)]
+            members.insert(2, np.diag(rng.standard_normal(d)).astype(complex))
+            w, v = hermitian_eig(np.stack(members))
+            assert w.shape == (6, d) and v.shape == (6, d, d)
+            for n, m in enumerate(members):
+                w1, v1 = hermitian_eig(m)
+                assert np.array_equal(w[n], w1) and np.array_equal(v[n], v1)
+
+    def test_all_diagonal_stack(self):
+        w, v = hermitian_eig(np.stack([np.diag([0.7, 0.3]), np.diag([0.25, 0.75])]).astype(complex))
+        assert np.array_equal(w, [[0.3, 0.7], [0.25, 0.75]])
+        assert np.array_equal(v, [np.eye(2)[:, [1, 0]], np.eye(2)])
+
+    def test_non_finite_member_named_by_stack_index(self):
+        m = np.stack([np.eye(2), np.eye(2)]).astype(complex)
+        m[1, 0, 1] = m[1, 1, 0] = math.nan
+        with pytest.raises(ValueError, match=r"entry \[1, 0, 1\] is not finite"):
+            hermitian_eig(m)
+
+    def test_non_hermitian_member_rejected(self):
+        m = np.stack([np.eye(2), [[0.0, 1.0], [0.0, 0.0]]]).astype(complex)
+        with pytest.raises(NonHermitianError):
+            hermitian_eig(m)
+
+    @pytest.mark.parametrize("shape", [(2, 2, 3), (2, 2, 2, 2)])
+    def test_rejects_non_square_or_deeper_stacks(self, shape):
+        with pytest.raises(DimensionError):
+            hermitian_eig(np.zeros(shape, dtype=complex))

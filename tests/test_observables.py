@@ -6,6 +6,7 @@ import pytest
 from realmon.linalg import DimensionError, tensor_product
 from realmon.observables import (
     DegenerateObservableError,
+    ObservableStack,
     ProjectiveObservable,
     SIGMA_X,
     SIGMA_Y,
@@ -161,3 +162,36 @@ class TestRandomObservables:
                     ref = p if i == j else 0.0
                     assert np.abs(p @ q - ref).max() <= 1e-10
             assert obs.is_nondegenerate
+
+
+class TestProjectorArrays:
+    def test_projectors_are_one_read_only_array(self):
+        obs = observable_from_axis(0.3, 0.1)
+        assert obs.projectors.shape == (2, 2, 2)
+        with pytest.raises(ValueError):
+            obs.projectors[0, 0, 0] = 2.0
+
+    def test_mismatched_projector_shapes_rejected(self):
+        with pytest.raises(DimensionError):
+            ProjectiveObservable((1.0, -1.0), (np.eye(2), np.eye(3)), validate=False)
+
+    def test_degenerate_observable_detected(self):
+        assert not observable_on_qubit(2, 0, 0.0, 0.0).is_nondegenerate
+        assert pauli_observable("x").is_nondegenerate
+
+
+class TestObservableStack:
+    def test_stacks_member_projectors(self):
+        rng = np.random.default_rng(3)
+        members = [random_observable(3, rng) for _ in range(4)]
+        stack = ObservableStack(members)
+        assert len(stack) == 4 and stack.dim == 3
+        assert stack.projectors.shape == (4, 3, 3, 3)
+        for n, obs in enumerate(members):
+            assert np.array_equal(stack.projectors[n], obs.projectors)
+
+    def test_rejects_empty_and_mixed_stacks(self):
+        with pytest.raises(DimensionError):
+            ObservableStack([])
+        with pytest.raises(DimensionError):
+            ObservableStack([pauli_observable("z"), standard_mub_observables(3)[0]])

@@ -6,6 +6,7 @@ import pytest
 from realmon.channels import MonitoringChannel, monitor
 from realmon.linalg import DimensionError
 from realmon.observables import (
+    ObservableStack,
     observable_from_axis,
     observable_from_hermitian,
     pauli_observable,
@@ -36,6 +37,7 @@ from realmon.states import (
     density_from_pure,
     entropy_of_probabilities,
     maximally_mixed,
+    stack_states,
 )
 
 SZ = pauli_observable("z")
@@ -344,3 +346,41 @@ class TestRealityReport:
     def test_case_label_attached(self):
         r = reality_report(SZ, SX, 0.5, ISTATE)
         assert r.case_label is CaseLabel.TRIPLE_MU
+
+
+class TestStackedEvaluation:
+    def test_stack_matches_members(self):
+        rng = np.random.default_rng(13)
+        for d in (2, 3, 4):
+            members = [
+                (random_observable(d, rng), random_observable(d, rng), random_density(d, rng), float(rng.random()))
+                for _ in range(6)
+            ]
+            x = ObservableStack(m[0] for m in members)
+            xp = ObservableStack(m[1] for m in members)
+            rho = stack_states(m[2] for m in members)
+            eps = np.array([m[3] for m in members])
+            report = reality_report(x, xp, eps, rho)
+            dro = delta_reality_other(xp, x, eps, rho)
+            drm = delta_reality_monitored(x, eps, rho)
+            irr = irreality(x, rho)
+            for n, (xn, xpn, rhon, epsn) in enumerate(members):
+                single = reality_report(xn, xpn, epsn, rhon)
+                assert abs(report.delta_r_probe[n] - single.delta_r_probe) <= 1e-15
+                assert abs(report.entropy_probe_monitored[n] - single.entropy_probe_monitored) <= 1e-15
+                assert abs(dro[n] - delta_reality_other(xpn, xn, epsn, rhon)) <= 1e-15
+                assert abs(drm[n] - delta_reality_monitored(xn, epsn, rhon)) <= 1e-15
+                assert abs(irr[n] - irreality(xn, rhon)) <= 1e-15
+
+    def test_unstacked_state_under_stacked_intensities(self):
+        eps = np.array([0.0, 0.5, 1.0])
+        gains = delta_reality_monitored(SZ, eps, PLUS)
+        assert gains[0] == 0.0 and gains[2] == 1.0
+        assert abs(gains[1] - H2_QUARTER) <= 1e-12
+
+    def test_labels_are_per_configuration(self):
+        report = reality_report(SZ, SX, np.array([0.2, 0.5]), stack_states([ISTATE, ISTATE]))
+        with pytest.raises(DimensionError):
+            report.case_label
+        with pytest.raises(DimensionError):
+            classify_case(ObservableStack([SZ, SZ]), SX, ISTATE)

@@ -13,6 +13,7 @@ from realmon.states import (
     density_from_pure,
     entropy_of_probabilities,
     maximally_mixed,
+    stack_states,
     von_neumann_entropy,
 )
 
@@ -158,3 +159,35 @@ class TestBlochVector:
     def test_requires_qubit(self):
         with pytest.raises(DimensionError):
             bloch_vector(maximally_mixed(3))
+
+
+class TestStacks:
+    def test_stack_entropy_equals_member_entropies(self):
+        rng = np.random.default_rng(4)
+        for d in (2, 3, 4):
+            members = [ginibre_density(d, rng) for _ in range(4)] + [maximally_mixed(d)]
+            stack = stack_states(members)
+            assert stack.dim == d and stack.batch == 5
+            s = von_neumann_entropy(stack)
+            assert s.shape == (5,)
+            for n, rho in enumerate(members):
+                assert s[n] == von_neumann_entropy(rho)
+
+    def test_single_state_has_no_batch(self):
+        assert maximally_mixed(2).batch is None
+
+    def test_validation_checks_every_member(self):
+        good = np.full((2, 2), 0.5, dtype=complex)
+        DensityOperator(np.stack([good, good]))
+        with pytest.raises(ValueError, match="trace"):
+            DensityOperator(np.stack([good, 2 * good]))
+        with pytest.raises(NegativityError):
+            DensityOperator(np.stack([good, np.diag([1.5, -0.5])]))
+
+    def test_entropy_of_probability_rows(self):
+        s = entropy_of_probabilities([[0.25, 0.75], [1.0, 0.0], [0.5, 0.5]])
+        assert abs(s[0] - H2_QUARTER) <= 1e-12 and s[1] == 0.0 and s[2] == 1.0
+
+    def test_bloch_vector_rejects_stack(self):
+        with pytest.raises(DimensionError):
+            bloch_vector(stack_states([maximally_mixed(2), maximally_mixed(2)]))

@@ -4,8 +4,12 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from realmon.observables import observable_from_axis
+from realmon.reality import reality_report
+from realmon.states import DensityOperator
 from realmon.sweeps import (
     CSV_HEADER,
     ConfigError,
@@ -120,6 +124,16 @@ class TestAnalyticSweeps:
             lhs = r.dR_Xp
             rhs = r.dR_X + r.S_probe - r.S_probe_mon
             assert abs(lhs - rhs) <= 1e-10
+
+    def test_grid_stack_matches_pointwise_reports(self):
+        config = make_config("fig4c", points=7)
+        plus = DensityOperator(np.full((2, 2), 0.5, dtype=complex))
+        x, xp = observable_from_axis(math.pi / 4, 0.0), observable_from_axis(0.0, 0.0)
+        for r in run_sweep(config):
+            report = reality_report(x, xp, r.epsilon, plus)
+            assert abs(r.dR_X - report.delta_r_monitored) <= 1e-15
+            assert abs(r.dR_Xp - report.delta_r_probe) <= 1e-15
+            assert r.case == str(report.case_label)
 
     def test_epsilon_grid_kind(self):
         config = make_config(
@@ -238,6 +252,37 @@ class TestVerifyAndCertifyAPI:
         with pytest.raises(ConfigError):
             verify_cases(trials=0)
 
+    @pytest.mark.parametrize("dims", [(), (0,), (1, 2), (2.5,)])
+    def test_verify_dims_validated(self, dims):
+        with pytest.raises(ConfigError, match="dims"):
+            verify_cases(trials=1, dims=dims)
+
+    def test_verify_counts_evaluated_instances(self):
+        # with d=2 alone, every check (the MU ones included) evaluates `trials` instances
+        report = verify_cases(seed=1, trials=3, dims=(2,))
+        assert report.ok
+        assert {c.instances for c in report.checks} == {3}
+
+    def test_verify_mu_checks_not_applicable_without_d2_or_d3(self):
+        report = verify_cases(seed=1, trials=3, dims=(4,))
+        mu = [c for c in report.checks if "MU" in c.name]
+        assert len(mu) == 5
+        assert all(c.instances == 0 and c.worst is None and c.passed is None for c in mu)
+        assert report.ok
+        lines = report.render_text().splitlines()
+        for check in mu:
+            line = next(line for line in lines if check.name in line)
+            assert line.lstrip().startswith("[N/A]")
+        assert all(c["worst"] is None for c in report.to_dict()["checks"] if "MU" in c["name"])
+
+    def test_verify_labels_checked(self):
+        report = verify_cases(seed=2, trials=5, dims=(2, 3))
+        checks = {c.name: c for c in report.checks}
+        assert checks["(i) commuting pair labelled compatible"].instances == 10
+        for d in (2, 3):
+            label = checks[f"(v) third-basis-diagonal state labelled triple-MU (d={d})"]
+            assert label.passed and label.instances == 5 and label.worst == 0.0
+
     def test_certify_ok_and_notes(self):
         report = certify_circuits(resolution=5, seed=3)
         assert report.ok
@@ -305,11 +350,18 @@ class TestCLI:
             ({"scenario": "fig4a", "probe_axis": [0.3, math.inf]}, "probe_axis"),
             ({"scenario": "fig4a", "probe_axis": [0.3, 0.0, 1.0]}, "probe_axis"),
             ({"scenario": "fig4a", "path": "noisy", "depolarizing": math.nan}, "depolarizing"),
+            ({"scenario": "fig1", "epsilon": "a"}, "epsilon"),
+            ({"scenario": "fig4a", "path": "noisy", "depolarizing": "a"}, "depolarizing"),
+            ({"scenario": "fig4a", "path": "noisy", "seed": "x"}, "seed"),
+            ({"scenario": "fig4a", "path": "noisy", "shots": 100.5}, "shots"),
+            ({"scenario": "fig4a", "path": "noisy", "repeats": 2.5}, "repeats"),
+            ({"scenario": "fig4a", "out": 5}, "out"),
         ],
         ids=[
             "grid-theta_m-nan", "grid-epsilon-inf", "grid-axis_theta-nan", "flips-above-one",
             "flips-negative", "flips-nan", "flips-empty", "monitor-axis-one-number", "probe-axis-inf",
-            "probe-axis-three-numbers", "depolarizing-nan",
+            "probe-axis-three-numbers", "depolarizing-nan", "epsilon-string", "depolarizing-string",
+            "seed-string", "shots-fractional", "repeats-fractional", "out-not-a-path",
         ],
     )
     def test_malformed_config_field_exit_code(self, tmp_path, capsys, fields, name):
@@ -342,6 +394,33 @@ class TestCLI:
         proc = run_cli("verify-cases", "--trials", "5")
         assert proc.returncode == 0
         assert "all checks passed" in proc.stdout
+
+    def test_verify_cases_not_applicable_checks_write_strict_json(self, tmp_path):
+        import realmon.cli as cli_mod
+
+        def reject(constant):
+            raise ValueError(f"not valid JSON: {constant}")
+
+        out = tmp_path / "report.json"
+        assert cli_mod.main(["verify-cases", "--dims", "4", "--trials", "3", "--out", str(out)]) == 0
+        report = json.loads(out.read_text(), parse_constant=reject)
+        mu = [c for c in report["checks"] if "MU" in c["name"]]
+        assert mu and all(c["instances"] == 0 and c["worst"] is None and c["passed"] is None for c in mu)
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["verify-cases", "--dims", "0"], "dims"),
+            (["tomo-sim", "--seeds", "0"], "seeds"),
+            (["tomo-sim", "--shots", "-1"], "shots"),
+        ],
+        ids=["verify-dims-zero", "tomo-seeds-zero", "tomo-shots-negative"],
+    )
+    def test_domain_errors_exit_code(self, capsys, argv, name):
+        import realmon.cli as cli_mod
+
+        assert cli_mod.main(argv) == 3
+        assert name in capsys.readouterr().err
 
     def test_certify_circuits_exit_zero(self, tmp_path):
         out = tmp_path / "report.json"
