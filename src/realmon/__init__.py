@@ -6,9 +6,11 @@ projective observables (``observables``), dephasing and monitoring channels
 with a superoperator oracle (``channels``), reality-variation measures and
 closed-form qubit spectra (``reality``), ancilla-dilation circuits with
 noise (``circuits``, ``noise``), single-qubit tomography (``tomography``),
-and the sweep/CLI front end (``sweeps``, ``cli``).  The eigensolver,
-entropies, channels and reality measures evaluate one configuration or an
-(N, d, d) stack of them through the same code.
+and the front end: sweep configuration (``config``), the sweep engine
+(``sweeps``), case verification (``verify``), circuit certification
+(``certify``), report writing (``output``) and the command line (``cli``).
+The eigensolver, entropies, channels and reality measures evaluate one
+configuration or an (N, d, d) stack of them through the same code.
 """
 
 __version__ = "0.1.0"
@@ -17,7 +19,6 @@ from .linalg import hermitian_eig, partial_trace, tensor_product
 from .states import (
     DensityOperator,
     PureState,
-    bloch_vector,
     density_from_pure,
     stack_states,
     von_neumann_entropy,
@@ -34,8 +35,6 @@ from .observables import (
 from .channels import (
     MonitoringChannel,
     Superoperator,
-    channels_equal,
-    compose,
     dephase,
     monitor,
     to_superoperator,
@@ -56,21 +55,15 @@ from .circuits import (
     Circuit,
     Gate,
     build_monitor_circuit,
-    dump_circuit,
     epsilon_of_strength,
     extract_channel,
     run_circuit_density,
-    unitary_adjoint_identity_check,
 )
 from .noise import NoiseModel, apply_readout_noise, default_noise_model, sample_shots
 from .tomography import PauliEstimates, estimate_pauli, reconstruct_state
-from .sweeps import (
-    SweepConfig,
-    SweepRecord,
-    certify_circuits,
-    make_config,
-    run_sweep,
-    verify_cases,
-)
+from .config import SweepConfig, make_config
+from .sweeps import SweepRecord, run_sweep
+from .verify import verify_cases
+from .certify import certify_circuits
 
 __all__ = [name for name in dir() if not name.startswith("_")]

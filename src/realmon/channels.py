@@ -23,8 +23,6 @@ from .linalg import DimensionError
 from .observables import ObservableStack, ProjectiveObservable, observable_from_axis, observable_on_qubit
 from .states import DensityOperator
 
-SUPEROP_TOL = 1e-10
-
 
 class DephasingChannel:
     """Full non-revealed measurement: rho -> sum_j P_j rho P_j."""
@@ -87,16 +85,6 @@ class ComposedChannel:
         return self.outer.apply_matrix(self.inner.apply_matrix(mat))
 
 
-class IdentityChannel:
-    __slots__ = ("dim",)
-
-    def __init__(self, dim: int):
-        self.dim = int(dim)
-
-    def apply_matrix(self, mat: np.ndarray) -> np.ndarray:
-        return np.array(mat, dtype=complex)
-
-
 @dataclass(frozen=True)
 class Superoperator:
     """Dense d^2 x d^2 matrix form of a channel (matrix-unit basis)."""
@@ -129,10 +117,6 @@ def monitor(ch: MonitoringChannel, rho: DensityOperator) -> DensityOperator:
     return DensityOperator(ch.apply_matrix(rho.matrix), validate=False)
 
 
-def compose(outer, inner) -> ComposedChannel:
-    return ComposedChannel(outer, inner)
-
-
 def to_superoperator(ch) -> Superoperator:
     """Materialize any linear channel by acting on the d^2 matrix units."""
     if isinstance(ch, Superoperator):
@@ -146,15 +130,6 @@ def to_superoperator(ch) -> Superoperator:
             mat[:, k * d + l] = ch.apply_matrix(unit).reshape(-1)
             unit[k, l] = 0.0
     return Superoperator(d, mat)
-
-
-def channels_equal(a, b, tol: float = SUPEROP_TOL) -> bool:
-    """Sup-norm agreement of the two channels' superoperators."""
-    sa = to_superoperator(a)
-    sb = to_superoperator(b)
-    if sa.dim != sb.dim:
-        raise DimensionError(f"channel dimensions differ: {sa.dim} vs {sb.dim}")
-    return bool(np.abs(sa.matrix - sb.matrix).max() <= tol)
 
 
 def product_monitor(bases, epsilon: float) -> ComposedChannel | MonitoringChannel:

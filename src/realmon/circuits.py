@@ -44,13 +44,6 @@ def u3_adjoint_params(theta: float, phi: float, lam: float) -> tuple[float, floa
     return (theta, math.pi - lam, -math.pi - phi)
 
 
-def unitary_adjoint_identity_check(theta: float, phi: float, lam: float, tol: float = 1e-12) -> bool:
-    """Entrywise check that U3(theta, phi, lam)† equals U3 of the adjoint parameters."""
-    direct = u3_matrix(theta, phi, lam).conj().T
-    via_params = u3_matrix(*u3_adjoint_params(theta, phi, lam))
-    return bool(np.abs(direct - via_params).max() <= tol)
-
-
 @dataclass(frozen=True)
 class Gate:
     """U3(theta, phi, lam) on one qubit, or CZ/CNOT on (control, target)."""
@@ -79,7 +72,6 @@ class Circuit:
     width: int
     gates: tuple[Gate, ...]
     system_qubits: tuple[int, ...]
-    ancilla_prep_angle: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
@@ -107,18 +99,6 @@ class Circuit:
         return len(self.system_qubits)
 
 
-def dump_circuit(circuit: Circuit) -> str:
-    """Stable plain-text gate list, one gate per line."""
-    lines = []
-    for g in circuit.gates:
-        if g.kind == "U3":
-            t, p, l = g.params
-            lines.append(f"U3 q{g.qubits[0]} {t:.12g} {p:.12g} {l:.12g}")
-        else:
-            lines.append(f"{g.kind} q{g.qubits[0]} q{g.qubits[1]}")
-    return "\n".join(lines)
-
-
 def build_monitor_circuit(bases, strength: float, coupling: str = "CZ") -> Circuit:
     """Dilation circuit monitoring each system qubit along its own axis.
 
@@ -143,7 +123,7 @@ def build_monitor_circuit(bases, strength: float, coupling: str = "CZ") -> Circu
         gates.append(Gate(coupling, (q, n + q)))
     for q, (theta_b, phi_b) in enumerate(bases):
         gates.append(Gate("U3", (q,), (theta_b, phi_b, 0.0)))
-    return Circuit(2 * n, tuple(gates), tuple(range(n)), strength)
+    return Circuit(2 * n, tuple(gates), tuple(range(n)))
 
 
 def epsilon_of_strength(coupling: str, theta_m: float) -> float:

@@ -13,33 +13,24 @@ violated, 3 for configuration or I/O problems and malformed command lines.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-import numpy as np
-
 from . import __version__
-from .noise import default_noise_model
-from .sweeps import (
-    ConfigError,
+from .certify import certify_circuits
+from .config import (
     DEFAULT_GRID_POINTS,
     DEFAULT_REPEATS,
     DEFAULT_SHOTS,
     SCENARIOS,
-    certify_circuits,
+    ConfigError,
     config_from_json,
-    emit_csv,
-    emit_json,
     make_config,
-    render_csv,
-    run_sweep,
-    verify_cases,
-    _check_seed,
-    _resolve_state,
-    _write_text,
 )
+from .output import json_text, write_json, write_text
 from .svg import render_sweep_chart
-from .tomography import estimate_pauli, reconstruct_state
+from .sweeps import emit_json, render_csv, run_sweep
+from .tomography import tomography_errors
+from .verify import verify_cases
 
 EXIT_OK = 0
 EXIT_VIOLATION = 2
@@ -108,13 +99,13 @@ def _cmd_sweep(args) -> int:
     config = config_from_json(args.config, **flags) if args.config else make_config(**flags)
     records = run_sweep(config)
     if config.out:
-        emit_csv(records, config.out)
+        write_text(config.out, render_csv(records))
         print(f"wrote {config.out}")
     if config.json_out:
         emit_json(records, config, config.json_out)
         print(f"wrote {config.json_out}")
     if config.svg:
-        _write_text(config.svg, render_sweep_chart(records, config))
+        write_text(config.svg, render_sweep_chart(records, config))
         print(f"wrote {config.svg}")
     if not (config.out or config.json_out or config.svg):
         sys.stdout.write(render_csv(records))
@@ -125,7 +116,7 @@ def _cmd_verify(args) -> int:
     report = verify_cases(seed=args.seed, trials=args.trials, dims=tuple(args.dims))
     print(report.render_text())
     if args.out:
-        _write_text(args.out, json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+        write_json(args.out, report.to_dict())
         print(f"wrote {args.out}")
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
@@ -134,39 +125,16 @@ def _cmd_certify(args) -> int:
     report = certify_circuits(resolution=args.resolution, seed=args.seed)
     print(report.render_text())
     if args.out:
-        _write_text(args.out, json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+        write_json(args.out, report.to_dict())
         print(f"wrote {args.out}")
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
 
 def _cmd_tomo(args) -> int:
-    rho = _resolve_state(args.state)
-    if args.shots < 0:
-        raise ConfigError(f"shots: must be nonnegative, got {args.shots}")
-    if args.seeds < 1:
-        raise ConfigError(f"seeds: must be at least 1, got {args.seeds}")
-    _check_seed(args.seed)
-    noise = default_noise_model(depolarizing_rate=0.0) if args.noisy else None
-    errors = []
-    for k in range(args.seeds):
-        rng = np.random.default_rng([args.seed, k])
-        est = estimate_pauli(rho, args.shots, rng, noise=noise, qubit=0)
-        rec = reconstruct_state(est)
-        errors.append(float(np.abs(rec.matrix - rho.matrix).max()))
-    errors_sorted = sorted(errors)
-    summary = {
-        "state": args.state,
-        "shots": args.shots,
-        "shots_note": f"default shots per axis is {DEFAULT_SHOTS}; this run used {args.shots}",
-        "seeds": args.seeds,
-        "readout_noise": bool(args.noisy),
-        "median_error": errors_sorted[len(errors) // 2],
-        "p90_error": errors_sorted[min(len(errors) - 1, int(0.9 * len(errors)))],
-        "max_error": errors_sorted[-1],
-    }
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    result = tomography_errors(args.state, args.shots, args.seeds, args.seed, args.noisy)
+    sys.stdout.write(json_text(result["summary"]))
     if args.out:
-        _write_text(args.out, json.dumps({"summary": summary, "errors": errors}, indent=2, sort_keys=True) + "\n")
+        write_json(args.out, result)
         print(f"wrote {args.out}")
     return EXIT_OK
 

@@ -46,10 +46,6 @@ def hermiticity_defect(m) -> float:
     return float(np.abs(arr - dagger(arr)).max())
 
 
-def is_hermitian(m, tol: float = HERMITIAN_TOL) -> bool:
-    return hermiticity_defect(m) <= tol
-
-
 def tensor_product(a, b) -> np.ndarray:
     """Kronecker product: entry ((i*db+k),(j*db+l)) = a[i,j] * b[k,l]."""
     aa = _as_square_complex(a, "a")

@@ -144,16 +144,5 @@ def von_neumann_entropy(rho: DensityOperator):
     return entropy_of_probabilities(rho.eigenvalues())
 
 
-def bloch_vector(rho: DensityOperator) -> tuple[float, float, float]:
-    """(Tr rho*sigma_x, Tr rho*sigma_y, Tr rho*sigma_z) for a qubit state."""
-    if rho.dim != 2 or rho.batch is not None:
-        raise DimensionError(f"Bloch vector requires a qubit state, got dim {rho.dim}")
-    m = rho.matrix
-    rx = float((m[0, 1] + m[1, 0]).real)
-    ry = float((1j * (m[0, 1] - m[1, 0])).real)
-    rz = float((m[0, 0] - m[1, 1]).real)
-    return (rx, ry, rz)
-
-
 def maximally_mixed(d: int) -> DensityOperator:
     return DensityOperator(np.eye(d, dtype=complex) / d, validate=False)

@@ -1,160 +1,37 @@
-"""Sweep engine behind the CLI: figure presets, verification, certification.
+"""Sweep engine: figure-preset grids evaluated on one of three paths.
 
 A sweep walks a grid (monitoring strength, intensity, or an observable axis
 angle), evaluates the reality variations at each point along one of three
 paths (exact channel algebra, noiseless dilation circuits, or noisy
-circuits with finite-shot tomography), and emits CSV/JSON/SVG.  Records are
-produced in grid order and all randomness is derived from the config seed
-per (point, repeat, state), so identical configs give byte-identical CSV
-regardless of evaluation order.  The analytic path evaluates the whole grid
-as one stack; the circuit and noisy paths go point by point.
-
-Case verification draws each section's instances one at a time from one
-seeded generator and evaluates them as one stack per dimension.
-
-Grid semantics per scenario: the fig4 presets sweep the strength angle
-theta_m (intensity follows from the coupling); the fig1/fig2 presets sweep
-the tilted observable's axis angle at fixed intensity, and that swept angle
-is what lands in the ``theta_m`` record column.
+circuits with finite-shot tomography), and renders the records as CSV or
+JSON.  Records are produced in grid order and all randomness is derived
+from the config seed per (point, repeat, state), so identical configs give
+byte-identical CSV regardless of evaluation order.  The analytic path
+evaluates the whole grid as one stack; the circuit and noisy paths go point
+by point.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .channels import MonitoringChannel, dephase, monitor, product_monitor, to_superoperator
-from .circuits import (
-    build_monitor_circuit,
-    epsilon_of_strength,
-    extract_channel,
-    run_circuit_density,
-    strength_of_epsilon,
-)
-from .noise import DEFAULT_DEPOLARIZING_RATE, DEFAULT_READOUT_FLIPS, NoiseModel, confusion_from_flip
-from .observables import ObservableStack, ProjectiveObservable, observable_from_axis, standard_mub_observables
-from .reality import (
-    CaseLabel,
-    classify_case,
-    delta_reality_monitored,
-    delta_reality_other,
-    irreality,
-    reality_report,
-)
-from .sampling import (
-    mixture_of_eigenstates,
-    random_commuting_pair,
-    random_density,
-    random_mu_pair,
-    random_observable,
-    random_probabilities,
-)
-from .states import DensityOperator, PureState, density_from_pure, stack_states, von_neumann_entropy
+from .circuits import build_monitor_circuit, epsilon_of_strength, run_circuit_density, strength_of_epsilon
+from .config import DEFAULT_SHOTS, ConfigError, SweepConfig, resolve_state
+from .observables import ObservableStack, observable_from_axis
+from .output import write_json
+from .reality import classify_case, reality_report
+from .states import von_neumann_entropy
 from .tomography import estimate_pauli, reconstruct_state
 
-SCENARIOS = ("fig1", "fig2", "fig4a", "fig4b", "fig4c", "custom")
-PATHS = ("analytic", "circuit", "noisy")
-GRID_KINDS = ("theta_m", "epsilon", "axis_theta")
+# The benchmark in perfbench/ reads these names from realmon.sweeps, so they are re-exported here.
+from .certify import certify_circuits  # noqa: F401
+from .config import DEFAULT_GRID_POINTS, DEFAULT_REPEATS, make_config  # noqa: F401
+from .verify import verify_cases  # noqa: F401
 
 CSV_HEADER = "theta_m,epsilon,dR_X,dR_Xp,S_rho,S_mon,S_probe,S_probe_mon,case,path,se_dR_X,se_dR_Xp"
-
-DEFAULT_GRID_POINTS = 33
-DEFAULT_SHOTS = 8192
-DEFAULT_REPEATS = 10
-
-_STATE_PRESETS = {
-    "plus": np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex),
-    "minus": np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex),
-    "iplus": np.array([[0.5, -0.5j], [0.5j, 0.5]], dtype=complex),
-    "iminus": np.array([[0.5, 0.5j], [-0.5j, 0.5]], dtype=complex),
-    "zero": np.diag([1.0, 0.0]).astype(complex),
-    "one": np.diag([0.0, 1.0]).astype(complex),
-    "mixed": np.eye(2, dtype=complex) / 2.0,
-}
-
-
-class ConfigError(ValueError):
-    """Sweep configuration is malformed; message names the offending field."""
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    scenario: str = "custom"
-    state: object = "plus"
-    monitor_axis: tuple[float, float] = (0.0, 0.0)
-    probe_axis: tuple[float, float] = (math.pi / 2, 0.0)
-    grid_kind: str = "theta_m"
-    grid_values: tuple[float, ...] = ()
-    sweep_target: str | None = None
-    epsilon: float = 1.0
-    coupling: str = "CZ"
-    path: str = "analytic"
-    shots: int = DEFAULT_SHOTS
-    repeats: int = DEFAULT_REPEATS
-    seed: int = 0
-    readout_flips: tuple[float, ...] = DEFAULT_READOUT_FLIPS
-    depolarizing: float = DEFAULT_DEPOLARIZING_RATE
-    out: str | None = None
-    svg: str | None = None
-    json_out: str | None = None
-
-    def validate(self) -> "SweepConfig":
-        if self.scenario not in SCENARIOS:
-            raise ConfigError(f"scenario: unknown value {self.scenario!r}, expected one of {SCENARIOS}")
-        if self.path not in PATHS:
-            raise ConfigError(f"path: unknown value {self.path!r}, expected one of {PATHS}")
-        if self.grid_kind not in GRID_KINDS:
-            raise ConfigError(f"grid_kind: unknown value {self.grid_kind!r}")
-        if not self.grid_values:
-            raise ConfigError("grid_values: grid must be nonempty")
-        if not _finite_numbers(self.grid_values):
-            raise ConfigError(f"grid_values: must be finite numbers, got {self.grid_values!r}")
-        for name in ("monitor_axis", "probe_axis"):
-            axis = getattr(self, name)
-            if not (_finite_numbers(axis) and len(axis) == 2):
-                raise ConfigError(f"{name}: must be two finite numbers (theta, phi), got {axis!r}")
-        if self.grid_kind == "epsilon" and any(not 0.0 <= g <= 1.0 for g in self.grid_values):
-            raise ConfigError("grid_values: intensity values must lie in [0, 1]")
-        if self.grid_kind == "theta_m" and any(
-            not 0.0 <= g <= math.pi / 2 + 1e-12 for g in self.grid_values
-        ):
-            raise ConfigError("grid_values: strength angles must lie in [0, pi/2]")
-        if not (_finite_numbers((self.epsilon,)) and 0.0 <= self.epsilon <= 1.0):
-            raise ConfigError(f"epsilon: must be a number in [0, 1], got {self.epsilon!r}")
-        if self.coupling not in ("CZ", "CNOT"):
-            raise ConfigError(f"coupling: must be CZ or CNOT, got {self.coupling!r}")
-        if self.grid_kind == "axis_theta" and self.sweep_target not in ("probe", "monitor"):
-            raise ConfigError("sweep_target: axis_theta sweeps need 'probe' or 'monitor'")
-        if not (_is_integer(self.shots) and self.shots >= 0):
-            raise ConfigError(f"shots: must be a nonnegative integer, got {self.shots!r}")
-        if not (_is_integer(self.repeats) and self.repeats >= 1):
-            raise ConfigError(f"repeats: must be an integer of at least 1, got {self.repeats!r}")
-        _check_seed(self.seed)
-        if not (_finite_numbers((self.depolarizing,)) and 0.0 <= self.depolarizing <= 1.0):
-            raise ConfigError(f"depolarizing: must be a number in [0, 1], got {self.depolarizing!r}")
-        if not (
-            self.readout_flips
-            and _finite_numbers(self.readout_flips)
-            and all(0.0 <= p <= 1.0 for p in self.readout_flips)
-        ):
-            raise ConfigError(
-                f"readout_flips: must be flip probabilities in [0, 1], got {self.readout_flips!r}"
-            )
-        for name in ("out", "svg", "json_out"):
-            if not isinstance(getattr(self, name), (str, type(None))):
-                raise ConfigError(f"{name}: must be a file path, got {getattr(self, name)!r}")
-        _resolve_state(self.state)
-        return self
-
-    def noise_model(self) -> NoiseModel:
-        return NoiseModel(
-            readout_confusion=tuple(confusion_from_flip(p) for p in self.readout_flips),
-            depolarizing_rate=self.depolarizing,
-        )
 
 
 @dataclass(frozen=True)
@@ -171,126 +48,6 @@ class SweepRecord:
     path: str
     se_dR_X: float | None = None
     se_dR_Xp: float | None = None
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _check_seed(seed):
-    """Seeds feed ``numpy.random.default_rng``, which takes nonnegative integers."""
-    if not (_is_integer(seed) and seed >= 0):
-        raise ConfigError(f"seed: must be a nonnegative integer, got {seed!r}")
-
-
-def _finite_numbers(values) -> bool:
-    return isinstance(values, (tuple, list)) and all(
-        isinstance(v, numbers.Real) and math.isfinite(v) for v in values
-    )
-
-
-def _resolve_state(spec) -> DensityOperator:
-    if isinstance(spec, str):
-        try:
-            return DensityOperator(_STATE_PRESETS[spec], validate=False)
-        except KeyError:
-            raise ConfigError(
-                f"state: unknown preset {spec!r}, expected one of {sorted(_STATE_PRESETS)}"
-            ) from None
-    if isinstance(spec, dict):
-        try:
-            theta = float(spec["theta"])
-            phi = float(spec.get("phi", 0.0))
-        except (KeyError, TypeError, ValueError):
-            raise ConfigError(f"state: angle spec needs numeric 'theta' (and optional 'phi'), got {spec!r}") from None
-        if not (math.isfinite(theta) and math.isfinite(phi)):
-            raise ConfigError(f"state: 'theta' and 'phi' must be finite, got {spec!r}")
-        amp = [math.cos(theta / 2.0), math.sin(theta / 2.0) * complex(math.cos(phi), math.sin(phi))]
-        return density_from_pure(PureState(amp))
-    raise ConfigError(f"state: expected preset name or angle dict, got {type(spec).__name__}")
-
-
-def _grid(points: int, stop: float) -> tuple[float, ...]:
-    return tuple(stop * k / (points - 1) for k in range(points))
-
-
-def make_config(scenario: str = "custom", *, points: int = DEFAULT_GRID_POINTS, **overrides) -> SweepConfig:
-    """Build a validated config from a scenario preset plus field overrides."""
-    if scenario not in SCENARIOS:
-        raise ConfigError(f"scenario: unknown value {scenario!r}, expected one of {SCENARIOS}")
-    if not isinstance(points, (int, np.integer)) or points < 2:
-        raise ConfigError(f"points: must be an integer of at least 2, got {points!r}")
-    base: dict = {"scenario": scenario}
-    if scenario == "fig1":
-        base.update(
-            state="plus",
-            monitor_axis=(0.0, 0.0),
-            probe_axis=(math.pi / 2, 0.0),
-            grid_kind="axis_theta",
-            sweep_target="probe",
-            grid_values=_grid(points, math.pi),
-            epsilon=1.0,
-        )
-    elif scenario == "fig2":
-        base.update(
-            state="plus",
-            monitor_axis=(math.pi / 4, 0.0),
-            probe_axis=(0.0, 0.0),
-            grid_kind="axis_theta",
-            sweep_target="monitor",
-            grid_values=_grid(points, math.pi),
-            epsilon=1.0,
-        )
-    elif scenario == "fig4a":
-        base.update(
-            state="plus",
-            monitor_axis=(0.0, 0.0),
-            probe_axis=(math.pi / 2, 0.0),
-            grid_kind="theta_m",
-            grid_values=_grid(points, math.pi / 2),
-        )
-    elif scenario == "fig4b":
-        base.update(
-            state="iplus",
-            monitor_axis=(0.0, 0.0),
-            probe_axis=(math.pi / 2, 0.0),
-            grid_kind="theta_m",
-            grid_values=_grid(points, math.pi / 2),
-        )
-    elif scenario == "fig4c":
-        base.update(
-            state="plus",
-            monitor_axis=(math.pi / 4, 0.0),
-            probe_axis=(0.0, 0.0),
-            grid_kind="theta_m",
-            grid_values=_grid(points, math.pi / 2),
-        )
-    else:
-        base.update(grid_values=overrides.pop("grid_values", _grid(points, math.pi / 2)))
-    base.update(overrides)
-    try:
-        config = SweepConfig(**base)
-    except TypeError as exc:
-        raise ConfigError(f"unknown config field: {exc}") from None
-    return config.validate()
-
-
-def config_from_json(path: str, /, **overrides) -> SweepConfig:
-    """Build a validated config from a JSON object's fields, ``overrides`` on top."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise ConfigError(f"config {path} must hold a JSON object")
-    for key in ("grid_values", "monitor_axis", "probe_axis", "readout_flips"):
-        if key in data and isinstance(data[key], list):
-            data[key] = tuple(data[key])
-    data.update(overrides)
-    return make_config(**data)
 
 
 def _point_parameters(config: SweepConfig, value: float):
@@ -354,7 +111,7 @@ def _record(theta_m: float, epsilon: float, entropies, case, path: str) -> Sweep
 def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     """Evaluate every grid point of a validated config, in grid order."""
     config.validate()
-    rho = _resolve_state(config.state)
+    rho = resolve_state(config.state)
     noise = config.noise_model() if config.path == "noisy" else None
     points = [_point_parameters(config, value) for value in config.grid_values]
     pairs = [(observable_from_axis(*m_axis), observable_from_axis(*p_axis)) for _, _, m_axis, p_axis in points]
@@ -416,18 +173,6 @@ def render_csv(records: list[SweepRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_text(path: str, text: str):
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from None
-
-
-def emit_csv(records: list[SweepRecord], path: str):
-    _write_text(path, render_csv(records))
-
-
 def sweep_metadata(config: SweepConfig) -> dict:
     meta = asdict(config)
     meta["tomography"] = (
@@ -445,396 +190,4 @@ def emit_json(records: list[SweepRecord], config: SweepConfig, path: str):
     if not records:
         raise ConfigError("records: nothing to emit")
     payload = {"metadata": sweep_metadata(config), "records": [asdict(r) for r in records]}
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-# ---------------------------------------------------------------------------
-# Case verification
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    """One invariant over the instances it was evaluated on.
-
-    A check with no instances (an MU check when ``dims`` holds neither 2
-    nor 3) is not applicable: its ``worst`` and ``passed`` are None.
-    """
-
-    name: str
-    instances: int
-    worst: float | None
-    bound: float
-    kind: str  # 'max<=' or 'min>='
-    passed: bool | None
-    note: str = ""
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    seed: int
-    trials: int
-    dims: tuple[int, ...]
-    checks: tuple[CheckResult, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.passed is not False for c in self.checks)
-
-    def render_text(self) -> str:
-        lines = [f"case verification: seed={self.seed} trials={self.trials} dims={list(self.dims)}"]
-        for c in self.checks:
-            note = f"  ({c.note})" if c.note else ""
-            if c.passed is None:
-                lines.append(f"  [N/A] {c.name}: no instances in these dims{note}")
-                continue
-            rel = "max" if c.kind == "max<=" else "min"
-            if math.isinf(c.bound):
-                status, bound_txt = "INFO", "none"
-            else:
-                status, bound_txt = ("PASS" if c.passed else "FAIL"), f"{c.bound:.0e}"
-            lines.append(
-                f"  [{status}] {c.name}: {rel} margin {c.worst:+.3e} vs bound {bound_txt}"
-                f" over {c.instances} instances{note}"
-            )
-        lines.append("result: " + ("all checks passed" if self.ok else "VIOLATIONS FOUND"))
-        return "\n".join(lines)
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "trials": self.trials,
-            "dims": list(self.dims),
-            "ok": self.ok,
-            "checks": [
-                {**asdict(c), "bound": (None if math.isinf(c.bound) else c.bound)}
-                for c in self.checks
-            ],
-        }
-
-
-def _random_pair(d, rng):
-    return random_observable(d, rng), random_observable(d, rng)
-
-
-def _instance(d, rng, pair=_random_pair):
-    """(X, X', rho, eps): a sampled pair, a random state and a uniform intensity."""
-    x, xp = pair(d, rng)
-    return x, xp, random_density(d, rng), float(rng.random())
-
-
-def _diagonal_instance(d, rng, in_probe_basis):
-    """A random pair with a state diagonal in the monitored or the probe basis."""
-    x, xp = _random_pair(d, rng)
-    rho = mixture_of_eigenstates(xp if in_probe_basis else x, random_probabilities(d, rng))
-    return x, xp, rho, float(rng.random())
-
-
-def _mu_probe_instance(d, rng):
-    """An MU pair, a probe-diagonal state, an intensity and an arbitrary state."""
-    x, xp = random_mu_pair(d, rng)
-    rho = mixture_of_eigenstates(xp, random_probabilities(d, rng))
-    return x, xp, rho, float(rng.random()), random_density(d, rng)
-
-
-def _third_basis_instance(d, rng, third):
-    """A state diagonal in ``third``, kept away from I/d, and an intensity in [0.1, 1]."""
-    probs = random_probabilities(d, rng)
-    while np.abs(probs - 1.0 / d).max() < 0.05:
-        probs = random_probabilities(d, rng)
-    return mixture_of_eigenstates(third, probs), 0.1 + 0.9 * float(rng.random())
-
-
-def _stacked(instances):
-    """Sampled instance tuples as one stack per field: observables as an
-    ``ObservableStack``, states as one ``DensityOperator`` stack, numbers as an array."""
-    columns = []
-    for column in zip(*instances):
-        if isinstance(column[0], ProjectiveObservable):
-            columns.append(ObservableStack(column))
-        elif isinstance(column[0], DensityOperator):
-            columns.append(stack_states(column))
-        else:
-            columns.append(np.array(column, dtype=float))
-    return columns
-
-
-def _mislabelled(instances, label) -> np.ndarray:
-    """1.0 for each (X, X', rho, ...) instance whose case label is not ``label``."""
-    return np.array([float(classify_case(x, xp, rho) is not label) for x, xp, rho, *_ in instances])
-
-
-def _generic_margins(d, trials, rng):
-    """Identity residual, self-gain margin, entropy change and probe gain on generic instances."""
-    x, xp, rho, eps = _stacked([_instance(d, rng) for _ in range(trials)])
-    report = reality_report(x, xp, eps, rho)
-    dro = delta_reality_other(xp, x, eps, rho)
-    drm = delta_reality_monitored(x, eps, rho)
-    return (
-        np.abs(dro - (drm + report.entropy_probe - report.entropy_probe_monitored)),
-        drm - eps * irreality(x, rho),
-        report.entropy_monitored - report.entropy_initial,
-        dro,
-    )
-
-
-def _commuting_margins(d, trials, rng):
-    """(i) |probe gain - monitored gain| and wrong labels on commuting pairs."""
-    instances = [_instance(d, rng, random_commuting_pair) for _ in range(trials)]
-    labels = _mislabelled(instances, CaseLabel.COMPATIBLE)
-    x, xp, rho, eps = _stacked(instances)
-    del instances  # the stacks hold the instances now; keep one copy while evaluating
-    return np.abs(delta_reality_other(xp, x, eps, rho) - delta_reality_monitored(x, eps, rho)), labels
-
-
-def _monitored_diagonal_margins(d, trials, rng):
-    """(ii) the larger of |monitored gain| and |probe gain| for monitored-diagonal states."""
-    x, xp, rho, eps = _stacked([_diagonal_instance(d, rng, False) for _ in range(trials)])
-    return (np.maximum(np.abs(delta_reality_monitored(x, eps, rho)), np.abs(delta_reality_other(xp, x, eps, rho))),)
-
-
-def _probe_diagonal_margins(d, trials, rng):
-    """(iii) the probe gain for probe-diagonal states."""
-    x, xp, rho, eps = _stacked([_diagonal_instance(d, rng, True) for _ in range(trials)])
-    return (delta_reality_other(xp, x, eps, rho),)
-
-
-def _mu_probe_margins(d, trials, rng):
-    """(iii) |probe gain| for probe-diagonal states under an MU monitor, and the
-    probe gain of the same MU pairs on arbitrary states."""
-    x, xp, rho, eps, rho_any = _stacked([_mu_probe_instance(d, rng) for _ in range(trials)])
-    return np.abs(delta_reality_other(xp, x, eps, rho)), delta_reality_other(xp, x, eps, rho_any)
-
-
-def _mu_margins(d, trials, rng):
-    """(iv) gain ordering, concavity margin and blend-identity residual on MU pairs."""
-    x, xp, rho, eps = _stacked([_instance(d, rng, random_mu_pair) for _ in range(trials)])
-    report = reality_report(x, xp, eps, rho)
-    lhs = report.entropy_probe_monitored - report.entropy_probe
-    e = eps[:, None, None]
-    blend = (1.0 - e) * dephase(xp, rho).matrix + e * np.eye(d) / d
-    chained = dephase(xp, monitor(MonitoringChannel(x, eps), rho))
-    return (
-        report.delta_r_monitored - report.delta_r_probe,
-        lhs - eps * (math.log2(d) - report.entropy_probe),
-        np.abs(chained.matrix - blend).max(axis=(1, 2)),
-    )
-
-
-def _third_basis_margins(d, trials, rng):
-    """(v) |probe gain - monitored gain|, monitored gain and wrong labels for
-    states diagonal in a third basis unbiased to both observables."""
-    x, xp, third = standard_mub_observables(d)[:3]
-    instances = [(x, xp, *_third_basis_instance(d, rng, third)) for _ in range(trials)]
-    labels = _mislabelled(instances, CaseLabel.TRIPLE_MU)
-    _, _, rho, eps = _stacked(instances)
-    del instances  # the stacks hold the instances now; keep one copy while evaluating
-    drm = delta_reality_monitored(x, eps, rho)
-    dro = delta_reality_other(xp, x, eps, rho)
-    return np.abs(dro - drm), drm, labels
-
-
-def _per_dimension(section, dims, trials, rng, count):
-    """Run a section once per dimension, in order: for each of its ``count``
-    margins, the list of per-dimension arrays."""
-    columns = [[] for _ in range(count)]
-    for d in dims:
-        for column, margins in zip(columns, section(d, trials, rng), strict=True):
-            column.append(margins)
-    return columns
-
-
-def verify_cases(seed: int = 0, trials: int = 200, dims: tuple[int, ...] = (2, 3)) -> VerificationReport:
-    """Run every reality-variation invariant on seeded random instances.
-
-    Each section draws its instances exactly as a one-at-a-time loop would,
-    then evaluates them as one stack per dimension.  A check counts the
-    instances it evaluated.
-    """
-    if not (_is_integer(trials) and trials >= 1):
-        raise ConfigError(f"trials: must be a positive integer, got {trials!r}")
-    dims = tuple(dims)
-    if not dims or not all(_is_integer(d) and d >= 2 for d in dims):
-        raise ConfigError(f"dims: must be one or more integer dimensions of at least 2, got {list(dims)}")
-    _check_seed(seed)
-    rng = np.random.default_rng(seed)
-    mu_dims = [d for d in dims if d in (2, 3)]
-    checks: list[CheckResult] = []
-
-    def add(name, kind, margins, bound, note=""):
-        values = np.concatenate(margins) if margins else np.empty(0)
-        if not values.size:
-            checks.append(CheckResult(name, 0, None, bound, kind, None, note))
-            return
-        worst = float(values.max() if kind == "max<=" else values.min())
-        passed = worst <= bound if kind == "max<=" else worst >= bound
-        checks.append(CheckResult(name, int(values.size), worst, bound, kind, bool(passed), note))
-
-    # identity between the sequential and composed four-entropy routes
-    identity, gain, entropy, probe = _per_dimension(_generic_margins, dims, trials, rng, 4)
-    add("four-entropy identity (sequential vs composed)", "max<=", identity, 1e-10)
-    add("monitored gain >= eps * irreality", "min>=", gain, -1e-9)
-    add("entropy nondecreasing under monitoring", "min>=", entropy, -1e-9)
-    # The probe gain has no sign guarantee for generic pairs: monitoring a
-    # tilted, non-unbiased axis can scramble an established probe reality
-    # (minimum reported for the record; provable sign claims follow below).
-    add(
-        "probe gain minimum over generic pairs (informational)",
-        "min>=",
-        probe,
-        -math.inf,
-        note="sign-indefinite for generic pairs; see MU and diagonal-state checks",
-    )
-
-    # (i) commuting pair -> equal variations, and the pair is labelled compatible
-    equal, labels = _per_dimension(_commuting_margins, dims, trials, rng, 2)
-    add("(i) commuting pair gives equal variations", "max<=", equal, 1e-9)
-    add("(i) commuting pair labelled compatible", "max<=", labels, 0.0, note="1 per mislabelled instance")
-
-    # (ii) state diagonal in the monitored basis -> both variations vanish
-    (frozen,) = _per_dimension(_monitored_diagonal_margins, dims, trials, rng, 1)
-    add("(ii) monitored-diagonal state freezes both variations", "max<=", frozen, 1e-9)
-
-    # (iii) state diagonal in the probe basis: an established probe reality
-    # can never grow (one-sided); it stays exactly fixed when the monitored
-    # axis is unbiased with respect to the probe.
-    (probe_gain,) = _per_dimension(_probe_diagonal_margins, dims, trials, rng, 1)
-    add("(iii) probe-diagonal state: probe gain never positive", "max<=", probe_gain, 1e-9)
-    fixed, mu_probe = _per_dimension(_mu_probe_margins, mu_dims, trials, rng, 2)
-    add("(iii) probe-diagonal state, MU monitor: probe reality fixed", "max<=", fixed, 1e-9)
-    add("MU pair: probe gain nonnegative (any state)", "min>=", mu_probe, -1e-9)
-
-    # (iv) mutually unbiased pair: ordering plus the concavity bound
-    order, concave, blend_identity = _per_dimension(_mu_margins, mu_dims, trials, rng, 3)
-    add("(iv) MU pair: monitored gain dominates probe gain", "min>=", order, -1e-9)
-    add("(iv) MU pair: concavity lower bound", "min>=", concave, -1e-9)
-    add("(iv) MU pair: dephased-monitor blend identity", "max<=", blend_identity, 1e-10)
-
-    # (v) state diagonal in a third pairwise-MU basis -> equal, nonzero
-    # variations, and the configuration is labelled triple-MU
-    for d in mu_dims:
-        equal, positive, labels = _third_basis_margins(d, trials, rng)
-        add(f"(v) third-basis-diagonal state: equal variations (d={d})", "max<=", [equal], 1e-9)
-        add(f"(v) third-basis-diagonal state: strictly positive gain (d={d})", "min>=", [positive], 1e-12)
-        add(
-            f"(v) third-basis-diagonal state labelled triple-MU (d={d})",
-            "max<=",
-            [labels],
-            0.0,
-            note="1 per mislabelled instance",
-        )
-
-    return VerificationReport(seed=seed, trials=trials, dims=dims, checks=tuple(checks))
-
-
-# ---------------------------------------------------------------------------
-# Circuit certification
-
-
-CNOT_MAPPING_NOTE = (
-    "CNOT coupling: certified mapping is eps = 1 - sin(theta_m), decreasing from 1 to 0 "
-    "on [0, pi/2]; the often-quoted eps = 1 - (1/2) sin(theta) does NOT match the "
-    "extracted channel (its range [1/2, 1] is inconsistent with the observed damping)."
-)
-
-
-@dataclass(frozen=True)
-class CertificationReport:
-    resolution: int
-    seed: int
-    deviations: dict  # label -> max sup-norm deviation
-    cnot_mapping_max_error: float
-    cnot_monotone: bool
-    notes: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        limits = {"n=3": 1e-9}
-        for label, dev in self.deviations.items():
-            limit = limits.get(label.split()[0], 1e-10)
-            if dev > limit:
-                return False
-        return self.cnot_mapping_max_error <= 1e-10 and self.cnot_monotone
-
-    def render_text(self) -> str:
-        lines = [f"circuit certification: resolution={self.resolution} seed={self.seed}"]
-        for label, dev in sorted(self.deviations.items()):
-            lines.append(f"  {label}: max superoperator deviation {dev:.3e}")
-        lines.append(
-            f"  CNOT mapping vs 1 - sin(theta_m): max error {self.cnot_mapping_max_error:.3e}, "
-            f"monotone={self.cnot_monotone}"
-        )
-        for note in self.notes:
-            lines.append("  note: " + note)
-        lines.append("result: " + ("certified" if self.ok else "DEVIATION FOUND"))
-        return "\n".join(lines)
-
-    def to_dict(self) -> dict:
-        return {
-            "resolution": self.resolution,
-            "seed": self.seed,
-            "ok": self.ok,
-            "deviations": dict(self.deviations),
-            "cnot_mapping_max_error": self.cnot_mapping_max_error,
-            "cnot_monotone": self.cnot_monotone,
-            "notes": list(self.notes),
-        }
-
-
-def certify_circuits(resolution: int = 17, seed: int = 11, include_three_qubit: bool = True) -> CertificationReport:
-    """Compare extracted dilation channels against the analytic monitoring maps."""
-    if resolution < 2:
-        raise ConfigError(f"resolution: must be at least 2, got {resolution}")
-    _check_seed(seed)
-    rng = np.random.default_rng(seed)
-    grid = [math.pi / 2 * k / (resolution - 1) for k in range(resolution)]
-    deviations: dict[str, float] = {}
-
-    def basis_samples(n):
-        fixed = [tuple((0.0, 0.0) for _ in range(n)), tuple((math.pi / 4, 0.0) for _ in range(n))]
-        random_bases = tuple(
-            (float(rng.uniform(0, math.pi)), float(rng.uniform(-math.pi, math.pi))) for _ in range(n)
-        )
-        return fixed + [random_bases]
-
-    for coupling in ("CZ", "CNOT"):
-        for n in (1, 2):
-            worst = 0.0
-            for theta_m in grid:
-                eps = epsilon_of_strength(coupling, theta_m)
-                for bases in basis_samples(n):
-                    circ = build_monitor_circuit(list(bases), theta_m, coupling)
-                    extracted = extract_channel(circ)
-                    reference = to_superoperator(product_monitor(list(bases), eps))
-                    worst = max(worst, float(np.abs(extracted.matrix - reference.matrix).max()))
-            deviations[f"n={n} {coupling}"] = worst
-
-    if include_three_qubit:
-        worst = 0.0
-        bases3 = basis_samples(3)[-1]
-        for theta_m in (0.0, 0.7, math.pi / 2):
-            eps = epsilon_of_strength("CZ", theta_m)
-            circ = build_monitor_circuit(list(bases3), theta_m, "CZ")
-            extracted = extract_channel(circ)
-            reference = to_superoperator(product_monitor(list(bases3), eps))
-            worst = max(worst, float(np.abs(extracted.matrix - reference.matrix).max()))
-        deviations["n=3 CZ smoke"] = worst
-
-    # independent CNOT intensity mapping from the extracted damping factor
-    worst_map = 0.0
-    eps_values = []
-    for theta_m in grid:
-        circ = build_monitor_circuit([(0.0, 0.0)], theta_m, "CNOT")
-        sup = extract_channel(circ).matrix
-        eps_extracted = 1.0 - float(sup[1, 1].real)
-        eps_values.append(eps_extracted)
-        worst_map = max(worst_map, abs(eps_extracted - (1.0 - math.sin(theta_m))))
-    monotone = all(eps_values[k + 1] <= eps_values[k] + 1e-12 for k in range(len(eps_values) - 1))
-
-    return CertificationReport(
-        resolution=resolution,
-        seed=seed,
-        deviations=deviations,
-        cnot_mapping_max_error=worst_map,
-        cnot_monotone=monotone,
-        notes=(CNOT_MAPPING_NOTE,),
-    )
+    write_json(path, payload)

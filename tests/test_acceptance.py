@@ -18,7 +18,9 @@ import time
 import numpy as np
 import pytest
 
+from realmon.certify import certify_circuits
 from realmon.channels import MonitoringChannel, monitor
+from realmon.config import make_config
 from realmon.observables import ObservableStack, observable_from_axis, pauli_observable
 from realmon.reality import (
     delta_reality_monitored,
@@ -37,7 +39,7 @@ from realmon.sampling import (
     random_probabilities,
 )
 from realmon.states import DensityOperator, entropy_of_probabilities, stack_states
-from realmon.sweeps import certify_circuits, make_config, render_csv, run_sweep
+from realmon.sweeps import render_csv, run_sweep
 
 SZ = pauli_observable("z")
 SX = pauli_observable("x")

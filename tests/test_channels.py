@@ -6,11 +6,8 @@ import pytest
 from realmon.channels import (
     ComposedChannel,
     DephasingChannel,
-    IdentityChannel,
     MonitoringChannel,
     Superoperator,
-    channels_equal,
-    compose,
     dephase,
     monitor,
     product_monitor,
@@ -32,6 +29,11 @@ PLUS = DensityOperator(np.full((2, 2), 0.5, dtype=complex))
 ZERO = DensityOperator(np.diag([1.0, 0.0]).astype(complex))
 SZ = pauli_observable("z")
 SX = pauli_observable("x")
+
+
+def channels_equal(a, b, tol=1e-10):
+    """Sup-norm agreement of the two channels' superoperators."""
+    return bool(np.abs(to_superoperator(a).matrix - to_superoperator(b).matrix).max() <= tol)
 
 
 class TestDephase:
@@ -117,24 +119,24 @@ class TestCompose:
     def test_intensity_combination_rule(self):
         # eps_eff = eps1 + eps2 - eps1*eps2, from expanding the convex blend
         e1, e2 = 0.3, 0.45
-        lhs = compose(MonitoringChannel(SZ, e1), MonitoringChannel(SZ, e2))
+        lhs = ComposedChannel(MonitoringChannel(SZ, e1), MonitoringChannel(SZ, e2))
         rhs = MonitoringChannel(SZ, e1 + e2 - e1 * e2)
         assert channels_equal(lhs, rhs)
 
     def test_identity_fixed_point_for_mu_chain(self):
-        chain = compose(DephasingChannel(SX), MonitoringChannel(SZ, 0.7))
+        chain = ComposedChannel(DephasingChannel(SX), MonitoringChannel(SZ, 0.7))
         out = chain.apply_matrix(np.eye(2, dtype=complex) / 2)
         assert np.abs(out - np.eye(2) / 2).max() <= 1e-12
 
     def test_dimension_mismatch(self):
         obs3 = random_observable(3, np.random.default_rng(3))
         with pytest.raises(DimensionError):
-            compose(DephasingChannel(SZ), DephasingChannel(obs3))
+            ComposedChannel(DephasingChannel(SZ), DephasingChannel(obs3))
 
 
 class TestSuperoperator:
     def test_identity_channel(self):
-        s = to_superoperator(IdentityChannel(2))
+        s = to_superoperator(MonitoringChannel(SZ, 0.0))
         assert np.array_equal(s.matrix, np.eye(4))
 
     def test_dephasing_golden_diagonal(self):
@@ -218,7 +220,7 @@ class TestProductMonitor:
 
 
 def test_superoperator_is_dataclass_with_dim():
-    s = to_superoperator(IdentityChannel(3))
+    s = to_superoperator(MonitoringChannel(random_observable(3, np.random.default_rng(7)), 0.0))
     assert isinstance(s, Superoperator) and s.dim == 3 and s.matrix.shape == (9, 9)
 
 

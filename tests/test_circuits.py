@@ -3,20 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from realmon.channels import MonitoringChannel, channels_equal, product_monitor, to_superoperator
+from realmon.channels import MonitoringChannel, product_monitor, to_superoperator
 from realmon.circuits import (
     Circuit,
     Gate,
     apply_circuit_matrix,
     build_monitor_circuit,
-    dump_circuit,
     epsilon_of_strength,
     extract_channel,
     gate_matrix,
     run_circuit_density,
     strength_of_epsilon,
+    u3_adjoint_params,
     u3_matrix,
-    unitary_adjoint_identity_check,
 )
 from realmon.linalg import DimensionError
 from realmon.noise import NoiseModel, default_noise_model
@@ -25,6 +24,17 @@ from realmon.reality import scenario2_eigenvalues
 from realmon.states import DensityOperator, maximally_mixed
 
 PLUS = DensityOperator(np.full((2, 2), 0.5, dtype=complex))
+
+
+def adjoint_params_match(theta, phi, lam):
+    """U3(theta, phi, lam)† equals U3 of the adjoint parameters, entrywise to 1e-12."""
+    direct = u3_matrix(theta, phi, lam).conj().T
+    return np.abs(direct - u3_matrix(*u3_adjoint_params(theta, phi, lam))).max() <= 1e-12
+
+
+def channels_equal(a, b, tol=1e-10):
+    """Sup-norm agreement of the two channels' superoperators."""
+    return bool(np.abs(to_superoperator(a).matrix - to_superoperator(b).matrix).max() <= tol)
 
 
 class TestU3:
@@ -44,16 +54,16 @@ class TestU3:
             assert np.abs(u @ u.conj().T - np.eye(2)).max() <= 1e-14
 
     def test_adjoint_identity_trivial(self):
-        assert unitary_adjoint_identity_check(0.0, 0.0, 0.0)
+        assert adjoint_params_match(0.0, 0.0, 0.0)
 
     def test_adjoint_identity_caption_instance(self):
-        assert unitary_adjoint_identity_check(math.pi / 2, 0.0, 0.0)
+        assert adjoint_params_match(math.pi / 2, 0.0, 0.0)
 
     def test_adjoint_identity_random(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
             theta, phi, lam = rng.uniform(-2 * math.pi, 2 * math.pi, 3)
-            assert unitary_adjoint_identity_check(float(theta), float(phi), float(lam))
+            assert adjoint_params_match(float(theta), float(phi), float(lam))
 
 
 class TestGateAndCircuitValidation:
@@ -67,12 +77,12 @@ class TestGateAndCircuitValidation:
 
     def test_circuit_checks_indices(self):
         with pytest.raises(DimensionError):
-            Circuit(2, (Gate("U3", (5,), (0.0, 0.0, 0.0)),), (0,), 0.0)
+            Circuit(2, (Gate("U3", (5,), (0.0, 0.0, 0.0)),), (0,))
 
     def test_ancilla_coupling_counted(self):
         gates = (Gate("U3", (1,), (0.3, 0.0, 0.0)),)  # ancilla never coupled
         with pytest.raises(ValueError, match="exactly one"):
-            Circuit(2, gates, (0,), 0.3)
+            Circuit(2, gates, (0,))
 
     def test_gate_matrix(self):
         assert np.array_equal(gate_matrix(Gate("CZ", (0, 1))), np.diag([1, 1, 1, -1]))
@@ -117,7 +127,7 @@ class TestLocalGateOracle:
         ids=str,
     )
     def test_matches_full_width_conjugation(self, gate):
-        circ = Circuit(3, (gate,), (0, 1, 2), 0.0)
+        circ = Circuit(3, (gate,), (0, 1, 2))
         m = _random_operator(8, 4)
         u = _full_unitary(gate, 3)
         assert np.abs(apply_circuit_matrix(circ, m) - u @ m @ u.conj().T).max() <= 1e-14
@@ -126,7 +136,7 @@ class TestLocalGateOracle:
     def test_depolarizing_matches_pauli_twirl(self, pair):
         rate = 0.3
         gate = Gate("CNOT", pair)
-        circ = Circuit(4, (gate,), (0, 1, 2, 3), 0.0)
+        circ = Circuit(4, (gate,), (0, 1, 2, 3))
         m = _random_operator(16, 5)
         u = _full_unitary(gate, 4)
         conj = u @ m @ u.conj().T
@@ -154,7 +164,7 @@ class TestBuildAndRun:
         assert np.abs(out.matrix - np.array([[0.5, 0.25], [0.25, 0.5]])).max() <= 1e-12
 
     def test_identityish_circuit_returns_input(self):
-        circ = Circuit(1, (Gate("U3", (0,), (0.0, 0.0, 0.0)),), (0,), 0.0)
+        circ = Circuit(1, (Gate("U3", (0,), (0.0, 0.0, 0.0)),), (0,))
         out = run_circuit_density(circ, PLUS)
         assert np.abs(out.matrix - PLUS.matrix).max() <= 1e-15
 
@@ -277,23 +287,3 @@ class TestNoiseInCircuits:
         clean = run_circuit_density(circ, PLUS)
         noisy = run_circuit_density(circ, PLUS, default_noise_model(0.0))
         assert np.abs(clean.matrix - noisy.matrix).max() <= 1e-15
-
-
-class TestDump:
-    def test_golden_format(self):
-        circ = build_monitor_circuit([(0.0, 0.0)], math.pi / 3, "CZ")
-        expected = "\n".join(
-            [
-                "U3 q0 0 3.14159265359 -3.14159265359",
-                "U3 q1 1.0471975512 0 0",
-                "CZ q0 q1",
-                "U3 q0 0 0 0",
-            ]
-        )
-        assert dump_circuit(circ) == expected
-
-    def test_cnot_line(self):
-        circ = build_monitor_circuit([(math.pi / 2, 0.0)], 0.25, "CNOT")
-        lines = dump_circuit(circ).splitlines()
-        assert "CNOT q0 q1" in lines
-        assert lines[0].startswith("U3 q0 1.57079632679")

@@ -3,13 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from realmon.linalg import DimensionError
 from realmon.sampling import ginibre_density, haar_pure_state, haar_unitary
 from realmon.states import (
     DensityOperator,
     NegativityError,
     PureState,
-    bloch_vector,
     density_from_pure,
     entropy_of_probabilities,
     maximally_mixed,
@@ -143,24 +141,6 @@ class TestEntropy:
             assert 0.0 <= von_neumann_entropy(rho) <= math.log2(d) + 1e-12
 
 
-class TestBlochVector:
-    def test_goldens(self):
-        assert bloch_vector(DensityOperator(np.diag([1.0, 0.0]).astype(complex))) == (0.0, 0.0, 1.0)
-        assert bloch_vector(maximally_mixed(2)) == (0.0, 0.0, 0.0)
-        plus = DensityOperator(np.full((2, 2), 0.5, dtype=complex))
-        assert bloch_vector(plus) == (1.0, 0.0, 0.0)
-
-    def test_norm_bound(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            r = bloch_vector(ginibre_density(2, rng))
-            assert math.sqrt(sum(c * c for c in r)) <= 1.0 + 1e-9
-
-    def test_requires_qubit(self):
-        with pytest.raises(DimensionError):
-            bloch_vector(maximally_mixed(3))
-
-
 class TestStacks:
     def test_stack_entropy_equals_member_entropies(self):
         rng = np.random.default_rng(4)
@@ -187,7 +167,3 @@ class TestStacks:
     def test_entropy_of_probability_rows(self):
         s = entropy_of_probabilities([[0.25, 0.75], [1.0, 0.0], [0.5, 0.5]])
         assert abs(s[0] - H2_QUARTER) <= 1e-12 and s[1] == 0.0 and s[2] == 1.0
-
-    def test_bloch_vector_rejects_stack(self):
-        with pytest.raises(DimensionError):
-            bloch_vector(stack_states([maximally_mixed(2), maximally_mixed(2)]))

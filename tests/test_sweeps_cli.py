@@ -10,22 +10,19 @@ import pytest
 from realmon.observables import observable_from_axis
 from realmon.reality import reality_report
 from realmon.states import DensityOperator
-from realmon.sweeps import (
-    CSV_HEADER,
-    ConfigError,
-    SweepConfig,
-    certify_circuits,
-    config_from_json,
-    emit_csv,
-    emit_json,
-    make_config,
-    render_csv,
-    run_sweep,
-    verify_cases,
-)
+from realmon.certify import certify_circuits
+from realmon.config import ConfigError, SweepConfig, config_from_json, make_config
+from realmon.output import write_text
 from realmon.svg import render_sweep_chart
+from realmon.sweeps import CSV_HEADER, emit_json, render_csv, run_sweep
+from realmon.verify import verify_cases
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def reject_constant(constant):
+    """``parse_constant`` hook: NaN and Infinity are not strict JSON."""
+    raise ValueError(f"not valid JSON: {constant}")
 
 
 def run_cli(*args):
@@ -211,8 +208,8 @@ class TestEmission:
     def test_csv_deterministic(self, tmp_path):
         config = make_config("fig4a", points=5, path="noisy", shots=512, repeats=3, seed=7)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        emit_csv(run_sweep(config), str(p1))
-        emit_csv(run_sweep(config), str(p2))
+        write_text(str(p1), render_csv(run_sweep(config)))
+        write_text(str(p2), render_csv(run_sweep(config)))
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_json_mirror(self, tmp_path):
@@ -238,7 +235,7 @@ class TestEmission:
     def test_unwritable_path_raises_config_error(self):
         records = run_sweep(make_config("fig4a", points=3))
         with pytest.raises(ConfigError, match="cannot write"):
-            emit_csv(records, "/nonexistent-dir/out.csv")
+            write_text("/nonexistent-dir/out.csv", render_csv(records))
 
 
 class TestVerifyAndCertifyAPI:
@@ -356,12 +353,18 @@ class TestCLI:
             ({"scenario": "fig4a", "path": "noisy", "shots": 100.5}, "shots"),
             ({"scenario": "fig4a", "path": "noisy", "repeats": 2.5}, "repeats"),
             ({"scenario": "fig4a", "out": 5}, "out"),
+            ({"scenario": "fig1", "epsilon": True}, "epsilon"),
+            ({"scenario": "fig1", "monitor_axis": [False, False]}, "monitor_axis"),
+            ({"scenario": "fig4a", "path": "noisy", "depolarizing": True}, "depolarizing"),
+            ({"scenario": "fig4a", "path": "noisy", "readout_flips": [True]}, "readout_flips"),
+            ({"scenario": "fig4a", "state": {"theta": True}}, "state"),
         ],
         ids=[
             "grid-theta_m-nan", "grid-epsilon-inf", "grid-axis_theta-nan", "flips-above-one",
             "flips-negative", "flips-nan", "flips-empty", "monitor-axis-one-number", "probe-axis-inf",
             "probe-axis-three-numbers", "depolarizing-nan", "epsilon-string", "depolarizing-string",
-            "seed-string", "shots-fractional", "repeats-fractional", "out-not-a-path",
+            "seed-string", "shots-fractional", "repeats-fractional", "out-not-a-path", "epsilon-bool",
+            "monitor-axis-bools", "depolarizing-bool", "flips-bool", "state-theta-bool",
         ],
     )
     def test_malformed_config_field_exit_code(self, tmp_path, capsys, fields, name):
@@ -398,12 +401,9 @@ class TestCLI:
     def test_verify_cases_not_applicable_checks_write_strict_json(self, tmp_path):
         import realmon.cli as cli_mod
 
-        def reject(constant):
-            raise ValueError(f"not valid JSON: {constant}")
-
         out = tmp_path / "report.json"
         assert cli_mod.main(["verify-cases", "--dims", "4", "--trials", "3", "--out", str(out)]) == 0
-        report = json.loads(out.read_text(), parse_constant=reject)
+        report = json.loads(out.read_text(), parse_constant=reject_constant)
         mu = [c for c in report["checks"] if "MU" in c["name"]]
         assert mu and all(c["instances"] == 0 and c["worst"] is None and c["passed"] is None for c in mu)
 
@@ -437,6 +437,31 @@ class TestCLI:
         assert summary["shots"] == 256
         assert "8192" in summary["shots_note"]
         assert summary["median_error"] > 0.0
+
+    def test_tomo_sim_out_is_strict_json_and_reproducible(self, tmp_path, capsys):
+        import realmon.cli as cli_mod
+
+        paths = tmp_path / "a.json", tmp_path / "b.json"
+        for path in paths:
+            argv = ["tomo-sim", "--shots", "128", "--seeds", "5", "--seed", "4", "--noisy", "--out", str(path)]
+            assert cli_mod.main(argv) == 0
+        data = json.loads(paths[0].read_text(), parse_constant=reject_constant)
+        assert set(data) == {"summary", "errors"}
+        assert len(data["errors"]) == 5 and data["summary"]["seeds"] == 5
+        assert data["summary"]["readout_noise"] is True
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_tomo_sim_p90_is_nearest_rank(self, tmp_path, capsys):
+        import realmon.cli as cli_mod
+
+        out = tmp_path / "tomo.json"
+        assert cli_mod.main(["tomo-sim", "--shots", "256", "--seeds", "10", "--out", str(out)]) == 0
+        data = json.loads(out.read_text())
+        ranked = sorted(data["errors"])
+        assert len(ranked) == 10
+        assert ranked[8] < ranked[9]  # the 9th smallest and the maximum differ on this seed
+        assert data["summary"]["p90_error"] == ranked[8]
+        assert data["summary"]["max_error"] == ranked[9]
 
     def test_violation_exit_code(self, monkeypatch):
         import realmon.cli as cli_mod
