@@ -59,7 +59,7 @@ from .circuits import (
     extract_channel,
     run_circuit_density,
 )
-from .noise import NoiseModel, apply_readout_noise, default_noise_model, sample_shots
+from .noise import apply_readout_noise, confusion_from_flip, sample_shots
 from .tomography import PauliEstimates, estimate_pauli, reconstruct_state
 from .config import SweepConfig, make_config
 from .sweeps import SweepRecord, run_sweep

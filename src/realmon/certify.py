@@ -13,7 +13,7 @@ import numpy as np
 
 from .channels import product_monitor, to_superoperator
 from .circuits import COUPLINGS, build_monitor_circuit, epsilon_of_strength, extract_channel
-from .config import ConfigError, check_seed
+from .config import ConfigError, check_seed, is_integer
 
 CNOT_MAPPING_NOTE = (
     "CNOT coupling: certified mapping is eps = 1 - sin(theta_m), decreasing from 1 to 0 "
@@ -69,11 +69,11 @@ def _random_bases(n, rng):
     return tuple((float(rng.uniform(0, math.pi)), float(rng.uniform(-math.pi, math.pi))) for _ in range(n))
 
 
-def _deviation(coupling, theta_m, bases) -> float:
-    """Sup-norm gap between one circuit's extracted channel and its analytic map."""
-    extracted = extract_channel(build_monitor_circuit(bases, theta_m, coupling))
-    reference = to_superoperator(product_monitor(bases, epsilon_of_strength(coupling, theta_m)))
-    return float(np.abs(extracted.matrix - reference.matrix).max())
+def _extract_and_compare(coupling, theta_m, bases) -> tuple[np.ndarray, float]:
+    """One circuit's extracted superoperator and its sup-norm gap to the analytic map."""
+    extracted = extract_channel(build_monitor_circuit(bases, theta_m, coupling)).matrix
+    reference = to_superoperator(product_monitor(bases, epsilon_of_strength(coupling, theta_m))).matrix
+    return extracted, float(np.abs(extracted - reference).max())
 
 
 def certify_circuits(resolution: int = 17, seed: int = 11, include_three_qubit: bool = True) -> CertificationReport:
@@ -81,37 +81,37 @@ def certify_circuits(resolution: int = 17, seed: int = 11, include_three_qubit: 
 
     Widths 1 and 2 are checked at every grid strength on the z basis, the
     pi/4 basis and a fresh random basis per strength; the three-qubit smoke
-    test checks one random basis at three strengths with CZ coupling.
+    test checks one random basis at three strengths with CZ coupling.  The
+    CNOT mapping reuses the one-qubit z-basis CNOT channels extracted here.
     """
-    if resolution < 2:
-        raise ConfigError(f"resolution: must be at least 2, got {resolution}")
+    if not (is_integer(resolution) and resolution >= 2):
+        raise ConfigError(f"resolution: must be an integer of at least 2, got {resolution!r}")
     check_seed(seed)
     rng = np.random.default_rng(seed)
     grid = [math.pi / 2 * k / (resolution - 1) for k in range(resolution)]
     deviations: dict[str, float] = {}
+    z_basis = ((0.0, 0.0),)
+    cnot_z = []  # one-qubit z-basis CNOT superoperators, in grid order
 
     for coupling in COUPLINGS:
         for n in (1, 2):
-            fixed = (((0.0, 0.0),) * n, ((math.pi / 4, 0.0),) * n)
-            deviations[f"n={n} {coupling}"] = max(
-                _deviation(coupling, theta_m, bases)
-                for theta_m in grid
-                for bases in (*fixed, _random_bases(n, rng))
-            )
+            fixed = (z_basis * n, ((math.pi / 4, 0.0),) * n)
+            worst = 0.0
+            for theta_m in grid:
+                for bases in (*fixed, _random_bases(n, rng)):
+                    extracted, gap = _extract_and_compare(coupling, theta_m, bases)
+                    worst = max(worst, gap)
+                    if coupling == "CNOT" and bases == z_basis:
+                        cnot_z.append(extracted)
+            deviations[f"n={n} {coupling}"] = worst
 
     if include_three_qubit:
         bases = _random_bases(3, rng)
-        deviations["n=3 CZ smoke"] = max(_deviation("CZ", theta_m, bases) for theta_m in (0.0, 0.7, math.pi / 2))
+        deviations["n=3 CZ smoke"] = max(_extract_and_compare("CZ", t, bases)[1] for t in (0.0, 0.7, math.pi / 2))
 
     # independent CNOT intensity mapping from the extracted damping factor
-    worst_map = 0.0
-    eps_values = []
-    for theta_m in grid:
-        circ = build_monitor_circuit([(0.0, 0.0)], theta_m, "CNOT")
-        sup = extract_channel(circ).matrix
-        eps_extracted = 1.0 - float(sup[1, 1].real)
-        eps_values.append(eps_extracted)
-        worst_map = max(worst_map, abs(eps_extracted - (1.0 - math.sin(theta_m))))
+    eps_values = [1.0 - float(sup[1, 1].real) for sup in cnot_z]
+    worst_map = max(abs(eps - (1.0 - math.sin(theta_m))) for eps, theta_m in zip(eps_values, grid))
     monotone = all(eps_values[k + 1] <= eps_values[k] + 1e-12 for k in range(len(eps_values) - 1))
 
     return CertificationReport(

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DimensionError
-from .observables import ObservableStack, ProjectiveObservable, observable_from_axis, observable_on_qubit
+from .observables import ObservableStack, ProjectiveObservable, observable_on_qubit
 from .states import DensityOperator
 
 
@@ -118,7 +118,9 @@ def monitor(ch: MonitoringChannel, rho: DensityOperator) -> DensityOperator:
 
 
 def to_superoperator(ch) -> Superoperator:
-    """Materialize any linear channel by acting on the d^2 matrix units."""
+    """Materialize any linear channel (anything with ``dim`` and
+    ``apply_matrix``, noiseless circuits included) by acting on the d^2
+    matrix units."""
     if isinstance(ch, Superoperator):
         return ch
     d = ch.dim
@@ -137,14 +139,11 @@ def product_monitor(bases, epsilon: float) -> ComposedChannel | MonitoringChanne
 
     ``bases`` lists one (theta, phi) axis per qubit; the result is the
     composition of the commuting single-qubit monitoring channels, which is
-    what one ancilla per qubit implements.
+    what one ancilla per qubit implements.  One qubit gives one stage.
     """
     n = len(bases)
     if n < 1:
         raise DimensionError("need at least one qubit basis")
-    if n == 1:
-        theta, phi = bases[0]
-        return MonitoringChannel(observable_from_axis(theta, phi), epsilon)
     channel = None
     for q, (theta, phi) in enumerate(bases):
         stage = MonitoringChannel(observable_on_qubit(n, q, theta, phi), epsilon)

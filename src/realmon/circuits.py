@@ -7,19 +7,20 @@ ancilla.  Controlled-phase coupling gives intensity eps = 1 - cos(theta_m);
 controlled-NOT gives eps = 1 - sin(theta_m), both certified against the
 extracted superoperator rather than assumed.  The register's operator is
 held as a tensor with one row and one column axis per qubit, and each gate
-acts as its own 2x2 or 4x4 matrix on the axes of the qubits it touches.
+acts as its own 2x2 or 4x4 matrix, built once with the gate, on the axes
+of the qubits it touches.  A noiseless circuit is a channel on its system
+qubits, so ``channels.to_superoperator`` extracts it like any other.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import Superoperator
+from .channels import Superoperator, to_superoperator
 from .linalg import DimensionError, partial_trace, tensor_product
-from .noise import NoiseModel
 from .states import DensityOperator
 
 COUPLINGS = ("CZ", "CNOT")
@@ -44,47 +45,59 @@ def u3_adjoint_params(theta: float, phi: float, lam: float) -> tuple[float, floa
     return (theta, math.pi - lam, -math.pi - phi)
 
 
+# 4x4 in (control, target) order, shared read-only by every coupling gate
+_COUPLING_MATRICES = {"CZ": np.diag([1, 1, 1, -1]).astype(complex), "CNOT": np.eye(4, dtype=complex)[[0, 1, 3, 2]]}
+for _m in _COUPLING_MATRICES.values():
+    _m.setflags(write=False)
+
+
 @dataclass(frozen=True)
 class Gate:
-    """U3(theta, phi, lam) on one qubit, or CZ/CNOT on (control, target)."""
+    """U3(theta, phi, lam) on one qubit, or CZ/CNOT on (control, target).
+
+    ``matrix`` is the read-only gate on its own qubits, built once here:
+    2x2 for U3, 4x4 in (control, target) order for CZ/CNOT.
+    """
 
     kind: str
     qubits: tuple[int, ...]
     params: tuple[float, ...] = ()
+    matrix: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind == "U3":
             if len(self.qubits) != 1 or len(self.params) != 3:
                 raise ValueError("U3 takes one qubit and three angles")
+            matrix = u3_matrix(*self.params)
+            matrix.setflags(write=False)
         elif self.kind in COUPLINGS:
             if len(self.qubits) != 2 or self.params:
                 raise ValueError(f"{self.kind} takes two qubits and no angles")
             if self.qubits[0] == self.qubits[1]:
                 raise ValueError("control and target must differ")
+            matrix = _COUPLING_MATRICES[self.kind]
         else:
             raise ValueError(f"unknown gate kind {self.kind!r}")
+        object.__setattr__(self, "matrix", matrix)
 
 
 @dataclass(frozen=True)
 class Circuit:
-    """Gate list over system plus ancilla qubits; ancillas start in |0>."""
+    """Gates over ``n_system`` leading system qubits plus ancillas in |0>;
+    noiselessly a channel on the system qubits (``dim``, ``apply_matrix``)."""
 
     width: int
     gates: tuple[Gate, ...]
-    system_qubits: tuple[int, ...]
+    n_system: int
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
-        object.__setattr__(self, "system_qubits", tuple(self.system_qubits))
-        if self.width < 1:
-            raise DimensionError("circuit needs at least one qubit")
+        if not 1 <= self.n_system <= self.width:
+            raise DimensionError(f"need 1 <= n_system <= width {self.width}, got n_system {self.n_system}")
         for g in self.gates:
             if any(q < 0 or q >= self.width for q in g.qubits):
                 raise DimensionError(f"gate {g} addresses qubits outside width {self.width}")
-        if self.system_qubits != tuple(range(len(self.system_qubits))):
-            raise DimensionError("system qubits must be the leading contiguous block")
-        ancillas = set(range(self.width)) - set(self.system_qubits)
-        touched = {q: 0 for q in ancillas}
+        touched = {q: 0 for q in range(self.n_system, self.width)}
         for g in self.gates:
             if g.kind in COUPLINGS:
                 for q in g.qubits:
@@ -95,8 +108,11 @@ class Circuit:
             raise ValueError(f"each ancilla must join exactly one controlled gate, got {bad}")
 
     @property
-    def n_system(self) -> int:
-        return len(self.system_qubits)
+    def dim(self) -> int:
+        return 2**self.n_system
+
+    def apply_matrix(self, mat: np.ndarray) -> np.ndarray:
+        return apply_circuit_matrix(self, mat)
 
 
 def build_monitor_circuit(bases, strength: float, coupling: str = "CZ") -> Circuit:
@@ -123,7 +139,7 @@ def build_monitor_circuit(bases, strength: float, coupling: str = "CZ") -> Circu
         gates.append(Gate(coupling, (q, n + q)))
     for q, (theta_b, phi_b) in enumerate(bases):
         gates.append(Gate("U3", (q,), (theta_b, phi_b, 0.0)))
-    return Circuit(2 * n, tuple(gates), tuple(range(n)))
+    return Circuit(2 * n, tuple(gates), n)
 
 
 def epsilon_of_strength(coupling: str, theta_m: float) -> float:
@@ -153,15 +169,6 @@ def strength_of_epsilon(coupling: str, epsilon: float) -> float:
     raise ValueError(f"coupling must be one of {COUPLINGS}, got {coupling!r}")
 
 
-def gate_matrix(gate: Gate) -> np.ndarray:
-    """The gate on its own qubits: 2x2 for U3, 4x4 in (control, target) order."""
-    if gate.kind == "U3":
-        return u3_matrix(*gate.params)
-    if gate.kind == "CZ":
-        return np.diag([1, 1, 1, -1]).astype(complex)
-    return np.eye(4, dtype=complex)[[0, 1, 3, 2]]
-
-
 def _apply_on_axes(t: np.ndarray, g: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
     """Contract the k-qubit matrix ``g`` into ``axes`` of the qubit tensor ``t``.
 
@@ -189,17 +196,20 @@ def _depolarize_pair(t: np.ndarray, pair: tuple[int, int], rate: float) -> np.nd
     return (1.0 - rate) * t + rate * mixed
 
 
-def apply_circuit_matrix(circuit: Circuit, mat: np.ndarray, noise: NoiseModel | None = None) -> np.ndarray:
+def apply_circuit_matrix(circuit: Circuit, mat: np.ndarray, depolarizing: float = 0.0) -> np.ndarray:
     """Linear action of the circuit-plus-discard pipeline on a system operator.
 
     Tensors on |0...0><0...0| ancillas, conjugates each gate through the
-    row and column axes of the qubits it touches (interleaving two-qubit
-    depolarizing when a noise model is given), and partial-traces the
-    ancillas out again.  Linearity makes this valid on arbitrary matrices,
-    which is what the channel-extraction oracle needs.
+    row and column axes of the qubits it touches (followed, after each
+    coupling gate, by two-qubit depolarizing at rate ``depolarizing`` in
+    [0, 1]), and partial-traces the ancillas out again.  Linearity makes
+    this valid on arbitrary matrices, which is what channel extraction
+    needs.
     """
+    if not 0.0 <= depolarizing <= 1.0:
+        raise ValueError(f"depolarizing rate must lie in [0, 1], got {depolarizing!r}")
     n_sys = circuit.n_system
-    d_sys = 2**n_sys
+    d_sys = circuit.dim
     mat = np.asarray(mat, dtype=complex)
     if mat.shape != (d_sys, d_sys):
         raise DimensionError(f"operator shape {mat.shape} does not match {n_sys} system qubits")
@@ -208,35 +218,19 @@ def apply_circuit_matrix(circuit: Circuit, mat: np.ndarray, noise: NoiseModel | 
     anc = np.zeros((d_anc, d_anc), dtype=complex)
     anc[0, 0] = 1.0
     full = tensor_product(mat, anc).reshape((2,) * 2 * width)
-    depol = noise.depolarizing_rate if noise is not None else 0.0
     for g in circuit.gates:
-        u = gate_matrix(g)
-        full = _apply_on_axes(full, u, g.qubits)
-        full = _apply_on_axes(full, u.conj(), tuple(width + q for q in g.qubits))
-        if depol > 0.0 and g.kind in COUPLINGS:
-            full = _depolarize_pair(full, g.qubits, depol)
-    return partial_trace(full.reshape(2**width, 2**width), [2] * width, keep=circuit.system_qubits)
+        full = _apply_on_axes(full, g.matrix, g.qubits)
+        full = _apply_on_axes(full, g.matrix.conj(), tuple(width + q for q in g.qubits))
+        if depolarizing > 0.0 and g.kind in COUPLINGS:
+            full = _depolarize_pair(full, g.qubits, depolarizing)
+    return partial_trace(full.reshape(2**width, 2**width), [2] * width, keep=range(n_sys))
 
 
-def run_circuit_density(
-    circuit: Circuit, rho_system: DensityOperator, noise: NoiseModel | None = None
-) -> DensityOperator:
+def run_circuit_density(circuit: Circuit, rho_system: DensityOperator, depolarizing: float = 0.0) -> DensityOperator:
     """Evolve a system state through the dilation and discard the ancillas."""
-    if rho_system.dim != 2**circuit.n_system:
-        raise DimensionError(
-            f"state dim {rho_system.dim} does not match {circuit.n_system} system qubits"
-        )
-    return DensityOperator(apply_circuit_matrix(circuit, rho_system.matrix, noise), validate=False)
+    return DensityOperator(apply_circuit_matrix(circuit, rho_system.matrix, depolarizing), validate=False)
 
 
-def extract_channel(circuit: Circuit, noise: NoiseModel | None = None) -> Superoperator:
-    """Materialize the circuit's channel by pushing matrix units through it."""
-    d = 2**circuit.n_system
-    mat = np.zeros((d * d, d * d), dtype=complex)
-    unit = np.zeros((d, d), dtype=complex)
-    for k in range(d):
-        for l in range(d):
-            unit[k, l] = 1.0
-            mat[:, k * d + l] = apply_circuit_matrix(circuit, unit, noise).reshape(-1)
-            unit[k, l] = 0.0
-    return Superoperator(d, mat)
+def extract_channel(circuit: Circuit) -> Superoperator:
+    """Materialize the noiseless circuit's channel by pushing matrix units through it."""
+    return to_superoperator(circuit)

@@ -3,8 +3,8 @@
 A ``SweepConfig`` is built from a scenario preset plus field overrides
 (``make_config``) or from a JSON object (``config_from_json``), and
 ``validate`` rejects every malformed field with a ``ConfigError`` that names
-it.  The checks on integers, seeds, finite numbers and state specs live here
-once and serve every entry point.
+it.  The checks on integers, seeds, shot counts, finite numbers and state
+specs live here once and serve every entry point.
 
 Grid semantics per scenario: the fig4 presets sweep the strength angle
 theta_m (intensity follows from the coupling); the fig1/fig2 presets sweep
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import DEFAULT_DEPOLARIZING_RATE, DEFAULT_READOUT_FLIPS, NoiseModel, confusion_from_flip
+from .noise import DEFAULT_DEPOLARIZING_RATE, DEFAULT_READOUT_FLIPS
 from .states import DensityOperator, PureState, density_from_pure
 
 SCENARIOS = ("fig1", "fig2", "fig4a", "fig4b", "fig4c", "custom")
@@ -63,6 +63,12 @@ def check_seed(seed):
     """Seeds feed ``numpy.random.default_rng``, which takes nonnegative integers."""
     if not (is_integer(seed) and seed >= 0):
         raise ConfigError(f"seed: must be a nonnegative integer, got {seed!r}")
+
+
+def check_shots(shots):
+    """Shots per axis: 0 (exact expectations) up to 2**63 - 1, since numpy draws int64 counts."""
+    if not (is_integer(shots) and 0 <= shots < 2**63):
+        raise ConfigError(f"shots: must be an integer in [0, 2**63 - 1], got {shots!r}")
 
 
 def resolve_state(spec) -> DensityOperator:
@@ -133,8 +139,7 @@ class SweepConfig:
             raise ConfigError(f"coupling: must be CZ or CNOT, got {self.coupling!r}")
         if self.grid_kind == "axis_theta" and self.sweep_target not in ("probe", "monitor"):
             raise ConfigError("sweep_target: axis_theta sweeps need 'probe' or 'monitor'")
-        if not (is_integer(self.shots) and self.shots >= 0):
-            raise ConfigError(f"shots: must be a nonnegative integer, got {self.shots!r}")
+        check_shots(self.shots)
         if not (is_integer(self.repeats) and self.repeats >= 1):
             raise ConfigError(f"repeats: must be an integer of at least 1, got {self.repeats!r}")
         check_seed(self.seed)
@@ -153,12 +158,6 @@ class SweepConfig:
                 raise ConfigError(f"{name}: must be a file path, got {getattr(self, name)!r}")
         resolve_state(self.state)
         return self
-
-    def noise_model(self) -> NoiseModel:
-        return NoiseModel(
-            readout_confusion=tuple(confusion_from_flip(p) for p in self.readout_flips),
-            depolarizing_rate=self.depolarizing,
-        )
 
 
 def _grid(points: int, stop: float) -> tuple[float, ...]:

@@ -1,13 +1,14 @@
-"""Shot sampling, readout confusion, and the gate-noise model.
+"""Shot sampling, readout confusion, and the default noise settings.
 
 Relaxation during two-qubit gates is folded into a single per-gate
-depolarizing probability; readout error is a symmetric per-qubit flip
-applied as a column-stochastic confusion matrix.
+depolarizing probability, which the circuits take as ``depolarizing``;
+readout error is a symmetric per-qubit flip applied as a column-stochastic
+confusion matrix (``confusion_from_flip``), which tomography takes as
+``confusion``.  The defaults are the readout flips of a public three-qubit
+superconducting device and a 1% depolarizing rate.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,47 +27,6 @@ def confusion_from_flip(p: float) -> np.ndarray:
     m = np.array([[1.0 - p, p], [p, 1.0 - p]])
     m.setflags(write=False)
     return m
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """Per-qubit readout confusion plus a per-two-qubit-gate depolarizing rate."""
-
-    readout_confusion: tuple[np.ndarray, ...]
-    depolarizing_rate: float = 0.0
-
-    def __post_init__(self):
-        mats = []
-        for i, c in enumerate(self.readout_confusion):
-            arr = np.asarray(c, dtype=float)
-            if arr.shape != (2, 2):
-                raise DimensionError(f"confusion matrix {i} must be 2x2, got {arr.shape}")
-            if (arr < -1e-12).any():
-                raise ValueError(f"confusion matrix {i} has negative entries")
-            if np.abs(arr.sum(axis=0) - 1.0).max() > PROB_SUM_TOL:
-                raise ValueError(f"confusion matrix {i} columns must sum to 1")
-            arr = arr.copy()
-            arr.setflags(write=False)
-            mats.append(arr)
-        object.__setattr__(self, "readout_confusion", tuple(mats))
-        if not 0.0 <= self.depolarizing_rate <= 1.0:
-            raise ValueError(f"depolarizing rate must lie in [0, 1], got {self.depolarizing_rate!r}")
-
-    def confusion_for(self, qubit: int) -> np.ndarray:
-        if qubit >= len(self.readout_confusion):
-            raise DimensionError(
-                f"no confusion matrix for qubit {qubit} (model covers {len(self.readout_confusion)})"
-            )
-        return self.readout_confusion[qubit]
-
-
-def default_noise_model(depolarizing_rate: float = DEFAULT_DEPOLARIZING_RATE) -> NoiseModel:
-    """Readout flips of a public three-qubit superconducting device
-    (2.08e-2, 1.92e-2, 2.13e-2) plus a configurable depolarizing rate."""
-    return NoiseModel(
-        readout_confusion=tuple(confusion_from_flip(p) for p in DEFAULT_READOUT_FLIPS),
-        depolarizing_rate=depolarizing_rate,
-    )
 
 
 def _validated_probabilities(probabilities) -> np.ndarray:

@@ -180,19 +180,17 @@ def observable_from_hermitian(m) -> ProjectiveObservable:
     return ProjectiveObservable(values, projectors, validate=False)
 
 
-def commutes(x: ProjectiveObservable, x2: ProjectiveObservable, tol: float = COMMUTE_TOL) -> bool:
-    """True when the reconstructed operators commute entrywise within ``tol``."""
+def commutes(x: ProjectiveObservable, x2: ProjectiveObservable) -> bool:
+    """True when the reconstructed operators commute entrywise within ``COMMUTE_TOL``."""
     if x.dim != x2.dim:
         raise DimensionError(f"observable dimensions differ: {x.dim} vs {x2.dim}")
     a = x.matrix()
     b = x2.matrix()
-    return bool(np.abs(a @ b - b @ a).max() <= tol)
+    return bool(np.abs(a @ b - b @ a).max() <= COMMUTE_TOL)
 
 
-def is_mutually_unbiased(
-    x: ProjectiveObservable, x2: ProjectiveObservable, tol: float = MU_TOL
-) -> bool:
-    """True when every eigenbasis overlap |<x_j|x'_k>|^2 equals 1/d within ``tol``.
+def is_mutually_unbiased(x: ProjectiveObservable, x2: ProjectiveObservable) -> bool:
+    """True when every eigenbasis overlap |<x_j|x'_k>|^2 equals 1/d within ``MU_TOL``.
 
     Defined only for nondegenerate observables; the overlap is evaluated as
     Tr(P_j P'_k), which equals the squared amplitude for rank-1 projectors.
@@ -204,7 +202,7 @@ def is_mutually_unbiased(
             "mutual unbiasedness is defined for nondegenerate observables only"
         )
     overlaps = np.einsum("jab,kba->jk", x.projectors, x2.projectors).real
-    return bool(np.abs(overlaps - 1.0 / x.dim).max() <= tol)
+    return bool(np.abs(overlaps - 1.0 / x.dim).max() <= MU_TOL)
 
 
 def observable_on_qubit(n_qubits: int, qubit: int, theta: float, phi: float = 0.0) -> ProjectiveObservable:

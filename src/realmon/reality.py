@@ -133,8 +133,8 @@ def delta_reality_other(
     )
 
 
-def _is_fixed_point(channel, rho: DensityOperator, tol: float = FIXED_POINT_TOL) -> bool:
-    return bool(np.abs(channel.apply_matrix(rho.matrix) - rho.matrix).max() <= tol)
+def _is_fixed_point(channel, rho: DensityOperator) -> bool:
+    return bool(np.abs(channel.apply_matrix(rho.matrix) - rho.matrix).max() <= FIXED_POINT_TOL)
 
 
 def classify_case(

@@ -34,10 +34,9 @@ def haar_pure_state(d: int, rng: np.random.Generator) -> PureState:
     return PureState(z / np.linalg.norm(z))
 
 
-def ginibre_density(d: int, rng: np.random.Generator, rank: int | None = None) -> DensityOperator:
-    """Full-rank (or rank-limited) random density operator G G† / Tr."""
-    rank = d if rank is None else int(rank)
-    g = _complex_gaussian(rng, (d, rank))
+def ginibre_density(d: int, rng: np.random.Generator) -> DensityOperator:
+    """Full-rank random density operator G G† / Tr, G a d x d complex Gaussian."""
+    g = _complex_gaussian(rng, (d, d))
     m = g @ g.conj().T
     m = (m + m.conj().T) / 2.0
     m /= np.trace(m).real
@@ -95,9 +94,7 @@ def random_probabilities(n: int, rng: np.random.Generator) -> np.ndarray:
     return u / u.sum()
 
 
-def mixture_of_eigenstates(
-    obs: ProjectiveObservable, probs, *, validate: bool = False
-) -> DensityOperator:
+def mixture_of_eigenstates(obs: ProjectiveObservable, probs) -> DensityOperator:
     """Diagonal-in-the-eigenbasis state sum_j p_j P_j (rank-1 projectors)."""
     probs = np.asarray(probs, dtype=float)
     if len(probs) != obs.n_outcomes:
@@ -106,4 +103,4 @@ def mixture_of_eigenstates(
     for p, proj in zip(probs, obs.projectors):
         m += p * proj
     m /= np.trace(m).real
-    return DensityOperator(m, validate=validate)
+    return DensityOperator(m, validate=False)

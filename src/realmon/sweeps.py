@@ -20,6 +20,7 @@ import numpy as np
 
 from .circuits import build_monitor_circuit, epsilon_of_strength, run_circuit_density, strength_of_epsilon
 from .config import DEFAULT_SHOTS, ConfigError, SweepConfig, resolve_state
+from .noise import confusion_from_flip
 from .observables import ObservableStack, observable_from_axis
 from .output import write_json
 from .reality import classify_case, reality_report
@@ -67,25 +68,26 @@ def _point_parameters(config: SweepConfig, value: float):
     return value, config.epsilon, monitor_axis, probe_axis
 
 
-def _circuit_states(config, rho, eps, monitor_axis, probe_axis, noise):
+def _circuit_states(config, rho, eps, monitor_axis, probe_axis, depolarizing):
     theta_m = strength_of_epsilon(config.coupling, eps)
     mon_circ = build_monitor_circuit([monitor_axis], theta_m, config.coupling)
     probe_circ = build_monitor_circuit([probe_axis], math.pi / 2, "CZ")
-    mon = run_circuit_density(mon_circ, rho, noise)
-    probe = run_circuit_density(probe_circ, rho, noise)
-    probe_mon = run_circuit_density(probe_circ, mon, noise)
+    mon = run_circuit_density(mon_circ, rho, depolarizing)
+    probe = run_circuit_density(probe_circ, rho, depolarizing)
+    probe_mon = run_circuit_density(probe_circ, mon, depolarizing)
     return mon, probe, probe_mon
 
 
-def _tomography_entropies(config, index, states, noise) -> list[list[float]]:
+def _tomography_entropies(config, index, states) -> list[list[float]]:
     """One entropy row per tomography repeat, each state sampled from its own seed."""
     repeats = 1 if config.shots == 0 else config.repeats
+    confusion = confusion_from_flip(config.readout_flips[0])  # tomography reads the one system qubit
     rows = []
     for rep in range(repeats):
         row = []
         for state_idx, state in enumerate(states):
             rng = np.random.default_rng([config.seed, index, rep, state_idx])
-            est = estimate_pauli(state, config.shots, rng, noise=noise, qubit=0)
+            est = estimate_pauli(state, config.shots, rng, confusion)
             row.append(von_neumann_entropy(reconstruct_state(est)))
         rows.append(row)
     return rows
@@ -112,7 +114,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     """Evaluate every grid point of a validated config, in grid order."""
     config.validate()
     rho = resolve_state(config.state)
-    noise = config.noise_model() if config.path == "noisy" else None
+    depolarizing = config.depolarizing if config.path == "noisy" else 0.0
     points = [_point_parameters(config, value) for value in config.grid_values]
     pairs = [(observable_from_axis(*m_axis), observable_from_axis(*p_axis)) for _, _, m_axis, p_axis in points]
     if config.path == "analytic":
@@ -131,11 +133,11 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
         if config.path == "analytic":
             entropies = [[s[index] for s in exact]]
         else:
-            states = (rho, *_circuit_states(config, rho, eps, monitor_axis, probe_axis, noise))
+            states = (rho, *_circuit_states(config, rho, eps, monitor_axis, probe_axis, depolarizing))
             if config.path == "circuit":
                 entropies = [[von_neumann_entropy(state) for state in states]]
             else:
-                entropies = _tomography_entropies(config, index, states, noise)
+                entropies = _tomography_entropies(config, index, states)
         case = classify_case(x_obs, xp_obs, rho)
         records.append(_record(theta_col, eps, entropies, case, config.path))
     return records

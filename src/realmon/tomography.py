@@ -1,14 +1,15 @@
 """Finite-shot single-qubit state estimation.
 
 Mirrors a hardware pipeline: rotate each Pauli axis onto the computational
-basis, optionally push the outcome probabilities through a readout
-confusion matrix, sample counts, and rebuild the state from the empirical
-Bloch vector with an eigenvalue clamp-and-renormalize repair.  A shot count
-of zero is the infinite-shot sentinel (exact expectations, zero standard
-error).
+basis, optionally push the outcome probabilities through the measured
+qubit's 2x2 readout ``confusion`` matrix, sample counts, and rebuild the
+state from the empirical Bloch vector with an eigenvalue
+clamp-and-renormalize repair.  A shot count of zero is the infinite-shot
+sentinel (exact expectations, zero standard error).
 
 ``tomography_errors`` repeats one state's reconstruction over independent
-seeds and summarises the reconstruction errors (the ``tomo-sim`` command).
+seeds and summarises the reconstruction errors (the ``tomo-sim`` command);
+with readout noise it uses the first default readout flip.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_SHOTS, ConfigError, check_seed, resolve_state
+from .config import DEFAULT_SHOTS, ConfigError, check_seed, check_shots, resolve_state
 from .linalg import DimensionError
-from .noise import NoiseModel, apply_readout_noise, default_noise_model, sample_shots
+from .noise import DEFAULT_READOUT_FLIPS, apply_readout_noise, confusion_from_flip, sample_shots
 from .observables import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
 from .states import DensityOperator
 
@@ -47,14 +48,12 @@ def _axis_probabilities(rho: DensityOperator, axis: str) -> np.ndarray:
     return p / p.sum()
 
 
-def estimate_pauli(
-    rho: DensityOperator,
-    shots: int,
-    rng,
-    noise: NoiseModel | None = None,
-    qubit: int = 0,
-) -> PauliEstimates:
-    """Measure each Pauli axis of a qubit state with ``shots`` samples per axis."""
+def estimate_pauli(rho: DensityOperator, shots: int, rng, confusion: np.ndarray | None = None) -> PauliEstimates:
+    """Measure each Pauli axis of a qubit state with ``shots`` samples per axis.
+
+    ``confusion`` is the column-stochastic 2x2 readout matrix of the measured
+    qubit, or None for perfect readout.
+    """
     if rho.dim != 2:
         raise DimensionError(f"single-qubit tomography needs dim 2, got {rho.dim}")
     if shots < 0:
@@ -65,8 +64,8 @@ def estimate_pauli(
     errs = []
     for axis in ("x", "y", "z"):
         p = _axis_probabilities(rho, axis)
-        if noise is not None:
-            p = apply_readout_noise(p, [noise.confusion_for(qubit)])
+        if confusion is not None:
+            p = apply_readout_noise(p, [confusion])
         if shots == 0:
             mean = float(p[0] - p[1])
             err = 0.0
@@ -104,15 +103,14 @@ def tomography_errors(state: str, shots: int, seeds: int, seed: int, noisy: bool
     90th percentile and maximum.
     """
     rho = resolve_state(state)
-    if shots < 0:
-        raise ConfigError(f"shots: must be nonnegative, got {shots}")
+    check_shots(shots)
     if seeds < 1:
         raise ConfigError(f"seeds: must be at least 1, got {seeds}")
     check_seed(seed)
-    noise = default_noise_model(depolarizing_rate=0.0) if noisy else None
+    confusion = confusion_from_flip(DEFAULT_READOUT_FLIPS[0]) if noisy else None
     errors = []
     for k in range(seeds):
-        rec = reconstruct_state(estimate_pauli(rho, shots, np.random.default_rng([seed, k]), noise=noise, qubit=0))
+        rec = reconstruct_state(estimate_pauli(rho, shots, np.random.default_rng([seed, k]), confusion))
         errors.append(float(np.abs(rec.matrix - rho.matrix).max()))
     ranked = sorted(errors)
     summary = {

@@ -232,6 +232,8 @@ def verify_cases(seed: int = 0, trials: int = 200, dims: tuple[int, ...] = (2, 3
     dims = tuple(dims)
     if not dims or not all(is_integer(d) and d >= 2 for d in dims):
         raise ConfigError(f"dims: must be one or more integer dimensions of at least 2, got {list(dims)}")
+    if len(set(dims)) != len(dims):
+        raise ConfigError(f"dims: must not repeat a dimension, got {list(dims)}")
     check_seed(seed)
     rng = np.random.default_rng(seed)
     mu_dims = [d for d in dims if d in (2, 3)]

@@ -11,14 +11,13 @@ from realmon.circuits import (
     build_monitor_circuit,
     epsilon_of_strength,
     extract_channel,
-    gate_matrix,
     run_circuit_density,
     strength_of_epsilon,
     u3_adjoint_params,
     u3_matrix,
 )
 from realmon.linalg import DimensionError
-from realmon.noise import NoiseModel, default_noise_model
+from realmon.noise import DEFAULT_DEPOLARIZING_RATE
 from realmon.observables import SIGMA_X, SIGMA_Y, SIGMA_Z, observable_from_axis
 from realmon.reality import scenario2_eigenvalues
 from realmon.states import DensityOperator, maximally_mixed
@@ -77,20 +76,33 @@ class TestGateAndCircuitValidation:
 
     def test_circuit_checks_indices(self):
         with pytest.raises(DimensionError):
-            Circuit(2, (Gate("U3", (5,), (0.0, 0.0, 0.0)),), (0,))
+            Circuit(2, (Gate("U3", (5,), (0.0, 0.0, 0.0)),), 1)
 
     def test_ancilla_coupling_counted(self):
         gates = (Gate("U3", (1,), (0.3, 0.0, 0.0)),)  # ancilla never coupled
         with pytest.raises(ValueError, match="exactly one"):
-            Circuit(2, gates, (0,))
+            Circuit(2, gates, 1)
+
+    @pytest.mark.parametrize("n_system", [0, -1, 3])
+    def test_circuit_checks_system_count(self, n_system):
+        gates = (Gate("U3", (0,), (0.3, 0.0, 0.0)),)
+        with pytest.raises(DimensionError, match="n_system"):
+            Circuit(2, gates, n_system)
 
     def test_gate_matrix(self):
-        assert np.array_equal(gate_matrix(Gate("CZ", (0, 1))), np.diag([1, 1, 1, -1]))
+        cz = Gate("CZ", (0, 1))
+        assert np.array_equal(cz.matrix, np.diag([1, 1, 1, -1]))
         # (control, target) order: the reversed pair gets the same 4x4 matrix
-        cx = gate_matrix(Gate("CNOT", (1, 0)))
-        assert np.array_equal(cx, np.eye(4)[[0, 1, 3, 2]])
-        u = gate_matrix(Gate("U3", (2,), (0.7, -1.2, 2.4)))
-        assert np.array_equal(u, u3_matrix(0.7, -1.2, 2.4))
+        cx = Gate("CNOT", (1, 0))
+        assert np.array_equal(cx.matrix, np.eye(4)[[0, 1, 3, 2]])
+        u = Gate("U3", (2,), (0.7, -1.2, 2.4))
+        assert np.array_equal(u.matrix, u3_matrix(0.7, -1.2, 2.4))
+        for gate in (cz, cx, u):
+            assert not gate.matrix.flags.writeable
+            with pytest.raises(ValueError):
+                gate.matrix[0, 0] = 2.0
+        assert Gate("CZ", (2, 3)).matrix is cz.matrix  # one shared constant per coupling
+        assert u == Gate("U3", (2,), (0.7, -1.2, 2.4))  # equality ignores the matrix
 
 
 def _embed(width, factors):
@@ -127,7 +139,7 @@ class TestLocalGateOracle:
         ids=str,
     )
     def test_matches_full_width_conjugation(self, gate):
-        circ = Circuit(3, (gate,), (0, 1, 2))
+        circ = Circuit(3, (gate,), 3)
         m = _random_operator(8, 4)
         u = _full_unitary(gate, 3)
         assert np.abs(apply_circuit_matrix(circ, m) - u @ m @ u.conj().T).max() <= 1e-14
@@ -136,7 +148,7 @@ class TestLocalGateOracle:
     def test_depolarizing_matches_pauli_twirl(self, pair):
         rate = 0.3
         gate = Gate("CNOT", pair)
-        circ = Circuit(4, (gate,), (0, 1, 2, 3))
+        circ = Circuit(4, (gate,), 4)
         m = _random_operator(16, 5)
         u = _full_unitary(gate, 4)
         conj = u @ m @ u.conj().T
@@ -147,7 +159,7 @@ class TestLocalGateOracle:
                 p = _embed(4, {pair[0]: a, pair[1]: b})
                 twirl += p @ conj @ p.conj().T
         expected = (1.0 - rate) * conj + (rate / 16.0) * twirl
-        out = apply_circuit_matrix(circ, m, NoiseModel((), rate))
+        out = apply_circuit_matrix(circ, m, depolarizing=rate)
         assert np.abs(out - expected).max() <= 1e-14
 
 
@@ -164,7 +176,7 @@ class TestBuildAndRun:
         assert np.abs(out.matrix - np.array([[0.5, 0.25], [0.25, 0.5]])).max() <= 1e-12
 
     def test_identityish_circuit_returns_input(self):
-        circ = Circuit(1, (Gate("U3", (0,), (0.0, 0.0, 0.0)),), (0,))
+        circ = Circuit(1, (Gate("U3", (0,), (0.0, 0.0, 0.0)),), 1)
         out = run_circuit_density(circ, PLUS)
         assert np.abs(out.matrix - PLUS.matrix).max() <= 1e-15
 
@@ -201,6 +213,13 @@ class TestBuildAndRun:
 
 
 class TestChannelExtraction:
+    def test_circuit_is_a_channel(self):
+        circ = build_monitor_circuit([(0.4, 0.1), (1.2, -0.3)], 0.8, "CNOT")
+        assert circ.dim == 4 and circ.n_system == 2
+        m = _random_operator(4, 6)
+        assert np.array_equal(circ.apply_matrix(m), apply_circuit_matrix(circ, m))
+        assert np.array_equal(extract_channel(circ).matrix, to_superoperator(circ).matrix)
+
     def test_cz_damping_golden(self):
         for theta_m in (0.0, 0.6, math.pi / 2):
             circ = build_monitor_circuit([(0.0, 0.0)], theta_m, "CZ")
@@ -264,11 +283,9 @@ class TestEpsilonOfStrength:
 
 class TestNoiseInCircuits:
     def test_noisy_outputs_remain_valid_states(self):
-        noise = default_noise_model()
-        rng = np.random.default_rng(3)
         for theta_m in (0.0, 0.8, math.pi / 2):
             circ = build_monitor_circuit([(0.6, 0.2)], theta_m, "CZ")
-            out = run_circuit_density(circ, PLUS, noise)
+            out = run_circuit_density(circ, PLUS, DEFAULT_DEPOLARIZING_RATE)
             assert abs(np.trace(out.matrix) - 1.0) <= 1e-10
             assert np.abs(out.matrix - out.matrix.conj().T).max() <= 1e-10
             assert out.eigenvalues()[0] >= -1e-9
@@ -276,7 +293,7 @@ class TestNoiseInCircuits:
     def test_depolarizing_pulls_toward_mixed(self):
         clean = run_circuit_density(build_monitor_circuit([(0.0, 0.0)], 0.5, "CZ"), PLUS)
         noisy = run_circuit_density(
-            build_monitor_circuit([(0.0, 0.0)], 0.5, "CZ"), PLUS, default_noise_model(0.2)
+            build_monitor_circuit([(0.0, 0.0)], 0.5, "CZ"), PLUS, depolarizing=0.2
         )
         from realmon.states import von_neumann_entropy
 
@@ -285,5 +302,5 @@ class TestNoiseInCircuits:
     def test_zero_rate_matches_noiseless(self):
         circ = build_monitor_circuit([(0.3, 0.1)], 0.7, "CZ")
         clean = run_circuit_density(circ, PLUS)
-        noisy = run_circuit_density(circ, PLUS, default_noise_model(0.0))
+        noisy = run_circuit_density(circ, PLUS, depolarizing=0.0)
         assert np.abs(clean.matrix - noisy.matrix).max() <= 1e-15

@@ -1,36 +1,43 @@
 import numpy as np
 import pytest
 
+from realmon.circuits import apply_circuit_matrix, build_monitor_circuit
 from realmon.linalg import DimensionError
 from realmon.noise import (
-    NoiseModel,
+    DEFAULT_DEPOLARIZING_RATE,
+    DEFAULT_READOUT_FLIPS,
     apply_readout_noise,
     confusion_from_flip,
-    default_noise_model,
     sample_shots,
 )
+from realmon.states import DensityOperator
+from realmon.tomography import estimate_pauli
 
 
 class TestNoiseModel:
+    """The noise settings: default rates, and the checks where each is read."""
+
     def test_default_model_readout_rates(self):
-        nm = default_noise_model()
-        assert nm.depolarizing_rate == 0.01
-        flips = [float(c[1, 0]) for c in nm.readout_confusion]
+        assert DEFAULT_DEPOLARIZING_RATE == 0.01
+        flips = [float(confusion_from_flip(p)[1, 0]) for p in DEFAULT_READOUT_FLIPS]
         assert flips == [0.0208, 0.0192, 0.0213]
+        assert not confusion_from_flip(0.1).flags.writeable
 
     def test_column_sums_validated(self):
         bad = np.array([[0.9, 0.0], [0.2, 1.0]])
+        zero = DensityOperator(np.diag([1.0, 0.0]).astype(complex))
         with pytest.raises(ValueError, match="sum"):
-            NoiseModel(readout_confusion=(bad,))
+            estimate_pauli(zero, 10, 0, bad)
 
     def test_rate_range(self):
-        with pytest.raises(ValueError):
-            default_noise_model(1.5)
+        circ = build_monitor_circuit([(0.0, 0.0)], 0.5, "CZ")
+        for rate in (1.5, -0.1, float("nan")):
+            with pytest.raises(ValueError, match="depolarizing"):
+                apply_circuit_matrix(circ, np.eye(2) / 2, depolarizing=rate)
 
-    def test_confusion_for_missing_qubit(self):
-        nm = default_noise_model()
-        with pytest.raises(DimensionError):
-            nm.confusion_for(7)
+    def test_flip_range(self):
+        with pytest.raises(ValueError, match="flip"):
+            confusion_from_flip(1.5)
 
 
 class TestSampleShots:

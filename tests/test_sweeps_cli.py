@@ -11,6 +11,7 @@ from realmon.observables import observable_from_axis
 from realmon.reality import reality_report
 from realmon.states import DensityOperator
 from realmon.certify import certify_circuits
+from realmon.circuits import extract_channel
 from realmon.config import ConfigError, SweepConfig, config_from_json, make_config
 from realmon.output import write_text
 from realmon.svg import render_sweep_chart
@@ -249,7 +250,7 @@ class TestVerifyAndCertifyAPI:
         with pytest.raises(ConfigError):
             verify_cases(trials=0)
 
-    @pytest.mark.parametrize("dims", [(), (0,), (1, 2), (2.5,)])
+    @pytest.mark.parametrize("dims", [(), (0,), (1, 2), (2.5,), (2, 2), (2, 3, 2)])
     def test_verify_dims_validated(self, dims):
         with pytest.raises(ConfigError, match="dims"):
             verify_cases(trials=1, dims=dims)
@@ -291,6 +292,28 @@ class TestVerifyAndCertifyAPI:
     def test_certify_resolution_validated(self):
         with pytest.raises(ConfigError):
             certify_circuits(resolution=1)
+
+    @pytest.mark.parametrize("resolution", [2.5, 3.0, True, "3"])
+    def test_certify_resolution_must_be_an_integer(self, resolution):
+        with pytest.raises(ConfigError, match="resolution"):
+            certify_circuits(resolution=resolution)
+
+    def test_certify_extracts_each_circuit_once(self, monkeypatch):
+        import realmon.certify as certify_mod
+
+        extracted = []
+
+        def counting_extract(circuit):
+            extracted.append(circuit)
+            return extract_channel(circuit)
+
+        monkeypatch.setattr(certify_mod, "extract_channel", counting_extract)
+        for resolution in (2, 3):
+            extracted.clear()
+            assert certify_mod.certify_circuits(resolution=resolution, seed=3).ok
+            # 2 couplings x 2 widths x 3 bases per strength, plus the three-qubit smoke test
+            assert len(extracted) == 12 * resolution + 3
+            assert len(set(extracted)) == len(extracted)
 
 
 class TestCLI:
@@ -413,8 +436,22 @@ class TestCLI:
             (["verify-cases", "--dims", "0"], "dims"),
             (["tomo-sim", "--seeds", "0"], "seeds"),
             (["tomo-sim", "--shots", "-1"], "shots"),
+            (["verify-cases", "--dims", "2", "3", "2"], "dims"),
+            (["tomo-sim", "--shots", str(2**63)], "shots"),
+            (["tomo-sim", "--shots", "100000000000000000000"], "shots"),
+            (["sweep", "--path", "noisy", "--points", "2", "--shots", str(2**63)], "shots"),
+            (["sweep", "--path", "noisy", "--points", "2", "--shots", "100000000000000000000"], "shots"),
         ],
-        ids=["verify-dims-zero", "tomo-seeds-zero", "tomo-shots-negative"],
+        ids=[
+            "verify-dims-zero",
+            "tomo-seeds-zero",
+            "tomo-shots-negative",
+            "verify-dims-repeated",
+            "tomo-shots-2-to-63",
+            "tomo-shots-1e20",
+            "sweep-shots-2-to-63",
+            "sweep-shots-1e20",
+        ],
     )
     def test_domain_errors_exit_code(self, capsys, argv, name):
         import realmon.cli as cli_mod

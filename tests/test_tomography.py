@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from realmon.linalg import DimensionError
-from realmon.noise import default_noise_model
+from realmon.noise import DEFAULT_READOUT_FLIPS, confusion_from_flip
 from realmon.sampling import ginibre_density, haar_pure_state
 from realmon.observables import SIGMA_X, SIGMA_Y, SIGMA_Z
 from realmon.states import DensityOperator, density_from_pure, maximally_mixed
@@ -32,7 +32,7 @@ class TestEstimatePauli:
         assert abs(est.means[0]) <= 5 * sigma
 
     def test_readout_confusion_golden(self):
-        est = estimate_pauli(ZERO, 0, 0, noise=default_noise_model(), qubit=0)
+        est = estimate_pauli(ZERO, 0, 0, confusion_from_flip(DEFAULT_READOUT_FLIPS[0]))
         assert abs(est.means[2] - 0.9584) <= 1e-12
 
     def test_standard_error_formula(self):
