@@ -1,21 +1,26 @@
 """Ancilla-dilation circuits realizing the monitoring map, and their oracle.
 
-The one-qubit template puts the system through V-dagger, couples it to an
+The one-qubit template puts the system through B-dagger, couples it to an
 ancilla prepared by U(theta_m, 0, 0) with a controlled-phase (or
-controlled-NOT) gate, undoes the basis change with V, and discards the
+controlled-NOT) gate, undoes the basis change with B, and discards the
 ancilla.  Controlled-phase coupling gives intensity eps = 1 - cos(theta_m);
 controlled-NOT gives eps = 1 - sin(theta_m), both certified against the
-extracted superoperator rather than assumed.  The register's operator is
-held as a tensor with one row and one column axis per qubit, and each gate
-acts as its own 2x2 or 4x4 matrix, built once with the gate, on the axes
-of the qubits it touches.  A noiseless circuit is a channel on its system
-qubits, so ``channels.to_superoperator`` extracts it like any other.
+extracted superoperator rather than assumed.  Each gate acts as its own
+2x2 or 4x4 matrix, built once with the gate, on the tensor axes of the
+qubits it touches.  A noiseless circuit is the Stinespring isometry
+V = U (I ⊗ |0...0>), compiled once per circuit by pushing the d system
+basis columns through the gates, and maps rho to Tr_anc(V rho V†); it is
+a channel on its system qubits, so ``channels.to_superoperator`` extracts
+it like any other.  Only under depolarizing noise is the register's
+operator carried through the gates as a density tensor, with one row and
+one column axis per qubit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -84,7 +89,8 @@ class Gate:
 @dataclass(frozen=True)
 class Circuit:
     """Gates over ``n_system`` leading system qubits plus ancillas in |0>;
-    noiselessly a channel on the system qubits (``dim``, ``apply_matrix``)."""
+    noiselessly a channel on the system qubits (``dim``, ``apply_matrix``)
+    through its ``isometry``."""
 
     width: int
     gates: tuple[Gate, ...]
@@ -110,6 +116,23 @@ class Circuit:
     @property
     def dim(self) -> int:
         return 2**self.n_system
+
+    @cached_property
+    def isometry(self) -> np.ndarray:
+        """The (2**width, dim) isometry V = U (I ⊗ |0...0>), compiled on first use.
+
+        The d nonzero columns of the ancilla extension I ⊗ |0...0><0...0|
+        go through the gates as a ``(2,)*width + (d,)`` tensor, one row-axis
+        contraction per gate.
+        """
+        d_anc = 2 ** (self.width - self.n_system)
+        cols = _ancilla_extension(self, np.eye(self.dim, dtype=complex))[:, ::d_anc]
+        t = cols.reshape((2,) * self.width + (self.dim,))
+        for g in self.gates:
+            t = _apply_on_axes(t, g.matrix, g.qubits)
+        v = t.reshape(2**self.width, self.dim)
+        v.setflags(write=False)
+        return v
 
     def apply_matrix(self, mat: np.ndarray) -> np.ndarray:
         return apply_circuit_matrix(self, mat)
@@ -169,6 +192,14 @@ def strength_of_epsilon(coupling: str, epsilon: float) -> float:
     raise ValueError(f"coupling must be one of {COUPLINGS}, got {coupling!r}")
 
 
+def _ancilla_extension(circuit: Circuit, mat: np.ndarray) -> np.ndarray:
+    """The system operator ``mat`` tensored on the |0...0><0...0| ancillas."""
+    d_anc = 2 ** (circuit.width - circuit.n_system)
+    anc = np.zeros((d_anc, d_anc), dtype=complex)
+    anc[0, 0] = 1.0
+    return tensor_product(mat, anc)
+
+
 def _apply_on_axes(t: np.ndarray, g: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
     """Contract the k-qubit matrix ``g`` into ``axes`` of the qubit tensor ``t``.
 
@@ -196,34 +227,39 @@ def _depolarize_pair(t: np.ndarray, pair: tuple[int, int], rate: float) -> np.nd
     return (1.0 - rate) * t + rate * mixed
 
 
-def apply_circuit_matrix(circuit: Circuit, mat: np.ndarray, depolarizing: float = 0.0) -> np.ndarray:
-    """Linear action of the circuit-plus-discard pipeline on a system operator.
-
-    Tensors on |0...0><0...0| ancillas, conjugates each gate through the
-    row and column axes of the qubits it touches (followed, after each
-    coupling gate, by two-qubit depolarizing at rate ``depolarizing`` in
-    [0, 1]), and partial-traces the ancillas out again.  Linearity makes
-    this valid on arbitrary matrices, which is what channel extraction
-    needs.
-    """
-    if not 0.0 <= depolarizing <= 1.0:
-        raise ValueError(f"depolarizing rate must lie in [0, 1], got {depolarizing!r}")
-    n_sys = circuit.n_system
-    d_sys = circuit.dim
-    mat = np.asarray(mat, dtype=complex)
-    if mat.shape != (d_sys, d_sys):
-        raise DimensionError(f"operator shape {mat.shape} does not match {n_sys} system qubits")
+def _density_route(circuit: Circuit, mat: np.ndarray, depolarizing: float) -> np.ndarray:
+    """``mat`` tensored on |0...0><0...0| ancillas, each gate conjugated through
+    the row and column axes of its qubits (then, after each coupling gate,
+    two-qubit depolarizing at rate ``depolarizing``), ancillas traced out."""
     width = circuit.width
-    d_anc = 2 ** (width - n_sys)
-    anc = np.zeros((d_anc, d_anc), dtype=complex)
-    anc[0, 0] = 1.0
-    full = tensor_product(mat, anc).reshape((2,) * 2 * width)
+    full = _ancilla_extension(circuit, mat).reshape((2,) * 2 * width)
     for g in circuit.gates:
         full = _apply_on_axes(full, g.matrix, g.qubits)
         full = _apply_on_axes(full, g.matrix.conj(), tuple(width + q for q in g.qubits))
         if depolarizing > 0.0 and g.kind in COUPLINGS:
             full = _depolarize_pair(full, g.qubits, depolarizing)
-    return partial_trace(full.reshape(2**width, 2**width), [2] * width, keep=range(n_sys))
+    return partial_trace(full.reshape(2**width, 2**width), [2] * width, keep=range(circuit.n_system))
+
+
+def apply_circuit_matrix(circuit: Circuit, mat: np.ndarray, depolarizing: float = 0.0) -> np.ndarray:
+    """Linear action of the circuit-plus-discard pipeline on a system operator.
+
+    Noiselessly this is Tr_anc(V mat V†) with the circuit's compiled
+    ``isometry`` V.  With two-qubit depolarizing at rate ``depolarizing`` in
+    (0, 1] after each coupling gate, the operator instead goes through the
+    gates as a density tensor on |0...0><0...0| ancillas.  Linearity makes
+    either route valid on arbitrary matrices, which is what channel
+    extraction needs.
+    """
+    if not 0.0 <= depolarizing <= 1.0:
+        raise ValueError(f"depolarizing rate must lie in [0, 1], got {depolarizing!r}")
+    mat = np.asarray(mat, dtype=complex)
+    if mat.shape != (circuit.dim, circuit.dim):
+        raise DimensionError(f"operator shape {mat.shape} does not match {circuit.n_system} system qubits")
+    if depolarizing > 0.0:
+        return _density_route(circuit, mat, depolarizing)
+    v = circuit.isometry
+    return partial_trace(v @ mat @ v.conj().T, [2] * circuit.width, keep=range(circuit.n_system))
 
 
 def run_circuit_density(circuit: Circuit, rho_system: DensityOperator, depolarizing: float = 0.0) -> DensityOperator:

@@ -10,6 +10,8 @@ superconducting device and a 1% depolarizing rate.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .linalg import DimensionError
@@ -49,20 +51,33 @@ def sample_shots(probabilities, n_shots: int, rng) -> np.ndarray:
     return rng.multinomial(int(n_shots), p)
 
 
+def _validated_confusion(confusion) -> np.ndarray:
+    c = np.asarray(confusion, dtype=float)
+    if c.shape != (2, 2):
+        raise DimensionError(f"confusion matrix must be 2x2, got shape {c.shape}")
+    (a, b), (e, f) = entries = c.tolist()
+    if not all(0.0 <= x < math.inf for x in (a, b, e, f)):
+        raise ValueError(f"confusion matrix entries must be finite and nonnegative, got {entries}")
+    if abs(a + e - 1.0) > PROB_SUM_TOL or abs(b + f - 1.0) > PROB_SUM_TOL:
+        raise ValueError(f"confusion matrix column sums are {[a + e, b + f]}, expected 1")
+    return c
+
+
 def apply_readout_noise(probabilities, confusions) -> np.ndarray:
     """Push outcome probabilities through per-qubit confusion matrices.
 
-    ``confusions`` lists one 2x2 column-stochastic matrix per qubit; matrix
-    k acts along outcome axis k of the 2**n outcome vector (qubit 0 is the
+    ``confusions`` lists one 2x2 column-stochastic matrix per qubit (finite,
+    nonnegative, each column summing to 1, else ``ValueError``); matrix k
+    acts along outcome axis k of the 2**n outcome vector (qubit 0 is the
     most significant bit).
     """
     p = _validated_probabilities(probabilities)
-    mats = list(confusions)
+    mats = [_validated_confusion(c) for c in confusions]
     if 2 ** len(mats) != p.size:
         raise DimensionError(
             f"{len(mats)} confusion matrices cannot act on {p.size} outcomes"
         )
     t = p.reshape((2,) * len(mats))
     for axis, c in enumerate(mats):
-        t = np.moveaxis(np.tensordot(np.asarray(c, dtype=float), t, axes=(1, axis)), 0, axis)
+        t = np.moveaxis(np.tensordot(c, t, axes=(1, axis)), 0, axis)
     return t.reshape(-1)

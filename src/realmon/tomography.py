@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_SHOTS, ConfigError, check_seed, check_shots, resolve_state
+from .config import DEFAULT_SHOTS, ConfigError, check_seed, check_shots, is_integer, resolve_state
 from .linalg import DimensionError
 from .noise import DEFAULT_READOUT_FLIPS, apply_readout_noise, confusion_from_flip, sample_shots
 from .observables import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
@@ -104,8 +104,8 @@ def tomography_errors(state: str, shots: int, seeds: int, seed: int, noisy: bool
     """
     rho = resolve_state(state)
     check_shots(shots)
-    if seeds < 1:
-        raise ConfigError(f"seeds: must be at least 1, got {seeds}")
+    if not is_integer(seeds) or seeds < 1:
+        raise ConfigError(f"seeds: must be an integer of at least 1, got {seeds!r}")
     check_seed(seed)
     confusion = confusion_from_flip(DEFAULT_READOUT_FLIPS[0]) if noisy else None
     errors = []

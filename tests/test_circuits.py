@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from realmon import circuits
 from realmon.channels import MonitoringChannel, product_monitor, to_superoperator
 from realmon.circuits import (
+    COUPLINGS,
     Circuit,
     Gate,
     apply_circuit_matrix,
@@ -161,6 +163,50 @@ class TestLocalGateOracle:
         expected = (1.0 - rate) * conj + (rate / 16.0) * twirl
         out = apply_circuit_matrix(circ, m, depolarizing=rate)
         assert np.abs(out - expected).max() <= 1e-14
+
+
+def _bases(kind, n):
+    """``n`` measurement axes: all z, all pi/4, or seeded random (theta, phi)."""
+    if kind == "random":
+        rng = np.random.default_rng(20 + n)
+        return [(float(rng.uniform(0, math.pi)), float(rng.uniform(-math.pi, math.pi))) for _ in range(n)]
+    return [(0.0 if kind == "z" else math.pi / 4, 0.0)] * n
+
+
+class TestIsometryOracle:
+    """The compiled isometry against the density-tensor route at depolarizing rate 0.
+
+    Noiseless circuits do not reach the density route's column-axis
+    conjugation, so this comparison is what keeps it covered.
+    """
+
+    @pytest.mark.parametrize("basis", ["z", "pi/4", "random"])
+    @pytest.mark.parametrize("coupling", COUPLINGS)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_routes_agree(self, n, coupling, basis):
+        circ = build_monitor_circuit(_bases(basis, n), 0.7, coupling)
+        m = _random_operator(2**n, 8)
+        dense = circuits._density_route(circ, m, 0.0)
+        assert np.abs(apply_circuit_matrix(circ, m) - dense).max() <= 1e-14
+        v = circ.isometry
+        assert v.shape == (4**n, 2**n) and not v.flags.writeable
+        assert np.abs(v.conj().T @ v - np.eye(2**n)).max() <= 1e-14
+
+    def test_compiled_once_per_circuit(self, monkeypatch):
+        pushes = []
+        apply_on_axes = circuits._apply_on_axes
+        monkeypatch.setattr(circuits, "_apply_on_axes", lambda *a: pushes.append(a[2]) or apply_on_axes(*a))
+        bases = [(0.4, 0.1), (1.2, -0.3)]
+        circ = build_monitor_circuit(bases, 0.8, "CNOT")
+        to_superoperator(circ)  # d**2 = 16 matrix units through one compile
+        assert pushes == [g.qubits for g in circ.gates]
+        v = circ.isometry
+        to_superoperator(circ)
+        assert circ.isometry is v and len(pushes) == len(circ.gates)
+        fresh = build_monitor_circuit(bases, 0.8, "CNOT")
+        assert fresh == circ
+        to_superoperator(fresh)
+        assert fresh.isometry is not v and len(pushes) == 2 * len(circ.gates)
 
 
 class TestBuildAndRun:

@@ -26,8 +26,15 @@ class TestNoiseModel:
     def test_column_sums_validated(self):
         bad = np.array([[0.9, 0.0], [0.2, 1.0]])
         zero = DensityOperator(np.diag([1.0, 0.0]).astype(complex))
-        with pytest.raises(ValueError, match="sum"):
+        with pytest.raises(ValueError, match=r"column sums are \[1\.1"):
             estimate_pauli(zero, 10, 0, bad)
+
+    def test_column_sums_validated_without_shots(self):
+        # the infinite-shot sentinel samples nothing, so the confusion itself is checked
+        bad = np.array([[0.9, 0.0], [0.2, 1.0]])
+        zero = DensityOperator(np.diag([1.0, 0.0]).astype(complex))
+        with pytest.raises(ValueError, match=r"column sums are \[1\.1"):
+            estimate_pauli(zero, 0, 0, bad)
 
     def test_rate_range(self):
         circ = build_monitor_circuit([(0.0, 0.0)], 0.5, "CZ")
@@ -88,6 +95,23 @@ class TestReadoutNoise:
         out = apply_readout_noise(p, [confusion_from_flip(0.03), confusion_from_flip(0.05)])
         assert abs(out.sum() - 1.0) <= 1e-12
         assert (out >= 0).all()
+
+    @pytest.mark.parametrize(
+        "confusion, message",
+        [
+            (np.eye(3), "2x2"),
+            ([0.9, 0.1], "2x2"),
+            ([[float("nan"), 0.0], [0.0, 1.0]], "finite and nonnegative"),
+            ([[float("inf"), 0.0], [0.0, 1.0]], "finite and nonnegative"),
+            ([[1.1, 0.0], [-0.1, 1.0]], "finite and nonnegative"),
+            ([[0.9, 0.0], [0.2, 1.0]], "column sums"),
+            ([[0.5, 0.5], [0.5, 0.6]], "column sums"),
+        ],
+        ids=["3x3", "vector", "nan", "inf", "negative", "column-0-sum", "column-1-sum"],
+    )
+    def test_confusion_validated(self, confusion, message):
+        with pytest.raises(ValueError, match=message):
+            apply_readout_noise([0.5, 0.5], [confusion])
 
     def test_matrix_count_checked(self):
         with pytest.raises(DimensionError):

@@ -8,7 +8,8 @@ from realmon.noise import DEFAULT_READOUT_FLIPS, confusion_from_flip
 from realmon.sampling import ginibre_density, haar_pure_state
 from realmon.observables import SIGMA_X, SIGMA_Y, SIGMA_Z
 from realmon.states import DensityOperator, density_from_pure, maximally_mixed
-from realmon.tomography import PauliEstimates, estimate_pauli, reconstruct_state
+from realmon.config import ConfigError
+from realmon.tomography import PauliEstimates, estimate_pauli, reconstruct_state, tomography_errors
 
 ZERO = DensityOperator(np.diag([1.0, 0.0]).astype(complex))
 PLUS = DensityOperator(np.full((2, 2), 0.5, dtype=complex))
@@ -97,3 +98,14 @@ class TestRoundTrip:
         e2 = median_error(2048)
         ratio = e1 / e2
         assert 2.0 / 1.5 <= ratio <= 2.0 * 1.5
+
+
+class TestTomographyErrors:
+    @pytest.mark.parametrize("seeds", [2.5, True, 3.0, "3", 0])
+    def test_seeds_must_be_a_positive_integer(self, seeds):
+        with pytest.raises(ConfigError, match="seeds"):
+            tomography_errors("plus", 64, seeds, 0, False)
+
+    def test_integer_seeds_accepted(self):
+        out = tomography_errors("plus", 64, np.int64(3), 0, False)
+        assert len(out["errors"]) == 3
