@@ -60,7 +60,7 @@ from .circuits import (
     run_circuit_density,
 )
 from .noise import apply_readout_noise, confusion_from_flip, sample_shots
-from .tomography import PauliEstimates, estimate_pauli, reconstruct_state
+from .tomography import estimate_pauli, reconstruct_state
 from .config import SweepConfig, make_config
 from .sweeps import SweepRecord, run_sweep
 from .verify import verify_cases

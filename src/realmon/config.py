@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import DEFAULT_DEPOLARIZING_RATE, DEFAULT_READOUT_FLIPS
+from .noise import DEFAULT_DEPOLARIZING_RATE, DEFAULT_READOUT_FLIP
 from .states import DensityOperator, PureState, density_from_pure
 
 SCENARIOS = ("fig1", "fig2", "fig4a", "fig4b", "fig4c", "custom")
@@ -106,7 +106,7 @@ class SweepConfig:
     shots: int = DEFAULT_SHOTS
     repeats: int = DEFAULT_REPEATS
     seed: int = 0
-    readout_flips: tuple[float, ...] = DEFAULT_READOUT_FLIPS
+    readout_flip: float = DEFAULT_READOUT_FLIP
     depolarizing: float = DEFAULT_DEPOLARIZING_RATE
     out: str | None = None
     svg: str | None = None
@@ -145,14 +145,8 @@ class SweepConfig:
         check_seed(self.seed)
         if not (finite_numbers((self.depolarizing,)) and 0.0 <= self.depolarizing <= 1.0):
             raise ConfigError(f"depolarizing: must be a number in [0, 1], got {self.depolarizing!r}")
-        if not (
-            self.readout_flips
-            and finite_numbers(self.readout_flips)
-            and all(0.0 <= p <= 1.0 for p in self.readout_flips)
-        ):
-            raise ConfigError(
-                f"readout_flips: must be flip probabilities in [0, 1], got {self.readout_flips!r}"
-            )
+        if not (finite_numbers((self.readout_flip,)) and 0.0 <= self.readout_flip <= 1.0):
+            raise ConfigError(f"readout_flip: must be a number in [0, 1], got {self.readout_flip!r}")
         for name in ("out", "svg", "json_out"):
             if not isinstance(getattr(self, name), (str, type(None))):
                 raise ConfigError(f"{name}: must be a file path, got {getattr(self, name)!r}")
@@ -236,7 +230,7 @@ def config_from_json(path: str, /, **overrides) -> SweepConfig:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
-    for key in ("grid_values", "monitor_axis", "probe_axis", "readout_flips"):
+    for key in ("grid_values", "monitor_axis", "probe_axis"):
         if key in data and isinstance(data[key], list):
             data[key] = tuple(data[key])
     data.update(overrides)

@@ -1,16 +1,18 @@
 """Shot sampling, readout confusion, and the default noise settings.
 
 Relaxation during two-qubit gates is folded into a single per-gate
-depolarizing probability, which the circuits take as ``depolarizing``;
-readout error is a symmetric per-qubit flip applied as a column-stochastic
-confusion matrix (``confusion_from_flip``), which tomography takes as
-``confusion``.  The defaults are the readout flips of a public three-qubit
+depolarizing probability, which the circuits take as ``depolarizing``.
+Tomography reads only the system qubit, so readout error is one symmetric
+flip of that qubit, applied as a column-stochastic 2x2 confusion matrix
+(``confusion_from_flip``) to rows of two outcome probabilities.  The
+defaults are the system-qubit readout flip of a public three-qubit
 superconducting device and a 1% depolarizing rate.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -18,7 +20,7 @@ from .linalg import DimensionError
 
 PROB_SUM_TOL = 1e-9
 
-DEFAULT_READOUT_FLIPS = (0.0208, 0.0192, 0.0213)
+DEFAULT_READOUT_FLIP = 0.0208
 DEFAULT_DEPOLARIZING_RATE = 0.01
 
 
@@ -32,20 +34,25 @@ def confusion_from_flip(p: float) -> np.ndarray:
 
 
 def _validated_probabilities(probabilities) -> np.ndarray:
-    p = np.asarray(probabilities, dtype=float).reshape(-1)
+    """Outcome probabilities as rows along the last axis, each checked and renormalised."""
+    p = np.asarray(probabilities, dtype=float)
     if (p < -1e-12).any():
         raise ValueError(f"negative probability in {p.tolist()}")
-    if abs(p.sum() - 1.0) > PROB_SUM_TOL:
-        raise ValueError(f"probabilities sum to {p.sum()!r}, expected 1")
+    sums = p.sum(axis=-1, keepdims=True)
+    if (np.abs(sums - 1.0) > PROB_SUM_TOL).any():
+        raise ValueError(f"probabilities sum to {sums[..., 0].tolist()!r}, expected 1")
     p = np.clip(p, 0.0, None)
-    return p / p.sum()
+    return p / p.sum(axis=-1, keepdims=True)
 
 
 def sample_shots(probabilities, n_shots: int, rng) -> np.ndarray:
-    """Multinomial outcome counts, deterministic for a given generator/seed."""
+    """Multinomial outcome counts per probability row, deterministic for a given generator/seed.
+
+    A stack of rows draws the same stream as one call per row, in order.
+    """
     p = _validated_probabilities(probabilities)
-    if n_shots < 1:
-        raise ValueError(f"shot count must be positive, got {n_shots}")
+    if not isinstance(n_shots, numbers.Integral) or isinstance(n_shots, bool) or n_shots < 1:
+        raise ValueError(f"shot count must be a positive integer, got {n_shots!r}")
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     return rng.multinomial(int(n_shots), p)
@@ -63,21 +70,14 @@ def _validated_confusion(confusion) -> np.ndarray:
     return c
 
 
-def apply_readout_noise(probabilities, confusions) -> np.ndarray:
-    """Push outcome probabilities through per-qubit confusion matrices.
+def apply_readout_noise(probabilities, confusion) -> np.ndarray:
+    """Push rows of two outcome probabilities through the system qubit's confusion matrix.
 
-    ``confusions`` lists one 2x2 column-stochastic matrix per qubit (finite,
-    nonnegative, each column summing to 1, else ``ValueError``); matrix k
-    acts along outcome axis k of the 2**n outcome vector (qubit 0 is the
-    most significant bit).
+    ``confusion`` is 2x2 and column-stochastic (finite, nonnegative, each
+    column summing to 1, else ``ValueError``); it acts on every ``(..., 2)`` row.
     """
     p = _validated_probabilities(probabilities)
-    mats = [_validated_confusion(c) for c in confusions]
-    if 2 ** len(mats) != p.size:
-        raise DimensionError(
-            f"{len(mats)} confusion matrices cannot act on {p.size} outcomes"
-        )
-    t = p.reshape((2,) * len(mats))
-    for axis, c in enumerate(mats):
-        t = np.moveaxis(np.tensordot(c, t, axes=(1, axis)), 0, axis)
-    return t.reshape(-1)
+    c = _validated_confusion(confusion)
+    if p.shape[-1:] != (2,):
+        raise DimensionError(f"readout confusion acts on rows of 2 outcomes, got shape {p.shape}")
+    return (c @ p[..., None])[..., 0]

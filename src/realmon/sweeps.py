@@ -81,14 +81,14 @@ def _circuit_states(config, rho, eps, monitor_axis, probe_axis, depolarizing):
 def _tomography_entropies(config, index, states) -> list[list[float]]:
     """One entropy row per tomography repeat, each state sampled from its own seed."""
     repeats = 1 if config.shots == 0 else config.repeats
-    confusion = confusion_from_flip(config.readout_flips[0])  # tomography reads the one system qubit
+    confusion = confusion_from_flip(config.readout_flip)
     rows = []
     for rep in range(repeats):
         row = []
         for state_idx, state in enumerate(states):
             rng = np.random.default_rng([config.seed, index, rep, state_idx])
-            est = estimate_pauli(state, config.shots, rng, confusion)
-            row.append(von_neumann_entropy(reconstruct_state(est)))
+            bloch = estimate_pauli(state, config.shots, rng, confusion)
+            row.append(von_neumann_entropy(reconstruct_state(bloch)))
         rows.append(row)
     return rows
 

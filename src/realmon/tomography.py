@@ -1,90 +1,67 @@
 """Finite-shot single-qubit state estimation.
 
-Mirrors a hardware pipeline: rotate each Pauli axis onto the computational
-basis, optionally push the outcome probabilities through the measured
-qubit's 2x2 readout ``confusion`` matrix, sample counts, and rebuild the
-state from the empirical Bloch vector with an eigenvalue
+Mirrors a hardware pipeline that reads one qubit: rotate the x, y and z
+Pauli axes onto the computational basis in one stacked product, optionally
+push the three rows of outcome probabilities through the qubit's 2x2
+readout ``confusion`` matrix, sample all three axes' counts in one draw, and
+rebuild the state from the empirical Bloch vector with an eigenvalue
 clamp-and-renormalize repair.  A shot count of zero is the infinite-shot
-sentinel (exact expectations, zero standard error).
+sentinel (exact expectations).
 
 ``tomography_errors`` repeats one state's reconstruction over independent
 seeds and summarises the reconstruction errors (the ``tomo-sim`` command);
-with readout noise it uses the first default readout flip.
+with readout noise it uses the default readout flip.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .config import DEFAULT_SHOTS, ConfigError, check_seed, check_shots, is_integer, resolve_state
 from .linalg import DimensionError
-from .noise import DEFAULT_READOUT_FLIPS, apply_readout_noise, confusion_from_flip, sample_shots
+from .noise import DEFAULT_READOUT_FLIP, apply_readout_noise, confusion_from_flip, sample_shots
 from .observables import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
 from .states import DensityOperator
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 _HADAMARD = np.array([[_SQRT1_2, _SQRT1_2], [_SQRT1_2, -_SQRT1_2]], dtype=complex)
 _SDG = np.array([[1.0, 0.0], [0.0, -1j]], dtype=complex)
-# R sigma_axis R† = sigma_z, so diag(R rho R†) are the axis outcome probabilities.
-_AXIS_ROTATIONS = {"x": _HADAMARD, "y": _HADAMARD @ _SDG, "z": IDENTITY_2}
+# R sigma_axis R† = sigma_z, so diag(R rho R†) are the axis outcome probabilities (x, y, z).
+_AXIS_ROTATIONS = np.stack((_HADAMARD, _HADAMARD @ _SDG, IDENTITY_2))
+_AXIS_ROTATIONS_DAG = _AXIS_ROTATIONS.conj().transpose(0, 2, 1)
 
 
-@dataclass(frozen=True)
-class PauliEstimates:
-    """Empirical Bloch components with per-axis shot counts and standard errors."""
-
-    means: tuple[float, float, float]
-    shots: int
-    stderrs: tuple[float, float, float]
-
-
-def _axis_probabilities(rho: DensityOperator, axis: str) -> np.ndarray:
-    r = _AXIS_ROTATIONS[axis]
-    rotated = r @ rho.matrix @ r.conj().T
-    p = np.clip(np.diagonal(rotated).real, 0.0, None)
-    return p / p.sum()
-
-
-def estimate_pauli(rho: DensityOperator, shots: int, rng, confusion: np.ndarray | None = None) -> PauliEstimates:
-    """Measure each Pauli axis of a qubit state with ``shots`` samples per axis.
+def estimate_pauli(rho: DensityOperator, shots: int, rng, confusion: np.ndarray | None = None) -> tuple[float, float, float]:
+    """The empirical Bloch vector of a qubit state, from ``shots`` samples per Pauli axis.
 
     ``confusion`` is the column-stochastic 2x2 readout matrix of the measured
     qubit, or None for perfect readout.
     """
     if rho.dim != 2:
         raise DimensionError(f"single-qubit tomography needs dim 2, got {rho.dim}")
-    if shots < 0:
-        raise ValueError(f"shot count must be nonnegative, got {shots}")
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
-    means = []
-    errs = []
-    for axis in ("x", "y", "z"):
-        p = _axis_probabilities(rho, axis)
-        if confusion is not None:
-            p = apply_readout_noise(p, [confusion])
-        if shots == 0:
-            mean = float(p[0] - p[1])
-            err = 0.0
-        else:
-            counts = sample_shots(p, shots, rng)
-            mean = float(counts[0] - counts[1]) / shots
-            err = math.sqrt(max(0.0, 1.0 - mean * mean) / shots)
-        means.append(mean)
-        errs.append(err)
-    return PauliEstimates(tuple(means), shots, tuple(errs))
+    check_shots(shots)
+    rotated = _AXIS_ROTATIONS @ rho.matrix @ _AXIS_ROTATIONS_DAG
+    p = np.clip(np.diagonal(rotated, axis1=1, axis2=2).real, 0.0, None)
+    p = p / p.sum(axis=1, keepdims=True)
+    if confusion is not None:
+        p = apply_readout_noise(p, confusion)
+    if shots == 0:
+        means = p[:, 0] - p[:, 1]
+    else:
+        counts = sample_shots(p, shots, rng)
+        means = (counts[:, 0] - counts[:, 1]) / shots
+    return tuple(float(m) for m in means)
 
 
-def reconstruct_state(est: PauliEstimates) -> DensityOperator:
+def reconstruct_state(bloch: tuple[float, float, float]) -> DensityOperator:
     """Bloch-vector reconstruction (I + r . sigma)/2 with spectrum repair.
 
     Shot noise can push the Bloch norm above 1; any negative eigenvalue is
     clamped to zero and the spectrum renormalized to unit trace.
     """
-    rx, ry, rz = est.means
+    rx, ry, rz = bloch
     rho = DensityOperator(0.5 * (IDENTITY_2 + rx * SIGMA_X + ry * SIGMA_Y + rz * SIGMA_Z), validate=False)
     w, v = rho.eigensystem()  # kept on rho, so its entropy needs no second solve
     if w[0] < 0.0:
@@ -107,7 +84,7 @@ def tomography_errors(state: str, shots: int, seeds: int, seed: int, noisy: bool
     if not is_integer(seeds) or seeds < 1:
         raise ConfigError(f"seeds: must be an integer of at least 1, got {seeds!r}")
     check_seed(seed)
-    confusion = confusion_from_flip(DEFAULT_READOUT_FLIPS[0]) if noisy else None
+    confusion = confusion_from_flip(DEFAULT_READOUT_FLIP) if noisy else None
     errors = []
     for k in range(seeds):
         rec = reconstruct_state(estimate_pauli(rho, shots, np.random.default_rng([seed, k]), confusion))

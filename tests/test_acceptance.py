@@ -371,7 +371,7 @@ def test_criterion_8_noisy_emulation():
         shots=10**6,
         repeats=1,
         seed=0,
-        readout_flips=(0.0, 0.0, 0.0),
+        readout_flip=0.0,
         depolarizing=0.0,
     )
     noisy = run_sweep(clean_config)

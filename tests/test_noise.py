@@ -5,7 +5,7 @@ from realmon.circuits import apply_circuit_matrix, build_monitor_circuit
 from realmon.linalg import DimensionError
 from realmon.noise import (
     DEFAULT_DEPOLARIZING_RATE,
-    DEFAULT_READOUT_FLIPS,
+    DEFAULT_READOUT_FLIP,
     apply_readout_noise,
     confusion_from_flip,
     sample_shots,
@@ -19,8 +19,7 @@ class TestNoiseModel:
 
     def test_default_model_readout_rates(self):
         assert DEFAULT_DEPOLARIZING_RATE == 0.01
-        flips = [float(confusion_from_flip(p)[1, 0]) for p in DEFAULT_READOUT_FLIPS]
-        assert flips == [0.0208, 0.0192, 0.0213]
+        assert float(confusion_from_flip(DEFAULT_READOUT_FLIP)[1, 0]) == 0.0208
         assert not confusion_from_flip(0.1).flags.writeable
 
     def test_column_sums_validated(self):
@@ -69,31 +68,37 @@ class TestSampleShots:
     def test_sum_validated(self):
         with pytest.raises(ValueError, match="sum"):
             sample_shots([0.5, 0.4], 10, 0)
+        with pytest.raises(ValueError, match="sum"):
+            sample_shots([[0.5, 0.5], [0.5, 0.4]], 10, 0)  # each row is checked, not the stack's total
 
     def test_shot_count_positive(self):
         with pytest.raises(ValueError):
             sample_shots([1.0, 0.0], 0, 0)
 
+    @pytest.mark.parametrize("n_shots", [2.5, True, -1, "8", float("nan")])
+    def test_shot_count_must_be_an_integer(self, n_shots):
+        with pytest.raises(ValueError, match="shot count"):
+            sample_shots([1.0, 0.0], n_shots, 0)
+
+    def test_rows_drawn_in_order(self):
+        rows = [[0.3, 0.7], [0.6, 0.4], [0.5, 0.5]]
+        stacked = sample_shots(rows, 1000, np.random.default_rng(4))
+        rng = np.random.default_rng(4)
+        assert stacked.tolist() == [sample_shots(row, 1000, rng).tolist() for row in rows]
+
 
 class TestReadoutNoise:
     def test_single_qubit_flip_golden(self):
-        out = apply_readout_noise([1.0, 0.0], [confusion_from_flip(0.0208)])
+        out = apply_readout_noise([1.0, 0.0], confusion_from_flip(0.0208))
         assert np.abs(out - np.array([0.9792, 0.0208])).max() <= 1e-12
-
-    def test_tensor_extension(self):
-        c0 = confusion_from_flip(0.1)
-        c1 = confusion_from_flip(0.2)
-        p = [1.0, 0.0, 0.0, 0.0]
-        out = apply_readout_noise(p, [c0, c1])
-        expected = np.array([0.9 * 0.8, 0.9 * 0.2, 0.1 * 0.8, 0.1 * 0.2])
-        assert np.abs(out - expected).max() <= 1e-12
 
     def test_preserves_normalization(self):
         rng = np.random.default_rng(0)
-        p = rng.random(4)
-        p /= p.sum()
-        out = apply_readout_noise(p, [confusion_from_flip(0.03), confusion_from_flip(0.05)])
-        assert abs(out.sum() - 1.0) <= 1e-12
+        p = rng.random((5, 2))
+        p /= p.sum(axis=1, keepdims=True)
+        out = apply_readout_noise(p, confusion_from_flip(0.03))
+        assert out.shape == (5, 2)
+        assert np.abs(out.sum(axis=1) - 1.0).max() <= 1e-12
         assert (out >= 0).all()
 
     @pytest.mark.parametrize(
@@ -111,8 +116,8 @@ class TestReadoutNoise:
     )
     def test_confusion_validated(self, confusion, message):
         with pytest.raises(ValueError, match=message):
-            apply_readout_noise([0.5, 0.5], [confusion])
+            apply_readout_noise([0.5, 0.5], confusion)
 
-    def test_matrix_count_checked(self):
-        with pytest.raises(DimensionError):
-            apply_readout_noise([0.5, 0.5], [confusion_from_flip(0.1), confusion_from_flip(0.1)])
+    def test_rows_of_two_outcomes(self):
+        with pytest.raises(DimensionError, match="rows of 2"):
+            apply_readout_noise([0.25] * 4, confusion_from_flip(0.1))

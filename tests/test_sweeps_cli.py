@@ -185,7 +185,7 @@ class TestNoisyPath:
             shots=10**6,
             repeats=1,
             seed=0,
-            readout_flips=(0.0, 0.0, 0.0),
+            readout_flip=0.0,
             depolarizing=0.0,
         )
         noisy = run_sweep(config)
@@ -362,10 +362,12 @@ class TestCLI:
                 {"grid_kind": "axis_theta", "sweep_target": "probe", "grid_values": [0.0, math.nan]},
                 "grid_values",
             ),
-            ({"scenario": "fig4a", "path": "noisy", "readout_flips": [1.5, 0.0]}, "readout_flips"),
-            ({"scenario": "fig4a", "readout_flips": [-0.1]}, "readout_flips"),
-            ({"scenario": "fig4a", "readout_flips": [math.nan]}, "readout_flips"),
-            ({"scenario": "fig4a", "path": "noisy", "readout_flips": []}, "readout_flips"),
+            ({"scenario": "fig4a", "path": "noisy", "readout_flip": 1.5}, "readout_flip"),
+            ({"scenario": "fig4a", "readout_flip": -0.1}, "readout_flip"),
+            ({"scenario": "fig4a", "readout_flip": math.nan}, "readout_flip"),
+            ({"scenario": "fig4a", "path": "noisy", "readout_flip": []}, "readout_flip"),
+            ({"scenario": "fig4a", "path": "noisy", "readout_flip": [0.0208]}, "readout_flip"),
+            ({"scenario": "fig4a", "readout_flips": [0.0208, 0.0192, 0.0213]}, "readout_flips"),
             ({"scenario": "fig4a", "monitor_axis": [0.3]}, "monitor_axis"),
             ({"scenario": "fig4a", "probe_axis": [0.3, math.inf]}, "probe_axis"),
             ({"scenario": "fig4a", "probe_axis": [0.3, 0.0, 1.0]}, "probe_axis"),
@@ -379,12 +381,13 @@ class TestCLI:
             ({"scenario": "fig1", "epsilon": True}, "epsilon"),
             ({"scenario": "fig1", "monitor_axis": [False, False]}, "monitor_axis"),
             ({"scenario": "fig4a", "path": "noisy", "depolarizing": True}, "depolarizing"),
-            ({"scenario": "fig4a", "path": "noisy", "readout_flips": [True]}, "readout_flips"),
+            ({"scenario": "fig4a", "path": "noisy", "readout_flip": True}, "readout_flip"),
             ({"scenario": "fig4a", "state": {"theta": True}}, "state"),
         ],
         ids=[
             "grid-theta_m-nan", "grid-epsilon-inf", "grid-axis_theta-nan", "flips-above-one",
-            "flips-negative", "flips-nan", "flips-empty", "monitor-axis-one-number", "probe-axis-inf",
+            "flips-negative", "flips-nan", "flips-empty", "flips-list", "old-readout-flips",
+            "monitor-axis-one-number", "probe-axis-inf",
             "probe-axis-three-numbers", "depolarizing-nan", "epsilon-string", "depolarizing-string",
             "seed-string", "shots-fractional", "repeats-fractional", "out-not-a-path", "epsilon-bool",
             "monitor-axis-bools", "depolarizing-bool", "flips-bool", "state-theta-bool",

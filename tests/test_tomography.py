@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from realmon.linalg import DimensionError
-from realmon.noise import DEFAULT_READOUT_FLIPS, confusion_from_flip
+from realmon.noise import DEFAULT_READOUT_FLIP, confusion_from_flip
 from realmon.sampling import ginibre_density, haar_pure_state
 from realmon.observables import SIGMA_X, SIGMA_Y, SIGMA_Z
 from realmon.states import DensityOperator, density_from_pure, maximally_mixed
 from realmon.config import ConfigError
-from realmon.tomography import PauliEstimates, estimate_pauli, reconstruct_state, tomography_errors
+from realmon.tomography import estimate_pauli, reconstruct_state, tomography_errors
 
 ZERO = DensityOperator(np.diag([1.0, 0.0]).astype(complex))
 PLUS = DensityOperator(np.full((2, 2), 0.5, dtype=complex))
@@ -22,24 +22,22 @@ def pauli_traces(rho):
 
 class TestEstimatePauli:
     def test_infinite_shot_exact(self):
-        est = estimate_pauli(ZERO, 0, 0)
-        assert est.means == (0.0, 0.0, 1.0)
-        assert est.stderrs == (0.0, 0.0, 0.0)
+        assert estimate_pauli(ZERO, 0, 0) == (0.0, 0.0, 1.0)
 
     def test_finite_shots_within_five_sigma(self):
-        est = estimate_pauli(ZERO, 4096, 11)
+        bloch = estimate_pauli(ZERO, 4096, 11)
         sigma = 1.0 / math.sqrt(4096)
-        assert abs(est.means[2] - 1.0) <= 5 * sigma
-        assert abs(est.means[0]) <= 5 * sigma
+        assert abs(bloch[2] - 1.0) <= 5 * sigma
+        assert abs(bloch[0]) <= 5 * sigma
 
     def test_readout_confusion_golden(self):
-        est = estimate_pauli(ZERO, 0, 0, confusion_from_flip(DEFAULT_READOUT_FLIPS[0]))
-        assert abs(est.means[2] - 0.9584) <= 1e-12
+        bloch = estimate_pauli(ZERO, 0, 0, confusion_from_flip(DEFAULT_READOUT_FLIP))
+        assert abs(bloch[2] - 0.9584) <= 1e-12
 
-    def test_standard_error_formula(self):
-        est = estimate_pauli(PLUS, 2048, 5)
-        for mean, err in zip(est.means, est.stderrs):
-            assert abs(err - math.sqrt((1 - mean * mean) / 2048)) <= 1e-12
+    @pytest.mark.parametrize("shots", [2.5, True, -1, "8", math.nan])
+    def test_shot_count_must_be_a_nonnegative_integer(self, shots):
+        with pytest.raises(ConfigError, match="shots"):
+            estimate_pauli(ZERO, shots, 0)
 
     def test_seeded_reproducibility(self):
         a = estimate_pauli(PLUS, 1024, 9)
@@ -51,17 +49,53 @@ class TestEstimatePauli:
             estimate_pauli(maximally_mixed(4), 0, 0)
 
 
+def _reference_estimate(rho, shots, rng, confusion):
+    """The per-axis estimator: one rotation, readout pass and multinomial draw per axis."""
+    s = 1.0 / math.sqrt(2.0)
+    hadamard = np.array([[s, s], [s, -s]], dtype=complex)
+    sdg = np.array([[1.0, 0.0], [0.0, -1j]], dtype=complex)
+    means = []
+    for r in (hadamard, hadamard @ sdg, np.eye(2, dtype=complex)):
+        p = np.clip(np.diagonal(r @ rho.matrix @ r.conj().T).real, 0.0, None)
+        p = p / p.sum()
+        if confusion is not None:
+            p = np.clip(p, 0.0, None)
+            p = np.tensordot(confusion, p / p.sum(), axes=(1, 0))
+        if shots == 0:
+            means.append(float(p[0] - p[1]))
+        else:
+            p = np.clip(p, 0.0, None)
+            counts = rng.multinomial(shots, p / p.sum())
+            means.append(float(counts[0] - counts[1]) / shots)
+    return tuple(means)
+
+
+class TestStackedAxesMatchPerAxisReference:
+    """One stacked pass over the three axes gives the per-axis estimator's bits."""
+
+    @pytest.mark.parametrize("noisy", [False, True], ids=["ideal-readout", "readout-flip"])
+    @pytest.mark.parametrize("shots", [0, 1, 8192])
+    def test_bitwise_on_random_states(self, shots, noisy):
+        confusion = confusion_from_flip(DEFAULT_READOUT_FLIP) if noisy else None
+        states = np.random.default_rng(2024)
+        for k in range(200):
+            rho = ginibre_density(2, states) if k % 2 else density_from_pure(haar_pure_state(2, states))
+            got = estimate_pauli(rho, shots, np.random.default_rng([k, shots]), confusion)
+            want = _reference_estimate(rho, shots, np.random.default_rng([k, shots]), confusion)
+            assert got == want, k
+
+
 class TestReconstruct:
     def test_center_of_ball(self):
-        rec = reconstruct_state(PauliEstimates((0.0, 0.0, 0.0), 0, (0.0,) * 3))
+        rec = reconstruct_state((0.0, 0.0, 0.0))
         assert np.abs(rec.matrix - np.eye(2) / 2).max() <= 1e-15
 
     def test_north_pole(self):
-        rec = reconstruct_state(PauliEstimates((0.0, 0.0, 1.0), 0, (0.0,) * 3))
+        rec = reconstruct_state((0.0, 0.0, 1.0))
         assert np.abs(rec.matrix - ZERO.matrix).max() <= 1e-15
 
     def test_clamp_and_renormalize_overlong_bloch(self):
-        rec = reconstruct_state(PauliEstimates((1.02, 0.0, 0.0), 0, (0.0,) * 3))
+        rec = reconstruct_state((1.02, 0.0, 0.0))
         assert np.abs(rec.matrix - PLUS.matrix).max() <= 1e-12
         assert min(rec.eigenvalues()) >= -1e-15
 
@@ -69,7 +103,7 @@ class TestReconstruct:
         rng = np.random.default_rng(0)
         for _ in range(50):
             r = rng.uniform(-1.1, 1.1, 3)
-            rec = reconstruct_state(PauliEstimates(tuple(r), 128, (0.0,) * 3))
+            rec = reconstruct_state(tuple(r))
             assert abs(np.trace(rec.matrix) - 1.0) <= 1e-10
             assert rec.eigenvalues()[0] >= -1e-12
 
@@ -89,8 +123,7 @@ class TestRoundTrip:
         def median_error(shots):
             errs = []
             for seed in range(100):
-                est = estimate_pauli(rho, shots, np.random.default_rng([seed, shots]))
-                rec = reconstruct_state(est)
+                rec = reconstruct_state(estimate_pauli(rho, shots, np.random.default_rng([seed, shots])))
                 errs.append(max(abs(a - b) for a, b in zip(pauli_traces(rec), pauli_traces(rho))))
             return sorted(errs)[50]
 
