@@ -6,9 +6,9 @@ paths (exact channel algebra, noiseless dilation circuits, or noisy
 circuits with finite-shot tomography), and renders the records as CSV or
 JSON.  Records are produced in grid order and all randomness is derived
 from the config seed per (point, repeat, state), so identical configs give
-byte-identical CSV regardless of evaluation order.  The analytic path
-evaluates the whole grid as one stack; the circuit and noisy paths go point
-by point.
+byte-identical CSV regardless of evaluation order.  Every path evaluates
+the whole grid as one stack; only circuit construction and case labels are
+per grid point.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .noise import confusion_from_flip
 from .observables import ObservableStack, observable_from_axis
 from .output import write_json
 from .reality import classify_case, reality_report
-from .states import von_neumann_entropy
+from .states import DensityOperator, von_neumann_entropy
 from .tomography import estimate_pauli, reconstruct_state
 
 # The benchmark in perfbench/ reads these names from realmon.sweeps, so they are re-exported here.
@@ -68,79 +68,70 @@ def _point_parameters(config: SweepConfig, value: float):
     return value, config.epsilon, monitor_axis, probe_axis
 
 
-def _circuit_states(config, rho, eps, monitor_axis, probe_axis, depolarizing):
-    theta_m = strength_of_epsilon(config.coupling, eps)
-    mon_circ = build_monitor_circuit([monitor_axis], theta_m, config.coupling)
-    probe_circ = build_monitor_circuit([probe_axis], math.pi / 2, "CZ")
-    mon = run_circuit_density(mon_circ, rho, depolarizing)
-    probe = run_circuit_density(probe_circ, rho, depolarizing)
-    probe_mon = run_circuit_density(probe_circ, mon, depolarizing)
-    return mon, probe, probe_mon
+def _circuit_states(config, rho, points, depolarizing) -> DensityOperator:
+    """Every grid point's (rho, mon, probe, probe_mon) as one (4N, 2, 2) stack, in (point, state) order."""
+    mats = []
+    for _, eps, monitor_axis, probe_axis in points:
+        theta_m = strength_of_epsilon(config.coupling, eps)
+        mon_circ = build_monitor_circuit([monitor_axis], theta_m, config.coupling)
+        probe_circ = build_monitor_circuit([probe_axis], math.pi / 2, "CZ")
+        mon = run_circuit_density(mon_circ, rho, depolarizing)
+        probe = run_circuit_density(probe_circ, rho, depolarizing)
+        probe_mon = run_circuit_density(probe_circ, mon, depolarizing)
+        mats += [rho.matrix, mon.matrix, probe.matrix, probe_mon.matrix]
+    return DensityOperator(np.stack(mats), validate=False)
 
 
-def _tomography_entropies(config, index, states) -> list[list[float]]:
-    """One entropy row per tomography repeat, each state sampled from its own seed."""
+def _tomography_entropies(config, states: DensityOperator) -> np.ndarray:
+    """(repeats, N, 4) entropies of the stacked states' tomographic reconstructions.
+
+    Member k, state k % 4 of grid point k // 4, samples repeat r from seed ``[seed, k // 4, r, k % 4]``.
+    """
     repeats = 1 if config.shots == 0 else config.repeats
     confusion = confusion_from_flip(config.readout_flip)
-    rows = []
+    bloch = []
     for rep in range(repeats):
-        row = []
-        for state_idx, state in enumerate(states):
-            rng = np.random.default_rng([config.seed, index, rep, state_idx])
-            bloch = estimate_pauli(state, config.shots, rng, confusion)
-            row.append(von_neumann_entropy(reconstruct_state(bloch)))
-        rows.append(row)
-    return rows
-
-
-def _record(theta_m: float, epsilon: float, entropies, case, path: str) -> SweepRecord:
-    """One record from rows of (S_rho, S_mon, S_probe, S_probe_mon).
-
-    The exact paths give one row; the noisy path gives one row per
-    tomography repeat, and its records carry the standard errors of the two
-    gains (zero for a single repeat).
-    """
-    s = np.asarray(entropies, dtype=float)
-    rows = np.column_stack((s[:, 1] - s[:, 0], s[:, 2] + s[:, 1] - s[:, 0] - s[:, 3], s))
-    means = [float(m) for m in rows.mean(axis=0)]
-    se = (None, None)
-    if path == "noisy":
-        se = rows[:, :2].std(axis=0, ddof=1) / math.sqrt(len(rows)) if len(rows) > 1 else np.zeros(2)
-        se = (float(se[0]), float(se[1]))
-    return SweepRecord(theta_m, epsilon, *means, case=str(case), path=path, se_dR_X=se[0], se_dR_Xp=se[1])
+        rngs = [np.random.default_rng([config.seed, k // 4, rep, k % 4]) for k in range(states.batch)]
+        bloch.append(estimate_pauli(states, config.shots, rngs, confusion))
+    return von_neumann_entropy(reconstruct_state(np.concatenate(bloch))).reshape(repeats, -1, 4)
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRecord]:
-    """Evaluate every grid point of a validated config, in grid order."""
+    """Evaluate every grid point of a validated config, in grid order.
+
+    Each path gives a (repeats, N, 4) array of (S_rho, S_mon, S_probe,
+    S_probe_mon), with one repeat on the exact paths.  Records hold the repeat
+    means; noisy ones also the standard errors of the gains (0 for one repeat).
+    """
     config.validate()
     rho = resolve_state(config.state)
     depolarizing = config.depolarizing if config.path == "noisy" else 0.0
     points = [_point_parameters(config, value) for value in config.grid_values]
     pairs = [(observable_from_axis(*m_axis), observable_from_axis(*p_axis)) for _, _, m_axis, p_axis in points]
     if config.path == "analytic":
-        # the whole grid is one stack: one evaluation for all points
         report = reality_report(
             ObservableStack(x for x, _ in pairs),
             ObservableStack(xp for _, xp in pairs),
             np.array([eps for _, eps, _, _ in points]),
             rho,
         )
-        exact = np.broadcast_arrays(
-            report.entropy_initial, report.entropy_monitored, report.entropy_probe, report.entropy_probe_monitored
-        )
-    records: list[SweepRecord] = []
-    for index, ((theta_col, eps, monitor_axis, probe_axis), (x_obs, xp_obs)) in enumerate(zip(points, pairs)):
-        if config.path == "analytic":
-            entropies = [[s[index] for s in exact]]
+        parts = report.entropy_initial, report.entropy_monitored, report.entropy_probe, report.entropy_probe_monitored
+        s = np.stack(np.broadcast_arrays(*parts), axis=-1)[None]
+    else:
+        states = _circuit_states(config, rho, points, depolarizing)
+        if config.path == "circuit":
+            s = von_neumann_entropy(states).reshape(1, -1, 4)
         else:
-            states = (rho, *_circuit_states(config, rho, eps, monitor_axis, probe_axis, depolarizing))
-            if config.path == "circuit":
-                entropies = [[von_neumann_entropy(state) for state in states]]
-            else:
-                entropies = _tomography_entropies(config, index, states)
-        case = classify_case(x_obs, xp_obs, rho)
-        records.append(_record(theta_col, eps, entropies, case, config.path))
-    return records
+            s = _tomography_entropies(config, states)
+    gains = np.stack((s[..., 1] - s[..., 0], s[..., 2] + s[..., 1] - s[..., 0] - s[..., 3]), axis=-1)
+    means = np.concatenate((gains, s), axis=-1).mean(axis=0).tolist()
+    se = [(None, None)] * len(points)
+    if config.path == "noisy":
+        se = (gains.std(axis=0, ddof=1) / math.sqrt(len(s)) if len(s) > 1 else np.zeros_like(gains[0])).tolist()
+    return [
+        SweepRecord(theta_col, eps, *mean, str(classify_case(x_obs, xp_obs, rho)), config.path, *err)
+        for (theta_col, eps, _, _), (x_obs, xp_obs), mean, err in zip(points, pairs, means, se)
+    ]
 
 
 def _fmt(x) -> str:

@@ -20,10 +20,10 @@ import math
 import numpy as np
 
 from .config import DEFAULT_SHOTS, ConfigError, check_seed, check_shots, is_integer, resolve_state
-from .linalg import DimensionError
+from .linalg import DimensionError, dagger
 from .noise import DEFAULT_READOUT_FLIP, apply_readout_noise, confusion_from_flip, sample_shots
 from .observables import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
-from .states import DensityOperator
+from .states import DensityOperator, stack_states
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 _HADAMARD = np.array([[_SQRT1_2, _SQRT1_2], [_SQRT1_2, -_SQRT1_2]], dtype=complex)
@@ -33,41 +33,49 @@ _AXIS_ROTATIONS = np.stack((_HADAMARD, _HADAMARD @ _SDG, IDENTITY_2))
 _AXIS_ROTATIONS_DAG = _AXIS_ROTATIONS.conj().transpose(0, 2, 1)
 
 
-def estimate_pauli(rho: DensityOperator, shots: int, rng, confusion: np.ndarray | None = None) -> tuple[float, float, float]:
+def estimate_pauli(rho: DensityOperator, shots: int, rng, confusion: np.ndarray | None = None):
     """The empirical Bloch vector of a qubit state, from ``shots`` samples per Pauli axis.
 
-    ``confusion`` is the column-stochastic 2x2 readout matrix of the measured
-    qubit, or None for perfect readout.
+    One state gives an ``(x, y, z)`` tuple drawn from ``rng``; an (N, 2, 2)
+    stack gives an (N, 3) array and takes N generators, row k equal to the
+    single call on member k with the k-th.  ``confusion`` is the measured
+    qubit's column-stochastic 2x2 readout matrix, or None for perfect readout.
     """
     if rho.dim != 2:
         raise DimensionError(f"single-qubit tomography needs dim 2, got {rho.dim}")
     check_shots(shots)
-    rotated = _AXIS_ROTATIONS @ rho.matrix @ _AXIS_ROTATIONS_DAG
-    p = np.clip(np.diagonal(rotated, axis1=1, axis2=2).real, 0.0, None)
-    p = p / p.sum(axis=1, keepdims=True)
+    rngs = [rng] if rho.batch is None or isinstance(rng, np.random.Generator) else list(rng)
+    if len(rngs) != (rho.batch or 1):
+        raise ValueError(f"a stack of {rho.batch} states needs {rho.batch} generators, got {len(rngs)}")
+    rotated = _AXIS_ROTATIONS @ rho.matrix.reshape(-1, 1, 2, 2) @ _AXIS_ROTATIONS_DAG
+    p = np.clip(np.diagonal(rotated, axis1=-2, axis2=-1).real, 0.0, None)
+    p = p / p.sum(axis=-1, keepdims=True)
     if confusion is not None:
         p = apply_readout_noise(p, confusion)
     if shots == 0:
-        means = p[:, 0] - p[:, 1]
+        means = p[..., 0] - p[..., 1]
     else:
-        counts = sample_shots(p, shots, rng)
-        means = (counts[:, 0] - counts[:, 1]) / shots
-    return tuple(float(m) for m in means)
+        counts = np.stack([sample_shots(axes, shots, r) for axes, r in zip(p, rngs)])
+        means = (counts[..., 0] - counts[..., 1]) / shots
+    return tuple(float(m) for m in means[0]) if rho.batch is None else means
 
 
-def reconstruct_state(bloch: tuple[float, float, float]) -> DensityOperator:
+def reconstruct_state(bloch) -> DensityOperator:
     """Bloch-vector reconstruction (I + r . sigma)/2 with spectrum repair.
 
-    Shot noise can push the Bloch norm above 1; any negative eigenvalue is
-    clamped to zero and the spectrum renormalized to unit trace.
+    An ``(x, y, z)`` vector gives one state, an (N, 3) array a stack.  Shot
+    noise can push the Bloch norm above 1; in any member with a negative
+    eigenvalue it is clamped to zero and the spectrum renormalized to unit trace.
     """
-    rx, ry, rz = bloch
+    rx, ry, rz = np.moveaxis(np.asarray(bloch, dtype=float), -1, 0)[..., None, None]
     rho = DensityOperator(0.5 * (IDENTITY_2 + rx * SIGMA_X + ry * SIGMA_Y + rz * SIGMA_Z), validate=False)
     w, v = rho.eigensystem()  # kept on rho, so its entropy needs no second solve
-    if w[0] < 0.0:
+    negative = w[..., 0] < 0.0
+    if negative.any():
         w = np.clip(w, 0.0, None)
-        w = w / w.sum()
-        rho = DensityOperator((v * w) @ v.conj().T, validate=False)
+        w = w / w.sum(axis=-1, keepdims=True)
+        repaired = (v * w[..., None, :]) @ dagger(v)
+        rho = DensityOperator(np.where(negative[..., None, None], repaired, rho.matrix), validate=False)
     return rho
 
 
@@ -85,10 +93,9 @@ def tomography_errors(state: str, shots: int, seeds: int, seed: int, noisy: bool
         raise ConfigError(f"seeds: must be an integer of at least 1, got {seeds!r}")
     check_seed(seed)
     confusion = confusion_from_flip(DEFAULT_READOUT_FLIP) if noisy else None
-    errors = []
-    for k in range(seeds):
-        rec = reconstruct_state(estimate_pauli(rho, shots, np.random.default_rng([seed, k]), confusion))
-        errors.append(float(np.abs(rec.matrix - rho.matrix).max()))
+    rngs = [np.random.default_rng([seed, k]) for k in range(seeds)]
+    rec = reconstruct_state(estimate_pauli(stack_states([rho] * seeds), shots, rngs, confusion))
+    errors = np.abs(rec.matrix - rho.matrix).max(axis=(1, 2)).tolist()
     ranked = sorted(errors)
     summary = {
         "state": state,

@@ -11,11 +11,21 @@ from realmon.observables import observable_from_axis
 from realmon.reality import reality_report
 from realmon.states import DensityOperator
 from realmon.certify import certify_circuits
-from realmon.circuits import extract_channel
-from realmon.config import ConfigError, SweepConfig, config_from_json, make_config
+from realmon.circuits import (
+    build_monitor_circuit,
+    epsilon_of_strength,
+    extract_channel,
+    run_circuit_density,
+    strength_of_epsilon,
+)
+from realmon.config import ConfigError, SweepConfig, config_from_json, make_config, resolve_state
+from realmon.noise import confusion_from_flip
+from realmon.reality import classify_case
+from realmon.states import von_neumann_entropy
+from realmon.tomography import estimate_pauli, reconstruct_state
 from realmon.output import write_text
 from realmon.svg import render_sweep_chart
-from realmon.sweeps import CSV_HEADER, emit_json, render_csv, run_sweep
+from realmon.sweeps import CSV_HEADER, SweepRecord, emit_json, render_csv, run_sweep
 from realmon.verify import verify_cases
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -192,6 +202,79 @@ class TestNoisyPath:
         exact = run_sweep(make_config("fig4a", points=5))
         gaps = [abs(n.dR_X - e.dR_X) for n, e in zip(noisy, exact)]
         assert sorted(gaps)[len(gaps) // 2] < 0.01
+
+
+def per_point_sweep(config):
+    """Reference for the circuit and noisy paths: one grid point, repeat and
+    state at a time, each through single-state circuit, tomography and
+    entropy calls."""
+    rho = resolve_state(config.state)
+    depolarizing = config.depolarizing if config.path == "noisy" else 0.0
+    repeats = 1 if config.path == "circuit" or config.shots == 0 else config.repeats
+    records = []
+    for index, value in enumerate(config.grid_values):
+        monitor_axis, probe_axis = config.monitor_axis, config.probe_axis
+        if config.grid_kind == "theta_m":
+            theta_col, eps = value, epsilon_of_strength(config.coupling, value)
+        elif config.grid_kind == "epsilon":
+            theta_col, eps = strength_of_epsilon(config.coupling, value), value
+        else:
+            theta_col, eps = value, config.epsilon
+            if config.sweep_target == "probe":
+                probe_axis = (value, probe_axis[1])
+            else:
+                monitor_axis = (value, monitor_axis[1])
+        strength = strength_of_epsilon(config.coupling, eps)
+        probe_circ = build_monitor_circuit([probe_axis], math.pi / 2, "CZ")
+        mon = run_circuit_density(build_monitor_circuit([monitor_axis], strength, config.coupling), rho, depolarizing)
+        probe = run_circuit_density(probe_circ, rho, depolarizing)
+        states = (rho, mon, probe, run_circuit_density(probe_circ, mon, depolarizing))
+        rows = []
+        for rep in range(repeats):
+            row = []
+            for k, state in enumerate(states):
+                if config.path == "noisy":
+                    rng = np.random.default_rng([config.seed, index, rep, k])
+                    bloch = estimate_pauli(state, config.shots, rng, confusion_from_flip(config.readout_flip))
+                    state = reconstruct_state(bloch)
+                row.append(von_neumann_entropy(state))
+            rows.append(row)
+        s = np.array(rows)
+        gains = np.column_stack((s[:, 1] - s[:, 0], s[:, 2] + s[:, 1] - s[:, 0] - s[:, 3]))
+        means = np.column_stack((gains, s)).mean(axis=0)
+        se = [None, None]
+        if config.path == "noisy":
+            se = (gains.std(axis=0, ddof=1) / math.sqrt(len(s)) if len(s) > 1 else np.zeros(2)).tolist()
+        case = classify_case(observable_from_axis(*monitor_axis), observable_from_axis(*probe_axis), rho)
+        records.append(SweepRecord(theta_col, eps, *means.tolist(), str(case), config.path, *se))
+    return records
+
+
+class TestBatchedEngineMatchesPerPointLoop:
+    """The stacked circuit and noisy paths give the per-point loop's CSV bytes."""
+
+    @pytest.mark.parametrize(
+        "scenario, overrides",
+        [
+            ("fig4a", dict(path="circuit")),
+            ("fig4a", dict(path="circuit", coupling="CNOT")),
+            ("fig1", dict(path="circuit", epsilon=0.6)),
+            ("fig2", dict(path="circuit")),
+            ("custom", dict(path="circuit", grid_kind="epsilon", grid_values=(0.0, 0.3, 0.7, 1.0))),
+            ("fig4a", dict(path="noisy", shots=512, repeats=3, seed=7)),
+            ("fig4c", dict(path="noisy", shots=8192, repeats=2, seed=3, coupling="CNOT")),
+            ("fig1", dict(path="noisy", shots=64, repeats=4, seed=1, readout_flip=0.0, depolarizing=0.0)),
+            ("fig4b", dict(path="noisy", shots=256, repeats=1, seed=2, state={"theta": 1.0, "phi": 2.0})),
+            ("fig4a", dict(path="noisy", shots=0, seed=5)),
+        ],
+        ids=[
+            "circuit-fig4a", "circuit-cnot", "circuit-fig1", "circuit-fig2", "circuit-epsilon-grid",
+            "noisy-fig4a", "noisy-cnot", "noisy-perfect-readout", "noisy-one-repeat", "noisy-exact-shots",
+        ],
+    )
+    def test_csv_bytes_equal(self, scenario, overrides):
+        config = make_config(scenario, points=9, **overrides)
+        assert render_csv(run_sweep(config)) == render_csv(per_point_sweep(config))
 
 
 class TestEmission:

@@ -7,8 +7,8 @@ from realmon.linalg import DimensionError
 from realmon.noise import DEFAULT_READOUT_FLIP, confusion_from_flip
 from realmon.sampling import ginibre_density, haar_pure_state
 from realmon.observables import SIGMA_X, SIGMA_Y, SIGMA_Z
-from realmon.states import DensityOperator, density_from_pure, maximally_mixed
-from realmon.config import ConfigError
+from realmon.states import DensityOperator, density_from_pure, maximally_mixed, stack_states, von_neumann_entropy
+from realmon.config import ConfigError, resolve_state
 from realmon.tomography import estimate_pauli, reconstruct_state, tomography_errors
 
 ZERO = DensityOperator(np.diag([1.0, 0.0]).astype(complex))
@@ -83,6 +83,64 @@ class TestStackedAxesMatchPerAxisReference:
             got = estimate_pauli(rho, shots, np.random.default_rng([k, shots]), confusion)
             want = _reference_estimate(rho, shots, np.random.default_rng([k, shots]), confusion)
             assert got == want, k
+
+
+def _random_states(count, seed):
+    """Alternating Haar-pure and Ginibre qubit states."""
+    g = np.random.default_rng(seed)
+    return [ginibre_density(2, g) if k % 2 else density_from_pure(haar_pure_state(2, g)) for k in range(count)]
+
+
+class TestStackedTomography:
+    """A stack goes through the same code as one state, member by member."""
+
+    @pytest.mark.parametrize("noisy", [False, True], ids=["ideal-readout", "readout-flip"])
+    @pytest.mark.parametrize("shots", [0, 8192])
+    def test_stack_members_equal_single_calls_bitwise(self, shots, noisy):
+        confusion = confusion_from_flip(DEFAULT_READOUT_FLIP) if noisy else None
+        states = _random_states(200, 31)
+        rngs = [np.random.default_rng([k, shots]) for k in range(len(states))]
+        stacked = estimate_pauli(stack_states(states), shots, rngs, confusion)
+        single = [estimate_pauli(s, shots, np.random.default_rng([k, shots]), confusion) for k, s in enumerate(states)]
+        assert stacked.shape == (200, 3)
+        assert [tuple(row) for row in stacked.tolist()] == single
+        rebuilt = reconstruct_state(stacked)
+        assert rebuilt.batch == 200
+        for member, bloch in zip(rebuilt.matrix, single):
+            assert (member == reconstruct_state(bloch).matrix).all()
+
+    def test_stack_with_clamped_members_equals_single_calls_bitwise(self):
+        # pure states at 8192 shots and perfect readout overshoot the Bloch ball on about half the draws
+        states = [density_from_pure(haar_pure_state(2, np.random.default_rng(k))) for k in range(40)]
+        bloch = estimate_pauli(stack_states(states), 8192, [np.random.default_rng(k) for k in range(40)])
+        bloch = np.vstack((bloch, [[1.02, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, -0.7, 0.75]]))
+        overlong = np.linalg.norm(bloch, axis=1) > 1.0
+        assert 0 < overlong.sum() < len(bloch)
+        rebuilt = reconstruct_state(bloch)
+        singles = [reconstruct_state(tuple(row)) for row in bloch.tolist()]
+        for member, one in zip(rebuilt.matrix, singles):
+            assert (member == one.matrix).all()
+        assert (von_neumann_entropy(rebuilt) == [von_neumann_entropy(one) for one in singles]).all()
+        assert rebuilt.eigenvalues()[:, 0].min() >= -1e-15
+
+    def test_single_state_still_returns_a_tuple_and_a_state(self):
+        bloch = estimate_pauli(PLUS, 64, np.random.default_rng(3))
+        assert isinstance(bloch, tuple) and len(bloch) == 3
+        assert reconstruct_state(bloch).batch is None
+
+    @pytest.mark.parametrize("rngs", [[0, 1], [0, 1, 2, 3], np.random.default_rng(0)], ids=["two", "four", "one"])
+    def test_generator_count_must_match_the_stack(self, rngs):
+        with pytest.raises(ValueError, match="3 generators"):
+            estimate_pauli(stack_states([PLUS, ZERO, PLUS]), 16, rngs)
+
+    def test_tomography_errors_equal_the_per_seed_loop(self):
+        rho = resolve_state("iplus")
+        confusion = confusion_from_flip(DEFAULT_READOUT_FLIP)
+        want = []
+        for k in range(30):
+            rec = reconstruct_state(estimate_pauli(rho, 256, np.random.default_rng([4, k]), confusion))
+            want.append(float(np.abs(rec.matrix - rho.matrix).max()))
+        assert tomography_errors("iplus", 256, 30, 4, True)["errors"] == want
 
 
 class TestReconstruct:
