@@ -52,27 +52,29 @@ class SweepRecord:
 
 
 def _point_parameters(config: SweepConfig, value: float):
-    """Resolve one grid value into (theta_m_column, epsilon, monitor_axis, probe_axis)."""
+    """Resolve one grid value into (theta_m_column, epsilon, strength, monitor_axis, probe_axis).
+
+    The strength angle builds the monitoring circuit; a strength grid passes
+    its values through as they are.
+    """
     monitor_axis = config.monitor_axis
     probe_axis = config.probe_axis
     if config.grid_kind == "theta_m":
-        eps = epsilon_of_strength(config.coupling, value)
-        return value, eps, monitor_axis, probe_axis
+        return value, epsilon_of_strength(config.coupling, value), value, monitor_axis, probe_axis
     if config.grid_kind == "epsilon":
         theta_m = strength_of_epsilon(config.coupling, value)
-        return theta_m, value, monitor_axis, probe_axis
+        return theta_m, value, theta_m, monitor_axis, probe_axis
     if config.sweep_target == "probe":
         probe_axis = (value, probe_axis[1])
     else:
         monitor_axis = (value, monitor_axis[1])
-    return value, config.epsilon, monitor_axis, probe_axis
+    return value, config.epsilon, strength_of_epsilon(config.coupling, config.epsilon), monitor_axis, probe_axis
 
 
 def _circuit_states(config, rho, points, depolarizing) -> DensityOperator:
     """Every grid point's (rho, mon, probe, probe_mon) as one (4N, 2, 2) stack, in (point, state) order."""
     mats = []
-    for _, eps, monitor_axis, probe_axis in points:
-        theta_m = strength_of_epsilon(config.coupling, eps)
+    for _, _, theta_m, monitor_axis, probe_axis in points:
         mon_circ = build_monitor_circuit([monitor_axis], theta_m, config.coupling)
         probe_circ = build_monitor_circuit([probe_axis], math.pi / 2, "CZ")
         mon = run_circuit_density(mon_circ, rho, depolarizing)
@@ -107,12 +109,12 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     rho = resolve_state(config.state)
     depolarizing = config.depolarizing if config.path == "noisy" else 0.0
     points = [_point_parameters(config, value) for value in config.grid_values]
-    pairs = [(observable_from_axis(*m_axis), observable_from_axis(*p_axis)) for _, _, m_axis, p_axis in points]
+    pairs = [(observable_from_axis(*m_axis), observable_from_axis(*p_axis)) for *_, m_axis, p_axis in points]
     if config.path == "analytic":
         report = reality_report(
             ObservableStack(x for x, _ in pairs),
             ObservableStack(xp for _, xp in pairs),
-            np.array([eps for _, eps, _, _ in points]),
+            np.array([eps for _, eps, *_ in points]),
             rho,
         )
         parts = report.entropy_initial, report.entropy_monitored, report.entropy_probe, report.entropy_probe_monitored
@@ -130,7 +132,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
         se = (gains.std(axis=0, ddof=1) / math.sqrt(len(s)) if len(s) > 1 else np.zeros_like(gains[0])).tolist()
     return [
         SweepRecord(theta_col, eps, *mean, str(classify_case(x_obs, xp_obs, rho)), config.path, *err)
-        for (theta_col, eps, _, _), (x_obs, xp_obs), mean, err in zip(points, pairs, means, se)
+        for (theta_col, eps, *_), (x_obs, xp_obs), mean, err in zip(points, pairs, means, se)
     ]
 
 

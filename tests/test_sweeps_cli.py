@@ -215,16 +215,18 @@ def per_point_sweep(config):
     for index, value in enumerate(config.grid_values):
         monitor_axis, probe_axis = config.monitor_axis, config.probe_axis
         if config.grid_kind == "theta_m":
-            theta_col, eps = value, epsilon_of_strength(config.coupling, value)
+            theta_col = strength = value
+            eps = epsilon_of_strength(config.coupling, value)
         elif config.grid_kind == "epsilon":
-            theta_col, eps = strength_of_epsilon(config.coupling, value), value
+            theta_col = strength = strength_of_epsilon(config.coupling, value)
+            eps = value
         else:
             theta_col, eps = value, config.epsilon
+            strength = strength_of_epsilon(config.coupling, eps)
             if config.sweep_target == "probe":
                 probe_axis = (value, probe_axis[1])
             else:
                 monitor_axis = (value, monitor_axis[1])
-        strength = strength_of_epsilon(config.coupling, eps)
         probe_circ = build_monitor_circuit([probe_axis], math.pi / 2, "CZ")
         mon = run_circuit_density(build_monitor_circuit([monitor_axis], strength, config.coupling), rho, depolarizing)
         probe = run_circuit_density(probe_circ, rho, depolarizing)
