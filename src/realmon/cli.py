@@ -23,6 +23,7 @@ from .config import (
     DEFAULT_SHOTS,
     SCENARIOS,
     ConfigError,
+    check_output_path,
     config_from_json,
     make_config,
 )
@@ -143,6 +144,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        check_output_path("out", args.out)  # every subcommand has --out
         if args.command == "sweep":
             return _cmd_sweep(args)
         if args.command == "verify-cases":

@@ -3,8 +3,8 @@
 A ``SweepConfig`` is built from a scenario preset plus field overrides
 (``make_config``) or from a JSON object (``config_from_json``), and
 ``validate`` rejects every malformed field with a ``ConfigError`` that names
-it.  The checks on integers, seeds, shot counts, finite numbers and state
-specs live here once and serve every entry point.
+it.  The checks on integers, seeds, shot counts, finite numbers, output
+paths and state specs live here once and serve every entry point.
 
 Grid semantics per scenario: the fig4 presets sweep the strength angle
 theta_m (intensity follows from the coupling); the fig1/fig2 presets sweep
@@ -71,6 +71,12 @@ def check_shots(shots):
         raise ConfigError(f"shots: must be an integer in [0, 2**63 - 1], got {shots!r}")
 
 
+def check_output_path(name: str, path):
+    """An output path is None (no file) or a nonempty string."""
+    if not (path is None or (isinstance(path, str) and path)):
+        raise ConfigError(f"{name}: must be a nonempty file path, got {path!r}")
+
+
 def resolve_state(spec) -> DensityOperator:
     """A preset name or a ``{"theta": .., "phi": ..}`` Bloch-angle dict as a qubit state."""
     if isinstance(spec, str):
@@ -81,8 +87,8 @@ def resolve_state(spec) -> DensityOperator:
                 f"state: unknown preset {spec!r}, expected one of {sorted(STATE_PRESETS)}"
             ) from None
     if isinstance(spec, dict):
-        if "theta" not in spec:
-            raise ConfigError(f"state: angle spec needs numeric 'theta' (and optional 'phi'), got {spec!r}")
+        if "theta" not in spec or set(spec) - {"theta", "phi"}:
+            raise ConfigError(f"state: angle spec takes numeric 'theta' and optional 'phi' only, got {spec!r}")
         theta, phi = spec["theta"], spec.get("phi", 0.0)
         if not finite_numbers((theta, phi)):
             raise ConfigError(f"state: 'theta' and 'phi' must be finite numbers, got {spec!r}")
@@ -148,8 +154,7 @@ class SweepConfig:
         if not (finite_numbers((self.readout_flip,)) and 0.0 <= self.readout_flip <= 1.0):
             raise ConfigError(f"readout_flip: must be a number in [0, 1], got {self.readout_flip!r}")
         for name in ("out", "svg", "json_out"):
-            if not isinstance(getattr(self, name), (str, type(None))):
-                raise ConfigError(f"{name}: must be a file path, got {getattr(self, name)!r}")
+            check_output_path(name, getattr(self, name))
         resolve_state(self.state)
         return self
 

@@ -52,11 +52,7 @@ class SweepRecord:
 
 
 def _point_parameters(config: SweepConfig, value: float):
-    """Resolve one grid value into (theta_m_column, epsilon, strength, monitor_axis, probe_axis).
-
-    The strength angle builds the monitoring circuit; a strength grid passes
-    its values through as they are.
-    """
+    """Resolve one grid value into (theta_m_column, epsilon, strength, monitor_axis, probe_axis)."""
     monitor_axis = config.monitor_axis
     probe_axis = config.probe_axis
     if config.grid_kind == "theta_m":
@@ -93,8 +89,8 @@ def _tomography_entropies(config, states: DensityOperator) -> np.ndarray:
     confusion = confusion_from_flip(config.readout_flip)
     bloch = []
     for rep in range(repeats):
-        rngs = [np.random.default_rng([config.seed, k // 4, rep, k % 4]) for k in range(states.batch)]
-        bloch.append(estimate_pauli(states, config.shots, rngs, confusion))
+        seeds = [[config.seed, k // 4, rep, k % 4] for k in range(states.batch)]
+        bloch.append(estimate_pauli(states, config.shots, seeds, confusion))
     return von_neumann_entropy(reconstruct_state(np.concatenate(bloch))).reshape(repeats, -1, 4)
 
 

@@ -6,10 +6,11 @@ push the three rows of outcome probabilities through the qubit's 2x2
 readout ``confusion`` matrix, sample all three axes' counts in one draw, and
 rebuild the state from the empirical Bloch vector with an eigenvalue
 clamp-and-renormalize repair.  A shot count of zero is the infinite-shot
-sentinel (exact expectations).
+sentinel (exact expectations).  Both steps take one state or a stack, with
+one generator per member.
 
-``tomography_errors`` repeats one state's reconstruction over independent
-seeds and summarises the reconstruction errors (the ``tomo-sim`` command);
+``tomography_errors`` reconstructs one state from independent seeds, as one
+stack, and summarises the reconstruction errors (the ``tomo-sim`` command);
 with readout noise it uses the default readout flip.
 """
 
@@ -37,9 +38,10 @@ def estimate_pauli(rho: DensityOperator, shots: int, rng, confusion: np.ndarray 
     """The empirical Bloch vector of a qubit state, from ``shots`` samples per Pauli axis.
 
     One state gives an ``(x, y, z)`` tuple drawn from ``rng``; an (N, 2, 2)
-    stack gives an (N, 3) array and takes N generators, row k equal to the
-    single call on member k with the k-th.  ``confusion`` is the measured
-    qubit's column-stochastic 2x2 readout matrix, or None for perfect readout.
+    stack gives an (N, 3) array and takes N generators or seeds (a seed
+    becomes its generator when it samples), row k equal to the single call on
+    member k with the k-th.  ``confusion`` is the measured qubit's
+    column-stochastic 2x2 readout matrix, or None for perfect readout.
     """
     if rho.dim != 2:
         raise DimensionError(f"single-qubit tomography needs dim 2, got {rho.dim}")
@@ -64,8 +66,8 @@ def reconstruct_state(bloch) -> DensityOperator:
     """Bloch-vector reconstruction (I + r . sigma)/2 with spectrum repair.
 
     An ``(x, y, z)`` vector gives one state, an (N, 3) array a stack.  Shot
-    noise can push the Bloch norm above 1; in any member with a negative
-    eigenvalue it is clamped to zero and the spectrum renormalized to unit trace.
+    noise can push the Bloch norm above 1; a member's negative eigenvalue is
+    then clamped to zero and its spectrum renormalized to unit trace.
     """
     rx, ry, rz = np.moveaxis(np.asarray(bloch, dtype=float), -1, 0)[..., None, None]
     rho = DensityOperator(0.5 * (IDENTITY_2 + rx * SIGMA_X + ry * SIGMA_Y + rz * SIGMA_Z), validate=False)
@@ -93,8 +95,8 @@ def tomography_errors(state: str, shots: int, seeds: int, seed: int, noisy: bool
         raise ConfigError(f"seeds: must be an integer of at least 1, got {seeds!r}")
     check_seed(seed)
     confusion = confusion_from_flip(DEFAULT_READOUT_FLIP) if noisy else None
-    rngs = [np.random.default_rng([seed, k]) for k in range(seeds)]
-    rec = reconstruct_state(estimate_pauli(stack_states([rho] * seeds), shots, rngs, confusion))
+    streams = [[seed, k] for k in range(seeds)]
+    rec = reconstruct_state(estimate_pauli(stack_states([rho] * seeds), shots, streams, confusion))
     errors = np.abs(rec.matrix - rho.matrix).max(axis=(1, 2)).tolist()
     ranked = sorted(errors)
     summary = {

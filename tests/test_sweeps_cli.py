@@ -468,6 +468,10 @@ class TestCLI:
             ({"scenario": "fig4a", "path": "noisy", "depolarizing": True}, "depolarizing"),
             ({"scenario": "fig4a", "path": "noisy", "readout_flip": True}, "readout_flip"),
             ({"scenario": "fig4a", "state": {"theta": True}}, "state"),
+            ({"scenario": "fig4a", "state": {"theta": 1.0, "Phi": 2.0}}, "state"),
+            ({"scenario": "fig4a", "out": ""}, "out"),
+            ({"scenario": "fig4a", "svg": ""}, "svg"),
+            ({"scenario": "fig4a", "json_out": ""}, "json_out"),
         ],
         ids=[
             "grid-theta_m-nan", "grid-epsilon-inf", "grid-axis_theta-nan", "flips-above-one",
@@ -476,6 +480,7 @@ class TestCLI:
             "probe-axis-three-numbers", "depolarizing-nan", "epsilon-string", "depolarizing-string",
             "seed-string", "shots-fractional", "repeats-fractional", "out-not-a-path", "epsilon-bool",
             "monitor-axis-bools", "depolarizing-bool", "flips-bool", "state-theta-bool",
+            "state-unknown-angle-key", "out-empty", "svg-empty", "json-out-empty",
         ],
     )
     def test_malformed_config_field_exit_code(self, tmp_path, capsys, fields, name):
@@ -485,6 +490,28 @@ class TestCLI:
         path.write_text(json.dumps(fields))
         assert cli_mod.main(["sweep", "--config", str(path), "--points", "3"]) == 3
         assert name in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["sweep", "--scenario", "fig4a", "--points", "3", "--out", ""], "out"),
+            (["sweep", "--scenario", "fig4a", "--points", "3", "--svg", ""], "svg"),
+            (["sweep", "--scenario", "fig4a", "--points", "3", "--json", ""], "json_out"),
+            (["verify-cases", "--trials", "1", "--dims", "2", "--out", ""], "out"),
+            (["certify-circuits", "--resolution", "2", "--out", ""], "out"),
+            (["tomo-sim", "--seeds", "2", "--out", ""], "out"),
+        ],
+        ids=["sweep-out", "sweep-svg", "sweep-json", "verify-cases-out", "certify-circuits-out", "tomo-sim-out"],
+    )
+    def test_empty_output_path_exit_code(self, tmp_path, monkeypatch, capsys, argv, name):
+        import realmon.cli as cli_mod
+
+        monkeypatch.chdir(tmp_path)
+        assert cli_mod.main(argv) == 3
+        captured = capsys.readouterr()
+        assert f"{name}: must be a nonempty file path" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flags", [["--path", "circuit"], ["--scenario", "fig4c"]])
     def test_config_file_with_path_or_scenario_flag(self, tmp_path, flags):
