@@ -29,7 +29,6 @@ from .observables import (
     commutes,
     is_mutually_unbiased,
     observable_from_axis,
-    observable_from_hermitian,
     pauli_observable,
 )
 from .channels import (

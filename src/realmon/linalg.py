@@ -7,7 +7,8 @@ diagonal to within ``OFFDIAG_TOL`` answered from their diagonal, so
 diagonal states (basis states, the maximally mixed state) keep exact
 spectra.  It takes one ``(d, d)`` matrix or an ``(N, d, d)`` stack; a
 single matrix is solved as a stack of one, and each member of a stack gets
-the same answer it would get alone.
+the same answer it would get alone.  ``tensor_product`` and
+``partial_trace`` take stacks with any number of leading axes.
 """
 
 from __future__ import annotations
@@ -26,11 +27,13 @@ class NonHermitianError(ValueError):
     """Input matrix deviates from Hermiticity beyond tolerance."""
 
 
-def _as_square_complex(m, name="matrix", *, stack=False) -> np.ndarray:
-    """``m`` as a complex (d, d) array, or also as an (N, d, d) stack if ``stack``."""
+def _as_square_complex(m, name="matrix", *, stack=False, deep=False) -> np.ndarray:
+    """``m`` as a complex (d, d) array; with ``stack`` also an (N, d, d)
+    stack, with ``deep`` a stack with any number of leading axes."""
     arr = np.asarray(m, dtype=complex)
-    if arr.ndim not in ((2, 3) if stack else (2,)) or arr.shape[-1] != arr.shape[-2] or arr.shape[-1] < 1:
-        shape = "a square 2-D array or a stack of them" if stack else "a square 2-D array"
+    ndim_ok = arr.ndim >= 2 if deep else arr.ndim in ((2, 3) if stack else (2,))
+    if not ndim_ok or arr.shape[-1] != arr.shape[-2] or arr.shape[-1] < 1:
+        shape = "a square 2-D array or a stack of them" if stack or deep else "a square 2-D array"
         raise DimensionError(f"{name} must be {shape}, got shape {arr.shape}")
     return arr
 
@@ -47,29 +50,36 @@ def hermiticity_defect(m) -> float:
 
 
 def tensor_product(a, b) -> np.ndarray:
-    """Kronecker product: entry ((i*db+k),(j*db+l)) = a[i,j] * b[k,l]."""
-    aa = _as_square_complex(a, "a")
-    bb = _as_square_complex(b, "b")
-    return np.kron(aa, bb)
+    """Kronecker product: entry ((i*db+k),(j*db+l)) = a[i,j] * b[k,l].
+
+    Either factor may be a stack (leading axes before the last two); leading
+    axes broadcast, so a stack times one matrix gives the stack of products.
+    Each entry is the one product a[i,j] * b[k,l], as in ``numpy.kron``.
+    """
+    aa = _as_square_complex(a, "a", deep=True)
+    bb = _as_square_complex(b, "b", deep=True)
+    prod = aa[..., :, None, :, None] * bb[..., None, :, None, :]
+    side = aa.shape[-1] * bb.shape[-1]
+    return prod.reshape(prod.shape[:-4] + (side, side))
 
 
 def partial_trace(m, dims, keep) -> np.ndarray:
-    """Trace out all subsystems not listed in ``keep``.
+    """Trace out all subsystems not listed in ``keep``, of a matrix or of each member of a stack.
 
     ``dims`` are the subsystem dimensions whose product must equal the side
     of ``m``; ``keep`` is a subsystem index or set of indices.  Kept
     subsystems appear in ascending index order in the result.
     """
-    arr = _as_square_complex(m)
+    arr = _as_square_complex(m, deep=True)
     dims = tuple(int(x) for x in dims)
     if any(x < 1 for x in dims):
         raise DimensionError(f"subsystem dimensions must be positive, got {dims}")
     total = 1
     for x in dims:
         total *= x
-    if total != arr.shape[0]:
+    if total != arr.shape[-1]:
         raise DimensionError(
-            f"subsystem dimensions {dims} do not factor matrix of side {arr.shape[0]}"
+            f"subsystem dimensions {dims} do not factor matrix of side {arr.shape[-1]}"
         )
     if isinstance(keep, (int, np.integer)):
         keep = (int(keep),)
@@ -80,15 +90,15 @@ def partial_trace(m, dims, keep) -> np.ndarray:
     if any(k < 0 or k >= n for k in keep):
         raise DimensionError(f"keep indices {keep} out of range for {n} subsystems")
     keep_set = set(keep)
-    t = arr.reshape(dims + dims)
+    t = arr.reshape(arr.shape[:-2] + dims + dims)
     row_idx = list(range(n))
     col_idx = [n + k if k in keep_set else k for k in range(n)]
     out_idx = [k for k in keep] + [n + k for k in keep]
-    reduced = np.einsum(t, row_idx + col_idx, out_idx)
+    reduced = np.einsum(t, [..., *row_idx, *col_idx], [..., *out_idx])
     d_keep = 1
     for k in keep:
         d_keep *= dims[k]
-    return reduced.reshape(d_keep, d_keep)
+    return reduced.reshape(arr.shape[:-2] + (d_keep, d_keep))
 
 
 def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:

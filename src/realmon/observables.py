@@ -14,13 +14,7 @@ import math
 
 import numpy as np
 
-from .linalg import (
-    DimensionError,
-    dagger,
-    hermitian_eig,
-    hermiticity_defect,
-    tensor_product,
-)
+from .linalg import DimensionError, hermiticity_defect, tensor_product
 
 PROJECTOR_TOL = 1e-10
 COMPLETENESS_TOL = 1e-10
@@ -159,25 +153,6 @@ def observable_from_axis(theta: float, phi: float = 0.0) -> ProjectiveObservable
         (np.outer(n0, n0.conj()), np.outer(n1, n1.conj())),
         validate=False,
     )
-
-
-def observable_from_hermitian(m) -> ProjectiveObservable:
-    """Spectral decomposition with eigenvalues within 1e-9 merged into one projector."""
-    w, v = hermitian_eig(m)
-    d = len(w)
-    groups: list[list[int]] = [[0]]
-    for k in range(1, d):
-        if w[k] - w[groups[-1][-1]] <= DEGENERACY_TOL:
-            groups[-1].append(k)
-        else:
-            groups.append([k])
-    values = []
-    projectors = []
-    for grp in groups:
-        cols = v[:, grp]
-        projectors.append(cols @ dagger(cols))
-        values.append(float(np.mean(w[grp])))
-    return ProjectiveObservable(values, projectors, validate=False)
 
 
 def commutes(x: ProjectiveObservable, x2: ProjectiveObservable) -> bool:

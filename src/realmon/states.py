@@ -142,7 +142,3 @@ def von_neumann_entropy(rho: DensityOperator):
     A float for one state, an array of the members' entropies for a stack.
     """
     return entropy_of_probabilities(rho.eigenvalues())
-
-
-def maximally_mixed(d: int) -> DensityOperator:
-    return DensityOperator(np.eye(d, dtype=complex) / d, validate=False)

@@ -7,8 +7,9 @@ circuits with finite-shot tomography), and renders the records as CSV or
 JSON.  Records are produced in grid order and all randomness is derived
 from the config seed per (point, repeat, state), so identical configs give
 byte-identical CSV regardless of evaluation order.  Every path evaluates
-the whole grid as one stack; only circuit construction and case labels are
-per grid point.
+the whole grid as one stack: the circuit paths build one stack of monitor
+circuits and one of probe circuits per sweep, and make three stacked runs.
+Only the grid parameters and the case labels are per grid point.
 """
 
 from __future__ import annotations
@@ -68,30 +69,36 @@ def _point_parameters(config: SweepConfig, value: float):
 
 
 def _circuit_states(config, rho, points, depolarizing) -> DensityOperator:
-    """Every grid point's (rho, mon, probe, probe_mon) as one (4N, 2, 2) stack, in (point, state) order."""
-    mats = []
-    for _, _, theta_m, monitor_axis, probe_axis in points:
-        mon_circ = build_monitor_circuit([monitor_axis], theta_m, config.coupling)
-        probe_circ = build_monitor_circuit([probe_axis], math.pi / 2, "CZ")
-        mon = run_circuit_density(mon_circ, rho, depolarizing)
-        probe = run_circuit_density(probe_circ, rho, depolarizing)
-        probe_mon = run_circuit_density(probe_circ, mon, depolarizing)
-        mats += [rho.matrix, mon.matrix, probe.matrix, probe_mon.matrix]
-    return DensityOperator(np.stack(mats), validate=False)
+    """Every grid point's (rho, mon, probe, probe_mon) as one (4N, 2, 2) stack, in (point, state) order.
+
+    The grid's monitor circuits form one stack of N and its probe circuits
+    another, so the whole grid takes three stacked circuit runs.
+    """
+    strength, monitor_axes, probe_axes = (np.array([p[i] for p in points]) for i in (2, 3, 4))
+    mon_circ = build_monitor_circuit([monitor_axes.T], strength, config.coupling)
+    probe_circ = build_monitor_circuit([probe_axes.T], math.pi / 2, "CZ")
+    mon = run_circuit_density(mon_circ, rho, depolarizing)
+    probe = run_circuit_density(probe_circ, rho, depolarizing)
+    probe_mon = run_circuit_density(probe_circ, mon, depolarizing)
+    mats = (np.broadcast_to(rho.matrix, mon.matrix.shape), mon.matrix, probe.matrix, probe_mon.matrix)
+    return DensityOperator(np.stack(mats, axis=1).reshape(-1, 2, 2), validate=False)
 
 
 def _tomography_entropies(config, states: DensityOperator) -> np.ndarray:
     """(repeats, N, 4) entropies of the stacked states' tomographic reconstructions.
 
-    Member k, state k % 4 of grid point k // 4, samples repeat r from seed ``[seed, k // 4, r, k % 4]``.
+    Each repeat estimates, reconstructs and takes the entropy of the whole
+    stack at once, so only one repeat's states are held at a time.  Member
+    k, state k % 4 of grid point k // 4, samples repeat r from seed
+    ``[seed, k // 4, r, k % 4]``.
     """
     repeats = 1 if config.shots == 0 else config.repeats
     confusion = confusion_from_flip(config.readout_flip)
-    bloch = []
+    entropies = []
     for rep in range(repeats):
         seeds = [[config.seed, k // 4, rep, k % 4] for k in range(states.batch)]
-        bloch.append(estimate_pauli(states, config.shots, seeds, confusion))
-    return von_neumann_entropy(reconstruct_state(np.concatenate(bloch))).reshape(repeats, -1, 4)
+        entropies.append(von_neumann_entropy(reconstruct_state(estimate_pauli(states, config.shots, seeds, confusion))))
+    return np.stack(entropies).reshape(repeats, -1, 4)
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRecord]:

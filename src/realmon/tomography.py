@@ -9,9 +9,10 @@ clamp-and-renormalize repair.  A shot count of zero is the infinite-shot
 sentinel (exact expectations).  Both steps take one state or a stack, with
 one generator per member.
 
-``tomography_errors`` reconstructs one state from independent seeds, as one
-stack, and summarises the reconstruction errors (the ``tomo-sim`` command);
-with readout noise it uses the default readout flip.
+``tomography_errors`` reconstructs one state from independent seeds, in
+stacks of at most ``SEED_CHUNK`` seeds so that memory stays flat in the
+seed count, and summarises the reconstruction errors (the ``tomo-sim``
+command); with readout noise it uses the default readout flip.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ _SDG = np.array([[1.0, 0.0], [0.0, -1j]], dtype=complex)
 # R sigma_axis R† = sigma_z, so diag(R rho R†) are the axis outcome probabilities (x, y, z).
 _AXIS_ROTATIONS = np.stack((_HADAMARD, _HADAMARD @ _SDG, IDENTITY_2))
 _AXIS_ROTATIONS_DAG = _AXIS_ROTATIONS.conj().transpose(0, 2, 1)
+SEED_CHUNK = 4096  # seeds per stack in tomography_errors
 
 
 def estimate_pauli(rho: DensityOperator, shots: int, rng, confusion: np.ndarray | None = None):
@@ -95,9 +97,11 @@ def tomography_errors(state: str, shots: int, seeds: int, seed: int, noisy: bool
         raise ConfigError(f"seeds: must be an integer of at least 1, got {seeds!r}")
     check_seed(seed)
     confusion = confusion_from_flip(DEFAULT_READOUT_FLIP) if noisy else None
-    streams = [[seed, k] for k in range(seeds)]
-    rec = reconstruct_state(estimate_pauli(stack_states([rho] * seeds), shots, streams, confusion))
-    errors = np.abs(rec.matrix - rho.matrix).max(axis=(1, 2)).tolist()
+    errors = []
+    for start in range(0, seeds, SEED_CHUNK):
+        streams = [[seed, k] for k in range(start, min(start + SEED_CHUNK, seeds))]
+        rec = reconstruct_state(estimate_pauli(stack_states([rho] * len(streams)), shots, streams, confusion))
+        errors += np.abs(rec.matrix - rho.matrix).max(axis=(1, 2)).tolist()
     ranked = sorted(errors)
     summary = {
         "state": state,

@@ -20,15 +20,32 @@ from realmon.states import (
     DensityOperator,
     PureState,
     density_from_pure,
-    maximally_mixed,
     stack_states,
     von_neumann_entropy,
 )
+
+
+def maximally_mixed(d):
+    """The maximally mixed state I/d."""
+    return DensityOperator(np.eye(d, dtype=complex) / d, validate=False)
+
 
 PLUS = DensityOperator(np.full((2, 2), 0.5, dtype=complex))
 ZERO = DensityOperator(np.diag([1.0, 0.0]).astype(complex))
 SZ = pauli_observable("z")
 SX = pauli_observable("x")
+
+
+def per_unit_superoperator(ch):
+    """The superoperator built one matrix unit at a time, column k*d+l the image of E_kl."""
+    d = ch.dim
+    mat = np.zeros((d * d, d * d), dtype=complex)
+    for k in range(d):
+        for l in range(d):
+            unit = np.zeros((d, d), dtype=complex)
+            unit[k, l] = 1.0
+            mat[:, k * d + l] = ch.apply_matrix(unit).reshape(-1)
+    return mat
 
 
 def channels_equal(a, b, tol=1e-10):
@@ -164,6 +181,19 @@ class TestSuperoperator:
         assert channels_equal(a, b)
         assert not channels_equal(a, c)
         assert channels_equal(a, to_superoperator(a))
+
+    def test_stacked_units_equal_the_per_unit_loop_bitwise(self):
+        rng = np.random.default_rng(8)
+        channels = [DephasingChannel(SZ), MonitoringChannel(SX, 0.3)]
+        for d in (2, 3, 4):
+            obs = random_observable(d, rng)
+            channels += [DephasingChannel(obs), MonitoringChannel(obs, float(rng.random()))]
+            channels.append(ComposedChannel(MonitoringChannel(random_observable(d, rng), 0.7), channels[-1]))
+        for n in (1, 2, 3):
+            bases = [(float(rng.uniform(0, math.pi)), float(rng.uniform(-math.pi, math.pi))) for _ in range(n)]
+            channels.append(product_monitor(bases, float(rng.random())))
+        for ch in channels:
+            assert np.array_equal(to_superoperator(ch).matrix, per_unit_superoperator(ch))
 
     def test_trace_preservation_on_basis(self):
         rng = np.random.default_rng(5)

@@ -22,7 +22,13 @@ from realmon.linalg import DimensionError
 from realmon.noise import DEFAULT_DEPOLARIZING_RATE
 from realmon.observables import SIGMA_X, SIGMA_Y, SIGMA_Z, observable_from_axis
 from realmon.reality import scenario2_eigenvalues
-from realmon.states import DensityOperator, maximally_mixed
+from realmon.states import DensityOperator
+
+
+def maximally_mixed(d):
+    """The maximally mixed state I/d."""
+    return DensityOperator(np.eye(d, dtype=complex) / d, validate=False)
+
 
 PLUS = DensityOperator(np.full((2, 2), 0.5, dtype=complex))
 
@@ -298,6 +304,92 @@ class TestChannelExtraction:
         circ = build_monitor_circuit(bases, theta_m, "CZ")
         ref = product_monitor(bases, epsilon_of_strength("CZ", theta_m))
         assert channels_equal(extract_channel(circ), to_superoperator(ref))
+
+
+    @pytest.mark.parametrize("coupling", COUPLINGS)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_stacked_units_match_the_per_unit_loop(self, n, coupling):
+        circ = build_monitor_circuit(_bases("random", n), 0.7, coupling)
+        d = circ.dim
+        loop = np.zeros((d * d, d * d), dtype=complex)
+        for k in range(d):
+            for l in range(d):
+                unit = np.zeros((d, d), dtype=complex)
+                unit[k, l] = 1.0
+                loop[:, k * d + l] = circ.apply_matrix(unit).reshape(-1)
+        assert np.abs(extract_channel(circ).matrix - loop).max() <= 1e-15
+
+
+def _random_stack(n, size, coupling, seed):
+    """A stack of ``size`` monitor circuits on ``n`` qubits with random strengths
+    and axes, and the same circuits built one at a time."""
+    rng = np.random.default_rng(seed)
+    strength = rng.uniform(0, math.pi / 2, size)
+    theta = rng.uniform(0, math.pi, (n, size))
+    phi = rng.uniform(-math.pi, math.pi, (n, size))
+    stack = build_monitor_circuit([(theta[q], phi[q]) for q in range(n)], strength, coupling)
+    singles = [
+        build_monitor_circuit([(float(theta[q, k]), float(phi[q, k])) for q in range(n)], float(strength[k]), coupling)
+        for k in range(size)
+    ]
+    return stack, singles
+
+
+class TestCircuitStacks:
+    """An N-member circuit stack against its members built and run one at a time."""
+
+    @pytest.mark.parametrize("coupling", COUPLINGS)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_members_match_single_circuits_bitwise(self, n, coupling):
+        stack, singles = _random_stack(n, 5, coupling, 30 + n)
+        d = 2**n
+        assert stack.batch == 5 and singles[0].batch is None
+        assert stack.isometry.shape == (5, 4**n, d) and not stack.isometry.flags.writeable
+        mats = np.stack([_random_operator(d, 40 + k) for k in range(5)])
+        one = _random_operator(d, 50)
+        member_wise = apply_circuit_matrix(stack, mats)
+        broadcast = apply_circuit_matrix(stack, one)
+        noisy = apply_circuit_matrix(stack, mats, depolarizing=0.1)
+        extracted = extract_channel(stack).matrix
+        assert extracted.shape == (5, d * d, d * d)
+        for k, single in enumerate(singles):
+            assert np.array_equal(stack.isometry[k], single.isometry)
+            assert np.array_equal(member_wise[k], apply_circuit_matrix(single, mats[k]))
+            assert np.array_equal(broadcast[k], apply_circuit_matrix(single, one))
+            assert np.array_equal(noisy[k], apply_circuit_matrix(single, mats[k], depolarizing=0.1))
+            assert np.array_equal(extracted[k], extract_channel(single).matrix)
+
+    def test_products_sliced_one_row_at_a_time_match(self, monkeypatch):
+        stack, _ = _random_stack(2, 3, "CNOT", 70)
+        mats = np.stack([_random_operator(4, 80 + k) for k in range(3)])
+        calls = (lambda: extract_channel(stack).matrix, lambda: apply_circuit_matrix(stack, mats))
+        whole = [f() for f in calls]
+        monkeypatch.setattr(circuits, "PRODUCT_CHUNK", 1)
+        for f, want in zip(calls, whole):
+            assert np.array_equal(f(), want)
+
+    def test_state_stacks_run_member_by_member(self):
+        stack, singles = _random_stack(1, 4, "CZ", 60)
+        states = DensityOperator(np.stack([np.full((2, 2), 0.5), np.diag([1.0, 0.0]), np.eye(2) / 2, PLUS.matrix]))
+        out = run_circuit_density(stack, states, DEFAULT_DEPOLARIZING_RATE)
+        for k, single in enumerate(singles):
+            rho = DensityOperator(states.matrix[k])
+            assert np.array_equal(out.matrix[k], run_circuit_density(single, rho, DEFAULT_DEPOLARIZING_RATE).matrix)
+
+    def test_stack_validation(self):
+        gate = Gate("U3", (0,), (np.array([0.1, 0.2, 0.3]), 0.0, 0.0))
+        assert gate.matrix.shape == (3, 2, 2)
+        assert gate == Gate("U3", (0,), ([0.1, 0.2, 0.3], 0.0, 0.0))
+        assert hash(gate) == hash(Gate("U3", (0,), ((0.1, 0.2, 0.3), 0.0, 0.0)))
+        assert np.array_equal(gate.matrix[1], u3_matrix(0.2, 0.0, 0.0))
+        with pytest.raises(DimensionError):
+            Gate("U3", (0,), (np.zeros((2, 2)), 0.0, 0.0))
+        with pytest.raises(DimensionError):
+            Circuit(1, (gate, Gate("U3", (0,), (np.zeros(2), 0.0, 0.0))), 1)
+        with pytest.raises(ValueError):
+            build_monitor_circuit([(0.0, 0.0)], np.array([0.1, 2.0]), "CZ")
+        with pytest.raises(DimensionError):
+            apply_circuit_matrix(build_monitor_circuit([(0.0, 0.0)], np.array([0.1, 0.2])), np.eye(4))
 
 
 class TestEpsilonOfStrength:

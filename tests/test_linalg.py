@@ -63,6 +63,23 @@ class TestTensorProduct:
         with pytest.raises(DimensionError):
             tensor_product(np.ones((2, 3)), I2)
 
+    def test_bitwise_equal_to_kron(self):
+        rng = np.random.default_rng(6)
+        for da, db in ((1, 2), (2, 2), (2, 8), (4, 2), (3, 4)):
+            a = rng.normal(size=(da, da)) + 1j * rng.normal(size=(da, da))
+            b = rng.normal(size=(db, db)) + 1j * rng.normal(size=(db, db))
+            assert np.array_equal(tensor_product(a, b), np.kron(a, b))
+
+    def test_stacks_broadcast(self):
+        rng = np.random.default_rng(7)
+        a = rng.normal(size=(5, 2, 2)) + 1j * rng.normal(size=(5, 2, 2))
+        b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        out = tensor_product(a, b)
+        assert out.shape == (5, 6, 6)
+        for k in range(5):
+            assert np.array_equal(out[k], np.kron(a[k], b))
+        assert np.array_equal(tensor_product(b, a)[2], np.kron(b, a[2]))
+
 
 class TestPartialTrace:
     def test_product_state(self):
@@ -102,6 +119,15 @@ class TestPartialTrace:
         b = random_hermitian(3, rng)
         out = partial_trace(tensor_product(a, b), [2, 3], keep=[1, 0])
         assert np.abs(out - tensor_product(a, b)).max() <= 1e-12
+
+    def test_stack_members_match_single_traces(self):
+        rng = np.random.default_rng(5)
+        stack = np.stack([random_hermitian(8, rng) for _ in range(6)]).reshape(2, 3, 8, 8)
+        out = partial_trace(stack, [2, 2, 2], keep=[0, 2])
+        assert out.shape == (2, 3, 4, 4)
+        for i in range(2):
+            for j in range(3):
+                assert np.array_equal(out[i, j], partial_trace(stack[i, j], [2, 2, 2], keep=[0, 2]))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from realmon.linalg import DimensionError, tensor_product
+from realmon.linalg import DimensionError, dagger, hermitian_eig, tensor_product
 from realmon.observables import (
+    DEGENERACY_TOL,
     DegenerateObservableError,
     ObservableStack,
     ProjectiveObservable,
@@ -14,12 +15,25 @@ from realmon.observables import (
     commutes,
     is_mutually_unbiased,
     observable_from_axis,
-    observable_from_hermitian,
     observable_on_qubit,
     pauli_observable,
     standard_mub_observables,
 )
 from realmon.sampling import random_observable
+
+
+def observable_from_hermitian(m):
+    """Spectral decomposition of a Hermitian matrix, eigenvalues within
+    ``DEGENERACY_TOL`` merged into one projector."""
+    w, v = hermitian_eig(m)
+    groups = [[0]]
+    for k in range(1, len(w)):
+        if w[k] - w[groups[-1][-1]] <= DEGENERACY_TOL:
+            groups[-1].append(k)
+        else:
+            groups.append([k])
+    projectors = [v[:, grp] @ dagger(v[:, grp]) for grp in groups]
+    return ProjectiveObservable([float(np.mean(w[grp])) for grp in groups], projectors, validate=False)
 
 
 class TestObservableFromAxis:

@@ -7,8 +7,8 @@ from realmon.channels import MonitoringChannel, monitor
 from realmon.linalg import DimensionError
 from realmon.observables import (
     ObservableStack,
+    ProjectiveObservable,
     observable_from_axis,
-    observable_from_hermitian,
     pauli_observable,
 )
 from realmon.reality import (
@@ -36,9 +36,21 @@ from realmon.states import (
     PureState,
     density_from_pure,
     entropy_of_probabilities,
-    maximally_mixed,
     stack_states,
 )
+
+
+def maximally_mixed(d):
+    """The maximally mixed state I/d."""
+    return DensityOperator(np.eye(d, dtype=complex) / d, validate=False)
+
+
+def diagonal_observable(values):
+    """Observable with eigenvalue values[k] on basis state k."""
+    return ProjectiveObservable(values, [np.diag(row) for row in np.eye(len(values), dtype=complex)])
+
+
+IDENTITY_OBSERVABLE = ProjectiveObservable((1.0,), [np.eye(2, dtype=complex)])
 
 SZ = pauli_observable("z")
 SX = pauli_observable("x")
@@ -68,7 +80,7 @@ class TestIrrealityReality:
 
     def test_two_qubit_diagonal_reality(self):
         # nondegenerate diagonal observable on the maximally mixed 2-qubit state
-        obs = observable_from_hermitian(np.diag([1.5, 0.5, -0.5, -1.5]).astype(complex))
+        obs = diagonal_observable((1.5, 0.5, -0.5, -1.5))
         assert reality(obs, maximally_mixed(4)) == 2.0
 
     def test_nonnegative(self):
@@ -226,8 +238,7 @@ class TestCases:
 
 class TestClassify:
     def test_compatible(self):
-        identity_obs = observable_from_hermitian(np.eye(2, dtype=complex))
-        assert classify_case(SZ, identity_obs, ISTATE) is CaseLabel.COMPATIBLE
+        assert classify_case(SZ, IDENTITY_OBSERVABLE, ISTATE) is CaseLabel.COMPATIBLE
 
     def test_x_diagonal(self):
         assert classify_case(SZ, observable_from_axis(1.0, 0.3), ZERO) is CaseLabel.X_DIAGONAL

@@ -10,10 +10,15 @@ from realmon.states import (
     PureState,
     density_from_pure,
     entropy_of_probabilities,
-    maximally_mixed,
     stack_states,
     von_neumann_entropy,
 )
+
+
+def maximally_mixed(d):
+    """The maximally mixed state I/d."""
+    return DensityOperator(np.eye(d, dtype=complex) / d, validate=False)
+
 
 H2_QUARTER = 0.8112781244591328  # binary entropy of 0.25, frozen from direct evaluation
 

@@ -18,7 +18,15 @@ from realmon.circuits import (
     run_circuit_density,
     strength_of_epsilon,
 )
-from realmon.config import ConfigError, SweepConfig, config_from_json, make_config, resolve_state
+from realmon.config import (
+    MAX_GRID_POINTS,
+    MAX_REPEATS,
+    ConfigError,
+    SweepConfig,
+    config_from_json,
+    make_config,
+    resolve_state,
+)
 from realmon.noise import confusion_from_flip
 from realmon.reality import classify_case
 from realmon.states import von_neumann_entropy
@@ -396,9 +404,61 @@ class TestVerifyAndCertifyAPI:
         for resolution in (2, 3):
             extracted.clear()
             assert certify_mod.certify_circuits(resolution=resolution, seed=3).ok
-            # 2 couplings x 2 widths x 3 bases per strength, plus the three-qubit smoke test
-            assert len(extracted) == 12 * resolution + 3
+            # one stack per coupling and width, of 3 bases per strength, plus the
+            # three-qubit smoke test: 12 * resolution + 3 circuits, each extracted once
+            assert [c.batch for c in extracted] == [3 * resolution] * 4 + [3]
             assert len(set(extracted)) == len(extracted)
+
+
+class TestSizeCaps:
+    """Size fields are capped before any grid or stack is built.
+
+    Every oversize value here is checked through validation only: the grid
+    builder and the sweep engine are replaced by functions that fail the
+    test if they are reached.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _refuse_to_run(self, monkeypatch):
+        import realmon.cli as cli_mod
+
+        def refuse(*args):
+            raise AssertionError("an oversize config reached the sweep engine")
+
+        monkeypatch.setattr(cli_mod, "run_sweep", refuse)
+        self.main = cli_mod.main
+
+    def _exit_code(self, tmp_path, fields, *argv):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(fields))
+        return self.main(["sweep", "--config", str(path), *argv])
+
+    @staticmethod
+    def _refuse_grid(points, stop):
+        raise AssertionError(f"a grid of {points} points was built before the size check")
+
+    @pytest.mark.parametrize("points", [MAX_GRID_POINTS + 1, 100_000_000, 10**30])
+    def test_points_over_the_cap_exit_3_before_the_grid_is_built(self, tmp_path, capsys, monkeypatch, points):
+        import realmon.config as config_mod
+
+        monkeypatch.setattr(config_mod, "_grid", self._refuse_grid)
+        assert self._exit_code(tmp_path, {"scenario": "fig4a", "points": points}) == 3
+        assert "points" in capsys.readouterr().err
+        assert self.main(["sweep", "--scenario", "fig4c", "--points", str(points)]) == 3
+
+    def test_repeats_over_the_cap_exit_3(self, tmp_path, capsys):
+        fields = {"scenario": "fig4a", "path": "noisy", "repeats": MAX_REPEATS + 1}
+        assert self._exit_code(tmp_path, fields, "--points", "3") == 3
+        assert "repeats" in capsys.readouterr().err
+
+    def test_grid_values_over_the_cap_exit_3(self, tmp_path, capsys):
+        fields = {"grid_kind": "epsilon", "grid_values": [0.5] * (MAX_GRID_POINTS + 1)}
+        assert self._exit_code(tmp_path, fields) == 3
+        assert "grid_values" in capsys.readouterr().err
+
+    def test_caps_themselves_are_accepted(self):
+        assert make_config("fig4a", points=3, path="noisy", repeats=MAX_REPEATS).repeats == MAX_REPEATS
+        assert len(make_config("fig4a", points=MAX_GRID_POINTS).grid_values) == MAX_GRID_POINTS
 
 
 class TestCLI:

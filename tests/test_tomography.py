@@ -7,12 +7,17 @@ from realmon.linalg import DimensionError
 from realmon.noise import DEFAULT_READOUT_FLIP, confusion_from_flip
 from realmon.sampling import ginibre_density, haar_pure_state
 from realmon.observables import SIGMA_X, SIGMA_Y, SIGMA_Z
-from realmon.states import DensityOperator, density_from_pure, maximally_mixed, stack_states, von_neumann_entropy
+from realmon.states import DensityOperator, density_from_pure, stack_states, von_neumann_entropy
 from realmon.config import ConfigError, resolve_state
 from realmon.tomography import estimate_pauli, reconstruct_state, tomography_errors
 
 ZERO = DensityOperator(np.diag([1.0, 0.0]).astype(complex))
 PLUS = DensityOperator(np.full((2, 2), 0.5, dtype=complex))
+
+
+def maximally_mixed(d):
+    """The maximally mixed state I/d."""
+    return DensityOperator(np.eye(d, dtype=complex) / d, validate=False)
 
 
 def pauli_traces(rho):
@@ -141,6 +146,13 @@ class TestStackedTomography:
             rec = reconstruct_state(estimate_pauli(rho, 256, np.random.default_rng([4, k]), confusion))
             want.append(float(np.abs(rec.matrix - rho.matrix).max()))
         assert tomography_errors("iplus", 256, 30, 4, True)["errors"] == want
+
+    def test_chunked_run_equals_one_chunk(self, monkeypatch):
+        import realmon.tomography as tomography_mod
+
+        whole = tomography_errors("iplus", 256, 30, 4, True)
+        monkeypatch.setattr(tomography_mod, "SEED_CHUNK", 7)
+        assert tomography_errors("iplus", 256, 30, 4, True) == whole
 
 
 class TestReconstruct:
