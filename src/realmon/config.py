@@ -135,10 +135,10 @@ class SweepConfig:
             raise ConfigError(f"grid_kind: unknown value {self.grid_kind!r}")
         if not self.grid_values:
             raise ConfigError("grid_values: grid must be nonempty")
-        if len(self.grid_values) > MAX_GRID_POINTS:
-            raise ConfigError(f"grid_values: at most {MAX_GRID_POINTS} points, got {len(self.grid_values)}")
         if not finite_numbers(self.grid_values):
             raise ConfigError(f"grid_values: must be finite numbers, got {self.grid_values!r}")
+        if len(self.grid_values) > MAX_GRID_POINTS:
+            raise ConfigError(f"grid_values: at most {MAX_GRID_POINTS} points, got {len(self.grid_values)}")
         for name in ("monitor_axis", "probe_axis"):
             axis = getattr(self, name)
             if not (finite_numbers(axis) and len(axis) == 2):

@@ -27,14 +27,13 @@ class NonHermitianError(ValueError):
     """Input matrix deviates from Hermiticity beyond tolerance."""
 
 
-def _as_square_complex(m, name="matrix", *, stack=False, deep=False) -> np.ndarray:
-    """``m`` as a complex (d, d) array; with ``stack`` also an (N, d, d)
-    stack, with ``deep`` a stack with any number of leading axes."""
+def _as_square_complex(m, name="matrix", max_lead=None) -> np.ndarray:
+    """``m`` as a complex stack of square matrices, with at most ``max_lead``
+    leading axes (any number if None)."""
     arr = np.asarray(m, dtype=complex)
-    ndim_ok = arr.ndim >= 2 if deep else arr.ndim in ((2, 3) if stack else (2,))
-    if not ndim_ok or arr.shape[-1] != arr.shape[-2] or arr.shape[-1] < 1:
-        shape = "a square 2-D array or a stack of them" if stack or deep else "a square 2-D array"
-        raise DimensionError(f"{name} must be {shape}, got shape {arr.shape}")
+    lead_ok = arr.ndim >= 2 and (max_lead is None or arr.ndim - 2 <= max_lead)
+    if not lead_ok or arr.shape[-1] != arr.shape[-2] or arr.shape[-1] < 1:
+        raise DimensionError(f"{name} must be a square 2-D array or a stack of them, got shape {arr.shape}")
     return arr
 
 
@@ -56,8 +55,8 @@ def tensor_product(a, b) -> np.ndarray:
     axes broadcast, so a stack times one matrix gives the stack of products.
     Each entry is the one product a[i,j] * b[k,l], as in ``numpy.kron``.
     """
-    aa = _as_square_complex(a, "a", deep=True)
-    bb = _as_square_complex(b, "b", deep=True)
+    aa = _as_square_complex(a, "a")
+    bb = _as_square_complex(b, "b")
     prod = aa[..., :, None, :, None] * bb[..., None, :, None, :]
     side = aa.shape[-1] * bb.shape[-1]
     return prod.reshape(prod.shape[:-4] + (side, side))
@@ -70,7 +69,7 @@ def partial_trace(m, dims, keep) -> np.ndarray:
     of ``m``; ``keep`` is a subsystem index or set of indices.  Kept
     subsystems appear in ascending index order in the result.
     """
-    arr = _as_square_complex(m, deep=True)
+    arr = _as_square_complex(m)
     dims = tuple(int(x) for x in dims)
     if any(x < 1 for x in dims):
         raise DimensionError(f"subsystem dimensions must be positive, got {dims}")
@@ -113,7 +112,7 @@ def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:
     LAPACK decides the column order among exactly tied eigenvalues.  Each
     member of a stack gets bitwise the answer it gets alone.
     """
-    arr = _as_square_complex(m, stack=True)
+    arr = _as_square_complex(m, max_lead=1)
     finite = np.isfinite(arr)
     if not finite.all():
         entry = tuple(int(i) for i in np.argwhere(~finite)[0])

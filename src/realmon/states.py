@@ -70,7 +70,7 @@ class DensityOperator:
     __slots__ = ("matrix", "_eigensystem")
 
     def __init__(self, matrix, *, validate: bool = True):
-        arr = np.ascontiguousarray(_as_square_complex(matrix, "density matrix", stack=True))
+        arr = np.ascontiguousarray(_as_square_complex(matrix, "density matrix", max_lead=1))
         arr.setflags(write=False)
         self.matrix = arr
         self._eigensystem = None

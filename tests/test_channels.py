@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from _helpers import maximally_mixed
 from realmon.channels import (
     ComposedChannel,
     DephasingChannel,
@@ -23,11 +24,6 @@ from realmon.states import (
     stack_states,
     von_neumann_entropy,
 )
-
-
-def maximally_mixed(d):
-    """The maximally mixed state I/d."""
-    return DensityOperator(np.eye(d, dtype=complex) / d, validate=False)
 
 
 PLUS = DensityOperator(np.full((2, 2), 0.5, dtype=complex))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from _helpers import maximally_mixed
 from realmon import circuits
 from realmon.channels import MonitoringChannel, product_monitor, to_superoperator
 from realmon.circuits import (
@@ -23,11 +24,6 @@ from realmon.noise import DEFAULT_DEPOLARIZING_RATE
 from realmon.observables import SIGMA_X, SIGMA_Y, SIGMA_Z, observable_from_axis
 from realmon.reality import scenario2_eigenvalues
 from realmon.states import DensityOperator
-
-
-def maximally_mixed(d):
-    """The maximally mixed state I/d."""
-    return DensityOperator(np.eye(d, dtype=complex) / d, validate=False)
 
 
 PLUS = DensityOperator(np.full((2, 2), 0.5, dtype=complex))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from _helpers import maximally_mixed
 from realmon.channels import MonitoringChannel, monitor
 from realmon.linalg import DimensionError
 from realmon.observables import (
@@ -38,11 +39,6 @@ from realmon.states import (
     entropy_of_probabilities,
     stack_states,
 )
-
-
-def maximally_mixed(d):
-    """The maximally mixed state I/d."""
-    return DensityOperator(np.eye(d, dtype=complex) / d, validate=False)
 
 
 def diagonal_observable(values):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from _helpers import maximally_mixed
 from realmon.sampling import ginibre_density, haar_pure_state, haar_unitary
 from realmon.states import (
     DensityOperator,
@@ -13,11 +14,6 @@ from realmon.states import (
     stack_states,
     von_neumann_entropy,
 )
-
-
-def maximally_mixed(d):
-    """The maximally mixed state I/d."""
-    return DensityOperator(np.eye(d, dtype=complex) / d, validate=False)
 
 
 H2_QUARTER = 0.8112781244591328  # binary entropy of 0.25, frozen from direct evaluation

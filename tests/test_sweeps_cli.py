@@ -332,6 +332,11 @@ class TestEmission:
             write_text("/nonexistent-dir/out.csv", render_csv(records))
 
 
+def member_params(gate, k):
+    """Member ``k``'s angles of a possibly stacked gate."""
+    return tuple(p[k] if isinstance(p, tuple) else p for p in gate.params)
+
+
 class TestVerifyAndCertifyAPI:
     def test_verify_cases_ok(self):
         report = verify_cases(seed=5, trials=25, dims=(2, 3))
@@ -407,7 +412,12 @@ class TestVerifyAndCertifyAPI:
             # one stack per coupling and width, of 3 bases per strength, plus the
             # three-qubit smoke test: 12 * resolution + 3 circuits, each extracted once
             assert [c.batch for c in extracted] == [3 * resolution] * 4 + [3]
-            assert len(set(extracted)) == len(extracted)
+            members = {
+                (c.width, c.n_system, tuple((g.kind, g.qubits, member_params(g, k)) for g in c.gates))
+                for c in extracted
+                for k in range(c.batch)
+            }
+            assert len(members) == 12 * resolution + 3
 
 
 class TestSizeCaps:
@@ -532,6 +542,8 @@ class TestCLI:
             ({"scenario": "fig4a", "out": ""}, "out"),
             ({"scenario": "fig4a", "svg": ""}, "svg"),
             ({"scenario": "fig4a", "json_out": ""}, "json_out"),
+            ({"grid_values": 5}, "grid_values"),
+            ({"grid_values": True}, "grid_values"),
         ],
         ids=[
             "grid-theta_m-nan", "grid-epsilon-inf", "grid-axis_theta-nan", "flips-above-one",
@@ -541,6 +553,7 @@ class TestCLI:
             "seed-string", "shots-fractional", "repeats-fractional", "out-not-a-path", "epsilon-bool",
             "monitor-axis-bools", "depolarizing-bool", "flips-bool", "state-theta-bool",
             "state-unknown-angle-key", "out-empty", "svg-empty", "json-out-empty",
+            "grid-scalar", "grid-bool",
         ],
     )
     def test_malformed_config_field_exit_code(self, tmp_path, capsys, fields, name):

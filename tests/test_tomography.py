@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from _helpers import maximally_mixed
 from realmon.linalg import DimensionError
 from realmon.noise import DEFAULT_READOUT_FLIP, confusion_from_flip
 from realmon.sampling import ginibre_density, haar_pure_state
@@ -13,11 +14,6 @@ from realmon.tomography import estimate_pauli, reconstruct_state, tomography_err
 
 ZERO = DensityOperator(np.diag([1.0, 0.0]).astype(complex))
 PLUS = DensityOperator(np.full((2, 2), 0.5, dtype=complex))
-
-
-def maximally_mixed(d):
-    """The maximally mixed state I/d."""
-    return DensityOperator(np.eye(d, dtype=complex) / d, validate=False)
 
 
 def pauli_traces(rho):
