@@ -9,8 +9,9 @@ noise (``circuits``, ``noise``), single-qubit tomography (``tomography``),
 and the front end: sweep configuration (``config``), the sweep engine
 (``sweeps``), case verification (``verify``), circuit certification
 (``certify``), report writing (``output``) and the command line (``cli``).
-The eigensolver, entropies, channels and reality measures evaluate one
-configuration or an (N, d, d) stack of them through the same code.
+States and observables hold one member or a stack of N; the eigensolver,
+entropies, channels, reality measures and case labels evaluate one
+configuration or a stack of them through the same code.
 """
 
 __version__ = "0.1.0"
@@ -24,12 +25,12 @@ from .states import (
     von_neumann_entropy,
 )
 from .observables import (
-    ObservableStack,
     ProjectiveObservable,
     commutes,
     is_mutually_unbiased,
     observable_from_axis,
     pauli_observable,
+    stack_observables,
 )
 from .channels import (
     MonitoringChannel,

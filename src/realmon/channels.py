@@ -8,8 +8,8 @@ S[i*d+j, k*d+l] = channel(E_kl)[i, j].  ``to_superoperator`` builds it from
 any channel's own ``apply_matrix``, fed all d^2 units as one stack.
 
 Dephasing and monitoring also act on stacks: a (d, d) matrix or an
-(N, d, d) stack of them, under one observable or an ``ObservableStack`` of N
-(projectors (N, k, d, d)) and one intensity or N of them.  A stack takes one
+(N, d, d) stack of them, under one observable or a stack of N (projectors
+(N, k, d, d)) and one intensity or N of them.  A stack takes one
 batched matrix product per outcome, and each member's image equals its
 image alone.
 """
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DimensionError
-from .observables import ObservableStack, ProjectiveObservable, observable_on_qubit
+from .observables import ProjectiveObservable, observable_on_qubit
 from .states import DensityOperator
 
 
@@ -30,7 +30,7 @@ class DephasingChannel:
 
     __slots__ = ("observable",)
 
-    def __init__(self, observable: ProjectiveObservable | ObservableStack):
+    def __init__(self, observable: ProjectiveObservable):
         self.observable = observable
 
     @property
@@ -50,7 +50,7 @@ class MonitoringChannel:
 
     __slots__ = ("observable", "epsilon")
 
-    def __init__(self, observable: ProjectiveObservable | ObservableStack, epsilon):
+    def __init__(self, observable: ProjectiveObservable, epsilon):
         eps = np.asarray(epsilon, dtype=float)
         if eps.ndim > 1 or not ((0.0 <= eps) & (eps <= 1.0)).all():
             raise ValueError(f"measurement intensity must lie in [0, 1], got {epsilon!r}")
@@ -104,7 +104,7 @@ def _check_dims(channel_dim: int, rho: DensityOperator):
         raise DimensionError(f"channel dimension {channel_dim} does not match state dimension {rho.dim}")
 
 
-def dephase(x: ProjectiveObservable | ObservableStack, rho: DensityOperator) -> DensityOperator:
+def dephase(x: ProjectiveObservable, rho: DensityOperator) -> DensityOperator:
     """Post-measurement state of a non-revealed projective measurement of x.
 
     A stack of observables or of states gives the stack of images.

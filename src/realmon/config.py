@@ -24,7 +24,34 @@ import numpy as np
 from .noise import DEFAULT_DEPOLARIZING_RATE, DEFAULT_READOUT_FLIP
 from .states import DensityOperator, PureState, density_from_pure
 
-SCENARIOS = ("fig1", "fig2", "fig4a", "fig4b", "fig4c", "custom")
+# Scenario presets: the fields each one sets, and the stop of its evenly
+# spaced grid, which starts at 0.
+PRESETS = {
+    "fig1": (
+        dict(state="plus", monitor_axis=(0.0, 0.0), probe_axis=(math.pi / 2, 0.0), grid_kind="axis_theta",
+             sweep_target="probe", epsilon=1.0),
+        math.pi,
+    ),
+    "fig2": (
+        dict(state="plus", monitor_axis=(math.pi / 4, 0.0), probe_axis=(0.0, 0.0), grid_kind="axis_theta",
+             sweep_target="monitor", epsilon=1.0),
+        math.pi,
+    ),
+    "fig4a": (
+        dict(state="plus", monitor_axis=(0.0, 0.0), probe_axis=(math.pi / 2, 0.0), grid_kind="theta_m"),
+        math.pi / 2,
+    ),
+    "fig4b": (
+        dict(state="iplus", monitor_axis=(0.0, 0.0), probe_axis=(math.pi / 2, 0.0), grid_kind="theta_m"),
+        math.pi / 2,
+    ),
+    "fig4c": (
+        dict(state="plus", monitor_axis=(math.pi / 4, 0.0), probe_axis=(0.0, 0.0), grid_kind="theta_m"),
+        math.pi / 2,
+    ),
+    "custom": ({}, math.pi / 2),
+}
+SCENARIOS = tuple(PRESETS)
 PATHS = ("analytic", "circuit", "noisy")
 GRID_KINDS = ("theta_m", "epsilon", "axis_theta")
 
@@ -32,13 +59,26 @@ DEFAULT_GRID_POINTS = 33
 DEFAULT_SHOTS = 8192
 DEFAULT_REPEATS = 10
 
-# Size caps, checked before any grid or stack is built.  A sweep evaluates
-# its whole grid as one stack, and the noisy path one (4 * points)-state
-# stack per repeat, so these bound what one run allocates: a noisy sweep at
-# 10,000 points peaks near 90 MB RSS with 20 repeats, and each further
-# repeat adds about 0.3 MB.
+# Size caps, checked before any grid, stack or sample is built; a value
+# above one exits 3 naming its field.  Peaks below were measured on a 2-vCPU
+# x86 VM.  A sweep evaluates its whole grid as one stack, and the noisy path
+# one (4 * points)-state stack per repeat: a noisy sweep at 10,000 points
+# peaks near 90 MB RSS with 20 repeats, and each further repeat adds about
+# 0.3 MB.
 MAX_GRID_POINTS = 10_000
 MAX_REPEATS = 100
+# verify-cases evaluates each section as one stack of ``trials`` instances
+# per dimension, about 0.32 MB per instance at d = 16: 1,000 trials at d = 16
+# peak near 360 MB RSS and take about 11 s.
+MAX_TRIALS = 1_000
+# Each entry of verify-cases' ``dims``; the linear algebra is sized for d <= 16.
+MAX_DIMENSION = 16
+# tomo-sim evaluates its seeds in chunks of 4,096, so memory stays near 50 MB
+# and time grows linearly: 200,000 seeds take about 15 s.
+MAX_SEEDS = 1_000_000
+# certify-circuits extracts 12 * resolution + 3 circuits: resolution 1,000
+# peaks near 80 MB RSS and takes about 3.5 s.
+MAX_RESOLUTION = 1_000
 
 STATE_PRESETS = {
     "plus": np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex),
@@ -153,7 +193,9 @@ class SweepConfig:
             raise ConfigError(f"epsilon: must be a number in [0, 1], got {self.epsilon!r}")
         if self.coupling not in ("CZ", "CNOT"):
             raise ConfigError(f"coupling: must be CZ or CNOT, got {self.coupling!r}")
-        if self.grid_kind == "axis_theta" and self.sweep_target not in ("probe", "monitor"):
+        if self.sweep_target not in (None, "probe", "monitor"):
+            raise ConfigError(f"sweep_target: must be null, 'probe' or 'monitor', got {self.sweep_target!r}")
+        if self.grid_kind == "axis_theta" and self.sweep_target is None:
             raise ConfigError("sweep_target: axis_theta sweeps need 'probe' or 'monitor'")
         check_shots(self.shots)
         if not (is_integer(self.repeats) and 1 <= self.repeats <= MAX_REPEATS):
@@ -179,56 +221,9 @@ def make_config(scenario: str = "custom", *, points: int = DEFAULT_GRID_POINTS, 
         raise ConfigError(f"scenario: unknown value {scenario!r}, expected one of {SCENARIOS}")
     if not (is_integer(points) and 2 <= points <= MAX_GRID_POINTS):
         raise ConfigError(f"points: must be an integer in [2, {MAX_GRID_POINTS}], got {points!r}")
-    base: dict = {"scenario": scenario}
-    if scenario == "fig1":
-        base.update(
-            state="plus",
-            monitor_axis=(0.0, 0.0),
-            probe_axis=(math.pi / 2, 0.0),
-            grid_kind="axis_theta",
-            sweep_target="probe",
-            grid_values=_grid(points, math.pi),
-            epsilon=1.0,
-        )
-    elif scenario == "fig2":
-        base.update(
-            state="plus",
-            monitor_axis=(math.pi / 4, 0.0),
-            probe_axis=(0.0, 0.0),
-            grid_kind="axis_theta",
-            sweep_target="monitor",
-            grid_values=_grid(points, math.pi),
-            epsilon=1.0,
-        )
-    elif scenario == "fig4a":
-        base.update(
-            state="plus",
-            monitor_axis=(0.0, 0.0),
-            probe_axis=(math.pi / 2, 0.0),
-            grid_kind="theta_m",
-            grid_values=_grid(points, math.pi / 2),
-        )
-    elif scenario == "fig4b":
-        base.update(
-            state="iplus",
-            monitor_axis=(0.0, 0.0),
-            probe_axis=(math.pi / 2, 0.0),
-            grid_kind="theta_m",
-            grid_values=_grid(points, math.pi / 2),
-        )
-    elif scenario == "fig4c":
-        base.update(
-            state="plus",
-            monitor_axis=(math.pi / 4, 0.0),
-            probe_axis=(0.0, 0.0),
-            grid_kind="theta_m",
-            grid_values=_grid(points, math.pi / 2),
-        )
-    else:
-        base.update(grid_values=overrides.pop("grid_values", _grid(points, math.pi / 2)))
-    base.update(overrides)
+    fields, stop = PRESETS[scenario]
     try:
-        config = SweepConfig(**base)
+        config = SweepConfig(**{"scenario": scenario, **fields, "grid_values": _grid(points, stop), **overrides})
     except TypeError as exc:
         raise ConfigError(f"unknown config field: {exc}") from None
     return config.validate()

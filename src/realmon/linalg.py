@@ -48,6 +48,13 @@ def hermiticity_defect(m) -> float:
     return float(np.abs(arr - dagger(arr)).max())
 
 
+def within_tol(residual, tol: float):
+    """Whether every entry of a (..., a, b) residual lies within ``tol`` in
+    magnitude: a bool for one matrix, an (N,) bool array for a stack."""
+    ok = np.abs(residual).max(axis=(-2, -1)) <= tol
+    return bool(ok) if ok.ndim == 0 else ok
+
+
 def tensor_product(a, b) -> np.ndarray:
     """Kronecker product: entry ((i*db+k),(j*db+l)) = a[i,j] * b[k,l].
 

@@ -2,9 +2,11 @@
 
 An observable is stored as a tuple of real eigenvalues matched with a
 (k, d, d) array of Hermitian projectors; degenerate spectra are represented
-by projectors of rank equal to the eigenvalue multiplicity.  An
-``ObservableStack`` holds the projectors of N observables, one per member of
-a state stack, for batched channel and reality evaluation.
+by projectors of rank equal to the eigenvalue multiplicity.  The same type
+holds a stack of N observables of one dimension and outcome count, (N, k)
+eigenvalues with (N, k, d, d) projectors, one per member of a state stack.
+``commutes`` and ``is_mutually_unbiased`` take one observable or a stack on
+either side, through the same code, and answer per member.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 
 import numpy as np
 
-from .linalg import DimensionError, hermiticity_defect, tensor_product
+from .linalg import DimensionError, hermiticity_defect, tensor_product, within_tol
 
 PROJECTOR_TOL = 1e-10
 COMPLETENESS_TOL = 1e-10
@@ -35,27 +37,34 @@ class DegenerateObservableError(ValueError):
 
 
 class ProjectiveObservable:
-    """Spectral decomposition sum_j x_j P_j with orthonormal projectors.
+    """Spectral decomposition sum_j x_j P_j with orthonormal projectors, or a stack of N.
 
-    ``projectors`` is one read-only (k, d, d) array holding P_j at index j.
+    One observable has a tuple of k ``eigenvalues`` and one read-only
+    (k, d, d) ``projectors`` array holding P_j at index j.  A stack of N
+    (from :func:`stack_observables`) has (N, k) eigenvalues and (N, k, d, d)
+    projectors, and ``batch`` is N.
     """
 
     __slots__ = ("eigenvalues", "projectors")
 
     def __init__(self, eigenvalues, projectors, *, validate: bool = True):
-        values = tuple(float(x) for x in eigenvalues)
+        values = np.array(eigenvalues, dtype=float)
         try:
             projs = np.array(projectors, dtype=complex)
         except ValueError:
             raise DimensionError("projectors must be square matrices of one dimension") from None
-        if not values or projs.shape[:1] != (len(values),):
+        if values.ndim not in (1, 2) or not values.size or projs.shape[: values.ndim] != values.shape:
             raise DimensionError("need one projector per eigenvalue, at least one of each")
-        if projs.ndim != 3 or projs.shape[1] != projs.shape[2] or projs.shape[1] < 1:
-            raise DimensionError(f"projectors must be square matrices, got shape {projs.shape[1:]}")
+        if projs.ndim != values.ndim + 2 or projs.shape[-1] != projs.shape[-2] or projs.shape[-1] < 1:
+            raise DimensionError(f"projectors must be square matrices, got shape {projs.shape[values.ndim :]}")
         projs.setflags(write=False)
-        self.eigenvalues = values
+        values.setflags(write=False)
+        self.eigenvalues = tuple(values.tolist()) if values.ndim == 1 else values
         self.projectors = projs
-        if validate:
+        if validate and values.ndim == 2:
+            for member in zip(values, projs):
+                ProjectiveObservable(*member)  # validates the member alone
+        elif validate:
             self._validate()
 
     def _validate(self):
@@ -84,57 +93,42 @@ class ProjectiveObservable:
         return self.projectors.shape[-1]
 
     @property
-    def n_outcomes(self) -> int:
-        return len(self.projectors)
+    def batch(self) -> int | None:
+        """Number of observables in a stack; None for a single observable."""
+        return self.projectors.shape[0] if self.projectors.ndim == 4 else None
 
-    def rank(self, j: int) -> int:
-        return int(round(self.projectors[j].trace().real))
+    @property
+    def n_outcomes(self) -> int:
+        return self.projectors.shape[-3]
 
     @property
     def is_nondegenerate(self) -> bool:
-        ranks = np.rint(self.projectors.trace(axis1=1, axis2=2).real)
+        """Every projector has rank 1 (for a stack: in every member)."""
+        ranks = np.rint(self.projectors.trace(axis1=-2, axis2=-1).real)
         return bool((ranks == 1).all())
 
     def matrix(self) -> np.ndarray:
-        """Reconstruct the Hermitian operator sum_j x_j P_j."""
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for x, p in zip(self.eigenvalues, self.projectors):
-            out += x * p
+        """Reconstruct the Hermitian operator sum_j x_j P_j, (N, d, d) for a stack."""
+        values = np.asarray(self.eigenvalues)
+        out = np.zeros(self.projectors.shape[:-3] + (self.dim, self.dim), dtype=complex)
+        for j in range(self.n_outcomes):
+            out += values[..., j, None, None] * self.projectors[..., j, :, :]
         return out
 
     def __repr__(self):
         return f"ProjectiveObservable(dim={self.dim}, eigenvalues={self.eigenvalues})"
 
 
-class ObservableStack:
-    """N observables of one dimension and outcome count, one per state of a stack.
-
-    Channels and reality measures read only the projectors, held as one
-    read-only (N, k, d, d) array.  Per-instance tests such as ``commutes`` or
-    ``classify_case`` take the member observables themselves.
-    """
-
-    __slots__ = ("projectors",)
-
-    def __init__(self, observables):
-        projs = [x.projectors for x in observables]
-        if not projs:
-            raise DimensionError("an observable stack needs at least one observable")
-        if any(p.shape != projs[0].shape for p in projs):
-            raise DimensionError("stacked observables must share dimension and outcome count")
-        projs = np.stack(projs)
-        projs.setflags(write=False)
-        self.projectors = projs
-
-    @property
-    def dim(self) -> int:
-        return self.projectors.shape[-1]
-
-    def __len__(self) -> int:
-        return self.projectors.shape[0]
-
-    def __repr__(self):
-        return f"ObservableStack(n={len(self)}, dim={self.dim})"
+def stack_observables(observables) -> ProjectiveObservable:
+    """One stack of N single observables of one dimension and outcome count."""
+    members = list(observables)
+    if not members:
+        raise DimensionError("an observable stack needs at least one observable")
+    if any(x.projectors.shape != members[0].projectors.shape for x in members):
+        raise DimensionError("stacked observables must share dimension and outcome count")
+    return ProjectiveObservable(
+        [x.eigenvalues for x in members], np.stack([x.projectors for x in members]), validate=False
+    )
 
 
 def observable_from_axis(theta: float, phi: float = 0.0) -> ProjectiveObservable:
@@ -155,20 +149,21 @@ def observable_from_axis(theta: float, phi: float = 0.0) -> ProjectiveObservable
     )
 
 
-def commutes(x: ProjectiveObservable, x2: ProjectiveObservable) -> bool:
-    """True when the reconstructed operators commute entrywise within ``COMMUTE_TOL``."""
+def commutes(x: ProjectiveObservable, x2: ProjectiveObservable) -> bool | np.ndarray:
+    """True when the reconstructed operators commute entrywise within ``COMMUTE_TOL``, per member of a stack."""
     if x.dim != x2.dim:
         raise DimensionError(f"observable dimensions differ: {x.dim} vs {x2.dim}")
     a = x.matrix()
     b = x2.matrix()
-    return bool(np.abs(a @ b - b @ a).max() <= COMMUTE_TOL)
+    return within_tol(a @ b - b @ a, COMMUTE_TOL)
 
 
-def is_mutually_unbiased(x: ProjectiveObservable, x2: ProjectiveObservable) -> bool:
+def is_mutually_unbiased(x: ProjectiveObservable, x2: ProjectiveObservable) -> bool | np.ndarray:
     """True when every eigenbasis overlap |<x_j|x'_k>|^2 equals 1/d within ``MU_TOL``.
 
     Defined only for nondegenerate observables; the overlap is evaluated as
     Tr(P_j P'_k), which equals the squared amplitude for rank-1 projectors.
+    A stack on either side gives the (N,) array of its members' answers.
     """
     if x.dim != x2.dim:
         raise DimensionError(f"observable dimensions differ: {x.dim} vs {x2.dim}")
@@ -176,8 +171,8 @@ def is_mutually_unbiased(x: ProjectiveObservable, x2: ProjectiveObservable) -> b
         raise DegenerateObservableError(
             "mutual unbiasedness is defined for nondegenerate observables only"
         )
-    overlaps = np.einsum("jab,kba->jk", x.projectors, x2.projectors).real
-    return bool(np.abs(overlaps - 1.0 / x.dim).max() <= MU_TOL)
+    overlaps = np.einsum("...jab,...kba->...jk", x.projectors, x2.projectors).real
+    return within_tol(overlaps - 1.0 / x.dim, MU_TOL)
 
 
 def observable_on_qubit(n_qubits: int, qubit: int, theta: float, phi: float = 0.0) -> ProjectiveObservable:

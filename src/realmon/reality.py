@@ -8,12 +8,12 @@ combination computed here.  All general-path quantities come from entropies
 of explicitly constructed states; the closed-form qubit spectra are kept as
 independent cross-check oracles.
 
-Every measure takes one configuration or a stack of N: the observables may
-be ``ObservableStack``s, the intensity an (N,) array and the state an
-(N, d, d) ``DensityOperator`` stack, and the result is then the (N,) array
-of the members' values.  A single configuration is evaluated by the same
-code as a stack of one.  Case labels are per configuration and are computed
-only where they are asked for.
+Every measure and the case label take one configuration or a stack of N:
+the observables may be stacks of N, the intensity an (N,) array and the
+state an (N, d, d) ``DensityOperator`` stack, in any mix, and the result is
+then the (N,) array of the members' values (a tuple of N labels for
+``classify_case``).  A single configuration is evaluated by the same code
+as a stack of one.
 """
 
 from __future__ import annotations
@@ -25,9 +25,8 @@ from enum import Enum
 import numpy as np
 
 from .channels import ComposedChannel, DephasingChannel, MonitoringChannel, dephase, monitor
-from .linalg import DimensionError
+from .linalg import DimensionError, within_tol
 from .observables import (
-    ObservableStack,
     ProjectiveObservable,
     commutes,
     is_mutually_unbiased,
@@ -39,20 +38,19 @@ FIXED_POINT_TOL = 1e-9
 
 
 class CaseLabel(str, Enum):
-    """Deterministic classification of a (monitored, probe, state) triple."""
+    """Deterministic classification of a (monitored, probe, state) triple.
+
+    Members are listed in the order ``classify_case`` tests them."""
 
     COMPATIBLE = "compatible"
     X_DIAGONAL = "X-diagonal"
     XPRIME_DIAGONAL = "Xprime-diagonal"
-    MU = "MU"
     TRIPLE_MU = "triple-MU"
+    MU = "MU"
     GENERIC = "generic"
 
     def __str__(self) -> str:  # CSV-friendly
         return self.value
-
-
-Observable = ProjectiveObservable | ObservableStack
 
 
 @dataclass(frozen=True)
@@ -72,32 +70,32 @@ class RealityReport:
     configuration: tuple = field(repr=False, compare=False)
 
     @property
-    def case_label(self) -> CaseLabel:
-        """:func:`classify_case` of a single configuration, computed on access."""
+    def case_label(self) -> CaseLabel | tuple[CaseLabel, ...]:
+        """:func:`classify_case` of the configuration (a tuple of N labels for a stack), computed on access."""
         return classify_case(*self.configuration)
 
 
-def irreality(x: Observable, rho: DensityOperator) -> float:
+def irreality(x: ProjectiveObservable, rho: DensityOperator) -> float:
     """Entropy gained by fully dephasing rho in the eigenbasis of x, in bits."""
     if x.dim != rho.dim:
         raise DimensionError(f"observable dim {x.dim} does not match state dim {rho.dim}")
     return von_neumann_entropy(dephase(x, rho)) - von_neumann_entropy(rho)
 
 
-def reality(x: Observable, rho: DensityOperator) -> float:
+def reality(x: ProjectiveObservable, rho: DensityOperator) -> float:
     """log2(d) minus the irreality of x: how definite x already is in rho."""
     return math.log2(rho.dim) - irreality(x, rho)
 
 
-def delta_reality_monitored(x: Observable, epsilon: float, rho: DensityOperator) -> float:
+def delta_reality_monitored(x: ProjectiveObservable, epsilon: float, rho: DensityOperator) -> float:
     """Reality gain of the monitored observable itself: S(monitored) - S(rho)."""
     mon = monitor(MonitoringChannel(x, epsilon), rho)
     return von_neumann_entropy(mon) - von_neumann_entropy(rho)
 
 
 def delta_reality_other(
-    xprime: Observable,
-    x: Observable,
+    xprime: ProjectiveObservable,
+    x: ProjectiveObservable,
     epsilon: float,
     rho: DensityOperator,
 ) -> float:
@@ -133,48 +131,47 @@ def delta_reality_other(
     )
 
 
-def _is_fixed_point(channel, rho: DensityOperator) -> bool:
-    return bool(np.abs(channel.apply_matrix(rho.matrix) - rho.matrix).max() <= FIXED_POINT_TOL)
+def _is_fixed_point(x: ProjectiveObservable, rho: DensityOperator):
+    """Whether dephasing in the eigenbasis of x leaves rho unchanged, per member of a stack."""
+    return within_tol(DephasingChannel(x).apply_matrix(rho.matrix) - rho.matrix, FIXED_POINT_TOL)
 
 
 def classify_case(
     x: ProjectiveObservable, xprime: ProjectiveObservable, rho: DensityOperator
-) -> CaseLabel:
+) -> CaseLabel | tuple[CaseLabel, ...]:
     """Label the configuration by the first matching structural test.
 
     Order: commuting pair, state diagonal in X, state diagonal in X', then
     for mutually unbiased pairs a search over the stored MU sets (d=2: Pauli
     triple; d=3: Fourier-type quadruple) for a third basis that is MU with
     both observables and leaves rho invariant, which upgrades MU to
-    triple-MU.  Anything else is generic.  Labels one configuration; the
-    members of a stack are classified one at a time.
+    triple-MU.  Anything else is generic.  The MU tests need both
+    observables nondegenerate, which holds for all members of a stack or none.
+
+    One configuration gives a ``CaseLabel``; a stack on any argument gives a
+    tuple of N labels, each member taking its first true test.
     """
-    if isinstance(x, ObservableStack) or isinstance(xprime, ObservableStack) or rho.batch is not None:
-        raise DimensionError("classify_case labels one configuration, not a stack")
     if x.dim != xprime.dim or x.dim != rho.dim:
         raise DimensionError("observables and state must share one dimension")
-    if commutes(x, xprime):
-        return CaseLabel.COMPATIBLE
-    if _is_fixed_point(DephasingChannel(x), rho):
-        return CaseLabel.X_DIAGONAL
-    if _is_fixed_point(DephasingChannel(xprime), rho):
-        return CaseLabel.XPRIME_DIAGONAL
-    if x.is_nondegenerate and xprime.is_nondegenerate and is_mutually_unbiased(x, xprime):
+    mu = triple = False
+    if x.is_nondegenerate and xprime.is_nondegenerate:
+        mu = is_mutually_unbiased(x, xprime)
         if rho.dim in (2, 3):
-            for cand in standard_mub_observables(rho.dim):
-                if (
-                    is_mutually_unbiased(cand, x)
-                    and is_mutually_unbiased(cand, xprime)
-                    and _is_fixed_point(DephasingChannel(cand), rho)
-                ):
-                    return CaseLabel.TRIPLE_MU
-        return CaseLabel.MU
-    return CaseLabel.GENERIC
+            triple = mu & np.any([
+                is_mutually_unbiased(cand, x) & is_mutually_unbiased(cand, xprime) & _is_fixed_point(cand, rho)
+                for cand in standard_mub_observables(rho.dim)
+            ], axis=0)
+    tests = np.broadcast_arrays(
+        commutes(x, xprime), _is_fixed_point(x, rho), _is_fixed_point(xprime, rho), triple, mu, True
+    )
+    labels = tuple(CaseLabel)
+    first = np.argmax(np.stack(tests, axis=-1), axis=-1)
+    return labels[first] if first.ndim == 0 else tuple(labels[k] for k in first)
 
 
 def reality_report(
-    x: Observable,
-    xprime: Observable,
+    x: ProjectiveObservable,
+    xprime: ProjectiveObservable,
     epsilon: float,
     rho: DensityOperator,
 ) -> RealityReport:

@@ -7,22 +7,24 @@ circuits with finite-shot tomography), and renders the records as CSV or
 JSON.  Records are produced in grid order and all randomness is derived
 from the config seed per (point, repeat, state), so identical configs give
 byte-identical CSV regardless of evaluation order.  Every path evaluates
-the whole grid as one stack: the circuit paths build one stack of monitor
-circuits and one of probe circuits per sweep, and make three stacked runs.
-Only the grid parameters and the case labels are per grid point.
+the whole grid as one stack: the grid's monitor and probe observables form
+one stack each, the circuit paths build one stack of monitor circuits and
+one of probe circuits and make three stacked runs, and one ``classify_case``
+call labels every point.  Only the grid parameters and their two axis
+observables are built per point.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .circuits import build_monitor_circuit, epsilon_of_strength, run_circuit_density, strength_of_epsilon
 from .config import DEFAULT_SHOTS, ConfigError, SweepConfig, resolve_state
 from .noise import confusion_from_flip
-from .observables import ObservableStack, observable_from_axis
+from .observables import observable_from_axis, stack_observables
 from .output import write_json
 from .reality import classify_case, reality_report
 from .states import DensityOperator, von_neumann_entropy
@@ -32,8 +34,6 @@ from .tomography import estimate_pauli, reconstruct_state
 from .certify import certify_circuits  # noqa: F401
 from .config import DEFAULT_GRID_POINTS, DEFAULT_REPEATS, make_config  # noqa: F401
 from .verify import verify_cases  # noqa: F401
-
-CSV_HEADER = "theta_m,epsilon,dR_X,dR_Xp,S_rho,S_mon,S_probe,S_probe_mon,case,path,se_dR_X,se_dR_Xp"
 
 
 @dataclass(frozen=True)
@@ -50,6 +50,10 @@ class SweepRecord:
     path: str
     se_dR_X: float | None = None
     se_dR_Xp: float | None = None
+
+
+_CSV_FIELDS = tuple(f.name for f in fields(SweepRecord))
+CSV_HEADER = ",".join(_CSV_FIELDS)
 
 
 def _point_parameters(config: SweepConfig, value: float):
@@ -112,14 +116,10 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     rho = resolve_state(config.state)
     depolarizing = config.depolarizing if config.path == "noisy" else 0.0
     points = [_point_parameters(config, value) for value in config.grid_values]
-    pairs = [(observable_from_axis(*m_axis), observable_from_axis(*p_axis)) for *_, m_axis, p_axis in points]
+    x = stack_observables(observable_from_axis(*m_axis) for *_, m_axis, _ in points)
+    xp = stack_observables(observable_from_axis(*p_axis) for *_, p_axis in points)
     if config.path == "analytic":
-        report = reality_report(
-            ObservableStack(x for x, _ in pairs),
-            ObservableStack(xp for _, xp in pairs),
-            np.array([eps for _, eps, *_ in points]),
-            rho,
-        )
+        report = reality_report(x, xp, np.array([eps for _, eps, *_ in points]), rho)
         parts = report.entropy_initial, report.entropy_monitored, report.entropy_probe, report.entropy_probe_monitored
         s = np.stack(np.broadcast_arrays(*parts), axis=-1)[None]
     else:
@@ -133,9 +133,10 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     se = [(None, None)] * len(points)
     if config.path == "noisy":
         se = (gains.std(axis=0, ddof=1) / math.sqrt(len(s)) if len(s) > 1 else np.zeros_like(gains[0])).tolist()
+    labels = classify_case(x, xp, rho)
     return [
-        SweepRecord(theta_col, eps, *mean, str(classify_case(x_obs, xp_obs, rho)), config.path, *err)
-        for (theta_col, eps, *_), (x_obs, xp_obs), mean, err in zip(points, pairs, means, se)
+        SweepRecord(theta_col, eps, *mean, str(label), config.path, *err)
+        for (theta_col, eps, *_), label, mean, err in zip(points, labels, means, se)
     ]
 
 
@@ -146,28 +147,14 @@ def _fmt(x) -> str:
 
 
 def render_csv(records: list[SweepRecord]) -> str:
+    """One CSV row per record, its fields in declaration order: strings as they
+    are, numbers as their float repr and a missing standard error as empty."""
     if not records:
         raise ConfigError("records: nothing to emit")
     lines = [CSV_HEADER]
     for r in records:
-        lines.append(
-            ",".join(
-                (
-                    _fmt(r.theta_m),
-                    _fmt(r.epsilon),
-                    _fmt(r.dR_X),
-                    _fmt(r.dR_Xp),
-                    _fmt(r.S_rho),
-                    _fmt(r.S_mon),
-                    _fmt(r.S_probe),
-                    _fmt(r.S_probe_mon),
-                    r.case,
-                    r.path,
-                    _fmt(r.se_dR_X),
-                    _fmt(r.se_dR_Xp),
-                )
-            )
-        )
+        values = (getattr(r, name) for name in _CSV_FIELDS)
+        lines.append(",".join(v if isinstance(v, str) else _fmt(v) for v in values))
     return "\n".join(lines) + "\n"
 
 

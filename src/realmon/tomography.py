@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .config import DEFAULT_SHOTS, ConfigError, check_seed, check_shots, is_integer, resolve_state
+from .config import DEFAULT_SHOTS, MAX_SEEDS, ConfigError, check_seed, check_shots, is_integer, resolve_state
 from .linalg import DimensionError, dagger
 from .noise import DEFAULT_READOUT_FLIP, apply_readout_noise, confusion_from_flip, sample_shots
 from .observables import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
@@ -93,8 +93,8 @@ def tomography_errors(state: str, shots: int, seeds: int, seed: int, noisy: bool
     """
     rho = resolve_state(state)
     check_shots(shots)
-    if not is_integer(seeds) or seeds < 1:
-        raise ConfigError(f"seeds: must be an integer of at least 1, got {seeds!r}")
+    if not (is_integer(seeds) and 1 <= seeds <= MAX_SEEDS):
+        raise ConfigError(f"seeds: must be an integer in [1, {MAX_SEEDS}], got {seeds!r}")
     check_seed(seed)
     confusion = confusion_from_flip(DEFAULT_READOUT_FLIP) if noisy else None
     errors = []

@@ -8,8 +8,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .channels import MonitoringChannel, dephase, monitor
-from .config import ConfigError, check_seed, is_integer
-from .observables import ObservableStack, ProjectiveObservable, standard_mub_observables
+from .config import MAX_DIMENSION, MAX_TRIALS, ConfigError, check_seed, is_integer
+from .observables import ProjectiveObservable, stack_observables, standard_mub_observables
 from .reality import (
     CaseLabel,
     classify_case,
@@ -122,12 +122,13 @@ def _third_basis_instance(d, rng, third):
 
 
 def _stacked(instances):
-    """Sampled instance tuples as one stack per field: observables as an
-    ``ObservableStack``, states as one ``DensityOperator`` stack, numbers as an array."""
+    """Sampled instance tuples as one stack per field: observables and states
+    as stacks of N, numbers as an array.  Each section labels and evaluates
+    these stacks whole."""
     columns = []
     for column in zip(*instances):
         if isinstance(column[0], ProjectiveObservable):
-            columns.append(ObservableStack(column))
+            columns.append(stack_observables(column))
         elif isinstance(column[0], DensityOperator):
             columns.append(stack_states(column))
         else:
@@ -135,9 +136,9 @@ def _stacked(instances):
     return columns
 
 
-def _mislabelled(instances, label) -> np.ndarray:
-    """1.0 for each (X, X', rho, ...) instance whose case label is not ``label``."""
-    return np.array([float(classify_case(x, xp, rho) is not label) for x, xp, rho, *_ in instances])
+def _mislabelled(x, xp, rho, label) -> np.ndarray:
+    """1.0 for each member of the stacked configuration whose case label is not ``label``."""
+    return np.array([float(case is not label) for case in classify_case(x, xp, rho)])
 
 
 def _generic_margins(d, trials, rng):
@@ -156,11 +157,9 @@ def _generic_margins(d, trials, rng):
 
 def _commuting_margins(d, trials, rng):
     """(i) |probe gain - monitored gain| and wrong labels on commuting pairs."""
-    instances = [_instance(d, rng, random_commuting_pair) for _ in range(trials)]
-    labels = _mislabelled(instances, CaseLabel.COMPATIBLE)
-    x, xp, rho, eps = _stacked(instances)
-    del instances  # the stacks hold the instances now; keep one copy while evaluating
-    return np.abs(delta_reality_other(xp, x, eps, rho) - delta_reality_monitored(x, eps, rho)), labels
+    x, xp, rho, eps = _stacked([_instance(d, rng, random_commuting_pair) for _ in range(trials)])
+    equal = np.abs(delta_reality_other(xp, x, eps, rho) - delta_reality_monitored(x, eps, rho))
+    return equal, _mislabelled(x, xp, rho, CaseLabel.COMPATIBLE)
 
 
 def _monitored_diagonal_margins(d, trials, rng):
@@ -201,13 +200,10 @@ def _third_basis_margins(d, trials, rng):
     """(v) |probe gain - monitored gain|, monitored gain and wrong labels for
     states diagonal in a third basis unbiased to both observables."""
     x, xp, third = standard_mub_observables(d)[:3]
-    instances = [(x, xp, *_third_basis_instance(d, rng, third)) for _ in range(trials)]
-    labels = _mislabelled(instances, CaseLabel.TRIPLE_MU)
-    _, _, rho, eps = _stacked(instances)
-    del instances  # the stacks hold the instances now; keep one copy while evaluating
+    rho, eps = _stacked([_third_basis_instance(d, rng, third) for _ in range(trials)])
     drm = delta_reality_monitored(x, eps, rho)
     dro = delta_reality_other(xp, x, eps, rho)
-    return np.abs(dro - drm), drm, labels
+    return np.abs(dro - drm), drm, _mislabelled(x, xp, rho, CaseLabel.TRIPLE_MU)
 
 
 def _per_dimension(section, dims, trials, rng, count):
@@ -227,11 +223,11 @@ def verify_cases(seed: int = 0, trials: int = 200, dims: tuple[int, ...] = (2, 3
     then evaluates them as one stack per dimension.  A check counts the
     instances it evaluated.
     """
-    if not (is_integer(trials) and trials >= 1):
-        raise ConfigError(f"trials: must be a positive integer, got {trials!r}")
+    if not (is_integer(trials) and 1 <= trials <= MAX_TRIALS):
+        raise ConfigError(f"trials: must be an integer in [1, {MAX_TRIALS}], got {trials!r}")
     dims = tuple(dims)
-    if not dims or not all(is_integer(d) and d >= 2 for d in dims):
-        raise ConfigError(f"dims: must be one or more integer dimensions of at least 2, got {list(dims)}")
+    if not dims or not all(is_integer(d) and 2 <= d <= MAX_DIMENSION for d in dims):
+        raise ConfigError(f"dims: must be one or more integer dimensions in [2, {MAX_DIMENSION}], got {list(dims)}")
     if len(set(dims)) != len(dims):
         raise ConfigError(f"dims: must not repeat a dimension, got {list(dims)}")
     check_seed(seed)

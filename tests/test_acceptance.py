@@ -18,16 +18,16 @@ import time
 import numpy as np
 import pytest
 
+from _helpers import count_negative, probe_gain_sign_check, scenario1_grid
 from realmon.certify import certify_circuits
 from realmon.channels import MonitoringChannel, monitor
 from realmon.config import make_config
-from realmon.observables import ObservableStack, observable_from_axis, pauli_observable
+from realmon.observables import observable_from_axis, pauli_observable, stack_observables
 from realmon.reality import (
     delta_reality_monitored,
     delta_reality_other,
     irreality,
     reality_report,
-    scenario1_eigenvalues,
     scenario2_eigenvalues,
 )
 from realmon.sampling import (
@@ -38,7 +38,7 @@ from realmon.sampling import (
     random_observable,
     random_probabilities,
 )
-from realmon.states import DensityOperator, entropy_of_probabilities, stack_states
+from realmon.states import DensityOperator, stack_states
 from realmon.sweeps import render_csv, run_sweep
 
 SZ = pauli_observable("z")
@@ -52,14 +52,6 @@ DIMS = (2, 3, 4)
 
 def _report(criterion, ok, detail):
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {criterion}: {detail}")
-
-
-def _count_negative(values):
-    return int(np.count_nonzero(np.asarray(values) < -1e-9))
-
-
-def _binary_entropy(p):
-    return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
 
 
 @pytest.fixture(scope="module")
@@ -87,8 +79,8 @@ def generic_instances():
     probe_gains = np.empty(N_INSTANCES)
     for j in range(len(DIMS)):
         group = instances[j :: len(DIMS)]
-        x = ObservableStack(x for x, _, _, _ in group)
-        xp = ObservableStack(xp for _, xp, _, _ in group)
+        x = stack_observables(x for x, _, _, _ in group)
+        xp = stack_observables(xp for _, xp, _, _ in group)
         rho = stack_states(rho for _, _, rho, _ in group)
         eps = np.array([eps for _, _, _, eps in group])
         rep = reality_report(x, xp, eps, rho)
@@ -139,26 +131,21 @@ def test_criterion_2_monitoring_inequalities(generic_instances):
         full_strength = delta_reality_other(xp, x, 1.0, rho)
         probe_margins[j :: len(DIMS)] = probe_gains[j :: len(DIMS)] - eps * full_strength
     worst_probe = float(probe_margins.min())
-    negatives = _count_negative(probe_gains)
-    zero = DensityOperator(np.diag([1.0, 0.0]).astype(complex))
-    counterexample = delta_reality_other(SZ, observable_from_axis(math.pi / 4, 0.0), 1.0, zero)
-    closed_form = _binary_entropy(math.cos(math.pi / 8) ** 2) - _binary_entropy(0.25)
-    counter_gap = abs(counterexample - closed_form)
+    ok_sign, negatives, counterexample, counter_gap = probe_gain_sign_check(probe_gains)
 
     ok_self = worst_self >= -1e-9
     ok_probe = worst_probe >= -1e-9
-    ok_sign = negatives > 0 and counter_gap <= 1e-12
     _report(
         "2a",
         ok_self,
         f"self gain minus eps*irreality: min margin {worst_self:+.3e} "
-        f"({_count_negative(self_margins)}/{N_INSTANCES} instances negative)",
+        f"({count_negative(self_margins)}/{N_INSTANCES} instances negative)",
     )
     _report(
         "2b",
         ok_probe,
         f"probe gain minus eps*(full-strength probe gain): min margin {worst_probe:+.3e} "
-        f"({_count_negative(probe_margins)}/{N_INSTANCES} instances negative)",
+        f"({count_negative(probe_margins)}/{N_INSTANCES} instances negative)",
     )
     _report(
         "2c",
@@ -263,22 +250,12 @@ def test_criterion_4_scenario1_grid():
     """Plus state, z monitor, tilted probe: machinery matches closed forms."""
     thetas = [math.pi * k / 32 for k in range(33)]
     epsilons = [k / 32 for k in range(33)]
-    worst = 0.0
-    for theta in thetas:
-        probe_obs = observable_from_axis(theta, 0.0)
-        for eps in epsilons:
-            rep = reality_report(SZ, probe_obs, eps, PLUS)
-            spectra = scenario1_eigenvalues(theta, eps)
-            worst = max(
-                worst,
-                abs(rep.entropy_monitored - entropy_of_probabilities(spectra.monitored)),
-                abs(rep.entropy_probe - entropy_of_probabilities(spectra.probe)),
-                abs(rep.entropy_probe_monitored - entropy_of_probabilities(spectra.probe_monitored)),
-            )
-            if eps == 1.0:
-                assert rep.delta_r_monitored == 1.0
-            if theta == math.pi / 2:
-                assert abs(rep.delta_r_probe) <= 1e-12
+    worst, reports = scenario1_grid(thetas, epsilons)
+    for theta, eps, rep in reports:
+        if eps == 1.0:
+            assert rep.delta_r_monitored == 1.0
+        if theta == math.pi / 2:
+            assert abs(rep.delta_r_probe) <= 1e-12
     ok = worst <= 1e-10
     _report(4, ok, f"closed-form entropy match {worst:.3e}; exact 1-bit gain at full strength")
     assert worst <= 1e-10

@@ -15,7 +15,7 @@ from realmon.channels import (
     to_superoperator,
 )
 from realmon.linalg import DimensionError
-from realmon.observables import ObservableStack, observable_from_axis, pauli_observable
+from realmon.observables import observable_from_axis, pauli_observable, stack_observables
 from realmon.sampling import ginibre_density, random_mu_pair, random_observable
 from realmon.states import (
     DensityOperator,
@@ -257,7 +257,7 @@ class TestStacks:
             xs = [random_observable(d, rng) for _ in range(5)]
             rhos = [ginibre_density(d, rng) for _ in range(5)]
             eps = rng.random(5)
-            x, rho = ObservableStack(xs), stack_states(rhos)
+            x, rho = stack_observables(xs), stack_states(rhos)
             dephased = dephase(x, rho).matrix
             monitored = monitor(MonitoringChannel(x, eps), rho).matrix
             for n in range(5):

@@ -7,7 +7,6 @@ from realmon.linalg import DimensionError, dagger, hermitian_eig, tensor_product
 from realmon.observables import (
     DEGENERACY_TOL,
     DegenerateObservableError,
-    ObservableStack,
     ProjectiveObservable,
     SIGMA_X,
     SIGMA_Y,
@@ -17,9 +16,10 @@ from realmon.observables import (
     observable_from_axis,
     observable_on_qubit,
     pauli_observable,
+    stack_observables,
     standard_mub_observables,
 )
-from realmon.sampling import random_observable
+from realmon.sampling import random_commuting_pair, random_observable
 
 
 def observable_from_hermitian(m):
@@ -81,12 +81,12 @@ class TestObservableFromHermitian:
         obs = observable_from_hermitian(np.eye(2, dtype=complex))
         assert obs.n_outcomes == 1
         assert obs.eigenvalues == (1.0,)
-        assert obs.rank(0) == 2
+        assert np.trace(obs.projectors[0]).real == 2.0
 
     def test_tensor_degeneracy(self):
         obs = observable_from_hermitian(tensor_product(SIGMA_Z, np.eye(2, dtype=complex)))
         assert obs.eigenvalues == (-1.0, 1.0)
-        assert [obs.rank(j) for j in range(2)] == [2, 2]
+        assert np.trace(obs.projectors, axis1=1, axis2=2).real.round().tolist() == [2.0, 2.0]
 
     def test_reconstruction_random(self):
         rng = np.random.default_rng(1)
@@ -194,18 +194,51 @@ class TestProjectorArrays:
         assert pauli_observable("x").is_nondegenerate
 
 
-class TestObservableStack:
-    def test_stacks_member_projectors(self):
+class TestStackObservables:
+    def test_stacks_member_eigenvalues_and_projectors(self):
         rng = np.random.default_rng(3)
         members = [random_observable(3, rng) for _ in range(4)]
-        stack = ObservableStack(members)
-        assert len(stack) == 4 and stack.dim == 3
-        assert stack.projectors.shape == (4, 3, 3, 3)
+        stack = stack_observables(members)
+        assert stack.batch == 4 and stack.dim == 3 and stack.n_outcomes == 3
+        assert stack.projectors.shape == (4, 3, 3, 3) and stack.eigenvalues.shape == (4, 3)
+        assert members[0].batch is None and isinstance(members[0].eigenvalues, tuple)
         for n, obs in enumerate(members):
             assert np.array_equal(stack.projectors[n], obs.projectors)
+            assert tuple(stack.eigenvalues[n]) == obs.eigenvalues
+            assert np.array_equal(stack.matrix()[n], obs.matrix())
+        with pytest.raises(ValueError):
+            stack.eigenvalues[0, 0] = 2.0
 
     def test_rejects_empty_and_mixed_stacks(self):
         with pytest.raises(DimensionError):
-            ObservableStack([])
+            stack_observables([])
         with pytest.raises(DimensionError):
-            ObservableStack([pauli_observable("z"), standard_mub_observables(3)[0]])
+            stack_observables([pauli_observable("z"), standard_mub_observables(3)[0]])
+
+    def test_validation_runs_per_member(self):
+        z, x = pauli_observable("z"), pauli_observable("x")
+        ProjectiveObservable([z.eigenvalues, x.eigenvalues], [z.projectors, x.projectors])
+        bad = np.full((2, 2), 0.5, dtype=complex)
+        with pytest.raises(ValueError, match="orthogonal"):
+            ProjectiveObservable([z.eigenvalues, x.eigenvalues], [z.projectors, [bad, bad]])
+
+    def test_pair_tests_answer_per_member(self):
+        rng = np.random.default_rng(4)
+        for d in (2, 3):
+            b0, b1 = standard_mub_observables(d)[:2]
+            c0, c1 = random_commuting_pair(d, rng)
+            xs = [random_observable(d, rng), c0, b0, b0]
+            x2s = [b1, c1, b0, b1]
+            x, x2 = stack_observables(xs), stack_observables(x2s)
+            assert commutes(x, x2).tolist() == [False, True, True, False]
+            assert is_mutually_unbiased(x, x2).tolist() == [False, False, False, True]
+            for test in (commutes, is_mutually_unbiased):
+                assert test(x, x2).tolist() == [test(a, b) for a, b in zip(xs, x2s)]
+                assert test(x, b1).tolist() == [test(a, b1) for a in xs]
+                assert test(b0, x2).tolist() == [test(b0, b) for b in x2s]
+
+    def test_degenerate_stack_has_no_mu_test(self):
+        stack = stack_observables([observable_on_qubit(2, 0, 0.0), observable_on_qubit(2, 1, 0.0)])
+        assert not stack.is_nondegenerate
+        with pytest.raises(DegenerateObservableError):
+            is_mutually_unbiased(stack, stack)

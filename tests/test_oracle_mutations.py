@@ -1,18 +1,34 @@
-"""Mutation checks for the circuit certification oracle.
+"""Mutation checks for the independent oracles.
 
-Each test injects one small fault into one side of the comparison that
-``certify_circuits`` makes (the analytic channel algebra, the compiled
-circuit stacks, or the intensity mapping) and asserts that certification
-no longer passes.  A refactor that merges the two sides, or that checks
-only part of a stack, makes one of these pass silently and fails here.
+Each test injects one small fault into one side of a comparison and asserts
+that the check named for it no longer passes:
+
+- circuit certification (the analytic channel algebra, the compiled circuit
+  stacks, or the intensity mapping);
+- verify-cases' four-entropy identity between the sequential and the
+  composed-channel routes;
+- acceptance criterion 2c, the sign of the probe gain;
+- acceptance criterion 4, the closed-form qubit spectra.
+
+A refactor that merges the two sides of a check, or that checks only part
+of a stack, makes one of these pass silently and fails here.
 """
 
 import math
 
+import numpy as np
+
+from _helpers import probe_gain_sign_check, reality, scenario1_grid
 from realmon import certify
 from realmon.certify import certify_circuits
 from realmon.channels import ComposedChannel
 from realmon.circuits import Circuit, epsilon_of_strength
+from realmon.observables import stack_observables
+from realmon.sampling import random_density, random_observable
+from realmon.states import stack_states
+from realmon.verify import verify_cases
+
+IDENTITY_CHECK = "four-entropy identity (sequential vs composed)"
 
 
 def test_unfaulted_certification_passes():
@@ -49,3 +65,45 @@ def test_half_sine_cnot_mapping_is_caught(monkeypatch):
     report = certify_circuits(3)
     assert not report.ok
     assert report.deviations["n=1 CNOT"] > 0.1 and report.deviations["n=1 CZ"] < 1e-14
+
+
+def test_perturbed_composed_channel_breaks_the_four_entropy_identity(monkeypatch):
+    assert {c.name: c.passed for c in verify_cases(0, 20, (2, 3)).checks}[IDENTITY_CHECK]
+    apply = ComposedChannel.apply_matrix
+    monkeypatch.setattr(ComposedChannel, "apply_matrix", lambda self, mat: apply(self, mat) + 1e-8)
+    report = verify_cases(0, 20, (2, 3))
+    assert {c.name: c.passed for c in report.checks}[IDENTITY_CHECK] is False
+    assert not report.ok
+
+
+def _generic_probe_gains(n):
+    """Probe gains of n generic qubit instances, through ``reality.delta_reality_other``."""
+    rng = np.random.default_rng(2024)
+    instances = [(random_observable(2, rng), random_observable(2, rng), random_density(2, rng)) for _ in range(n)]
+    x, xp, rho = (column for column in zip(*instances))
+    eps = rng.random(n)
+    return reality.delta_reality_other(stack_observables(xp), stack_observables(x), eps, stack_states(rho))
+
+
+def test_clamped_probe_gain_fails_criterion_2c(monkeypatch):
+    assert probe_gain_sign_check(_generic_probe_gains(500))[0]
+    gain = reality.delta_reality_other
+    monkeypatch.setattr(reality, "delta_reality_other", lambda *args: np.maximum(gain(*args), 0.0))
+    passed, negatives, _, gap = probe_gain_sign_check(_generic_probe_gains(500))
+    assert not passed
+    assert negatives == 0 and gap > 0.2  # both halves of the check catch the clamp
+
+
+def test_shifted_closed_form_spectra_fail_criterion_4(monkeypatch):
+    grid = [math.pi * k / 8 for k in range(9)], [k / 8 for k in range(9)]
+    assert scenario1_grid(*grid)[0] <= 1e-10
+    spectra = reality.scenario1_eigenvalues
+
+    def shifted(theta, epsilon):
+        # move every (larger, smaller) pair 1e-8 towards (1/2, 1/2), so it stays a distribution
+        exact = spectra(theta, epsilon)
+        pairs = (exact.monitored, exact.probe, exact.probe_monitored)
+        return reality.ScenarioOneSpectra(*((a - 1e-8, b + 1e-8) for a, b in pairs))
+
+    monkeypatch.setattr(reality, "scenario1_eigenvalues", shifted)
+    assert scenario1_grid(*grid)[0] > 1e-10

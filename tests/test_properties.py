@@ -15,7 +15,7 @@ from hypothesis.extra.numpy import arrays
 
 from realmon.channels import MonitoringChannel, dephase, monitor
 from realmon.linalg import hermitian_eig, hermiticity_defect
-from realmon.observables import ObservableStack
+from realmon.observables import stack_observables
 from realmon.reality import delta_reality_monitored, delta_reality_other, irreality, reality_report
 from realmon.sampling import random_observable
 from realmon.states import DensityOperator, stack_states, von_neumann_entropy
@@ -52,7 +52,7 @@ def instance_stacks(draw):
 @given(instance_stacks())
 def test_stack_equals_members(members):
     xs, xps, rhos, eps = members
-    x, xp, rho = ObservableStack(xs), ObservableStack(xps), stack_states(rhos)
+    x, xp, rho = stack_observables(xs), stack_observables(xps), stack_states(rhos)
     w, v = hermitian_eig(rho.matrix)
     gains = {
         "probe": delta_reality_other(xp, x, eps, rho),
@@ -77,7 +77,7 @@ def test_stack_equals_members(members):
 @given(instance_stacks())
 def test_monitoring_and_dephasing_keep_states_valid(members):
     xs, _, rhos, eps = members
-    x, rho = ObservableStack(xs), stack_states(rhos)
+    x, rho = stack_observables(xs), stack_states(rhos)
     for out in (monitor(MonitoringChannel(x, eps), rho), dephase(x, rho)):
         assert np.abs(np.trace(out.matrix, axis1=1, axis2=2) - 1.0).max() <= STATE_TOL
         assert hermiticity_defect(out.matrix) <= STATE_TOL
@@ -89,5 +89,5 @@ def test_monitoring_and_dephasing_keep_states_valid(members):
 def test_monitoring_never_lowers_entropy(members):
     xs, _, rhos, eps = members
     rho = stack_states(rhos)
-    monitored = monitor(MonitoringChannel(ObservableStack(xs), eps), rho)
+    monitored = monitor(MonitoringChannel(stack_observables(xs), eps), rho)
     assert (von_neumann_entropy(monitored) >= von_neumann_entropy(rho) - 1e-9).all()

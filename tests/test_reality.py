@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from _helpers import maximally_mixed
+from realmon import verify
 from realmon.channels import MonitoringChannel, monitor
+from realmon.config import make_config, resolve_state
 from realmon.linalg import DimensionError
 from realmon.observables import (
-    ObservableStack,
     ProjectiveObservable,
     observable_from_axis,
     pauli_observable,
+    stack_observables,
+    standard_mub_observables,
 )
 from realmon.reality import (
     CaseLabel,
@@ -39,6 +42,7 @@ from realmon.states import (
     entropy_of_probabilities,
     stack_states,
 )
+from realmon.sweeps import _point_parameters
 
 
 def diagonal_observable(values):
@@ -363,8 +367,8 @@ class TestStackedEvaluation:
                 (random_observable(d, rng), random_observable(d, rng), random_density(d, rng), float(rng.random()))
                 for _ in range(6)
             ]
-            x = ObservableStack(m[0] for m in members)
-            xp = ObservableStack(m[1] for m in members)
+            x = stack_observables(m[0] for m in members)
+            xp = stack_observables(m[1] for m in members)
             rho = stack_states(m[2] for m in members)
             eps = np.array([m[3] for m in members])
             report = reality_report(x, xp, eps, rho)
@@ -385,9 +389,91 @@ class TestStackedEvaluation:
         assert gains[0] == 0.0 and gains[2] == 1.0
         assert abs(gains[1] - H2_QUARTER) <= 1e-12
 
-    def test_labels_are_per_configuration(self):
-        report = reality_report(SZ, SX, np.array([0.2, 0.5]), stack_states([ISTATE, ISTATE]))
-        with pytest.raises(DimensionError):
-            report.case_label
-        with pytest.raises(DimensionError):
-            classify_case(ObservableStack([SZ, SZ]), SX, ISTATE)
+    def test_case_label_of_a_stacked_report_is_per_member(self):
+        rng = np.random.default_rng(14)
+        rho = stack_states([ISTATE, PLUS, ginibre_density(2, rng)])
+        report = reality_report(SZ, SX, np.array([0.2, 0.5, 0.9]), rho)
+        assert report.case_label == (CaseLabel.TRIPLE_MU, CaseLabel.XPRIME_DIAGONAL, CaseLabel.MU)
+
+
+def assert_labels_match_members(x, xp, rho):
+    """Label the configuration stacked, where an argument is a list of members,
+    and compare each member's label with its label alone.  Returns the labels."""
+    n = max(len(a) for a in (x, xp, rho) if isinstance(a, list))
+    members = [a if isinstance(a, list) else [a] * n for a in (x, xp, rho)]
+    stacked = classify_case(
+        stack_observables(x) if isinstance(x, list) else x,
+        stack_observables(xp) if isinstance(xp, list) else xp,
+        stack_states(rho) if isinstance(rho, list) else rho,
+    )
+    alone = tuple(classify_case(*member) for member in zip(*members))
+    assert stacked == alone
+    return set(alone)
+
+
+class TestStackedLabels:
+    """A stacked ``classify_case`` gives every member the label it gets alone."""
+
+    def test_every_label_in_one_stack(self):
+        rng = np.random.default_rng(15)
+        tilted = observable_from_axis(math.pi / 4, 0.0)
+        configurations = [
+            (SZ, SZ, ISTATE),
+            (SZ, observable_from_axis(1.0, 0.3), ZERO),
+            (SZ, SX, PLUS),
+            (SZ, SX, ISTATE),
+            (SZ, SX, ginibre_density(2, rng)),
+            (tilted, SZ, ginibre_density(2, rng)),
+        ] * 2
+        labels = assert_labels_match_members(*(list(column) for column in zip(*configurations)))
+        assert labels == set(CaseLabel)
+        assert classify_case(SZ, SX, ISTATE) is CaseLabel.TRIPLE_MU  # one configuration: a label, not a tuple
+
+    @pytest.mark.parametrize("scenario", ["fig1", "fig2", "fig4a", "fig4b", "fig4c"])
+    def test_preset_grids(self, scenario):
+        labels = set()
+        for seed in range(4):
+            grid = make_config(scenario).grid_values
+            shift = float(np.random.default_rng(seed).uniform(-0.5, 0.5)) * (grid[1] - grid[0])
+            grid = (grid[0],) + tuple(g + shift for g in grid[1:-1]) + (grid[-1],)
+            config = make_config(scenario, grid_values=grid)
+            points = [_point_parameters(config, value) for value in config.grid_values]
+            x = [observable_from_axis(*m_axis) for *_, m_axis, _ in points]
+            xp = [observable_from_axis(*p_axis) for *_, p_axis in points]
+            labels |= assert_labels_match_members(x, xp, resolve_state(config.state))
+        assert labels  # every preset grid is labelled
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_verify_style_sections(self, d):
+        rng = np.random.default_rng(16 + d)
+        trials = 40
+        sections = [
+            lambda: verify._instance(d, rng),
+            lambda: verify._instance(d, rng, random_commuting_pair),
+            lambda: verify._diagonal_instance(d, rng, False),
+            lambda: verify._diagonal_instance(d, rng, True),
+        ]
+        if d in (2, 3):
+            sections += [lambda: verify._instance(d, rng, random_mu_pair), lambda: verify._mu_probe_instance(d, rng)]
+        labels = set()
+        for draw in sections:
+            instances = [draw() for _ in range(trials)]
+            x, xp, rho, _, *rho_any = (list(column) for column in zip(*instances))
+            labels |= assert_labels_match_members(x, xp, rho)
+            if rho_any:
+                labels |= assert_labels_match_members(x, xp, rho_any[0])
+        # mixed stacks: configurations of every section interleaved
+        instances = [sections[k % len(sections)]()[:3] for k in range(3 * trials)]
+        labels |= assert_labels_match_members(*(list(column) for column in zip(*instances)))
+        expected = {CaseLabel.COMPATIBLE, CaseLabel.X_DIAGONAL, CaseLabel.XPRIME_DIAGONAL, CaseLabel.GENERIC}
+        assert expected <= labels and ((CaseLabel.MU in labels) == (d in (2, 3)))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_single_observables_broadcast_over_a_state_stack(self, d):
+        rng = np.random.default_rng(20 + d)
+        x, xp, third = standard_mub_observables(d)[:3]
+        rho = [verify._third_basis_instance(d, rng, third)[0] for _ in range(40)]
+        rho += [random_density(d, rng) for _ in range(20)] + [mixture_of_eigenstates(xp, random_probabilities(d, rng))]
+        labels = assert_labels_match_members(x, xp, rho)
+        assert labels == {CaseLabel.TRIPLE_MU, CaseLabel.MU, CaseLabel.XPRIME_DIAGONAL}
+        assert assert_labels_match_members(x, [xp] * 3, rho[:3]) == {CaseLabel.TRIPLE_MU}

@@ -19,8 +19,12 @@ from realmon.circuits import (
     strength_of_epsilon,
 )
 from realmon.config import (
+    MAX_DIMENSION,
     MAX_GRID_POINTS,
     MAX_REPEATS,
+    MAX_RESOLUTION,
+    MAX_SEEDS,
+    MAX_TRIALS,
     ConfigError,
     SweepConfig,
     config_from_json,
@@ -30,7 +34,7 @@ from realmon.config import (
 from realmon.noise import confusion_from_flip
 from realmon.reality import classify_case
 from realmon.states import von_neumann_entropy
-from realmon.tomography import estimate_pauli, reconstruct_state
+from realmon.tomography import estimate_pauli, reconstruct_state, tomography_errors
 from realmon.output import write_text
 from realmon.svg import render_sweep_chart
 from realmon.sweeps import CSV_HEADER, SweepRecord, emit_json, render_csv, run_sweep
@@ -61,6 +65,26 @@ class TestConfig:
             config = make_config(scenario, points=5)
             assert config.scenario == scenario
             assert len(config.grid_values) == 5
+
+    @pytest.mark.parametrize(
+        "scenario, fields, stop",
+        [
+            ("fig1", dict(monitor_axis=(0.0, 0.0), probe_axis=(math.pi / 2, 0.0), grid_kind="axis_theta",
+                          sweep_target="probe"), math.pi),
+            ("fig2", dict(monitor_axis=(math.pi / 4, 0.0), probe_axis=(0.0, 0.0), grid_kind="axis_theta",
+                          sweep_target="monitor"), math.pi),
+            ("fig4a", dict(monitor_axis=(0.0, 0.0), probe_axis=(math.pi / 2, 0.0)), math.pi / 2),
+            ("fig4b", dict(state="iplus", monitor_axis=(0.0, 0.0), probe_axis=(math.pi / 2, 0.0)), math.pi / 2),
+            ("fig4c", dict(monitor_axis=(math.pi / 4, 0.0), probe_axis=(0.0, 0.0)), math.pi / 2),
+            ("custom", dict(), math.pi / 2),
+        ],
+    )
+    def test_preset_fields_and_grid(self, scenario, fields, stop):
+        for points in (2, 33, MAX_GRID_POINTS):
+            grid = tuple(stop * k / (points - 1) for k in range(points))
+            assert make_config(scenario, points=points) == SweepConfig(scenario, grid_values=grid, **fields)
+            override = make_config(scenario, points=points, grid_values=(0.0, 0.5), seed=4)
+            assert override == SweepConfig(scenario, grid_values=(0.0, 0.5), seed=4, **fields)
 
     def test_unknown_scenario(self):
         with pytest.raises(ConfigError, match="scenario"):
@@ -287,7 +311,43 @@ class TestBatchedEngineMatchesPerPointLoop:
         assert render_csv(run_sweep(config)) == render_csv(per_point_sweep(config))
 
 
+class TestOneLabelCallPerStack:
+    """Case labels come from one ``classify_case`` call per stack, never one per member."""
+
+    @staticmethod
+    def _count_calls(monkeypatch, module):
+        calls = []
+
+        def counting(x, xp, rho):
+            calls.append((x.batch, xp.batch, rho.batch))
+            return classify_case(x, xp, rho)
+
+        monkeypatch.setattr(module, "classify_case", counting)
+        return calls
+
+    @pytest.mark.parametrize("path", ["analytic", "circuit", "noisy"])
+    def test_one_call_per_sweep(self, monkeypatch, path):
+        import realmon.sweeps as sweeps_mod
+
+        calls = self._count_calls(monkeypatch, sweeps_mod)
+        records = run_sweep(make_config("fig1", points=9, path=path, shots=64, repeats=2))
+        assert calls == [(9, 9, None)]
+        assert {r.case for r in records} == {"compatible", "generic", "Xprime-diagonal"}
+
+    def test_one_call_per_labelled_section_and_dimension(self, monkeypatch):
+        import realmon.verify as verify_mod
+
+        calls = self._count_calls(monkeypatch, verify_mod)
+        assert verify_cases(seed=3, trials=4, dims=(2, 3, 4)).ok
+        # (i) commuting pairs at d = 2, 3, 4, then (v) the third basis at d = 2, 3
+        assert calls == [(4, 4, 4)] * 3 + [(None, None, 4)] * 2
+
+
 class TestEmission:
+    def test_csv_header_is_the_record_fields(self):
+        expected = "theta_m,epsilon,dR_X,dR_Xp,S_rho,S_mon,S_probe,S_probe_mon,case,path,se_dR_X,se_dR_Xp"
+        assert CSV_HEADER == expected
+
     def test_csv_header_and_length(self):
         records = run_sweep(make_config("fig4a", points=3))
         text = render_csv(records)
@@ -468,6 +528,54 @@ class TestSizeCaps:
 
     def test_caps_themselves_are_accepted(self):
         assert make_config("fig4a", points=3, path="noisy", repeats=MAX_REPEATS).repeats == MAX_REPEATS
+
+    @pytest.fixture
+    def reached(self, monkeypatch):
+        """Replace the first drawing or building step of each size-capped command
+        with one that raises ``Reached``: the command passed its validation."""
+        import realmon.certify as certify_mod
+        import realmon.tomography as tomography_mod
+        import realmon.verify as verify_mod
+
+        class Reached(Exception):
+            pass
+
+        def reach(*args):
+            raise Reached
+
+        monkeypatch.setattr(verify_mod, "_per_dimension", reach)
+        monkeypatch.setattr(tomography_mod, "estimate_pauli", reach)
+        monkeypatch.setattr(certify_mod, "_extract_and_compare", reach)
+        return Reached
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["verify-cases", "--trials", str(MAX_TRIALS + 1)], "trials"),
+            (["verify-cases", "--trials", "100000000000"], "trials"),
+            (["verify-cases", "--dims", "2", str(MAX_DIMENSION + 1)], "dims"),
+            (["verify-cases", "--dims", "1000000"], "dims"),
+            (["tomo-sim", "--seeds", str(MAX_SEEDS + 1)], "seeds"),
+            (["tomo-sim", "--seeds", "100000000000"], "seeds"),
+            (["certify-circuits", "--resolution", str(MAX_RESOLUTION + 1)], "resolution"),
+            (["certify-circuits", "--resolution", "100000000000"], "resolution"),
+        ],
+        ids=["trials", "trials-1e11", "dims", "dims-1e6", "seeds", "seeds-1e11", "resolution", "resolution-1e11"],
+    )
+    def test_command_sizes_over_the_cap_exit_3_before_drawing(self, reached, capsys, argv, name):
+        assert self.main(argv) == 3
+        assert name in capsys.readouterr().err
+
+    def test_command_caps_and_defaults_pass_validation(self, reached):
+        with pytest.raises(reached):
+            verify_cases(trials=MAX_TRIALS, dims=(2, MAX_DIMENSION))
+        with pytest.raises(reached):
+            certify_circuits(resolution=MAX_RESOLUTION)
+        with pytest.raises(reached):
+            tomography_errors("plus", 8192, MAX_SEEDS, 0, False)
+        for argv in (["verify-cases"], ["certify-circuits"], ["tomo-sim"]):
+            with pytest.raises(reached):
+                self.main(argv)
         assert len(make_config("fig4a", points=MAX_GRID_POINTS).grid_values) == MAX_GRID_POINTS
 
 
@@ -544,6 +652,8 @@ class TestCLI:
             ({"scenario": "fig4a", "json_out": ""}, "json_out"),
             ({"grid_values": 5}, "grid_values"),
             ({"grid_values": True}, "grid_values"),
+            ({"scenario": "fig4a", "sweep_target": math.nan}, "sweep_target"),
+            ({"scenario": "fig4a", "sweep_target": {"probe": True}}, "sweep_target"),
         ],
         ids=[
             "grid-theta_m-nan", "grid-epsilon-inf", "grid-axis_theta-nan", "flips-above-one",
@@ -553,7 +663,7 @@ class TestCLI:
             "seed-string", "shots-fractional", "repeats-fractional", "out-not-a-path", "epsilon-bool",
             "monitor-axis-bools", "depolarizing-bool", "flips-bool", "state-theta-bool",
             "state-unknown-angle-key", "out-empty", "svg-empty", "json-out-empty",
-            "grid-scalar", "grid-bool",
+            "grid-scalar", "grid-bool", "sweep-target-nan", "sweep-target-object",
         ],
     )
     def test_malformed_config_field_exit_code(self, tmp_path, capsys, fields, name):
