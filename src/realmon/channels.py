@@ -7,11 +7,12 @@ basis: column k*d+l holds the row-stacked image of the unit E_kl, i.e.
 S[i*d+j, k*d+l] = channel(E_kl)[i, j].  ``to_superoperator`` builds it from
 any channel's own ``apply_matrix``, fed all d^2 units as one stack.
 
-Dephasing and monitoring also act on stacks: a (d, d) matrix or an
-(N, d, d) stack of them, under one observable or a stack of N (projectors
-(N, k, d, d)) and one intensity or N of them.  A stack takes one
-batched matrix product per outcome, and each member's image equals its
-image alone.
+Each channel is one, or a stack of N with ``batch`` N as circuits are:
+under N observables (projectors (N, k, d, d)) or N intensities, built by
+``product_monitor`` from (N,) angle arrays.  A channel acts on a (d, d)
+matrix or an (N, d, d) stack, with one batched matrix product per outcome;
+each member's image equals its image alone, and ``to_superoperator``
+extracts a stack the way it extracts a circuit stack.
 """
 
 from __future__ import annotations
@@ -37,6 +38,11 @@ class DephasingChannel:
     def dim(self) -> int:
         return self.observable.dim
 
+    @property
+    def batch(self) -> int | None:
+        """Number of channels in a stack; None for a single channel."""
+        return self.observable.batch
+
     def apply_matrix(self, mat: np.ndarray) -> np.ndarray:
         p = self.observable.projectors
         return sum(p[..., j, :, :] @ mat @ p[..., j, :, :] for j in range(p.shape[-3]))
@@ -61,6 +67,11 @@ class MonitoringChannel:
     def dim(self) -> int:
         return self.observable.dim
 
+    @property
+    def batch(self) -> int | None:
+        lead = np.broadcast_shapes(self.observable.projectors.shape[:-3], np.shape(self.epsilon))
+        return lead[0] if lead else None
+
     def apply_matrix(self, mat: np.ndarray) -> np.ndarray:
         dephased = DephasingChannel(self.observable).apply_matrix(mat)
         eps = np.asarray(self.epsilon)[..., None, None]
@@ -82,6 +93,10 @@ class ComposedChannel:
     def dim(self) -> int:
         return self.outer.dim
 
+    @property
+    def batch(self) -> int | None:
+        return self.inner.batch if self.outer.batch is None else self.outer.batch
+
     def apply_matrix(self, mat: np.ndarray) -> np.ndarray:
         return self.outer.apply_matrix(self.inner.apply_matrix(mat))
 
@@ -95,8 +110,10 @@ class Superoperator:
     matrix: np.ndarray
 
     def apply_matrix(self, mat: np.ndarray) -> np.ndarray:
-        d = self.dim
-        return (self.matrix @ np.asarray(mat, dtype=complex).reshape(-1)).reshape(d, d)
+        """Image of a (d, d) operator or a stack of them; stacks broadcast against the member axis."""
+        mat = np.asarray(mat, dtype=complex)
+        images = self.matrix @ mat.reshape(mat.shape[:-2] + (self.dim**2, 1))
+        return images.reshape(images.shape[:-2] + mat.shape[-2:])
 
 
 def _check_dims(channel_dim: int, rho: DensityOperator):
@@ -124,25 +141,28 @@ def to_superoperator(ch) -> Superoperator:
     ``apply_matrix``, noiseless circuits included) by acting on the d^2
     matrix units, pushed through ``apply_matrix`` as one (d^2, d, d) stack.
 
-    A channel stack of N members (one with a ``batch`` of N, such as a
-    stacked circuit) takes the units as a (d^2, 1, d, d) stack, which
+    A channel stack of N members (a ``batch`` of N: a stacked analytic
+    channel or circuit) takes the units as a (d^2, 1, d, d) stack, which
     broadcasts against its member axis, and gives an (N, d^2, d^2) matrix.
     """
     if isinstance(ch, Superoperator):
         return ch
     d = ch.dim
-    lead = (d * d,) if getattr(ch, "batch", None) is None else (d * d, 1)
+    lead = (d * d,) if ch.batch is None else (d * d, 1)
     images = ch.apply_matrix(np.eye(d * d, dtype=complex).reshape(lead + (d, d)))
     columns = images.reshape(images.shape[:-2] + (d * d,))
     return Superoperator(d, np.ascontiguousarray(np.moveaxis(columns, 0, -1)))
 
 
-def product_monitor(bases, epsilon: float) -> ComposedChannel | MonitoringChannel:
+def product_monitor(bases, epsilon) -> ComposedChannel | MonitoringChannel:
     """Per-qubit monitoring of a product basis on an n-qubit register.
 
     ``bases`` lists one (theta, phi) axis per qubit; the result is the
     composition of the commuting single-qubit monitoring channels, which is
-    what one ancilla per qubit implements.  One qubit gives one stage.
+    what one ancilla per qubit implements.  One qubit gives one stage.  As
+    in ``circuits.build_monitor_circuit``, any angle given as an (N,) array,
+    or an (N,) ``epsilon``, makes a stack of N channels, member k built from
+    the k-th entries.
     """
     n = len(bases)
     if n < 1:

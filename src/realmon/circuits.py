@@ -169,11 +169,7 @@ def build_monitor_circuit(bases, strength, coupling: str = "CZ") -> Circuit:
     Any of these angles given as an (N,) array makes a stack of N circuits,
     member k built from the k-th entries.
     """
-    if coupling not in COUPLINGS:
-        raise ValueError(f"coupling must be one of {COUPLINGS}, got {coupling!r}")
-    theta_m = np.asarray(strength)
-    if not np.all((0.0 <= theta_m) & (theta_m <= math.pi / 2 + 1e-12)):
-        raise ValueError(f"strength angle must lie in [0, pi/2], got {strength!r}")
+    epsilon_of_strength(coupling, strength)  # checks the coupling and the strength range
     n = len(bases)
     if n < 1:
         raise DimensionError("need at least one system qubit")
@@ -189,8 +185,9 @@ def build_monitor_circuit(bases, strength, coupling: str = "CZ") -> Circuit:
     return Circuit(2 * n, tuple(gates), n)
 
 
-def epsilon_of_strength(coupling: str, theta_m: float) -> float:
-    """Measurement intensity realized by the dilation at strength theta_m.
+def epsilon_of_strength(coupling: str, theta_m):
+    """Measurement intensity realized by the dilation at strength theta_m,
+    a float, or an array of them for an array of angles.
 
     Controlled-phase coupling damps off-diagonal elements by cos(theta_m),
     controlled-NOT by sin(theta_m); both mappings agree with the extracted
@@ -198,11 +195,11 @@ def epsilon_of_strength(coupling: str, theta_m: float) -> float:
     """
     if coupling not in COUPLINGS:
         raise ValueError(f"coupling must be one of {COUPLINGS}, got {coupling!r}")
-    if not 0.0 <= theta_m <= math.pi / 2 + 1e-12:
+    theta = np.asarray(theta_m, dtype=float)
+    if not np.all((0.0 <= theta) & (theta <= math.pi / 2 + 1e-12)):
         raise ValueError(f"strength angle must lie in [0, pi/2], got {theta_m!r}")
-    if coupling == "CZ":
-        return 1.0 - math.cos(theta_m)
-    return 1.0 - math.sin(theta_m)
+    eps = 1.0 - (np.cos(theta) if coupling == "CZ" else np.sin(theta))
+    return float(eps) if eps.ndim == 0 else eps
 
 
 def strength_of_epsilon(coupling: str, epsilon: float) -> float:

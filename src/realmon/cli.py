@@ -90,13 +90,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_sweep(args) -> int:
-    flags = {}
-    for key in (
-        "scenario", "path", "seed", "shots", "repeats", "points", "epsilon", "coupling", "out", "svg", "json_out"
-    ):
-        value = getattr(args, key)
-        if value is not None:
-            flags[key] = value
+    keys = ("scenario", "path", "seed", "shots", "repeats", "points", "epsilon", "coupling", "out", "svg", "json_out")
+    flags = {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
     config = config_from_json(args.config, **flags) if args.config else make_config(**flags)
     records = run_sweep(config)
     if config.out:
@@ -113,21 +108,12 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args) -> int:
-    report = verify_cases(seed=args.seed, trials=args.trials, dims=tuple(args.dims))
+def _report(report, out) -> int:
+    """Print a verify or certify report, write its JSON to ``out`` if given, and exit 0 if it holds, else 2."""
     print(report.render_text())
-    if args.out:
-        write_json(args.out, report.to_dict())
-        print(f"wrote {args.out}")
-    return EXIT_OK if report.ok else EXIT_VIOLATION
-
-
-def _cmd_certify(args) -> int:
-    report = certify_circuits(resolution=args.resolution, seed=args.seed)
-    print(report.render_text())
-    if args.out:
-        write_json(args.out, report.to_dict())
-        print(f"wrote {args.out}")
+    if out:
+        write_json(out, report.to_dict())
+        print(f"wrote {out}")
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
 
@@ -148,16 +134,13 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return _cmd_sweep(args)
         if args.command == "verify-cases":
-            return _cmd_verify(args)
+            return _report(verify_cases(seed=args.seed, trials=args.trials, dims=tuple(args.dims)), args.out)
         if args.command == "certify-circuits":
-            return _cmd_certify(args)
-        if args.command == "tomo-sim":
-            return _cmd_tomo(args)
+            return _report(certify_circuits(resolution=args.resolution, seed=args.seed), args.out)
+        return _cmd_tomo(args)  # the parser admits no other command
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    parser.error(f"unknown command {args.command!r}")
-    return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -5,6 +5,8 @@ An observable is stored as a tuple of real eigenvalues matched with a
 by projectors of rank equal to the eigenvalue multiplicity.  The same type
 holds a stack of N observables of one dimension and outcome count, (N, k)
 eigenvalues with (N, k, d, d) projectors, one per member of a state stack.
+``observable_from_axis`` and ``observable_on_qubit`` build one observable
+from numbers or a stack from (N,) angle arrays, through the same code.
 ``commutes`` and ``is_mutually_unbiased`` take one observable or a stack on
 either side, through the same code, and answer per member.
 """
@@ -41,8 +43,8 @@ class ProjectiveObservable:
 
     One observable has a tuple of k ``eigenvalues`` and one read-only
     (k, d, d) ``projectors`` array holding P_j at index j.  A stack of N
-    (from :func:`stack_observables`) has (N, k) eigenvalues and (N, k, d, d)
-    projectors, and ``batch`` is N.
+    (from :func:`stack_observables`, or an axis builder given angle arrays)
+    has (N, k) eigenvalues and (N, k, d, d) projectors, and ``batch`` is N.
     """
 
     __slots__ = ("eigenvalues", "projectors")
@@ -131,22 +133,21 @@ def stack_observables(observables) -> ProjectiveObservable:
     )
 
 
-def observable_from_axis(theta: float, phi: float = 0.0) -> ProjectiveObservable:
+def observable_from_axis(theta, phi=0.0) -> ProjectiveObservable:
     """Qubit observable along the Bloch axis (theta, phi), eigenvalues (+1, -1).
 
     The +1 eigenket is (cos(theta/2), e^{i phi} sin(theta/2)) and the -1
     eigenket its orthogonal complement, so (0, 0) gives the computational
-    basis and (pi/2, 0) the Hadamard basis.
+    basis and (pi/2, 0) the Hadamard basis.  Angles given as (N,) arrays,
+    broadcast together, give a stack of N observables.
     """
-    half = 0.5 * theta
-    ph = cmath.exp(1j * phi)
-    n0 = np.array([math.cos(half), ph * math.sin(half)], dtype=complex)
-    n1 = np.array([-math.sin(half), ph * math.cos(half)], dtype=complex)
-    return ProjectiveObservable(
-        (1.0, -1.0),
-        (np.outer(n0, n0.conj()), np.outer(n1, n1.conj())),
-        validate=False,
-    )
+    theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
+    if theta.ndim > 1:
+        raise DimensionError(f"axis angles must be numbers or (N,) arrays, got shape {theta.shape}")
+    c, s, ph = np.cos(0.5 * theta), np.sin(0.5 * theta), np.exp(1j * phi)
+    kets = np.stack((np.stack((c, ph * s), axis=-1), np.stack((-s, ph * c), axis=-1)), axis=-2)
+    projs = kets[..., :, None] * kets.conj()[..., None, :]
+    return ProjectiveObservable(np.broadcast_to((1.0, -1.0), theta.shape + (2,)), projs, validate=False)
 
 
 def commutes(x: ProjectiveObservable, x2: ProjectiveObservable) -> bool | np.ndarray:
@@ -175,8 +176,9 @@ def is_mutually_unbiased(x: ProjectiveObservable, x2: ProjectiveObservable) -> b
     return within_tol(overlaps - 1.0 / x.dim, MU_TOL)
 
 
-def observable_on_qubit(n_qubits: int, qubit: int, theta: float, phi: float = 0.0) -> ProjectiveObservable:
-    """Single-qubit axis observable embedded in an ``n_qubits`` register.
+def observable_on_qubit(n_qubits: int, qubit: int, theta, phi=0.0) -> ProjectiveObservable:
+    """Single-qubit axis observable embedded in an ``n_qubits`` register,
+    or a stack of them for (N,) angle arrays.
 
     Projectors have rank 2**(n_qubits-1); eigenvalues stay (+1, -1).
     """
@@ -185,8 +187,8 @@ def observable_on_qubit(n_qubits: int, qubit: int, theta: float, phi: float = 0.
     base = observable_from_axis(theta, phi)
     left = np.eye(2**qubit, dtype=complex)
     right = np.eye(2 ** (n_qubits - qubit - 1), dtype=complex)
-    projs = [tensor_product(tensor_product(left, p), right) for p in base.projectors]
-    return ProjectiveObservable((1.0, -1.0), projs, validate=False)
+    projs = tensor_product(tensor_product(left, base.projectors), right)
+    return ProjectiveObservable(base.eigenvalues, projs, validate=False)
 
 
 def observable_from_basis(columns: np.ndarray, eigenvalues) -> ProjectiveObservable:

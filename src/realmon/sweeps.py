@@ -7,11 +7,12 @@ circuits with finite-shot tomography), and renders the records as CSV or
 JSON.  Records are produced in grid order and all randomness is derived
 from the config seed per (point, repeat, state), so identical configs give
 byte-identical CSV regardless of evaluation order.  Every path evaluates
-the whole grid as one stack: the grid's monitor and probe observables form
-one stack each, the circuit paths build one stack of monitor circuits and
-one of probe circuits and make three stacked runs, and one ``classify_case``
-call labels every point.  Only the grid parameters and their two axis
-observables are built per point.
+the whole grid as one stack: the grid resolves once into its strength and
+intensity columns and (N, 2) monitor and probe axes, one
+``observable_from_axis`` call per axis builds each observable stack, the
+circuit paths build one stack of monitor circuits and one of probe
+circuits and make three stacked runs, and one ``classify_case`` call
+labels every point.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from .circuits import build_monitor_circuit, epsilon_of_strength, run_circuit_density, strength_of_epsilon
 from .config import DEFAULT_SHOTS, ConfigError, SweepConfig, resolve_state
 from .noise import confusion_from_flip
-from .observables import observable_from_axis, stack_observables
+from .observables import observable_from_axis
 from .output import write_json
 from .reality import classify_case, reality_report
 from .states import DensityOperator, von_neumann_entropy
@@ -56,29 +57,29 @@ _CSV_FIELDS = tuple(f.name for f in fields(SweepRecord))
 CSV_HEADER = ",".join(_CSV_FIELDS)
 
 
-def _point_parameters(config: SweepConfig, value: float):
-    """Resolve one grid value into (theta_m_column, epsilon, strength, monitor_axis, probe_axis)."""
-    monitor_axis = config.monitor_axis
-    probe_axis = config.probe_axis
+def _grid_parameters(config: SweepConfig):
+    """Resolve the grid once: its record columns (theta_m, epsilon) as N numbers each,
+    the swept one as given so that records hold the config's own numbers, its (N,)
+    strength angles and its (N, 2) monitor and probe axes."""
+    values, n = config.grid_values, len(config.grid_values)
+    monitor_axes, probe_axes = (np.full((n, 2), axis, dtype=float) for axis in (config.monitor_axis, config.probe_axis))
     if config.grid_kind == "theta_m":
-        return value, epsilon_of_strength(config.coupling, value), value, monitor_axis, probe_axis
+        strength = np.array(values, dtype=float)
+        return values, epsilon_of_strength(config.coupling, strength).tolist(), strength, monitor_axes, probe_axes
     if config.grid_kind == "epsilon":
-        theta_m = strength_of_epsilon(config.coupling, value)
-        return theta_m, value, theta_m, monitor_axis, probe_axis
-    if config.sweep_target == "probe":
-        probe_axis = (value, probe_axis[1])
-    else:
-        monitor_axis = (value, monitor_axis[1])
-    return value, config.epsilon, strength_of_epsilon(config.coupling, config.epsilon), monitor_axis, probe_axis
+        theta_m = [strength_of_epsilon(config.coupling, value) for value in values]
+        return theta_m, values, np.array(theta_m), monitor_axes, probe_axes
+    (probe_axes if config.sweep_target == "probe" else monitor_axes)[:, 0] = values
+    strength = np.full(n, strength_of_epsilon(config.coupling, config.epsilon))
+    return values, (config.epsilon,) * n, strength, monitor_axes, probe_axes
 
 
-def _circuit_states(config, rho, points, depolarizing) -> DensityOperator:
+def _circuit_states(config, rho, strength, monitor_axes, probe_axes, depolarizing) -> DensityOperator:
     """Every grid point's (rho, mon, probe, probe_mon) as one (4N, 2, 2) stack, in (point, state) order.
 
     The grid's monitor circuits form one stack of N and its probe circuits
     another, so the whole grid takes three stacked circuit runs.
     """
-    strength, monitor_axes, probe_axes = (np.array([p[i] for p in points]) for i in (2, 3, 4))
     mon_circ = build_monitor_circuit([monitor_axes.T], strength, config.coupling)
     probe_circ = build_monitor_circuit([probe_axes.T], math.pi / 2, "CZ")
     mon = run_circuit_density(mon_circ, rho, depolarizing)
@@ -115,35 +116,29 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     config.validate()
     rho = resolve_state(config.state)
     depolarizing = config.depolarizing if config.path == "noisy" else 0.0
-    points = [_point_parameters(config, value) for value in config.grid_values]
-    x = stack_observables(observable_from_axis(*m_axis) for *_, m_axis, _ in points)
-    xp = stack_observables(observable_from_axis(*p_axis) for *_, p_axis in points)
+    theta_col, eps, strength, monitor_axes, probe_axes = _grid_parameters(config)
+    x = observable_from_axis(*monitor_axes.T)
+    xp = observable_from_axis(*probe_axes.T)
     if config.path == "analytic":
-        report = reality_report(x, xp, np.array([eps for _, eps, *_ in points]), rho)
+        report = reality_report(x, xp, np.array(eps, dtype=float), rho)
         parts = report.entropy_initial, report.entropy_monitored, report.entropy_probe, report.entropy_probe_monitored
         s = np.stack(np.broadcast_arrays(*parts), axis=-1)[None]
     else:
-        states = _circuit_states(config, rho, points, depolarizing)
+        states = _circuit_states(config, rho, strength, monitor_axes, probe_axes, depolarizing)
         if config.path == "circuit":
             s = von_neumann_entropy(states).reshape(1, -1, 4)
         else:
             s = _tomography_entropies(config, states)
     gains = np.stack((s[..., 1] - s[..., 0], s[..., 2] + s[..., 1] - s[..., 0] - s[..., 3]), axis=-1)
     means = np.concatenate((gains, s), axis=-1).mean(axis=0).tolist()
-    se = [(None, None)] * len(points)
+    se = [(None, None)] * len(eps)
     if config.path == "noisy":
         se = (gains.std(axis=0, ddof=1) / math.sqrt(len(s)) if len(s) > 1 else np.zeros_like(gains[0])).tolist()
     labels = classify_case(x, xp, rho)
     return [
-        SweepRecord(theta_col, eps, *mean, str(label), config.path, *err)
-        for (theta_col, eps, *_), label, mean, err in zip(points, labels, means, se)
+        SweepRecord(theta, epsilon, *mean, str(label), config.path, *err)
+        for theta, epsilon, label, mean, err in zip(theta_col, eps, labels, means, se)
     ]
-
-
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    return repr(float(x))
 
 
 def render_csv(records: list[SweepRecord]) -> str:
@@ -154,7 +149,7 @@ def render_csv(records: list[SweepRecord]) -> str:
     lines = [CSV_HEADER]
     for r in records:
         values = (getattr(r, name) for name in _CSV_FIELDS)
-        lines.append(",".join(v if isinstance(v, str) else _fmt(v) for v in values))
+        lines.append(",".join(v if isinstance(v, str) else "" if v is None else repr(float(v)) for v in values))
     return "\n".join(lines) + "\n"
 
 

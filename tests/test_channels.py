@@ -282,3 +282,53 @@ class TestStacks:
             MonitoringChannel(SZ, np.array([0.2, 1.5]))
         with pytest.raises(ValueError):
             MonitoringChannel(SZ, np.array([0.2, math.nan]))
+
+
+def same_bits(a, b) -> bool:
+    """Equal shapes and equal bytes, so signed zeros must match too."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestAngleArrays:
+    """Builders given (N,) angle arrays equal their per-member scalar calls bitwise."""
+
+    def test_observable_from_axis_stack_equals_its_members(self):
+        rng = np.random.default_rng(41)
+        theta, phi = rng.uniform(-2 * math.pi, 2 * math.pi, (2, 64))
+        theta[:3], phi[:3] = (0.0, -0.0, math.pi), (-0.0, math.pi, -1.0)
+        for phis in (phi, 0.7, -0.0):  # an array, and numbers broadcast against theta
+            stack = observable_from_axis(theta, phis)
+            assert stack.batch == 64 and stack.eigenvalues.shape == (64, 2)
+            for k, (t, p) in enumerate(zip(theta.tolist(), np.broadcast_to(phis, theta.shape).tolist())):
+                alone = observable_from_axis(t, p)
+                assert alone.batch is None and alone.eigenvalues == (1.0, -1.0)
+                assert same_bits(stack.eigenvalues[k], alone.eigenvalues)
+                assert same_bits(stack.projectors[k], alone.projectors)
+
+    def test_axis_angles_must_be_numbers_or_vectors(self):
+        with pytest.raises(DimensionError):
+            observable_from_axis(np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_product_monitor_stack_equals_its_members(self, n):
+        rng = np.random.default_rng(40 + n)
+        members = 5
+        thetas = rng.uniform(0, math.pi, (n, members))
+        phis = [0.25] + list(rng.uniform(-math.pi, math.pi, (n - 1, members)))  # qubit 0: one phi for all
+        eps = rng.random(members)
+        ch = product_monitor(list(zip(thetas, phis)), eps)
+        assert ch.batch == members
+        stack = to_superoperator(ch).matrix
+        assert stack.shape == (members, 4**n, 4**n)
+        for k in range(members):
+            bases = [(float(t[k]), float(np.broadcast_to(p, (members,))[k])) for t, p in zip(thetas, phis)]
+            alone = product_monitor(bases, float(eps[k]))
+            assert alone.batch is None
+            assert same_bits(stack[k], to_superoperator(alone).matrix)
+
+    def test_one_basis_with_an_intensity_array_is_a_stack(self):
+        eps = np.array([0.0, 0.4, 1.0])
+        stack = to_superoperator(product_monitor([(0.3, 0.1)], eps)).matrix
+        for k in range(3):
+            assert same_bits(stack[k], to_superoperator(product_monitor([(0.3, 0.1)], float(eps[k]))).matrix)

@@ -413,6 +413,52 @@ class TestEpsilonOfStrength:
             epsilon_of_strength("CZ", -0.1)
         with pytest.raises(ValueError):
             epsilon_of_strength("CZ", math.pi)
+        for bad in ([0.1, 2.0], [0.1, math.nan]):
+            with pytest.raises(ValueError, match="strength angle"):
+                epsilon_of_strength("CNOT", np.array(bad))
+        with pytest.raises(ValueError, match="coupling"):
+            epsilon_of_strength("CY", np.zeros(2))
+
+    def test_array_equals_the_per_element_calls(self):
+        theta = np.concatenate(([0.0, math.pi / 2], np.random.default_rng(3).uniform(0, math.pi / 2, 500)))
+        for coupling in COUPLINGS:
+            eps = epsilon_of_strength(coupling, theta)
+            each = [epsilon_of_strength(coupling, t) for t in theta.tolist()]
+            assert all(isinstance(e, float) for e in each)
+            assert eps.shape == theta.shape and eps.tobytes() == np.array(each).tobytes()
+
+
+class TestStackedSuperoperator:
+    """An (N, d^2, d^2) superoperator acts on one operator or on N, member by member."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_circuit_and_product_monitor_stacks(self, n):
+        rng = np.random.default_rng(60 + n)
+        members, d = 4, 2**n
+        thetas = rng.uniform(0, math.pi / 2, members)
+        bases = [(rng.uniform(0, math.pi, members), rng.uniform(-math.pi, math.pi, members)) for _ in range(n)]
+        mats = rng.normal(size=(members, d, d)) + 1j * rng.normal(size=(members, d, d))
+        for coupling in COUPLINGS:
+            for build in (build_monitor_circuit, _product_monitor_at):
+                sup = to_superoperator(build(bases, thetas, coupling))
+                assert sup.matrix.shape == (members, d * d, d * d)
+                one, each = sup.apply_matrix(mats[0]), sup.apply_matrix(mats)
+                assert one.shape == each.shape == (members, d, d)
+                for k in range(members):
+                    alone = build([(float(t[k]), float(p[k])) for t, p in bases], float(thetas[k]), coupling)
+                    assert np.abs(one[k] - alone.apply_matrix(mats[0])).max() <= 1e-12
+                    assert np.abs(each[k] - alone.apply_matrix(mats[k])).max() <= 1e-12
+
+    def test_single_superoperator_still_acts_on_one_matrix(self):
+        sup = to_superoperator(product_monitor([(0.4, 0.2)], 0.3))
+        rho = np.array([[0.7, 0.1 - 0.2j], [0.1 + 0.2j, 0.3]])
+        assert sup.apply_matrix(rho).shape == (2, 2)
+        assert np.abs(sup.apply_matrix(rho) - product_monitor([(0.4, 0.2)], 0.3).apply_matrix(rho)).max() <= 1e-15
+
+
+def _product_monitor_at(bases, theta_m, coupling):
+    """The analytic monitoring map a dilation circuit at strength ``theta_m`` realizes."""
+    return product_monitor(bases, epsilon_of_strength(coupling, theta_m))
 
 
 class TestNoiseInCircuits:

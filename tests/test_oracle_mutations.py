@@ -4,7 +4,7 @@ Each test injects one small fault into one side of a comparison and asserts
 that the check named for it no longer passes:
 
 - circuit certification (the analytic channel algebra, the compiled circuit
-  stacks, or the intensity mapping);
+  stacks, the intensity mapping, or the order of the reference stack);
 - verify-cases' four-entropy identity between the sequential and the
   composed-channel routes;
 - acceptance criterion 2c, the sign of the probe gain;
@@ -21,7 +21,7 @@ import numpy as np
 from _helpers import probe_gain_sign_check, reality, scenario1_grid
 from realmon import certify
 from realmon.certify import certify_circuits
-from realmon.channels import ComposedChannel
+from realmon.channels import ComposedChannel, product_monitor
 from realmon.circuits import Circuit, epsilon_of_strength
 from realmon.observables import stack_observables
 from realmon.sampling import random_density, random_observable
@@ -58,13 +58,21 @@ def test_error_in_one_member_of_a_circuit_stack_is_caught(monkeypatch):
 def test_half_sine_cnot_mapping_is_caught(monkeypatch):
     def half_sine(coupling, theta_m):
         if coupling == "CNOT":
-            return 1.0 - 0.5 * math.sin(theta_m)
+            return 1.0 - 0.5 * np.sin(theta_m)
         return epsilon_of_strength(coupling, theta_m)
 
     monkeypatch.setattr(certify, "epsilon_of_strength", half_sine)
     report = certify_circuits(3)
     assert not report.ok
     assert report.deviations["n=1 CNOT"] > 0.1 and report.deviations["n=1 CZ"] < 1e-14
+
+
+def test_reference_stack_out_of_order_is_caught(monkeypatch):
+    def rolled(bases, epsilon):
+        return product_monitor(bases, np.roll(epsilon, 1))  # member k gets member k-1's intensity
+
+    monkeypatch.setattr(certify, "product_monitor", rolled)
+    assert not certify_circuits(3).ok
 
 
 def test_perturbed_composed_channel_breaks_the_four_entropy_identity(monkeypatch):

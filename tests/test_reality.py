@@ -42,7 +42,7 @@ from realmon.states import (
     entropy_of_probabilities,
     stack_states,
 )
-from realmon.sweeps import _point_parameters
+from realmon.sweeps import _grid_parameters
 
 
 def diagonal_observable(values):
@@ -437,9 +437,9 @@ class TestStackedLabels:
             shift = float(np.random.default_rng(seed).uniform(-0.5, 0.5)) * (grid[1] - grid[0])
             grid = (grid[0],) + tuple(g + shift for g in grid[1:-1]) + (grid[-1],)
             config = make_config(scenario, grid_values=grid)
-            points = [_point_parameters(config, value) for value in config.grid_values]
-            x = [observable_from_axis(*m_axis) for *_, m_axis, _ in points]
-            xp = [observable_from_axis(*p_axis) for *_, p_axis in points]
+            *_, monitor_axes, probe_axes = _grid_parameters(config)
+            x = [observable_from_axis(theta, phi) for theta, phi in monitor_axes.tolist()]
+            xp = [observable_from_axis(theta, phi) for theta, phi in probe_axes.tolist()]
             labels |= assert_labels_match_members(x, xp, resolve_state(config.state))
         assert labels  # every preset grid is labelled
 

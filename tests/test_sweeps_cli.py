@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from realmon.channels import to_superoperator
 from realmon.observables import observable_from_axis
 from realmon.reality import reality_report
 from realmon.states import DensityOperator
@@ -341,6 +342,45 @@ class TestOneLabelCallPerStack:
         assert verify_cases(seed=3, trials=4, dims=(2, 3, 4)).ok
         # (i) commuting pairs at d = 2, 3, 4, then (v) the third basis at d = 2, 3
         assert calls == [(4, 4, 4)] * 3 + [(None, None, 4)] * 2
+
+
+class TestOneBuildPerStack:
+    """A sweep builds each axis observable stack, and certify each analytic
+    reference stack, in one call, never one per member."""
+
+    @pytest.mark.parametrize("scenario", ["fig1", "fig2", "fig4a"])
+    @pytest.mark.parametrize("path", ["analytic", "circuit", "noisy"])
+    def test_two_axis_observable_calls_per_sweep(self, monkeypatch, scenario, path):
+        import realmon.observables as observables_mod
+        import realmon.sweeps as sweeps_mod
+
+        calls = []
+
+        def counting(theta, phi=0.0):
+            calls.append(np.shape(theta))
+            return observable_from_axis(theta, phi)
+
+        for module in (observables_mod, sweeps_mod):
+            monkeypatch.setattr(module, "observable_from_axis", counting)
+        run_sweep(make_config(scenario, points=5, path=path, shots=64, repeats=2))
+        assert calls == [(5,), (5,)]
+
+    def test_certify_makes_five_extractions_and_five_references(self, monkeypatch):
+        import realmon.certify as certify_mod
+        import realmon.circuits as circuits_mod
+
+        calls = []
+
+        def counting(channel):
+            calls.append((type(channel).__name__, channel.batch))
+            return to_superoperator(channel)
+
+        for module in (certify_mod, circuits_mod):
+            monkeypatch.setattr(module, "to_superoperator", counting)
+        assert certify_circuits(17).ok
+        # per coupling, widths 1 and 2: a circuit stack of 51, then its reference stack; then the smoke test
+        per_coupling = [("Circuit", 51), ("MonitoringChannel", 51), ("Circuit", 51), ("ComposedChannel", 51)]
+        assert calls == per_coupling * 2 + [("Circuit", 3), ("ComposedChannel", 3)]
 
 
 class TestEmission:
