@@ -449,12 +449,6 @@ class TestStackedSuperoperator:
                     assert np.abs(one[k] - alone.apply_matrix(mats[0])).max() <= 1e-12
                     assert np.abs(each[k] - alone.apply_matrix(mats[k])).max() <= 1e-12
 
-    def test_single_superoperator_still_acts_on_one_matrix(self):
-        sup = to_superoperator(product_monitor([(0.4, 0.2)], 0.3))
-        rho = np.array([[0.7, 0.1 - 0.2j], [0.1 + 0.2j, 0.3]])
-        assert sup.apply_matrix(rho).shape == (2, 2)
-        assert np.abs(sup.apply_matrix(rho) - product_monitor([(0.4, 0.2)], 0.3).apply_matrix(rho)).max() <= 1e-15
-
 
 def _product_monitor_at(bases, theta_m, coupling):
     """The analytic monitoring map a dilation circuit at strength ``theta_m`` realizes."""
