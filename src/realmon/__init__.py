@@ -2,10 +2,11 @@
 
 Core layers: dense complex linear algebra with one LAPACK-backed Hermitian
 eigensolver (``linalg``), validated states and entropies (``states``),
-projective observables (``observables``), dephasing and monitoring channels
-with a superoperator oracle (``channels``), reality-variation measures and
-closed-form qubit spectra (``reality``), ancilla-dilation circuits with
-noise (``circuits``, ``noise``), single-qubit tomography (``tomography``),
+projective observables (``observables``), the monitoring channel, which
+dephases at intensity 1, with a superoperator oracle (``channels``),
+reality-variation measures and closed-form qubit spectra (``reality``),
+ancilla-dilation circuits with noise (``circuits``, ``noise``),
+single-qubit tomography (``tomography``),
 and the front end: sweep configuration (``config``), the sweep engine
 (``sweeps``), case verification (``verify``), circuit certification
 (``certify``), report writing (``output``) and the command line (``cli``).

@@ -26,32 +26,18 @@ from .observables import ProjectiveObservable, observable_on_qubit
 from .states import DensityOperator
 
 
-class DephasingChannel:
-    """Full non-revealed measurement: rho -> sum_j P_j rho P_j."""
-
-    __slots__ = ("observable",)
-
-    def __init__(self, observable: ProjectiveObservable):
-        self.observable = observable
-
-    @property
-    def dim(self) -> int:
-        return self.observable.dim
-
-    @property
-    def batch(self) -> int | None:
-        """Number of channels in a stack; None for a single channel."""
-        return self.observable.batch
-
-    def apply_matrix(self, mat: np.ndarray) -> np.ndarray:
-        p = self.observable.projectors
-        return sum(p[..., j, :, :] @ mat @ p[..., j, :, :] for j in range(p.shape[-3]))
+def _dephased(projectors: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """sum_j P_j mat P_j over the outcome axis of (..., k, d, d) projectors."""
+    return sum(projectors[..., j, :, :] @ mat @ projectors[..., j, :, :] for j in range(projectors.shape[-3]))
 
 
 class MonitoringChannel:
-    """Intensity-epsilon interpolation between identity and full dephasing.
+    """Intensity-epsilon interpolation between identity and full dephasing:
+    rho -> (1 - eps) rho + eps sum_j P_j rho P_j, the full non-revealed
+    measurement at eps = 1.
 
-    ``epsilon`` is one intensity, or an (N,) array of them for a stack.
+    ``epsilon`` is one intensity, or an (N,) array of them for a stack; a
+    stacked observable and a stacked intensity must have one member count.
     """
 
     __slots__ = ("observable", "epsilon")
@@ -60,6 +46,8 @@ class MonitoringChannel:
         eps = np.asarray(epsilon, dtype=float)
         if eps.ndim > 1 or not ((0.0 <= eps) & (eps <= 1.0)).all():
             raise ValueError(f"measurement intensity must lie in [0, 1], got {epsilon!r}")
+        if eps.ndim == 1 and observable.batch not in (None, len(eps)):
+            raise DimensionError(f"stack sizes differ: {observable.batch} observables vs {len(eps)} intensities")
         self.observable = observable
         self.epsilon = float(eps) if eps.ndim == 0 else eps
 
@@ -69,23 +57,25 @@ class MonitoringChannel:
 
     @property
     def batch(self) -> int | None:
-        lead = np.broadcast_shapes(self.observable.projectors.shape[:-3], np.shape(self.epsilon))
-        return lead[0] if lead else None
+        """Number of channels in a stack; None for a single channel."""
+        return self.observable.batch if np.ndim(self.epsilon) == 0 else len(self.epsilon)
 
     def apply_matrix(self, mat: np.ndarray) -> np.ndarray:
-        dephased = DephasingChannel(self.observable).apply_matrix(mat)
+        dephased = _dephased(self.observable.projectors, mat)
         eps = np.asarray(self.epsilon)[..., None, None]
         return (1.0 - eps) * mat + eps * dephased
 
 
 class ComposedChannel:
-    """Sequential application: outer after inner."""
+    """Sequential application: outer after inner.  Two stacked stages must have one member count."""
 
     __slots__ = ("outer", "inner")
 
     def __init__(self, outer, inner):
         if outer.dim != inner.dim:
             raise DimensionError(f"channel dimensions differ: {outer.dim} vs {inner.dim}")
+        if None not in (outer.batch, inner.batch) and outer.batch != inner.batch:
+            raise DimensionError(f"channel stack sizes differ: {outer.batch} vs {inner.batch}")
         self.outer = outer
         self.inner = inner
 
@@ -109,6 +99,11 @@ class Superoperator:
     dim: int
     matrix: np.ndarray
 
+    @property
+    def batch(self) -> int | None:
+        """Number of superoperators in a stack; None for a single one."""
+        return self.matrix.shape[0] if self.matrix.ndim == 3 else None
+
     def apply_matrix(self, mat: np.ndarray) -> np.ndarray:
         """Image of a (d, d) operator or a stack of them; stacks broadcast against the member axis."""
         mat = np.asarray(mat, dtype=complex)
@@ -122,12 +117,13 @@ def _check_dims(channel_dim: int, rho: DensityOperator):
 
 
 def dephase(x: ProjectiveObservable, rho: DensityOperator) -> DensityOperator:
-    """Post-measurement state of a non-revealed projective measurement of x.
+    """Post-measurement state of a non-revealed projective measurement of x,
+    sum_j P_j rho P_j: monitoring at intensity 1.
 
     A stack of observables or of states gives the stack of images.
     """
     _check_dims(x.dim, rho)
-    return DensityOperator(DephasingChannel(x).apply_matrix(rho.matrix), validate=False)
+    return DensityOperator(_dephased(x.projectors, rho.matrix), validate=False)
 
 
 def monitor(ch: MonitoringChannel, rho: DensityOperator) -> DensityOperator:

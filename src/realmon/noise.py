@@ -45,17 +45,26 @@ def _validated_probabilities(probabilities) -> np.ndarray:
     return p / p.sum(axis=-1, keepdims=True)
 
 
-def sample_shots(probabilities, n_shots: int, rng) -> np.ndarray:
-    """Multinomial outcome counts per probability row, deterministic for a given generator/seed.
+def sample_shots(probabilities, n_shots: int, rngs) -> np.ndarray:
+    """Multinomial outcome counts for an (N, ..., m) stack of probability rows.
 
-    A stack of rows draws the same stream as one call per row, in order.
+    ``rngs`` holds one generator or seed per member, and member k draws its
+    rows in order from ``np.random.default_rng(rngs[k])``, so its counts are
+    deterministic for a given generator state or seed.  The whole stack is
+    checked once.
     """
     p = _validated_probabilities(probabilities)
+    if p.ndim < 2:
+        raise DimensionError(f"probabilities must be an (N, ..., m) stack, got shape {p.shape}")
     if not isinstance(n_shots, numbers.Integral) or isinstance(n_shots, bool) or n_shots < 1:
         raise ValueError(f"shot count must be a positive integer, got {n_shots!r}")
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
-    return rng.multinomial(int(n_shots), p)
+    try:
+        got = len(rngs)
+    except TypeError:  # one generator or seed, not one per member
+        got = f"one {type(rngs).__name__}"
+    if got != len(p):
+        raise ValueError(f"a stack of {len(p)} members needs {len(p)} generators or seeds, got {got}")
+    return np.stack([np.random.default_rng(r).multinomial(int(n_shots), member) for r, member in zip(rngs, p)])
 
 
 def _validated_confusion(confusion) -> np.ndarray:

@@ -63,32 +63,31 @@ class ProjectiveObservable:
         values.setflags(write=False)
         self.eigenvalues = tuple(values.tolist()) if values.ndim == 1 else values
         self.projectors = projs
-        if validate and values.ndim == 2:
-            for member in zip(values, projs):
-                ProjectiveObservable(*member)  # validates the member alone
-        elif validate:
+        if validate:
             self._validate()
 
     def _validate(self):
-        d = self.dim
-        values, projs = self.eigenvalues, self.projectors
-        for i, p in enumerate(projs):
-            if hermiticity_defect(p) > PROJECTOR_TOL:
-                raise ValueError(f"projector {i} is not Hermitian")
-        for i in range(len(projs)):
-            for j in range(len(projs)):
-                prod = projs[i] @ projs[j]
-                ref = projs[i] if i == j else 0.0
-                if np.abs(prod - ref).max() > PROJECTOR_TOL:
-                    raise ValueError(f"projectors {i},{j} violate orthogonal idempotence")
-        if np.abs(sum(projs) - np.eye(d)).max() > COMPLETENESS_TOL:
+        """One pass over the whole (..., k, d, d) array, for one observable or a stack."""
+        values, projs = np.asarray(self.eigenvalues), self.projectors
+        if not (np.isfinite(values).all() and np.isfinite(projs).all()):
+            raise ValueError("eigenvalues and projectors must be finite")
+        if hermiticity_defect(projs) > PROJECTOR_TOL:
+            raise ValueError("projectors are not Hermitian")
+        k = self.n_outcomes
+        # products[..., i, j] = P_i P_j, expected delta_ij P_i
+        products = projs[..., :, None, :, :] @ projs[..., None, :, :, :]
+        expected = np.eye(k)[:, :, None, None] * projs[..., :, None, :, :]
+        bad = np.abs(products - expected).max(axis=(-2, -1)) > PROJECTOR_TOL
+        if bad.any():
+            i, j = np.argwhere(bad)[0][-2:]
+            raise ValueError(f"projectors {i},{j} violate orthogonal idempotence")
+        if np.abs(projs.sum(axis=-3) - np.eye(self.dim)).max() > COMPLETENESS_TOL:
             raise ValueError("projectors do not resolve the identity")
-        for i in range(len(values)):
-            for j in range(i + 1, len(values)):
-                if abs(values[i] - values[j]) <= DEGENERACY_TOL:
-                    raise ValueError(
-                        f"eigenvalues {values[i]} and {values[j]} closer than {DEGENERACY_TOL:.0e}"
-                    )
+        close = np.triu(np.abs(values[..., :, None] - values[..., None, :]) <= DEGENERACY_TOL, 1)
+        if close.any():
+            *member, i, j = np.argwhere(close)[0]
+            a, b = values[(*member, i)], values[(*member, j)]
+            raise ValueError(f"eigenvalues {a} and {b} closer than {DEGENERACY_TOL:.0e}")
 
     @property
     def dim(self) -> int:
@@ -205,28 +204,10 @@ def standard_mub_observables(d: int) -> tuple[ProjectiveObservable, ...]:
     a triple).  Other dimensions are not provided.
     """
     if d == 2:
-        z = ProjectiveObservable(
-            (1.0, -1.0),
-            (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)),
-            validate=False,
+        return tuple(
+            ProjectiveObservable((1.0, -1.0), ((IDENTITY_2 + sigma) / 2, (IDENTITY_2 - sigma) / 2), validate=False)
+            for sigma in (SIGMA_Z, SIGMA_X, SIGMA_Y)
         )
-        x = ProjectiveObservable(
-            (1.0, -1.0),
-            (
-                np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex),
-                np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex),
-            ),
-            validate=False,
-        )
-        y = ProjectiveObservable(
-            (1.0, -1.0),
-            (
-                np.array([[0.5, -0.5j], [0.5j, 0.5]], dtype=complex),
-                np.array([[0.5, 0.5j], [-0.5j, 0.5]], dtype=complex),
-            ),
-            validate=False,
-        )
-        return (z, x, y)
     if d == 3:
         # column k of Fourier-type basis m has entries omega^(m j^2 + j k) / sqrt(3)
         omega = cmath.exp(2j * cmath.pi / 3)

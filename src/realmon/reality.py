@@ -19,12 +19,12 @@ as a stack of one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .channels import ComposedChannel, DephasingChannel, MonitoringChannel, dephase, monitor
+from .channels import ComposedChannel, MonitoringChannel, _dephased, dephase, monitor
 from .linalg import DimensionError, within_tol
 from .observables import (
     ProjectiveObservable,
@@ -67,12 +67,6 @@ class RealityReport:
     entropy_monitored: float
     entropy_probe: float
     entropy_probe_monitored: float
-    configuration: tuple = field(repr=False, compare=False)
-
-    @property
-    def case_label(self) -> CaseLabel | tuple[CaseLabel, ...]:
-        """:func:`classify_case` of the configuration (a tuple of N labels for a stack), computed on access."""
-        return classify_case(*self.configuration)
 
 
 def irreality(x: ProjectiveObservable, rho: DensityOperator) -> float:
@@ -133,7 +127,7 @@ def delta_reality_other(
 
 def _is_fixed_point(x: ProjectiveObservable, rho: DensityOperator):
     """Whether dephasing in the eigenbasis of x leaves rho unchanged, per member of a stack."""
-    return within_tol(DephasingChannel(x).apply_matrix(rho.matrix) - rho.matrix, FIXED_POINT_TOL)
+    return within_tol(_dephased(x.projectors, rho.matrix) - rho.matrix, FIXED_POINT_TOL)
 
 
 def classify_case(
@@ -177,14 +171,15 @@ def reality_report(
 ) -> RealityReport:
     """Full entropy bookkeeping for one (X, X', epsilon, rho) configuration or a stack.
 
-    The chained state is produced through the channel-composition route,
-    which keeps it an independent consistency check against the sequential
-    route used by :func:`delta_reality_other`.
+    The chained state is produced through the channel-composition route
+    (full-strength monitoring of X' after monitoring of X), which keeps it an
+    independent consistency check against the sequential route used by
+    :func:`delta_reality_other`.
     """
     monitor_channel = MonitoringChannel(x, epsilon)
     mon = monitor(monitor_channel, rho)
     probe = dephase(xprime, rho)
-    chained = ComposedChannel(DephasingChannel(xprime), monitor_channel)
+    chained = ComposedChannel(MonitoringChannel(xprime, 1.0), monitor_channel)
     probe_mon = DensityOperator(chained.apply_matrix(rho.matrix), validate=False)
 
     s_rho = von_neumann_entropy(rho)
@@ -202,7 +197,6 @@ def reality_report(
         entropy_monitored=s_mon,
         entropy_probe=s_probe,
         entropy_probe_monitored=s_probe_mon,
-        configuration=(x, xprime, rho),
     )
 
 

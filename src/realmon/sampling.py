@@ -12,7 +12,7 @@ import numpy as np
 
 from .linalg import DimensionError
 from .observables import ProjectiveObservable, observable_from_basis, standard_mub_observables
-from .states import DensityOperator, PureState
+from .states import DensityOperator, PureState, density_from_pure
 
 MIN_EIGENVALUE_GAP = 1e-3
 
@@ -46,8 +46,7 @@ def ginibre_density(d: int, rng: np.random.Generator) -> DensityOperator:
 def random_density(d: int, rng: np.random.Generator) -> DensityOperator:
     """Mixed sampling plan: one in four draws is a Haar-random pure state."""
     if rng.random() < 0.25:
-        psi = haar_pure_state(d, rng)
-        return DensityOperator(np.outer(psi.amplitudes, psi.amplitudes.conj()), validate=False)
+        return density_from_pure(haar_pure_state(d, rng))
     return ginibre_density(d, rng)
 
 

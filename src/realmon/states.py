@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import DimensionError, _as_square_complex, hermitian_eig, hermiticity_defect
+from .linalg import DimensionError, _as_square_complex, hermitian_eig
 
 TRACE_TOL = 1e-10
-HERMITIAN_TOL = 1e-10
 NEGATIVITY_TOL = 1e-9
 NORM_TOL = 1e-8
 
@@ -60,11 +59,11 @@ class DensityOperator:
     """Hermitian, unit-trace, positive-semidefinite operator, or a stack of them.
 
     ``matrix`` is (d, d) for one state and (N, d, d) for a stack of N.
-    Validation (Hermiticity 1e-10, trace 1e-10, min eigenvalue >= -1e-9, for
-    every member) runs by default; channel code that produces states valid
-    by construction passes ``validate=False`` to skip the eigensolve.  The
-    spectrum is computed lazily and cached, so validation and entropy share
-    one solve.
+    Validation (trace 1e-10, min eigenvalue >= -1e-9, for every member) runs
+    by default, and its eigensolve rejects a Hermiticity defect above 1e-10;
+    channel code that produces states valid by construction passes
+    ``validate=False`` to skip the eigensolve.  The spectrum is computed
+    lazily and cached, so validation and entropy share one solve.
     """
 
     __slots__ = ("matrix", "_eigensystem")
@@ -75,9 +74,6 @@ class DensityOperator:
         self.matrix = arr
         self._eigensystem = None
         if validate:
-            defect = hermiticity_defect(arr)
-            if defect > HERMITIAN_TOL:
-                raise ValueError(f"density matrix not Hermitian: defect {defect:.3e}")
             traces = np.trace(arr, axis1=-2, axis2=-1).reshape(-1)
             bad = np.abs(traces - 1.0) > TRACE_TOL
             if bad.any():

@@ -48,9 +48,6 @@ def estimate_pauli(rho: DensityOperator, shots: int, rng, confusion: np.ndarray 
     if rho.dim != 2:
         raise DimensionError(f"single-qubit tomography needs dim 2, got {rho.dim}")
     check_shots(shots)
-    rngs = [rng] if rho.batch is None or isinstance(rng, np.random.Generator) else list(rng)
-    if len(rngs) != (rho.batch or 1):
-        raise ValueError(f"a stack of {rho.batch} states needs {rho.batch} generators, got {len(rngs)}")
     rotated = _AXIS_ROTATIONS @ rho.matrix.reshape(-1, 1, 2, 2) @ _AXIS_ROTATIONS_DAG
     p = np.clip(np.diagonal(rotated, axis1=-2, axis2=-1).real, 0.0, None)
     p = p / p.sum(axis=-1, keepdims=True)
@@ -59,7 +56,7 @@ def estimate_pauli(rho: DensityOperator, shots: int, rng, confusion: np.ndarray 
     if shots == 0:
         means = p[..., 0] - p[..., 1]
     else:
-        counts = np.stack([sample_shots(axes, shots, r) for axes, r in zip(p, rngs)])
+        counts = sample_shots(p, shots, [rng] if rho.batch is None else rng)
         means = (counts[..., 0] - counts[..., 1]) / shots
     return tuple(float(m) for m in means[0]) if rho.batch is None else means
 

@@ -6,7 +6,6 @@ import pytest
 from _helpers import maximally_mixed
 from realmon.channels import (
     ComposedChannel,
-    DephasingChannel,
     MonitoringChannel,
     Superoperator,
     dephase,
@@ -126,7 +125,7 @@ class TestMonitor:
 
 class TestCompose:
     def test_dephasing_idempotent_as_superoperator(self):
-        s = to_superoperator(DephasingChannel(SZ)).matrix
+        s = to_superoperator(MonitoringChannel(SZ, 1.0)).matrix
         assert np.abs(s @ s - s).max() <= 1e-10
 
     def test_intensity_combination_rule(self):
@@ -137,14 +136,14 @@ class TestCompose:
         assert channels_equal(lhs, rhs)
 
     def test_identity_fixed_point_for_mu_chain(self):
-        chain = ComposedChannel(DephasingChannel(SX), MonitoringChannel(SZ, 0.7))
+        chain = ComposedChannel(MonitoringChannel(SX, 1.0), MonitoringChannel(SZ, 0.7))
         out = chain.apply_matrix(np.eye(2, dtype=complex) / 2)
         assert np.abs(out - np.eye(2) / 2).max() <= 1e-12
 
     def test_dimension_mismatch(self):
         obs3 = random_observable(3, np.random.default_rng(3))
         with pytest.raises(DimensionError):
-            ComposedChannel(DephasingChannel(SZ), DephasingChannel(obs3))
+            ComposedChannel(MonitoringChannel(SZ, 1.0), MonitoringChannel(obs3, 1.0))
 
 
 class TestSuperoperator:
@@ -153,7 +152,7 @@ class TestSuperoperator:
         assert np.array_equal(s.matrix, np.eye(4))
 
     def test_dephasing_golden_diagonal(self):
-        s = to_superoperator(DephasingChannel(SZ))
+        s = to_superoperator(MonitoringChannel(SZ, 1.0))
         assert np.abs(s.matrix - np.diag([1.0, 0.0, 0.0, 1.0])).max() <= 1e-15
 
     def test_monitor_golden_diagonal(self):
@@ -180,10 +179,10 @@ class TestSuperoperator:
 
     def test_stacked_units_equal_the_per_unit_loop_bitwise(self):
         rng = np.random.default_rng(8)
-        channels = [DephasingChannel(SZ), MonitoringChannel(SX, 0.3)]
+        channels = [MonitoringChannel(SZ, 1.0), MonitoringChannel(SX, 0.3)]
         for d in (2, 3, 4):
             obs = random_observable(d, rng)
-            channels += [DephasingChannel(obs), MonitoringChannel(obs, float(rng.random()))]
+            channels += [MonitoringChannel(obs, 1.0), MonitoringChannel(obs, float(rng.random()))]
             channels.append(ComposedChannel(MonitoringChannel(random_observable(d, rng), 0.7), channels[-1]))
         for n in (1, 2, 3):
             bases = [(float(rng.uniform(0, math.pi)), float(rng.uniform(-math.pi, math.pi))) for _ in range(n)]
@@ -276,6 +275,21 @@ class TestStacks:
         eps = np.array([0.0, 0.5, 1.0])
         out = monitor(MonitoringChannel(SZ, eps), PLUS).matrix
         assert np.array_equal(out[:, 0, 1], [0.5, 0.25, 0.0])
+
+    def test_composed_stages_must_share_a_stack_size(self):
+        three = MonitoringChannel(observable_from_axis(np.zeros(3)), 0.5)
+        two = MonitoringChannel(observable_from_axis(np.zeros(2)), 0.5)
+        for outer in (three, to_superoperator(three)):
+            with pytest.raises(DimensionError, match="3 vs 2"):
+                ComposedChannel(outer, two)
+            assert ComposedChannel(outer, MonitoringChannel(SZ, 0.5)).batch == 3
+        single = MonitoringChannel(SX, 0.4)
+        assert channels_equal(ComposedChannel(to_superoperator(single), single), ComposedChannel(single, single))
+
+    def test_observable_and_intensity_stacks_must_share_a_size(self):
+        with pytest.raises(DimensionError, match="3 observables vs 2 intensities"):
+            MonitoringChannel(observable_from_axis(np.zeros(3)), np.array([0.2, 0.4]))
+        assert MonitoringChannel(observable_from_axis(np.zeros(3)), np.array([0.2, 0.4, 0.6])).batch == 3
 
     def test_intensity_array_range_enforced(self):
         with pytest.raises(ValueError):

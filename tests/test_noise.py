@@ -47,44 +47,65 @@ class TestNoiseModel:
 
 
 class TestSampleShots:
+    """``sample_shots`` draws an (N, ..., m) stack, member k from the k-th generator or seed."""
+
     def test_deterministic_outcome(self):
-        counts = sample_shots([1.0, 0.0], 500, 123)
-        assert counts.tolist() == [500, 0]
+        counts = sample_shots([[1.0, 0.0]], 500, [123])
+        assert counts.tolist() == [[500, 0]]
 
     def test_unbiased_within_five_sigma(self):
-        counts = sample_shots([0.5, 0.5], 10**6, 7)
+        counts = sample_shots([[0.5, 0.5]], 10**6, [7])[0]
         sigma = 500.0
         assert abs(counts[0] - 5 * 10**5) <= 5 * sigma
 
     def test_seeded_reproducibility(self):
-        a = sample_shots([0.3, 0.7], 1000, 42)
-        b = sample_shots([0.3, 0.7], 1000, 42)
+        a = sample_shots([[0.3, 0.7]], 1000, [42])
+        b = sample_shots([[0.3, 0.7]], 1000, [np.random.default_rng(42)])
         assert np.array_equal(a, b)
 
     def test_negative_probability_rejected(self):
         with pytest.raises(ValueError, match="negative"):
-            sample_shots([1.1, -0.1], 10, 0)
+            sample_shots([[1.1, -0.1]], 10, [0])
 
     def test_sum_validated(self):
         with pytest.raises(ValueError, match="sum"):
-            sample_shots([0.5, 0.4], 10, 0)
+            sample_shots([[0.5, 0.4]], 10, [0])
         with pytest.raises(ValueError, match="sum"):
-            sample_shots([[0.5, 0.5], [0.5, 0.4]], 10, 0)  # each row is checked, not the stack's total
+            sample_shots([[[0.5, 0.5], [0.5, 0.4]]], 10, [0])  # each row is checked, not the stack's total
 
     def test_shot_count_positive(self):
         with pytest.raises(ValueError):
-            sample_shots([1.0, 0.0], 0, 0)
+            sample_shots([[1.0, 0.0]], 0, [0])
 
     @pytest.mark.parametrize("n_shots", [2.5, True, -1, "8", float("nan")])
     def test_shot_count_must_be_an_integer(self, n_shots):
         with pytest.raises(ValueError, match="shot count"):
-            sample_shots([1.0, 0.0], n_shots, 0)
+            sample_shots([[1.0, 0.0]], n_shots, [0])
 
     def test_rows_drawn_in_order(self):
         rows = [[0.3, 0.7], [0.6, 0.4], [0.5, 0.5]]
-        stacked = sample_shots(rows, 1000, np.random.default_rng(4))
+        stacked = sample_shots([rows], 1000, [np.random.default_rng(4)])
         rng = np.random.default_rng(4)
-        assert stacked.tolist() == [sample_shots(row, 1000, rng).tolist() for row in rows]
+        assert stacked[0].tolist() == [rng.multinomial(1000, row).tolist() for row in rows]
+
+    def test_members_draw_from_their_own_generators(self):
+        rows = np.random.default_rng(5).dirichlet([1.0, 1.0], size=(4, 3))
+        seeds = [[9, k] for k in range(4)]
+        stacked = sample_shots(rows, 64, seeds)
+        assert stacked.shape == (4, 3, 2)
+        for member, seed, counts in zip(rows, seeds, stacked):
+            assert np.array_equal(counts, np.random.default_rng(seed).multinomial(64, member))
+
+    @pytest.mark.parametrize(
+        "rngs", [[0, 1], [0, 1, 2, 3], np.random.default_rng(0), 7], ids=["two", "four", "generator", "seed"]
+    )
+    def test_one_generator_or_seed_per_member(self, rngs):
+        with pytest.raises(ValueError, match="stack of 3 members needs 3 generators"):
+            sample_shots(np.full((3, 2), 0.5), 8, rngs)
+
+    def test_probabilities_must_be_a_stack(self):
+        with pytest.raises(DimensionError, match="stack"):
+            sample_shots([0.5, 0.5], 8, [0, 1])
 
 
 class TestReadoutNoise:

@@ -222,6 +222,32 @@ class TestStackObservables:
         with pytest.raises(ValueError, match="orthogonal"):
             ProjectiveObservable([z.eigenvalues, x.eigenvalues], [z.projectors, [bad, bad]])
 
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ("nan", "finite"),
+            ("skew", "not Hermitian"),
+            ("overlap", "projectors 0,1 violate orthogonal"),
+            ("incomplete", "identity"),
+            ("close", "eigenvalues 1.0 and 1.0000000001 closer"),
+        ],
+    )
+    def test_one_bad_member_fails_the_whole_stack(self, fault, message):
+        z, x = pauli_observable("z"), pauli_observable("x")
+        values, projs = np.array([z.eigenvalues, x.eigenvalues]), np.array([z.projectors, x.projectors])
+        if fault == "nan":
+            values[1, 1] = np.nan
+        elif fault == "skew":
+            projs[1, 0, 1, 0] += 1e-6
+        elif fault == "overlap":
+            projs[1] = np.full((2, 2, 2), 0.5)
+        elif fault == "incomplete":
+            projs[1] = (np.diag([1.0, 0.0]), np.zeros((2, 2)))
+        else:
+            values[1] = (1.0, 1.0 + 1e-10)
+        with pytest.raises(ValueError, match=message):
+            ProjectiveObservable(values, projs)
+
     def test_pair_tests_answer_per_member(self):
         rng = np.random.default_rng(4)
         for d in (2, 3):

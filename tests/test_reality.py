@@ -355,8 +355,8 @@ class TestRealityReport:
             assert abs(r.irreality_before + r.reality_before - 1.0) <= 1e-12
 
     def test_case_label_attached(self):
-        r = reality_report(SZ, SX, 0.5, ISTATE)
-        assert r.case_label is CaseLabel.TRIPLE_MU
+        # a report carries no label: sweeps and verify label its configuration with classify_case
+        assert classify_case(SZ, SX, ISTATE) is CaseLabel.TRIPLE_MU
 
 
 class TestStackedEvaluation:
@@ -392,8 +392,7 @@ class TestStackedEvaluation:
     def test_case_label_of_a_stacked_report_is_per_member(self):
         rng = np.random.default_rng(14)
         rho = stack_states([ISTATE, PLUS, ginibre_density(2, rng)])
-        report = reality_report(SZ, SX, np.array([0.2, 0.5, 0.9]), rho)
-        assert report.case_label == (CaseLabel.TRIPLE_MU, CaseLabel.XPRIME_DIAGONAL, CaseLabel.MU)
+        assert classify_case(SZ, SX, rho) == (CaseLabel.TRIPLE_MU, CaseLabel.XPRIME_DIAGONAL, CaseLabel.MU)
 
 
 def assert_labels_match_members(x, xp, rho):

@@ -174,7 +174,7 @@ class TestAnalyticSweeps:
             report = reality_report(x, xp, r.epsilon, plus)
             assert abs(r.dR_X - report.delta_r_monitored) <= 1e-15
             assert abs(r.dR_Xp - report.delta_r_probe) <= 1e-15
-            assert r.case == str(report.case_label)
+            assert r.case == str(classify_case(x, xp, plus))
 
     def test_epsilon_grid_kind(self):
         config = make_config(
