@@ -47,7 +47,6 @@ from .reality import (
     delta_reality_monitored,
     delta_reality_other,
     irreality,
-    reality,
     reality_report,
     scenario1_eigenvalues,
     scenario2_eigenvalues,

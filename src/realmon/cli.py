@@ -17,10 +17,12 @@ import sys
 
 from . import __version__
 from .certify import certify_circuits
+from .circuits import COUPLINGS
 from .config import (
     DEFAULT_GRID_POINTS,
     DEFAULT_REPEATS,
     DEFAULT_SHOTS,
+    PATHS,
     SCENARIOS,
     ConfigError,
     check_output_path,
@@ -57,13 +59,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="run a sweep and emit CSV/JSON/SVG")
     sweep.add_argument("--config", help="JSON config file; flags below override its fields")
     sweep.add_argument("--scenario", choices=SCENARIOS, help="preset (default custom)")
-    sweep.add_argument("--path", choices=("analytic", "circuit", "noisy"), help="evaluation path (default analytic)")
+    sweep.add_argument("--path", choices=PATHS, help="evaluation path (default analytic)")
     sweep.add_argument("--seed", type=int, help="root seed for shot sampling (default 0)")
     sweep.add_argument("--shots", type=int, help=f"shots per tomography axis; 0 = exact expectations (default {DEFAULT_SHOTS})")
     sweep.add_argument("--repeats", type=int, help=f"tomography repetitions per grid point on the noisy path (default {DEFAULT_REPEATS})")
     sweep.add_argument("--points", type=int, help=f"grid resolution for presets (default {DEFAULT_GRID_POINTS})")
     sweep.add_argument("--epsilon", type=float, help="fixed intensity for axis-angle sweeps (default 1.0)")
-    sweep.add_argument("--coupling", choices=("CZ", "CNOT"), help="ancilla coupling gate (default CZ)")
+    sweep.add_argument("--coupling", choices=COUPLINGS, help="ancilla coupling gate (default CZ)")
     sweep.add_argument("--out", help="CSV output path")
     sweep.add_argument("--svg", help="SVG chart output path")
     sweep.add_argument("--json", dest="json_out", help="JSON output path (records plus metadata)")
@@ -109,7 +111,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _report(report, out) -> int:
-    """Print a verify or certify report, write its JSON to ``out`` if given, and exit 0 if it holds, else 2."""
+    """Print a ``CheckReport``, write its JSON to ``out`` if given, and exit 0 if it holds, else 2."""
     print(report.render_text())
     if out:
         write_json(out, report.to_dict())

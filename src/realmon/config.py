@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .circuits import COUPLINGS
 from .noise import DEFAULT_DEPOLARIZING_RATE, DEFAULT_READOUT_FLIP
 from .states import DensityOperator, PureState, density_from_pure
 
@@ -191,7 +192,7 @@ class SweepConfig:
             raise ConfigError("grid_values: strength angles must lie in [0, pi/2]")
         if not (finite_numbers((self.epsilon,)) and 0.0 <= self.epsilon <= 1.0):
             raise ConfigError(f"epsilon: must be a number in [0, 1], got {self.epsilon!r}")
-        if self.coupling not in ("CZ", "CNOT"):
+        if self.coupling not in COUPLINGS:
             raise ConfigError(f"coupling: must be CZ or CNOT, got {self.coupling!r}")
         if self.sweep_target not in (None, "probe", "monitor"):
             raise ConfigError(f"sweep_target: must be null, 'probe' or 'monitor', got {self.sweep_target!r}")

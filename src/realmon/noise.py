@@ -33,15 +33,23 @@ def confusion_from_flip(p: float) -> np.ndarray:
     return m
 
 
-def _validated_probabilities(probabilities) -> np.ndarray:
-    """Outcome probabilities as rows along the last axis, each checked and renormalised."""
+def check_probabilities(probabilities) -> np.ndarray:
+    """Outcome probabilities as rows along the last axis, each checked to be
+    finite, nonnegative (to 1e-12) and summing to 1 (else ``ValueError``)."""
     p = np.asarray(probabilities, dtype=float)
+    if not np.isfinite(p).all():
+        raise ValueError(f"non-finite probability in {p.tolist()}")
     if (p < -1e-12).any():
         raise ValueError(f"negative probability in {p.tolist()}")
     sums = p.sum(axis=-1, keepdims=True)
     if (np.abs(sums - 1.0) > PROB_SUM_TOL).any():
         raise ValueError(f"probabilities sum to {sums[..., 0].tolist()!r}, expected 1")
-    p = np.clip(p, 0.0, None)
+    return p
+
+
+def _validated_probabilities(probabilities) -> np.ndarray:
+    """Outcome probabilities as rows along the last axis, each checked and renormalised."""
+    p = np.clip(check_probabilities(probabilities), 0.0, None)
     return p / p.sum(axis=-1, keepdims=True)
 
 

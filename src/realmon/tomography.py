@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import DEFAULT_SHOTS, MAX_SEEDS, ConfigError, check_seed, check_shots, is_integer, resolve_state
 from .linalg import DimensionError, dagger
-from .noise import DEFAULT_READOUT_FLIP, apply_readout_noise, confusion_from_flip, sample_shots
+from .noise import DEFAULT_READOUT_FLIP, apply_readout_noise, check_probabilities, confusion_from_flip, sample_shots
 from .observables import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
 from .states import DensityOperator, stack_states
 
@@ -51,8 +51,7 @@ def estimate_pauli(rho: DensityOperator, shots: int, rng, confusion: np.ndarray 
     rotated = _AXIS_ROTATIONS @ rho.matrix.reshape(-1, 1, 2, 2) @ _AXIS_ROTATIONS_DAG
     p = np.clip(np.diagonal(rotated, axis1=-2, axis2=-1).real, 0.0, None)
     p = p / p.sum(axis=-1, keepdims=True)
-    if confusion is not None:
-        p = apply_readout_noise(p, confusion)
+    p = check_probabilities(p) if confusion is None else apply_readout_noise(p, confusion)
     if shots == 0:
         means = p[..., 0] - p[..., 1]
     else:

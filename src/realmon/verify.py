@@ -1,15 +1,16 @@
-"""Case verification: every reality-variation invariant on seeded random instances."""
+"""Case verification: every reality-variation invariant on seeded random
+instances, each one check of an ``output.CheckReport`` with its own bound."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .channels import MonitoringChannel, dephase, monitor
 from .config import MAX_DIMENSION, MAX_TRIALS, ConfigError, check_seed, is_integer
 from .observables import ProjectiveObservable, stack_observables, standard_mub_observables
+from .output import CheckReport, check
 from .reality import (
     CaseLabel,
     classify_case,
@@ -27,66 +28,6 @@ from .sampling import (
     random_probabilities,
 )
 from .states import DensityOperator, stack_states
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    """One invariant over the instances it was evaluated on.
-
-    A check with no instances (an MU check when ``dims`` holds neither 2
-    nor 3) is not applicable: its ``worst`` and ``passed`` are None.
-    """
-
-    name: str
-    instances: int
-    worst: float | None
-    bound: float
-    kind: str  # 'max<=' or 'min>='
-    passed: bool | None
-    note: str = ""
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    seed: int
-    trials: int
-    dims: tuple[int, ...]
-    checks: tuple[CheckResult, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.passed is not False for c in self.checks)
-
-    def render_text(self) -> str:
-        lines = [f"case verification: seed={self.seed} trials={self.trials} dims={list(self.dims)}"]
-        for c in self.checks:
-            note = f"  ({c.note})" if c.note else ""
-            if c.passed is None:
-                lines.append(f"  [N/A] {c.name}: no instances in these dims{note}")
-                continue
-            rel = "max" if c.kind == "max<=" else "min"
-            if math.isinf(c.bound):
-                status, bound_txt = "INFO", "none"
-            else:
-                status, bound_txt = ("PASS" if c.passed else "FAIL"), f"{c.bound:.0e}"
-            lines.append(
-                f"  [{status}] {c.name}: {rel} margin {c.worst:+.3e} vs bound {bound_txt}"
-                f" over {c.instances} instances{note}"
-            )
-        lines.append("result: " + ("all checks passed" if self.ok else "VIOLATIONS FOUND"))
-        return "\n".join(lines)
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "trials": self.trials,
-            "dims": list(self.dims),
-            "ok": self.ok,
-            "checks": [
-                {**asdict(c), "bound": (None if math.isinf(c.bound) else c.bound)}
-                for c in self.checks
-            ],
-        }
 
 
 def _random_pair(d, rng):
@@ -216,7 +157,7 @@ def _per_dimension(section, dims, trials, rng, count):
     return columns
 
 
-def verify_cases(seed: int = 0, trials: int = 200, dims: tuple[int, ...] = (2, 3)) -> VerificationReport:
+def verify_cases(seed: int = 0, trials: int = 200, dims: tuple[int, ...] = (2, 3)) -> CheckReport:
     """Run every reality-variation invariant on seeded random instances.
 
     Each section draws its instances exactly as a one-at-a-time loop would,
@@ -233,69 +174,62 @@ def verify_cases(seed: int = 0, trials: int = 200, dims: tuple[int, ...] = (2, 3
     check_seed(seed)
     rng = np.random.default_rng(seed)
     mu_dims = [d for d in dims if d in (2, 3)]
-    checks: list[CheckResult] = []
-
-    def add(name, kind, margins, bound, note=""):
-        values = np.concatenate(margins) if margins else np.empty(0)
-        if not values.size:
-            checks.append(CheckResult(name, 0, None, bound, kind, None, note))
-            return
-        worst = float(values.max() if kind == "max<=" else values.min())
-        passed = worst <= bound if kind == "max<=" else worst >= bound
-        checks.append(CheckResult(name, int(values.size), worst, bound, kind, bool(passed), note))
+    mislabelled = "1 per mislabelled instance"
 
     # identity between the sequential and composed four-entropy routes
     identity, gain, entropy, probe = _per_dimension(_generic_margins, dims, trials, rng, 4)
-    add("four-entropy identity (sequential vs composed)", "max<=", identity, 1e-10)
-    add("monitored gain >= eps * irreality", "min>=", gain, -1e-9)
-    add("entropy nondecreasing under monitoring", "min>=", entropy, -1e-9)
-    # The probe gain has no sign guarantee for generic pairs: monitoring a
-    # tilted, non-unbiased axis can scramble an established probe reality
-    # (minimum reported for the record; provable sign claims follow below).
-    add(
-        "probe gain minimum over generic pairs (informational)",
-        "min>=",
-        probe,
-        -math.inf,
-        note="sign-indefinite for generic pairs; see MU and diagonal-state checks",
-    )
+    checks = [
+        check("four-entropy identity (sequential vs composed)", "max<=", identity, 1e-10),
+        check("monitored gain >= eps * irreality", "min>=", gain, -1e-9),
+        check("entropy nondecreasing under monitoring", "min>=", entropy, -1e-9),
+        # The probe gain has no sign guarantee for generic pairs: monitoring a
+        # tilted, non-unbiased axis can scramble an established probe reality
+        # (minimum reported for the record; provable sign claims follow below).
+        check(
+            "probe gain minimum over generic pairs (informational)", "min>=", probe, -math.inf,
+            note="sign-indefinite for generic pairs; see MU and diagonal-state checks",
+        ),
+    ]
 
     # (i) commuting pair -> equal variations, and the pair is labelled compatible
     equal, labels = _per_dimension(_commuting_margins, dims, trials, rng, 2)
-    add("(i) commuting pair gives equal variations", "max<=", equal, 1e-9)
-    add("(i) commuting pair labelled compatible", "max<=", labels, 0.0, note="1 per mislabelled instance")
+    checks += [
+        check("(i) commuting pair gives equal variations", "max<=", equal, 1e-9),
+        check("(i) commuting pair labelled compatible", "max<=", labels, 0.0, note=mislabelled),
+    ]
 
     # (ii) state diagonal in the monitored basis -> both variations vanish
     (frozen,) = _per_dimension(_monitored_diagonal_margins, dims, trials, rng, 1)
-    add("(ii) monitored-diagonal state freezes both variations", "max<=", frozen, 1e-9)
+    checks.append(check("(ii) monitored-diagonal state freezes both variations", "max<=", frozen, 1e-9))
 
     # (iii) state diagonal in the probe basis: an established probe reality
     # can never grow (one-sided); it stays exactly fixed when the monitored
     # axis is unbiased with respect to the probe.
     (probe_gain,) = _per_dimension(_probe_diagonal_margins, dims, trials, rng, 1)
-    add("(iii) probe-diagonal state: probe gain never positive", "max<=", probe_gain, 1e-9)
     fixed, mu_probe = _per_dimension(_mu_probe_margins, mu_dims, trials, rng, 2)
-    add("(iii) probe-diagonal state, MU monitor: probe reality fixed", "max<=", fixed, 1e-9)
-    add("MU pair: probe gain nonnegative (any state)", "min>=", mu_probe, -1e-9)
+    checks += [
+        check("(iii) probe-diagonal state: probe gain never positive", "max<=", probe_gain, 1e-9),
+        check("(iii) probe-diagonal state, MU monitor: probe reality fixed", "max<=", fixed, 1e-9),
+        check("MU pair: probe gain nonnegative (any state)", "min>=", mu_probe, -1e-9),
+    ]
 
     # (iv) mutually unbiased pair: ordering plus the concavity bound
     order, concave, blend_identity = _per_dimension(_mu_margins, mu_dims, trials, rng, 3)
-    add("(iv) MU pair: monitored gain dominates probe gain", "min>=", order, -1e-9)
-    add("(iv) MU pair: concavity lower bound", "min>=", concave, -1e-9)
-    add("(iv) MU pair: dephased-monitor blend identity", "max<=", blend_identity, 1e-10)
+    checks += [
+        check("(iv) MU pair: monitored gain dominates probe gain", "min>=", order, -1e-9),
+        check("(iv) MU pair: concavity lower bound", "min>=", concave, -1e-9),
+        check("(iv) MU pair: dephased-monitor blend identity", "max<=", blend_identity, 1e-10),
+    ]
 
     # (v) state diagonal in a third pairwise-MU basis -> equal, nonzero
     # variations, and the configuration is labelled triple-MU
     for d in mu_dims:
         equal, positive, labels = _third_basis_margins(d, trials, rng)
-        add(f"(v) third-basis-diagonal state: equal variations (d={d})", "max<=", [equal], 1e-9)
-        add(f"(v) third-basis-diagonal state: strictly positive gain (d={d})", "min>=", [positive], 1e-12)
-        add(
-            f"(v) third-basis-diagonal state labelled triple-MU (d={d})",
-            "max<=",
-            [labels],
-            0.0,
-            note="1 per mislabelled instance",
-        )
+        checks += [
+            check(f"(v) third-basis-diagonal state: equal variations (d={d})", "max<=", [equal], 1e-9),
+            check(f"(v) third-basis-diagonal state: strictly positive gain (d={d})", "min>=", [positive], 1e-12),
+            check(f"(v) third-basis-diagonal state labelled triple-MU (d={d})", "max<=", [labels], 0.0, note=mislabelled),
+        ]
 
-    return VerificationReport(seed=seed, trials=trials, dims=dims, checks=tuple(checks))
+    params = {"seed": seed, "trials": trials, "dims": list(dims)}
+    return CheckReport("case verification", params, tuple(checks))

@@ -5,16 +5,13 @@ tests run the same check.  They look ``realmon.reality`` functions up at call
 time, so a fault patched into that module reaches them.
 """
 
-import importlib
 import math
 
 import numpy as np
 
+import realmon.reality as reality
 from realmon.observables import observable_from_axis, pauli_observable
 from realmon.states import DensityOperator, entropy_of_probabilities
-
-# the module, not the ``realmon.reality`` function the package exports under that name
-reality = importlib.import_module("realmon.reality")
 
 SZ = pauli_observable("z")
 PLUS = DensityOperator(np.full((2, 2), 0.5, dtype=complex))
@@ -23,6 +20,16 @@ PLUS = DensityOperator(np.full((2, 2), 0.5, dtype=complex))
 def maximally_mixed(d):
     """The maximally mixed state I/d."""
     return DensityOperator(np.eye(d, dtype=complex) / d, validate=False)
+
+
+CNOT_MAPPING_CHECK = "CNOT mapping vs 1 - sin(theta_m)"
+CNOT_MONOTONE_CHECK = "CNOT mapping monotone (largest eps step)"
+
+
+def named_check(report, name) -> dict:
+    """The check called ``name`` in a ``CheckReport`` or in its JSON dict, as a dict."""
+    data = report if isinstance(report, dict) else report.to_dict()
+    return next(c for c in data["checks"] if c["name"] == name)
 
 
 def count_negative(values):

@@ -18,7 +18,14 @@ import time
 import numpy as np
 import pytest
 
-from _helpers import count_negative, probe_gain_sign_check, scenario1_grid
+from _helpers import (
+    CNOT_MAPPING_CHECK,
+    CNOT_MONOTONE_CHECK,
+    count_negative,
+    named_check,
+    probe_gain_sign_check,
+    scenario1_grid,
+)
 from realmon.certify import certify_circuits
 from realmon.channels import MonitoringChannel, monitor
 from realmon.config import make_config
@@ -300,9 +307,9 @@ def test_criterion_6_circuit_certification():
     start = time.perf_counter()
     report = certify_circuits(resolution=17, seed=11)
     elapsed = time.perf_counter() - start
-    dev1 = report.deviations["n=1 CZ"]
-    dev2 = report.deviations["n=2 CZ"]
-    dev3 = report.deviations["n=3 CZ smoke"]
+    dev1 = named_check(report, "n=1 CZ")["worst"]
+    dev2 = named_check(report, "n=2 CZ")["worst"]
+    dev3 = named_check(report, "n=3 CZ smoke")["worst"]
     ok = dev1 <= 1e-10 and dev2 <= 1e-10 and dev3 <= 1e-9 and elapsed < 60.0
     _report(6, ok, f"deviations n1 {dev1:.2e} n2 {dev2:.2e} n3 {dev3:.2e} in {elapsed:.1f}s")
     assert dev1 <= 1e-10
@@ -314,22 +321,25 @@ def test_criterion_6_circuit_certification():
 def test_criterion_7_cnot_mapping():
     """CNOT intensity mapping: smooth, monotone, matches damping, flagged."""
     report = certify_circuits(resolution=17, seed=11)
+    mapping = named_check(report, CNOT_MAPPING_CHECK)
+    monotone = named_check(report, CNOT_MONOTONE_CHECK)["passed"]
+    deviation = named_check(report, "n=1 CNOT")["worst"]
     ok = (
-        report.cnot_mapping_max_error <= 1e-10
-        and report.cnot_monotone
-        and report.deviations["n=1 CNOT"] <= 1e-10
-        and any("1 - (1/2) sin" in note for note in report.notes)
+        mapping["worst"] <= 1e-10
+        and monotone
+        and deviation <= 1e-10
+        and "1 - (1/2) sin" in mapping["note"]
     )
     _report(
         7,
         ok,
-        f"mapping error {report.cnot_mapping_max_error:.2e}, monotone={report.cnot_monotone}, "
+        f"mapping error {mapping['worst']:.2e}, monotone={monotone}, "
         "disagreement with the halved-sine formula flagged in the report",
     )
-    assert report.cnot_mapping_max_error <= 1e-10
-    assert report.cnot_monotone
-    assert report.deviations["n=1 CNOT"] <= 1e-10
-    assert any("1 - (1/2) sin" in note for note in report.notes)
+    assert mapping["worst"] <= 1e-10
+    assert monotone
+    assert deviation <= 1e-10
+    assert "1 - (1/2) sin" in mapping["note"]
 
 
 def test_criterion_8_noisy_emulation():

@@ -67,6 +67,13 @@ class TestSampleShots:
         with pytest.raises(ValueError, match="negative"):
             sample_shots([[1.1, -0.1]], 10, [0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_probability_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            sample_shots([[bad, 1.0]], 10, [0])
+        with pytest.raises(ValueError, match="non-finite"):
+            apply_readout_noise([[bad, 1.0]], np.eye(2))
+
     def test_sum_validated(self):
         with pytest.raises(ValueError, match="sum"):
             sample_shots([[0.5, 0.4]], 10, [0])

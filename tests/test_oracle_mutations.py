@@ -18,8 +18,8 @@ import math
 
 import numpy as np
 
-from _helpers import probe_gain_sign_check, reality, scenario1_grid
-from realmon import certify
+from _helpers import named_check, probe_gain_sign_check, reality, scenario1_grid
+from realmon import certify, cli
 from realmon.certify import certify_circuits
 from realmon.channels import ComposedChannel, product_monitor
 from realmon.circuits import Circuit, epsilon_of_strength
@@ -40,7 +40,7 @@ def test_perturbed_composed_channel_is_caught(monkeypatch):
     monkeypatch.setattr(ComposedChannel, "apply_matrix", lambda self, mat: apply(self, mat) + 1e-8)
     report = certify_circuits(3)
     assert not report.ok
-    assert report.deviations["n=2 CZ"] > 1e-10 and report.deviations["n=1 CZ"] < 1e-14
+    assert named_check(report, "n=2 CZ")["worst"] > 1e-10 and named_check(report, "n=1 CZ")["worst"] < 1e-14
 
 
 def test_error_in_one_member_of_a_circuit_stack_is_caught(monkeypatch):
@@ -55,16 +55,29 @@ def test_error_in_one_member_of_a_circuit_stack_is_caught(monkeypatch):
     assert not certify_circuits(3).ok
 
 
-def test_half_sine_cnot_mapping_is_caught(monkeypatch):
-    def half_sine(coupling, theta_m):
-        if coupling == "CNOT":
-            return 1.0 - 0.5 * np.sin(theta_m)
-        return epsilon_of_strength(coupling, theta_m)
+def half_sine(coupling, theta_m):
+    """The often-quoted CNOT mapping eps = 1 - sin(theta_m)/2, in place of the certified one."""
+    if coupling == "CNOT":
+        return 1.0 - 0.5 * np.sin(theta_m)
+    return epsilon_of_strength(coupling, theta_m)
 
+
+def test_half_sine_cnot_mapping_is_caught(monkeypatch):
     monkeypatch.setattr(certify, "epsilon_of_strength", half_sine)
     report = certify_circuits(3)
     assert not report.ok
-    assert report.deviations["n=1 CNOT"] > 0.1 and report.deviations["n=1 CZ"] < 1e-14
+    assert named_check(report, "n=1 CNOT")["worst"] > 0.1 and named_check(report, "n=1 CZ")["worst"] < 1e-14
+
+
+def test_certify_violation_names_its_check(monkeypatch, capsys):
+    monkeypatch.setattr(certify, "epsilon_of_strength", half_sine)
+    lines = certify_circuits(3).render_text().splitlines()
+    failed = [line.strip() for line in lines if line.lstrip().startswith("[FAIL]")]
+    assert len(failed) == 2 and all(" vs bound 1e-10 over 9 instances" in line for line in failed)
+    assert {line.split(":")[0] for line in failed} == {"[FAIL] n=1 CNOT", "[FAIL] n=2 CNOT"}
+    assert lines[-1] == "result: VIOLATIONS FOUND"
+    assert cli.main(["certify-circuits", "--resolution", "3"]) == 2
+    assert "[FAIL] n=1 CNOT: max margin" in capsys.readouterr().out
 
 
 def test_reference_stack_out_of_order_is_caught(monkeypatch):

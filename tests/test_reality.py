@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -61,6 +62,12 @@ ISTATE = DensityOperator(np.array([[0.5, -0.5j], [0.5j, 0.5]], dtype=complex))
 
 H2_QUARTER = 0.8112781244591328
 H2_SIN2_PI8 = 0.6008760366928562  # binary entropy of sin^2(pi/8), frozen
+
+
+def test_realmon_reality_names_the_module():
+    import realmon.reality as m
+
+    assert inspect.ismodule(m) and m.reality is reality
 
 
 class TestIrrealityReality:

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from _helpers import CNOT_MAPPING_CHECK, named_check
 from realmon.channels import to_superoperator
 from realmon.observables import observable_from_axis
 from realmon.reality import reality_report
@@ -482,7 +483,7 @@ class TestVerifyAndCertifyAPI:
     def test_certify_ok_and_notes(self):
         report = certify_circuits(resolution=5, seed=3)
         assert report.ok
-        assert report.cnot_mapping_max_error <= 1e-10
+        assert named_check(report, CNOT_MAPPING_CHECK)["worst"] <= 1e-10
         text = report.render_text()
         assert "1 - (1/2) sin(theta)" in text
         assert "eps = 1 - sin(theta_m)" in text
@@ -803,7 +804,7 @@ class TestCLI:
         assert proc.returncode == 0
         report = json.loads(out.read_text())
         assert report["ok"] is True
-        assert any("1 - (1/2) sin" in n for n in report["notes"])
+        assert "1 - (1/2) sin" in named_check(report, CNOT_MAPPING_CHECK)["note"]
 
     def test_tomo_sim_summary(self):
         proc = run_cli("tomo-sim", "--shots", "256", "--seeds", "10")

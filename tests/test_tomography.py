@@ -49,6 +49,11 @@ class TestEstimatePauli:
         with pytest.raises(DimensionError):
             estimate_pauli(maximally_mixed(4), 0, 0)
 
+    def test_non_finite_state_rejected_at_infinite_shots(self):
+        nan_state = DensityOperator(np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex), validate=False)
+        with pytest.raises(ValueError, match="non-finite"):
+            estimate_pauli(nan_state, 0, 0)
+
 
 def _reference_estimate(rho, shots, rng, confusion):
     """The per-axis estimator: one rotation, readout pass and multinomial draw per axis."""
