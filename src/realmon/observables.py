@@ -6,7 +6,9 @@ by projectors of rank equal to the eigenvalue multiplicity.  The same type
 holds a stack of N observables of one dimension and outcome count, (N, k)
 eigenvalues with (N, k, d, d) projectors, one per member of a state stack.
 ``observable_from_axis`` and ``observable_on_qubit`` build one observable
-from numbers or a stack from (N,) angle arrays, through the same code.
+from numbers or a stack from (N,) angle arrays, through the same code;
+``observable_from_basis`` builds one from a (d, d) basis or a stack from
+(N, d, d) bases.
 ``commutes`` and ``is_mutually_unbiased`` take one observable or a stack on
 either side, through the same code, and answer per member.
 """
@@ -191,8 +193,12 @@ def observable_on_qubit(n_qubits: int, qubit: int, theta, phi=0.0) -> Projective
 
 
 def observable_from_basis(columns: np.ndarray, eigenvalues) -> ProjectiveObservable:
-    """Observable with eigenvalue k on the k-th column: P_k = |c_k><c_k|."""
-    projs = columns.T[:, :, None] * columns.T.conj()[:, None, :]
+    """Observable with eigenvalue k on the k-th column: P_k = |c_k><c_k|.
+
+    (N, d, d) columns with (N, k) eigenvalues give a stack of N.
+    """
+    kets = np.swapaxes(columns, -1, -2)
+    projs = kets[..., :, :, None] * np.conj(kets)[..., :, None, :]
     return ProjectiveObservable(eigenvalues, projs, validate=False)
 
 

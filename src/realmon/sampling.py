@@ -1,9 +1,22 @@
 """Seeded random instances: Haar states, random bases, Ginibre densities.
 
-Unitaries come from QR orthogonalization of complex Gaussian matrices with
-the R-diagonal phase fix, so columns are Haar-distributed.  All functions
-take an explicit ``numpy.random.Generator`` so sweeps stay reproducible and
-per-task streams stay independent.
+Sampling is split into draws and builds.  A draw takes one instance's random
+numbers from an explicit ``numpy.random.Generator``, in a fixed order:
+``draw_observable`` a complex Gaussian matrix then distinct eigenvalues,
+``draw_pair`` one shared Gaussian matrix then each member's eigenvalues,
+``draw_density`` the pure/mixed coin then a Gaussian vector or matrix.  A
+build draws nothing: it turns the draw records of N instances into one
+stack.  Unitaries come from QR of the Gaussian matrices with the R-diagonal
+phase fix (Mezzadri, Notices AMS 54, 592, 2007), so columns are
+Haar-distributed; QR, the projector products, ``W P W†`` and ``G G†`` each
+run once on the (N, d, d) stack.
+
+The public samplers are the builds.  ``random_observable(d, rng)`` draws
+one observable and builds it as a stack of one; ``random_observable(d,
+draws=records)`` builds the stack of N that N ``draw_observable`` records
+define, each member bitwise equal to the one-at-a-time call that would have
+drawn it.  A caller that draws several fields per instance, as ``verify``
+does, draws every instance in turn and then builds each field once.
 """
 
 from __future__ import annotations
@@ -12,7 +25,7 @@ import numpy as np
 
 from .linalg import DimensionError
 from .observables import ProjectiveObservable, observable_from_basis, standard_mub_observables
-from .states import DensityOperator, PureState, density_from_pure
+from .states import DensityOperator, PureState
 
 MIN_EIGENVALUE_GAP = 1e-3
 
@@ -21,33 +34,39 @@ def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
-def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    z = _complex_gaussian(rng, (d, d))
+def _haar_unitaries(z: np.ndarray) -> np.ndarray:
+    """Haar unitaries from complex Gaussian matrices (..., d, d): QR with the R-diagonal phase fix."""
     q, r = np.linalg.qr(z)
-    diag = np.diagonal(r).copy()
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
     diag = np.where(np.abs(diag) > 0, diag / np.abs(diag), 1.0)
-    return q * diag
+    return q * diag[..., None, :]
+
+
+def _ginibre(g: np.ndarray) -> np.ndarray:
+    """G G† / Tr for complex Gaussian matrices (..., d, d), symmetrised to be exactly Hermitian."""
+    g_dag = np.conj(g).swapaxes(-1, -2)
+    m = g @ g_dag
+    m = (m + np.conj(m).swapaxes(-1, -2)) / 2.0
+    m /= np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
+    return m
+
+
+def _pure_state(z: np.ndarray) -> PureState:
+    # the 1-D norm, once per vector: a stacked norm differs in the last bit
+    return PureState(z / np.linalg.norm(z))
+
+
+def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
+    return _haar_unitaries(_complex_gaussian(rng, (d, d)))
 
 
 def haar_pure_state(d: int, rng: np.random.Generator) -> PureState:
-    z = _complex_gaussian(rng, d)
-    return PureState(z / np.linalg.norm(z))
+    return _pure_state(_complex_gaussian(rng, d))
 
 
 def ginibre_density(d: int, rng: np.random.Generator) -> DensityOperator:
     """Full-rank random density operator G G† / Tr, G a d x d complex Gaussian."""
-    g = _complex_gaussian(rng, (d, d))
-    m = g @ g.conj().T
-    m = (m + m.conj().T) / 2.0
-    m /= np.trace(m).real
-    return DensityOperator(m, validate=False)
-
-
-def random_density(d: int, rng: np.random.Generator) -> DensityOperator:
-    """Mixed sampling plan: one in four draws is a Haar-random pure state."""
-    if rng.random() < 0.25:
-        return density_from_pure(haar_pure_state(d, rng))
-    return ginibre_density(d, rng)
+    return DensityOperator(_ginibre(_complex_gaussian(rng, (d, d))), validate=False)
 
 
 def _distinct_eigenvalues(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -57,35 +76,102 @@ def _distinct_eigenvalues(d: int, rng: np.random.Generator) -> np.ndarray:
             return vals
 
 
-def random_observable(d: int, rng: np.random.Generator) -> ProjectiveObservable:
-    """Nondegenerate observable with a Haar-random eigenbasis."""
-    return observable_from_basis(haar_unitary(d, rng), _distinct_eigenvalues(d, rng))
+def draw_observable(d: int, rng: np.random.Generator):
+    """One observable's draws: a complex Gaussian matrix, then distinct eigenvalues."""
+    return _complex_gaussian(rng, (d, d)), _distinct_eigenvalues(d, rng)
+
+
+def draw_pair(d: int, rng: np.random.Generator):
+    """One commuting or MU pair's draws: a shared Gaussian matrix, then each member's eigenvalues."""
+    return _complex_gaussian(rng, (d, d)), _distinct_eigenvalues(d, rng), _distinct_eigenvalues(d, rng)
+
+
+def draw_density(d: int, rng: np.random.Generator):
+    """One state's draws: a coin that is pure one time in four, then a Gaussian vector (pure) or matrix."""
+    pure = rng.random() < 0.25
+    return pure, _complex_gaussian(rng, d if pure else (d, d))
+
+
+def _records(draw, d, rng, draws) -> list:
+    """``draws`` as given, or one record freshly drawn with ``draw(d, rng)``."""
+    if (rng is None) == (draws is None):
+        raise TypeError("give either rng, for one instance, or draws, for a stack")
+    records = [draw(d, rng)] if draws is None else list(draws)
+    if not records:
+        raise DimensionError("a stack needs at least one draw record")
+    return records
+
+
+def _fields(records) -> list[np.ndarray]:
+    """Each field of N draw records as one (N, ...) array."""
+    return [np.stack(field) for field in zip(*records)]
+
+
+def _single(stack):
+    """The one member of a stack of one, as a single observable or state."""
+    if isinstance(stack, DensityOperator):
+        return DensityOperator(stack.matrix[0], validate=False)
+    return ProjectiveObservable(stack.eigenvalues[0], stack.projectors[0], validate=False)
+
+
+def _one_or_stack(built, draws):
+    """A build's stacks as they are when ``draws`` were given, else their single members."""
+    if draws is not None:
+        return built
+    return tuple(_single(x) for x in built) if isinstance(built, tuple) else _single(built)
+
+
+def random_density(d: int, rng: np.random.Generator | None = None, *, draws=None) -> DensityOperator:
+    """Mixed sampling plan: one in four draws is a Haar-random pure state, the rest Ginibre.
+
+    ``rng`` draws one state; ``draws``, a list of ``draw_density`` records,
+    gives the stack they define.
+    """
+    records = _records(draw_density, d, rng, draws)
+    pure = np.array([is_pure for is_pure, _ in records], dtype=bool)
+    m = np.empty((len(records), d, d), dtype=complex)
+    if pure.any():
+        amps = np.stack([_pure_state(z).amplitudes for is_pure, z in records if is_pure])
+        m[pure] = amps[:, :, None] * np.conj(amps)[:, None, :]
+    if not pure.all():
+        m[~pure] = _ginibre(np.stack([g for is_pure, g in records if not is_pure]))
+    return _one_or_stack(DensityOperator(m, validate=False), draws)
+
+
+def random_observable(d: int, rng: np.random.Generator | None = None, *, draws=None) -> ProjectiveObservable:
+    """Nondegenerate observable with a Haar-random eigenbasis.
+
+    ``rng`` draws one observable; ``draws``, a list of ``draw_observable``
+    records, gives the stack they define.
+    """
+    z, values = _fields(_records(draw_observable, d, rng, draws))
+    return _one_or_stack(observable_from_basis(_haar_unitaries(z), values), draws)
 
 
 def random_commuting_pair(
-    d: int, rng: np.random.Generator
+    d: int, rng: np.random.Generator | None = None, *, draws=None
 ) -> tuple[ProjectiveObservable, ProjectiveObservable]:
-    """Two nondegenerate observables sharing a Haar-random eigenbasis."""
-    u = haar_unitary(d, rng)
-    return (
-        observable_from_basis(u, _distinct_eigenvalues(d, rng)),
-        observable_from_basis(u, _distinct_eigenvalues(d, rng)),
-    )
+    """Two nondegenerate observables sharing a Haar-random eigenbasis (stacks, from ``draw_pair`` records)."""
+    z, values_a, values_b = _fields(_records(draw_pair, d, rng, draws))
+    u = _haar_unitaries(z)
+    return _one_or_stack((observable_from_basis(u, values_a), observable_from_basis(u, values_b)), draws)
 
 
 def random_mu_pair(
-    d: int, rng: np.random.Generator
+    d: int, rng: np.random.Generator | None = None, *, draws=None
 ) -> tuple[ProjectiveObservable, ProjectiveObservable]:
-    """Maximally incompatible pair: a standard MU pair conjugated by a Haar unitary."""
+    """Maximally incompatible pair: a standard MU pair conjugated by a Haar unitary
+    (stacks, from ``draw_pair`` records)."""
     if d not in (2, 3):
         raise DimensionError(f"random MU pairs provided for d in (2, 3), got {d}")
-    base_a, base_b = standard_mub_observables(d)[:2]
-    w = haar_unitary(d, rng)
-    out = []
-    for base in (base_a, base_b):
-        projs = [w @ p @ w.conj().T for p in base.projectors]
-        out.append(ProjectiveObservable(_distinct_eigenvalues(d, rng), projs, validate=False))
-    return tuple(out)
+    z, values_a, values_b = _fields(_records(draw_pair, d, rng, draws))
+    w = _haar_unitaries(z)[:, None]
+    w_dag = np.conj(w).swapaxes(-1, -2)
+    pair = tuple(
+        ProjectiveObservable(values, w @ base.projectors @ w_dag, validate=False)
+        for base, values in zip(standard_mub_observables(d)[:2], (values_a, values_b))
+    )
+    return _one_or_stack(pair, draws)
 
 
 def random_probabilities(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -94,12 +180,16 @@ def random_probabilities(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def mixture_of_eigenstates(obs: ProjectiveObservable, probs) -> DensityOperator:
-    """Diagonal-in-the-eigenbasis state sum_j p_j P_j (rank-1 projectors)."""
+    """Diagonal-in-the-eigenbasis state sum_j p_j P_j (rank-1 projectors), summed in outcome order.
+
+    (N, k) probabilities, or a stack of N observables, give a stack of N states.
+    """
     probs = np.asarray(probs, dtype=float)
-    if len(probs) != obs.n_outcomes:
+    if probs.ndim not in (1, 2) or probs.shape[-1] != obs.n_outcomes:
         raise DimensionError("need one probability per projector")
-    m = np.zeros((obs.dim, obs.dim), dtype=complex)
-    for p, proj in zip(probs, obs.projectors):
-        m += p * proj
-    m /= np.trace(m).real
+    lead = np.broadcast_shapes(probs.shape[:-1], obs.projectors.shape[:-3])
+    m = np.zeros(lead + (obs.dim, obs.dim), dtype=complex)
+    for j in range(obs.n_outcomes):
+        m += probs[..., j, None, None] * obs.projectors[..., j, :, :]
+    m /= np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
     return DensityOperator(m, validate=False)

@@ -9,7 +9,7 @@ import numpy as np
 
 from .channels import MonitoringChannel, dephase, monitor
 from .config import MAX_DIMENSION, MAX_TRIALS, ConfigError, check_seed, is_integer
-from .observables import ProjectiveObservable, stack_observables, standard_mub_observables
+from .observables import standard_mub_observables
 from .output import CheckReport, check
 from .reality import (
     CaseLabel,
@@ -20,6 +20,9 @@ from .reality import (
     reality_report,
 )
 from .sampling import (
+    draw_density,
+    draw_observable,
+    draw_pair,
     mixture_of_eigenstates,
     random_commuting_pair,
     random_density,
@@ -27,54 +30,63 @@ from .sampling import (
     random_observable,
     random_probabilities,
 )
-from .states import DensityOperator, stack_states
 
 
-def _random_pair(d, rng):
-    return random_observable(d, rng), random_observable(d, rng)
+def _draw_two(d, rng):
+    """One generic pair's draws: two independent observables."""
+    return draw_observable(d, rng), draw_observable(d, rng)
 
 
-def _instance(d, rng, pair=_random_pair):
-    """(X, X', rho, eps): a sampled pair, a random state and a uniform intensity."""
-    x, xp = pair(d, rng)
-    return x, xp, random_density(d, rng), float(rng.random())
+def _two_observables(d, *, draws):
+    """The two observable stacks that ``_draw_two`` records define."""
+    first, second = zip(*draws)
+    return random_observable(d, draws=first), random_observable(d, draws=second)
 
 
-def _diagonal_instance(d, rng, in_probe_basis):
-    """A random pair with a state diagonal in the monitored or the probe basis."""
-    x, xp = _random_pair(d, rng)
-    rho = mixture_of_eigenstates(xp if in_probe_basis else x, random_probabilities(d, rng))
-    return x, xp, rho, float(rng.random())
+def _drawn(trials, draw):
+    """``trials`` instances drawn one at a time with ``draw()``, as one tuple of N records per field."""
+    return tuple(zip(*(draw() for _ in range(trials))))
 
 
-def _mu_probe_instance(d, rng):
-    """An MU pair, a probe-diagonal state, an intensity and an arbitrary state."""
-    x, xp = random_mu_pair(d, rng)
-    rho = mixture_of_eigenstates(xp, random_probabilities(d, rng))
-    return x, xp, rho, float(rng.random()), random_density(d, rng)
+def _instances(d, trials, rng, pair=None):
+    """(X, X', rho, eps) stacks of sampled pairs, random states and uniform intensities.
+
+    The pairs are two independent observables, or what ``pair``
+    (``random_commuting_pair`` or ``random_mu_pair``) builds from ``draw_pair`` records.
+    """
+    draw, build = (_draw_two, _two_observables) if pair is None else (draw_pair, pair)
+    pairs, states, eps = _drawn(trials, lambda: (draw(d, rng), draw_density(d, rng), rng.random()))
+    return (*build(d, draws=pairs), random_density(d, draws=states), np.array(eps))
 
 
-def _third_basis_instance(d, rng, third):
-    """A state diagonal in ``third``, kept away from I/d, and an intensity in [0.1, 1]."""
+def _diagonal_instances(d, trials, rng, in_probe_basis):
+    """Random pairs with states diagonal in the monitored or the probe basis."""
+    pairs, probs, eps = _drawn(trials, lambda: (_draw_two(d, rng), random_probabilities(d, rng), rng.random()))
+    x, xp = _two_observables(d, draws=pairs)
+    return x, xp, mixture_of_eigenstates(xp if in_probe_basis else x, probs), np.array(eps)
+
+
+def _mu_probe_instances(d, trials, rng):
+    """MU pairs, probe-diagonal states, intensities and arbitrary states."""
+    pairs, probs, eps, states = _drawn(
+        trials, lambda: (draw_pair(d, rng), random_probabilities(d, rng), rng.random(), draw_density(d, rng))
+    )
+    x, xp = random_mu_pair(d, draws=pairs)
+    return x, xp, mixture_of_eigenstates(xp, probs), np.array(eps), random_density(d, draws=states)
+
+
+def _away_from_uniform(d, rng):
+    """Random probabilities, redrawn until some entry is at least 0.05 from 1/d."""
     probs = random_probabilities(d, rng)
     while np.abs(probs - 1.0 / d).max() < 0.05:
         probs = random_probabilities(d, rng)
-    return mixture_of_eigenstates(third, probs), 0.1 + 0.9 * float(rng.random())
+    return probs
 
 
-def _stacked(instances):
-    """Sampled instance tuples as one stack per field: observables and states
-    as stacks of N, numbers as an array.  Each section labels and evaluates
-    these stacks whole."""
-    columns = []
-    for column in zip(*instances):
-        if isinstance(column[0], ProjectiveObservable):
-            columns.append(stack_observables(column))
-        elif isinstance(column[0], DensityOperator):
-            columns.append(stack_states(column))
-        else:
-            columns.append(np.array(column, dtype=float))
-    return columns
+def _third_basis_instances(d, trials, rng, third):
+    """States diagonal in ``third``, kept away from I/d, and intensities in [0.1, 1]."""
+    probs, eps = _drawn(trials, lambda: (_away_from_uniform(d, rng), 0.1 + 0.9 * rng.random()))
+    return mixture_of_eigenstates(third, probs), np.array(eps)
 
 
 def _mislabelled(x, xp, rho, label) -> np.ndarray:
@@ -84,7 +96,7 @@ def _mislabelled(x, xp, rho, label) -> np.ndarray:
 
 def _generic_margins(d, trials, rng):
     """Identity residual, self-gain margin, entropy change and probe gain on generic instances."""
-    x, xp, rho, eps = _stacked([_instance(d, rng) for _ in range(trials)])
+    x, xp, rho, eps = _instances(d, trials, rng)
     report = reality_report(x, xp, eps, rho)
     dro = delta_reality_other(xp, x, eps, rho)
     drm = delta_reality_monitored(x, eps, rho)
@@ -98,33 +110,33 @@ def _generic_margins(d, trials, rng):
 
 def _commuting_margins(d, trials, rng):
     """(i) |probe gain - monitored gain| and wrong labels on commuting pairs."""
-    x, xp, rho, eps = _stacked([_instance(d, rng, random_commuting_pair) for _ in range(trials)])
+    x, xp, rho, eps = _instances(d, trials, rng, random_commuting_pair)
     equal = np.abs(delta_reality_other(xp, x, eps, rho) - delta_reality_monitored(x, eps, rho))
     return equal, _mislabelled(x, xp, rho, CaseLabel.COMPATIBLE)
 
 
 def _monitored_diagonal_margins(d, trials, rng):
     """(ii) the larger of |monitored gain| and |probe gain| for monitored-diagonal states."""
-    x, xp, rho, eps = _stacked([_diagonal_instance(d, rng, False) for _ in range(trials)])
+    x, xp, rho, eps = _diagonal_instances(d, trials, rng, False)
     return (np.maximum(np.abs(delta_reality_monitored(x, eps, rho)), np.abs(delta_reality_other(xp, x, eps, rho))),)
 
 
 def _probe_diagonal_margins(d, trials, rng):
     """(iii) the probe gain for probe-diagonal states."""
-    x, xp, rho, eps = _stacked([_diagonal_instance(d, rng, True) for _ in range(trials)])
+    x, xp, rho, eps = _diagonal_instances(d, trials, rng, True)
     return (delta_reality_other(xp, x, eps, rho),)
 
 
 def _mu_probe_margins(d, trials, rng):
     """(iii) |probe gain| for probe-diagonal states under an MU monitor, and the
     probe gain of the same MU pairs on arbitrary states."""
-    x, xp, rho, eps, rho_any = _stacked([_mu_probe_instance(d, rng) for _ in range(trials)])
+    x, xp, rho, eps, rho_any = _mu_probe_instances(d, trials, rng)
     return np.abs(delta_reality_other(xp, x, eps, rho)), delta_reality_other(xp, x, eps, rho_any)
 
 
 def _mu_margins(d, trials, rng):
     """(iv) gain ordering, concavity margin and blend-identity residual on MU pairs."""
-    x, xp, rho, eps = _stacked([_instance(d, rng, random_mu_pair) for _ in range(trials)])
+    x, xp, rho, eps = _instances(d, trials, rng, random_mu_pair)
     report = reality_report(x, xp, eps, rho)
     lhs = report.entropy_probe_monitored - report.entropy_probe
     e = eps[:, None, None]
@@ -141,7 +153,7 @@ def _third_basis_margins(d, trials, rng):
     """(v) |probe gain - monitored gain|, monitored gain and wrong labels for
     states diagonal in a third basis unbiased to both observables."""
     x, xp, third = standard_mub_observables(d)[:3]
-    rho, eps = _stacked([_third_basis_instance(d, rng, third) for _ in range(trials)])
+    rho, eps = _third_basis_instances(d, trials, rng, third)
     drm = delta_reality_monitored(x, eps, rho)
     dro = delta_reality_other(xp, x, eps, rho)
     return np.abs(dro - drm), drm, _mislabelled(x, xp, rho, CaseLabel.TRIPLE_MU)
@@ -160,9 +172,11 @@ def _per_dimension(section, dims, trials, rng, count):
 def verify_cases(seed: int = 0, trials: int = 200, dims: tuple[int, ...] = (2, 3)) -> CheckReport:
     """Run every reality-variation invariant on seeded random instances.
 
-    Each section draws its instances exactly as a one-at-a-time loop would,
-    then evaluates them as one stack per dimension.  A check counts the
-    instances it evaluated.
+    Each section draws its instances' random numbers one instance at a time,
+    in the order a one-at-a-time loop would, then builds each field of the
+    instances as one stack per dimension (``sampling``'s draw-then-build
+    split) and evaluates the stacks.  A check counts the instances it
+    evaluated.
     """
     if not (is_integer(trials) and 1 <= trials <= MAX_TRIALS):
         raise ConfigError(f"trials: must be an integer in [1, {MAX_TRIALS}], got {trials!r}")

@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 import realmon.reality as reality
-from realmon.observables import observable_from_axis, pauli_observable
+from realmon.observables import ProjectiveObservable, observable_from_axis, pauli_observable
 from realmon.states import DensityOperator, entropy_of_probabilities
 
 SZ = pauli_observable("z")
@@ -20,6 +20,13 @@ PLUS = DensityOperator(np.full((2, 2), 0.5, dtype=complex))
 def maximally_mixed(d):
     """The maximally mixed state I/d."""
     return DensityOperator(np.eye(d, dtype=complex) / d, validate=False)
+
+
+def members(stack) -> list:
+    """The single observables or states of a stack, in order."""
+    if isinstance(stack, DensityOperator):
+        return [DensityOperator(m, validate=False) for m in stack.matrix]
+    return [ProjectiveObservable(v, p, validate=False) for v, p in zip(stack.eigenvalues, stack.projectors)]
 
 
 CNOT_MAPPING_CHECK = "CNOT mapping vs 1 - sin(theta_m)"

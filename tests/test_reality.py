@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from _helpers import maximally_mixed
+from _helpers import maximally_mixed, members
 from realmon import verify
 from realmon.channels import MonitoringChannel, monitor
 from realmon.config import make_config, resolve_state
@@ -454,22 +454,26 @@ class TestStackedLabels:
         rng = np.random.default_rng(16 + d)
         trials = 40
         sections = [
-            lambda: verify._instance(d, rng),
-            lambda: verify._instance(d, rng, random_commuting_pair),
-            lambda: verify._diagonal_instance(d, rng, False),
-            lambda: verify._diagonal_instance(d, rng, True),
+            lambda: verify._instances(d, trials, rng),
+            lambda: verify._instances(d, trials, rng, random_commuting_pair),
+            lambda: verify._diagonal_instances(d, trials, rng, False),
+            lambda: verify._diagonal_instances(d, trials, rng, True),
         ]
         if d in (2, 3):
-            sections += [lambda: verify._instance(d, rng, random_mu_pair), lambda: verify._mu_probe_instance(d, rng)]
+            sections += [
+                lambda: verify._instances(d, trials, rng, random_mu_pair),
+                lambda: verify._mu_probe_instances(d, trials, rng),
+            ]
         labels = set()
         for draw in sections:
-            instances = [draw() for _ in range(trials)]
-            x, xp, rho, _, *rho_any = (list(column) for column in zip(*instances))
+            x, xp, rho, _, *rho_any = draw()
+            x, xp, rho, rho_any = members(x), members(xp), members(rho), [members(r) for r in rho_any]
             labels |= assert_labels_match_members(x, xp, rho)
             if rho_any:
                 labels |= assert_labels_match_members(x, xp, rho_any[0])
         # mixed stacks: configurations of every section interleaved
-        instances = [sections[k % len(sections)]()[:3] for k in range(3 * trials)]
+        drawn = [list(zip(*(members(stack) for stack in draw()[:3]))) for draw in sections]
+        instances = [drawn[k % len(sections)][k // len(sections)] for k in range(3 * trials)]
         labels |= assert_labels_match_members(*(list(column) for column in zip(*instances)))
         expected = {CaseLabel.COMPATIBLE, CaseLabel.X_DIAGONAL, CaseLabel.XPRIME_DIAGONAL, CaseLabel.GENERIC}
         assert expected <= labels and ((CaseLabel.MU in labels) == (d in (2, 3)))
@@ -478,7 +482,7 @@ class TestStackedLabels:
     def test_single_observables_broadcast_over_a_state_stack(self, d):
         rng = np.random.default_rng(20 + d)
         x, xp, third = standard_mub_observables(d)[:3]
-        rho = [verify._third_basis_instance(d, rng, third)[0] for _ in range(40)]
+        rho = members(verify._third_basis_instances(d, 40, rng, third)[0])
         rho += [random_density(d, rng) for _ in range(20)] + [mixture_of_eigenstates(xp, random_probabilities(d, rng))]
         labels = assert_labels_match_members(x, xp, rho)
         assert labels == {CaseLabel.TRIPLE_MU, CaseLabel.MU, CaseLabel.XPRIME_DIAGONAL}

@@ -472,6 +472,24 @@ class TestVerifyAndCertifyAPI:
             assert line.lstrip().startswith("[N/A]")
         assert all(c["worst"] is None for c in report.to_dict()["checks"] if "MU" in c["name"])
 
+    def test_verify_worsts_pinned(self):
+        # O(1e-6) and larger worsts: a redrawn instance set moves them by O(1e-2),
+        # a different LAPACK build by O(1e-15)
+        pinned = {
+            "monitored gain >= eps * irreality": 0.0013463639265706936,
+            "entropy nondecreasing under monitoring": 0.0044617624481557705,
+            "probe gain minimum over generic pairs (informational)": -0.010677884215729794,
+            "(iii) probe-diagonal state: probe gain never positive": -7.212685985136247e-06,
+            "MU pair: probe gain nonnegative (any state)": 0.009565975771178792,
+            "(iv) MU pair: monitored gain dominates probe gain": 3.49474845404707e-05,
+            "(iv) MU pair: concavity lower bound": 1.735054294900496e-05,
+            "(v) third-basis-diagonal state: strictly positive gain (d=2)": 0.007512867667183176,
+            "(v) third-basis-diagonal state: strictly positive gain (d=3)": 0.004456183852051598,
+        }
+        worsts = {c.name: c.worst for c in verify_cases(seed=0, trials=20, dims=(2, 3, 4)).checks}
+        for name, value in pinned.items():
+            assert worsts[name] == pytest.approx(value, rel=0, abs=1e-9), name
+
     def test_verify_labels_checked(self):
         report = verify_cases(seed=2, trials=5, dims=(2, 3))
         checks = {c.name: c for c in report.checks}
