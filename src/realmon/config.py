@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,9 +122,17 @@ def check_shots(shots):
 
 
 def check_output_path(name: str, path):
-    """An output path is None (no file) or a nonempty string."""
-    if not (path is None or (isinstance(path, str) and path)):
+    """An output path is None (no file) or a nonempty string naming a file,
+    not a directory, in a directory that exists: checked before any work, so
+    a bad path fails before a long run instead of after it."""
+    if path is None:
+        return
+    if not (isinstance(path, str) and path):
         raise ConfigError(f"{name}: must be a nonempty file path, got {path!r}")
+    if os.path.isdir(path):
+        raise ConfigError(f"{name}: {path!r} is a directory, not a file path")
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise ConfigError(f"{name}: the directory of {path!r} does not exist")
 
 
 def resolve_state(spec) -> DensityOperator:

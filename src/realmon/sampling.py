@@ -1,15 +1,19 @@
 """Seeded random instances: Haar states, random bases, Ginibre densities.
 
-Sampling is split into draws and builds.  A draw takes one instance's random
-numbers from an explicit ``numpy.random.Generator``, in a fixed order:
-``draw_observable`` a complex Gaussian matrix then distinct eigenvalues,
-``draw_pair`` one shared Gaussian matrix then each member's eigenvalues,
-``draw_density`` the pure/mixed coin then a Gaussian vector or matrix.  A
-build draws nothing: it turns the draw records of N instances into one
-stack.  Unitaries come from QR of the Gaussian matrices with the R-diagonal
-phase fix (Mezzadri, Notices AMS 54, 592, 2007), so columns are
-Haar-distributed; QR, the projector products, ``W P W†`` and ``G G†`` each
-run once on the (N, d, d) stack.
+Sampling is split into draws and builds.  A draw records raw numbers; a
+build does all arithmetic.  A draw takes one instance's random numbers from
+an explicit ``numpy.random.Generator``, in a fixed order, and stores them as
+drawn: ``draw_observable`` a Gaussian block then distinct eigenvalues,
+``draw_pair`` one shared Gaussian block then each member's eigenvalues,
+``draw_density`` the pure/mixed coin then a Gaussian block for a vector or a
+matrix.  A Gaussian block is one ``standard_normal((2, *shape))`` call: the
+real parts, then the imaginary parts.  Eigenvalues are drawn and rejected as
+plain floats.  A build draws nothing: it turns the draw records of N
+instances into one stack.  It combines the Gaussian blocks into complex
+Gaussians once on the (N, 2, ...) stack.  Unitaries come from QR of the
+Gaussian matrices with the R-diagonal phase fix (Mezzadri, Notices AMS 54,
+592, 2007), so columns are Haar-distributed; QR, the projector products,
+``W P W†`` and ``G G†`` each run once on the (N, d, d) stack.
 
 The public samplers are the builds.  ``random_observable(d, rng)`` draws
 one observable and builds it as a stack of one; ``random_observable(d,
@@ -17,6 +21,8 @@ draws=records)`` builds the stack of N that N ``draw_observable`` records
 define, each member bitwise equal to the one-at-a-time call that would have
 drawn it.  A caller that draws several fields per instance, as ``verify``
 does, draws every instance in turn and then builds each field once.
+``haar_unitary``, ``haar_pure_state`` and ``ginibre_density`` draw one
+Gaussian block and build it as a stack of one through the same helpers.
 """
 
 from __future__ import annotations
@@ -30,8 +36,14 @@ from .states import DensityOperator, PureState
 MIN_EIGENVALUE_GAP = 1e-3
 
 
-def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+def _gaussian(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """One raw Gaussian block (2, *shape): the real parts, then the imaginary parts."""
+    return rng.standard_normal((2, *shape))
+
+
+def _complex(z: np.ndarray) -> np.ndarray:
+    """Complex Gaussians of unit variance from raw Gaussian blocks stacked as (N, 2, *shape)."""
+    return (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
 
 
 def _haar_unitaries(z: np.ndarray) -> np.ndarray:
@@ -57,39 +69,40 @@ def _pure_state(z: np.ndarray) -> PureState:
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    return _haar_unitaries(_complex_gaussian(rng, (d, d)))
+    return _haar_unitaries(_complex(_gaussian(rng, (d, d))[None]))[0]
 
 
 def haar_pure_state(d: int, rng: np.random.Generator) -> PureState:
-    return _pure_state(_complex_gaussian(rng, d))
+    return _pure_state(_complex(_gaussian(rng, (d,))[None])[0])
 
 
 def ginibre_density(d: int, rng: np.random.Generator) -> DensityOperator:
     """Full-rank random density operator G G† / Tr, G a d x d complex Gaussian."""
-    return DensityOperator(_ginibre(_complex_gaussian(rng, (d, d))), validate=False)
+    return DensityOperator(_ginibre(_complex(_gaussian(rng, (d, d))[None]))[0], validate=False)
 
 
-def _distinct_eigenvalues(d: int, rng: np.random.Generator) -> np.ndarray:
+def _distinct_eigenvalues(d: int, rng: np.random.Generator) -> list[float]:
+    """d sorted uniform values in [-1, 1), redrawn until every adjacent gap exceeds ``MIN_EIGENVALUE_GAP``."""
     while True:
-        vals = np.sort(rng.uniform(-1.0, 1.0, size=d))
-        if d == 1 or np.diff(vals).min() > MIN_EIGENVALUE_GAP:
+        vals = sorted(rng.uniform(-1.0, 1.0, size=d).tolist())
+        if all(b - a > MIN_EIGENVALUE_GAP for a, b in zip(vals, vals[1:])):
             return vals
 
 
 def draw_observable(d: int, rng: np.random.Generator):
-    """One observable's draws: a complex Gaussian matrix, then distinct eigenvalues."""
-    return _complex_gaussian(rng, (d, d)), _distinct_eigenvalues(d, rng)
+    """One observable's draws: a Gaussian block for a matrix, then distinct eigenvalues."""
+    return _gaussian(rng, (d, d)), _distinct_eigenvalues(d, rng)
 
 
 def draw_pair(d: int, rng: np.random.Generator):
-    """One commuting or MU pair's draws: a shared Gaussian matrix, then each member's eigenvalues."""
-    return _complex_gaussian(rng, (d, d)), _distinct_eigenvalues(d, rng), _distinct_eigenvalues(d, rng)
+    """One commuting or MU pair's draws: a shared Gaussian block for a matrix, then each member's eigenvalues."""
+    return _gaussian(rng, (d, d)), _distinct_eigenvalues(d, rng), _distinct_eigenvalues(d, rng)
 
 
 def draw_density(d: int, rng: np.random.Generator):
-    """One state's draws: a coin that is pure one time in four, then a Gaussian vector (pure) or matrix."""
+    """One state's draws: a coin that is pure one time in four, then a Gaussian block for a vector (pure) or matrix."""
     pure = rng.random() < 0.25
-    return pure, _complex_gaussian(rng, d if pure else (d, d))
+    return pure, _gaussian(rng, (d,) if pure else (d, d))
 
 
 def _records(draw, d, rng, draws) -> list:
@@ -104,7 +117,7 @@ def _records(draw, d, rng, draws) -> list:
 
 def _fields(records) -> list[np.ndarray]:
     """Each field of N draw records as one (N, ...) array."""
-    return [np.stack(field) for field in zip(*records)]
+    return [np.array(field) for field in zip(*records)]
 
 
 def _single(stack):
@@ -131,10 +144,11 @@ def random_density(d: int, rng: np.random.Generator | None = None, *, draws=None
     pure = np.array([is_pure for is_pure, _ in records], dtype=bool)
     m = np.empty((len(records), d, d), dtype=complex)
     if pure.any():
-        amps = np.stack([_pure_state(z).amplitudes for is_pure, z in records if is_pure])
+        z = _complex(np.array([z for is_pure, z in records if is_pure]))
+        amps = np.stack([_pure_state(v).amplitudes for v in z])
         m[pure] = amps[:, :, None] * np.conj(amps)[:, None, :]
     if not pure.all():
-        m[~pure] = _ginibre(np.stack([g for is_pure, g in records if not is_pure]))
+        m[~pure] = _ginibre(_complex(np.array([z for is_pure, z in records if not is_pure])))
     return _one_or_stack(DensityOperator(m, validate=False), draws)
 
 
@@ -145,7 +159,7 @@ def random_observable(d: int, rng: np.random.Generator | None = None, *, draws=N
     records, gives the stack they define.
     """
     z, values = _fields(_records(draw_observable, d, rng, draws))
-    return _one_or_stack(observable_from_basis(_haar_unitaries(z), values), draws)
+    return _one_or_stack(observable_from_basis(_haar_unitaries(_complex(z)), values), draws)
 
 
 def random_commuting_pair(
@@ -153,7 +167,7 @@ def random_commuting_pair(
 ) -> tuple[ProjectiveObservable, ProjectiveObservable]:
     """Two nondegenerate observables sharing a Haar-random eigenbasis (stacks, from ``draw_pair`` records)."""
     z, values_a, values_b = _fields(_records(draw_pair, d, rng, draws))
-    u = _haar_unitaries(z)
+    u = _haar_unitaries(_complex(z))
     return _one_or_stack((observable_from_basis(u, values_a), observable_from_basis(u, values_b)), draws)
 
 
@@ -165,7 +179,7 @@ def random_mu_pair(
     if d not in (2, 3):
         raise DimensionError(f"random MU pairs provided for d in (2, 3), got {d}")
     z, values_a, values_b = _fields(_records(draw_pair, d, rng, draws))
-    w = _haar_unitaries(z)[:, None]
+    w = _haar_unitaries(_complex(z))[:, None]
     w_dag = np.conj(w).swapaxes(-1, -2)
     pair = tuple(
         ProjectiveObservable(values, w @ base.projectors @ w_dag, validate=False)

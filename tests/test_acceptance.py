@@ -40,6 +40,7 @@ from realmon.reality import (
 from realmon.sampling import (
     draw_density,
     draw_observable,
+    draw_pair,
     mixture_of_eigenstates,
     random_commuting_pair,
     random_density,
@@ -164,67 +165,67 @@ def test_criterion_2_monitoring_inequalities(generic_instances):
     assert counter_gap <= 1e-12, f"pi/4 counterexample {counterexample} != {closed_form}"
 
 
+def _drawn(trials, draw):
+    """``trials`` instances drawn one at a time with ``draw()``, as one tuple of records per field."""
+    return tuple(zip(*(draw() for _ in range(trials))))
+
+
 def test_criterion_3_cases():
-    """Cases (i)-(v) at their stated tolerances."""
+    """Cases (i)-(v) at their stated tolerances.
+
+    Each case draws its instances one at a time, in the order of a
+    one-at-a-time loop over dimensions and trials, then builds and evaluates
+    them as one stack per dimension.
+    """
     rng = np.random.default_rng(77)
     trials = 250
 
     worst_i = 0.0
     for d in (2, 3, 4):
-        for _ in range(trials):
-            x, xp = random_commuting_pair(d, rng)
-            rho = random_density(d, rng)
-            eps = float(rng.random())
-            worst_i = max(
-                worst_i,
-                abs(delta_reality_other(xp, x, eps, rho) - delta_reality_monitored(x, eps, rho)),
-            )
+        pairs, states, eps = _drawn(trials, lambda: (draw_pair(d, rng), draw_density(d, rng), rng.random()))
+        x, xp = random_commuting_pair(d, draws=pairs)
+        rho, eps = random_density(d, draws=states), np.array(eps)
+        gap = np.abs(delta_reality_other(xp, x, eps, rho) - delta_reality_monitored(x, eps, rho))
+        worst_i = max(worst_i, float(gap.max()))
+
+    def diagonal_instances(d, in_probe_basis):
+        xs, xps, probs, eps = _drawn(
+            trials,
+            lambda: (draw_observable(d, rng), draw_observable(d, rng), random_probabilities(d, rng), rng.random()),
+        )
+        x, xp = random_observable(d, draws=xs), random_observable(d, draws=xps)
+        return x, xp, mixture_of_eigenstates(xp if in_probe_basis else x, np.array(probs)), np.array(eps)
 
     worst_ii = 0.0
     for d in (2, 3, 4):
-        for _ in range(trials):
-            x = random_observable(d, rng)
-            xp = random_observable(d, rng)
-            rho = mixture_of_eigenstates(x, random_probabilities(d, rng))
-            eps = float(rng.random())
-            worst_ii = max(
-                worst_ii,
-                abs(delta_reality_monitored(x, eps, rho)),
-                abs(delta_reality_other(xp, x, eps, rho)),
-            )
+        x, xp, rho, eps = diagonal_instances(d, False)
+        frozen = np.maximum(np.abs(delta_reality_monitored(x, eps, rho)), np.abs(delta_reality_other(xp, x, eps, rho)))
+        worst_ii = max(worst_ii, float(frozen.max()))
 
     worst_iii = -math.inf
     for d in (2, 3, 4):
-        for _ in range(trials):
-            x = random_observable(d, rng)
-            xp = random_observable(d, rng)
-            rho = mixture_of_eigenstates(xp, random_probabilities(d, rng))
-            eps = float(rng.random())
-            worst_iii = max(worst_iii, delta_reality_other(xp, x, eps, rho))
+        x, xp, rho, eps = diagonal_instances(d, True)
+        worst_iii = max(worst_iii, float(delta_reality_other(xp, x, eps, rho).max()))
 
     worst_iv_order = math.inf
     worst_iv_concave = math.inf
     for d in (2, 3):
-        for _ in range(trials):
-            x, xp = random_mu_pair(d, rng)
-            rho = random_density(d, rng)
-            eps = float(rng.random())
-            rep = reality_report(x, xp, eps, rho)
-            worst_iv_order = min(worst_iv_order, rep.delta_r_monitored - rep.delta_r_probe)
-            lhs = rep.entropy_probe_monitored - rep.entropy_probe
-            rhs = eps * (math.log2(d) - rep.entropy_probe)
-            worst_iv_concave = min(worst_iv_concave, lhs - rhs)
+        pairs, states, eps = _drawn(trials, lambda: (draw_pair(d, rng), draw_density(d, rng), rng.random()))
+        x, xp = random_mu_pair(d, draws=pairs)
+        rho, eps = random_density(d, draws=states), np.array(eps)
+        rep = reality_report(x, xp, eps, rho)
+        worst_iv_order = min(worst_iv_order, float((rep.delta_r_monitored - rep.delta_r_probe).min()))
+        lhs = rep.entropy_probe_monitored - rep.entropy_probe
+        rhs = eps * (math.log2(d) - rep.entropy_probe)
+        worst_iv_concave = min(worst_iv_concave, float((lhs - rhs).min()))
 
-    worst_v_eq = 0.0
-    worst_v_pos = math.inf
-    for _ in range(trials):
-        p = float(rng.uniform(0.0, 0.45))
-        rho = mixture_of_eigenstates(SY, [p, 1.0 - p])
-        eps = float(rng.uniform(0.05, 1.0))
-        drm = delta_reality_monitored(SZ, eps, rho)
-        dro = delta_reality_other(SX, SZ, eps, rho)
-        worst_v_eq = max(worst_v_eq, abs(dro - drm))
-        worst_v_pos = min(worst_v_pos, drm)
+    ps, eps = _drawn(trials, lambda: (rng.uniform(0.0, 0.45), rng.uniform(0.05, 1.0)))
+    ps, eps = np.array(ps), np.array(eps)
+    rho = mixture_of_eigenstates(SY, np.stack([ps, 1.0 - ps], axis=-1))
+    drm = delta_reality_monitored(SZ, eps, rho)
+    dro = delta_reality_other(SX, SZ, eps, rho)
+    worst_v_eq = float(np.abs(dro - drm).max())
+    worst_v_pos = float(drm.min())
 
     ok = (
         worst_i <= 1e-9

@@ -149,7 +149,7 @@ def test_stacked_mixture_equals_one_at_a_time_mixtures(d):
 def test_eigenvalues_drawn_before_the_gaussian_matrix_are_caught(monkeypatch):
     def eigenvalues_first(d, rng):
         values = sampling._distinct_eigenvalues(d, rng)
-        return sampling._complex_gaussian(rng, (d, d)), values
+        return sampling._gaussian(rng, (d, d)), values
 
     assert stack_matches_reference("random_observable", 3)
     monkeypatch.setattr(sampling, "draw_observable", eigenvalues_first)
@@ -159,11 +159,23 @@ def test_eigenvalues_drawn_before_the_gaussian_matrix_are_caught(monkeypatch):
 def test_pair_eigenvalues_drawn_before_the_gaussian_matrix_are_caught(monkeypatch):
     def eigenvalues_first(d, rng):
         first, second = sampling._distinct_eigenvalues(d, rng), sampling._distinct_eigenvalues(d, rng)
-        return sampling._complex_gaussian(rng, (d, d)), first, second
+        return sampling._gaussian(rng, (d, d)), first, second
 
     monkeypatch.setattr(sampling, "draw_pair", eigenvalues_first)
     assert not stack_matches_reference("random_commuting_pair", 3)
     assert not stack_matches_reference("random_mu_pair", 3)
+
+
+def test_interleaved_gaussian_block_is_caught(monkeypatch):
+    """Real and imaginary parts drawn in pairs, not as two whole blocks."""
+
+    def interleaved(rng, shape):
+        return np.moveaxis(rng.standard_normal((*shape, 2)), -1, 0)
+
+    assert stack_matches_reference("random_density", 3)
+    monkeypatch.setattr(sampling, "_gaussian", interleaved)
+    for name in SAMPLERS:
+        assert not stack_matches_reference(name, 3)
 
 
 def test_a_sampler_takes_rng_or_draws():

@@ -755,6 +755,37 @@ class TestCLI:
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["verify-cases", "--trials", "1", "--dims", "2", "--out", "."], "out"),
+            (["verify-cases", "--trials", "1", "--dims", "2", "--out", "missing/report.json"], "out"),
+            (["sweep", "--scenario", "fig4a", "--points", "3", "--out", "ok.csv", "--svg", "missing/a.svg"], "svg"),
+            (["sweep", "--scenario", "fig4a", "--points", "3", "--json", "."], "json_out"),
+            (["sweep", "--config", "../config.json"], "svg"),
+            (["certify-circuits", "--resolution", "2", "--out", "missing/report.json"], "out"),
+            (["tomo-sim", "--seeds", "2", "--out", "."], "out"),
+        ],
+        ids=["verify-dir", "verify-missing", "sweep-svg", "sweep-json-dir", "sweep-config-svg", "certify", "tomo"],
+    )
+    def test_bad_output_path_exits_3_before_any_work(self, tmp_path, monkeypatch, capsys, argv, name):
+        import realmon.cli as cli_mod
+
+        def refuse(*args, **kwargs):
+            pytest.fail("the command ran before its output paths were checked")
+
+        for command in ("run_sweep", "verify_cases", "certify_circuits", "tomography_errors"):
+            monkeypatch.setattr(cli_mod, command, refuse)
+        (tmp_path / "config.json").write_text(json.dumps({"scenario": "fig4a", "out": "ok.csv", "svg": "missing/a.svg"}))
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert cli_mod.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: {name}: ")
+        assert captured.out == ""
+        assert list(work.iterdir()) == []
+
     @pytest.mark.parametrize("flags", [["--path", "circuit"], ["--scenario", "fig4c"]])
     def test_config_file_with_path_or_scenario_flag(self, tmp_path, flags):
         path = tmp_path / "config.json"
