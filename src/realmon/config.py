@@ -127,8 +127,8 @@ def check_output_path(name: str, path):
     a bad path fails before a long run instead of after it."""
     if path is None:
         return
-    if not (isinstance(path, str) and path):
-        raise ConfigError(f"{name}: must be a nonempty file path, got {path!r}")
+    if not (isinstance(path, str) and path) or "\0" in path:
+        raise ConfigError(f"{name}: must be a nonempty file path without NUL bytes, got {path!r}")
     if os.path.isdir(path):
         raise ConfigError(f"{name}: {path!r} is a directory, not a file path")
     if not os.path.isdir(os.path.dirname(path) or "."):

@@ -1,19 +1,19 @@
 """Seeded random instances: Haar states, random bases, Ginibre densities.
 
-Sampling is split into draws and builds.  A draw records raw numbers; a
+Sampling is split into draws and builds: a draw records raw numbers; a
 build does all arithmetic.  A draw takes one instance's random numbers from
-an explicit ``numpy.random.Generator``, in a fixed order, and stores them as
-drawn: ``draw_observable`` a Gaussian block then distinct eigenvalues,
+an explicit ``numpy.random.Generator``, in a fixed order:
+``draw_observable`` a Gaussian block then distinct eigenvalues,
 ``draw_pair`` one shared Gaussian block then each member's eigenvalues,
-``draw_density`` the pure/mixed coin then a Gaussian block for a vector or a
-matrix.  A Gaussian block is one ``standard_normal((2, *shape))`` call: the
-real parts, then the imaginary parts.  Eigenvalues are drawn and rejected as
-plain floats.  A build draws nothing: it turns the draw records of N
-instances into one stack.  It combines the Gaussian blocks into complex
-Gaussians once on the (N, 2, ...) stack.  Unitaries come from QR of the
-Gaussian matrices with the R-diagonal phase fix (Mezzadri, Notices AMS 54,
-592, 2007), so columns are Haar-distributed; QR, the projector products,
-``W P W†`` and ``G G†`` each run once on the (N, d, d) stack.
+``draw_density`` the pure/mixed coin then a Gaussian block for a vector or
+matrix.  A Gaussian block is one ``standard_normal((2, *shape))`` call, real
+parts then imaginary parts; eigenvalues are drawn and rejected as plain
+floats.  A build draws nothing: it turns the draw records of N instances
+into one stack, combining the blocks into complex Gaussians once.
+Unitaries come from QR of the Gaussian matrices with the R-diagonal phase
+fix (Mezzadri, Notices AMS 54, 592, 2007), so columns are Haar-distributed;
+QR, the projector products, ``W P W†`` and ``G G†`` each run once on the
+(N, d, d) stack.
 
 The public samplers are the builds.  ``random_observable(d, rng)`` draws
 one observable and builds it as a stack of one; ``random_observable(d,
@@ -21,8 +21,8 @@ draws=records)`` builds the stack of N that N ``draw_observable`` records
 define, each member bitwise equal to the one-at-a-time call that would have
 drawn it.  A caller that draws several fields per instance, as ``verify``
 does, draws every instance in turn and then builds each field once.
-``haar_unitary``, ``haar_pure_state`` and ``ginibre_density`` draw one
-Gaussian block and build it as a stack of one through the same helpers.
+``haar_unitary``, ``haar_pure_state`` and ``ginibre_density`` build one
+block as a stack of one, through the same helpers.
 """
 
 from __future__ import annotations
@@ -90,17 +90,17 @@ def _distinct_eigenvalues(d: int, rng: np.random.Generator) -> list[float]:
 
 
 def draw_observable(d: int, rng: np.random.Generator):
-    """One observable's draws: a Gaussian block for a matrix, then distinct eigenvalues."""
+    """One observable's draws: a Gaussian block, then distinct eigenvalues."""
     return _gaussian(rng, (d, d)), _distinct_eigenvalues(d, rng)
 
 
 def draw_pair(d: int, rng: np.random.Generator):
-    """One commuting or MU pair's draws: a shared Gaussian block for a matrix, then each member's eigenvalues."""
+    """One commuting or MU pair's draws: one shared Gaussian block, then each member's eigenvalues."""
     return _gaussian(rng, (d, d)), _distinct_eigenvalues(d, rng), _distinct_eigenvalues(d, rng)
 
 
 def draw_density(d: int, rng: np.random.Generator):
-    """One state's draws: a coin that is pure one time in four, then a Gaussian block for a vector (pure) or matrix."""
+    """One state's draws: a coin that is pure one time in four, then a Gaussian block (a vector if pure)."""
     pure = rng.random() < 0.25
     return pure, _gaussian(rng, (d,) if pure else (d, d))
 
@@ -144,8 +144,8 @@ def random_density(d: int, rng: np.random.Generator | None = None, *, draws=None
     pure = np.array([is_pure for is_pure, _ in records], dtype=bool)
     m = np.empty((len(records), d, d), dtype=complex)
     if pure.any():
-        z = _complex(np.array([z for is_pure, z in records if is_pure]))
-        amps = np.stack([_pure_state(v).amplitudes for v in z])
+        vectors = _complex(np.array([z for is_pure, z in records if is_pure]))
+        amps = np.stack([_pure_state(v).amplitudes for v in vectors])
         m[pure] = amps[:, :, None] * np.conj(amps)[:, None, :]
     if not pure.all():
         m[~pure] = _ginibre(_complex(np.array([z for is_pure, z in records if not is_pure])))

@@ -199,8 +199,8 @@ def test_criterion_3_cases():
     worst_ii = 0.0
     for d in (2, 3, 4):
         x, xp, rho, eps = diagonal_instances(d, False)
-        frozen = np.maximum(np.abs(delta_reality_monitored(x, eps, rho)), np.abs(delta_reality_other(xp, x, eps, rho)))
-        worst_ii = max(worst_ii, float(frozen.max()))
+        frozen = np.abs(delta_reality_monitored(x, eps, rho)), np.abs(delta_reality_other(xp, x, eps, rho))
+        worst_ii = max(worst_ii, float(np.maximum(*frozen).max()))
 
     worst_iii = -math.inf
     for d in (2, 3, 4):

@@ -713,6 +713,7 @@ class TestCLI:
             ({"grid_values": True}, "grid_values"),
             ({"scenario": "fig4a", "sweep_target": math.nan}, "sweep_target"),
             ({"scenario": "fig4a", "sweep_target": {"probe": True}}, "sweep_target"),
+            ({"scenario": "fig4a", "out": "a\0b.csv"}, "out"),
         ],
         ids=[
             "grid-theta_m-nan", "grid-epsilon-inf", "grid-axis_theta-nan", "flips-above-one",
@@ -722,7 +723,7 @@ class TestCLI:
             "seed-string", "shots-fractional", "repeats-fractional", "out-not-a-path", "epsilon-bool",
             "monitor-axis-bools", "depolarizing-bool", "flips-bool", "state-theta-bool",
             "state-unknown-angle-key", "out-empty", "svg-empty", "json-out-empty",
-            "grid-scalar", "grid-bool", "sweep-target-nan", "sweep-target-object",
+            "grid-scalar", "grid-bool", "sweep-target-nan", "sweep-target-object", "out-nul-byte",
         ],
     )
     def test_malformed_config_field_exit_code(self, tmp_path, capsys, fields, name):
@@ -776,7 +777,8 @@ class TestCLI:
 
         for command in ("run_sweep", "verify_cases", "certify_circuits", "tomography_errors"):
             monkeypatch.setattr(cli_mod, command, refuse)
-        (tmp_path / "config.json").write_text(json.dumps({"scenario": "fig4a", "out": "ok.csv", "svg": "missing/a.svg"}))
+        fields = {"scenario": "fig4a", "out": "ok.csv", "svg": "missing/a.svg"}
+        (tmp_path / "config.json").write_text(json.dumps(fields))
         work = tmp_path / "work"
         work.mkdir()
         monkeypatch.chdir(work)
