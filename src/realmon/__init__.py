@@ -4,7 +4,8 @@ Core layers: dense complex linear algebra with one LAPACK-backed Hermitian
 eigensolver (``linalg``), validated states and entropies (``states``),
 projective observables (``observables``), the monitoring channel, which
 dephases at intensity 1, with a superoperator oracle (``channels``),
-reality-variation measures and closed-form qubit spectra (``reality``),
+reality-variation measures and the closed-form Bloch-vector oracle for
+every qubit sweep path, noise included (``reality``),
 ancilla-dilation circuits with noise (``circuits``, ``noise``),
 single-qubit tomography (``tomography``),
 and the front end: sweep configuration (``config``), the sweep engine
@@ -47,9 +48,8 @@ from .reality import (
     delta_reality_monitored,
     delta_reality_other,
     irreality,
+    qubit_spectra,
     reality_report,
-    scenario1_eigenvalues,
-    scenario2_eigenvalues,
 )
 from .circuits import (
     Circuit,

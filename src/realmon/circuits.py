@@ -11,9 +11,10 @@ qubits it touches.  A noiseless circuit is the Stinespring isometry
 V = U (I ⊗ |0...0>), compiled once per circuit by pushing the d system
 basis columns through the gates, and maps rho to Tr_anc(V rho V†); it is
 a channel on its system qubits, so ``channels.to_superoperator`` extracts
-it like any other.  Only under depolarizing noise is the register's
-operator carried through the gates as a density tensor, with one row and
-one column axis per qubit.
+it like any other.  A circuit may carry a two-qubit depolarizing rate,
+applied after each coupling gate; only then is the register's operator
+carried through the gates as a density tensor, with one row and one column
+axis per qubit.
 
 Circuits also come as stacks: U3 angles given as (N,) arrays make N
 circuits with one gate layout, whose gates hold (N, 2, 2) matrices.  A
@@ -100,17 +101,21 @@ class Gate:
 
 @dataclass(frozen=True)
 class Circuit:
-    """Gates over ``n_system`` leading system qubits plus ancillas in |0>;
-    noiselessly a channel on the system qubits (``dim``, ``apply_matrix``)
-    through its ``isometry``.  If any gate is a stack of N, the circuit is a
-    stack of N circuits (``batch`` N) that share one gate layout."""
+    """Gates over ``n_system`` leading system qubits plus ancillas in |0>,
+    with two-qubit depolarizing at rate ``depolarizing`` after each coupling
+    gate; a channel on the system qubits (``dim``, ``apply_matrix``), through
+    its ``isometry`` when noiseless.  If any gate is a stack of N, the circuit
+    is a stack of N circuits (``batch`` N) that share one gate layout."""
 
     width: int
     gates: tuple[Gate, ...]
     n_system: int
+    depolarizing: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
+        if not 0.0 <= self.depolarizing <= 1.0:
+            raise ValueError(f"depolarizing rate must lie in [0, 1], got {self.depolarizing!r}")
         if not 1 <= self.n_system <= self.width:
             raise DimensionError(f"need 1 <= n_system <= width {self.width}, got n_system {self.n_system}")
         for g in self.gates:
@@ -147,6 +152,8 @@ class Circuit:
         go through the gates as a ``(2,)*width + (d,)`` tensor, one row-axis
         contraction per gate; the first stacked gate adds the member axis.
         """
+        if self.depolarizing > 0.0:
+            raise ValueError(f"a circuit with depolarizing rate {self.depolarizing!r} has no isometry")
         d_anc = 2 ** (self.width - self.n_system)
         cols = _ancilla_extension(self, np.eye(self.dim, dtype=complex))[:, ::d_anc]
         t = cols.reshape((2,) * self.width + (self.dim,))
@@ -160,12 +167,13 @@ class Circuit:
         return apply_circuit_matrix(self, mat)
 
 
-def build_monitor_circuit(bases, strength, coupling: str = "CZ") -> Circuit:
+def build_monitor_circuit(bases, strength, coupling: str = "CZ", depolarizing: float = 0.0) -> Circuit:
     """Dilation circuit monitoring each system qubit along its own axis.
 
     ``bases`` lists one (theta_b, phi_b) measurement axis per system qubit;
     ``strength`` is the ancilla preparation angle theta_m in [0, pi/2].  One
-    ancilla per system qubit, so the circuit width is twice the qubit count.
+    ancilla per system qubit, so the circuit width is twice the qubit count;
+    each pair depolarizes at rate ``depolarizing`` after its coupling gate.
     Any of these angles given as an (N,) array makes a stack of N circuits,
     member k built from the k-th entries.
     """
@@ -182,7 +190,7 @@ def build_monitor_circuit(bases, strength, coupling: str = "CZ") -> Circuit:
         gates.append(Gate(coupling, (q, n + q)))
     for q, (theta_b, phi_b) in enumerate(bases):
         gates.append(Gate("U3", (q,), (theta_b, phi_b, 0.0)))
-    return Circuit(2 * n, tuple(gates), n)
+    return Circuit(2 * n, tuple(gates), n, depolarizing)
 
 
 def epsilon_of_strength(coupling: str, theta_m):
@@ -250,18 +258,18 @@ def _depolarize_pair(t: np.ndarray, pair: tuple[int, int], rate: float, width: i
     return (1.0 - rate) * t + rate * mixed
 
 
-def _density_route(circuit: Circuit, mat: np.ndarray, depolarizing: float) -> np.ndarray:
+def _density_route(circuit: Circuit, mat: np.ndarray) -> np.ndarray:
     """``mat`` tensored on |0...0><0...0| ancillas, each gate conjugated through
     the row and column axes of its qubits (then, after each coupling gate,
-    two-qubit depolarizing at rate ``depolarizing``), ancillas traced out."""
+    the circuit's two-qubit depolarizing), ancillas traced out."""
     width = circuit.width
     full = _ancilla_extension(circuit, mat)
     full = full.reshape(full.shape[:-2] + (2,) * 2 * width)
     for g in circuit.gates:
         full = _apply_on_axes(full, g.matrix, g.qubits, 2 * width)
         full = _apply_on_axes(full, g.matrix.conj(), tuple(width + q for q in g.qubits), 2 * width)
-        if depolarizing > 0.0 and g.kind in COUPLINGS:
-            full = _depolarize_pair(full, g.qubits, depolarizing, width)
+        if g.kind in COUPLINGS:
+            full = _depolarize_pair(full, g.qubits, circuit.depolarizing, width)
     full = full.reshape(full.shape[: full.ndim - 2 * width] + (2**width, 2**width))
     return partial_trace(full, [2] * width, keep=range(circuit.n_system))
 
@@ -290,39 +298,36 @@ def _isometry_route(circuit: Circuit, mat: np.ndarray) -> np.ndarray:
     )
 
 
-def apply_circuit_matrix(circuit: Circuit, mat: np.ndarray, depolarizing: float = 0.0) -> np.ndarray:
+def apply_circuit_matrix(circuit: Circuit, mat: np.ndarray) -> np.ndarray:
     """Linear action of the circuit-plus-discard pipeline on a system operator.
 
     Noiselessly this is Tr_anc(V mat V†) with the circuit's compiled
-    ``isometry`` V.  With two-qubit depolarizing at rate ``depolarizing`` in
-    (0, 1] after each coupling gate, the operator instead goes through the
-    gates as a density tensor on |0...0><0...0| ancillas.  Linearity makes
-    either route valid on arbitrary matrices, which is what channel
-    extraction needs.  ``mat`` is a (d, d) operator or a stack of them whose
-    leading axes broadcast against a circuit stack's member axis: one
-    operator through N circuits gives N images, and N operators through N
-    circuits give member k's image of operator k.
+    ``isometry`` V.  A circuit with a nonzero depolarizing rate instead takes
+    the operator through its gates as a density tensor on |0...0><0...0|
+    ancillas.  Linearity makes either route valid on arbitrary matrices,
+    which is what channel extraction needs.  ``mat`` is a (d, d) operator or
+    a stack of them whose leading axes broadcast against a circuit stack's
+    member axis: one operator through N circuits gives N images, and N
+    operators through N circuits give member k's image of operator k.
     """
-    if not 0.0 <= depolarizing <= 1.0:
-        raise ValueError(f"depolarizing rate must lie in [0, 1], got {depolarizing!r}")
     mat = np.asarray(mat, dtype=complex)
     if mat.shape[-2:] != (circuit.dim, circuit.dim):
         raise DimensionError(f"operator shape {mat.shape} does not match {circuit.n_system} system qubits")
-    if depolarizing > 0.0:
-        return _density_route(circuit, mat, depolarizing)
+    if circuit.depolarizing > 0.0:
+        return _density_route(circuit, mat)
     return _isometry_route(circuit, mat)
 
 
-def run_circuit_density(circuit: Circuit, rho_system: DensityOperator, depolarizing: float = 0.0) -> DensityOperator:
+def run_circuit_density(circuit: Circuit, rho_system: DensityOperator) -> DensityOperator:
     """Evolve a system state through the dilation and discard the ancillas.
 
     A stack of states, a stack of circuits, or both (member by member) give
     the stack of images.
     """
-    return DensityOperator(apply_circuit_matrix(circuit, rho_system.matrix, depolarizing), validate=False)
+    return DensityOperator(apply_circuit_matrix(circuit, rho_system.matrix), validate=False)
 
 
 def extract_channel(circuit: Circuit) -> Superoperator:
-    """Materialize the noiseless circuit's channel, or each stack member's,
-    by pushing the matrix units through it in one pass."""
+    """Materialize the circuit's channel, noise included, or each stack
+    member's, by pushing the matrix units through it in one pass."""
     return to_superoperator(circuit)

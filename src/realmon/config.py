@@ -246,7 +246,7 @@ def config_from_json(path: str, /, **overrides) -> SweepConfig:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:  # bad bytes, syntax or nesting depth
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"config {path} must hold a JSON object")

@@ -5,8 +5,9 @@ the X eigenbasis; reality is its complement against log2(d).  Monitoring X
 with intensity epsilon raises the reality of X by S(monitored) - S(rho) and
 changes the reality of any probe observable X' by the four-entropy
 combination computed here.  All general-path quantities come from entropies
-of explicitly constructed states; the closed-form qubit spectra are kept as
-independent cross-check oracles.
+of explicitly constructed states; ``qubit_spectra`` gives the same qubit
+spectra in closed Bloch-vector form, including circuit and readout noise,
+as an independent cross-check oracle for every qubit sweep path.
 
 Every measure and the case label take one configuration or a stack of N:
 the observables may be stacks of N, the intensity an (N,) array and the
@@ -200,40 +201,28 @@ def reality_report(
     )
 
 
-@dataclass(frozen=True)
-class ScenarioOneSpectra:
-    """Closed-form spectra for the plus-state, z-monitor, tilted-probe setup.
+def qubit_spectra(bloch, monitor_axis, probe_axis, epsilon, depolarizing=0.0, readout_flip=0.0) -> np.ndarray:
+    """Closed-form larger eigenvalues (1 + |r|)/2 of a qubit sweep's four states.
 
-    Pairs are (larger, smaller) eigenvalues of the monitored state, the
-    dephased-probe state, and the probe-after-monitoring state.
+    ``bloch`` is the Bloch vector r of rho and the axes are unit Bloch
+    vectors n (monitored) and m (probe); each is a 3-vector or an (N, 3)
+    stack, broadcast with ``epsilon``.  Monitoring along n maps r to
+    r - eps (r - (r.n) n), so eps = 0 leaves r unchanged, and full dephasing
+    along m maps r to (r.m) m.  Each circuit pass shrinks the vector by
+    1 - ``depolarizing`` and readout shrinks every vector by
+    1 - 2 ``readout_flip``.  Returns the (..., 4) larger eigenvalues of
+    (rho, monitored, probe, probe-after-monitor), in that order.
+
+    This is plain vector algebra, independent of the eigensolver, channel
+    and circuit code, so it serves as their cross-check oracle.
     """
+    r, n, m = (np.asarray(v, dtype=float) for v in (bloch, monitor_axis, probe_axis))
+    eps = np.asarray(epsilon, dtype=float)[..., None]
+    keep = 1.0 - depolarizing
 
-    monitored: tuple[float, float]
-    probe: tuple[float, float]
-    probe_monitored: tuple[float, float]
+    def along(v, axis):
+        return np.sum(v * axis, axis=-1, keepdims=True) * axis
 
-
-def scenario1_eigenvalues(theta: float, epsilon: float) -> ScenarioOneSpectra:
-    """Spectra for rho = |+><+|, monitored axis z, probe axis theta (phi = 0)."""
-    lam_x = 0.5 * (1.0 + (1.0 - epsilon))
-    lam_xp = 0.5 * (1.0 + math.sin(theta))
-    lam_xxp = 0.5 * (1.0 + (1.0 - epsilon) * math.sin(theta))
-    return ScenarioOneSpectra(
-        monitored=(lam_x, 1.0 - lam_x),
-        probe=(lam_xp, 1.0 - lam_xp),
-        probe_monitored=(lam_xxp, 1.0 - lam_xxp),
-    )
-
-
-def scenario2_eigenvalues(theta: float, epsilon: float) -> tuple[float, float]:
-    """Monitored-state spectrum for rho = |+><+|, monitored axis theta, probe z.
-
-    lam_pm = (1 +- sqrt(eps^2 sin^2 cos^2 + (1 - eps cos^2)^2)) / 2.
-    """
-    sin_t = math.sin(theta)
-    cos_t = math.cos(theta)
-    radical = math.sqrt(
-        epsilon * epsilon * sin_t * sin_t * cos_t * cos_t
-        + (1.0 - epsilon * cos_t * cos_t) ** 2
-    )
-    return (0.5 * (1.0 + radical), 0.5 * (1.0 - radical))
+    mon = keep * (r - eps * (r - along(r, n)))
+    vectors = np.stack(np.broadcast_arrays(r, mon, keep * along(r, m), keep * along(mon, m)), axis=-2)
+    return 0.5 * (1.0 + np.linalg.norm(vectors * (1.0 - 2.0 * readout_flip), axis=-1))

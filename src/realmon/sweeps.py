@@ -74,17 +74,18 @@ def _grid_parameters(config: SweepConfig):
     return values, (config.epsilon,) * n, strength, monitor_axes, probe_axes
 
 
-def _circuit_states(config, rho, strength, monitor_axes, probe_axes, depolarizing) -> DensityOperator:
+def _circuit_states(config, rho, strength, monitor_axes, probe_axes) -> DensityOperator:
     """Every grid point's (rho, mon, probe, probe_mon) as one (4N, 2, 2) stack, in (point, state) order.
 
     The grid's monitor circuits form one stack of N and its probe circuits
     another, so the whole grid takes three stacked circuit runs.
     """
-    mon_circ = build_monitor_circuit([monitor_axes.T], strength, config.coupling)
-    probe_circ = build_monitor_circuit([probe_axes.T], math.pi / 2, "CZ")
-    mon = run_circuit_density(mon_circ, rho, depolarizing)
-    probe = run_circuit_density(probe_circ, rho, depolarizing)
-    probe_mon = run_circuit_density(probe_circ, mon, depolarizing)
+    rate = config.depolarizing if config.path == "noisy" else 0.0
+    mon_circ = build_monitor_circuit([monitor_axes.T], strength, config.coupling, rate)
+    probe_circ = build_monitor_circuit([probe_axes.T], math.pi / 2, "CZ", rate)
+    mon = run_circuit_density(mon_circ, rho)
+    probe = run_circuit_density(probe_circ, rho)
+    probe_mon = run_circuit_density(probe_circ, mon)
     mats = (np.broadcast_to(rho.matrix, mon.matrix.shape), mon.matrix, probe.matrix, probe_mon.matrix)
     return DensityOperator(np.stack(mats, axis=1).reshape(-1, 2, 2), validate=False)
 
@@ -115,7 +116,6 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     """
     config.validate()
     rho = resolve_state(config.state)
-    depolarizing = config.depolarizing if config.path == "noisy" else 0.0
     theta_col, eps, strength, monitor_axes, probe_axes = _grid_parameters(config)
     x = observable_from_axis(*monitor_axes.T)
     xp = observable_from_axis(*probe_axes.T)
@@ -124,7 +124,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
         parts = report.entropy_initial, report.entropy_monitored, report.entropy_probe, report.entropy_probe_monitored
         s = np.stack(np.broadcast_arrays(*parts), axis=-1)[None]
     else:
-        states = _circuit_states(config, rho, strength, monitor_axes, probe_axes, depolarizing)
+        states = _circuit_states(config, rho, strength, monitor_axes, probe_axes)
         if config.path == "circuit":
             s = von_neumann_entropy(states).reshape(1, -1, 4)
         else:

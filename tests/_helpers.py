@@ -10,11 +10,16 @@ import math
 import numpy as np
 
 import realmon.reality as reality
+from realmon.channels import ComposedChannel, product_monitor, to_superoperator
+from realmon.circuits import build_monitor_circuit, epsilon_of_strength
 from realmon.observables import ProjectiveObservable, observable_from_axis, pauli_observable
 from realmon.states import DensityOperator, entropy_of_probabilities
+from realmon.sweeps import run_sweep
 
 SZ = pauli_observable("z")
 PLUS = DensityOperator(np.full((2, 2), 0.5, dtype=complex))
+# Bloch vectors of the preset states the oracle tests use, written out by hand
+PRESET_BLOCH = {"plus": (1.0, 0.0, 0.0), "iplus": (0.0, 1.0, 0.0), "mixed": (0.0, 0.0, 0.0)}
 
 
 def maximally_mixed(d):
@@ -63,11 +68,36 @@ def probe_gain_sign_check(probe_gains):
     return negatives > 0 and gap <= 1e-12, negatives, counterexample, gap
 
 
+def axis_vector(theta, phi=0.0):
+    """The unit Bloch vector of the axis (theta, phi), or an (N, 3) stack for (N,) angles."""
+    theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
+    components = np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)
+    return np.stack(np.broadcast_arrays(*components), axis=-1)
+
+
+def state_bloch(spec):
+    """The Bloch vector of a preset name in ``PRESET_BLOCH`` or a ``{"theta", "phi"}`` state spec."""
+    return PRESET_BLOCH[spec] if isinstance(spec, str) else axis_vector(spec["theta"], spec.get("phi", 0.0))
+
+
+def report_entropies(report):
+    """A ``RealityReport``'s (S_rho, S_mon, S_probe, S_probe_mon), in the oracle's order."""
+    return np.array(
+        [report.entropy_initial, report.entropy_monitored, report.entropy_probe, report.entropy_probe_monitored]
+    )
+
+
+def spectra_entropies(larger):
+    """Entropies of the qubit spectra (lam, 1 - lam) for the larger eigenvalues ``larger``."""
+    larger = np.asarray(larger, dtype=float)
+    return entropy_of_probabilities(np.stack((larger, 1.0 - larger), axis=-1))
+
+
 def scenario1_grid(thetas, epsilons):
     """Criterion 4: plus state, z monitor, probe axis theta, on a (theta, eps) grid.
 
-    Returns the largest gap between the report's three entropies and the
-    entropies of ``scenario1_eigenvalues``' closed-form spectra, and every
+    Returns the largest gap between the report's four entropies and the
+    entropies of ``reality.qubit_spectra``' closed-form spectra, and every
     (theta, eps, report).
     """
     worst = 0.0
@@ -76,12 +106,50 @@ def scenario1_grid(thetas, epsilons):
         probe_obs = observable_from_axis(theta, 0.0)
         for eps in epsilons:
             rep = reality.reality_report(SZ, probe_obs, eps, PLUS)
-            spectra = reality.scenario1_eigenvalues(theta, eps)
-            worst = max(
-                worst,
-                abs(rep.entropy_monitored - entropy_of_probabilities(spectra.monitored)),
-                abs(rep.entropy_probe - entropy_of_probabilities(spectra.probe)),
-                abs(rep.entropy_probe_monitored - entropy_of_probabilities(spectra.probe_monitored)),
-            )
+            larger = reality.qubit_spectra(PRESET_BLOCH["plus"], axis_vector(0.0), axis_vector(theta), eps)
+            worst = max(worst, np.abs(report_entropies(rep) - spectra_entropies(larger)).max())
             reports.append((theta, eps, rep))
     return worst, reports
+
+
+def sweep_oracle_gap(config):
+    """Largest gap between a sweep's four entropy columns and the entropies of
+    ``reality.qubit_spectra`` at each grid point, noise included on the noisy
+    path.  The grid's intensities and axes are rebuilt here from the config,
+    with the couplings' intensities 1 - cos(theta_m) (CZ) and 1 - sin(theta_m)
+    (CNOT) written out."""
+    values = np.array(config.grid_values)
+    monitor, probe = (np.tile(axis, (len(values), 1)) for axis in (config.monitor_axis, config.probe_axis))
+    if config.grid_kind == "theta_m":
+        eps = 1.0 - (np.cos(values) if config.coupling == "CZ" else np.sin(values))
+    elif config.grid_kind == "epsilon":
+        eps = values
+    else:
+        eps = np.full(len(values), config.epsilon)
+        (probe if config.sweep_target == "probe" else monitor)[:, 0] = values
+    noisy = config.path == "noisy"
+    larger = reality.qubit_spectra(
+        state_bloch(config.state),
+        axis_vector(*monitor.T),
+        axis_vector(*probe.T),
+        eps,
+        config.depolarizing if noisy else 0.0,
+        config.readout_flip if noisy else 0.0,
+    )
+    got = np.array([(r.S_rho, r.S_mon, r.S_probe, r.S_probe_mon) for r in run_sweep(config)])
+    return float(np.abs(got - spectra_entropies(larger)).max())
+
+
+def noisy_dilation_gap(n, coupling, rate):
+    """Sup-norm gap between the superoperator of a noisy n-qubit monitor circuit
+    and its closed form: the noiseless ``product_monitor`` channel followed, on
+    each system qubit, by monitoring along z, x and y at intensity
+    1 - sqrt(1 - rate), which is single-qubit depolarizing at ``rate``."""
+    rng = np.random.default_rng(90 + n)
+    bases = [(float(rng.uniform(0, math.pi)), float(rng.uniform(-math.pi, math.pi))) for _ in range(n)]
+    theta_m = 0.7
+    noisy = to_superoperator(build_monitor_circuit(bases, theta_m, coupling, rate)).matrix
+    expected = product_monitor(bases, epsilon_of_strength(coupling, theta_m))
+    for axis in ((0.0, 0.0), (math.pi / 2, 0.0), (math.pi / 2, math.pi / 2)):
+        expected = ComposedChannel(product_monitor([axis] * n, 1.0 - math.sqrt(1.0 - rate)), expected)
+    return float(np.abs(noisy - to_superoperator(expected).matrix).max())

@@ -21,6 +21,8 @@ import pytest
 from _helpers import (
     CNOT_MAPPING_CHECK,
     CNOT_MONOTONE_CHECK,
+    PRESET_BLOCH,
+    axis_vector,
     count_negative,
     named_check,
     probe_gain_sign_check,
@@ -34,8 +36,8 @@ from realmon.reality import (
     delta_reality_monitored,
     delta_reality_other,
     irreality,
+    qubit_spectra,
     reality_report,
-    scenario2_eigenvalues,
 )
 from realmon.sampling import (
     draw_density,
@@ -276,10 +278,10 @@ def test_criterion_5_scenario2_grid():
     for theta in thetas:
         tilted = observable_from_axis(theta, 0.0)
         for eps in epsilons:
-            lam = scenario2_eigenvalues(theta, eps)
+            lam = qubit_spectra(PRESET_BLOCH["plus"], axis_vector(theta), axis_vector(0.0), eps)[1]
             mon = monitor(MonitoringChannel(tilted, eps), PLUS)
             w = sorted(mon.eigenvalues(), reverse=True)
-            worst_spec = max(worst_spec, abs(w[0] - lam[0]), abs(w[1] - lam[1]))
+            worst_spec = max(worst_spec, abs(w[0] - lam), abs(w[1] - (1.0 - lam)))
             rep = reality_report(tilted, SZ, eps, PLUS)
             worst_order = min(worst_order, rep.delta_r_probe - rep.delta_r_monitored)
     quarter = reality_report(observable_from_axis(math.pi / 4, 0.0), SZ, 1.0, PLUS)

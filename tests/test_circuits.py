@@ -1,9 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from _helpers import maximally_mixed
+from _helpers import PRESET_BLOCH, axis_vector, maximally_mixed, noisy_dilation_gap
 from realmon import circuits
 from realmon.channels import MonitoringChannel, product_monitor, to_superoperator
 from realmon.circuits import (
@@ -22,7 +23,7 @@ from realmon.circuits import (
 from realmon.linalg import DimensionError
 from realmon.noise import DEFAULT_DEPOLARIZING_RATE
 from realmon.observables import SIGMA_X, SIGMA_Y, SIGMA_Z, observable_from_axis
-from realmon.reality import scenario2_eigenvalues
+from realmon.reality import qubit_spectra
 from realmon.states import DensityOperator
 
 
@@ -152,7 +153,7 @@ class TestLocalGateOracle:
     def test_depolarizing_matches_pauli_twirl(self, pair):
         rate = 0.3
         gate = Gate("CNOT", pair)
-        circ = Circuit(4, (gate,), 4)
+        circ = Circuit(4, (gate,), 4, rate)
         m = _random_operator(16, 5)
         u = _full_unitary(gate, 4)
         conj = u @ m @ u.conj().T
@@ -163,7 +164,7 @@ class TestLocalGateOracle:
                 p = _embed(4, {pair[0]: a, pair[1]: b})
                 twirl += p @ conj @ p.conj().T
         expected = (1.0 - rate) * conj + (rate / 16.0) * twirl
-        out = apply_circuit_matrix(circ, m, depolarizing=rate)
+        out = apply_circuit_matrix(circ, m)
         assert np.abs(out - expected).max() <= 1e-14
 
 
@@ -188,7 +189,7 @@ class TestIsometryOracle:
     def test_routes_agree(self, n, coupling, basis):
         circ = build_monitor_circuit(_bases(basis, n), 0.7, coupling)
         m = _random_operator(2**n, 8)
-        dense = circuits._density_route(circ, m, 0.0)
+        dense = circuits._density_route(circ, m)
         assert np.abs(apply_circuit_matrix(circ, m) - dense).max() <= 1e-14
         v = circ.isometry
         assert v.shape == (4**n, 2**n) and not v.flags.writeable
@@ -234,9 +235,9 @@ class TestBuildAndRun:
             eps = epsilon_of_strength("CZ", theta_m)
             circ = build_monitor_circuit([(theta, 0.0)], theta_m, "CZ")
             out = run_circuit_density(circ, PLUS)
-            lam = scenario2_eigenvalues(theta, eps)
+            lam = qubit_spectra(PRESET_BLOCH["plus"], axis_vector(theta), axis_vector(0.0), eps)[1]
             w = sorted(out.eigenvalues(), reverse=True)
-            assert abs(w[0] - lam[0]) <= 1e-10 and abs(w[1] - lam[1]) <= 1e-10
+            assert abs(w[0] - lam) <= 1e-10 and abs(w[1] - (1.0 - lam)) <= 1e-10
 
     def test_two_qubit_full_strength_dephases(self):
         circ = build_monitor_circuit([(0.0, 0.0), (0.0, 0.0)], math.pi / 2, "CZ")
@@ -345,14 +346,14 @@ class TestCircuitStacks:
         one = _random_operator(d, 50)
         member_wise = apply_circuit_matrix(stack, mats)
         broadcast = apply_circuit_matrix(stack, one)
-        noisy = apply_circuit_matrix(stack, mats, depolarizing=0.1)
+        noisy = apply_circuit_matrix(replace(stack, depolarizing=0.1), mats)
         extracted = extract_channel(stack).matrix
         assert extracted.shape == (5, d * d, d * d)
         for k, single in enumerate(singles):
             assert np.array_equal(stack.isometry[k], single.isometry)
             assert np.array_equal(member_wise[k], apply_circuit_matrix(single, mats[k]))
             assert np.array_equal(broadcast[k], apply_circuit_matrix(single, one))
-            assert np.array_equal(noisy[k], apply_circuit_matrix(single, mats[k], depolarizing=0.1))
+            assert np.array_equal(noisy[k], apply_circuit_matrix(replace(single, depolarizing=0.1), mats[k]))
             assert np.array_equal(extracted[k], extract_channel(single).matrix)
 
     def test_products_sliced_one_row_at_a_time_match(self, monkeypatch):
@@ -367,10 +368,11 @@ class TestCircuitStacks:
     def test_state_stacks_run_member_by_member(self):
         stack, singles = _random_stack(1, 4, "CZ", 60)
         states = DensityOperator(np.stack([np.full((2, 2), 0.5), np.diag([1.0, 0.0]), np.eye(2) / 2, PLUS.matrix]))
-        out = run_circuit_density(stack, states, DEFAULT_DEPOLARIZING_RATE)
+        out = run_circuit_density(replace(stack, depolarizing=DEFAULT_DEPOLARIZING_RATE), states)
         for k, single in enumerate(singles):
             rho = DensityOperator(states.matrix[k])
-            assert np.array_equal(out.matrix[k], run_circuit_density(single, rho, DEFAULT_DEPOLARIZING_RATE).matrix)
+            noisy = replace(single, depolarizing=DEFAULT_DEPOLARIZING_RATE)
+            assert np.array_equal(out.matrix[k], run_circuit_density(noisy, rho).matrix)
 
     def test_stack_validation(self):
         gate = Gate("U3", (0,), (np.array([0.1, 0.2, 0.3]), 0.0, 0.0))
@@ -458,23 +460,35 @@ def _product_monitor_at(bases, theta_m, coupling):
 class TestNoiseInCircuits:
     def test_noisy_outputs_remain_valid_states(self):
         for theta_m in (0.0, 0.8, math.pi / 2):
-            circ = build_monitor_circuit([(0.6, 0.2)], theta_m, "CZ")
-            out = run_circuit_density(circ, PLUS, DEFAULT_DEPOLARIZING_RATE)
+            circ = build_monitor_circuit([(0.6, 0.2)], theta_m, "CZ", DEFAULT_DEPOLARIZING_RATE)
+            out = run_circuit_density(circ, PLUS)
             assert abs(np.trace(out.matrix) - 1.0) <= 1e-10
             assert np.abs(out.matrix - out.matrix.conj().T).max() <= 1e-10
             assert out.eigenvalues()[0] >= -1e-9
 
     def test_depolarizing_pulls_toward_mixed(self):
         clean = run_circuit_density(build_monitor_circuit([(0.0, 0.0)], 0.5, "CZ"), PLUS)
-        noisy = run_circuit_density(
-            build_monitor_circuit([(0.0, 0.0)], 0.5, "CZ"), PLUS, depolarizing=0.2
-        )
+        noisy = run_circuit_density(build_monitor_circuit([(0.0, 0.0)], 0.5, "CZ", 0.2), PLUS)
         from realmon.states import von_neumann_entropy
 
         assert von_neumann_entropy(noisy) > von_neumann_entropy(clean)
 
     def test_zero_rate_matches_noiseless(self):
-        circ = build_monitor_circuit([(0.3, 0.1)], 0.7, "CZ")
-        clean = run_circuit_density(circ, PLUS)
-        noisy = run_circuit_density(circ, PLUS, depolarizing=0.0)
+        clean = run_circuit_density(build_monitor_circuit([(0.3, 0.1)], 0.7, "CZ"), PLUS)
+        noisy = run_circuit_density(build_monitor_circuit([(0.3, 0.1)], 0.7, "CZ", depolarizing=0.0), PLUS)
         assert np.abs(clean.matrix - noisy.matrix).max() <= 1e-15
+
+    @pytest.mark.parametrize("rate", [0.01, 0.3, 1.0])
+    @pytest.mark.parametrize("coupling", COUPLINGS)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_noisy_dilation_matches_closed_form(self, n, coupling, rate):
+        """Pair depolarizing after each coupling is single-qubit depolarizing on its
+        system qubit: monitoring along z, x and y at 1 - sqrt(1 - rate) after the
+        noiseless channel."""
+        assert noisy_dilation_gap(n, coupling, rate) <= 1e-12
+
+    def test_noisy_circuit_has_no_isometry(self):
+        circ = build_monitor_circuit([(0.3, 0.1)], 0.7, "CZ", 0.1)
+        with pytest.raises(ValueError, match="no isometry"):
+            circ.isometry
+        assert run_circuit_density(circ, PLUS).matrix.shape == (2, 2)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from realmon.circuits import apply_circuit_matrix, build_monitor_circuit
+from realmon.circuits import build_monitor_circuit
 from realmon.linalg import DimensionError
 from realmon.noise import (
     DEFAULT_DEPOLARIZING_RATE,
@@ -36,10 +36,9 @@ class TestNoiseModel:
             estimate_pauli(zero, 0, 0, bad)
 
     def test_rate_range(self):
-        circ = build_monitor_circuit([(0.0, 0.0)], 0.5, "CZ")
         for rate in (1.5, -0.1, float("nan")):
             with pytest.raises(ValueError, match="depolarizing"):
-                apply_circuit_matrix(circ, np.eye(2) / 2, depolarizing=rate)
+                build_monitor_circuit([(0.0, 0.0)], 0.5, "CZ", rate)
 
     def test_flip_range(self):
         with pytest.raises(ValueError, match="flip"):

@@ -8,21 +8,26 @@ that the check named for it no longer passes:
 - verify-cases' four-entropy identity between the sequential and the
   composed-channel routes;
 - acceptance criterion 2c, the sign of the probe gain;
-- acceptance criterion 4, the closed-form qubit spectra.
+- acceptance criterion 4, the closed-form qubit spectra;
+- the closed-form noisy dilation and the sweep oracle, against a wrong
+  depolarizing rate, pair or readout shrink.
 
 A refactor that merges the two sides of a check, or that checks only part
 of a stack, makes one of these pass silently and fails here.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
+import pytest
 
-from _helpers import named_check, probe_gain_sign_check, reality, scenario1_grid
-from realmon import certify, cli
+from _helpers import named_check, noisy_dilation_gap, probe_gain_sign_check, reality, scenario1_grid, sweep_oracle_gap
+from realmon import certify, circuits, cli, sweeps
 from realmon.certify import certify_circuits
 from realmon.channels import ComposedChannel, product_monitor
-from realmon.circuits import Circuit, epsilon_of_strength
+from realmon.circuits import COUPLINGS, Circuit, epsilon_of_strength
+from realmon.config import make_config
 from realmon.observables import stack_observables
 from realmon.sampling import random_density, random_observable
 from realmon.states import stack_states
@@ -118,13 +123,51 @@ def test_clamped_probe_gain_fails_criterion_2c(monkeypatch):
 def test_shifted_closed_form_spectra_fail_criterion_4(monkeypatch):
     grid = [math.pi * k / 8 for k in range(9)], [k / 8 for k in range(9)]
     assert scenario1_grid(*grid)[0] <= 1e-10
-    spectra = reality.scenario1_eigenvalues
+    spectra = reality.qubit_spectra
 
-    def shifted(theta, epsilon):
-        # move every (larger, smaller) pair 1e-8 towards (1/2, 1/2), so it stays a distribution
-        exact = spectra(theta, epsilon)
-        pairs = (exact.monitored, exact.probe, exact.probe_monitored)
-        return reality.ScenarioOneSpectra(*((a - 1e-8, b + 1e-8) for a, b in pairs))
+    def shifted(*args):
+        # move every larger eigenvalue 1e-8 towards 1/2, so (lam, 1 - lam) stays a distribution
+        return spectra(*args) - 1e-8
 
-    monkeypatch.setattr(reality, "scenario1_eigenvalues", shifted)
+    monkeypatch.setattr(reality, "qubit_spectra", shifted)
     assert scenario1_grid(*grid)[0] > 1e-10
+
+
+NOISY_SWEEP = dict(points=5, path="noisy", shots=0, depolarizing=0.1, readout_flip=0.03)
+
+
+@pytest.mark.parametrize("scenario", ["fig4a", "fig4c"])
+def test_halved_density_route_rate_fails_both_noise_oracles(monkeypatch, scenario):
+    config = make_config(scenario, **NOISY_SWEEP)
+    assert sweep_oracle_gap(config) <= 1e-12 and noisy_dilation_gap(2, "CZ", 0.3) <= 1e-12
+    route = circuits._density_route
+
+    def halved(circuit, mat):
+        return route(replace(circuit, depolarizing=circuit.depolarizing / 2), mat)
+
+    monkeypatch.setattr(circuits, "_density_route", halved)
+    assert sweep_oracle_gap(config) > 1e-12
+    assert noisy_dilation_gap(2, "CZ", 0.3) > 1e-12
+
+
+@pytest.mark.parametrize("coupling", COUPLINGS)
+@pytest.mark.parametrize("n", [2, 3])
+def test_depolarizing_the_wrong_pair_fails_the_dilation_oracle(monkeypatch, n, coupling):
+    # system qubit q with the next qubit's ancilla; a one-qubit sweep circuit
+    # has a single (system, ancilla) pair, so only wider circuits can show this
+    depolarize = circuits._depolarize_pair
+
+    def wrong_pair(t, pair, rate, width):
+        n_system = width // 2
+        return depolarize(t, (pair[0], n_system + (pair[1] + 1) % n_system), rate, width)
+
+    monkeypatch.setattr(circuits, "_depolarize_pair", wrong_pair)
+    assert noisy_dilation_gap(n, coupling, 0.3) > 1e-12
+
+
+def test_wrong_readout_shrink_fails_the_sweep_oracle(monkeypatch):
+    config = make_config("fig4b", **NOISY_SWEEP)
+    assert sweep_oracle_gap(config) <= 1e-12
+    flip = sweeps.confusion_from_flip
+    monkeypatch.setattr(sweeps, "confusion_from_flip", lambda p: flip(p / 2))  # shrinks by 1 - p, not 1 - 2p
+    assert sweep_oracle_gap(config) > 1e-12

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from _helpers import maximally_mixed, members
+from _helpers import PRESET_BLOCH, axis_vector, maximally_mixed, members, report_entropies, spectra_entropies
 from realmon import verify
 from realmon.channels import MonitoringChannel, monitor
 from realmon.config import make_config, resolve_state
@@ -22,10 +22,9 @@ from realmon.reality import (
     delta_reality_monitored,
     delta_reality_other,
     irreality,
+    qubit_spectra,
     reality,
     reality_report,
-    scenario1_eigenvalues,
-    scenario2_eigenvalues,
 )
 from realmon.sampling import (
     ginibre_density,
@@ -40,7 +39,6 @@ from realmon.states import (
     DensityOperator,
     PureState,
     density_from_pure,
-    entropy_of_probabilities,
     stack_states,
 )
 from realmon.sweeps import _grid_parameters
@@ -281,59 +279,82 @@ class TestClassify:
         assert classify_case(b0, b1, rho) is CaseLabel.TRIPLE_MU
 
 
+def scenario1(theta, epsilon):
+    """Larger eigenvalues of (rho, monitored, probe, probe-after-monitor):
+    rho = |+><+|, monitored axis z, probe axis theta (phi = 0)."""
+    return qubit_spectra(PRESET_BLOCH["plus"], axis_vector(0.0), axis_vector(theta), epsilon)
+
+
+def scenario2(theta, epsilon):
+    """The same four larger eigenvalues for rho = |+><+|, monitored axis theta, probe z."""
+    return qubit_spectra(PRESET_BLOCH["plus"], axis_vector(theta), axis_vector(0.0), epsilon)
+
+
 class TestScenarioOne:
     def test_full_strength_orthogonal_axis(self):
-        spectra = scenario1_eigenvalues(math.pi / 2, 1.0)
-        assert spectra.monitored == (0.5, 0.5)
-        assert spectra.probe == (1.0, 0.0)
-        assert spectra.probe_monitored == (0.5, 0.5)
+        rho, mon, probe, probe_mon = scenario1(math.pi / 2, 1.0)
+        assert (rho, mon, probe, probe_mon) == (1.0, 0.5, 1.0, 0.5)
+        assert (1.0 - probe, 1.0 - mon) == (0.0, 0.5)
 
     def test_no_monitoring_probe_unchanged(self):
         for theta in (0.1, 1.0, 2.5):
-            spectra = scenario1_eigenvalues(theta, 0.0)
-            assert spectra.probe_monitored == spectra.probe
+            rho, mon, probe, probe_mon = scenario1(theta, 0.0)
+            assert mon == rho and probe_mon == probe
 
     def test_quarter_strength_golden(self):
-        spectra = scenario1_eigenvalues(math.pi / 6, 0.5)
-        assert abs(spectra.probe_monitored[0] - 0.5 * (1 + 0.25)) <= 1e-15
-        assert abs(spectra.probe_monitored[1] - 0.5 * (1 - 0.25)) <= 1e-15
+        probe_mon = scenario1(math.pi / 6, 0.5)[3]
+        assert abs(probe_mon - 0.5 * (1 + 0.25)) <= 1e-15
+        assert abs((1.0 - probe_mon) - 0.5 * (1 - 0.25)) <= 1e-15
 
     def test_pairs_normalized(self):
+        # the larger eigenvalue lies in [1/2, 1], so (lam, 1 - lam) is a spectrum,
+        # for any state in the Bloch ball, any axes, intensity and noise rates
         rng = np.random.default_rng(11)
-        for _ in range(25):
-            spectra = scenario1_eigenvalues(float(rng.uniform(0, math.pi)), float(rng.random()))
-            for pair in (spectra.monitored, spectra.probe, spectra.probe_monitored):
-                assert abs(sum(pair) - 1.0) <= 1e-12
-                assert all(-1e-12 <= v <= 1 + 1e-12 for v in pair)
+        directions = rng.normal(size=(25, 3))
+        bloch = directions / np.linalg.norm(directions, axis=1, keepdims=True) * rng.random((25, 1))
+        axes = [axis_vector(rng.uniform(0, math.pi, 25), rng.uniform(-math.pi, math.pi, 25)) for _ in range(2)]
+        for noise in ((0.0, 0.0), (0.3, 0.1)):
+            larger = qubit_spectra(bloch, *axes, rng.random(25), *noise)
+            assert larger.shape == (25, 4)
+            assert np.all((0.5 <= larger) & (larger <= 1.0 + 1e-12))
+
+    def test_matches_closed_forms(self):
+        # lam = (1 + |r|)/2 with |r| = 1 - eps, sin(theta) and (1 - eps) sin(theta)
+        for theta in np.linspace(0.0, math.pi, 9):
+            for eps in (0.0, 0.3, 1.0):
+                expected = (1.0, 1.0 - 0.5 * eps, 0.5 * (1 + math.sin(theta)), 0.5 * (1 + (1 - eps) * math.sin(theta)))
+                assert np.abs(scenario1(float(theta), eps) - expected).max() <= 1e-15
 
     def test_matches_machinery_entropies(self):
         for theta in np.linspace(0.0, math.pi, 9):
             probe_obs = observable_from_axis(float(theta), 0.0)
             for eps in (0.0, 0.3, 1.0):
                 report = reality_report(SZ, probe_obs, eps, PLUS)
-                spectra = scenario1_eigenvalues(float(theta), eps)
-                assert abs(report.entropy_monitored - entropy_of_probabilities(spectra.monitored)) <= 1e-10
-                assert abs(report.entropy_probe - entropy_of_probabilities(spectra.probe)) <= 1e-10
-                assert abs(
-                    report.entropy_probe_monitored - entropy_of_probabilities(spectra.probe_monitored)
-                ) <= 1e-10
+                assert np.abs(report_entropies(report) - spectra_entropies(scenario1(float(theta), eps))).max() <= 1e-10
 
 
 class TestScenarioTwo:
     def test_quarter_axis_full_strength(self):
-        lam = scenario2_eigenvalues(math.pi / 4, 1.0)
-        assert abs(lam[0] - 0.5 * (1 + math.sqrt(0.5))) <= 1e-15
-        assert abs(lam[1] - 0.5 * (1 - math.sqrt(0.5))) <= 1e-15
+        mon = scenario2(math.pi / 4, 1.0)[1]
+        assert abs(mon - 0.5 * (1 + math.sqrt(0.5))) <= 1e-15
+        assert abs((1.0 - mon) - 0.5 * (1 - math.sqrt(0.5))) <= 1e-15
 
     def test_no_monitoring_pure(self):
         for theta in (0.2, 1.1, 3.0):
-            assert scenario2_eigenvalues(theta, 0.0) == (1.0, 0.0)
+            mon = scenario2(theta, 0.0)[1]
+            assert (mon, 1.0 - mon) == (1.0, 0.0)
 
     def test_zero_axis_matches_scenario1_monitored(self):
         for eps in (0.1, 0.5, 0.9):
-            lam = scenario2_eigenvalues(0.0, eps)
-            ref = scenario1_eigenvalues(0.0, eps).monitored
-            assert abs(lam[0] - ref[0]) <= 1e-12 and abs(lam[1] - ref[1]) <= 1e-12
+            assert scenario2(0.0, eps)[1] == scenario1(1.0, eps)[1] == 1.0 - 0.5 * eps
+
+    def test_matches_tilted_axis_closed_form(self):
+        # lam = (1 + sqrt(eps^2 sin^2 cos^2 + (1 - eps cos^2)^2)) / 2
+        for theta in np.linspace(0.0, math.pi, 9):
+            s, c = math.sin(theta), math.cos(theta)
+            for eps in (0.0, 0.4, 1.0):
+                radical = math.sqrt(eps * eps * s * s * c * c + (1.0 - eps * c * c) ** 2)
+                assert abs(scenario2(float(theta), eps)[1] - 0.5 * (1.0 + radical)) <= 1e-15
 
     def test_matches_machinery_spectrum(self):
         for theta in np.linspace(0.0, math.pi, 9):
@@ -341,8 +362,8 @@ class TestScenarioTwo:
             for eps in (0.0, 0.4, 1.0):
                 out = monitor(MonitoringChannel(tilted, eps), PLUS)
                 w = sorted(out.eigenvalues(), reverse=True)
-                lam = scenario2_eigenvalues(float(theta), eps)
-                assert abs(w[0] - lam[0]) <= 1e-10 and abs(w[1] - lam[1]) <= 1e-10
+                mon = scenario2(float(theta), eps)[1]
+                assert abs(w[0] - mon) <= 1e-10 and abs(w[1] - (1.0 - mon)) <= 1e-10
 
 
 class TestRealityReport:

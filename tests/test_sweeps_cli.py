@@ -1,13 +1,14 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from _helpers import CNOT_MAPPING_CHECK, named_check
+from _helpers import CNOT_MAPPING_CHECK, named_check, sweep_oracle_gap
 from realmon.channels import to_superoperator
 from realmon.observables import observable_from_axis
 from realmon.reality import reality_report
@@ -117,10 +118,13 @@ class TestConfig:
         assert config.path == "circuit" and config.scenario == "fig4c"
         assert config.state == "plus" and config.monitor_axis == (math.pi / 4, 0.0)
 
-    def test_from_json_bad_file(self, tmp_path):
+    @pytest.mark.parametrize(
+        "content", [b"{not json", b"\xff\xfe", b"[" * 100_000], ids=["not-json", "not-utf8", "deep-nesting"]
+    )
+    def test_from_json_bad_file(self, tmp_path, content):
         path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        with pytest.raises(ConfigError, match="JSON"):
+        path.write_bytes(content)
+        with pytest.raises(ConfigError, match=f"config {re.escape(str(path))} is not valid JSON"):
             config_from_json(str(path))
 
 
@@ -261,10 +265,10 @@ def per_point_sweep(config):
                 probe_axis = (value, probe_axis[1])
             else:
                 monitor_axis = (value, monitor_axis[1])
-        probe_circ = build_monitor_circuit([probe_axis], math.pi / 2, "CZ")
-        mon = run_circuit_density(build_monitor_circuit([monitor_axis], strength, config.coupling), rho, depolarizing)
-        probe = run_circuit_density(probe_circ, rho, depolarizing)
-        states = (rho, mon, probe, run_circuit_density(probe_circ, mon, depolarizing))
+        probe_circ = build_monitor_circuit([probe_axis], math.pi / 2, "CZ", depolarizing)
+        mon = run_circuit_density(build_monitor_circuit([monitor_axis], strength, config.coupling, depolarizing), rho)
+        probe = run_circuit_density(probe_circ, rho)
+        states = (rho, mon, probe, run_circuit_density(probe_circ, mon))
         rows = []
         for rep in range(repeats):
             row = []
@@ -311,6 +315,33 @@ class TestBatchedEngineMatchesPerPointLoop:
     def test_csv_bytes_equal(self, scenario, overrides):
         config = make_config(scenario, points=9, **overrides)
         assert render_csv(run_sweep(config)) == render_csv(per_point_sweep(config))
+
+
+ORACLE_PATHS = {
+    "analytic": dict(path="analytic"),
+    "circuit-CZ": dict(path="circuit"),
+    "circuit-CNOT": dict(path="circuit", coupling="CNOT"),
+    "noisy-CZ": dict(path="noisy", shots=0, depolarizing=0.1, readout_flip=0.03),
+    "noisy-CNOT": dict(path="noisy", shots=0, coupling="CNOT", depolarizing=0.1, readout_flip=0.03),
+}
+# the five presets, then each test state with tilted axes off the x-z plane
+ORACLE_SETUPS = {
+    **{preset: (preset, {}) for preset in ("fig1", "fig2", "fig4a", "fig4b", "fig4c")},
+    **{
+        f"custom-{name}": ("custom", dict(state=state, monitor_axis=(0.7, 0.4), probe_axis=(1.9, -1.1)))
+        for name, state in (("plus", "plus"), ("iplus", "iplus"), ("mixed", "mixed"), ("angles", dict(theta=1.0, phi=2.0)))
+    },
+}
+
+
+class TestSweepOracle:
+    """Every qubit sweep path, noise included, against the closed-form Bloch-vector spectra."""
+
+    @pytest.mark.parametrize("path", ORACLE_PATHS)
+    @pytest.mark.parametrize("setup", ORACLE_SETUPS)
+    def test_entropies_match_qubit_spectra(self, setup, path):
+        scenario, fields = ORACLE_SETUPS[setup]
+        assert sweep_oracle_gap(make_config(scenario, points=9, **fields, **ORACLE_PATHS[path])) <= 1e-12
 
 
 class TestOneLabelCallPerStack:
@@ -639,6 +670,13 @@ class TestSizeCaps:
 
 
 class TestCLI:
+    def test_unreadable_config_file_exits_3(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_bytes(b"\xff\xfe")
+        proc = run_cli("sweep", "--config", str(path))
+        assert proc.returncode == 3
+        assert f"config {path} is not valid JSON" in proc.stderr and "Traceback" not in proc.stderr
+
     def test_sweep_stdout_csv(self):
         proc = run_cli("sweep", "--scenario", "fig4a", "--points", "3")
         assert proc.returncode == 0
