@@ -60,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--config", help="JSON config file; flags below override its fields")
     sweep.add_argument("--scenario", choices=SCENARIOS, help="preset (default custom)")
     sweep.add_argument("--path", choices=PATHS, help="evaluation path (default analytic)")
-    sweep.add_argument("--seed", type=int, help="root seed for shot sampling (default 0)")
+    sweep.add_argument("--seed", type=int, help="seed of the one shot generator (default 0)")
     sweep.add_argument("--shots", type=int, help=f"shots per tomography axis; 0 = exact expectations (default {DEFAULT_SHOTS})")
     sweep.add_argument("--repeats", type=int, help=f"tomography repetitions per grid point on the noisy path (default {DEFAULT_REPEATS})")
     sweep.add_argument("--points", type=int, help=f"grid resolution for presets (default {DEFAULT_GRID_POINTS})")
@@ -84,8 +84,11 @@ def _build_parser() -> argparse.ArgumentParser:
     tomo = sub.add_parser("tomo-sim", help="simulate tomography reconstruction error statistics")
     tomo.add_argument("--state", default="plus", help="state preset (default plus)")
     tomo.add_argument("--shots", type=int, default=DEFAULT_SHOTS, help=f"shots per axis (default {DEFAULT_SHOTS})")
-    tomo.add_argument("--seeds", type=int, default=100, help="number of independent repetitions (default 100)")
-    tomo.add_argument("--seed", type=int, default=0, help="root seed (default 0)")
+    tomo.add_argument(
+        "--seeds", type=int, default=100,
+        help="number of repetitions, drawn in order from one generator seeded --seed (default 100)",
+    )
+    tomo.add_argument("--seed", type=int, default=0, help="seed of the one shot generator (default 0)")
     tomo.add_argument("--noisy", action="store_true", help="apply the default readout confusion")
     tomo.add_argument("--out", help="JSON output path")
     return parser

@@ -6,7 +6,8 @@ Tomography reads only the system qubit, so readout error is one symmetric
 flip of that qubit, applied as a column-stochastic 2x2 confusion matrix
 (``confusion_from_flip``) to rows of two outcome probabilities.  The
 defaults are the system-qubit readout flip of a public three-qubit
-superconducting device and a 1% depolarizing rate.
+superconducting device and a 1% depolarizing rate.  ``sample_shots`` draws
+a whole stack of probability rows from one generator in one call.
 """
 
 from __future__ import annotations
@@ -33,17 +34,24 @@ def confusion_from_flip(p: float) -> np.ndarray:
     return m
 
 
+def _first_bad_row(p: np.ndarray, bad: np.ndarray) -> str:
+    """The index and values of the first row flagged in ``bad``, for an error message."""
+    index = tuple(int(i) for i in np.argwhere(bad)[0])
+    return (f" in row {index}" if index else "") + f": {p[index].tolist()}"
+
+
 def check_probabilities(probabilities) -> np.ndarray:
     """Outcome probabilities as rows along the last axis, each checked to be
-    finite, nonnegative (to 1e-12) and summing to 1 (else ``ValueError``)."""
+    finite, nonnegative (to 1e-12) and summing to 1 (else ``ValueError``
+    naming the first bad row's index and values, not the whole stack)."""
     p = np.asarray(probabilities, dtype=float)
     if not np.isfinite(p).all():
-        raise ValueError(f"non-finite probability in {p.tolist()}")
+        raise ValueError(f"non-finite probability{_first_bad_row(p, ~np.isfinite(p).all(axis=-1))}")
     if (p < -1e-12).any():
-        raise ValueError(f"negative probability in {p.tolist()}")
-    sums = p.sum(axis=-1, keepdims=True)
-    if (np.abs(sums - 1.0) > PROB_SUM_TOL).any():
-        raise ValueError(f"probabilities sum to {sums[..., 0].tolist()!r}, expected 1")
+        raise ValueError(f"negative probability{_first_bad_row(p, (p < -1e-12).any(axis=-1))}")
+    off = np.abs(p.sum(axis=-1) - 1.0) > PROB_SUM_TOL
+    if off.any():
+        raise ValueError(f"probabilities must sum to 1{_first_bad_row(p, off)}")
     return p
 
 
@@ -53,26 +61,27 @@ def _validated_probabilities(probabilities) -> np.ndarray:
     return p / p.sum(axis=-1, keepdims=True)
 
 
-def sample_shots(probabilities, n_shots: int, rngs) -> np.ndarray:
+def sample_shots(probabilities, n_shots: int, rng) -> np.ndarray:
     """Multinomial outcome counts for an (N, ..., m) stack of probability rows.
 
-    ``rngs`` holds one generator or seed per member, and member k draws its
-    rows in order from ``np.random.default_rng(rngs[k])``, so its counts are
-    deterministic for a given generator state or seed.  The whole stack is
-    checked once.
+    ``rng`` is one ``np.random.Generator`` or one integer seed for the whole
+    stack, and every row draws from it in C order in a single ``multinomial``
+    call, so the counts equal one-member-at-a-time calls on the same
+    generator and are deterministic for a given generator state or seed.
+    A list or tuple (one generator or seed per member) is a ``TypeError``.
+    The whole stack is checked once.
     """
     p = _validated_probabilities(probabilities)
     if p.ndim < 2:
         raise DimensionError(f"probabilities must be an (N, ..., m) stack, got shape {p.shape}")
     if not isinstance(n_shots, numbers.Integral) or isinstance(n_shots, bool) or n_shots < 1:
         raise ValueError(f"shot count must be a positive integer, got {n_shots!r}")
-    try:
-        got = len(rngs)
-    except TypeError:  # one generator or seed, not one per member
-        got = f"one {type(rngs).__name__}"
-    if got != len(p):
-        raise ValueError(f"a stack of {len(p)} members needs {len(p)} generators or seeds, got {got}")
-    return np.stack([np.random.default_rng(r).multinomial(int(n_shots), member) for r, member in zip(rngs, p)])
+    if not isinstance(rng, np.random.Generator) and (isinstance(rng, bool) or not isinstance(rng, numbers.Integral)):
+        raise TypeError(
+            "sample_shots draws the whole stack from one np.random.Generator or one integer seed, "
+            f"got {type(rng).__name__}"
+        )
+    return np.random.default_rng(rng).multinomial(int(n_shots), p)
 
 
 def _validated_confusion(confusion) -> np.ndarray:

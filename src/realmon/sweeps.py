@@ -4,9 +4,9 @@ A sweep walks a grid (monitoring strength, intensity, or an observable axis
 angle), evaluates the reality variations at each point along one of three
 paths (exact channel algebra, noiseless dilation circuits, or noisy
 circuits with finite-shot tomography), and renders the records as CSV or
-JSON.  Records are produced in grid order and all randomness is derived
-from the config seed per (point, repeat, state), so identical configs give
-byte-identical CSV regardless of evaluation order.  Every path evaluates
+JSON.  Records are produced in grid order and all randomness comes from
+one generator seeded with the config seed, drawn in (repeat, point, state)
+order, so identical configs give byte-identical CSV.  Every path evaluates
 the whole grid as one stack: the grid resolves once into its strength and
 intensity columns and (N, 2) monitor and probe axes, one
 ``observable_from_axis`` call per axis builds each observable stack, the
@@ -94,16 +94,16 @@ def _tomography_entropies(config, states: DensityOperator) -> np.ndarray:
     """(repeats, N, 4) entropies of the stacked states' tomographic reconstructions.
 
     Each repeat estimates, reconstructs and takes the entropy of the whole
-    stack at once, so only one repeat's states are held at a time.  Member
-    k, state k % 4 of grid point k // 4, samples repeat r from seed
-    ``[seed, k // 4, r, k % 4]``.
+    stack at once, so only one repeat's states are held at a time.  One
+    generator seeded ``config.seed`` serves every repeat in turn, and within
+    a repeat the stack draws in (point, state) order.
     """
     repeats = 1 if config.shots == 0 else config.repeats
     confusion = confusion_from_flip(config.readout_flip)
+    rng = np.random.default_rng(config.seed)
     entropies = []
-    for rep in range(repeats):
-        seeds = [[config.seed, k // 4, rep, k % 4] for k in range(states.batch)]
-        entropies.append(von_neumann_entropy(reconstruct_state(estimate_pauli(states, config.shots, seeds, confusion))))
+    for _ in range(repeats):
+        entropies.append(von_neumann_entropy(reconstruct_state(estimate_pauli(states, config.shots, rng, confusion))))
     return np.stack(entropies).reshape(repeats, -1, 4)
 
 

@@ -6,12 +6,13 @@ push the three rows of outcome probabilities through the qubit's 2x2
 readout ``confusion`` matrix, sample all three axes' counts in one draw, and
 rebuild the state from the empirical Bloch vector with an eigenvalue
 clamp-and-renormalize repair.  A shot count of zero is the infinite-shot
-sentinel (exact expectations).  Both steps take one state or a stack, with
-one generator per member.
+sentinel (exact expectations).  Both steps take one state or a stack; a
+stack draws all of its counts from one generator, member after member.
 
-``tomography_errors`` reconstructs one state from independent seeds, in
-stacks of at most ``SEED_CHUNK`` seeds so that memory stays flat in the
-seed count, and summarises the reconstruction errors (the ``tomo-sim``
+``tomography_errors`` reconstructs one state over many repetitions drawn in
+order from one generator, in stacks of at most ``SEED_CHUNK`` repetitions
+so that memory stays flat in the repetition count (the chunk size changes
+no draw), and summarises the reconstruction errors (the ``tomo-sim``
 command); with readout noise it uses the default readout flip.
 """
 
@@ -33,17 +34,18 @@ _SDG = np.array([[1.0, 0.0], [0.0, -1j]], dtype=complex)
 # R sigma_axis R† = sigma_z, so diag(R rho R†) are the axis outcome probabilities (x, y, z).
 _AXIS_ROTATIONS = np.stack((_HADAMARD, _HADAMARD @ _SDG, IDENTITY_2))
 _AXIS_ROTATIONS_DAG = _AXIS_ROTATIONS.conj().transpose(0, 2, 1)
-SEED_CHUNK = 4096  # seeds per stack in tomography_errors
+SEED_CHUNK = 4096  # repetitions per stack in tomography_errors
 
 
 def estimate_pauli(rho: DensityOperator, shots: int, rng, confusion: np.ndarray | None = None):
     """The empirical Bloch vector of a qubit state, from ``shots`` samples per Pauli axis.
 
-    One state gives an ``(x, y, z)`` tuple drawn from ``rng``; an (N, 2, 2)
-    stack gives an (N, 3) array and takes N generators or seeds (a seed
-    becomes its generator when it samples), row k equal to the single call on
-    member k with the k-th.  ``confusion`` is the measured qubit's
-    column-stochastic 2x2 readout matrix, or None for perfect readout.
+    ``rng`` is one ``np.random.Generator`` or one integer seed.  One state
+    gives an ``(x, y, z)`` tuple; an (N, 2, 2) stack gives an (N, 3) array
+    drawn in one ``sample_shots`` call, row k equal to the single call on
+    member k after members 0..k-1 have drawn from the same generator.
+    ``confusion`` is the measured qubit's column-stochastic 2x2 readout
+    matrix, or None for perfect readout.
     """
     if rho.dim != 2:
         raise DimensionError(f"single-qubit tomography needs dim 2, got {rho.dim}")
@@ -55,7 +57,7 @@ def estimate_pauli(rho: DensityOperator, shots: int, rng, confusion: np.ndarray 
     if shots == 0:
         means = p[..., 0] - p[..., 1]
     else:
-        counts = sample_shots(p, shots, [rng] if rho.batch is None else rng)
+        counts = sample_shots(p, shots, rng)
         means = (counts[..., 0] - counts[..., 1]) / shots
     return tuple(float(m) for m in means[0]) if rho.batch is None else means
 
@@ -82,10 +84,11 @@ def reconstruct_state(bloch) -> DensityOperator:
 def tomography_errors(state: str, shots: int, seeds: int, seed: int, noisy: bool) -> dict:
     """Reconstruction errors of a preset state over ``seeds`` independent repetitions.
 
-    Repetition k samples from the generator seeded ``[seed, k]``; its error
-    is the largest entry of |reconstructed - true|.  Returns the per-seed
-    ``errors`` and a ``summary`` with their median (upper median), nearest-rank
-    90th percentile and maximum.
+    Every repetition draws in order from one generator seeded ``seed``, so
+    repetition k's counts follow those of repetitions 0..k-1 whatever the
+    chunk size; its error is the largest entry of |reconstructed - true|.
+    Returns the per-repetition ``errors`` and a ``summary`` with their median
+    (upper median), nearest-rank 90th percentile and maximum.
     """
     rho = resolve_state(state)
     check_shots(shots)
@@ -93,10 +96,11 @@ def tomography_errors(state: str, shots: int, seeds: int, seed: int, noisy: bool
         raise ConfigError(f"seeds: must be an integer in [1, {MAX_SEEDS}], got {seeds!r}")
     check_seed(seed)
     confusion = confusion_from_flip(DEFAULT_READOUT_FLIP) if noisy else None
+    rng = np.random.default_rng(seed)
     errors = []
     for start in range(0, seeds, SEED_CHUNK):
-        streams = [[seed, k] for k in range(start, min(start + SEED_CHUNK, seeds))]
-        rec = reconstruct_state(estimate_pauli(stack_states([rho] * len(streams)), shots, streams, confusion))
+        chunk = stack_states([rho] * min(SEED_CHUNK, seeds - start))
+        rec = reconstruct_state(estimate_pauli(chunk, shots, rng, confusion))
         errors += np.abs(rec.matrix - rho.matrix).max(axis=(1, 2)).tolist()
     ranked = sorted(errors)
     summary = {

@@ -1,20 +1,27 @@
 """Helpers shared by several test modules.
 
-The acceptance checks that a mutation test also runs live here, so that both
-tests run the same check.  They look ``realmon.reality`` functions up at call
-time, so a fault patched into that module reaches them.
+The acceptance checks and shot-statistics gates that a mutation test also
+runs live here, so that both tests run the same check.  They look
+``realmon.reality`` functions up at call time, so a fault patched into that
+module reaches them.
 """
 
+import json
 import math
+import os
 
 import numpy as np
 
 import realmon.reality as reality
+from realmon import sweeps
 from realmon.channels import ComposedChannel, product_monitor, to_superoperator
 from realmon.circuits import build_monitor_circuit, epsilon_of_strength
+from realmon.config import make_config, resolve_state
+from realmon.noise import confusion_from_flip
 from realmon.observables import ProjectiveObservable, observable_from_axis, pauli_observable
 from realmon.states import DensityOperator, entropy_of_probabilities
 from realmon.sweeps import run_sweep
+from realmon.tomography import estimate_pauli
 
 SZ = pauli_observable("z")
 PLUS = DensityOperator(np.full((2, 2), 0.5, dtype=complex))
@@ -153,3 +160,60 @@ def noisy_dilation_gap(n, coupling, rate):
     for axis in ((0.0, 0.0), (math.pi / 2, 0.0), (math.pi / 2, math.pi / 2)):
         expected = ComposedChannel(product_monitor([axis] * n, 1.0 - math.sqrt(1.0 - rate)), expected)
     return float(np.abs(noisy - to_superoperator(expected).matrix).max())
+
+
+BLOCH_GATE_DRAWS = 1000
+# fig4a on the noisy path at 100 repeats, seeds 0-2, drawn when every
+# (point, repeat, state) member had its own generator seeded
+# [seed, point, repeat, state]: dR_X, dR_Xp and their standard errors
+PER_MEMBER_STREAMS = os.path.join(os.path.dirname(__file__), "data", "fig4a_noisy_per_member_streams.json")
+
+
+def bloch_shot_gate(draws=BLOCH_GATE_DRAWS, seed=19):
+    """Shot statistics of stacked ``estimate_pauli`` draws on the fig4a noisy states.
+
+    Makes ``draws`` draws of the 132-state stack from one generator and
+    returns the largest |z| of a (state, axis) sample mean against its
+    ``shots=0`` value, and the smallest and largest ratio of a sample
+    variance to the binomial (1 - m**2) / shots.
+    """
+    config = make_config("fig4a", path="noisy")
+    _, _, strength, monitor_axes, probe_axes = sweeps._grid_parameters(config)
+    states = sweeps._circuit_states(config, resolve_state(config.state), strength, monitor_axes, probe_axes)
+    confusion = confusion_from_flip(config.readout_flip)
+    exact = estimate_pauli(states, 0, None, confusion)
+    rng = np.random.default_rng(seed)
+    sample = np.stack([estimate_pauli(states, config.shots, rng, confusion) for _ in range(draws)])
+    binomial = (1.0 - exact**2) / config.shots
+    z = (sample.mean(axis=0) - exact) / np.sqrt(binomial / draws)
+    ratio = sample.var(axis=0, ddof=1) / binomial
+    return float(np.abs(z).max()), float(ratio.min()), float(ratio.max())
+
+
+def bloch_gate_passes(gate) -> bool:
+    z, low, high = gate
+    return z <= 5.0 and 0.75 <= low and high <= 1.25
+
+
+def sweep_shot_gate():
+    """fig4a noisy at 100 repeats, seeds 0-2, against the per-member-stream record.
+
+    Returns the largest |mean_new - mean_old| / sqrt(se_old**2 + se_new**2)
+    over every point and both gains, and the median ratio se_new / se_old.
+    """
+    with open(PER_MEMBER_STREAMS) as f:
+        old = json.load(f)
+    z, ratio = [], []
+    for seed, columns in old.items():
+        records = run_sweep(make_config("fig4a", path="noisy", repeats=100, seed=int(seed)))
+        for gain in ("dR_X", "dR_Xp"):
+            mean, se = (np.array([getattr(r, name) for r in records]) for name in (gain, "se_" + gain))
+            old_mean, old_se = np.array(columns[gain]), np.array(columns["se_" + gain])
+            z.append(np.abs(mean - old_mean) / np.hypot(old_se, se))
+            ratio.append(se / old_se)
+    return float(np.max(z)), float(np.median(ratio))
+
+
+def sweep_gate_passes(gate) -> bool:
+    z, median_ratio = gate
+    return z <= 4.5 and 0.9 <= median_ratio <= 1.1

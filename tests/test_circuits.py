@@ -393,8 +393,14 @@ class TestCircuitStacks:
 class TestEpsilonOfStrength:
     def test_goldens(self):
         assert epsilon_of_strength("CZ", 0.0) == 0.0
-        assert abs(epsilon_of_strength("CZ", math.pi / 2) - 1.0) <= 1e-15
+        assert epsilon_of_strength("CZ", math.pi / 2) == 1.0
         assert abs(epsilon_of_strength("CZ", math.pi / 3) - 0.5) <= 1e-15
+
+    @pytest.mark.parametrize("coupling", ["CZ", "CNOT"])
+    @pytest.mark.parametrize("epsilon", [0.0, 1.0])
+    def test_endpoints_round_trip_exactly(self, coupling, epsilon):
+        assert epsilon_of_strength(coupling, strength_of_epsilon(coupling, epsilon)) == epsilon
+        assert epsilon_of_strength(coupling, np.array([strength_of_epsilon(coupling, epsilon)])).tolist() == [epsilon]
 
     def test_agrees_with_extraction(self):
         for coupling in ("CZ", "CNOT"):

@@ -46,72 +46,98 @@ class TestNoiseModel:
 
 
 class TestSampleShots:
-    """``sample_shots`` draws an (N, ..., m) stack, member k from the k-th generator or seed."""
+    """``sample_shots`` draws an (N, ..., m) stack from one generator or seed, rows in C order."""
 
     def test_deterministic_outcome(self):
-        counts = sample_shots([[1.0, 0.0]], 500, [123])
+        counts = sample_shots([[1.0, 0.0]], 500, 123)
         assert counts.tolist() == [[500, 0]]
 
     def test_unbiased_within_five_sigma(self):
-        counts = sample_shots([[0.5, 0.5]], 10**6, [7])[0]
+        counts = sample_shots([[0.5, 0.5]], 10**6, 7)[0]
         sigma = 500.0
         assert abs(counts[0] - 5 * 10**5) <= 5 * sigma
 
     def test_seeded_reproducibility(self):
-        a = sample_shots([[0.3, 0.7]], 1000, [42])
-        b = sample_shots([[0.3, 0.7]], 1000, [np.random.default_rng(42)])
+        a = sample_shots([[0.3, 0.7]], 1000, 42)
+        b = sample_shots([[0.3, 0.7]], 1000, np.random.default_rng(42))
         assert np.array_equal(a, b)
+        assert np.array_equal(sample_shots([[0.3, 0.7]], 1000, np.int64(42)), a)
 
     def test_negative_probability_rejected(self):
         with pytest.raises(ValueError, match="negative"):
-            sample_shots([[1.1, -0.1]], 10, [0])
+            sample_shots([[1.1, -0.1]], 10, 0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_probability_rejected(self, bad):
         with pytest.raises(ValueError, match="non-finite"):
-            sample_shots([[bad, 1.0]], 10, [0])
+            sample_shots([[bad, 1.0]], 10, 0)
         with pytest.raises(ValueError, match="non-finite"):
             apply_readout_noise([[bad, 1.0]], np.eye(2))
 
     def test_sum_validated(self):
         with pytest.raises(ValueError, match="sum"):
-            sample_shots([[0.5, 0.4]], 10, [0])
+            sample_shots([[0.5, 0.4]], 10, 0)
         with pytest.raises(ValueError, match="sum"):
-            sample_shots([[[0.5, 0.5], [0.5, 0.4]]], 10, [0])  # each row is checked, not the stack's total
+            sample_shots([[[0.5, 0.5], [0.5, 0.4]]], 10, 0)  # each row is checked, not the stack's total
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [([np.nan, 0.5], "non-finite"), ([1.5, -0.5], "negative"), ([0.5, 0.6], "sum")],
+        ids=["nan", "negative", "bad-sum"],
+    )
+    def test_bad_row_message_names_the_row_not_the_stack(self, row, message):
+        p = np.full((4096, 3, 2), 0.5)
+        p[2741, 1] = row
+        with pytest.raises(ValueError, match=message) as caught:
+            sample_shots(p, 8, 0)
+        assert len(str(caught.value)) < 200
+        assert "(2741, 1)" in str(caught.value)
 
     def test_shot_count_positive(self):
         with pytest.raises(ValueError):
-            sample_shots([[1.0, 0.0]], 0, [0])
+            sample_shots([[1.0, 0.0]], 0, 0)
 
     @pytest.mark.parametrize("n_shots", [2.5, True, -1, "8", float("nan")])
     def test_shot_count_must_be_an_integer(self, n_shots):
         with pytest.raises(ValueError, match="shot count"):
-            sample_shots([[1.0, 0.0]], n_shots, [0])
+            sample_shots([[1.0, 0.0]], n_shots, 0)
 
     def test_rows_drawn_in_order(self):
         rows = [[0.3, 0.7], [0.6, 0.4], [0.5, 0.5]]
-        stacked = sample_shots([rows], 1000, [np.random.default_rng(4)])
+        stacked = sample_shots([rows], 1000, np.random.default_rng(4))
         rng = np.random.default_rng(4)
         assert stacked[0].tolist() == [rng.multinomial(1000, row).tolist() for row in rows]
 
     def test_members_draw_from_their_own_generators(self):
+        # each member draws its own counts, in turn, from the one shared generator
         rows = np.random.default_rng(5).dirichlet([1.0, 1.0], size=(4, 3))
-        seeds = [[9, k] for k in range(4)]
-        stacked = sample_shots(rows, 64, seeds)
+        stacked = sample_shots(rows, 64, np.random.default_rng(9))
         assert stacked.shape == (4, 3, 2)
-        for member, seed, counts in zip(rows, seeds, stacked):
-            assert np.array_equal(counts, np.random.default_rng(seed).multinomial(64, member))
+        shared = np.random.default_rng(9)
+        for member, counts in zip(rows, stacked):
+            assert np.array_equal(counts, sample_shots(member[None], 64, shared)[0])
 
     @pytest.mark.parametrize(
-        "rngs", [[0, 1], [0, 1, 2, 3], np.random.default_rng(0), 7], ids=["two", "four", "generator", "seed"]
+        "rngs",
+        [[0, 1], [0, 1, 2, 3], [np.random.default_rng(k) for k in range(3)], (7, 8, 9)],
+        ids=["two", "four", "generator", "seed"],
     )
     def test_one_generator_or_seed_per_member(self, rngs):
-        with pytest.raises(ValueError, match="stack of 3 members needs 3 generators"):
+        # the per-member call form is rejected, whatever its length
+        with pytest.raises(TypeError, match="one np.random.Generator or one integer seed"):
             sample_shots(np.full((3, 2), 0.5), 8, rngs)
+
+    @pytest.mark.parametrize("rng", [[3, 4], np.array([3, 4]), True, 2.0, None], ids=str)
+    def test_only_a_generator_or_an_integer_seed(self, rng):
+        # a list of ints would otherwise seed one generator from its entropy
+        with pytest.raises(TypeError, match="one np.random.Generator or one integer seed"):
+            sample_shots([[0.5, 0.5]], 8, rng)
+        with pytest.raises(TypeError, match="one np.random.Generator or one integer seed"):
+            estimate_pauli(DensityOperator(np.eye(2, dtype=complex) / 2), 8, rng)
 
     def test_probabilities_must_be_a_stack(self):
         with pytest.raises(DimensionError, match="stack"):
-            sample_shots([0.5, 0.5], 8, [0, 1])
+            sample_shots([0.5, 0.5], 8, 0)
 
 
 class TestReadoutNoise:

@@ -10,20 +10,34 @@ that the check named for it no longer passes:
 - acceptance criterion 2c, the sign of the probe gain;
 - acceptance criterion 4, the closed-form qubit spectra;
 - the closed-form noisy dilation and the sweep oracle, against a wrong
-  depolarizing rate, pair or readout shrink.
+  depolarizing rate, pair or readout shrink;
+- the two shot-statistics gates, against samplers that repeat one generator
+  state, reuse one repeat's counts or draw half the shots.
 
 A refactor that merges the two sides of a check, or that checks only part
 of a stack, makes one of these pass silently and fails here.
 """
 
+import copy
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from _helpers import named_check, noisy_dilation_gap, probe_gain_sign_check, reality, scenario1_grid, sweep_oracle_gap
-from realmon import certify, circuits, cli, sweeps
+from _helpers import (
+    bloch_gate_passes,
+    bloch_shot_gate,
+    named_check,
+    noisy_dilation_gap,
+    probe_gain_sign_check,
+    reality,
+    scenario1_grid,
+    sweep_gate_passes,
+    sweep_oracle_gap,
+    sweep_shot_gate,
+)
+from realmon import certify, circuits, cli, noise, sweeps, tomography
 from realmon.certify import certify_circuits
 from realmon.channels import ComposedChannel, product_monitor
 from realmon.circuits import COUPLINGS, Circuit, epsilon_of_strength
@@ -171,3 +185,57 @@ def test_wrong_readout_shrink_fails_the_sweep_oracle(monkeypatch):
     flip = sweeps.confusion_from_flip
     monkeypatch.setattr(sweeps, "confusion_from_flip", lambda p: flip(p / 2))  # shrinks by 1 - p, not 1 - 2p
     assert sweep_oracle_gap(config) > 1e-12
+
+
+def fresh_copy_sampler():
+    """Every member draws from a fresh copy of the generator's state, which never advances.
+
+    The counts depend only on that state and the rows, so they are memoised on
+    both (the same counts a fresh draw would give, at a fraction of the cost).
+    """
+    drawn = {}
+
+    def sampler(probabilities, n_shots, rng):
+        p = np.asarray(probabilities, dtype=float)
+        key = (repr(rng.bit_generator.state), n_shots, p.tobytes())
+        if key not in drawn:
+            drawn[key] = np.stack([copy.deepcopy(rng).multinomial(n_shots, member) for member in p])
+        return drawn[key]
+
+    return sampler
+
+
+def reused_repeat_sampler():
+    """The first repeat's counts from each generator, handed back for every later repeat."""
+    first = {}
+
+    def sampler(probabilities, n_shots, rng):
+        if rng not in first:
+            first[rng] = noise.sample_shots(probabilities, n_shots, rng)
+        return first[rng]
+
+    return sampler
+
+
+def half_shot_sampler(probabilities, n_shots, rng):
+    """Half the shots, rescaled to look like the full count."""
+    return 2 * noise.sample_shots(probabilities, n_shots // 2, rng)
+
+
+SHOT_MUTANTS = {
+    "fresh-copy": fresh_copy_sampler,
+    "reused-repeat": reused_repeat_sampler,
+    "half-shots": lambda: half_shot_sampler,
+}
+SHOT_GATES = {
+    "bloch": (bloch_shot_gate, bloch_gate_passes),
+    "sweep": (sweep_shot_gate, sweep_gate_passes),
+}
+
+
+@pytest.mark.parametrize("gate", SHOT_GATES)
+@pytest.mark.parametrize("mutant", SHOT_MUTANTS)
+def test_broken_shot_sampler_fails_the_statistical_gate(monkeypatch, mutant, gate):
+    run, passes = SHOT_GATES[gate]
+    monkeypatch.setattr(tomography, "sample_shots", SHOT_MUTANTS[mutant]())
+    assert not passes(run())

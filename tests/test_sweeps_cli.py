@@ -194,6 +194,13 @@ class TestAnalyticSweeps:
         assert [r.epsilon for r in records] == [0.0, 0.5, 1.0]
         assert abs(records[1].theta_m - math.acos(0.5)) <= 1e-12
 
+    @pytest.mark.parametrize("path", ["analytic", "circuit", "noisy"])
+    @pytest.mark.parametrize("scenario", ["fig4a", "fig4b", "fig4c"])
+    def test_full_strength_cz_row_reads_epsilon_one(self, scenario, path):
+        records = run_sweep(make_config(scenario, points=3, path=path, shots=0))
+        assert records[-1].theta_m == math.pi / 2 and records[-1].epsilon == 1.0
+        assert render_csv(records).splitlines()[-1].split(",")[1] == "1.0"
+
 
 class TestCircuitPath:
     def test_circuit_path_matches_analytic(self):
@@ -243,14 +250,15 @@ class TestNoisyPath:
 
 
 def per_point_sweep(config):
-    """Reference for the circuit and noisy paths: one grid point, repeat and
-    state at a time, each through single-state circuit, tomography and
-    entropy calls."""
+    """Reference for the circuit and noisy paths: every grid point's four
+    states through single-state circuit calls, then one repeat, point and
+    state at a time through single-state tomography and entropy calls, all
+    drawing in that order from one generator seeded with the config seed."""
     rho = resolve_state(config.state)
     depolarizing = config.depolarizing if config.path == "noisy" else 0.0
     repeats = 1 if config.path == "circuit" or config.shots == 0 else config.repeats
-    records = []
-    for index, value in enumerate(config.grid_values):
+    points = []
+    for value in config.grid_values:
         monitor_axis, probe_axis = config.monitor_axis, config.probe_axis
         if config.grid_kind == "theta_m":
             theta_col = strength = value
@@ -269,23 +277,25 @@ def per_point_sweep(config):
         mon = run_circuit_density(build_monitor_circuit([monitor_axis], strength, config.coupling, depolarizing), rho)
         probe = run_circuit_density(probe_circ, rho)
         states = (rho, mon, probe, run_circuit_density(probe_circ, mon))
-        rows = []
-        for rep in range(repeats):
-            row = []
+        case = classify_case(observable_from_axis(*monitor_axis), observable_from_axis(*probe_axis), rho)
+        points.append((theta_col, eps, states, case))
+    rng = np.random.default_rng(config.seed)
+    confusion = confusion_from_flip(config.readout_flip)
+    entropies = np.empty((repeats, len(points), 4))
+    for rep in range(repeats):
+        for index, (_, _, states, _) in enumerate(points):
             for k, state in enumerate(states):
                 if config.path == "noisy":
-                    rng = np.random.default_rng([config.seed, index, rep, k])
-                    bloch = estimate_pauli(state, config.shots, rng, confusion_from_flip(config.readout_flip))
-                    state = reconstruct_state(bloch)
-                row.append(von_neumann_entropy(state))
-            rows.append(row)
-        s = np.array(rows)
+                    state = reconstruct_state(estimate_pauli(state, config.shots, rng, confusion))
+                entropies[rep, index, k] = von_neumann_entropy(state)
+    records = []
+    for index, (theta_col, eps, _, case) in enumerate(points):
+        s = entropies[:, index]
         gains = np.column_stack((s[:, 1] - s[:, 0], s[:, 2] + s[:, 1] - s[:, 0] - s[:, 3]))
         means = np.column_stack((gains, s)).mean(axis=0)
         se = [None, None]
         if config.path == "noisy":
             se = (gains.std(axis=0, ddof=1) / math.sqrt(len(s)) if len(s) > 1 else np.zeros(2)).tolist()
-        case = classify_case(observable_from_axis(*monitor_axis), observable_from_axis(*probe_axis), rho)
         records.append(SweepRecord(theta_col, eps, *means.tolist(), str(case), config.path, *se))
     return records
 

@@ -98,16 +98,16 @@ def _random_states(count, seed):
 
 
 class TestStackedTomography:
-    """A stack goes through the same code as one state, member by member."""
+    """A stack goes through the same code as one state, its members drawing in turn from one generator."""
 
     @pytest.mark.parametrize("noisy", [False, True], ids=["ideal-readout", "readout-flip"])
     @pytest.mark.parametrize("shots", [0, 8192])
     def test_stack_members_equal_single_calls_bitwise(self, shots, noisy):
         confusion = confusion_from_flip(DEFAULT_READOUT_FLIP) if noisy else None
         states = _random_states(200, 31)
-        rngs = [np.random.default_rng([k, shots]) for k in range(len(states))]
-        stacked = estimate_pauli(stack_states(states), shots, rngs, confusion)
-        single = [estimate_pauli(s, shots, np.random.default_rng([k, shots]), confusion) for k, s in enumerate(states)]
+        stacked = estimate_pauli(stack_states(states), shots, np.random.default_rng([31, shots]), confusion)
+        shared = np.random.default_rng([31, shots])
+        single = [estimate_pauli(s, shots, shared, confusion) for s in states]
         assert stacked.shape == (200, 3)
         assert [tuple(row) for row in stacked.tolist()] == single
         rebuilt = reconstruct_state(stacked)
@@ -118,7 +118,9 @@ class TestStackedTomography:
     def test_stack_with_clamped_members_equals_single_calls_bitwise(self):
         # pure states at 8192 shots and perfect readout overshoot the Bloch ball on about half the draws
         states = [density_from_pure(haar_pure_state(2, np.random.default_rng(k))) for k in range(40)]
-        bloch = estimate_pauli(stack_states(states), 8192, [np.random.default_rng(k) for k in range(40)])
+        bloch = estimate_pauli(stack_states(states), 8192, np.random.default_rng(40))
+        shared = np.random.default_rng(40)
+        assert [tuple(row) for row in bloch.tolist()] == [estimate_pauli(s, 8192, shared) for s in states]
         bloch = np.vstack((bloch, [[1.02, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, -0.7, 0.75]]))
         overlong = np.linalg.norm(bloch, axis=1) > 1.0
         assert 0 < overlong.sum() < len(bloch)
@@ -134,17 +136,32 @@ class TestStackedTomography:
         assert isinstance(bloch, tuple) and len(bloch) == 3
         assert reconstruct_state(bloch).batch is None
 
-    @pytest.mark.parametrize("rngs", [[0, 1], [0, 1, 2, 3], np.random.default_rng(0)], ids=["two", "four", "one"])
+    def test_single_state_draws_are_pinned(self):
+        # recorded when every member still had its own generator; one state's draw must not move
+        assert estimate_pauli(PLUS, 64, 0) == (1.0, 0.125, -0.15625)
+        rho = resolve_state("iplus")
+        assert estimate_pauli(rho, 65, 1, confusion_from_flip(0.03)) == (
+            -0.1076923076923077, 0.9692307692307692, -0.16923076923076924,
+        )
+        assert estimate_pauli(rho, 1000, np.random.default_rng([1, 3]), confusion_from_flip(0.03)) == (
+            -0.008, 0.958, 0.006,
+        )
+
+    @pytest.mark.parametrize(
+        "rngs", [[0, 1], [0, 1, 2, 3], (np.random.default_rng(0),)], ids=["two", "four", "one"]
+    )
     def test_generator_count_must_match_the_stack(self, rngs):
-        with pytest.raises(ValueError, match="3 generators"):
+        # the stack takes one generator or seed, never a sequence of them
+        with pytest.raises(TypeError, match="one np.random.Generator or one integer seed"):
             estimate_pauli(stack_states([PLUS, ZERO, PLUS]), 16, rngs)
 
     def test_tomography_errors_equal_the_per_seed_loop(self):
         rho = resolve_state("iplus")
         confusion = confusion_from_flip(DEFAULT_READOUT_FLIP)
+        shared = np.random.default_rng(4)
         want = []
-        for k in range(30):
-            rec = reconstruct_state(estimate_pauli(rho, 256, np.random.default_rng([4, k]), confusion))
+        for _ in range(30):
+            rec = reconstruct_state(estimate_pauli(rho, 256, shared, confusion))
             want.append(float(np.abs(rec.matrix - rho.matrix).max()))
         assert tomography_errors("iplus", 256, 30, 4, True)["errors"] == want
 
