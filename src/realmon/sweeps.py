@@ -12,7 +12,9 @@ intensity columns and (N, 2) monitor and probe axes, one
 ``observable_from_axis`` call per axis builds each observable stack, the
 circuit paths build one stack of monitor circuits and one of probe
 circuits and make three stacked runs, and one ``classify_case`` call
-labels every point.
+labels every point.  The noisy path draws whole repeats of that stack
+together: one ``estimate_pauli`` call, reconstruction and entropy call per
+chunk of repeats.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .observables import observable_from_axis
 from .output import write_json
 from .reality import classify_case, reality_report
 from .states import DensityOperator, von_neumann_entropy
-from .tomography import estimate_pauli, reconstruct_state
+from .tomography import SEED_CHUNK, estimate_pauli, reconstruct_state
 
 # The benchmark in perfbench/ reads these names from realmon.sweeps, so they are re-exported here.
 from .certify import certify_circuits  # noqa: F401
@@ -93,18 +95,23 @@ def _circuit_states(config, rho, strength, monitor_axes, probe_axes) -> DensityO
 def _tomography_entropies(config, states: DensityOperator) -> np.ndarray:
     """(repeats, N, 4) entropies of the stacked states' tomographic reconstructions.
 
-    Each repeat estimates, reconstructs and takes the entropy of the whole
-    stack at once, so only one repeat's states are held at a time.  One
-    generator seeded ``config.seed`` serves every repeat in turn, and within
-    a repeat the stack draws in (point, state) order.
+    The repeats run in chunks of whole repeats, each holding at most
+    ``SEED_CHUNK`` states (or one repeat, where a repeat alone is larger),
+    so memory stays flat in the repeat count.  A chunk makes one
+    ``estimate_pauli`` call over its repeats, then one stacked
+    reconstruction and one entropy call.  One generator seeded
+    ``config.seed`` serves every chunk in turn, and the draws run in
+    (repeat, point, state) order, so the chunk size changes no draw.
     """
     repeats = 1 if config.shots == 0 else config.repeats
+    per_chunk = max(1, SEED_CHUNK // states.batch)
     confusion = confusion_from_flip(config.readout_flip)
     rng = np.random.default_rng(config.seed)
     entropies = []
-    for _ in range(repeats):
-        entropies.append(von_neumann_entropy(reconstruct_state(estimate_pauli(states, config.shots, rng, confusion))))
-    return np.stack(entropies).reshape(repeats, -1, 4)
+    for start in range(0, repeats, per_chunk):
+        bloch = estimate_pauli(states, config.shots, rng, confusion, repeats=min(per_chunk, repeats - start))
+        entropies.append(von_neumann_entropy(reconstruct_state(bloch.reshape(-1, 3))))
+    return np.concatenate(entropies).reshape(repeats, -1, 4)
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRecord]:
@@ -169,5 +176,8 @@ def sweep_metadata(config: SweepConfig) -> dict:
 def emit_json(records: list[SweepRecord], config: SweepConfig, path: str):
     if not records:
         raise ConfigError("records: nothing to emit")
-    payload = {"metadata": sweep_metadata(config), "records": [asdict(r) for r in records]}
+    payload = {
+        "metadata": sweep_metadata(config),
+        "records": [{name: getattr(r, name) for name in _CSV_FIELDS} for r in records],
+    }
     write_json(path, payload)

@@ -8,12 +8,15 @@ rebuild the state from the empirical Bloch vector with an eigenvalue
 clamp-and-renormalize repair.  A shot count of zero is the infinite-shot
 sentinel (exact expectations).  Both steps take one state or a stack; a
 stack draws all of its counts from one generator, member after member.
+``estimate_pauli`` also takes a repeat count: the probabilities are
+computed once and every repeat of the stack is drawn in the same call.
 
 ``tomography_errors`` reconstructs one state over many repetitions drawn in
-order from one generator, in stacks of at most ``SEED_CHUNK`` repetitions
-so that memory stays flat in the repetition count (the chunk size changes
-no draw), and summarises the reconstruction errors (the ``tomo-sim``
-command); with readout noise it uses the default readout flip.
+order from one generator, one repeated ``estimate_pauli`` call per chunk of
+at most ``SEED_CHUNK`` repetitions so that memory stays flat in the
+repetition count (the chunk size changes no draw), and summarises the
+reconstruction errors (the ``tomo-sim`` command); with readout noise it
+uses the default readout flip.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .config import DEFAULT_SHOTS, MAX_SEEDS, ConfigError, check_seed, check_sho
 from .linalg import DimensionError, dagger
 from .noise import DEFAULT_READOUT_FLIP, apply_readout_noise, check_probabilities, confusion_from_flip, sample_shots
 from .observables import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
-from .states import DensityOperator, stack_states
+from .states import DensityOperator
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 _HADAMARD = np.array([[_SQRT1_2, _SQRT1_2], [_SQRT1_2, -_SQRT1_2]], dtype=complex)
@@ -34,10 +37,12 @@ _SDG = np.array([[1.0, 0.0], [0.0, -1j]], dtype=complex)
 # R sigma_axis R† = sigma_z, so diag(R rho R†) are the axis outcome probabilities (x, y, z).
 _AXIS_ROTATIONS = np.stack((_HADAMARD, _HADAMARD @ _SDG, IDENTITY_2))
 _AXIS_ROTATIONS_DAG = _AXIS_ROTATIONS.conj().transpose(0, 2, 1)
-SEED_CHUNK = 4096  # repetitions per stack in tomography_errors
+SEED_CHUNK = 4096  # states per draw in tomography_errors and the noisy sweep
 
 
-def estimate_pauli(rho: DensityOperator, shots: int, rng, confusion: np.ndarray | None = None):
+def estimate_pauli(
+    rho: DensityOperator, shots: int, rng, confusion: np.ndarray | None = None, repeats: int | None = None
+):
     """The empirical Bloch vector of a qubit state, from ``shots`` samples per Pauli axis.
 
     ``rng`` is one ``np.random.Generator`` or one integer seed.  One state
@@ -46,20 +51,34 @@ def estimate_pauli(rho: DensityOperator, shots: int, rng, confusion: np.ndarray 
     member k after members 0..k-1 have drawn from the same generator.
     ``confusion`` is the measured qubit's column-stochastic 2x2 readout
     matrix, or None for perfect readout.
+
+    ``repeats`` R draws R tomography repeats of the same states: the outcome
+    probabilities are computed once and every repeat's rows are drawn in
+    the same ``sample_shots`` call, repeat-major, so the counts equal R
+    consecutive calls on the same generator.  It gives an (R, N, 3) array,
+    or (R, 3) for one state.
     """
     if rho.dim != 2:
         raise DimensionError(f"single-qubit tomography needs dim 2, got {rho.dim}")
     check_shots(shots)
+    if repeats is not None and not (is_integer(repeats) and repeats >= 1):
+        raise ConfigError(f"repeats: must be a positive integer, got {repeats!r}")
     rotated = _AXIS_ROTATIONS @ rho.matrix.reshape(-1, 1, 2, 2) @ _AXIS_ROTATIONS_DAG
     p = np.clip(np.diagonal(rotated, axis1=-2, axis2=-1).real, 0.0, None)
     p = p / p.sum(axis=-1, keepdims=True)
-    p = check_probabilities(p) if confusion is None else apply_readout_noise(p, confusion)
+    if confusion is not None:
+        p = apply_readout_noise(p, confusion)
+    if repeats is not None:
+        p = np.broadcast_to(p, (repeats, *p.shape))
     if shots == 0:
+        check_probabilities(p)  # sample_shots checks the rows it draws, so only this path checks here
         means = p[..., 0] - p[..., 1]
     else:
         counts = sample_shots(p, shots, rng)
         means = (counts[..., 0] - counts[..., 1]) / shots
-    return tuple(float(m) for m in means[0]) if rho.batch is None else means
+    if rho.batch is not None:
+        return means
+    return tuple(float(m) for m in means[0]) if repeats is None else means[:, 0]
 
 
 def reconstruct_state(bloch) -> DensityOperator:
@@ -99,8 +118,7 @@ def tomography_errors(state: str, shots: int, seeds: int, seed: int, noisy: bool
     rng = np.random.default_rng(seed)
     errors = []
     for start in range(0, seeds, SEED_CHUNK):
-        chunk = stack_states([rho] * min(SEED_CHUNK, seeds - start))
-        rec = reconstruct_state(estimate_pauli(chunk, shots, rng, confusion))
+        rec = reconstruct_state(estimate_pauli(rho, shots, rng, confusion, min(SEED_CHUNK, seeds - start)))
         errors += np.abs(rec.matrix - rho.matrix).max(axis=(1, 2)).tolist()
     ranked = sorted(errors)
     summary = {

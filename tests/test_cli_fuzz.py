@@ -104,7 +104,11 @@ def guarded(monkeypatch, tmp_path):
     guard(cli_mod, "run_sweep", lambda c: len(c.grid_values) <= 5 and c.repeats <= 3 and c.shots <= 64)
     guard(verify_mod, "_per_dimension", lambda section, dims, trials, *rest: trials <= 3 and max(dims, default=2) <= 4)
     guard(certify_mod, "_extract_and_compare", lambda coupling, members: len(members) <= 9)
-    guard(tomography_mod, "estimate_pauli", lambda rho, *rest: rho.batch <= 5)
+    guard(
+        tomography_mod,
+        "estimate_pauli",
+        lambda rho, shots, rng, confusion=None, repeats=None: (rho.batch or 1) * (repeats or 1) <= 5,
+    )
 
 
 def exit_code(argv, capsys) -> int:

@@ -206,13 +206,19 @@ def fresh_copy_sampler():
 
 
 def reused_repeat_sampler():
-    """The first repeat's counts from each generator, handed back for every later repeat."""
+    """The first repeat's counts from each generator, handed back for every later repeat.
+
+    A stacked call's rows are (repeats, N, 3, 2), so within a call repeat 0's
+    rows stand in for every repeat, and later calls on the same generator get
+    them again.
+    """
     first = {}
 
     def sampler(probabilities, n_shots, rng):
+        p = np.asarray(probabilities, dtype=float)
         if rng not in first:
-            first[rng] = noise.sample_shots(probabilities, n_shots, rng)
-        return first[rng]
+            first[rng] = noise.sample_shots(p[0] if p.ndim == 4 else p, n_shots, rng)
+        return np.broadcast_to(first[rng], p.shape)
 
     return sampler
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -325,6 +326,61 @@ class TestBatchedEngineMatchesPerPointLoop:
     def test_csv_bytes_equal(self, scenario, overrides):
         config = make_config(scenario, points=9, **overrides)
         assert render_csv(run_sweep(config)) == render_csv(per_point_sweep(config))
+
+
+# sha256 of outputs recorded before a noisy sweep drew all of its repeats in one call
+FIG4A_NOISY_CSV_SHA256 = "37d6494df559906d6ff6f50fdeb89e87153160d062553683fda3d2c5cf2f98f6"
+FIG4A_NOISY_JSON_SHA256 = "879c10ac1f902e7e7532ece507d44062f17e7546df8e789c913c1938466d8fc4"
+TOMO_SIM_NOISY_5000_SEEDS_SHA256 = "70290346d18fed0f24b0056e02c321c77129c5e0be058c81a3a5501bcaf13571"
+
+
+class TestRepeatChunks:
+    """A noisy sweep draws its repeats in chunks of whole repeats, one draw per chunk."""
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        """The shape of every probability stack handed to ``sample_shots``."""
+        import realmon.noise as noise_mod
+        import realmon.tomography as tomography_mod
+
+        shapes = []
+
+        def spy(probabilities, n_shots, rng):
+            shapes.append(np.shape(probabilities))
+            return noise_mod.sample_shots(probabilities, n_shots, rng)
+
+        monkeypatch.setattr(tomography_mod, "sample_shots", spy)
+        return shapes
+
+    @pytest.mark.parametrize(
+        "chunk, per_call",
+        [(None, [10]), (3 * 132 + 5, [3, 3, 3, 1]), (7, [1] * 10)],
+        ids=["default", "three-repeats", "under-one-repeat"],
+    )
+    def test_split_run_gives_the_same_csv_with_one_draw_per_chunk(self, monkeypatch, draws, chunk, per_call):
+        import realmon.sweeps as sweeps_mod
+
+        config = make_config("fig4a", path="noisy")
+        whole = render_csv(run_sweep(config))
+        draws.clear()
+        if chunk is not None:
+            monkeypatch.setattr(sweeps_mod, "SEED_CHUNK", chunk)
+        assert render_csv(run_sweep(config)) == whole
+        assert draws == [(r, 132, 3, 2) for r in per_call]
+
+    def test_default_fig4a_noisy_outputs_are_pinned(self, tmp_path):
+        config = make_config("fig4a", path="noisy")
+        records = run_sweep(config)
+        assert hashlib.sha256(render_csv(records).encode()).hexdigest() == FIG4A_NOISY_CSV_SHA256
+        emit_json(records, config, str(tmp_path / "fig4a.json"))
+        assert hashlib.sha256((tmp_path / "fig4a.json").read_bytes()).hexdigest() == FIG4A_NOISY_JSON_SHA256
+
+    def test_tomo_sim_across_a_chunk_boundary_is_pinned(self, tmp_path, capsys):
+        import realmon.cli as cli_mod
+
+        out = tmp_path / "tomo.json"
+        assert cli_mod.main(["tomo-sim", "--noisy", "--seeds", "5000", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == TOMO_SIM_NOISY_5000_SEEDS_SHA256
 
 
 ORACLE_PATHS = {

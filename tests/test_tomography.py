@@ -131,6 +131,30 @@ class TestStackedTomography:
         assert (von_neumann_entropy(rebuilt) == [von_neumann_entropy(one) for one in singles]).all()
         assert rebuilt.eigenvalues()[:, 0].min() >= -1e-15
 
+    @pytest.mark.parametrize("noisy", [False, True], ids=["ideal-readout", "readout-flip"])
+    @pytest.mark.parametrize("shots", [0, 8192])
+    @pytest.mark.parametrize("stacked", [False, True], ids=["one-state", "stack"])
+    def test_repeats_equal_consecutive_calls_bitwise(self, stacked, shots, noisy):
+        confusion = confusion_from_flip(DEFAULT_READOUT_FLIP) if noisy else None
+        rho = stack_states(_random_states(50, 9)) if stacked else resolve_state("iplus")
+        rng, shared = np.random.default_rng(9), np.random.default_rng(9)
+        got = estimate_pauli(rho, shots, rng, confusion, repeats=4)
+        want = np.array([estimate_pauli(rho, shots, shared, confusion) for _ in range(4)])
+        assert got.shape == want.shape == ((4, 50, 3) if stacked else (4, 3))
+        assert (got == want).all()
+        assert rng.bit_generator.state == shared.bit_generator.state
+
+    @pytest.mark.parametrize("repeats", [0, -1, 2.0, True, "3"])
+    def test_repeats_must_be_a_positive_integer(self, repeats):
+        with pytest.raises(ConfigError, match="repeats"):
+            estimate_pauli(PLUS, 64, 0, repeats=repeats)
+
+    def test_non_finite_state_rejected_when_drawing(self):
+        # the finite-shot path leaves the check to the sampler, which names the row
+        nan_state = DensityOperator(np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex), validate=False)
+        with pytest.raises(ValueError, match="non-finite probability in row"):
+            estimate_pauli(nan_state, 64, 0, repeats=3)
+
     def test_single_state_still_returns_a_tuple_and_a_state(self):
         bloch = estimate_pauli(PLUS, 64, np.random.default_rng(3))
         assert isinstance(bloch, tuple) and len(bloch) == 3
