@@ -2,9 +2,10 @@
 
 Each coupling and width is one stack of circuits, extracted in one pass,
 and one stack of analytic ``product_monitor`` references built from the
-same angle arrays; one array difference compares every member with its
-own reference.  The CNOT intensity mapping is certified on its own, from
-the damping factor of the extracted channel.  Each of these comparisons is
+same angle arrays as tensor products of one-qubit superoperators, with no
+gate run; one array difference compares every member with its own
+reference.  The CNOT intensity mapping is certified on its own, from the
+damping factor of the extracted channel.  Each of these comparisons is
 one check of an ``output.CheckReport``, held to its own bound.
 """
 

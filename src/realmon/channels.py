@@ -8,11 +8,11 @@ S[i*d+j, k*d+l] = channel(E_kl)[i, j].  ``to_superoperator`` builds it from
 any channel's own ``apply_matrix``, fed all d^2 units as one stack.
 
 Each channel is one, or a stack of N with ``batch`` N as circuits are:
-under N observables (projectors (N, k, d, d)) or N intensities, built by
-``product_monitor`` from (N,) angle arrays.  A channel acts on a (d, d)
-matrix or an (N, d, d) stack, with one batched matrix product per outcome;
-each member's image equals its image alone, and ``to_superoperator``
-extracts a stack the way it extracts a circuit stack.
+under N observables (projectors (N, k, d, d)) or N intensities.  A
+channel acts on a (d, d) matrix or an (N, d, d) stack, with one batched
+matrix product per outcome; each member's image equals its image alone,
+and ``to_superoperator`` extracts a stack the way it extracts a circuit
+stack.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DimensionError
-from .observables import ProjectiveObservable, observable_on_qubit
+from .observables import ProjectiveObservable, observable_from_axis
 from .states import DensityOperator
 
 
@@ -150,21 +150,25 @@ def to_superoperator(ch) -> Superoperator:
     return Superoperator(d, np.ascontiguousarray(np.moveaxis(columns, 0, -1)))
 
 
-def product_monitor(bases, epsilon) -> ComposedChannel | MonitoringChannel:
-    """Per-qubit monitoring of a product basis on an n-qubit register.
+def product_monitor(bases, epsilon) -> Superoperator:
+    """Superoperator of per-qubit monitoring of a product basis on an n-qubit register.
 
-    ``bases`` lists one (theta, phi) axis per qubit; the result is the
-    composition of the commuting single-qubit monitoring channels, which is
-    what one ancilla per qubit implements.  One qubit gives one stage.  As
-    in ``circuits.build_monitor_circuit``, any angle given as an (N,) array,
-    or an (N,) ``epsilon``, makes a stack of N channels, member k built from
-    the k-th entries.
+    ``bases`` lists one (theta, phi) axis per qubit, qubit 0 the most
+    significant.  One ancilla per qubit implements the tensor product of
+    the one-qubit maps: entry ((i, j), (k, l)) is the product over q of
+    qubit q's ((i_q, j_q), (k_q, l_q)), formed in one ``einsum``.  As in
+    ``circuits.build_monitor_circuit``, (N,) angle or ``epsilon`` arrays
+    make a stack of N, member k built from the k-th entries.
     """
     n = len(bases)
     if n < 1:
         raise DimensionError("need at least one qubit basis")
-    channel = None
-    for q, (theta, phi) in enumerate(bases):
-        stage = MonitoringChannel(observable_on_qubit(n, q, theta, phi), epsilon)
-        channel = stage if channel is None else ComposedChannel(stage, channel)
-    return channel
+    factors = [to_superoperator(MonitoringChannel(observable_from_axis(t, p), epsilon)).matrix for t, p in bases]
+    sizes = {f.shape[0] for f in factors if f.ndim == 3}
+    if len(sizes) > 1:
+        raise DimensionError(f"qubit stack sizes differ: {sorted(sizes)}")
+    axes = np.arange(4 * n).reshape(n, 4)  # qubit q's (i_q, j_q, k_q, l_q)
+    operands = [x for f, ax in zip(factors, axes.tolist()) for x in (f.reshape(f.shape[:-2] + (2,) * 4), [..., *ax])]
+    full = np.einsum(*operands, [..., *axes.T.ravel().tolist()])
+    d = 2**n
+    return Superoperator(d, full.reshape(full.shape[: -4 * n] + (d * d, d * d)))

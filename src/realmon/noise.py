@@ -40,25 +40,33 @@ def _first_bad_row(p: np.ndarray, bad: np.ndarray) -> str:
     return (f" in row {index}" if index else "") + f": {p[index].tolist()}"
 
 
+def _distinct_rows(p: np.ndarray) -> np.ndarray:
+    """``p`` with each broadcast (zero-stride) axis but the last cut to length 1."""
+    return p[tuple(slice(0, 1) if stride == 0 else slice(None) for stride in p.strides[:-1])]
+
+
 def check_probabilities(probabilities) -> np.ndarray:
     """Outcome probabilities as rows along the last axis, each checked to be
     finite, nonnegative (to 1e-12) and summing to 1 (else ``ValueError``
-    naming the first bad row's index and values, not the whole stack)."""
+    naming the first bad row's index and values, not the whole stack); a row
+    repeated along a broadcast axis is checked once, named at index 0 there."""
     p = np.asarray(probabilities, dtype=float)
-    if not np.isfinite(p).all():
-        raise ValueError(f"non-finite probability{_first_bad_row(p, ~np.isfinite(p).all(axis=-1))}")
-    if (p < -1e-12).any():
-        raise ValueError(f"negative probability{_first_bad_row(p, (p < -1e-12).any(axis=-1))}")
-    off = np.abs(p.sum(axis=-1) - 1.0) > PROB_SUM_TOL
+    rows = _distinct_rows(p)
+    if not np.isfinite(rows).all():
+        raise ValueError(f"non-finite probability{_first_bad_row(rows, ~np.isfinite(rows).all(axis=-1))}")
+    if (rows < -1e-12).any():
+        raise ValueError(f"negative probability{_first_bad_row(rows, (rows < -1e-12).any(axis=-1))}")
+    off = np.abs(rows.sum(axis=-1) - 1.0) > PROB_SUM_TOL
     if off.any():
-        raise ValueError(f"probabilities must sum to 1{_first_bad_row(p, off)}")
+        raise ValueError(f"probabilities must sum to 1{_first_bad_row(rows, off)}")
     return p
 
 
 def _validated_probabilities(probabilities) -> np.ndarray:
-    """Outcome probabilities as rows along the last axis, each checked and renormalised."""
-    p = np.clip(check_probabilities(probabilities), 0.0, None)
-    return p / p.sum(axis=-1, keepdims=True)
+    """Outcome probabilities as rows along the last axis, each distinct row checked and renormalised once."""
+    p = check_probabilities(probabilities)
+    rows = np.clip(_distinct_rows(p), 0.0, None)
+    return np.broadcast_to(rows / rows.sum(axis=-1, keepdims=True), p.shape)
 
 
 def sample_shots(probabilities, n_shots: int, rng) -> np.ndarray:
@@ -69,7 +77,7 @@ def sample_shots(probabilities, n_shots: int, rng) -> np.ndarray:
     call, so the counts equal one-member-at-a-time calls on the same
     generator and are deterministic for a given generator state or seed.
     A list or tuple (one generator or seed per member) is a ``TypeError``.
-    The whole stack is checked once.
+    Each distinct row of the stack is checked once.
     """
     p = _validated_probabilities(probabilities)
     if p.ndim < 2:

@@ -5,8 +5,8 @@ An observable is stored as a tuple of real eigenvalues matched with a
 by projectors of rank equal to the eigenvalue multiplicity.  The same type
 holds a stack of N observables of one dimension and outcome count, (N, k)
 eigenvalues with (N, k, d, d) projectors, one per member of a state stack.
-``observable_from_axis`` and ``observable_on_qubit`` build one observable
-from numbers or a stack from (N,) angle arrays, through the same code;
+``observable_from_axis`` builds one qubit observable from numbers or a
+stack from (N,) angle arrays, through the same code;
 ``observable_from_basis`` builds one from a (d, d) basis or a stack from
 (N, d, d) bases.
 ``commutes`` and ``is_mutually_unbiased`` take one observable or a stack on
@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .linalg import DimensionError, hermiticity_defect, tensor_product, within_tol
+from .linalg import DimensionError, hermiticity_defect, within_tol
 
 PROJECTOR_TOL = 1e-10
 COMPLETENESS_TOL = 1e-10
@@ -175,21 +175,6 @@ def is_mutually_unbiased(x: ProjectiveObservable, x2: ProjectiveObservable) -> b
         )
     overlaps = np.einsum("...jab,...kba->...jk", x.projectors, x2.projectors).real
     return within_tol(overlaps - 1.0 / x.dim, MU_TOL)
-
-
-def observable_on_qubit(n_qubits: int, qubit: int, theta, phi=0.0) -> ProjectiveObservable:
-    """Single-qubit axis observable embedded in an ``n_qubits`` register,
-    or a stack of them for (N,) angle arrays.
-
-    Projectors have rank 2**(n_qubits-1); eigenvalues stay (+1, -1).
-    """
-    if not 0 <= qubit < n_qubits:
-        raise DimensionError(f"qubit {qubit} out of range for {n_qubits} qubits")
-    base = observable_from_axis(theta, phi)
-    left = np.eye(2**qubit, dtype=complex)
-    right = np.eye(2 ** (n_qubits - qubit - 1), dtype=complex)
-    projs = tensor_product(tensor_product(left, base.projectors), right)
-    return ProjectiveObservable(base.eigenvalues, projs, validate=False)
 
 
 def observable_from_basis(columns: np.ndarray, eigenvalues) -> ProjectiveObservable:

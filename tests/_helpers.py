@@ -6,6 +6,7 @@ runs live here, so that both tests run the same check.  They look
 module reaches them.
 """
 
+import functools
 import json
 import math
 import os
@@ -14,9 +15,10 @@ import numpy as np
 
 import realmon.reality as reality
 from realmon import sweeps
-from realmon.channels import ComposedChannel, product_monitor, to_superoperator
+from realmon.channels import ComposedChannel, MonitoringChannel, product_monitor, to_superoperator
 from realmon.circuits import build_monitor_circuit, epsilon_of_strength
 from realmon.config import make_config, resolve_state
+from realmon.linalg import tensor_product
 from realmon.noise import confusion_from_flip
 from realmon.observables import ProjectiveObservable, observable_from_axis, pauli_observable
 from realmon.states import DensityOperator, entropy_of_probabilities
@@ -39,6 +41,25 @@ def members(stack) -> list:
     if isinstance(stack, DensityOperator):
         return [DensityOperator(m, validate=False) for m in stack.matrix]
     return [ProjectiveObservable(v, p, validate=False) for v, p in zip(stack.eigenvalues, stack.projectors)]
+
+
+def observable_on_qubit(n_qubits, qubit, theta, phi=0.0):
+    """Single-qubit axis observable embedded in an ``n_qubits`` register, or a
+    stack of them for (N,) angle arrays: projectors of rank 2**(n_qubits-1),
+    eigenvalues (+1, -1)."""
+    base = observable_from_axis(theta, phi)
+    left, right = np.eye(2**qubit), np.eye(2 ** (n_qubits - qubit - 1))
+    projectors = tensor_product(tensor_product(left, base.projectors), right)
+    return ProjectiveObservable(base.eigenvalues, projectors, validate=False)
+
+
+def composed_product_monitor(bases, epsilon, reverse=False):
+    """The full-register oracle of ``product_monitor``: one ``MonitoringChannel``
+    per qubit, stage q monitoring ``observable_on_qubit(n, q, ...)``, composed
+    with qubit 0's stage first, or last when ``reverse``."""
+    n = len(bases)
+    stages = [MonitoringChannel(observable_on_qubit(n, q, t, p), epsilon) for q, (t, p) in enumerate(bases)]
+    return functools.reduce(lambda inner, outer: ComposedChannel(outer, inner), stages[::-1] if reverse else stages)
 
 
 CNOT_MAPPING_CHECK = "CNOT mapping vs 1 - sin(theta_m)"

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from _helpers import maximally_mixed
+from _helpers import composed_product_monitor, maximally_mixed
 from realmon.channels import (
     ComposedChannel,
     MonitoringChannel,
@@ -236,12 +236,24 @@ class TestProductMonitor:
                         damp = (1 - eps) ** ((i != k) + (j != l))
                         assert abs(s[row, row] - damp) <= 1e-12
 
-    def test_composition_is_commuting(self):
-        a = product_monitor([(0.2, 0.0), (1.0, 0.5)], 0.3)
-        b = ComposedChannel(
-            MonitoringChannel(a.inner.observable, 0.3), MonitoringChannel(a.outer.observable, 0.3)
-        )
-        assert channels_equal(a, b)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_equals_the_composed_full_register_stages_in_either_order(self, n):
+        rng = np.random.default_rng(50 + n)
+        thetas, phis = rng.uniform(0, math.pi, (n, 5)), rng.uniform(-math.pi, math.pi, (n, 5))
+        bases = list(zip(thetas, phis))
+        bases[0] = (float(thetas[0, 0]), phis[0])  # a number with an array
+        if n > 1:
+            bases[-1] = (float(thetas[-1, 0]), float(phis[-1, 0]))  # numbers only
+        eps = rng.random(5)
+        product = product_monitor(bases, eps)
+        assert isinstance(product, Superoperator) and product.matrix.shape == (5, 4**n, 4**n)
+        for reverse in (False, True):
+            oracle = to_superoperator(composed_product_monitor(bases, eps, reverse)).matrix
+            assert np.abs(product.matrix - oracle).max() <= 1e-14
+
+    def test_qubit_stacks_must_share_a_size(self):
+        with pytest.raises(DimensionError, match=r"qubit stack sizes differ: \[2, 3\]"):
+            product_monitor([(np.zeros(3), 0.0), (np.zeros(2), 0.0)], 0.5)
 
 
 def test_superoperator_is_dataclass_with_dim():

@@ -93,6 +93,16 @@ class TestSampleShots:
         assert len(str(caught.value)) < 200
         assert "(2741, 1)" in str(caught.value)
 
+    def test_a_broadcast_stack_is_checked_once_per_distinct_row(self):
+        p = np.full((5, 3, 2), 0.5)
+        p[4, 2] = [0.5, 0.6]
+        with pytest.raises(ValueError, match="sum") as caught:
+            sample_shots(np.broadcast_to(p, (10, 5, 3, 2)), 8, 0)
+        assert "(0, 4, 2)" in str(caught.value)
+        p[4, 2] = [0.25, 0.75]
+        repeated = np.broadcast_to(p, (10, 5, 3, 2))
+        assert np.array_equal(sample_shots(repeated, 64, 3), sample_shots(repeated.copy(), 64, 3))
+
     def test_shot_count_positive(self):
         with pytest.raises(ValueError):
             sample_shots([[1.0, 0.0]], 0, 0)

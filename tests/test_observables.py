@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from _helpers import observable_on_qubit
 from realmon.linalg import DimensionError, dagger, hermitian_eig, tensor_product
 from realmon.observables import (
     DEGENERACY_TOL,
@@ -14,7 +15,6 @@ from realmon.observables import (
     commutes,
     is_mutually_unbiased,
     observable_from_axis,
-    observable_on_qubit,
     pauli_observable,
     stack_observables,
     standard_mub_observables,

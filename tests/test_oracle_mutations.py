@@ -3,8 +3,9 @@
 Each test injects one small fault into one side of a comparison and asserts
 that the check named for it no longer passes:
 
-- circuit certification (the analytic channel algebra, the compiled circuit
-  stacks, the intensity mapping, or the order of the reference stack);
+- circuit certification (the qubit order of the analytic product map, the
+  compiled circuit stacks, the intensity mapping, or the order of the
+  reference stack);
 - verify-cases' four-entropy identity between the sequential and the
   composed-channel routes;
 - acceptance criterion 2c, the sign of the probe gain;
@@ -54,12 +55,15 @@ def test_unfaulted_certification_passes():
     assert certify_circuits(3).ok
 
 
-def test_perturbed_composed_channel_is_caught(monkeypatch):
-    apply = ComposedChannel.apply_matrix
-    monkeypatch.setattr(ComposedChannel, "apply_matrix", lambda self, mat: apply(self, mat) + 1e-8)
+def test_reference_factors_in_reversed_qubit_order_are_caught(monkeypatch):
+    def reversed_factors(bases, epsilon):
+        return product_monitor(bases[::-1], epsilon)  # qubit q's factor lands on qubit n-1-q
+
+    monkeypatch.setattr(certify, "product_monitor", reversed_factors)
     report = certify_circuits(3)
     assert not report.ok
-    assert named_check(report, "n=2 CZ")["worst"] > 1e-10 and named_check(report, "n=1 CZ")["worst"] < 1e-14
+    assert named_check(report, "n=2 CZ")["worst"] > 1e-10 and named_check(report, "n=3 CZ smoke")["worst"] > 1e-9
+    assert named_check(report, "n=1 CZ")["worst"] < 1e-14
 
 
 def test_error_in_one_member_of_a_circuit_stack_is_caught(monkeypatch):

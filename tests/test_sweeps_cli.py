@@ -463,8 +463,9 @@ class TestOneBuildPerStack:
         run_sweep(make_config(scenario, points=5, path=path, shots=64, repeats=2))
         assert calls == [(5,), (5,)]
 
-    def test_certify_makes_five_extractions_and_five_references(self, monkeypatch):
+    def test_certify_makes_five_extractions_and_one_reference_factor_per_qubit(self, monkeypatch):
         import realmon.certify as certify_mod
+        import realmon.channels as channels_mod
         import realmon.circuits as circuits_mod
 
         calls = []
@@ -473,12 +474,15 @@ class TestOneBuildPerStack:
             calls.append((type(channel).__name__, channel.batch))
             return to_superoperator(channel)
 
-        for module in (certify_mod, circuits_mod):
+        for module in (certify_mod, channels_mod, circuits_mod):
             monkeypatch.setattr(module, "to_superoperator", counting)
         assert certify_circuits(17).ok
-        # per coupling, widths 1 and 2: a circuit stack of 51, then its reference stack; then the smoke test
-        per_coupling = [("Circuit", 51), ("MonitoringChannel", 51), ("Circuit", 51), ("ComposedChannel", 51)]
-        assert calls == per_coupling * 2 + [("Circuit", 3), ("ComposedChannel", 3)]
+        # per coupling and width n: a circuit stack of 51, then n one-qubit
+        # factor stacks, then certify's call on the finished reference stack
+        def width(n, members):
+            return [("Circuit", members)] + [("MonitoringChannel", members)] * n + [("Superoperator", members)]
+
+        assert calls == (width(1, 51) + width(2, 51)) * 2 + width(3, 3)
 
 
 class TestEmission:
@@ -1008,3 +1012,33 @@ class TestCLI:
 
         monkeypatch.setattr(cli_mod, "verify_cases", lambda **kw: FailingReport())
         assert cli_mod.main(["verify-cases", "--trials", "1"]) == 2
+
+
+WORKFLOW = os.path.join(REPO, ".github", "workflows", "tier1.yml")
+
+
+def packaging_smoke_commands():
+    """The ``realmon ...`` lines of the workflow's packaging smoke step, split into arguments."""
+    with open(WORKFLOW) as f:
+        lines = [line.strip() for line in f]
+    step = lines.index("- name: Packaging smoke test")
+    end = next(i for i in range(step + 1, len(lines)) if lines[i].startswith("- name:"))
+    return [line.split() for line in lines[step + 1 : end] if line.startswith("realmon ")]
+
+
+def test_workflow_smoke_commands_exit_0(tmp_path, monkeypatch, capsys):
+    # the CI step runs these through the installed entry point; here they run through cli.main
+    import realmon.cli as cli_mod
+
+    commands = packaging_smoke_commands()
+    assert ["realmon", "--version"] in commands and len(commands) >= 6
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        try:
+            code = cli_mod.main(argv[1:])
+        except SystemExit as exc:  # argparse's --version exits after printing
+            code = exc.code
+        out = capsys.readouterr().out
+        assert code == 0, " ".join(argv)
+        if argv[1:] == ["--version"]:
+            assert out == "realmon 0.1.0\n"
