@@ -17,7 +17,7 @@ import numpy as np
 
 from .channels import product_monitor, to_superoperator
 from .circuits import COUPLINGS, build_monitor_circuit, epsilon_of_strength, extract_channel
-from .config import MAX_RESOLUTION, ConfigError, check_seed, is_integer
+from .config import MAX_RESOLUTION, check_integer
 from .output import CheckReport, check
 
 CNOT_MAPPING_NOTE = (
@@ -54,9 +54,8 @@ def certify_circuits(resolution: int = 17, seed: int = 11, include_three_qubit: 
     at three strengths with CZ coupling.  The CNOT mapping reuses the
     one-qubit z-basis CNOT channels extracted here.
     """
-    if not (is_integer(resolution) and 2 <= resolution <= MAX_RESOLUTION):
-        raise ConfigError(f"resolution: must be an integer in [2, {MAX_RESOLUTION}], got {resolution!r}")
-    check_seed(seed)
+    check_integer("resolution", resolution, 2, MAX_RESOLUTION)
+    check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     grid = [math.pi / 2 * k / (resolution - 1) for k in range(resolution)]
     checks = []

@@ -44,8 +44,13 @@ class MonitoringChannel:
 
     def __init__(self, observable: ProjectiveObservable, epsilon):
         eps = np.asarray(epsilon, dtype=float)
-        if eps.ndim > 1 or not ((0.0 <= eps) & (eps <= 1.0)).all():
-            raise ValueError(f"measurement intensity must lie in [0, 1], got {epsilon!r}")
+        if eps.ndim > 1:
+            raise ValueError(f"measurement intensity must be one number or an (N,) array, got shape {eps.shape}")
+        inside = (0.0 <= eps) & (eps <= 1.0)
+        if not inside.all():
+            first = int(np.argmin(inside))  # the first value outside [0, 1]
+            at = f" at index {first}" if eps.ndim else ""
+            raise ValueError(f"measurement intensity must lie in [0, 1], got {float(eps.flat[first])!r}{at}")
         if eps.ndim == 1 and observable.batch not in (None, len(eps)):
             raise DimensionError(f"stack sizes differ: {observable.batch} observables vs {len(eps)} intensities")
         self.observable = observable

@@ -206,8 +206,9 @@ def epsilon_of_strength(coupling: str, theta_m):
     theta = np.asarray(theta_m, dtype=float)
     if not np.all((0.0 <= theta) & (theta <= math.pi / 2 + 1e-12)):
         raise ValueError(f"strength angle must lie in [0, pi/2], got {theta_m!r}")
-    # cos(math.pi / 2) is 6e-17, not 0; taking it as 0 makes eps 1 invert strength_of_epsilon exactly
-    eps = 1.0 - (np.where(theta == math.pi / 2, 0.0, np.cos(theta)) if coupling == "CZ" else np.sin(theta))
+    # cos(math.pi / 2) is 6e-17, not 0; taking it as 0 makes eps 1 invert strength_of_epsilon exactly,
+    # and taking it as 0 on the slack above pi/2 keeps eps in [0, 1] there
+    eps = 1.0 - (np.where(theta >= math.pi / 2, 0.0, np.cos(theta)) if coupling == "CZ" else np.sin(theta))
     return float(eps) if eps.ndim == 0 else eps
 
 

@@ -95,8 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_sweep(args) -> int:
-    keys = ("scenario", "path", "seed", "shots", "repeats", "points", "epsilon", "coupling", "out", "svg", "json_out")
-    flags = {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
+    flags = {key: value for key, value in vars(args).items() if value is not None and key not in ("command", "config")}
     config = config_from_json(args.config, **flags) if args.config else make_config(**flags)
     records = run_sweep(config)
     if config.out:

@@ -3,8 +3,14 @@
 A ``SweepConfig`` is built from a scenario preset plus field overrides
 (``make_config``) or from a JSON object (``config_from_json``), and
 ``validate`` rejects every malformed field with a ``ConfigError`` that names
-it.  The checks on integers, seeds, shot counts, finite numbers, output
-paths and state specs live here once and serve every entry point.
+it.  Every entry point (``validate``, ``make_config``, ``verify_cases``,
+``certify_circuits``, ``estimate_pauli`` and ``tomography_errors``) checks
+its inputs with the same three checkers: ``check_integer``,
+``check_number`` and ``check_choice``, each raising ``ConfigError("<name>:
+...")``.  ``validate`` adds only its cross-field rules: the grid range each
+``grid_kind`` admits (``GRID_RANGES``), and that an ``axis_theta`` grid
+needs a ``sweep_target``.  Output paths and state specs are checked here
+too, so the CLI maps every one of these errors to exit code 3.
 
 Grid semantics per scenario: the fig4 presets sweep the strength angle
 theta_m (intensity follows from the coupling); the fig1/fig2 presets sweep
@@ -55,11 +61,15 @@ PRESETS = {
 }
 SCENARIOS = tuple(PRESETS)
 PATHS = ("analytic", "circuit", "noisy")
-GRID_KINDS = ("theta_m", "epsilon", "axis_theta")
+# The values each grid kind admits: strength angles in [0, pi/2] (with 1e-12
+# of rounding slack), intensities in [0, 1], any finite axis angle.
+GRID_RANGES = {"theta_m": (0, math.pi / 2 + 1e-12), "epsilon": (0, 1), "axis_theta": (-math.inf, math.inf)}
+GRID_KINDS = tuple(GRID_RANGES)
 
 DEFAULT_GRID_POINTS = 33
 DEFAULT_SHOTS = 8192
 DEFAULT_REPEATS = 10
+MAX_SHOTS = 2**63 - 1  # numpy draws int64 counts
 
 # Size caps, checked before any grid, stack or sample is built; a value
 # above one exits 3 naming its field.  Peaks below were measured on a 2-vCPU
@@ -97,28 +107,29 @@ class ConfigError(ValueError):
     """Configuration or I/O input is malformed; message names the offending field."""
 
 
-def is_integer(value) -> bool:
-    """An integer that is not a bool (``True`` is an ``Integral`` too)."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+def check_integer(name: str, value, low: int, high: int | None = None):
+    """An integer in [low, high], never a bool (``True`` is an ``Integral`` too); ``high=None`` is no upper bound."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and low <= value and (high is None or value <= high)):
+        bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ConfigError(f"{name}: must be an integer {bounds}, got {value!r}")
 
 
-def finite_numbers(values) -> bool:
-    """A tuple or list of finite real numbers, none of them a bool."""
-    return isinstance(values, (tuple, list)) and all(
-        isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v) for v in values
-    )
+def check_number(name: str, value, low: float, high: float):
+    """A finite real number, never a bool, in [low, high]."""
+    try:  # a plain float skips the slow abstract-class check
+        real = type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, bool)
+        ok = real and math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        ok = False
+    if not (ok and low <= value <= high):
+        raise ConfigError(f"{name}: must be a finite number in [{low}, {high}], got {value!r}")
 
 
-def check_seed(seed):
-    """Seeds feed ``numpy.random.default_rng``, which takes nonnegative integers."""
-    if not (is_integer(seed) and seed >= 0):
-        raise ConfigError(f"seed: must be a nonnegative integer, got {seed!r}")
-
-
-def check_shots(shots):
-    """Shots per axis: 0 (exact expectations) up to 2**63 - 1, since numpy draws int64 counts."""
-    if not (is_integer(shots) and 0 <= shots < 2**63):
-        raise ConfigError(f"shots: must be an integer in [0, 2**63 - 1], got {shots!r}")
+def check_choice(name: str, value, options):
+    """One of ``options``."""
+    if value not in options:
+        raise ConfigError(f"{name}: unknown value {value!r}, expected one of {options}")
 
 
 def check_output_path(name: str, path):
@@ -138,18 +149,14 @@ def check_output_path(name: str, path):
 def resolve_state(spec) -> DensityOperator:
     """A preset name or a ``{"theta": .., "phi": ..}`` Bloch-angle dict as a qubit state."""
     if isinstance(spec, str):
-        try:
-            return DensityOperator(STATE_PRESETS[spec], validate=False)
-        except KeyError:
-            raise ConfigError(
-                f"state: unknown preset {spec!r}, expected one of {sorted(STATE_PRESETS)}"
-            ) from None
+        check_choice("state", spec, sorted(STATE_PRESETS))
+        return DensityOperator(STATE_PRESETS[spec], validate=False)
     if isinstance(spec, dict):
         if "theta" not in spec or set(spec) - {"theta", "phi"}:
             raise ConfigError(f"state: angle spec takes numeric 'theta' and optional 'phi' only, got {spec!r}")
         theta, phi = spec["theta"], spec.get("phi", 0.0)
-        if not finite_numbers((theta, phi)):
-            raise ConfigError(f"state: 'theta' and 'phi' must be finite numbers, got {spec!r}")
+        check_number("state.theta", theta, -math.inf, math.inf)
+        check_number("state.phi", phi, -math.inf, math.inf)
         amp = [math.cos(theta / 2.0), math.sin(theta / 2.0) * complex(math.cos(phi), math.sin(phi))]
         return density_from_pure(PureState(amp))
     raise ConfigError(f"state: expected preset name or angle dict, got {type(spec).__name__}")
@@ -177,44 +184,29 @@ class SweepConfig:
     json_out: str | None = None
 
     def validate(self) -> "SweepConfig":
-        if self.scenario not in SCENARIOS:
-            raise ConfigError(f"scenario: unknown value {self.scenario!r}, expected one of {SCENARIOS}")
-        if self.path not in PATHS:
-            raise ConfigError(f"path: unknown value {self.path!r}, expected one of {PATHS}")
-        if self.grid_kind not in GRID_KINDS:
-            raise ConfigError(f"grid_kind: unknown value {self.grid_kind!r}")
-        if not self.grid_values:
-            raise ConfigError("grid_values: grid must be nonempty")
-        if not finite_numbers(self.grid_values):
-            raise ConfigError(f"grid_values: must be finite numbers, got {self.grid_values!r}")
-        if len(self.grid_values) > MAX_GRID_POINTS:
-            raise ConfigError(f"grid_values: at most {MAX_GRID_POINTS} points, got {len(self.grid_values)}")
-        for name in ("monitor_axis", "probe_axis"):
-            axis = getattr(self, name)
-            if not (finite_numbers(axis) and len(axis) == 2):
-                raise ConfigError(f"{name}: must be two finite numbers (theta, phi), got {axis!r}")
-        if self.grid_kind == "epsilon" and any(not 0.0 <= g <= 1.0 for g in self.grid_values):
-            raise ConfigError("grid_values: intensity values must lie in [0, 1]")
-        if self.grid_kind == "theta_m" and any(
-            not 0.0 <= g <= math.pi / 2 + 1e-12 for g in self.grid_values
-        ):
-            raise ConfigError("grid_values: strength angles must lie in [0, pi/2]")
-        if not (finite_numbers((self.epsilon,)) and 0.0 <= self.epsilon <= 1.0):
-            raise ConfigError(f"epsilon: must be a number in [0, 1], got {self.epsilon!r}")
-        if self.coupling not in COUPLINGS:
-            raise ConfigError(f"coupling: must be CZ or CNOT, got {self.coupling!r}")
-        if self.sweep_target not in (None, "probe", "monitor"):
-            raise ConfigError(f"sweep_target: must be null, 'probe' or 'monitor', got {self.sweep_target!r}")
+        check_choice("scenario", self.scenario, SCENARIOS)
+        check_choice("path", self.path, PATHS)
+        check_choice("grid_kind", self.grid_kind, GRID_KINDS)
+        check_choice("coupling", self.coupling, COUPLINGS)
+        check_choice("sweep_target", self.sweep_target, (None, "probe", "monitor"))
         if self.grid_kind == "axis_theta" and self.sweep_target is None:
             raise ConfigError("sweep_target: axis_theta sweeps need 'probe' or 'monitor'")
-        check_shots(self.shots)
-        if not (is_integer(self.repeats) and 1 <= self.repeats <= MAX_REPEATS):
-            raise ConfigError(f"repeats: must be an integer in [1, {MAX_REPEATS}], got {self.repeats!r}")
-        check_seed(self.seed)
-        if not (finite_numbers((self.depolarizing,)) and 0.0 <= self.depolarizing <= 1.0):
-            raise ConfigError(f"depolarizing: must be a number in [0, 1], got {self.depolarizing!r}")
-        if not (finite_numbers((self.readout_flip,)) and 0.0 <= self.readout_flip <= 1.0):
-            raise ConfigError(f"readout_flip: must be a number in [0, 1], got {self.readout_flip!r}")
+        grid = self.grid_values
+        if not (isinstance(grid, (tuple, list)) and 1 <= len(grid) <= MAX_GRID_POINTS):
+            raise ConfigError(f"grid_values: must be a list of 1 to {MAX_GRID_POINTS} numbers, got {grid!r:.80}")
+        for value in grid:
+            check_number("grid_values", value, *GRID_RANGES[self.grid_kind])
+        for name in ("monitor_axis", "probe_axis"):
+            axis = getattr(self, name)
+            if not (isinstance(axis, (tuple, list)) and len(axis) == 2):
+                raise ConfigError(f"{name}: must be two numbers (theta, phi), got {axis!r}")
+            for value in axis:
+                check_number(name, value, -math.inf, math.inf)
+        for name in ("epsilon", "depolarizing", "readout_flip"):
+            check_number(name, getattr(self, name), 0, 1)
+        check_integer("shots", self.shots, 0, MAX_SHOTS)
+        check_integer("repeats", self.repeats, 1, MAX_REPEATS)
+        check_integer("seed", self.seed, 0)
         for name in ("out", "svg", "json_out"):
             check_output_path(name, getattr(self, name))
         resolve_state(self.state)
@@ -227,10 +219,8 @@ def _grid(points: int, stop: float) -> tuple[float, ...]:
 
 def make_config(scenario: str = "custom", *, points: int = DEFAULT_GRID_POINTS, **overrides) -> SweepConfig:
     """Build a validated config from a scenario preset plus field overrides."""
-    if scenario not in SCENARIOS:
-        raise ConfigError(f"scenario: unknown value {scenario!r}, expected one of {SCENARIOS}")
-    if not (is_integer(points) and 2 <= points <= MAX_GRID_POINTS):
-        raise ConfigError(f"points: must be an integer in [2, {MAX_GRID_POINTS}], got {points!r}")
+    check_choice("scenario", scenario, SCENARIOS)
+    check_integer("points", points, 2, MAX_GRID_POINTS)
     fields, stop = PRESETS[scenario]
     try:
         config = SweepConfig(**{"scenario": scenario, **fields, "grid_values": _grid(points, stop), **overrides})
@@ -246,7 +236,7 @@ def config_from_json(path: str, /, **overrides) -> SweepConfig:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:  # bad bytes, syntax or nesting depth
+    except (ValueError, RecursionError) as exc:  # bad bytes, syntax, an overlong integer or nesting depth
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"config {path} must hold a JSON object")

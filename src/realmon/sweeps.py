@@ -31,7 +31,7 @@ from .observables import observable_from_axis
 from .output import write_json
 from .reality import classify_case, reality_report
 from .states import DensityOperator, von_neumann_entropy
-from .tomography import SEED_CHUNK, estimate_pauli, reconstruct_state
+from .tomography import estimate_pauli, reconstruct_state, repeat_chunks
 
 # The benchmark in perfbench/ reads these names from realmon.sweeps, so they are re-exported here.
 from .certify import certify_circuits  # noqa: F401
@@ -95,21 +95,18 @@ def _circuit_states(config, rho, strength, monitor_axes, probe_axes) -> DensityO
 def _tomography_entropies(config, states: DensityOperator) -> np.ndarray:
     """(repeats, N, 4) entropies of the stacked states' tomographic reconstructions.
 
-    The repeats run in chunks of whole repeats, each holding at most
-    ``SEED_CHUNK`` states (or one repeat, where a repeat alone is larger),
-    so memory stays flat in the repeat count.  A chunk makes one
+    The repeats run in ``tomography.repeat_chunks``: a chunk makes one
     ``estimate_pauli`` call over its repeats, then one stacked
     reconstruction and one entropy call.  One generator seeded
     ``config.seed`` serves every chunk in turn, and the draws run in
     (repeat, point, state) order, so the chunk size changes no draw.
     """
     repeats = 1 if config.shots == 0 else config.repeats
-    per_chunk = max(1, SEED_CHUNK // states.batch)
     confusion = confusion_from_flip(config.readout_flip)
     rng = np.random.default_rng(config.seed)
     entropies = []
-    for start in range(0, repeats, per_chunk):
-        bloch = estimate_pauli(states, config.shots, rng, confusion, repeats=min(per_chunk, repeats - start))
+    for count in repeat_chunks(repeats, states.batch):
+        bloch = estimate_pauli(states, config.shots, rng, confusion, count)
         entropies.append(von_neumann_entropy(reconstruct_state(bloch.reshape(-1, 3))))
     return np.concatenate(entropies).reshape(repeats, -1, 4)
 

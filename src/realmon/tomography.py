@@ -13,10 +13,10 @@ computed once and every repeat of the stack is drawn in the same call.
 
 ``tomography_errors`` reconstructs one state over many repetitions drawn in
 order from one generator, one repeated ``estimate_pauli`` call per chunk of
-at most ``SEED_CHUNK`` repetitions so that memory stays flat in the
-repetition count (the chunk size changes no draw), and summarises the
-reconstruction errors (the ``tomo-sim`` command); with readout noise it
-uses the default readout flip.
+``repeat_chunks`` (which splits the noisy sweep's repeats too) so that
+memory stays flat in the repetition count (the chunk size changes no draw),
+and summarises the reconstruction errors (the ``tomo-sim`` command); with
+readout noise it uses the default readout flip.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .config import DEFAULT_SHOTS, MAX_SEEDS, ConfigError, check_seed, check_shots, is_integer, resolve_state
+from .config import DEFAULT_SHOTS, MAX_SEEDS, MAX_SHOTS, check_integer, resolve_state
 from .linalg import DimensionError, dagger
 from .noise import DEFAULT_READOUT_FLIP, apply_readout_noise, check_probabilities, confusion_from_flip, sample_shots
 from .observables import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
@@ -38,6 +38,16 @@ _SDG = np.array([[1.0, 0.0], [0.0, -1j]], dtype=complex)
 _AXIS_ROTATIONS = np.stack((_HADAMARD, _HADAMARD @ _SDG, IDENTITY_2))
 _AXIS_ROTATIONS_DAG = _AXIS_ROTATIONS.conj().transpose(0, 2, 1)
 SEED_CHUNK = 4096  # states per draw in tomography_errors and the noisy sweep
+
+
+def repeat_chunks(repeats: int, states: int = 1):
+    """The repeat count of each chunk when ``repeats`` repeats of ``states`` states
+    each are drawn in chunks of whole repeats, at most ``SEED_CHUNK`` states per
+    chunk (one repeat where a repeat alone is larger), so memory stays flat in the
+    repeat count."""
+    per_chunk = max(1, SEED_CHUNK // states)
+    for start in range(0, repeats, per_chunk):
+        yield min(per_chunk, repeats - start)
 
 
 def estimate_pauli(
@@ -60,9 +70,9 @@ def estimate_pauli(
     """
     if rho.dim != 2:
         raise DimensionError(f"single-qubit tomography needs dim 2, got {rho.dim}")
-    check_shots(shots)
-    if repeats is not None and not (is_integer(repeats) and repeats >= 1):
-        raise ConfigError(f"repeats: must be a positive integer, got {repeats!r}")
+    check_integer("shots", shots, 0, MAX_SHOTS)
+    if repeats is not None:
+        check_integer("repeats", repeats, 1)
     rotated = _AXIS_ROTATIONS @ rho.matrix.reshape(-1, 1, 2, 2) @ _AXIS_ROTATIONS_DAG
     p = np.clip(np.diagonal(rotated, axis1=-2, axis2=-1).real, 0.0, None)
     p = p / p.sum(axis=-1, keepdims=True)
@@ -110,15 +120,14 @@ def tomography_errors(state: str, shots: int, seeds: int, seed: int, noisy: bool
     (upper median), nearest-rank 90th percentile and maximum.
     """
     rho = resolve_state(state)
-    check_shots(shots)
-    if not (is_integer(seeds) and 1 <= seeds <= MAX_SEEDS):
-        raise ConfigError(f"seeds: must be an integer in [1, {MAX_SEEDS}], got {seeds!r}")
-    check_seed(seed)
+    check_integer("shots", shots, 0, MAX_SHOTS)
+    check_integer("seeds", seeds, 1, MAX_SEEDS)
+    check_integer("seed", seed, 0)
     confusion = confusion_from_flip(DEFAULT_READOUT_FLIP) if noisy else None
     rng = np.random.default_rng(seed)
     errors = []
-    for start in range(0, seeds, SEED_CHUNK):
-        rec = reconstruct_state(estimate_pauli(rho, shots, rng, confusion, min(SEED_CHUNK, seeds - start)))
+    for count in repeat_chunks(seeds):
+        rec = reconstruct_state(estimate_pauli(rho, shots, rng, confusion, count))
         errors += np.abs(rec.matrix - rho.matrix).max(axis=(1, 2)).tolist()
     ranked = sorted(errors)
     summary = {

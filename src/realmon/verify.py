@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from .channels import MonitoringChannel, dephase, monitor
-from .config import MAX_DIMENSION, MAX_TRIALS, ConfigError, check_seed, is_integer
+from .config import MAX_DIMENSION, MAX_TRIALS, ConfigError, check_integer
 from .observables import standard_mub_observables
 from .output import CheckReport, check
 from .reality import (
@@ -178,14 +178,13 @@ def verify_cases(seed: int = 0, trials: int = 200, dims: tuple[int, ...] = (2, 3
     split) and evaluates the stacks.  A check counts the instances it
     evaluated.
     """
-    if not (is_integer(trials) and 1 <= trials <= MAX_TRIALS):
-        raise ConfigError(f"trials: must be an integer in [1, {MAX_TRIALS}], got {trials!r}")
+    check_integer("trials", trials, 1, MAX_TRIALS)
     dims = tuple(dims)
-    if not dims or not all(is_integer(d) and 2 <= d <= MAX_DIMENSION for d in dims):
-        raise ConfigError(f"dims: must be one or more integer dimensions in [2, {MAX_DIMENSION}], got {list(dims)}")
-    if len(set(dims)) != len(dims):
-        raise ConfigError(f"dims: must not repeat a dimension, got {list(dims)}")
-    check_seed(seed)
+    for d in dims:
+        check_integer("dims", d, 2, MAX_DIMENSION)
+    if not dims or len(set(dims)) != len(dims):
+        raise ConfigError(f"dims: must name one or more dimensions, none repeated, got {list(dims)}")
+    check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     mu_dims = [d for d in dims if d in (2, 3)]
     mislabelled = "1 per mislabelled instance"

@@ -309,6 +309,18 @@ class TestStacks:
         with pytest.raises(ValueError):
             MonitoringChannel(SZ, np.array([0.2, math.nan]))
 
+    @pytest.mark.parametrize(
+        "epsilon, named",
+        [
+            (1.0000000000005, "got 1.0000000000005$"),
+            (np.array([0.0, 1.0000000000005, -1.0]), r"got 1\.0000000000005 at index 1$"),
+            (np.array([0.2, math.nan]), "got nan at index 1$"),
+        ],
+    )
+    def test_intensity_error_names_the_first_value_outside_the_range(self, epsilon, named):
+        with pytest.raises(ValueError, match=named):
+            MonitoringChannel(SZ, epsilon)
+
 
 def same_bits(a, b) -> bool:
     """Equal shapes and equal bytes, so signed zeros must match too."""

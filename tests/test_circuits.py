@@ -394,6 +394,9 @@ class TestEpsilonOfStrength:
     def test_goldens(self):
         assert epsilon_of_strength("CZ", 0.0) == 0.0
         assert epsilon_of_strength("CZ", math.pi / 2) == 1.0
+        # the grid check's rounding slack above pi/2 must not push the intensity past 1
+        assert epsilon_of_strength("CZ", math.pi / 2 + 1e-12) == 1.0
+        assert epsilon_of_strength("CNOT", math.pi / 2 + 1e-12) == 0.0
         assert abs(epsilon_of_strength("CZ", math.pi / 3) - 0.5) <= 1e-15
 
     @pytest.mark.parametrize("coupling", ["CZ", "CNOT"])

@@ -1,7 +1,8 @@
 """Property tests: malformed input to ``realmon`` exits 0 or 3, never with a traceback.
 
 Each example starts from a small valid command (a ``sweep --config`` JSON of
-at most 5 points, 3 repeats and 64 shots, or small flags for the other
+at most 5 points, 3 repeats and 64 shots, its grid sometimes replaced by
+accepted values at the edges of their range, or small flags for the other
 subcommands) and replaces one to three of its values with malformed ones:
 wrong types, bools, NaN and Infinity, empty strings, nested lists, odd dicts
 and sizes over their caps.  ``cli.main`` runs in process, and argparse's
@@ -14,6 +15,7 @@ allocated at an over-cap size.
 """
 
 import json
+import math
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -49,6 +51,9 @@ MALFORMED = [
     "x", "", "NaN", True, False, None, float("nan"), float("inf"), float("-inf"), -1, 1.5, 10**30, 1e30,
     [], [[0.1]], [["a", 1]], [float("nan")], [True, 0.2], {}, {"theta": "a"}, {"": 1}, {"theta": 1.0, "x": 2},
 ]
+# Accepted grid values at the edges of their ranges: the theta_m check admits
+# pi/2 + 1e-12 for rounding, and -0.0 passes every lower bound of 0.
+GRID_EDGES = [-0.0, 0.0, 1.0, math.pi / 2, math.pi / 2 + 5e-13, math.pi / 2 + 1e-12]
 OVER_CAP = {
     "points": [MAX_GRID_POINTS + 1, 10**12, 10**30],
     "repeats": [MAX_REPEATS + 1, 10**12],
@@ -132,6 +137,8 @@ def sweep_configs(draw):
     }
     if draw(st.booleans()):
         config.update(grid_kind=draw(st.sampled_from(GRID_KINDS)), sweep_target="probe")
+    if draw(st.booleans()):
+        config["grid_values"] = draw(st.lists(st.sampled_from(GRID_EDGES), min_size=1, max_size=3))
     for field in draw(st.lists(st.sampled_from(SWEEP_FIELDS), min_size=1, max_size=3, unique=True)):
         config[field] = draw(st.sampled_from(MALFORMED + OVER_CAP.get(field, [])))
     return config

@@ -120,7 +120,9 @@ class TestConfig:
         assert config.state == "plus" and config.monitor_axis == (math.pi / 4, 0.0)
 
     @pytest.mark.parametrize(
-        "content", [b"{not json", b"\xff\xfe", b"[" * 100_000], ids=["not-json", "not-utf8", "deep-nesting"]
+        "content",
+        [b"{not json", b"\xff\xfe", b"[" * 100_000, b'{"seed": ' + b"1" * 5000 + b"}"],
+        ids=["not-json", "not-utf8", "deep-nesting", "overlong-integer"],
     )
     def test_from_json_bad_file(self, tmp_path, content):
         path = tmp_path / "bad.json"
@@ -358,13 +360,13 @@ class TestRepeatChunks:
         ids=["default", "three-repeats", "under-one-repeat"],
     )
     def test_split_run_gives_the_same_csv_with_one_draw_per_chunk(self, monkeypatch, draws, chunk, per_call):
-        import realmon.sweeps as sweeps_mod
+        import realmon.tomography as tomography_mod
 
         config = make_config("fig4a", path="noisy")
         whole = render_csv(run_sweep(config))
         draws.clear()
         if chunk is not None:
-            monkeypatch.setattr(sweeps_mod, "SEED_CHUNK", chunk)
+            monkeypatch.setattr(tomography_mod, "SEED_CHUNK", chunk)
         assert render_csv(run_sweep(config)) == whole
         assert draws == [(r, 132, 3, 2) for r in per_call]
 
@@ -640,6 +642,23 @@ class TestVerifyAndCertifyAPI:
             assert len(members) == 12 * resolution + 3
 
 
+class TestParserDefaults:
+    @pytest.mark.parametrize(
+        "command, function", [("verify-cases", verify_cases), ("certify-circuits", certify_circuits)]
+    )
+    def test_parser_defaults_equal_the_signature_defaults(self, command, function):
+        import inspect
+
+        import realmon.cli as cli_mod
+
+        args = vars(cli_mod._build_parser().parse_args([command]))
+        flags = {key: value for key, value in args.items() if key not in ("command", "out")}
+        signature = inspect.signature(function).parameters
+        assert flags and all(key in signature for key in flags)
+        for key, value in flags.items():
+            assert (tuple(value) if isinstance(value, list) else value) == signature[key].default, key
+
+
 class TestSizeCaps:
     """Size fields are capped before any grid or stack is built.
 
@@ -776,6 +795,17 @@ class TestCLI:
         assert proc.returncode == 3
         assert "points" in proc.stderr
 
+    @pytest.mark.parametrize("path", ["analytic", "circuit"])
+    def test_strength_angle_in_the_slack_above_pi_2_runs(self, tmp_path, capsys, path):
+        # the grid check admits pi/2 + 1e-12 for rounding; the intensity there is exactly 1
+        import realmon.cli as cli_mod
+
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"grid_values": [0.0, 1.5707963267953]}))
+        assert cli_mod.main(["sweep", "--config", str(config), "--path", path]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [float(row.split(",")[1]) for row in rows] == [0.0, 1.0]
+
     def test_non_finite_state_config_exit_code(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"scenario": "fig4a", "state": {"theta": math.nan}}))
@@ -822,6 +852,8 @@ class TestCLI:
             ({"scenario": "fig4a", "sweep_target": math.nan}, "sweep_target"),
             ({"scenario": "fig4a", "sweep_target": {"probe": True}}, "sweep_target"),
             ({"scenario": "fig4a", "out": "a\0b.csv"}, "out"),
+            ({"scenario": "fig1", "epsilon": 10**400}, "epsilon"),
+            ({"scenario": "fig4a", "monitor_axis": [10**400, 0.0]}, "monitor_axis"),
         ],
         ids=[
             "grid-theta_m-nan", "grid-epsilon-inf", "grid-axis_theta-nan", "flips-above-one",
@@ -832,6 +864,7 @@ class TestCLI:
             "monitor-axis-bools", "depolarizing-bool", "flips-bool", "state-theta-bool",
             "state-unknown-angle-key", "out-empty", "svg-empty", "json-out-empty",
             "grid-scalar", "grid-bool", "sweep-target-nan", "sweep-target-object", "out-nul-byte",
+            "epsilon-int-beyond-float", "monitor-axis-int-beyond-float",
         ],
     )
     def test_malformed_config_field_exit_code(self, tmp_path, capsys, fields, name):
