@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .channels import product_monitor, to_superoperator
+from .channels import product_monitor
 from .circuits import COUPLINGS, build_monitor_circuit, epsilon_of_strength, extract_channel
 from .config import MAX_RESOLUTION, check_integer
 from .output import CheckReport, check
@@ -41,7 +41,7 @@ def _extract_and_compare(coupling, members) -> tuple[np.ndarray, np.ndarray]:
     thetas = np.array([theta_m for theta_m, _ in members])
     per_qubit = np.array([bases for _, bases in members]).transpose(1, 2, 0)  # per qubit: (theta, phi) arrays
     extracted = extract_channel(build_monitor_circuit(per_qubit, thetas, coupling)).matrix
-    reference = to_superoperator(product_monitor(per_qubit, epsilon_of_strength(coupling, thetas))).matrix
+    reference = product_monitor(per_qubit, epsilon_of_strength(coupling, thetas)).matrix
     return extracted, np.abs(extracted - reference).max(axis=(1, 2))
 
 

@@ -97,6 +97,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_sweep(args) -> int:
     flags = {key: value for key, value in vars(args).items() if value is not None and key not in ("command", "config")}
     config = config_from_json(args.config, **flags) if args.config else make_config(**flags)
+    # a flag that this run would not read is refused, not silently ignored
+    reads = {"epsilon": ("grid_kind", "axis_theta"), **dict.fromkeys(("shots", "repeats", "seed"), ("path", "noisy"))}
+    for name, (field, value) in reads.items():
+        if getattr(args, name) is not None and getattr(config, field) != value:
+            raise ConfigError(f"{name}: --{name} applies only when {field} is {value}")
     records = run_sweep(config)
     if config.out:
         write_text(config.out, render_csv(records))

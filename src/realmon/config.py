@@ -107,12 +107,22 @@ class ConfigError(ValueError):
     """Configuration or I/O input is malformed; message names the offending field."""
 
 
+def _shown(value) -> str:
+    """``repr(value)``, or its size for an integer too long for Python to print (over 4,300 digits)."""
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, int):
+            return f"an integer of {value.bit_length()} bits"
+        return f"a {type(value).__name__} holding an integer too long to print"
+
+
 def check_integer(name: str, value, low: int, high: int | None = None):
     """An integer in [low, high], never a bool (``True`` is an ``Integral`` too); ``high=None`` is no upper bound."""
     if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
             and low <= value and (high is None or value <= high)):
         bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
-        raise ConfigError(f"{name}: must be an integer {bounds}, got {value!r}")
+        raise ConfigError(f"{name}: must be an integer {bounds}, got {_shown(value)}")
 
 
 def check_number(name: str, value, low: float, high: float):
@@ -123,13 +133,13 @@ def check_number(name: str, value, low: float, high: float):
     except OverflowError:  # an integer too large for a float
         ok = False
     if not (ok and low <= value <= high):
-        raise ConfigError(f"{name}: must be a finite number in [{low}, {high}], got {value!r}")
+        raise ConfigError(f"{name}: must be a finite number in [{low}, {high}], got {_shown(value)}")
 
 
 def check_choice(name: str, value, options):
     """One of ``options``."""
     if value not in options:
-        raise ConfigError(f"{name}: unknown value {value!r}, expected one of {options}")
+        raise ConfigError(f"{name}: unknown value {_shown(value)}, expected one of {options}")
 
 
 def check_output_path(name: str, path):
@@ -153,7 +163,7 @@ def resolve_state(spec) -> DensityOperator:
         return DensityOperator(STATE_PRESETS[spec], validate=False)
     if isinstance(spec, dict):
         if "theta" not in spec or set(spec) - {"theta", "phi"}:
-            raise ConfigError(f"state: angle spec takes numeric 'theta' and optional 'phi' only, got {spec!r}")
+            raise ConfigError(f"state: angle spec takes numeric 'theta' and optional 'phi' only, got {_shown(spec)}")
         theta, phi = spec["theta"], spec.get("phi", 0.0)
         check_number("state.theta", theta, -math.inf, math.inf)
         check_number("state.phi", phi, -math.inf, math.inf)
@@ -193,13 +203,13 @@ class SweepConfig:
             raise ConfigError("sweep_target: axis_theta sweeps need 'probe' or 'monitor'")
         grid = self.grid_values
         if not (isinstance(grid, (tuple, list)) and 1 <= len(grid) <= MAX_GRID_POINTS):
-            raise ConfigError(f"grid_values: must be a list of 1 to {MAX_GRID_POINTS} numbers, got {grid!r:.80}")
+            raise ConfigError(f"grid_values: must be a list of 1 to {MAX_GRID_POINTS} numbers, got {_shown(grid):.80}")
         for value in grid:
             check_number("grid_values", value, *GRID_RANGES[self.grid_kind])
         for name in ("monitor_axis", "probe_axis"):
             axis = getattr(self, name)
             if not (isinstance(axis, (tuple, list)) and len(axis) == 2):
-                raise ConfigError(f"{name}: must be two numbers (theta, phi), got {axis!r}")
+                raise ConfigError(f"{name}: must be two numbers (theta, phi), got {_shown(axis)}")
             for value in axis:
                 check_number(name, value, -math.inf, math.inf)
         for name in ("epsilon", "depolarizing", "readout_flip"):

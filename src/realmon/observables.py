@@ -191,8 +191,9 @@ def standard_mub_observables(d: int) -> tuple[ProjectiveObservable, ...]:
     """A fixed set of pairwise mutually unbiased bases, as observables.
 
     d=2 gives the three Pauli eigenbases; d=3 gives the computational basis
-    plus the three Fourier-type bases (four bases, any three of which form
-    a triple).  Other dimensions are not provided.
+    plus the three Fourier-type bases (four bases, any three of which form a
+    triple); any other d gives ().  This function alone decides which
+    dimensions have MU bases.
     """
     if d == 2:
         return tuple(
@@ -206,7 +207,7 @@ def standard_mub_observables(d: int) -> tuple[ProjectiveObservable, ...]:
         m, j, k = np.arange(3)[:, None, None], np.arange(3)[:, None], np.arange(3)
         bases = np.concatenate(([np.eye(3)], phases[(m * j * j + j * k) % 3]))
         return tuple(observable_from_basis(cols, range(3)) for cols in bases)
-    raise DimensionError(f"no standard mutually unbiased set stored for dimension {d}")
+    return ()
 
 
 def pauli_observable(axis: str) -> ProjectiveObservable:

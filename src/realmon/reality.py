@@ -137,10 +137,10 @@ def classify_case(
     """Label the configuration by the first matching structural test.
 
     Order: commuting pair, state diagonal in X, state diagonal in X', then
-    for mutually unbiased pairs a search over the stored MU sets (d=2: Pauli
-    triple; d=3: Fourier-type quadruple) for a third basis that is MU with
-    both observables and leaves rho invariant, which upgrades MU to
-    triple-MU.  Anything else is generic.  The MU tests need both
+    for mutually unbiased pairs a search over the stored MU set
+    (``standard_mub_observables``; none in some dimensions) for a third basis
+    that is MU with both observables and leaves rho invariant, which upgrades
+    MU to triple-MU.  Anything else is generic.  The MU tests need both
     observables nondegenerate, which holds for all members of a stack or none.
 
     One configuration gives a ``CaseLabel``; a stack on any argument gives a
@@ -151,11 +151,10 @@ def classify_case(
     mu = triple = False
     if x.is_nondegenerate and xprime.is_nondegenerate:
         mu = is_mutually_unbiased(x, xprime)
-        if rho.dim in (2, 3):
-            triple = mu & np.any([
-                is_mutually_unbiased(cand, x) & is_mutually_unbiased(cand, xprime) & _is_fixed_point(cand, rho)
-                for cand in standard_mub_observables(rho.dim)
-            ], axis=0)
+        triple = mu & np.any([
+            is_mutually_unbiased(cand, x) & is_mutually_unbiased(cand, xprime) & _is_fixed_point(cand, rho)
+            for cand in standard_mub_observables(rho.dim)
+        ], axis=0)
     tests = np.broadcast_arrays(
         commutes(x, xprime), _is_fixed_point(x, rho), _is_fixed_point(xprime, rho), triple, mu, True
     )

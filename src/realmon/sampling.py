@@ -176,14 +176,15 @@ def random_mu_pair(
 ) -> tuple[ProjectiveObservable, ProjectiveObservable]:
     """Maximally incompatible pair: a standard MU pair conjugated by a Haar unitary
     (stacks, from ``draw_pair`` records)."""
-    if d not in (2, 3):
-        raise DimensionError(f"random MU pairs provided for d in (2, 3), got {d}")
+    bases = standard_mub_observables(d)[:2]
+    if not bases:
+        raise DimensionError(f"no mutually unbiased bases stored for dimension {d}")
     z, values_a, values_b = _fields(_records(draw_pair, d, rng, draws))
     w = _haar_unitaries(_complex(z))[:, None]
     w_dag = np.conj(w).swapaxes(-1, -2)
     pair = tuple(
         ProjectiveObservable(values, w @ base.projectors @ w_dag, validate=False)
-        for base, values in zip(standard_mub_observables(d)[:2], (values_a, values_b))
+        for base, values in zip(bases, (values_a, values_b))
     )
     return _one_or_stack(pair, draws)
 

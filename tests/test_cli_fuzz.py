@@ -107,7 +107,7 @@ def guarded(monkeypatch, tmp_path):
 
     guard(config_mod, "_grid", lambda points, stop: points <= 5)
     guard(cli_mod, "run_sweep", lambda c: len(c.grid_values) <= 5 and c.repeats <= 3 and c.shots <= 64)
-    guard(verify_mod, "_per_dimension", lambda section, dims, trials, *rest: trials <= 3 and max(dims, default=2) <= 4)
+    guard(verify_mod, "_instances", lambda d, trials, rng, *fields: trials <= 3 and d <= 4)
     guard(certify_mod, "_extract_and_compare", lambda coupling, members: len(members) <= 9)
     guard(
         tomography_mod,

@@ -474,17 +474,26 @@ class TestStackedLabels:
     def test_verify_style_sections(self, d):
         rng = np.random.default_rng(16 + d)
         trials = 40
+
+        def drawn(*fields):
+            return verify._instances(d, trials, rng, *fields)
+
+        def diagonal(in_probe_basis):
+            x, xp, probs, eps = drawn(verify.OBSERVABLE, verify.OBSERVABLE, verify.PROBABILITIES, verify.INTENSITY)
+            return x, xp, mixture_of_eigenstates(xp if in_probe_basis else x, probs), eps
+
+        def mu_probe():
+            x, xp, probs, eps, rho_any = drawn(verify.MU_PAIR, verify.PROBABILITIES, verify.INTENSITY, verify.STATE)
+            return x, xp, mixture_of_eigenstates(xp, probs), eps, rho_any
+
         sections = [
-            lambda: verify._instances(d, trials, rng),
-            lambda: verify._instances(d, trials, rng, random_commuting_pair),
-            lambda: verify._diagonal_instances(d, trials, rng, False),
-            lambda: verify._diagonal_instances(d, trials, rng, True),
+            lambda: drawn(verify.OBSERVABLE, verify.OBSERVABLE, verify.STATE, verify.INTENSITY),
+            lambda: drawn(verify.COMMUTING_PAIR, verify.STATE, verify.INTENSITY),
+            lambda: diagonal(False),
+            lambda: diagonal(True),
         ]
         if d in (2, 3):
-            sections += [
-                lambda: verify._instances(d, trials, rng, random_mu_pair),
-                lambda: verify._mu_probe_instances(d, trials, rng),
-            ]
+            sections += [lambda: drawn(verify.MU_PAIR, verify.STATE, verify.INTENSITY), mu_probe]
         labels = set()
         for draw in sections:
             x, xp, rho, _, *rho_any = draw()
@@ -503,7 +512,8 @@ class TestStackedLabels:
     def test_single_observables_broadcast_over_a_state_stack(self, d):
         rng = np.random.default_rng(20 + d)
         x, xp, third = standard_mub_observables(d)[:3]
-        rho = members(verify._third_basis_instances(d, 40, rng, third)[0])
+        probs, _ = verify._instances(d, 40, rng, verify.AWAY_FROM_UNIFORM, verify.STRONG_INTENSITY)
+        rho = members(mixture_of_eigenstates(third, probs))
         rho += [random_density(d, rng) for _ in range(20)] + [mixture_of_eigenstates(xp, random_probabilities(d, rng))]
         labels = assert_labels_match_members(x, xp, rho)
         assert labels == {CaseLabel.TRIPLE_MU, CaseLabel.MU, CaseLabel.XPRIME_DIAGONAL}

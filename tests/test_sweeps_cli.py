@@ -29,8 +29,12 @@ from realmon.config import (
     MAX_RESOLUTION,
     MAX_SEEDS,
     MAX_TRIALS,
+    PATHS,
     ConfigError,
     SweepConfig,
+    check_choice,
+    check_integer,
+    check_number,
     config_from_json,
     make_config,
     resolve_state,
@@ -129,6 +133,28 @@ class TestConfig:
         path.write_bytes(content)
         with pytest.raises(ConfigError, match=f"config {re.escape(str(path))} is not valid JSON"):
             config_from_json(str(path))
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: check_integer("trials", -(10**5000), 1), "trials: must be an integer >= 1"),
+            (lambda: check_number("epsilon", 10**5000, 0, 1), "epsilon: must be a finite number in [0, 1]"),
+            (lambda: check_choice("path", 10**5000, PATHS), "path: unknown value"),
+            (lambda: make_config(shots=10**5000), "shots: must be an integer"),
+            (lambda: make_config("fig4a", points=10**5000), "points: must be an integer"),
+        ],
+        ids=["check_integer", "check_number", "check_choice", "make_config-shots", "make_config-points"],
+    )
+    def test_an_integer_too_long_to_print_is_named_by_its_size(self, call, message):
+        # Python refuses to print an int of more than 4,300 digits; 10**5000 has 16,610 bits
+        with pytest.raises(ConfigError) as caught:
+            call()
+        assert str(caught.value).startswith(message)
+        assert "an integer of 16610 bits" in str(caught.value)
+
+    def test_a_list_holding_an_integer_too_long_to_print_is_named(self):
+        with pytest.raises(ConfigError, match="monitor_axis: .* got a list holding an integer too long to print"):
+            make_config(monitor_axis=[10**5000])
 
 
 class TestAnalyticSweeps:
@@ -466,7 +492,6 @@ class TestOneBuildPerStack:
         assert calls == [(5,), (5,)]
 
     def test_certify_makes_five_extractions_and_one_reference_factor_per_qubit(self, monkeypatch):
-        import realmon.certify as certify_mod
         import realmon.channels as channels_mod
         import realmon.circuits as circuits_mod
 
@@ -476,13 +501,12 @@ class TestOneBuildPerStack:
             calls.append((type(channel).__name__, channel.batch))
             return to_superoperator(channel)
 
-        for module in (certify_mod, channels_mod, circuits_mod):
+        for module in (channels_mod, circuits_mod):
             monkeypatch.setattr(module, "to_superoperator", counting)
         assert certify_circuits(17).ok
-        # per coupling and width n: a circuit stack of 51, then n one-qubit
-        # factor stacks, then certify's call on the finished reference stack
+        # per coupling and width n: a circuit stack of 51, then n one-qubit factor stacks
         def width(n, members):
-            return [("Circuit", members)] + [("MonitoringChannel", members)] * n + [("Superoperator", members)]
+            return [("Circuit", members)] + [("MonitoringChannel", members)] * n
 
         assert calls == (width(1, 51) + width(2, 51)) * 2 + width(3, 3)
 
@@ -592,6 +616,32 @@ class TestVerifyAndCertifyAPI:
         worsts = {c.name: c.worst for c in verify_cases(seed=0, trials=20, dims=(2, 3, 4)).checks}
         for name, value in pinned.items():
             assert worsts[name] == pytest.approx(value, rel=0, abs=1e-9), name
+
+    @pytest.mark.parametrize(
+        "dims, text_sha256, json_sha256",
+        [
+            (
+                ["2", "3", "4"],
+                "0b32e0e6892027999c68931a4effc3d9e6f453387289a040053aa36582793dd2",
+                "028af909997ace7c5958163331bb9d1c22b4f846fbbe930261ab12fdc9f13db3",
+            ),
+            (
+                ["4", "5"],
+                "5206050e808796fea4a838c06d72cce414b32110d09188e023f059f8de3781c0",
+                "1a8ed6d30e3bf6e2c5c765e4ba6497058b7a6a5880751e3232f129d815e02d3a",
+            ),
+        ],
+        ids=["dims-2-3-4", "dims-4-5"],
+    )
+    def test_verify_report_is_pinned(self, tmp_path, capsys, dims, text_sha256, json_sha256):
+        # the whole report: check order, names, notes, instance counts and every margin's printed digits
+        import realmon.cli as cli_mod
+
+        out = tmp_path / "verify.json"
+        assert cli_mod.main(["verify-cases", "--seed", "0", "--trials", "20", "--dims", *dims, "--out", str(out)]) == 0
+        text = capsys.readouterr().out.removesuffix(f"wrote {out}\n")
+        assert hashlib.sha256(text.encode()).hexdigest() == text_sha256
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == json_sha256
 
     def test_verify_labels_checked(self):
         report = verify_cases(seed=2, trials=5, dims=(2, 3))
@@ -722,7 +772,7 @@ class TestSizeCaps:
         def reach(*args):
             raise Reached
 
-        monkeypatch.setattr(verify_mod, "_per_dimension", reach)
+        monkeypatch.setattr(verify_mod, "_instances", reach)
         monkeypatch.setattr(tomography_mod, "estimate_pauli", reach)
         monkeypatch.setattr(certify_mod, "_extract_and_compare", reach)
         return Reached
@@ -788,6 +838,52 @@ class TestCLI:
         proc = run_cli("sweep", "--scenario", "fig4a", "--shots", "-3")
         assert proc.returncode == 3
         assert "config error" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["--scenario", "fig4a", "--epsilon", "0.3"], "epsilon"),
+            (["--scenario", "fig4c", "--path", "noisy", "--epsilon", "0.3"], "epsilon"),
+            (["--scenario", "fig4a", "--shots", "5"], "shots"),
+            (["--scenario", "fig4a", "--repeats", "7"], "repeats"),
+            (["--scenario", "fig4a", "--seed", "1"], "seed"),
+            (["--scenario", "fig1", "--path", "circuit", "--shots", "5"], "shots"),
+            (["--scenario", "fig1", "--path", "circuit", "--repeats", "7"], "repeats"),
+            (["--scenario", "fig1", "--path", "circuit", "--seed", "1"], "seed"),
+        ],
+        ids=[
+            "epsilon-theta_m-grid", "epsilon-noisy-theta_m-grid", "shots-analytic", "repeats-analytic",
+            "seed-analytic", "shots-circuit", "repeats-circuit", "seed-circuit",
+        ],
+    )
+    def test_a_flag_the_run_would_not_read_exits_3(self, monkeypatch, capsys, argv, name):
+        import realmon.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "run_sweep", None)  # refused before the run
+        assert cli_mod.main(["sweep", "--points", "3", *argv]) == 3
+        assert capsys.readouterr().err.startswith(f"config error: {name}: --{name} applies only when")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--scenario", "fig1", "--epsilon", "0.5"],
+            ["--scenario", "fig4a", "--path", "noisy", "--shots", "64", "--repeats", "2", "--seed", "3"],
+        ],
+        ids=["epsilon-axis_theta-grid", "noisy-shots-repeats-seed"],
+    )
+    def test_flags_the_run_reads_are_accepted(self, capsys, argv):
+        import realmon.cli as cli_mod
+
+        assert cli_mod.main(["sweep", "--points", "3", *argv]) == 0
+        assert capsys.readouterr().out.startswith(CSV_HEADER)
+
+    def test_config_file_fields_the_run_does_not_read_are_still_accepted(self, tmp_path, capsys):
+        import realmon.cli as cli_mod
+
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"scenario": "fig4a", "epsilon": 0.3, "shots": 5, "repeats": 7, "seed": 1}))
+        assert cli_mod.main(["sweep", "--config", str(path), "--points", "3"]) == 0
+        assert capsys.readouterr().out.startswith(CSV_HEADER)
 
     @pytest.mark.parametrize("points", ["0", "1"])
     def test_points_below_two_exit_code(self, points):
