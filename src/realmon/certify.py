@@ -17,7 +17,7 @@ import numpy as np
 
 from .channels import product_monitor
 from .circuits import COUPLINGS, build_monitor_circuit, epsilon_of_strength, extract_channel
-from .config import MAX_RESOLUTION, check_integer
+from .config import MAX_RESOLUTION, MAX_SEED, check_integer
 from .output import CheckReport, check
 
 CNOT_MAPPING_NOTE = (
@@ -55,7 +55,7 @@ def certify_circuits(resolution: int = 17, seed: int = 11, include_three_qubit: 
     one-qubit z-basis CNOT channels extracted here.
     """
     check_integer("resolution", resolution, 2, MAX_RESOLUTION)
-    check_integer("seed", seed, 0)
+    check_integer("seed", seed, 0, MAX_SEED)
     rng = np.random.default_rng(seed)
     grid = [math.pi / 2 * k / (resolution - 1) for k in range(resolution)]
     checks = []

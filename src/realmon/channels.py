@@ -13,6 +13,16 @@ channel acts on a (d, d) matrix or an (N, d, d) stack, with one batched
 matrix product per outcome; each member's image equals its image alone,
 and ``to_superoperator`` extracts a stack the way it extracts a circuit
 stack.
+
+``dephase`` and ``monitor`` memoize their images on the source
+``DensityOperator``: a repeated call returns the same image object, and
+with it the image's cached spectrum.  ``dephase`` keys on the observable
+object (and keeps a reference to it, so its ``id`` is never reused);
+``monitor`` keys on the observable and the intensity's value, since callers
+pass mutable arrays, and builds its image from ``dephase``.  Channel
+objects act on matrices and never read the memo, so a ``ComposedChannel``
+stays a computation separate from the sequential ``dephase``/``monitor``
+route.
 """
 
 from __future__ import annotations
@@ -29,6 +39,12 @@ from .states import DensityOperator
 def _dephased(projectors: np.ndarray, mat: np.ndarray) -> np.ndarray:
     """sum_j P_j mat P_j over the outcome axis of (..., k, d, d) projectors."""
     return sum(projectors[..., j, :, :] @ mat @ projectors[..., j, :, :] for j in range(projectors.shape[-3]))
+
+
+def _blend(epsilon, mat: np.ndarray, dephased: np.ndarray) -> np.ndarray:
+    """(1 - eps) mat + eps dephased, an (N,) intensity broadcast over the member axis."""
+    eps = np.asarray(epsilon)[..., None, None]
+    return (1.0 - eps) * mat + eps * dephased
 
 
 class MonitoringChannel:
@@ -66,9 +82,7 @@ class MonitoringChannel:
         return self.observable.batch if np.ndim(self.epsilon) == 0 else len(self.epsilon)
 
     def apply_matrix(self, mat: np.ndarray) -> np.ndarray:
-        dephased = _dephased(self.observable.projectors, mat)
-        eps = np.asarray(self.epsilon)[..., None, None]
-        return (1.0 - eps) * mat + eps * dephased
+        return _blend(self.epsilon, mat, _dephased(self.observable.projectors, mat))
 
 
 class ComposedChannel:
@@ -116,25 +130,41 @@ class Superoperator:
         return images.reshape(images.shape[:-2] + mat.shape[-2:])
 
 
-def _check_dims(channel_dim: int, rho: DensityOperator):
-    if channel_dim != rho.dim:
-        raise DimensionError(f"channel dimension {channel_dim} does not match state dimension {rho.dim}")
+def _check_dims(op, rho: DensityOperator):
+    """``op``, an observable or a channel, matches ``rho`` in dimension, and in size where both are stacks."""
+    if op.dim != rho.dim:
+        raise DimensionError(f"channel dimension {op.dim} does not match state dimension {rho.dim}")
+    if None not in (op.batch, rho.batch) and op.batch != rho.batch:
+        raise DimensionError(f"stack sizes differ: {op.batch} vs {rho.batch} states")
 
 
 def dephase(x: ProjectiveObservable, rho: DensityOperator) -> DensityOperator:
     """Post-measurement state of a non-revealed projective measurement of x,
     sum_j P_j rho P_j: monitoring at intensity 1.
 
-    A stack of observables or of states gives the stack of images.
+    A stack of observables or of states gives the stack of images.  The
+    image is built once per (x, rho) and memoized on rho.
     """
-    _check_dims(x.dim, rho)
-    return DensityOperator(_dephased(x.projectors, rho.matrix), validate=False)
+    _check_dims(x, rho)
+    key = ("dephase", id(x))
+    if key not in rho._images:
+        rho._images[key] = (x, DensityOperator(_dephased(x.projectors, rho.matrix), validate=False))
+    return rho._images[key][1]
 
 
 def monitor(ch: MonitoringChannel, rho: DensityOperator) -> DensityOperator:
-    """State after monitoring: (1-eps) rho + eps * dephased(rho), per member of a stack."""
-    _check_dims(ch.dim, rho)
-    return DensityOperator(ch.apply_matrix(rho.matrix), validate=False)
+    """State after monitoring: (1-eps) rho + eps * dephased(rho), per member of a stack.
+
+    The image is built once per (observable, intensity value, rho) and
+    memoized on rho; its dephased part is ``dephase(x, rho)``, itself memoized.
+    """
+    _check_dims(ch, rho)
+    x, eps = ch.observable, np.asarray(ch.epsilon)
+    key = ("monitor", id(x), eps.shape, eps.tobytes())
+    if key not in rho._images:
+        image = _blend(eps, rho.matrix, dephase(x, rho).matrix)
+        rho._images[key] = (x, DensityOperator(image, validate=False))
+    return rho._images[key][1]
 
 
 def to_superoperator(ch) -> Superoperator:

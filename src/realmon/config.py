@@ -70,6 +70,10 @@ DEFAULT_GRID_POINTS = 33
 DEFAULT_SHOTS = 8192
 DEFAULT_REPEATS = 10
 MAX_SHOTS = 2**63 - 1  # numpy draws int64 counts
+# Every command's seed, capped so that it always prints in its report
+# (Python refuses integers of over 4,300 digits); 128 bits is the size of
+# the entropy pool of numpy's SeedSequence.
+MAX_SEED = 2**128 - 1
 
 # Size caps, checked before any grid, stack or sample is built; a value
 # above one exits 3 naming its field.  Peaks below were measured on a 2-vCPU
@@ -216,7 +220,7 @@ class SweepConfig:
             check_number(name, getattr(self, name), 0, 1)
         check_integer("shots", self.shots, 0, MAX_SHOTS)
         check_integer("repeats", self.repeats, 1, MAX_REPEATS)
-        check_integer("seed", self.seed, 0)
+        check_integer("seed", self.seed, 0, MAX_SEED)
         for name in ("out", "svg", "json_out"):
             check_output_path(name, getattr(self, name))
         resolve_state(self.state)

@@ -49,7 +49,7 @@ class ProjectiveObservable:
     has (N, k) eigenvalues and (N, k, d, d) projectors, and ``batch`` is N.
     """
 
-    __slots__ = ("eigenvalues", "projectors")
+    __slots__ = ("eigenvalues", "projectors", "_nondegenerate")
 
     def __init__(self, eigenvalues, projectors, *, validate: bool = True):
         values = np.array(eigenvalues, dtype=float)
@@ -65,6 +65,7 @@ class ProjectiveObservable:
         values.setflags(write=False)
         self.eigenvalues = tuple(values.tolist()) if values.ndim == 1 else values
         self.projectors = projs
+        self._nondegenerate = None
         if validate:
             self._validate()
 
@@ -106,9 +107,11 @@ class ProjectiveObservable:
 
     @property
     def is_nondegenerate(self) -> bool:
-        """Every projector has rank 1 (for a stack: in every member)."""
-        ranks = np.rint(self.projectors.trace(axis1=-2, axis2=-1).real)
-        return bool((ranks == 1).all())
+        """Every projector has rank 1 (for a stack: in every member); computed once per object."""
+        if self._nondegenerate is None:
+            ranks = np.rint(self.projectors.trace(axis1=-2, axis2=-1).real)
+            self._nondegenerate = bool((ranks == 1).all())
+        return self._nondegenerate
 
     def matrix(self) -> np.ndarray:
         """Reconstruct the Hermitian operator sum_j x_j P_j, (N, d, d) for a stack."""

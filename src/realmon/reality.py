@@ -25,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .channels import ComposedChannel, MonitoringChannel, _dephased, dephase, monitor
+from .channels import ComposedChannel, MonitoringChannel, dephase, monitor
 from .linalg import DimensionError, within_tol
 from .observables import (
     ProjectiveObservable,
@@ -128,7 +128,7 @@ def delta_reality_other(
 
 def _is_fixed_point(x: ProjectiveObservable, rho: DensityOperator):
     """Whether dephasing in the eigenbasis of x leaves rho unchanged, per member of a stack."""
-    return within_tol(_dephased(x.projectors, rho.matrix) - rho.matrix, FIXED_POINT_TOL)
+    return within_tol(dephase(x, rho).matrix - rho.matrix, FIXED_POINT_TOL)
 
 
 def classify_case(
@@ -148,6 +148,9 @@ def classify_case(
     """
     if x.dim != xprime.dim or x.dim != rho.dim:
         raise DimensionError("observables and state must share one dimension")
+    sizes = [s.batch for s in (x, xprime, rho)]
+    if len(set(sizes) - {None}) > 1:
+        raise DimensionError(f"stack sizes differ: {sizes[0]} and {sizes[1]} observables vs {sizes[2]} states")
     mu = triple = False
     if x.is_nondegenerate and xprime.is_nondegenerate:
         mu = is_mutually_unbiased(x, xprime)

@@ -7,8 +7,9 @@ an explicit ``numpy.random.Generator``, in a fixed order:
 ``draw_pair`` one shared Gaussian block then each member's eigenvalues,
 ``draw_density`` the pure/mixed coin then a Gaussian block for a vector or
 matrix.  A Gaussian block is one ``standard_normal((2, *shape))`` call, real
-parts then imaginary parts; eigenvalues are drawn and rejected as plain
-floats.  A build draws nothing: it turns the draw records of N instances
+parts then imaginary parts; eigenvalues are one ``random(d)`` call mapped
+to ``2u - 1`` (the values and stream of ``uniform(-1, 1)``), rejected as
+plain floats.  A build draws nothing: it turns the draw records of N instances
 into one stack, combining the blocks into complex Gaussians once.
 Unitaries come from QR of the Gaussian matrices with the R-diagonal phase
 fix (Mezzadri, Notices AMS 54, 592, 2007), so columns are Haar-distributed;
@@ -82,9 +83,13 @@ def ginibre_density(d: int, rng: np.random.Generator) -> DensityOperator:
 
 
 def _distinct_eigenvalues(d: int, rng: np.random.Generator) -> list[float]:
-    """d sorted uniform values in [-1, 1), redrawn until every adjacent gap exceeds ``MIN_EIGENVALUE_GAP``."""
+    """d sorted uniform values in [-1, 1), redrawn until every adjacent gap exceeds ``MIN_EIGENVALUE_GAP``.
+
+    numpy's ``uniform(-1, 1)`` computes ``-1 + 2u`` from ``random``'s stream
+    and doubling is exact, so ``2u - 1`` is the same value at less cost.
+    """
     while True:
-        vals = sorted(rng.uniform(-1.0, 1.0, size=d).tolist())
+        vals = sorted((2.0 * rng.random(d) - 1.0).tolist())
         if all(b - a > MIN_EIGENVALUE_GAP for a, b in zip(vals, vals[1:])):
             return vals
 

@@ -63,16 +63,19 @@ class DensityOperator:
     by default, and its eigensolve rejects a Hermiticity defect above 1e-10;
     channel code that produces states valid by construction passes
     ``validate=False`` to skip the eigensolve.  The spectrum is computed
-    lazily and cached, so validation and entropy share one solve.
+    lazily and cached, so validation and entropy share one solve.  Likewise
+    ``_images`` keeps the images ``channels.dephase`` and ``channels.monitor``
+    build of the state, so each is built once, for as long as the state lives.
     """
 
-    __slots__ = ("matrix", "_eigensystem")
+    __slots__ = ("matrix", "_eigensystem", "_images")
 
     def __init__(self, matrix, *, validate: bool = True):
         arr = np.ascontiguousarray(_as_square_complex(matrix, "density matrix", max_lead=1))
         arr.setflags(write=False)
         self.matrix = arr
         self._eigensystem = None
+        self._images = {}
         if validate:
             traces = np.trace(arr, axis1=-2, axis2=-1).reshape(-1)
             bad = np.abs(traces - 1.0) > TRACE_TOL

@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .config import DEFAULT_SHOTS, MAX_SEEDS, MAX_SHOTS, check_integer, resolve_state
+from .config import DEFAULT_SHOTS, MAX_SEED, MAX_SEEDS, MAX_SHOTS, check_integer, resolve_state
 from .linalg import DimensionError, dagger
 from .noise import DEFAULT_READOUT_FLIP, apply_readout_noise, check_probabilities, confusion_from_flip, sample_shots
 from .observables import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
@@ -122,7 +122,7 @@ def tomography_errors(state: str, shots: int, seeds: int, seed: int, noisy: bool
     rho = resolve_state(state)
     check_integer("shots", shots, 0, MAX_SHOTS)
     check_integer("seeds", seeds, 1, MAX_SEEDS)
-    check_integer("seed", seed, 0)
+    check_integer("seed", seed, 0, MAX_SEED)
     confusion = confusion_from_flip(DEFAULT_READOUT_FLIP) if noisy else None
     rng = np.random.default_rng(seed)
     errors = []

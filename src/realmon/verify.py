@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from .channels import MonitoringChannel, dephase, monitor
-from .config import MAX_DIMENSION, MAX_TRIALS, ConfigError, check_integer
+from .config import MAX_DIMENSION, MAX_SEED, MAX_TRIALS, ConfigError, check_integer
 from .observables import standard_mub_observables
 from .output import CheckReport, check
 from .reality import (
@@ -202,7 +202,7 @@ def verify_cases(seed: int = 0, trials: int = 200, dims: tuple[int, ...] = (2, 3
         check_integer("dims", d, 2, MAX_DIMENSION)
     if not dims or len(set(dims)) != len(dims):
         raise ConfigError(f"dims: must name one or more dimensions, none repeated, got {list(dims)}")
-    check_integer("seed", seed, 0)
+    check_integer("seed", seed, 0, MAX_SEED)
     rng = np.random.default_rng(seed)
     mu_dims = tuple(d for d in dims if standard_mub_observables(d))
     checks = []

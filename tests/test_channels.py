@@ -13,8 +13,10 @@ from realmon.channels import (
     product_monitor,
     to_superoperator,
 )
+from realmon import channels, states, verify
 from realmon.linalg import DimensionError
-from realmon.observables import observable_from_axis, pauli_observable, stack_observables
+from realmon.observables import ProjectiveObservable, observable_from_axis, pauli_observable, stack_observables
+from realmon.reality import classify_case, delta_reality_monitored, delta_reality_other, irreality, reality_report
 from realmon.sampling import ginibre_density, random_mu_pair, random_observable
 from realmon.states import (
     DensityOperator,
@@ -303,6 +305,35 @@ class TestStacks:
             MonitoringChannel(observable_from_axis(np.zeros(3)), np.array([0.2, 0.4]))
         assert MonitoringChannel(observable_from_axis(np.zeros(3)), np.array([0.2, 0.4, 0.6])).batch == 3
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda x, eps, rho: dephase(x, rho),
+            lambda x, eps, rho: monitor(MonitoringChannel(x, 0.5), rho),
+            lambda x, eps, rho: monitor(MonitoringChannel(SZ, eps), rho),
+            lambda x, eps, rho: delta_reality_other(SX, x, 0.5, rho),
+            lambda x, eps, rho: delta_reality_other(SX, SZ, eps, rho),
+            lambda x, eps, rho: delta_reality_other(x, SZ, 0.5, rho),
+            lambda x, eps, rho: delta_reality_monitored(SZ, eps, rho),
+            lambda x, eps, rho: irreality(x, rho),
+            lambda x, eps, rho: reality_report(x, SX, 0.5, rho),
+            lambda x, eps, rho: reality_report(SZ, SX, eps, rho),
+            lambda x, eps, rho: reality_report(SZ, x, 0.5, rho),
+            lambda x, eps, rho: classify_case(x, SX, rho),
+            lambda x, eps, rho: classify_case(SZ, x, rho),
+        ],
+        ids=[
+            "dephase", "monitor-observables", "monitor-intensities", "other-monitored", "other-intensities",
+            "other-probe", "monitored-intensities", "irreality", "report-monitored", "report-intensities",
+            "report-probe", "classify-monitored", "classify-probe",
+        ],
+    )
+    def test_five_observables_or_intensities_against_three_states_name_the_sizes(self, call):
+        five = observable_from_axis(np.linspace(0.1, 1.0, 5))
+        three = stack_states([PLUS, ZERO, PLUS])
+        with pytest.raises(DimensionError, match="stack sizes differ: .*5.* vs 3 states"):
+            call(five, np.linspace(0.1, 0.9, 5), three)
+
     def test_intensity_array_range_enforced(self):
         with pytest.raises(ValueError):
             MonitoringChannel(SZ, np.array([0.2, 1.5]))
@@ -370,3 +401,80 @@ class TestAngleArrays:
         stack = to_superoperator(product_monitor([(0.3, 0.1)], eps)).matrix
         for k in range(3):
             assert same_bits(stack[k], to_superoperator(product_monitor([(0.3, 0.1)], float(eps[k]))).matrix)
+
+
+def counting(monkeypatch, module, name, counts):
+    """Replace ``module.name`` with a wrapper that counts its calls in ``counts[name]``."""
+    original = getattr(module, name)
+    counts[name] = 0
+
+    def wrapper(*args):
+        counts[name] += 1
+        return original(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+class TestImageMemo:
+    """``dephase`` and ``monitor`` build each image once per source state, and
+    channel objects acting on matrices never read that memo."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(41)  # a fresh state per test, so no test sees another's memo
+        self.X = random_observable(3, rng)
+        self.RHO = ginibre_density(3, rng)
+
+    def test_repeated_calls_return_the_same_image(self):
+        assert dephase(self.X, self.RHO) is dephase(self.X, self.RHO)
+        first = monitor(MonitoringChannel(self.X, 0.3), self.RHO)
+        assert monitor(MonitoringChannel(self.X, 0.3), self.RHO) is first
+        assert first.eigensystem() is monitor(MonitoringChannel(self.X, 0.3), self.RHO).eigensystem()
+
+    def test_an_equal_valued_intensity_array_hits(self):
+        rho = stack_states([PLUS, ZERO, PLUS])
+        eps = np.array([0.1, 0.2, 0.3])
+        first = monitor(MonitoringChannel(SZ, eps), rho)
+        assert monitor(MonitoringChannel(SZ, np.array([0.1, 0.2, 0.3])), rho) is first
+
+    def test_a_changed_intensity_or_another_observable_misses(self):
+        rho = stack_states([PLUS, ZERO, PLUS])
+        eps = np.array([0.1, 0.2, 0.3])
+        ch = MonitoringChannel(SZ, eps)  # holds the caller's array, not a copy
+        first = monitor(ch, rho)
+        before = first.matrix.copy()
+        eps[0] = 0.9
+        second = monitor(ch, rho)
+        assert second is not first and np.array_equal(first.matrix, before)
+        assert np.array_equal(second.matrix, ch.apply_matrix(rho.matrix))
+        twin = ProjectiveObservable(SZ.eigenvalues, SZ.projectors)
+        assert dephase(twin, rho) is not dephase(SZ, rho)
+        assert monitor(MonitoringChannel(twin, eps), rho) is not second
+        assert np.array_equal(dephase(twin, rho).matrix, dephase(SZ, rho).matrix)
+
+    def test_an_observable_freed_after_its_call_leaves_no_stale_image(self):
+        # the memo keeps each observable alive, so a new one never reuses its id
+        for theta in np.linspace(0.0, 3.0, 20):
+            x = observable_from_axis(theta)
+            assert np.array_equal(dephase(x, PLUS).matrix, channels._dephased(x.projectors, PLUS.matrix))
+            del x
+
+    def test_generic_section_makes_five_dephasings_and_six_eigensolves(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        x, xp, rho, eps = verify._instances(3, 4, rng, verify.OBSERVABLE, verify.OBSERVABLE, verify.STATE, verify.INTENSITY)
+        counts = {}
+        counting(monkeypatch, channels, "_dephased", counts)
+        counting(monkeypatch, states, "hermitian_eig", counts)
+        reality_report(x, xp, eps, rho)
+        delta_reality_other(xp, x, eps, rho)
+        delta_reality_monitored(x, eps, rho)
+        irreality(x, rho)
+        assert counts == {"_dephased": 5, "hermitian_eig": 6}
+
+    def test_channels_on_matrices_recompute_every_dephasing(self, monkeypatch):
+        x, xp = self.X, random_observable(3, np.random.default_rng(42))
+        dephase(xp, monitor(MonitoringChannel(x, 0.4), self.RHO))  # fills the memo
+        counts = {}
+        counting(monkeypatch, channels, "_dephased", counts)
+        composed = ComposedChannel(MonitoringChannel(xp, 1.0), MonitoringChannel(x, 0.4))
+        composed.apply_matrix(self.RHO.matrix)
+        assert counts["_dephased"] == 2

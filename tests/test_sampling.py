@@ -188,3 +188,28 @@ def test_a_sampler_takes_rng_or_draws():
         sampling.random_commuting_pair(2, draws=[])
     with pytest.raises(DimensionError):
         sampling.random_mu_pair(4, draws=[sampling.draw_pair(4, rng)])
+
+
+def uniform_eigenvalues(d, rng, draws):
+    """The eigenvalue draw written with numpy's ``uniform(-1, 1)``, counting each draw in ``draws``."""
+    while True:
+        draws.append(d)
+        vals = sorted(rng.uniform(-1.0, 1.0, size=d).tolist())
+        if all(b - a > sampling.MIN_EIGENVALUE_GAP for a, b in zip(vals, vals[1:])):
+            return vals
+
+
+@pytest.mark.parametrize("gap", ["default", "large"])
+def test_distinct_eigenvalues_equal_numpy_uniform_draws(monkeypatch, gap):
+    """``2u - 1`` from ``rng.random`` gives the values and the generator state of ``uniform(-1, 1)``;
+    a large gap forces redraws, which must consume the stream alike."""
+    draws = []
+    for d in range(2, 17):
+        if gap == "large":
+            monkeypatch.setattr(sampling, "MIN_EIGENVALUE_GAP", 0.5 / d)
+        for seed in range(40):
+            ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert sampling._distinct_eigenvalues(d, ours) == uniform_eigenvalues(d, reference, draws)
+            assert ours.bit_generator.state == reference.bit_generator.state
+            assert ours.random() == reference.random()
+    assert len(draws) - 15 * 40 > (1000 if gap == "large" else 0)  # redraws happened

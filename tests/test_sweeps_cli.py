@@ -27,6 +27,7 @@ from realmon.config import (
     MAX_GRID_POINTS,
     MAX_REPEATS,
     MAX_RESOLUTION,
+    MAX_SEED,
     MAX_SEEDS,
     MAX_TRIALS,
     PATHS,
@@ -806,6 +807,35 @@ class TestSizeCaps:
             with pytest.raises(reached):
                 self.main(argv)
         assert len(make_config("fig4a", points=MAX_GRID_POINTS).grid_values) == MAX_GRID_POINTS
+
+    # every entry point that takes a seed, as a function of the seed
+    SEEDED = {
+        "verify_cases": lambda seed: verify_cases(seed=seed, trials=1, dims=(2,)),
+        "certify_circuits": lambda seed: certify_circuits(resolution=2, seed=seed),
+        "SweepConfig": lambda seed: make_config("fig4a", path="noisy", points=2, seed=seed),
+        "tomography_errors": lambda seed: tomography_errors("plus", 8, 1, seed, False),
+    }
+
+    @pytest.mark.parametrize("entry", SEEDED)
+    @pytest.mark.parametrize("seed", [MAX_SEED + 1, 10**5000], ids=["2**128", "1e5000"])
+    def test_seed_over_the_cap_is_named(self, reached, entry, seed):
+        with pytest.raises(ConfigError, match=r"^seed: must be an integer in \[0, "):
+            self.SEEDED[entry](seed)
+
+    @pytest.mark.parametrize(
+        "command", [["verify-cases"], ["certify-circuits"], ["tomo-sim"], ["sweep", "--scenario", "fig4a", "--path", "noisy"]],
+        ids=["verify-cases", "certify-circuits", "tomo-sim", "sweep"],
+    )
+    def test_seed_over_the_cap_exits_3(self, reached, capsys, command):
+        assert self.main([*command, "--seed", str(MAX_SEED + 1)]) == 3
+        assert "seed: must be an integer" in capsys.readouterr().err
+
+    def test_the_seed_cap_itself_runs_and_prints(self, tmp_path):
+        report = verify_cases(seed=MAX_SEED, trials=2, dims=(2,))
+        assert f"seed={MAX_SEED}" in report.render_text()
+        config = make_config("fig4a", path="noisy", points=2, repeats=1, shots=8, seed=MAX_SEED)
+        emit_json(run_sweep(config), config, str(tmp_path / "run.json"))
+        assert json.loads((tmp_path / "run.json").read_text())["metadata"]["seed"] == MAX_SEED
 
 
 class TestCLI:
