@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DimensionError
+from .linalg import DimensionError, common_batch, operators
 from .observables import ProjectiveObservable, observable_from_axis
 from .states import DensityOperator
 
@@ -53,10 +53,11 @@ class MonitoringChannel:
     measurement at eps = 1.
 
     ``epsilon`` is one intensity, or an (N,) array of them for a stack; a
-    stacked observable and a stacked intensity must have one member count.
+    stacked observable and a stacked intensity must have one member count,
+    ``batch`` (None for a single channel).
     """
 
-    __slots__ = ("observable", "epsilon")
+    __slots__ = ("observable", "epsilon", "dim", "batch")
 
     def __init__(self, observable: ProjectiveObservable, epsilon):
         eps = np.asarray(epsilon, dtype=float)
@@ -67,44 +68,23 @@ class MonitoringChannel:
             first = int(np.argmin(inside))  # the first value outside [0, 1]
             at = f" at index {first}" if eps.ndim else ""
             raise ValueError(f"measurement intensity must lie in [0, 1], got {float(eps.flat[first])!r}{at}")
-        if eps.ndim == 1 and observable.batch not in (None, len(eps)):
-            raise DimensionError(f"stack sizes differ: {observable.batch} observables vs {len(eps)} intensities")
-        self.observable = observable
+        self.batch = common_batch({"observables": observable, "intensities": len(eps) if eps.ndim else None})
+        self.observable, self.dim = observable, observable.dim
         self.epsilon = float(eps) if eps.ndim == 0 else eps
-
-    @property
-    def dim(self) -> int:
-        return self.observable.dim
-
-    @property
-    def batch(self) -> int | None:
-        """Number of channels in a stack; None for a single channel."""
-        return self.observable.batch if np.ndim(self.epsilon) == 0 else len(self.epsilon)
 
     def apply_matrix(self, mat: np.ndarray) -> np.ndarray:
         return _blend(self.epsilon, mat, _dephased(self.observable.projectors, mat))
 
 
 class ComposedChannel:
-    """Sequential application: outer after inner.  Two stacked stages must have one member count."""
+    """Sequential application: outer after inner.  The stages share one
+    dimension, and two stacked stages one member count, which is ``batch``."""
 
-    __slots__ = ("outer", "inner")
+    __slots__ = ("outer", "inner", "dim", "batch")
 
     def __init__(self, outer, inner):
-        if outer.dim != inner.dim:
-            raise DimensionError(f"channel dimensions differ: {outer.dim} vs {inner.dim}")
-        if None not in (outer.batch, inner.batch) and outer.batch != inner.batch:
-            raise DimensionError(f"channel stack sizes differ: {outer.batch} vs {inner.batch}")
-        self.outer = outer
-        self.inner = inner
-
-    @property
-    def dim(self) -> int:
-        return self.outer.dim
-
-    @property
-    def batch(self) -> int | None:
-        return self.inner.batch if self.outer.batch is None else self.outer.batch
+        self.batch = common_batch({"outer stages": outer, "inner stages": inner})
+        self.outer, self.inner, self.dim = outer, inner, outer.dim
 
     def apply_matrix(self, mat: np.ndarray) -> np.ndarray:
         return self.outer.apply_matrix(self.inner.apply_matrix(mat))
@@ -124,18 +104,12 @@ class Superoperator:
         return self.matrix.shape[0] if self.matrix.ndim == 3 else None
 
     def apply_matrix(self, mat: np.ndarray) -> np.ndarray:
-        """Image of a (d, d) operator or a stack of them; stacks broadcast against the member axis."""
+        """Image of a (d, d) operator or a stack of them: an (N, d, d) stack
+        meets a stack of N member by member, and other leading axes broadcast."""
         mat = np.asarray(mat, dtype=complex)
+        common_batch({"superoperators": self, "operators": operators(mat)})
         images = self.matrix @ mat.reshape(mat.shape[:-2] + (self.dim**2, 1))
         return images.reshape(images.shape[:-2] + mat.shape[-2:])
-
-
-def _check_dims(op, rho: DensityOperator):
-    """``op``, an observable or a channel, matches ``rho`` in dimension, and in size where both are stacks."""
-    if op.dim != rho.dim:
-        raise DimensionError(f"channel dimension {op.dim} does not match state dimension {rho.dim}")
-    if None not in (op.batch, rho.batch) and op.batch != rho.batch:
-        raise DimensionError(f"stack sizes differ: {op.batch} vs {rho.batch} states")
 
 
 def dephase(x: ProjectiveObservable, rho: DensityOperator) -> DensityOperator:
@@ -145,7 +119,7 @@ def dephase(x: ProjectiveObservable, rho: DensityOperator) -> DensityOperator:
     A stack of observables or of states gives the stack of images.  The
     image is built once per (x, rho) and memoized on rho.
     """
-    _check_dims(x, rho)
+    common_batch({"observables": x, "states": rho})
     key = ("dephase", id(x))
     if key not in rho._images:
         rho._images[key] = (x, DensityOperator(_dephased(x.projectors, rho.matrix), validate=False))
@@ -158,7 +132,7 @@ def monitor(ch: MonitoringChannel, rho: DensityOperator) -> DensityOperator:
     The image is built once per (observable, intensity value, rho) and
     memoized on rho; its dephased part is ``dephase(x, rho)``, itself memoized.
     """
-    _check_dims(ch, rho)
+    common_batch({"channels": ch, "states": rho})
     x, eps = ch.observable, np.asarray(ch.epsilon)
     key = ("monitor", id(x), eps.shape, eps.tobytes())
     if key not in rho._images:

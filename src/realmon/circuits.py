@@ -19,8 +19,8 @@ axis per qubit.
 Circuits also come as stacks: U3 angles given as (N,) arrays make N
 circuits with one gate layout, whose gates hold (N, 2, 2) matrices.  A
 stack compiles one (N, 2**width, d) isometry with the same contractions,
-and operators broadcast against its member axis as numpy arrays do, so one
-call evolves a whole sweep grid or extracts N channels at once.
+and one operator, or an (N, d, d) stack of them, goes through it member by
+member, so one call evolves a whole sweep grid or extracts N channels at once.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from .channels import Superoperator, to_superoperator
-from .linalg import DimensionError, dagger, partial_trace, tensor_product
+from .linalg import DimensionError, common_batch, dagger, operators, partial_trace, tensor_product
 from .states import DensityOperator
 
 COUPLINGS = ("CZ", "CNOT")
@@ -293,7 +293,7 @@ def _isometry_route(circuit: Circuit, mat: np.ndarray) -> np.ndarray:
 
     def rows(x, i):
         """Rows i to i + step of ``x``'s first leading axis, or all of ``x`` if it broadcasts there."""
-        return x[i : i + step] if x.ndim - 2 == len(lead) and len(x) > 1 else x
+        return x[i : i + step] if x.ndim - 2 == len(lead) else x
 
     return np.concatenate(
         [partial_trace(rows(v, i) @ rows(mat, i) @ dagger(rows(v, i)), dims, keep) for i in range(0, lead[0], step)]
@@ -310,11 +310,12 @@ def apply_circuit_matrix(circuit: Circuit, mat: np.ndarray) -> np.ndarray:
     which is what channel extraction needs.  ``mat`` is a (d, d) operator or
     a stack of them whose leading axes broadcast against a circuit stack's
     member axis: one operator through N circuits gives N images, and N
-    operators through N circuits give member k's image of operator k.
+    operators through N circuits give member k's image of operator k (an
+    (N, d, d) stack needs N circuits; the (d^2, 1, d, d) units of extraction
+    broadcast).
     """
     mat = np.asarray(mat, dtype=complex)
-    if mat.shape[-2:] != (circuit.dim, circuit.dim):
-        raise DimensionError(f"operator shape {mat.shape} does not match {circuit.n_system} system qubits")
+    common_batch({"circuits": circuit, "operators": operators(mat)})
     if circuit.depolarizing > 0.0:
         return _density_route(circuit, mat)
     return _isometry_route(circuit, mat)
@@ -323,8 +324,9 @@ def apply_circuit_matrix(circuit: Circuit, mat: np.ndarray) -> np.ndarray:
 def run_circuit_density(circuit: Circuit, rho_system: DensityOperator) -> DensityOperator:
     """Evolve a system state through the dilation and discard the ancillas.
 
-    A stack of states, a stack of circuits, or both (member by member) give
-    the stack of images.
+    A stack of states, a stack of circuits, or both (member by member, of
+    one member count, which ``apply_circuit_matrix`` checks) give the stack
+    of images.
     """
     return DensityOperator(apply_circuit_matrix(circuit, rho_system.matrix), validate=False)
 

@@ -13,6 +13,9 @@ the same answer it would get alone.  ``tensor_product`` and
 
 from __future__ import annotations
 
+import math
+from types import SimpleNamespace
+
 import numpy as np
 
 HERMITIAN_TOL = 1e-10
@@ -35,6 +38,31 @@ def _as_square_complex(m, name="matrix", max_lead=None) -> np.ndarray:
     if not lead_ok or arr.shape[-1] != arr.shape[-2] or arr.shape[-1] < 1:
         raise DimensionError(f"{name} must be a square 2-D array or a stack of them, got shape {arr.shape}")
     return arr
+
+
+def common_batch(operands) -> int | None:
+    """The member count the operands of one operation share; None if every one is single.
+
+    ``operands`` maps plural nouns ("observables", "states") to objects with
+    ``dim`` and ``batch``, or to bare member counts (None for a single
+    operand).  The objects must share one dimension and the stacks one size: a
+    stack of one is a stack, not broadcast against N.  A mismatch raises one
+    ``DimensionError`` that names every size, e.g. "5 observables vs 3 states".
+    """
+    dims = {name: op.dim for name, op in operands.items() if hasattr(op, "dim")}
+    sizes = {name: n for name, op in operands.items() if (n := getattr(op, "batch", op)) is not None}
+    if len(set(dims.values())) > 1:
+        raise DimensionError("dimensions differ: " + " vs ".join(f"{d}-dimensional {x}" for x, d in dims.items()))
+    if len(set(sizes.values())) > 1:
+        raise DimensionError("stack sizes differ: " + " vs ".join(f"{n} {name}" for name, n in sizes.items()))
+    return next(iter(sizes.values()), None)
+
+
+def operators(mat):
+    """A (..., d, d) operator array as a ``common_batch`` operand: an (N, d, d)
+    stack has N members, and a (d, d) matrix or any other stack broadcasts."""
+    arr = _as_square_complex(mat, "operator")
+    return SimpleNamespace(dim=arr.shape[-1], batch=len(arr) if arr.ndim == 3 else None)
 
 
 def dagger(m) -> np.ndarray:
@@ -80,13 +108,8 @@ def partial_trace(m, dims, keep) -> np.ndarray:
     dims = tuple(int(x) for x in dims)
     if any(x < 1 for x in dims):
         raise DimensionError(f"subsystem dimensions must be positive, got {dims}")
-    total = 1
-    for x in dims:
-        total *= x
-    if total != arr.shape[-1]:
-        raise DimensionError(
-            f"subsystem dimensions {dims} do not factor matrix of side {arr.shape[-1]}"
-        )
+    if math.prod(dims) != arr.shape[-1]:
+        raise DimensionError(f"subsystem dimensions {dims} do not factor matrix of side {arr.shape[-1]}")
     if isinstance(keep, (int, np.integer)):
         keep = (int(keep),)
     keep = tuple(sorted({int(k) for k in keep}))
@@ -101,9 +124,7 @@ def partial_trace(m, dims, keep) -> np.ndarray:
     col_idx = [n + k if k in keep_set else k for k in range(n)]
     out_idx = [k for k in keep] + [n + k for k in keep]
     reduced = np.einsum(t, [..., *row_idx, *col_idx], [..., *out_idx])
-    d_keep = 1
-    for k in keep:
-        d_keep *= dims[k]
+    d_keep = math.prod(dims[k] for k in keep)
     return reduced.reshape(arr.shape[:-2] + (d_keep, d_keep))
 
 

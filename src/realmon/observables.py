@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .linalg import DimensionError, hermiticity_defect, within_tol
+from .linalg import DimensionError, common_batch, hermiticity_defect, within_tol
 
 PROJECTOR_TOL = 1e-10
 COMPLETENESS_TOL = 1e-10
@@ -155,9 +155,9 @@ def observable_from_axis(theta, phi=0.0) -> ProjectiveObservable:
 
 
 def commutes(x: ProjectiveObservable, x2: ProjectiveObservable) -> bool | np.ndarray:
-    """True when the reconstructed operators commute entrywise within ``COMMUTE_TOL``, per member of a stack."""
-    if x.dim != x2.dim:
-        raise DimensionError(f"observable dimensions differ: {x.dim} vs {x2.dim}")
+    """True when the reconstructed operators commute entrywise within ``COMMUTE_TOL``,
+    per member of a stack; two stacks must have one member count."""
+    common_batch({"first observables": x, "second observables": x2})
     a = x.matrix()
     b = x2.matrix()
     return within_tol(a @ b - b @ a, COMMUTE_TOL)
@@ -168,10 +168,10 @@ def is_mutually_unbiased(x: ProjectiveObservable, x2: ProjectiveObservable) -> b
 
     Defined only for nondegenerate observables; the overlap is evaluated as
     Tr(P_j P'_k), which equals the squared amplitude for rank-1 projectors.
-    A stack on either side gives the (N,) array of its members' answers.
+    A stack on either side gives the (N,) array of its members' answers;
+    two stacks must have one member count.
     """
-    if x.dim != x2.dim:
-        raise DimensionError(f"observable dimensions differ: {x.dim} vs {x2.dim}")
+    common_batch({"first observables": x, "second observables": x2})
     if not (x.is_nondegenerate and x2.is_nondegenerate):
         raise DegenerateObservableError(
             "mutual unbiasedness is defined for nondegenerate observables only"

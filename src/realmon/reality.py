@@ -26,7 +26,7 @@ from enum import Enum
 import numpy as np
 
 from .channels import ComposedChannel, MonitoringChannel, dephase, monitor
-from .linalg import DimensionError, within_tol
+from .linalg import common_batch, within_tol
 from .observables import (
     ProjectiveObservable,
     commutes,
@@ -71,9 +71,7 @@ class RealityReport:
 
 
 def irreality(x: ProjectiveObservable, rho: DensityOperator) -> float:
-    """Entropy gained by fully dephasing rho in the eigenbasis of x, in bits."""
-    if x.dim != rho.dim:
-        raise DimensionError(f"observable dim {x.dim} does not match state dim {rho.dim}")
+    """Entropy gained by fully dephasing rho in the eigenbasis of x, in bits (``dephase`` checks the operands)."""
     return von_neumann_entropy(dephase(x, rho)) - von_neumann_entropy(rho)
 
 
@@ -111,11 +109,12 @@ def delta_reality_other(
     relative entropy D(s || dephase_X'(s)), the monitored state is the
     mixture (1 - epsilon) rho + epsilon dephase_X(rho), and relative entropy
     is jointly convex.  With xprime == x this is the epsilon * irreality
-    bound on delta_reality_monitored.
+    bound on delta_reality_monitored.  The probe, the monitoring channel and
+    rho must share one dimension and, where stacked, one member count.
     """
-    if xprime.dim != x.dim:
-        raise DimensionError(f"observable dims differ: {xprime.dim} vs {x.dim}")
-    mon = monitor(MonitoringChannel(x, epsilon), rho)
+    channel = MonitoringChannel(x, epsilon)
+    common_batch({"probes": xprime, "monitoring channels": channel, "states": rho})
+    mon = monitor(channel, rho)
     probe = dephase(xprime, rho)
     probe_mon = dephase(xprime, mon)
     return (
@@ -144,13 +143,10 @@ def classify_case(
     observables nondegenerate, which holds for all members of a stack or none.
 
     One configuration gives a ``CaseLabel``; a stack on any argument gives a
-    tuple of N labels, each member taking its first true test.
+    tuple of N labels, each member taking its first true test.  The stacks
+    must have one member count, and all three arguments one dimension.
     """
-    if x.dim != xprime.dim or x.dim != rho.dim:
-        raise DimensionError("observables and state must share one dimension")
-    sizes = [s.batch for s in (x, xprime, rho)]
-    if len(set(sizes) - {None}) > 1:
-        raise DimensionError(f"stack sizes differ: {sizes[0]} and {sizes[1]} observables vs {sizes[2]} states")
+    common_batch({"monitored observables": x, "probes": xprime, "states": rho})
     mu = triple = False
     if x.is_nondegenerate and xprime.is_nondegenerate:
         mu = is_mutually_unbiased(x, xprime)
@@ -177,9 +173,10 @@ def reality_report(
     The chained state is produced through the channel-composition route
     (full-strength monitoring of X' after monitoring of X), which keeps it an
     independent consistency check against the sequential route used by
-    :func:`delta_reality_other`.
+    :func:`delta_reality_other`, and checks its operands as that function does.
     """
     monitor_channel = MonitoringChannel(x, epsilon)
+    common_batch({"probes": xprime, "monitoring channels": monitor_channel, "states": rho})
     mon = monitor(monitor_channel, rho)
     probe = dephase(xprime, rho)
     chained = ComposedChannel(MonitoringChannel(xprime, 1.0), monitor_channel)

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import DimensionError
+from .linalg import DimensionError, common_batch
 from .observables import ProjectiveObservable, observable_from_basis, standard_mub_observables
 from .states import DensityOperator, PureState
 
@@ -202,13 +202,14 @@ def random_probabilities(n: int, rng: np.random.Generator) -> np.ndarray:
 def mixture_of_eigenstates(obs: ProjectiveObservable, probs) -> DensityOperator:
     """Diagonal-in-the-eigenbasis state sum_j p_j P_j (rank-1 projectors), summed in outcome order.
 
-    (N, k) probabilities, or a stack of N observables, give a stack of N states.
+    (N, k) probabilities, or a stack of N observables, give a stack of N
+    states; given both, they must have one member count.
     """
     probs = np.asarray(probs, dtype=float)
     if probs.ndim not in (1, 2) or probs.shape[-1] != obs.n_outcomes:
         raise DimensionError("need one probability per projector")
-    lead = np.broadcast_shapes(probs.shape[:-1], obs.projectors.shape[:-3])
-    m = np.zeros(lead + (obs.dim, obs.dim), dtype=complex)
+    n = common_batch({"observables": obs, "probability rows": len(probs) if probs.ndim == 2 else None})
+    m = np.zeros((() if n is None else (n,)) + (obs.dim, obs.dim), dtype=complex)
     for j in range(obs.n_outcomes):
         m += probs[..., j, None, None] * obs.projectors[..., j, :, :]
     m /= np.trace(m, axis1=-2, axis2=-1).real[..., None, None]

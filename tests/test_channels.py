@@ -14,10 +14,18 @@ from realmon.channels import (
     to_superoperator,
 )
 from realmon import channels, states, verify
+from realmon.circuits import apply_circuit_matrix, build_monitor_circuit, run_circuit_density
 from realmon.linalg import DimensionError
-from realmon.observables import ProjectiveObservable, observable_from_axis, pauli_observable, stack_observables
+from realmon.observables import (
+    ProjectiveObservable,
+    commutes,
+    is_mutually_unbiased,
+    observable_from_axis,
+    pauli_observable,
+    stack_observables,
+)
 from realmon.reality import classify_case, delta_reality_monitored, delta_reality_other, irreality, reality_report
-from realmon.sampling import ginibre_density, random_mu_pair, random_observable
+from realmon.sampling import ginibre_density, mixture_of_eigenstates, random_mu_pair, random_observable
 from realmon.states import (
     DensityOperator,
     PureState,
@@ -31,6 +39,10 @@ PLUS = DensityOperator(np.full((2, 2), 0.5, dtype=complex))
 ZERO = DensityOperator(np.diag([1.0, 0.0]).astype(complex))
 SZ = pauli_observable("z")
 SX = pauli_observable("x")
+FIVE_AXES = observable_from_axis(np.linspace(0.1, 1.0, 5))
+THREE_AXES = observable_from_axis(np.linspace(0.2, 0.6, 3))
+THREE_STATES = stack_states([PLUS, ZERO, PLUS])
+FIVE_CIRCUITS = build_monitor_circuit([(np.linspace(0.1, 1.0, 5), 0.0)], 0.5)
 
 
 def per_unit_superoperator(ch):
@@ -294,7 +306,7 @@ class TestStacks:
         three = MonitoringChannel(observable_from_axis(np.zeros(3)), 0.5)
         two = MonitoringChannel(observable_from_axis(np.zeros(2)), 0.5)
         for outer in (three, to_superoperator(three)):
-            with pytest.raises(DimensionError, match="3 vs 2"):
+            with pytest.raises(DimensionError, match="^stack sizes differ: 3 outer stages vs 2 inner stages$"):
                 ComposedChannel(outer, two)
             assert ComposedChannel(outer, MonitoringChannel(SZ, 0.5)).batch == 3
         single = MonitoringChannel(SX, 0.4)
@@ -333,6 +345,51 @@ class TestStacks:
         three = stack_states([PLUS, ZERO, PLUS])
         with pytest.raises(DimensionError, match="stack sizes differ: .*5.* vs 3 states"):
             call(five, np.linspace(0.1, 0.9, 5), three)
+
+    # the entry points that raised numpy's raw broadcast error, and the probe against the monitored observable
+    FIVE_AGAINST_THREE = {
+        "commutes": (lambda: commutes(FIVE_AXES, THREE_AXES), "5 first observables vs 3 second observables"),
+        "is_mutually_unbiased": (
+            lambda: is_mutually_unbiased(FIVE_AXES, THREE_AXES),
+            "5 first observables vs 3 second observables",
+        ),
+        "mixture_of_eigenstates": (
+            lambda: mixture_of_eigenstates(FIVE_AXES, np.full((3, 2), 0.5)),
+            "5 observables vs 3 probability rows",
+        ),
+        "apply_circuit_matrix": (
+            lambda: apply_circuit_matrix(FIVE_CIRCUITS, THREE_STATES.matrix),
+            "5 circuits vs 3 operators",
+        ),
+        "run_circuit_density": (lambda: run_circuit_density(FIVE_CIRCUITS, THREE_STATES), "5 circuits vs 3 operators"),
+        "Superoperator.apply_matrix": (
+            lambda: to_superoperator(MonitoringChannel(FIVE_AXES, 0.5)).apply_matrix(THREE_STATES.matrix),
+            "5 superoperators vs 3 operators",
+        ),
+        "delta_reality_other-probe-vs-monitored": (
+            lambda: delta_reality_other(FIVE_AXES, THREE_AXES, 0.5, PLUS),
+            "5 probes vs 3 monitoring channels",
+        ),
+    }
+
+    @pytest.mark.parametrize("entry", FIVE_AGAINST_THREE)
+    def test_every_mixed_operand_entry_point_names_both_stack_sizes(self, entry):
+        call, sizes = self.FIVE_AGAINST_THREE[entry]
+        with pytest.raises(DimensionError, match=f"^stack sizes differ: {sizes}$"):
+            call()
+
+    def test_a_stack_of_one_is_a_stack(self):
+        one = stack_states([PLUS])
+        with pytest.raises(DimensionError, match="^stack sizes differ: 1 observables vs 3 states$"):
+            dephase(observable_from_axis(np.zeros(1)), THREE_STATES)
+        with pytest.raises(DimensionError, match="^stack sizes differ: 3 circuits vs 1 operators$"):
+            run_circuit_density(build_monitor_circuit([(np.zeros(3), 0.0)], 0.5), one)
+
+    def test_mismatched_dimensions_are_named(self):
+        with pytest.raises(DimensionError, match="^dimensions differ: 2-dimensional circuits vs 4-dimensional operators$"):
+            apply_circuit_matrix(build_monitor_circuit([(0.0, 0.0)], 0.5), np.eye(4) / 4)
+        with pytest.raises(DimensionError, match="^dimensions differ: 2-dimensional first .* vs 3-dimensional second"):
+            commutes(SZ, random_observable(3, np.random.default_rng(0)))
 
     def test_intensity_array_range_enforced(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,9 @@ import pytest
 from realmon.linalg import (
     DimensionError,
     NonHermitianError,
+    common_batch,
     hermitian_eig,
+    operators,
     partial_trace,
     tensor_product,
 )
@@ -136,6 +138,46 @@ class TestPartialTrace:
             partial_trace(np.eye(4), [2, 2], keep=[])
         with pytest.raises(DimensionError):
             partial_trace(np.eye(4), [2, 2], keep=5)
+
+    @pytest.mark.parametrize("keep", [2, [0, 2], -1])
+    def test_keep_index_edges_are_out_of_range(self, keep):
+        with pytest.raises(DimensionError, match="out of range"):
+            partial_trace(np.eye(4), [2, 2], keep=keep)
+        assert partial_trace(np.eye(4), [2, 2], keep=1).shape == (2, 2)
+
+
+class Sized:
+    def __init__(self, dim, batch):
+        self.dim, self.batch = dim, batch
+
+
+class TestCommonBatch:
+    def test_shared_count_or_none(self):
+        assert common_batch({"observables": Sized(2, None), "states": Sized(2, None)}) is None
+        assert common_batch({"observables": Sized(2, 5), "states": Sized(2, None), "intensities": 5}) == 5
+        assert common_batch({"observables": Sized(3, None), "intensities": None, "states": Sized(3, 4)}) == 4
+
+    def test_stack_sizes_are_named_in_order(self):
+        with pytest.raises(DimensionError, match="^stack sizes differ: 5 observables vs 3 states$"):
+            common_batch({"observables": Sized(2, 5), "probes": Sized(2, None), "states": Sized(2, 3)})
+        with pytest.raises(DimensionError, match="^stack sizes differ: 2 observables vs 2 intensities vs 3 states$"):
+            common_batch({"observables": Sized(2, 2), "intensities": 2, "states": Sized(2, 3)})
+
+    def test_a_stack_of_one_does_not_broadcast(self):
+        with pytest.raises(DimensionError, match="^stack sizes differ: 1 observables vs 3 states$"):
+            common_batch({"observables": Sized(2, 1), "states": Sized(2, 3)})
+
+    def test_dimensions_are_named_before_sizes(self):
+        with pytest.raises(DimensionError, match="^dimensions differ: 2-dimensional observables vs 4-dimensional states$"):
+            common_batch({"observables": Sized(2, 5), "intensities": 3, "states": Sized(4, 3)})
+
+    def test_operator_arrays(self):
+        one, stack, units = operators(np.eye(2)), operators(np.zeros((3, 2, 2))), operators(np.zeros((4, 1, 2, 2)))
+        assert (one.dim, one.batch) == (2, None)
+        assert (stack.dim, stack.batch) == (2, 3)
+        assert (units.dim, units.batch) == (2, None)
+        with pytest.raises(DimensionError, match="operator must be a square"):
+            operators(np.zeros((2, 3)))
 
 
 class TestHermitianEig:

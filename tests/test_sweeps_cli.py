@@ -45,6 +45,7 @@ from realmon.reality import classify_case
 from realmon.states import von_neumann_entropy
 from realmon.tomography import estimate_pauli, reconstruct_state, tomography_errors
 from realmon.output import write_text
+from realmon import svg as svg_mod
 from realmon.svg import render_sweep_chart
 from realmon.sweeps import CSV_HEADER, SweepRecord, emit_json, render_csv, run_sweep
 from realmon.verify import verify_cases
@@ -555,6 +556,23 @@ class TestEmission:
         assert svg.count("<polyline") == 2
         assert "dR monitored" in svg and "dR probe" in svg
 
+    @pytest.mark.parametrize("scenario", ["fig1", "fig4a"])
+    def test_svg_polylines_are_the_records_mapped_onto_the_plot_box(self, scenario):
+        config = make_config(scenario, points=9)
+        records = run_sweep(config)
+        polylines = re.findall(r'<polyline points="([^"]*)"', render_sweep_chart(records, config))
+        pixels = np.array([[point.split(",") for point in pts.split()] for pts in polylines], dtype=float)
+        xs = np.array([r.theta_m for r in records])
+        ys = np.array([[r.dR_X for r in records], [r.dR_Xp for r in records]])
+        assert pixels.shape == (2, len(records), 2)
+        # one affine map per axis, shared by both series, each within half a pixel
+        for data, drawn in ((np.broadcast_to(xs, ys.shape), pixels[..., 0]), (ys, pixels[..., 1])):
+            slope, offset = np.polyfit(data.ravel(), drawn.ravel(), 1)
+            assert np.abs(slope * data + offset - drawn).max() <= 0.5
+        assert np.polyfit(ys.ravel(), pixels[..., 1].ravel(), 1)[0] < 0  # larger gains are drawn higher
+        assert np.abs(pixels[:, 0, 0] - svg_mod.MARGIN_L).max() <= 0.005
+        assert np.abs(pixels[:, -1, 0] - (svg_mod.WIDTH - svg_mod.MARGIN_R)).max() <= 0.005
+
     def test_unwritable_path_raises_config_error(self):
         records = run_sweep(make_config("fig4a", points=3))
         with pytest.raises(ConfigError, match="cannot write"):
@@ -761,9 +779,11 @@ class TestSizeCaps:
 
     @pytest.fixture
     def reached(self, monkeypatch):
-        """Replace the first drawing or building step of each size-capped command
-        with one that raises ``Reached``: the command passed its validation."""
+        """Replace the first drawing or building step of each size-capped command,
+        and the sweep engine, with one that raises ``Reached``: the command
+        passed its validation."""
         import realmon.certify as certify_mod
+        import realmon.cli as cli_mod
         import realmon.tomography as tomography_mod
         import realmon.verify as verify_mod
 
@@ -776,7 +796,26 @@ class TestSizeCaps:
         monkeypatch.setattr(verify_mod, "_instances", reach)
         monkeypatch.setattr(tomography_mod, "estimate_pauli", reach)
         monkeypatch.setattr(certify_mod, "_extract_and_compare", reach)
+        monkeypatch.setattr(cli_mod, "run_sweep", reach)
         return Reached
+
+    # every documented size cap by its literal value, so that a changed cap fails here
+    LITERAL_CAPS = {
+        "trials": (["verify-cases", "--trials"], 1_000),
+        "dims": (["verify-cases", "--dims", "2"], 16),
+        "seeds": (["tomo-sim", "--seeds"], 1_000_000),
+        "resolution": (["certify-circuits", "--resolution"], 1_000),
+        "points": (["sweep", "--scenario", "fig4a", "--points"], 10_000),
+        "repeats": (["sweep", "--scenario", "fig4a", "--path", "noisy", "--points", "3", "--repeats"], 100),
+    }
+
+    @pytest.mark.parametrize("name", LITERAL_CAPS)
+    def test_each_cap_passes_and_one_more_exits_3(self, reached, capsys, name):
+        argv, cap = self.LITERAL_CAPS[name]
+        with pytest.raises(reached):
+            self.main([*argv, str(cap)])
+        assert self.main([*argv, str(cap + 1)]) == 3
+        assert f"config error: {name}: " in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv, name",
