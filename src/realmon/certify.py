@@ -16,8 +16,8 @@ import math
 import numpy as np
 
 from .channels import product_monitor
-from .circuits import COUPLINGS, build_monitor_circuit, epsilon_of_strength, extract_channel
-from .config import MAX_RESOLUTION, MAX_SEED, check_integer
+from .circuits import build_monitor_circuit, epsilon_of_strength, extract_channel
+from .config import COUPLINGS, MAX_RESOLUTION, MAX_SEED, check_integer
 from .output import CheckReport, check
 
 CNOT_MAPPING_NOTE = (

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import check_numbers
 from .linalg import DimensionError, common_batch, operators
 from .observables import ProjectiveObservable, observable_from_axis
 from .states import DensityOperator
@@ -52,27 +53,20 @@ class MonitoringChannel:
     rho -> (1 - eps) rho + eps sum_j P_j rho P_j, the full non-revealed
     measurement at eps = 1.
 
-    ``epsilon`` is one intensity, or an (N,) array of them for a stack; a
-    stacked observable and a stacked intensity must have one member count,
-    ``batch`` (None for a single channel).
+    ``epsilon`` is one intensity in [0, 1], or an (N,) array of them for a
+    stack; a stacked observable and a stacked intensity must have one member
+    count, ``batch`` (None for a single channel).
     """
 
     __slots__ = ("observable", "epsilon", "dim", "batch")
 
     def __init__(self, observable: ProjectiveObservable, epsilon):
-        eps = np.asarray(epsilon, dtype=float)
-        if eps.ndim > 1:
-            raise ValueError(f"measurement intensity must be one number or an (N,) array, got shape {eps.shape}")
-        inside = (0.0 <= eps) & (eps <= 1.0)
-        if not inside.all():
-            first = int(np.argmin(inside))  # the first value outside [0, 1]
-            at = f" at index {first}" if eps.ndim else ""
-            raise ValueError(f"measurement intensity must lie in [0, 1], got {float(eps.flat[first])!r}{at}")
-        self.batch = common_batch({"observables": observable, "intensities": len(eps) if eps.ndim else None})
-        self.observable, self.dim = observable, observable.dim
-        self.epsilon = float(eps) if eps.ndim == 0 else eps
+        eps = check_numbers("epsilon", epsilon, 0, 1)
+        self.batch = common_batch({"observables": observable, "intensities": len(eps) if np.ndim(eps) else None})
+        self.observable, self.dim, self.epsilon = observable, observable.dim, eps
 
     def apply_matrix(self, mat: np.ndarray) -> np.ndarray:
+        common_batch({"channels": self, "operators": operators(mat)})
         return _blend(self.epsilon, mat, _dephased(self.observable.projectors, mat))
 
 
@@ -87,6 +81,7 @@ class ComposedChannel:
         self.outer, self.inner, self.dim = outer, inner, outer.dim
 
     def apply_matrix(self, mat: np.ndarray) -> np.ndarray:
+        common_batch({"channels": self, "operators": operators(mat)})
         return self.outer.apply_matrix(self.inner.apply_matrix(mat))
 
 

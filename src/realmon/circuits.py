@@ -32,10 +32,10 @@ from functools import cached_property
 import numpy as np
 
 from .channels import Superoperator, to_superoperator
+from .config import COUPLINGS, GRID_RANGES, check_choice, check_integer, check_number, check_numbers
 from .linalg import DimensionError, common_batch, dagger, operators, partial_trace, tensor_product
 from .states import DensityOperator
 
-COUPLINGS = ("CZ", "CNOT")
 PRODUCT_CHUNK = 2**14  # complex entries of full-width products a noiseless run holds at once
 
 
@@ -67,8 +67,8 @@ for _m in _COUPLING_MATRICES.values():
 class Gate:
     """U3(theta, phi, lam) on one qubit, or CZ/CNOT on (control, target).
 
-    ``matrix`` is the read-only gate on its own qubits, built once here:
-    2x2 for U3, 4x4 in (control, target) order for CZ/CNOT.  A U3 whose
+    ``matrix`` is the read-only gate on its own qubits, built once here: 2x2
+    for U3, 4x4 in (control, target) order for CZ/CNOT.  A U3 whose finite
     angles are (N,) arrays is a stack of N gates with an (N, 2, 2) matrix.
     """
 
@@ -78,34 +78,32 @@ class Gate:
     matrix: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        check_choice("kind", self.kind, ("U3", *COUPLINGS))
         if self.kind == "U3":
             if len(self.qubits) != 1 or len(self.params) != 3:
                 raise ValueError("U3 takes one qubit and three angles")
-            matrix = u3_matrix(*self.params)
-            if matrix.ndim > 3:
-                raise DimensionError(f"U3 angles must be numbers or (N,) arrays, got shape {matrix.shape[:-2]}")
+            angles = [check_numbers(n, a, -math.inf, math.inf) for n, a in zip(("theta", "phi", "lam"), self.params)]
+            matrix = u3_matrix(*angles)
             matrix.setflags(write=False)
             # arrays become tuples, so that stacked gates compare and hash by value too
-            params = tuple(a if np.ndim(a) == 0 else tuple(np.asarray(a, dtype=float).tolist()) for a in self.params)
+            params = tuple(a if isinstance(a, float) else tuple(a.tolist()) for a in angles)
             object.__setattr__(self, "params", params)
-        elif self.kind in COUPLINGS:
+        else:
             if len(self.qubits) != 2 or self.params:
                 raise ValueError(f"{self.kind} takes two qubits and no angles")
             if self.qubits[0] == self.qubits[1]:
                 raise ValueError("control and target must differ")
             matrix = _COUPLING_MATRICES[self.kind]
-        else:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
         object.__setattr__(self, "matrix", matrix)
 
 
 @dataclass(frozen=True)
 class Circuit:
-    """Gates over ``n_system`` leading system qubits plus ancillas in |0>,
-    with two-qubit depolarizing at rate ``depolarizing`` after each coupling
-    gate; a channel on the system qubits (``dim``, ``apply_matrix``), through
-    its ``isometry`` when noiseless.  If any gate is a stack of N, the circuit
-    is a stack of N circuits (``batch`` N) that share one gate layout."""
+    """Gates over ``n_system`` (1 to ``width``) system qubits plus ancillas in
+    |0>, with two-qubit depolarizing at rate ``depolarizing`` in [0, 1] after
+    each coupling gate; a channel on the system qubits (``dim``,
+    ``apply_matrix``), through its ``isometry`` when noiseless.  If a gate is a
+    stack of N, so is the circuit (``batch`` N), with one gate layout."""
 
     width: int
     gates: tuple[Gate, ...]
@@ -114,25 +112,18 @@ class Circuit:
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
-        if not 0.0 <= self.depolarizing <= 1.0:
-            raise ValueError(f"depolarizing rate must lie in [0, 1], got {self.depolarizing!r}")
+        check_number("depolarizing", self.depolarizing, 0, 1)
+        check_integer("width", self.width, 1)
         if not 1 <= self.n_system <= self.width:
             raise DimensionError(f"need 1 <= n_system <= width {self.width}, got n_system {self.n_system}")
         for g in self.gates:
             if any(q < 0 or q >= self.width for q in g.qubits):
                 raise DimensionError(f"gate {g} addresses qubits outside width {self.width}")
-        touched = {q: 0 for q in range(self.n_system, self.width)}
-        for g in self.gates:
-            if g.kind in COUPLINGS:
-                for q in g.qubits:
-                    if q in touched:
-                        touched[q] += 1
-        bad = {q: n for q, n in touched.items() if n != 1}
+        joined = [q for g in self.gates if g.kind in COUPLINGS for q in g.qubits]
+        bad = {q: joined.count(q) for q in range(self.n_system, self.width) if joined.count(q) != 1}
         if bad:
             raise ValueError(f"each ancilla must join exactly one controlled gate, got {bad}")
-        sizes = {len(g.matrix) for g in self.gates if g.matrix.ndim == 3}
-        if len(sizes) > 1:
-            raise DimensionError(f"stacked gates must share one member count, got {sorted(sizes)}")
+        common_batch({f"members of gate {k}": len(g.matrix) for k, g in enumerate(self.gates) if g.matrix.ndim == 3})
 
     @property
     def dim(self) -> int:
@@ -181,31 +172,23 @@ def build_monitor_circuit(bases, strength, coupling: str = "CZ", depolarizing: f
     n = len(bases)
     if n < 1:
         raise DimensionError("need at least one system qubit")
-    gates: list[Gate] = []
-    for q, (theta_b, phi_b) in enumerate(bases):
-        gates.append(Gate("U3", (q,), u3_adjoint_params(theta_b, phi_b, 0.0)))
-    for q in range(n):
-        gates.append(Gate("U3", (n + q,), (strength, 0.0, 0.0)))
-    for q in range(n):
-        gates.append(Gate(coupling, (q, n + q)))
-    for q, (theta_b, phi_b) in enumerate(bases):
-        gates.append(Gate("U3", (q,), (theta_b, phi_b, 0.0)))
-    return Circuit(2 * n, tuple(gates), n, depolarizing)
+    rotate = [Gate("U3", (q,), (theta_b, phi_b, 0.0)) for q, (theta_b, phi_b) in enumerate(bases)]
+    unrotate = [Gate("U3", (q,), u3_adjoint_params(theta_b, phi_b, 0.0)) for q, (theta_b, phi_b) in enumerate(bases)]
+    prepare = [Gate("U3", (n + q,), (strength, 0.0, 0.0)) for q in range(n)]
+    couple = [Gate(coupling, (q, n + q)) for q in range(n)]
+    return Circuit(2 * n, (*unrotate, *prepare, *couple, *rotate), n, depolarizing)
 
 
 def epsilon_of_strength(coupling: str, theta_m):
-    """Measurement intensity realized by the dilation at strength theta_m,
-    a float, or an array of them for an array of angles.
+    """Measurement intensity realized by the dilation at strength theta_m in
+    ``GRID_RANGES["theta_m"]``, a float, or an array of them for an array.
 
     Controlled-phase coupling damps off-diagonal elements by cos(theta_m),
     controlled-NOT by sin(theta_m); both mappings agree with the extracted
     superoperator to 1e-10 (see certify-circuits).
     """
-    if coupling not in COUPLINGS:
-        raise ValueError(f"coupling must be one of {COUPLINGS}, got {coupling!r}")
-    theta = np.asarray(theta_m, dtype=float)
-    if not np.all((0.0 <= theta) & (theta <= math.pi / 2 + 1e-12)):
-        raise ValueError(f"strength angle must lie in [0, pi/2], got {theta_m!r}")
+    check_choice("coupling", coupling, COUPLINGS)
+    theta = np.asarray(check_numbers("theta_m", theta_m, *GRID_RANGES["theta_m"]))
     # cos(math.pi / 2) is 6e-17, not 0; taking it as 0 makes eps 1 invert strength_of_epsilon exactly,
     # and taking it as 0 on the slack above pi/2 keeps eps in [0, 1] there
     eps = 1.0 - (np.where(theta >= math.pi / 2, 0.0, np.cos(theta)) if coupling == "CZ" else np.sin(theta))
@@ -213,14 +196,10 @@ def epsilon_of_strength(coupling: str, theta_m):
 
 
 def strength_of_epsilon(coupling: str, epsilon: float) -> float:
-    """Inverse of :func:`epsilon_of_strength` on [0, pi/2]."""
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError(f"intensity must lie in [0, 1], got {epsilon!r}")
-    if coupling == "CZ":
-        return math.acos(min(1.0, max(-1.0, 1.0 - epsilon)))
-    if coupling == "CNOT":
-        return math.asin(min(1.0, max(-1.0, 1.0 - epsilon)))
-    raise ValueError(f"coupling must be one of {COUPLINGS}, got {coupling!r}")
+    """Inverse of :func:`epsilon_of_strength` on [0, pi/2], for ``epsilon`` in [0, 1]."""
+    check_choice("coupling", coupling, COUPLINGS)
+    check_number("epsilon", epsilon, 0, 1)
+    return (math.acos if coupling == "CZ" else math.asin)(1.0 - epsilon)
 
 
 def _ancilla_extension(circuit: Circuit, mat: np.ndarray) -> np.ndarray:

@@ -17,8 +17,8 @@ import sys
 
 from . import __version__
 from .certify import certify_circuits
-from .circuits import COUPLINGS
 from .config import (
+    COUPLINGS,
     DEFAULT_GRID_POINTS,
     DEFAULT_REPEATS,
     DEFAULT_SHOTS,
@@ -102,6 +102,8 @@ def _cmd_sweep(args) -> int:
     for name, (field, value) in reads.items():
         if getattr(args, name) is not None and getattr(config, field) != value:
             raise ConfigError(f"{name}: --{name} applies only when {field} is {value}")
+    if args.points is not None and make_config(config.scenario, points=args.points).grid_values != config.grid_values:
+        raise ConfigError("points: --points applies only when the config file sets no grid_values")
     records = run_sweep(config)
     if config.out:
         write_text(config.out, render_csv(records))

@@ -1,16 +1,17 @@
-"""Sweep configuration: presets, validation and the shared input checks.
+"""Sweep configuration, every default and choice, and the shared input checks.
 
 A ``SweepConfig`` is built from a scenario preset plus field overrides
-(``make_config``) or from a JSON object (``config_from_json``), and
-``validate`` rejects every malformed field with a ``ConfigError`` that names
-it.  Every entry point (``validate``, ``make_config``, ``verify_cases``,
-``certify_circuits``, ``estimate_pauli`` and ``tomography_errors``) checks
-its inputs with the same three checkers: ``check_integer``,
-``check_number`` and ``check_choice``, each raising ``ConfigError("<name>:
-...")``.  ``validate`` adds only its cross-field rules: the grid range each
-``grid_kind`` admits (``GRID_RANGES``), and that an ``axis_theta`` grid
-needs a ``sweep_target``.  Output paths and state specs are checked here
-too, so the CLI maps every one of these errors to exit code 3.
+(``make_config``) or from a JSON object (``config_from_json``).  Every
+public parameter, of ``validate`` and the CLI's entry points down to the
+channels, observables, circuits, noise and tomography, is checked by the
+same four checkers, each raising ``ConfigError("<name>: ...")``, so the CLI
+maps every rejection to exit code 3: ``check_integer``, ``check_number``,
+its stack form ``check_numbers`` and ``check_choice``.  ``validate`` adds
+only its cross-field rules: the grid range each ``grid_kind`` admits
+(``GRID_RANGES``), and that an ``axis_theta`` grid needs a
+``sweep_target``.  Output paths and state specs are checked here too.  This
+module imports only ``linalg`` and ``states``, the layers below the domain
+modules, which take their checks and shared defaults from here.
 
 Grid semantics per scenario: the fig4 presets sweep the strength angle
 theta_m (intensity follows from the coupling); the fig1/fig2 presets sweep
@@ -28,8 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import COUPLINGS
-from .noise import DEFAULT_DEPOLARIZING_RATE, DEFAULT_READOUT_FLIP
+from .linalg import DimensionError
 from .states import DensityOperator, PureState, density_from_pure
 
 # Scenario presets: the fields each one sets, and the stop of its evenly
@@ -61,6 +61,10 @@ PRESETS = {
 }
 SCENARIOS = tuple(PRESETS)
 PATHS = ("analytic", "circuit", "noisy")
+COUPLINGS = ("CZ", "CNOT")
+# The system-qubit readout flip of a public three-qubit superconducting device.
+DEFAULT_READOUT_FLIP = 0.0208
+DEFAULT_DEPOLARIZING_RATE = 0.01
 # The values each grid kind admits: strength angles in [0, pi/2] (with 1e-12
 # of rounding slack), intensities in [0, 1], any finite axis angle.
 GRID_RANGES = {"theta_m": (0, math.pi / 2 + 1e-12), "epsilon": (0, 1), "axis_theta": (-math.inf, math.inf)}
@@ -138,6 +142,33 @@ def check_number(name: str, value, low: float, high: float):
         ok = False
     if not (ok and low <= value <= high):
         raise ConfigError(f"{name}: must be a finite number in [{low}, {high}], got {_shown(value)}")
+
+
+def check_numbers(name: str, value, low: float, high: float):
+    """``check_number`` for a number, returned as a float, or for each entry of an
+    (N,) array, list or tuple, returned as a float array (a float array
+    uncopied) and named by its index; any other shape is a ``DimensionError``."""
+    if not isinstance(value, (np.ndarray, list, tuple)):
+        check_number(name, value, low, high)
+        return float(value)
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # lists nested to uneven depths: not numbers
+        arr = np.asarray(value, dtype=object)
+    if arr.ndim != 1:
+        raise DimensionError(f"{name}: must be a number or an (N,) array, got shape {arr.shape}")
+    # numpy reads a bool in a list as a number, and would convert a numeric string
+    listed = value if isinstance(value, (list, tuple)) else ()
+    if arr.dtype.kind not in "iuf" or any(isinstance(v, (bool, np.bool_)) for v in listed):
+        raise ConfigError(f"{name}: must be finite real numbers, got {_shown(value):.80}")
+    arr = arr.astype(float, copy=False)
+    if arr.size:  # a NaN carries through min and max, so two reductions pass a valid stack
+        lo, hi = arr.min(), arr.max()
+        if not (low <= lo and hi <= high and math.isfinite(lo) and math.isfinite(hi)):
+            first = np.flatnonzero(~(np.isfinite(arr) & (low <= arr) & (arr <= high)))[0]
+            got = f"got {float(arr[first])!r} at index {first}"
+            raise ConfigError(f"{name}: must be a finite number in [{low}, {high}], {got}")
+    return arr
 
 
 def check_choice(name: str, value, options):

@@ -1,13 +1,12 @@
-"""Shot sampling, readout confusion, and the default noise settings.
+"""Shot sampling and readout confusion.
 
 Relaxation during two-qubit gates is folded into a single per-gate
 depolarizing probability, which the circuits take as ``depolarizing``.
 Tomography reads only the system qubit, so readout error is one symmetric
 flip of that qubit, applied as a column-stochastic 2x2 confusion matrix
-(``confusion_from_flip``) to rows of two outcome probabilities.  The
-defaults are the system-qubit readout flip of a public three-qubit
-superconducting device and a 1% depolarizing rate.  ``sample_shots`` draws
-a whole stack of probability rows from one generator in one call.
+(``confusion_from_flip``) to rows of two outcome probabilities.  Their
+defaults are ``config.DEFAULT_DEPOLARIZING_RATE`` and ``DEFAULT_READOUT_FLIP``.
+``sample_shots`` draws a whole stack of probability rows from one generator.
 """
 
 from __future__ import annotations
@@ -17,19 +16,16 @@ import numbers
 
 import numpy as np
 
+from .config import MAX_SHOTS, check_integer, check_number
 from .linalg import DimensionError
 
 PROB_SUM_TOL = 1e-9
 
-DEFAULT_READOUT_FLIP = 0.0208
-DEFAULT_DEPOLARIZING_RATE = 0.01
 
-
-def confusion_from_flip(p: float) -> np.ndarray:
-    """Symmetric single-qubit confusion matrix for flip probability ``p``."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"flip probability must lie in [0, 1], got {p!r}")
-    m = np.array([[1.0 - p, p], [p, 1.0 - p]])
+def confusion_from_flip(flip: float) -> np.ndarray:
+    """Symmetric single-qubit confusion matrix for flip probability ``flip`` in [0, 1]."""
+    check_number("flip", flip, 0, 1)
+    m = np.array([[1.0 - flip, flip], [flip, 1.0 - flip]])
     m.setflags(write=False)
     return m
 
@@ -77,13 +73,12 @@ def sample_shots(probabilities, n_shots: int, rng) -> np.ndarray:
     call, so the counts equal one-member-at-a-time calls on the same
     generator and are deterministic for a given generator state or seed.
     A list or tuple (one generator or seed per member) is a ``TypeError``.
-    Each distinct row of the stack is checked once.
+    Each distinct row of the stack is checked once; ``n_shots`` is >= 1.
     """
     p = _validated_probabilities(probabilities)
     if p.ndim < 2:
         raise DimensionError(f"probabilities must be an (N, ..., m) stack, got shape {p.shape}")
-    if not isinstance(n_shots, numbers.Integral) or isinstance(n_shots, bool) or n_shots < 1:
-        raise ValueError(f"shot count must be a positive integer, got {n_shots!r}")
+    check_integer("n_shots", n_shots, 1, MAX_SHOTS)
     if not isinstance(rng, np.random.Generator) and (isinstance(rng, bool) or not isinstance(rng, numbers.Integral)):
         raise TypeError(
             "sample_shots draws the whole stack from one np.random.Generator or one integer seed, "

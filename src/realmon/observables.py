@@ -20,6 +20,7 @@ import math
 
 import numpy as np
 
+from .config import check_choice, check_numbers
 from .linalg import DimensionError, common_batch, hermiticity_defect, within_tol
 
 PROJECTOR_TOL = 1e-10
@@ -142,12 +143,11 @@ def observable_from_axis(theta, phi=0.0) -> ProjectiveObservable:
 
     The +1 eigenket is (cos(theta/2), e^{i phi} sin(theta/2)) and the -1
     eigenket its orthogonal complement, so (0, 0) gives the computational
-    basis and (pi/2, 0) the Hadamard basis.  Angles given as (N,) arrays,
-    broadcast together, give a stack of N observables.
+    basis and (pi/2, 0) the Hadamard basis.  Finite angles given as (N,)
+    arrays, broadcast together, give a stack of N observables.
     """
-    theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
-    if theta.ndim > 1:
-        raise DimensionError(f"axis angles must be numbers or (N,) arrays, got shape {theta.shape}")
+    angles = (np.asarray(check_numbers(name, a, -math.inf, math.inf)) for name, a in (("theta", theta), ("phi", phi)))
+    theta, phi = np.broadcast_arrays(*angles)
     c, s, ph = np.cos(0.5 * theta), np.sin(0.5 * theta), np.exp(1j * phi)
     kets = np.stack((np.stack((c, ph * s), axis=-1), np.stack((-s, ph * c), axis=-1)), axis=-2)
     projs = kets[..., :, None] * kets.conj()[..., None, :]
@@ -215,8 +215,5 @@ def standard_mub_observables(d: int) -> tuple[ProjectiveObservable, ...]:
 
 def pauli_observable(axis: str) -> ProjectiveObservable:
     """Pauli observable 'x', 'y', or 'z' with exact rational projector entries."""
-    z, x, y = standard_mub_observables(2)
-    try:
-        return {"x": x, "y": y, "z": z}[axis.lower()]
-    except KeyError:
-        raise ValueError(f"unknown Pauli axis {axis!r}") from None
+    check_choice("axis", axis, ("z", "x", "y"))
+    return standard_mub_observables(2)[("z", "x", "y").index(axis)]

@@ -25,9 +25,9 @@ import math
 
 import numpy as np
 
-from .config import DEFAULT_SHOTS, MAX_SEED, MAX_SEEDS, MAX_SHOTS, check_integer, resolve_state
+from .config import DEFAULT_READOUT_FLIP, DEFAULT_SHOTS, MAX_SEED, MAX_SEEDS, MAX_SHOTS, check_integer, resolve_state
 from .linalg import DimensionError, dagger
-from .noise import DEFAULT_READOUT_FLIP, apply_readout_noise, check_probabilities, confusion_from_flip, sample_shots
+from .noise import apply_readout_noise, check_probabilities, confusion_from_flip, sample_shots
 from .observables import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
 from .states import DensityOperator
 

@@ -28,7 +28,10 @@ from realmon.tomography import estimate_pauli
 SZ = pauli_observable("z")
 PLUS = DensityOperator(np.full((2, 2), 0.5, dtype=complex))
 # Bloch vectors of the preset states the oracle tests use, written out by hand
-PRESET_BLOCH = {"plus": (1.0, 0.0, 0.0), "iplus": (0.0, 1.0, 0.0), "mixed": (0.0, 0.0, 0.0)}
+PRESET_BLOCH = {
+    "plus": (1.0, 0.0, 0.0), "minus": (-1.0, 0.0, 0.0), "iplus": (0.0, 1.0, 0.0), "iminus": (0.0, -1.0, 0.0),
+    "zero": (0.0, 0.0, 1.0), "one": (0.0, 0.0, -1.0), "mixed": (0.0, 0.0, 0.0),
+}
 
 
 def maximally_mixed(d):

@@ -366,6 +366,16 @@ class TestStacks:
             lambda: to_superoperator(MonitoringChannel(FIVE_AXES, 0.5)).apply_matrix(THREE_STATES.matrix),
             "5 superoperators vs 3 operators",
         ),
+        "MonitoringChannel.apply_matrix": (
+            lambda: MonitoringChannel(FIVE_AXES, 0.5).apply_matrix(THREE_STATES.matrix),
+            "5 channels vs 3 operators",
+        ),
+        "ComposedChannel.apply_matrix": (
+            lambda: ComposedChannel(MonitoringChannel(FIVE_AXES, 1.0), MonitoringChannel(FIVE_AXES, 0.5)).apply_matrix(
+                THREE_STATES.matrix
+            ),
+            "5 channels vs 3 operators",
+        ),
         "delta_reality_other-probe-vs-monitored": (
             lambda: delta_reality_other(FIVE_AXES, THREE_AXES, 0.5, PLUS),
             "5 probes vs 3 monitoring channels",
@@ -390,6 +400,9 @@ class TestStacks:
             apply_circuit_matrix(build_monitor_circuit([(0.0, 0.0)], 0.5), np.eye(4) / 4)
         with pytest.raises(DimensionError, match="^dimensions differ: 2-dimensional first .* vs 3-dimensional second"):
             commutes(SZ, random_observable(3, np.random.default_rng(0)))
+        for channel in (MonitoringChannel(SZ, 0.5), ComposedChannel(MonitoringChannel(SZ, 1.0), MonitoringChannel(SZ, 0.5))):
+            with pytest.raises(DimensionError, match="^dimensions differ: 2-dimensional channels vs 4-dimensional operators$"):
+                channel.apply_matrix(np.eye(4) / 4)
 
     def test_intensity_array_range_enforced(self):
         with pytest.raises(ValueError):

@@ -20,8 +20,8 @@ from realmon.circuits import (
     u3_adjoint_params,
     u3_matrix,
 )
+from realmon.config import DEFAULT_DEPOLARIZING_RATE
 from realmon.linalg import DimensionError
-from realmon.noise import DEFAULT_DEPOLARIZING_RATE
 from realmon.observables import SIGMA_X, SIGMA_Y, SIGMA_Z, observable_from_axis
 from realmon.reality import qubit_spectra
 from realmon.states import DensityOperator
@@ -425,7 +425,7 @@ class TestEpsilonOfStrength:
         with pytest.raises(ValueError):
             epsilon_of_strength("CZ", math.pi)
         for bad in ([0.1, 2.0], [0.1, math.nan]):
-            with pytest.raises(ValueError, match="strength angle"):
+            with pytest.raises(ValueError, match="theta_m"):
                 epsilon_of_strength("CNOT", np.array(bad))
         with pytest.raises(ValueError, match="coupling"):
             epsilon_of_strength("CY", np.zeros(2))

@@ -2,14 +2,9 @@ import numpy as np
 import pytest
 
 from realmon.circuits import build_monitor_circuit
+from realmon.config import DEFAULT_DEPOLARIZING_RATE, DEFAULT_READOUT_FLIP
 from realmon.linalg import DimensionError
-from realmon.noise import (
-    DEFAULT_DEPOLARIZING_RATE,
-    DEFAULT_READOUT_FLIP,
-    apply_readout_noise,
-    confusion_from_flip,
-    sample_shots,
-)
+from realmon.noise import apply_readout_noise, confusion_from_flip, sample_shots
 from realmon.states import DensityOperator
 from realmon.tomography import estimate_pauli
 
@@ -67,6 +62,13 @@ class TestSampleShots:
         with pytest.raises(ValueError, match="negative"):
             sample_shots([[1.1, -0.1]], 10, 0)
 
+    def test_negative_rounding_tolerance_is_inclusive(self):
+        assert sample_shots([[1.0 + 1e-12, -1e-12]], 10, 0).tolist() == [[10, 0]]
+        with pytest.raises(ValueError, match="negative"):
+            sample_shots([[1.0 + 2e-12, -2e-12]], 10, 0)
+        with pytest.raises(ValueError, match=r"^negative probability in row \(1,\): \[1\.5, -0\.5\]$"):
+            sample_shots([[1.0 + 1e-12, -1e-12], [1.5, -0.5]], 10, 0)  # the row at the tolerance is not named
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_probability_rejected(self, bad):
         with pytest.raises(ValueError, match="non-finite"):
@@ -109,7 +111,7 @@ class TestSampleShots:
 
     @pytest.mark.parametrize("n_shots", [2.5, True, -1, "8", float("nan")])
     def test_shot_count_must_be_an_integer(self, n_shots):
-        with pytest.raises(ValueError, match="shot count"):
+        with pytest.raises(ValueError, match="n_shots"):
             sample_shots([[1.0, 0.0]], n_shots, 0)
 
     def test_rows_drawn_in_order(self):

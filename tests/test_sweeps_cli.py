@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from _helpers import CNOT_MAPPING_CHECK, named_check, sweep_oracle_gap
+from _helpers import CNOT_MAPPING_CHECK, PRESET_BLOCH, named_check, sweep_oracle_gap
 from realmon.channels import to_superoperator
 from realmon.observables import observable_from_axis
 from realmon.reality import reality_report
@@ -31,6 +31,7 @@ from realmon.config import (
     MAX_SEEDS,
     MAX_TRIALS,
     PATHS,
+    STATE_PRESETS,
     ConfigError,
     SweepConfig,
     check_choice,
@@ -103,6 +104,12 @@ class TestConfig:
     def test_epsilon_grid_range_checked(self):
         with pytest.raises(ConfigError, match="grid_values"):
             SweepConfig(grid_kind="epsilon", grid_values=(0.5, 1.5)).validate()
+
+    def test_each_state_preset_is_its_bloch_vector(self):
+        assert set(PRESET_BLOCH) == set(STATE_PRESETS)
+        for name, (x, y, z) in PRESET_BLOCH.items():
+            expected = np.array([[1 + z, x - 1j * y], [x + 1j * y, 1 - z]]) / 2
+            assert np.array_equal(resolve_state(name).matrix, expected), name
 
     def test_unknown_state(self):
         with pytest.raises(ConfigError, match="state"):
@@ -573,6 +580,43 @@ class TestEmission:
         assert np.abs(pixels[:, 0, 0] - svg_mod.MARGIN_L).max() <= 0.005
         assert np.abs(pixels[:, -1, 0] - (svg_mod.WIDTH - svg_mod.MARGIN_R)).max() <= 0.005
 
+    @staticmethod
+    def _polylines_and_map(svg, values):
+        """The chart's two polylines as (2, N, 2) pixels, and the affine map (slope,
+        offset) that takes ``values`` (2, N) to their pixel y, checked to half a pixel."""
+        polylines = re.findall(r'<polyline points="([^"]*)"', svg)
+        pixels = np.array([[point.split(",") for point in pts.split()] for pts in polylines], dtype=float)
+        slope, offset = np.polyfit(values.ravel(), pixels[..., 1].ravel(), 1)
+        assert np.abs(slope * values + offset - pixels[..., 1]).max() <= 0.5
+        return pixels, slope, offset
+
+    def test_svg_error_bars_span_one_standard_error_in_the_series_colour(self):
+        config = make_config("fig4a", points=5, path="noisy", shots=256, repeats=3)
+        records = run_sweep(config)
+        svg = render_sweep_chart(records, config)
+        ys = np.array([[r.dR_X for r in records], [r.dR_Xp for r in records]])
+        ses = np.array([[r.se_dR_X for r in records], [r.se_dR_Xp for r in records]])
+        pixels, slope, offset = self._polylines_and_map(svg, ys)
+        bars = re.findall(r'<line x1="([^"]*)" y1="([^"]*)" x2="([^"]*)" y2="([^"]*)" stroke="([^"]*)" stroke-width="1"/>', svg)
+        bars = [bar for bar in bars if bar[4] in svg_mod.COLORS]  # not the grid lines
+        drawn = np.argwhere(ses > 0)  # series-major, as the chart draws them
+        assert len(drawn) > 2 and len(bars) == len(drawn)
+        for (k, i), (x1, y1, x2, y2, colour) in zip(drawn, bars):
+            assert colour == svg_mod.COLORS[k] and x1 == x2 and float(x1) == pixels[k, i, 0]
+            assert abs(float(y1) - (slope * (ys[k, i] - ses[k, i]) + offset)) <= 0.5
+            assert abs(float(y2) - (slope * (ys[k, i] + ses[k, i]) + offset)) <= 0.5
+
+    def test_svg_epsilon_grid_plots_the_intensity(self):
+        config = make_config("custom", grid_kind="epsilon", grid_values=(0.0, 0.3, 0.6, 1.0))
+        records = run_sweep(config)
+        svg = render_sweep_chart(records, config)
+        eps = np.array([r.epsilon for r in records])
+        pixels, _, _ = self._polylines_and_map(svg, np.array([[r.dR_X for r in records], [r.dR_Xp for r in records]]))
+        assert eps.tolist() == [0.0, 0.3, 0.6, 1.0] and eps.tolist() != [r.theta_m for r in records]
+        slope, offset = np.polyfit(eps, pixels[0, :, 0], 1)
+        assert np.abs(slope * eps + offset - pixels[..., 0]).max() <= 0.005
+        assert ">measurement intensity epsilon</text>" in svg
+
     def test_unwritable_path_raises_config_error(self):
         records = run_sweep(make_config("fig4a", points=3))
         with pytest.raises(ConfigError, match="cannot write"):
@@ -953,6 +997,15 @@ class TestCLI:
         path.write_text(json.dumps({"scenario": "fig4a", "epsilon": 0.3, "shots": 5, "repeats": 7, "seed": 1}))
         assert cli_mod.main(["sweep", "--config", str(path), "--points", "3"]) == 0
         assert capsys.readouterr().out.startswith(CSV_HEADER)
+
+    def test_points_with_a_config_file_grid_exits_3(self, tmp_path, monkeypatch, capsys):
+        import realmon.cli as cli_mod
+
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"scenario": "fig4a", "grid_values": [0.0, 0.5, 1.0]}))
+        monkeypatch.setattr(cli_mod, "run_sweep", None)  # refused before the run
+        assert cli_mod.main(["sweep", "--config", str(path), "--points", "5"]) == 3
+        assert capsys.readouterr().err.startswith("config error: points: ")
 
     @pytest.mark.parametrize("points", ["0", "1"])
     def test_points_below_two_exit_code(self, points):

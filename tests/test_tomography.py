@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from _helpers import maximally_mixed
+from realmon.config import DEFAULT_READOUT_FLIP
 from realmon.linalg import DimensionError
-from realmon.noise import DEFAULT_READOUT_FLIP, confusion_from_flip
+from realmon.noise import confusion_from_flip
 from realmon.sampling import ginibre_density, haar_pure_state
 from realmon.observables import SIGMA_X, SIGMA_Y, SIGMA_Z
 from realmon.states import DensityOperator, density_from_pure, stack_states, von_neumann_entropy
