@@ -36,8 +36,6 @@ from .config import COUPLINGS, GRID_RANGES, check_choice, check_integer, check_n
 from .linalg import DimensionError, common_batch, dagger, operators, partial_trace, tensor_product
 from .states import DensityOperator
 
-PRODUCT_CHUNK = 2**14  # complex entries of full-width products a noiseless run holds at once
-
 
 def u3_matrix(theta, phi, lam) -> np.ndarray:
     """General single-qubit rotation
@@ -114,8 +112,7 @@ class Circuit:
         object.__setattr__(self, "gates", tuple(self.gates))
         check_number("depolarizing", self.depolarizing, 0, 1)
         check_integer("width", self.width, 1)
-        if not 1 <= self.n_system <= self.width:
-            raise DimensionError(f"need 1 <= n_system <= width {self.width}, got n_system {self.n_system}")
+        check_integer("n_system", self.n_system, 1, self.width)
         for g in self.gates:
             if any(q < 0 or q >= self.width for q in g.qubits):
                 raise DimensionError(f"gate {g} addresses qubits outside width {self.width}")
@@ -256,27 +253,9 @@ def _density_route(circuit: Circuit, mat: np.ndarray) -> np.ndarray:
 
 
 def _isometry_route(circuit: Circuit, mat: np.ndarray) -> np.ndarray:
-    """Tr_anc(V mat V†) for each operator of ``mat`` against each member's isometry V.
-
-    Each product is a full-width (2**width)^2 matrix, so a stack is formed
-    and traced in slices of its first leading axis, each holding about
-    ``PRODUCT_CHUNK`` entries (at least one row): memory stays near one
-    slice however many operators or members a call holds.
-    """
+    """Tr_anc(V mat V†) for one operator, or one per member, against each member's isometry V."""
     v = circuit.isometry
-    dims, keep = [2] * circuit.width, range(circuit.n_system)
-    lead = np.broadcast_shapes(v.shape[:-2], mat.shape[:-2])
-    if not lead:
-        return partial_trace(v @ mat @ dagger(v), dims, keep)
-    step = max(1, PRODUCT_CHUNK // (math.prod(lead[1:]) * 4**circuit.width))
-
-    def rows(x, i):
-        """Rows i to i + step of ``x``'s first leading axis, or all of ``x`` if it broadcasts there."""
-        return x[i : i + step] if x.ndim - 2 == len(lead) else x
-
-    return np.concatenate(
-        [partial_trace(rows(v, i) @ rows(mat, i) @ dagger(rows(v, i)), dims, keep) for i in range(0, lead[0], step)]
-    )
+    return partial_trace(v @ mat @ dagger(v), [2] * circuit.width, range(circuit.n_system))
 
 
 def apply_circuit_matrix(circuit: Circuit, mat: np.ndarray) -> np.ndarray:
@@ -292,12 +271,18 @@ def apply_circuit_matrix(circuit: Circuit, mat: np.ndarray) -> np.ndarray:
     operators through N circuits give member k's image of operator k (an
     (N, d, d) stack needs N circuits; the (d^2, 1, d, d) units of extraction
     broadcast).
+
+    Either route holds one full-width operator per member at a time: axes in
+    front of the member axis, as extraction's d^2 units, go through one
+    operator at a time.
     """
     mat = np.asarray(mat, dtype=complex)
     common_batch({"circuits": circuit, "operators": operators(mat)})
-    if circuit.depolarizing > 0.0:
-        return _density_route(circuit, mat)
-    return _isometry_route(circuit, mat)
+    route = _density_route if circuit.depolarizing > 0.0 else _isometry_route
+    if mat.ndim <= 3:
+        return route(circuit, mat)
+    images = np.stack([route(circuit, m) for m in mat.reshape((-1,) + mat.shape[-3:])])
+    return images.reshape(mat.shape[:-3] + images.shape[1:])
 
 
 def run_circuit_density(circuit: Circuit, rho_system: DensityOperator) -> DensityOperator:

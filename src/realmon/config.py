@@ -1,12 +1,14 @@
 """Sweep configuration, every default and choice, and the shared input checks.
 
 A ``SweepConfig`` is built from a scenario preset plus field overrides
-(``make_config``) or from a JSON object (``config_from_json``).  Every
-public parameter, of ``validate`` and the CLI's entry points down to the
-channels, observables, circuits, noise and tomography, is checked by the
-same four checkers, each raising ``ConfigError("<name>: ...")``, so the CLI
-maps every rejection to exit code 3: ``check_integer``, ``check_number``,
-its stack form ``check_numbers`` and ``check_choice``.  ``validate`` adds
+(``make_config``) or from a JSON object (``config_from_json``), and runs
+``validate`` on construction, so every instance is valid, one made by
+``dataclasses.replace`` too.  Every public parameter, of ``validate`` and
+the CLI's entry points down to the channels, observables, circuits, noise
+and tomography, is checked by the same four checkers, each raising
+``ConfigError("<name>: ...")``, so the CLI maps every rejection to exit
+code 3: ``check_integer``, ``check_number``, its stack form
+``check_numbers`` and ``check_choice``.  ``validate`` adds
 only its cross-field rules: the grid range each ``grid_kind`` admits
 (``GRID_RANGES``), and that an ``axis_theta`` grid needs a
 ``sweep_target``.  Output paths and state specs are checked here too.  This
@@ -25,7 +27,7 @@ import json
 import math
 import numbers
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -97,7 +99,7 @@ MAX_DIMENSION = 16
 # and time grows linearly: 200,000 seeds take about 15 s.
 MAX_SEEDS = 1_000_000
 # certify-circuits extracts 12 * resolution + 3 circuits: resolution 1,000
-# peaks near 80 MB RSS and takes about 3.5 s.
+# peaks near 88 MB RSS and takes about 1 s.
 MAX_RESOLUTION = 1_000
 
 STATE_PRESETS = {
@@ -228,6 +230,9 @@ class SweepConfig:
     svg: str | None = None
     json_out: str | None = None
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self) -> "SweepConfig":
         check_choice("scenario", self.scenario, SCENARIOS)
         check_choice("path", self.path, PATHS)
@@ -266,12 +271,11 @@ def make_config(scenario: str = "custom", *, points: int = DEFAULT_GRID_POINTS, 
     """Build a validated config from a scenario preset plus field overrides."""
     check_choice("scenario", scenario, SCENARIOS)
     check_integer("points", points, 2, MAX_GRID_POINTS)
-    fields, stop = PRESETS[scenario]
-    try:
-        config = SweepConfig(**{"scenario": scenario, **fields, "grid_values": _grid(points, stop), **overrides})
-    except TypeError as exc:
-        raise ConfigError(f"unknown config field: {exc}") from None
-    return config.validate()
+    preset, stop = PRESETS[scenario]
+    unknown = set(overrides).difference(f.name for f in fields(SweepConfig))
+    if unknown:
+        raise ConfigError(f"unknown config field: {', '.join(sorted(unknown))}")
+    return SweepConfig(**{"scenario": scenario, **preset, "grid_values": _grid(points, stop), **overrides})
 
 
 def config_from_json(path: str, /, **overrides) -> SweepConfig:

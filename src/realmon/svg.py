@@ -9,22 +9,31 @@ MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 20, 40, 55
 COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
 
 
+def _plot_range(lo: float, hi: float) -> tuple[float, float]:
+    """[lo, hi], or, where the data span too little to divide (a single point,
+    say), a range of width max(1, 1e-12 |lo|) up from lo (down at the float limit)."""
+    if hi / 2 - lo / 2 >= 1e-300:
+        return lo, hi
+    width = max(1.0, abs(lo) * 1e-12)
+    return (lo, lo + width) if lo + width < math.inf else (lo - width, lo)
+
+
+def _position(v: float, lo: float, hi: float, size: float = 1.0) -> float:
+    """size * (v - lo) / (hi - lo), in that order, which decides how pixel ties
+    such as 241.875 round, on values scaled by 2**-11: exact but for subnormal
+    values, and no difference or product overflows."""
+    s = 2.0**-11
+    return size * (v * s - lo * s) / (hi * s - lo * s)
+
+
 def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
-    raw = (hi - lo) / max(1, n - 1)
+    """At most about ``n`` evenly spaced round values in a ``_plot_range``, each
+    a whole multiple of the step, which comes from the half-width so that the
+    widest float range stays finite."""
+    raw = (hi / 2 - lo / 2) / ((n - 1) / 2)
     mag = 10.0 ** math.floor(math.log10(raw))
-    for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
-        step = mult * mag
-        if step >= raw:
-            break
-    start = math.ceil(lo / step) * step
-    out = []
-    t = start
-    while t <= hi + 1e-12:
-        out.append(round(t, 12))
-        t += step
-    return out or [lo, hi]
+    step = next((mult * mag for mult in (1.0, 2.0, 2.5, 5.0) if mult * mag >= raw), 10.0 * mag)
+    return [k * step for k in range(math.ceil(lo / step), math.floor(hi / step + 1e-9) + 1)]
 
 
 def _fmt_tick(v: float) -> str:
@@ -47,20 +56,18 @@ def render_line_chart(series, title: str = "", xlabel: str = "", ylabel: str = "
         if errs is not None:
             ys_all.extend(y + e for y, e in zip(ys, errs))
             ys_all.extend(y - e for y, e in zip(ys, errs))
-    x_lo, x_hi = min(xs_all), max(xs_all)
+    x_lo, x_hi = _plot_range(min(xs_all), max(xs_all))
     y_lo, y_hi = min(ys_all + [0.0]), max(ys_all + [0.0])
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
     pad = 0.05 * (y_hi - y_lo) or 0.5
-    y_lo, y_hi = y_lo - pad, y_hi + pad
+    y_lo, y_hi = _plot_range(y_lo - pad, y_hi + pad)
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
 
     def px(x):
-        return MARGIN_L + plot_w * (x - x_lo) / (x_hi - x_lo)
+        return MARGIN_L + _position(x, x_lo, x_hi, plot_w)
 
     def py(y):
-        return MARGIN_T + plot_h * (1.0 - (y - y_lo) / (y_hi - y_lo))
+        return MARGIN_T + plot_h * (1.0 - _position(y, y_lo, y_hi))
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '

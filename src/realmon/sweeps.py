@@ -112,13 +112,12 @@ def _tomography_entropies(config, states: DensityOperator) -> np.ndarray:
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRecord]:
-    """Evaluate every grid point of a validated config, in grid order.
+    """Evaluate every grid point of a config, in grid order.
 
     Each path gives a (repeats, N, 4) array of (S_rho, S_mon, S_probe,
     S_probe_mon), with one repeat on the exact paths.  Records hold the repeat
     means; noisy ones also the standard errors of the gains (0 for one repeat).
     """
-    config.validate()
     rho = resolve_state(config.state)
     theta_col, eps, strength, monitor_axes, probe_axes = _grid_parameters(config)
     x = observable_from_axis(*monitor_axes.T)

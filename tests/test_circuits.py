@@ -20,7 +20,7 @@ from realmon.circuits import (
     u3_adjoint_params,
     u3_matrix,
 )
-from realmon.config import DEFAULT_DEPOLARIZING_RATE
+from realmon.config import DEFAULT_DEPOLARIZING_RATE, ConfigError
 from realmon.linalg import DimensionError
 from realmon.observables import SIGMA_X, SIGMA_Y, SIGMA_Z, observable_from_axis
 from realmon.reality import qubit_spectra
@@ -88,10 +88,10 @@ class TestGateAndCircuitValidation:
         with pytest.raises(ValueError, match="exactly one"):
             Circuit(2, gates, 1)
 
-    @pytest.mark.parametrize("n_system", [0, -1, 3])
+    @pytest.mark.parametrize("n_system", [0, -1, 3, True, 1.0])
     def test_circuit_checks_system_count(self, n_system):
         gates = (Gate("U3", (0,), (0.3, 0.0, 0.0)),)
-        with pytest.raises(DimensionError, match="n_system"):
+        with pytest.raises(ConfigError, match="n_system"):
             Circuit(2, gates, n_system)
 
     def test_gate_matrix(self):
@@ -356,14 +356,18 @@ class TestCircuitStacks:
             assert np.array_equal(noisy[k], apply_circuit_matrix(replace(single, depolarizing=0.1), mats[k]))
             assert np.array_equal(extracted[k], extract_channel(single).matrix)
 
-    def test_products_sliced_one_row_at_a_time_match(self, monkeypatch):
-        stack, _ = _random_stack(2, 3, "CNOT", 70)
-        mats = np.stack([_random_operator(4, 80 + k) for k in range(3)])
-        calls = (lambda: extract_channel(stack).matrix, lambda: apply_circuit_matrix(stack, mats))
-        whole = [f() for f in calls]
-        monkeypatch.setattr(circuits, "PRODUCT_CHUNK", 1)
-        for f, want in zip(calls, whole):
-            assert np.array_equal(f(), want)
+    @pytest.mark.parametrize("rate", [0.0, 0.05])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_extraction_routes_take_one_operator_per_member(self, monkeypatch, n, rate):
+        stack = replace(_random_stack(n, 3, "CNOT", 70 + n)[0], depolarizing=rate)
+        shapes = []
+        for name in ("_isometry_route", "_density_route"):
+            route = getattr(circuits, name)
+            monkeypatch.setattr(circuits, name, lambda c, mat, route=route: shapes.append(mat.shape) or route(c, mat))
+        extracted = extract_channel(stack).matrix
+        d = 2**n
+        assert extracted.shape == (3, d * d, d * d)
+        assert shapes == [(1, d, d)] * d * d
 
     def test_state_stacks_run_member_by_member(self):
         stack, singles = _random_stack(1, 4, "CZ", 60)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -104,6 +105,19 @@ class TestConfig:
     def test_epsilon_grid_range_checked(self):
         with pytest.raises(ConfigError, match="grid_values"):
             SweepConfig(grid_kind="epsilon", grid_values=(0.5, 1.5)).validate()
+
+    def test_a_sweep_validates_its_config_once(self, monkeypatch):
+        calls = []
+        validate = SweepConfig.validate
+        monkeypatch.setattr(SweepConfig, "validate", lambda self: calls.append(self) or validate(self))
+        run_sweep(make_config("fig4a"))
+        assert len(calls) == 1
+
+    def test_a_replaced_config_is_validated(self):
+        config = make_config("fig4a", points=3)
+        with pytest.raises(ConfigError, match="shots"):
+            dataclasses.replace(config, shots=-1)
+        assert dataclasses.replace(config, shots=5).shots == 5
 
     def test_each_state_preset_is_its_bloch_vector(self):
         assert set(PRESET_BLOCH) == set(STATE_PRESETS)
@@ -616,6 +630,33 @@ class TestEmission:
         slope, offset = np.polyfit(eps, pixels[0, :, 0], 1)
         assert np.abs(slope * eps + offset - pixels[..., 0]).max() <= 0.005
         assert ">measurement intensity epsilon</text>" in svg
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"scenario": "fig4a", "state": "zero", "path": "circuit"},
+            {"scenario": "fig4a", "state": "mixed", "path": "circuit"},
+            {"scenario": "fig1", "grid_values": [0, 1e-320]},
+            {"scenario": "fig1", "grid_values": [-1e308, 1e308]},
+            {"scenario": "fig1", "grid_values": [1e308]},
+            {"scenario": "fig1", "grid_values": [1.7976931348623157e308]},
+        ],
+        ids=["frozen-zero", "frozen-mixed", "subnormal-grid", "widest-grid", "one-huge-point", "largest-point"],
+    )
+    def test_svg_of_a_rounding_noise_or_extreme_range_draws_few_finite_ticks(self, tmp_path, fields):
+        # the frozen states' gains are rounding noise, |dR| <= 2.2e-16
+        import realmon.cli as cli_mod
+
+        config, chart = tmp_path / "c.json", tmp_path / "out.svg"
+        config.write_text(json.dumps(fields))
+        assert cli_mod.main(["sweep", "--config", str(config), "--svg", str(chart)]) == 0
+        svg = chart.read_text()
+        grid = re.findall(r'<line x1="([^"]*)" y1="[^"]*" x2="([^"]*)" y2="[^"]*" stroke="#dddddd"', svg)
+        vertical = sum(x1 == x2 for x1, x2 in grid)
+        assert 2 <= vertical <= 12 and 2 <= len(grid) - vertical <= 12
+        coordinates = re.findall(r' (?:x|y|x1|y1|x2|y2)="([^"]*)"', svg)
+        coordinates += [v for pts in re.findall(r'points="([^"]*)"', svg) for point in pts.split() for v in point.split(",")]
+        assert len(coordinates) > 20 and all(math.isfinite(float(v)) for v in coordinates)
 
     def test_unwritable_path_raises_config_error(self):
         records = run_sweep(make_config("fig4a", points=3))
@@ -1293,3 +1334,5 @@ def test_workflow_smoke_commands_exit_0(tmp_path, monkeypatch, capsys):
         assert code == 0, " ".join(argv)
         if argv[1:] == ["--version"]:
             assert out == "realmon 0.1.0\n"
+    assert (tmp_path / "fig1.svg").read_text().startswith("<svg")
+    assert len(json.loads((tmp_path / "fig1.json").read_text())["records"]) == 3
