@@ -5,16 +5,17 @@ ancilla prepared by U(theta_m, 0, 0) with a controlled-phase (or
 controlled-NOT) gate, undoes the basis change with B, and discards the
 ancilla.  Controlled-phase coupling gives intensity eps = 1 - cos(theta_m);
 controlled-NOT gives eps = 1 - sin(theta_m), both certified against the
-extracted superoperator rather than assumed.  Each gate acts as its own
-2x2 or 4x4 matrix, built once with the gate, on the tensor axes of the
-qubits it touches.  A noiseless circuit is the Stinespring isometry
+circuits rather than assumed.  Each gate acts as its own 2x2 or 4x4
+matrix, built once with the gate, on the tensor axes of the qubits it
+touches.  A noiseless circuit is the Stinespring isometry
 V = U (I ⊗ |0...0>), compiled once per circuit by pushing the d system
-basis columns through the gates, and maps rho to Tr_anc(V rho V†); it is
-a channel on its system qubits, so ``channels.to_superoperator`` extracts
-it like any other.  A circuit may carry a two-qubit depolarizing rate,
-applied after each coupling gate; only then is the register's operator
-carried through the gates as a density tensor, with one row and one column
-axis per qubit.
+basis columns through the gates, and maps rho to Tr_anc(V rho V†); its
+channel is extracted from V's Kraus blocks K_a = (I ⊗ <a|) V in one
+contraction.  A circuit may carry a two-qubit depolarizing rate, applied
+after each coupling gate; only then is the register's operator carried
+through the gates as a density tensor, with one row and one column axis
+per qubit, and its channel extracted by pushing the matrix units through
+(``channels.to_superoperator``).
 
 Circuits also come as stacks: U3 angles given as (N,) arrays make N
 circuits with one gate layout, whose gates hold (N, 2, 2) matrices.  A
@@ -181,8 +182,8 @@ def epsilon_of_strength(coupling: str, theta_m):
     ``GRID_RANGES["theta_m"]``, a float, or an array of them for an array.
 
     Controlled-phase coupling damps off-diagonal elements by cos(theta_m),
-    controlled-NOT by sin(theta_m); both mappings agree with the extracted
-    superoperator to 1e-10 (see certify-circuits).
+    controlled-NOT by sin(theta_m); both mappings agree with the circuits
+    to 1e-10 (see certify-circuits).
     """
     check_choice("coupling", coupling, COUPLINGS)
     theta = np.asarray(check_numbers("theta_m", theta_m, *GRID_RANGES["theta_m"]))
@@ -296,6 +297,18 @@ def run_circuit_density(circuit: Circuit, rho_system: DensityOperator) -> Densit
 
 
 def extract_channel(circuit: Circuit) -> Superoperator:
-    """Materialize the circuit's channel, noise included, or each stack
-    member's, by pushing the matrix units through it in one pass."""
-    return to_superoperator(circuit)
+    """Materialize the circuit's channel, or each stack member's.
+
+    A noiseless circuit's isometry splits by ancilla index into the Kraus
+    operators K_a = (I ⊗ <a|) V, each d x d, and S[(i,j),(k,l)] =
+    sum_a K_a[i,k] conj(K_a[j,l]) is one contraction, with no matrix unit
+    and nothing full-width.  A depolarizing circuit has no isometry; its
+    matrix units go through the density route (``to_superoperator``).
+    """
+    if circuit.depolarizing > 0.0:
+        return to_superoperator(circuit)
+    d = circuit.dim
+    v = circuit.isometry
+    k = v.reshape(v.shape[:-2] + (d, v.shape[-2] // d, d))
+    s = np.einsum("...iak,...jal->...ijkl", k, k.conj())
+    return Superoperator(d, s.reshape(s.shape[:-4] + (d * d, d * d)))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 WIDTH, HEIGHT = 640, 440
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 20, 40, 55
@@ -58,8 +59,9 @@ def render_line_chart(series, title: str = "", xlabel: str = "", ylabel: str = "
             ys_all.extend(y - e for y, e in zip(ys, errs))
     x_lo, x_hi = _plot_range(min(xs_all), max(xs_all))
     y_lo, y_hi = min(ys_all + [0.0]), max(ys_all + [0.0])
-    pad = 0.05 * (y_hi - y_lo) or 0.5
-    y_lo, y_hi = _plot_range(y_lo - pad, y_hi + pad)
+    # a tenth of the half-width, and no further than the float limit, so the widest data stay finite
+    pad = 0.1 * (y_hi / 2 - y_lo / 2) or 0.5
+    y_lo, y_hi = _plot_range(max(y_lo - pad, -sys.float_info.max), min(y_hi + pad, sys.float_info.max))
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
 

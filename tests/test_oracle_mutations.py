@@ -4,8 +4,8 @@ Each test injects one small fault into one side of a comparison and asserts
 that the check named for it no longer passes:
 
 - circuit certification (the qubit order of the analytic product map, the
-  compiled circuit stacks, the intensity mapping, or the order of the
-  reference stack);
+  compiled circuit stacks, the Kraus split of their isometries, the
+  intensity mapping, or the order of the reference stack);
 - verify-cases' four-entropy identity between the sequential and the
   composed-channel routes;
 - acceptance criterion 2c, the sign of the probe gain;
@@ -27,6 +27,7 @@ import numpy as np
 import pytest
 
 from _helpers import (
+    CNOT_MAPPING_CHECK,
     bloch_gate_passes,
     bloch_shot_gate,
     named_check,
@@ -40,7 +41,7 @@ from _helpers import (
 )
 from realmon import certify, circuits, cli, noise, sweeps, tomography
 from realmon.certify import certify_circuits
-from realmon.channels import ComposedChannel, product_monitor
+from realmon.channels import ComposedChannel, Superoperator, product_monitor
 from realmon.circuits import COUPLINGS, Circuit, epsilon_of_strength
 from realmon.config import make_config
 from realmon.observables import stack_observables
@@ -76,6 +77,21 @@ def test_error_in_one_member_of_a_circuit_stack_is_caught(monkeypatch):
 
     monkeypatch.setattr(Circuit, "isometry", property(faulty))
     assert not certify_circuits(3).ok
+
+
+def test_kraus_split_with_the_ancilla_index_first_is_caught(monkeypatch):
+    def ancilla_first(circuit):
+        d, v = circuit.dim, circuit.isometry
+        # rows read as (ancilla, system) index pairs, then put in the (i, a, k) order the contraction takes
+        k = np.swapaxes(v.reshape(v.shape[:-2] + (v.shape[-2] // d, d, d)), -3, -2)
+        s = np.einsum("...iak,...jal->...ijkl", k, k.conj())
+        return Superoperator(d, s.reshape(s.shape[:-4] + (d * d, d * d)))
+
+    monkeypatch.setattr(certify, "extract_channel", ancilla_first)
+    report = certify_circuits(3)
+    assert not report.ok
+    assert all(named_check(report, f"n={n} {coupling}")["worst"] > 1e-10 for n in (1, 2) for coupling in COUPLINGS)
+    assert named_check(report, CNOT_MAPPING_CHECK)["worst"] <= 1e-10  # read through the circuit, not the split
 
 
 def half_sine(coupling, theta_m):

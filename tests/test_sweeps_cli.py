@@ -269,6 +269,17 @@ class TestCircuitPath:
         for a, c in zip(analytic, circuit):
             assert abs(a.dR_X - c.dR_X) <= 1e-9
 
+    @pytest.mark.parametrize("state", ["zero", "mixed"])
+    def test_frozen_state_gains_are_exact_analytically_and_one_rounding_on_the_circuit(self, state):
+        # the dilation maps |0><0| to diag(p, 0) with p = cos^2 + sin^2 of theta_m / 2, one
+        # rounding from 1, and entropy keeps -p log2 p of a p just below 1 (about 1.6e-16)
+        gains = {
+            path: [(r.dR_X, r.dR_Xp) for r in run_sweep(make_config("fig4a", state=state, path=path))]
+            for path in ("analytic", "circuit")
+        }
+        assert np.all(np.array(gains["analytic"]) == 0.0)
+        assert np.abs(gains["circuit"]).max() <= 4.5e-16
+
 
 class TestNoisyPath:
     def test_noisy_records_have_errors(self):
@@ -515,19 +526,25 @@ class TestOneBuildPerStack:
         assert calls == [(5,), (5,)]
 
     def test_certify_makes_five_extractions_and_one_reference_factor_per_qubit(self, monkeypatch):
+        import realmon.certify as certify_mod
         import realmon.channels as channels_mod
         import realmon.circuits as circuits_mod
 
         calls = []
 
-        def counting(channel):
-            calls.append((type(channel).__name__, channel.batch))
-            return to_superoperator(channel)
+        def counting(real):
+            def spy(channel):
+                calls.append((type(channel).__name__, channel.batch))
+                return real(channel)
 
+            return spy
+
+        monkeypatch.setattr(certify_mod, "extract_channel", counting(extract_channel))
         for module in (channels_mod, circuits_mod):
-            monkeypatch.setattr(module, "to_superoperator", counting)
+            monkeypatch.setattr(module, "to_superoperator", counting(to_superoperator))
         assert certify_circuits(17).ok
-        # per coupling and width n: a circuit stack of 51, then n one-qubit factor stacks
+        # per coupling and width n: a circuit stack of 51 at extract_channel (which
+        # reaches no to_superoperator), then n one-qubit factor stacks
         def width(n, members):
             return [("Circuit", members)] + [("MonitoringChannel", members)] * n
 
@@ -657,6 +674,15 @@ class TestEmission:
         coordinates = re.findall(r' (?:x|y|x1|y1|x2|y2)="([^"]*)"', svg)
         coordinates += [v for pts in re.findall(r'points="([^"]*)"', svg) for point in pts.split() for v in point.split(",")]
         assert len(coordinates) > 20 and all(math.isfinite(float(v)) for v in coordinates)
+
+    @pytest.mark.parametrize("ys", [[-1e308, 1e308], [1.7976931348623157e308]], ids=["widest", "largest"])
+    def test_svg_of_an_extreme_value_range_draws_few_finite_y_ticks(self, ys):
+        # the y axis pads its range by a tenth of the half-width, which stays finite
+        svg = svg_mod.render_line_chart([("a", [0, 1][: len(ys)], ys, None)])
+        horizontal = re.findall(r'<line x1="[^"]*" y1="([^"]*)" x2="[^"]*" y2="\1" stroke="#dddddd"', svg)
+        coordinates = re.findall(r' (?:x|y|x1|y1|x2|y2|points)="([^"]*)"', svg)
+        assert 2 <= len(horizontal) <= 12
+        assert all(math.isfinite(float(v)) for c in coordinates for point in c.split() for v in point.split(","))
 
     def test_unwritable_path_raises_config_error(self):
         records = run_sweep(make_config("fig4a", points=3))
