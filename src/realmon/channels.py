@@ -16,13 +16,12 @@ stack.
 
 ``dephase`` and ``monitor`` memoize their images on the source
 ``DensityOperator``: a repeated call returns the same image object, and
-with it the image's cached spectrum.  ``dephase`` keys on the observable
-object (and keeps a reference to it, so its ``id`` is never reused);
-``monitor`` keys on the observable and the intensity's value, since callers
-pass mutable arrays, and builds its image from ``dephase``.  Channel
-objects act on matrices and never read the memo, so a ``ComposedChannel``
-stays a computation separate from the sequential ``dephase``/``monitor``
-route.
+with it the image's cached spectrum.  Both key on the observable object
+itself (it hashes by identity), ``monitor`` also on the intensity's value,
+since callers pass mutable arrays; ``monitor`` builds its image from
+``dephase``.  Channel objects act on matrices and never read the memo, so
+a ``ComposedChannel`` stays a computation separate from the sequential
+``dephase``/``monitor`` route.
 """
 
 from __future__ import annotations
@@ -115,10 +114,10 @@ def dephase(x: ProjectiveObservable, rho: DensityOperator) -> DensityOperator:
     image is built once per (x, rho) and memoized on rho.
     """
     common_batch({"observables": x, "states": rho})
-    key = ("dephase", id(x))
+    key = ("dephase", x)
     if key not in rho._images:
-        rho._images[key] = (x, DensityOperator(_dephased(x.projectors, rho.matrix), validate=False))
-    return rho._images[key][1]
+        rho._images[key] = DensityOperator(_dephased(x.projectors, rho.matrix), validate=False)
+    return rho._images[key]
 
 
 def monitor(ch: MonitoringChannel, rho: DensityOperator) -> DensityOperator:
@@ -129,11 +128,10 @@ def monitor(ch: MonitoringChannel, rho: DensityOperator) -> DensityOperator:
     """
     common_batch({"channels": ch, "states": rho})
     x, eps = ch.observable, np.asarray(ch.epsilon)
-    key = ("monitor", id(x), eps.shape, eps.tobytes())
+    key = ("monitor", x, eps.shape, eps.tobytes())
     if key not in rho._images:
-        image = _blend(eps, rho.matrix, dephase(x, rho).matrix)
-        rho._images[key] = (x, DensityOperator(image, validate=False))
-    return rho._images[key][1]
+        rho._images[key] = DensityOperator(_blend(eps, rho.matrix, dephase(x, rho).matrix), validate=False)
+    return rho._images[key]
 
 
 def to_superoperator(ch) -> Superoperator:

@@ -64,8 +64,8 @@ class DensityOperator:
     channel code that produces states valid by construction passes
     ``validate=False`` to skip the eigensolve.  The spectrum is computed
     lazily and cached, so validation and entropy share one solve.  Likewise
-    ``_images`` keeps the images ``channels.dephase`` and ``channels.monitor``
-    build of the state, so each is built once, for as long as the state lives.
+    ``_images`` keeps the state's ``channels.dephase`` and ``channels.monitor``
+    images, keyed on their observable, so each is built once.
     """
 
     __slots__ = ("matrix", "_eigensystem", "_images")

@@ -27,6 +27,11 @@ def _position(v: float, lo: float, hi: float, size: float = 1.0) -> float:
     return size * (v * s - lo * s) / (hi * s - lo * s)
 
 
+def _error_ends(y: float, e: float) -> tuple[float, float]:
+    """(y - e, y + e), each held to the float range so that neither overflows."""
+    return max(y - e, -sys.float_info.max), min(y + e, sys.float_info.max)
+
+
 def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
     """At most about ``n`` evenly spaced round values in a ``_plot_range``, each
     a whole multiple of the step, which comes from the half-width so that the
@@ -55,8 +60,7 @@ def render_line_chart(series, title: str = "", xlabel: str = "", ylabel: str = "
         if len(xs) != len(ys) or (errs is not None and len(errs) != len(xs)):
             raise ValueError(f"series {label!r} has mismatched lengths")
         if errs is not None:
-            ys_all.extend(y + e for y, e in zip(ys, errs))
-            ys_all.extend(y - e for y, e in zip(ys, errs))
+            ys_all.extend(end for y, e in zip(ys, errs) for end in _error_ends(y, e))
     x_lo, x_hi = _plot_range(min(xs_all), max(xs_all))
     y_lo, y_hi = min(ys_all + [0.0]), max(ys_all + [0.0])
     # a tenth of the half-width, and no further than the float limit, so the widest data stay finite
@@ -106,9 +110,10 @@ def render_line_chart(series, title: str = "", xlabel: str = "", ylabel: str = "
         if errs is not None:
             for x, y, e in zip(xs, ys, errs):
                 if e > 0:
+                    low, high = _error_ends(y, e)
                     parts.append(
-                        f'<line x1="{px(x):.2f}" y1="{py(y - e):.2f}" '
-                        f'x2="{px(x):.2f}" y2="{py(y + e):.2f}" stroke="{color}" stroke-width="1"/>'
+                        f'<line x1="{px(x):.2f}" y1="{py(low):.2f}" '
+                        f'x2="{px(x):.2f}" y2="{py(high):.2f}" stroke="{color}" stroke-width="1"/>'
                     )
         lx = MARGIN_L + plot_w - 150
         ly = MARGIN_T + 16 + 18 * k

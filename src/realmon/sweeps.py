@@ -12,9 +12,9 @@ intensity columns and (N, 2) monitor and probe axes, one
 ``observable_from_axis`` call per axis builds each observable stack, the
 circuit paths build one stack of monitor circuits and one of probe
 circuits and make three stacked runs, and one ``classify_case`` call
-labels every point.  The noisy path draws whole repeats of that stack
-together: one ``estimate_pauli`` call, reconstruction and entropy call per
-chunk of repeats.
+labels every point.  The noisy path takes the (4N, 2, 2) state stack's
+``tomography.reconstructions``, chunks of whole repeats seeded with the
+config seed, and makes one entropy call per chunk.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .observables import observable_from_axis
 from .output import write_json
 from .reality import classify_case, reality_report
 from .states import DensityOperator, von_neumann_entropy
-from .tomography import estimate_pauli, reconstruct_state, repeat_chunks
+from .tomography import reconstructions
 
 # The benchmark in perfbench/ reads these names from realmon.sweeps, so they are re-exported here.
 from .certify import certify_circuits  # noqa: F401
@@ -92,25 +92,6 @@ def _circuit_states(config, rho, strength, monitor_axes, probe_axes) -> DensityO
     return DensityOperator(np.stack(mats, axis=1).reshape(-1, 2, 2), validate=False)
 
 
-def _tomography_entropies(config, states: DensityOperator) -> np.ndarray:
-    """(repeats, N, 4) entropies of the stacked states' tomographic reconstructions.
-
-    The repeats run in ``tomography.repeat_chunks``: a chunk makes one
-    ``estimate_pauli`` call over its repeats, then one stacked
-    reconstruction and one entropy call.  One generator seeded
-    ``config.seed`` serves every chunk in turn, and the draws run in
-    (repeat, point, state) order, so the chunk size changes no draw.
-    """
-    repeats = 1 if config.shots == 0 else config.repeats
-    confusion = confusion_from_flip(config.readout_flip)
-    rng = np.random.default_rng(config.seed)
-    entropies = []
-    for count in repeat_chunks(repeats, states.batch):
-        bloch = estimate_pauli(states, config.shots, rng, confusion, count)
-        entropies.append(von_neumann_entropy(reconstruct_state(bloch.reshape(-1, 3))))
-    return np.concatenate(entropies).reshape(repeats, -1, 4)
-
-
 def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     """Evaluate every grid point of a config, in grid order.
 
@@ -131,7 +112,10 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
         if config.path == "circuit":
             s = von_neumann_entropy(states).reshape(1, -1, 4)
         else:
-            s = _tomography_entropies(config, states)
+            repeats = 1 if config.shots == 0 else config.repeats
+            confusion = confusion_from_flip(config.readout_flip)
+            chunks = reconstructions(states, config.shots, repeats, config.seed, confusion)
+            s = np.concatenate([von_neumann_entropy(rec) for rec in chunks]).reshape(repeats, -1, 4)
     gains = np.stack((s[..., 1] - s[..., 0], s[..., 2] + s[..., 1] - s[..., 0] - s[..., 3]), axis=-1)
     means = np.concatenate((gains, s), axis=-1).mean(axis=0).tolist()
     se = [(None, None)] * len(eps)

@@ -11,12 +11,13 @@ stack draws all of its counts from one generator, member after member.
 ``estimate_pauli`` also takes a repeat count: the probabilities are
 computed once and every repeat of the stack is drawn in the same call.
 
-``tomography_errors`` reconstructs one state over many repetitions drawn in
-order from one generator, one repeated ``estimate_pauli`` call per chunk of
-``repeat_chunks`` (which splits the noisy sweep's repeats too) so that
-memory stays flat in the repetition count (the chunk size changes no draw),
-and summarises the reconstruction errors (the ``tomo-sim`` command); with
-readout noise it uses the default readout flip.
+``reconstructions`` is the one tomography loop: it draws a state or stack
+over many repeats from one seeded generator, a chunk of whole repeats per
+repeated ``estimate_pauli`` call, and yields each chunk's reconstructions,
+so memory stays flat in the repeat count and the chunk size changes no
+draw.  The noisy sweep turns its chunks into entropies, and
+``tomography_errors`` (the ``tomo-sim`` command) into reconstruction errors,
+with the default readout flip when readout noise is on.
 """
 
 from __future__ import annotations
@@ -37,17 +38,7 @@ _SDG = np.array([[1.0, 0.0], [0.0, -1j]], dtype=complex)
 # R sigma_axis R† = sigma_z, so diag(R rho R†) are the axis outcome probabilities (x, y, z).
 _AXIS_ROTATIONS = np.stack((_HADAMARD, _HADAMARD @ _SDG, IDENTITY_2))
 _AXIS_ROTATIONS_DAG = _AXIS_ROTATIONS.conj().transpose(0, 2, 1)
-SEED_CHUNK = 4096  # states per draw in tomography_errors and the noisy sweep
-
-
-def repeat_chunks(repeats: int, states: int = 1):
-    """The repeat count of each chunk when ``repeats`` repeats of ``states`` states
-    each are drawn in chunks of whole repeats, at most ``SEED_CHUNK`` states per
-    chunk (one repeat where a repeat alone is larger), so memory stays flat in the
-    repeat count."""
-    per_chunk = max(1, SEED_CHUNK // states)
-    for start in range(0, repeats, per_chunk):
-        yield min(per_chunk, repeats - start)
+SEED_CHUNK = 4096  # states per draw in reconstructions
 
 
 def estimate_pauli(
@@ -110,24 +101,39 @@ def reconstruct_state(bloch) -> DensityOperator:
     return rho
 
 
+def reconstructions(rho: DensityOperator, shots: int, repeats: int, seed: int, confusion: np.ndarray | None = None):
+    """The reconstructions of ``repeats`` tomography repeats of ``rho``, one
+    (r*N, 2, 2) stack per chunk of r whole repeats, repeat-major (N = 1 for one
+    state).
+
+    A chunk holds at most ``SEED_CHUNK`` states, or one repeat where a repeat
+    alone is larger, and makes one ``estimate_pauli`` call.  Every chunk draws
+    in turn from one generator seeded ``seed``, so the concatenated stacks do
+    not depend on the chunk size.
+    """
+    check_integer("repeats", repeats, 1)
+    check_integer("seed", seed, 0, MAX_SEED)
+    rng = np.random.default_rng(seed)
+    per_chunk = max(1, SEED_CHUNK // (rho.batch or 1))
+    for start in range(0, repeats, per_chunk):
+        bloch = estimate_pauli(rho, shots, rng, confusion, min(per_chunk, repeats - start))
+        yield reconstruct_state(bloch.reshape(-1, 3))
+
+
 def tomography_errors(state: str, shots: int, seeds: int, seed: int, noisy: bool) -> dict:
     """Reconstruction errors of a preset state over ``seeds`` independent repetitions.
 
-    Every repetition draws in order from one generator seeded ``seed``, so
-    repetition k's counts follow those of repetitions 0..k-1 whatever the
-    chunk size; its error is the largest entry of |reconstructed - true|.
+    The repetitions are the ``reconstructions`` repeats, seeded ``seed``;
+    repetition k's error is the largest entry of |reconstructed - true|.
     Returns the per-repetition ``errors`` and a ``summary`` with their median
     (upper median), nearest-rank 90th percentile and maximum.
     """
     rho = resolve_state(state)
     check_integer("shots", shots, 0, MAX_SHOTS)
     check_integer("seeds", seeds, 1, MAX_SEEDS)
-    check_integer("seed", seed, 0, MAX_SEED)
     confusion = confusion_from_flip(DEFAULT_READOUT_FLIP) if noisy else None
-    rng = np.random.default_rng(seed)
     errors = []
-    for count in repeat_chunks(seeds):
-        rec = reconstruct_state(estimate_pauli(rho, shots, rng, confusion, count))
+    for rec in reconstructions(rho, shots, seeds, seed, confusion):
         errors += np.abs(rec.matrix - rho.matrix).max(axis=(1, 2)).tolist()
     ranked = sorted(errors)
     summary = {

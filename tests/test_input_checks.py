@@ -9,10 +9,11 @@ import pytest
 
 from realmon.channels import MonitoringChannel, product_monitor
 from realmon.circuits import Circuit, Gate, build_monitor_circuit, epsilon_of_strength, strength_of_epsilon
-from realmon.config import ConfigError, check_number, check_numbers
+from realmon.config import MAX_SEED, ConfigError, check_number, check_numbers, resolve_state
 from realmon.linalg import DimensionError
 from realmon.noise import confusion_from_flip, sample_shots
 from realmon.observables import observable_from_axis, pauli_observable
+from realmon.tomography import reconstructions
 
 SZ = pauli_observable("z")
 U3 = Gate("U3", (0,), (0.3, 0.0, 0.0))
@@ -61,6 +62,17 @@ INTEGERS_AND_CHOICES = {
     "build_monitor_circuit-coupling": (lambda v: build_monitor_circuit([(0.0, 0.0)], 0.5, v), "coupling", ("U3",)),
     "Gate-kind": (lambda v: Gate(v, (0, 1)), "kind", ("SWAP", None, 3)),
     "pauli_observable-axis": (pauli_observable, "axis", (1, "X", "w")),
+    # a generator checks when first advanced, before its first draw
+    "reconstructions-repeats": (
+        lambda v: next(reconstructions(resolve_state("plus"), 8, v, 0)),
+        "repeats",
+        (math.nan, True, "8", 2.5, 0),
+    ),
+    "reconstructions-seed": (
+        lambda v: next(reconstructions(resolve_state("plus"), 8, 1, v)),
+        "seed",
+        (math.nan, True, "8", 2.5, -1, MAX_SEED + 1),
+    ),
 }
 
 

@@ -637,6 +637,17 @@ class TestEmission:
             assert abs(float(y1) - (slope * (ys[k, i] - ses[k, i]) + offset)) <= 0.5
             assert abs(float(y2) - (slope * (ys[k, i] + ses[k, i]) + offset)) <= 0.5
 
+    def test_svg_draws_every_point_and_error_bar_inside_the_frame(self):
+        config = make_config("fig4a", points=5, path="noisy", shots=256, repeats=3)
+        svg = render_sweep_chart(run_sweep(config), config)
+        points = [float(p.split(",")[1]) for pts in re.findall(r'<polyline points="([^"]*)"', svg) for p in pts.split()]
+        lines = re.findall(r'<line x1="[^"]*" y1="([^"]*)" x2="[^"]*" y2="([^"]*)" stroke="([^"]*)" stroke-width="1"/>', svg)
+        bars = [(y1, y2) for y1, y2, colour in lines if colour in svg_mod.COLORS]  # not the grid lines
+        drawn = points + [float(v) for bar in bars for v in bar]
+        assert len(points) == 10 and len(bars) > 2
+        # padded off the frame's top and bottom
+        assert svg_mod.MARGIN_T < min(drawn) and max(drawn) < svg_mod.HEIGHT - svg_mod.MARGIN_B
+
     def test_svg_epsilon_grid_plots_the_intensity(self):
         config = make_config("custom", grid_kind="epsilon", grid_values=(0.0, 0.3, 0.6, 1.0))
         records = run_sweep(config)
@@ -682,6 +693,15 @@ class TestEmission:
         horizontal = re.findall(r'<line x1="[^"]*" y1="([^"]*)" x2="[^"]*" y2="\1" stroke="#dddddd"', svg)
         coordinates = re.findall(r' (?:x|y|x1|y1|x2|y2|points)="([^"]*)"', svg)
         assert 2 <= len(horizontal) <= 12
+        assert all(math.isfinite(float(v)) for c in coordinates for point in c.split() for v in point.split(","))
+
+    @pytest.mark.parametrize("ys, errs", [([1e308, 1e308], [1e308, 1e308]), ([-1e308], [1e308])], ids=["up", "down"])
+    def test_svg_error_bars_past_the_float_range_stay_finite(self, ys, errs):
+        # y + e overflows to inf unless each end is held to the float range
+        svg = svg_mod.render_line_chart([("a", [0, 1][: len(ys)], ys, errs)])
+        bars = re.findall(r'<line x1="[^"]*" y1="([^"]*)" x2="[^"]*" y2="([^"]*)" stroke="#1f77b4" stroke-width="1"', svg)
+        coordinates = re.findall(r' (?:x|y|x1|y1|x2|y2|points)="([^"]*)"', svg)
+        assert len(bars) == len(ys) and "inf" not in svg and "nan" not in svg
         assert all(math.isfinite(float(v)) for c in coordinates for point in c.split() for v in point.split(","))
 
     def test_unwritable_path_raises_config_error(self):
@@ -788,6 +808,27 @@ class TestVerifyAndCertifyAPI:
         text = report.render_text()
         assert "1 - (1/2) sin(theta)" in text
         assert "eps = 1 - sin(theta_m)" in text
+
+    @pytest.mark.parametrize("resolution", [2, 5])
+    def test_certify_extracts_its_documented_bases_and_strengths(self, monkeypatch, resolution):
+        import realmon.certify as certify_mod
+
+        real, seen = certify_mod._extract_and_compare, {}
+
+        def spy(coupling, members):
+            seen[coupling, len(members[0][1])] = members
+            return real(coupling, members)
+
+        monkeypatch.setattr(certify_mod, "_extract_and_compare", spy)
+        assert certify_circuits(resolution).ok
+        grid = [math.pi / 2 * k / (resolution - 1) for k in range(resolution)]
+        for coupling in ("CZ", "CNOT"):
+            for n in (1, 2):
+                for theta in grid:
+                    bases = [b for t, b in seen[coupling, n] if t == theta]
+                    assert len(bases) == 3
+                    assert bases[:2] == [((0.0, 0.0),) * n, ((math.pi / 4, 0.0),) * n]
+        assert [t for t, _ in seen["CZ", 3]] == [0.0, 0.7, math.pi / 2]  # the three-qubit smoke test
 
     def test_certify_resolution_validated(self):
         with pytest.raises(ConfigError):

@@ -11,7 +11,7 @@ from realmon.sampling import ginibre_density, haar_pure_state
 from realmon.observables import SIGMA_X, SIGMA_Y, SIGMA_Z
 from realmon.states import DensityOperator, density_from_pure, stack_states, von_neumann_entropy
 from realmon.config import ConfigError, resolve_state
-from realmon.tomography import estimate_pauli, reconstruct_state, tomography_errors
+from realmon.tomography import SEED_CHUNK, estimate_pauli, reconstruct_state, reconstructions, tomography_errors
 
 ZERO = DensityOperator(np.diag([1.0, 0.0]).astype(complex))
 PLUS = DensityOperator(np.full((2, 2), 0.5, dtype=complex))
@@ -198,6 +198,37 @@ class TestStackedTomography:
         assert tomography_errors("iplus", 256, 30, 4, True) == whole
 
 
+class TestReconstructions:
+    """The one tomography loop: its chunks of whole repeats, concatenated, are one repeated draw."""
+
+    @pytest.mark.parametrize(
+        "stacked, chunk, sizes",
+        [
+            (False, 1, [1] * 11),
+            (False, 7, [7, 4]),
+            (False, None, [11]),
+            (True, 1, [5] * 11),
+            (True, 7, [5] * 11),
+            (True, None, [55]),
+        ],
+        ids=["one-1", "one-7", "one-default", "five-1", "five-7", "five-default"],
+    )
+    def test_chunks_concatenate_to_one_repeated_draw_bitwise(self, monkeypatch, stacked, chunk, sizes):
+        import realmon.tomography as tomography_mod
+
+        monkeypatch.setattr(tomography_mod, "SEED_CHUNK", chunk or SEED_CHUNK)
+        rho = stack_states(_random_states(5, 12)) if stacked else resolve_state("iplus")
+        confusion = confusion_from_flip(DEFAULT_READOUT_FLIP)
+        chunks = [rec.matrix for rec in reconstructions(rho, 256, 11, 3, confusion)]
+        want = reconstruct_state(estimate_pauli(rho, 256, np.random.default_rng(3), confusion, 11).reshape(-1, 3))
+        assert [len(m) for m in chunks] == sizes
+        assert (np.concatenate(chunks) == want.matrix).all()
+
+    def test_perfect_readout_is_the_default(self):
+        one = next(reconstructions(PLUS, 64, 3, 5))
+        assert (one.matrix == reconstruct_state(estimate_pauli(PLUS, 64, 5, None, 3)).matrix).all()
+
+
 class TestReconstruct:
     def test_center_of_ball(self):
         rec = reconstruct_state((0.0, 0.0, 0.0))
@@ -255,3 +286,9 @@ class TestTomographyErrors:
     def test_integer_seeds_accepted(self):
         out = tomography_errors("plus", 64, np.int64(3), 0, False)
         assert len(out["errors"]) == 3
+
+    def test_zero_shots_gives_the_exact_estimate_every_time(self):
+        # shots=0 is the infinite-shot sentinel, so no repetition draws
+        assert tomography_errors("plus", 0, 3, 0, False)["errors"] == [0.0] * 3
+        noisy = tomography_errors("iplus", 0, 2, 5, True)["errors"]
+        assert noisy[0] == noisy[1] > 0.0  # the readout flip shrinks the Bloch vector
