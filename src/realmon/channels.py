@@ -9,19 +9,24 @@ any channel's own ``apply_matrix``, fed all d^2 units as one stack.
 
 Each channel is one, or a stack of N with ``batch`` N as circuits are:
 under N observables (projectors (N, k, d, d)) or N intensities.  A
-channel acts on a (d, d) matrix or an (N, d, d) stack, with one batched
-matrix product per outcome; each member's image equals its image alone,
-and ``to_superoperator`` extracts a stack the way it extracts a circuit
-stack.
+channel acts on a (d, d) matrix or an (N, d, d) stack; each member's image
+equals its image alone, and ``to_superoperator`` extracts a stack the way
+it extracts a circuit stack.  Dephasing in a nondegenerate observable's
+rank-one projectors is the pinching sum_j Tr(P_j M) P_j (Bhatia, *Matrix
+Analysis*, GTM 169): two einsums over the outcome weights Tr(P_j M), for
+any M.  A degenerate observable sums the products P_j M P_j, two batched
+matrix products per outcome.
 
 ``dephase`` and ``monitor`` memoize their images on the source
 ``DensityOperator``: a repeated call returns the same image object, and
-with it the image's cached spectrum.  Both key on the observable object
-itself (it hashes by identity), ``monitor`` also on the intensity's value,
-since callers pass mutable arrays; ``monitor`` builds its image from
-``dephase``.  Channel objects act on matrices and never read the memo, so
-a ``ComposedChannel`` stays a computation separate from the sequential
-``dephase``/``monitor`` route.
+with it the image's cached spectrum.  A nondegenerate ``dephase`` image is
+diagonal in x's eigenbasis, so its spectrum is its sorted outcome weights
+and it carries them, with no eigensolve; ``monitor`` images are solved.
+Both key on the observable object itself (it hashes by identity),
+``monitor`` also on the intensity's value, since callers pass mutable
+arrays; ``monitor`` builds its image from ``dephase``.  Channel objects
+act on matrices and never read the memo, so a ``ComposedChannel`` stays a
+computation separate from the sequential ``dephase``/``monitor`` route.
 """
 
 from __future__ import annotations
@@ -36,9 +41,18 @@ from .observables import ProjectiveObservable, observable_from_axis
 from .states import DensityOperator
 
 
-def _dephased(projectors: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """sum_j P_j mat P_j over the outcome axis of (..., k, d, d) projectors."""
-    return sum(projectors[..., j, :, :] @ mat @ projectors[..., j, :, :] for j in range(projectors.shape[-3]))
+def _dephased(x: ProjectiveObservable, mat: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """(sum_j P_j mat P_j, outcome weights) over the outcome axis of x's (..., k, d, d) projectors.
+
+    For a nondegenerate x, P_j mat P_j = Tr(P_j mat) P_j, so the image is
+    sum_j w_j P_j with weights w_j = Tr(P_j mat), (..., k), for any mat; a
+    degenerate x sums the products and has no weights (None).
+    """
+    projs = x.projectors
+    if not x.is_nondegenerate:
+        return sum(projs[..., j, :, :] @ mat @ projs[..., j, :, :] for j in range(x.n_outcomes)), None
+    weights = np.einsum("...kij,...ji->...k", projs, mat)
+    return np.einsum("...k,...kij->...ij", weights, projs), weights
 
 
 def _blend(epsilon, mat: np.ndarray, dephased: np.ndarray) -> np.ndarray:
@@ -66,7 +80,7 @@ class MonitoringChannel:
 
     def apply_matrix(self, mat: np.ndarray) -> np.ndarray:
         common_batch({"channels": self, "operators": operators(mat)})
-        return _blend(self.epsilon, mat, _dephased(self.observable.projectors, mat))
+        return _blend(self.epsilon, mat, _dephased(self.observable, mat)[0])
 
 
 class ComposedChannel:
@@ -111,12 +125,17 @@ def dephase(x: ProjectiveObservable, rho: DensityOperator) -> DensityOperator:
     sum_j P_j rho P_j: monitoring at intensity 1.
 
     A stack of observables or of states gives the stack of images.  The
-    image is built once per (x, rho) and memoized on rho.
+    image is built once per (x, rho) and memoized on rho; for a
+    nondegenerate x it carries its spectrum, the sorted outcome weights.
     """
     common_batch({"observables": x, "states": rho})
     key = ("dephase", x)
     if key not in rho._images:
-        rho._images[key] = DensityOperator(_dephased(x.projectors, rho.matrix), validate=False)
+        image, weights = _dephased(x, rho.matrix)
+        out = DensityOperator(image, validate=False)
+        if weights is not None:  # diagonal in x's eigenbasis, with the weights on its diagonal
+            out._spectrum = np.sort(weights.real, axis=-1)
+        rho._images[key] = out
     return rho._images[key]
 
 

@@ -86,11 +86,12 @@ def _distinct_eigenvalues(d: int, rng: np.random.Generator) -> list[float]:
     """d sorted uniform values in [-1, 1), redrawn until every adjacent gap exceeds ``MIN_EIGENVALUE_GAP``.
 
     numpy's ``uniform(-1, 1)`` computes ``-1 + 2u`` from ``random``'s stream
-    and doubling is exact, so ``2u - 1`` is the same value at less cost.
+    and doubling is exact, so ``2u - 1`` is the same value at less cost; on
+    d plain floats, Python arithmetic beats a numpy round trip.
     """
     while True:
-        vals = sorted((2.0 * rng.random(d) - 1.0).tolist())
-        if all(b - a > MIN_EIGENVALUE_GAP for a, b in zip(vals, vals[1:])):
+        vals = sorted([2.0 * u - 1.0 for u in rng.random(d).tolist()])
+        if min(map(float.__sub__, vals[1:], vals), default=1.0) > MIN_EIGENVALUE_GAP:
             return vals
 
 

@@ -63,18 +63,22 @@ class DensityOperator:
     by default, and its eigensolve rejects a Hermiticity defect above 1e-10;
     channel code that produces states valid by construction passes
     ``validate=False`` to skip the eigensolve.  The spectrum is computed
-    lazily and cached, so validation and entropy share one solve.  Likewise
-    ``_images`` keeps the state's ``channels.dephase`` and ``channels.monitor``
-    images, keyed on their observable, so each is built once.
+    lazily and cached in ``_spectrum``, so validation and entropy share one
+    solve; ``channels.dephase`` fills that slot from a nondegenerate
+    observable's outcome weights, so the image's ``eigenvalues()`` (and
+    entropy) makes no solve, while ``eigensystem()`` still solves when the
+    vectors are asked for.  Likewise ``_images`` keeps the state's
+    ``channels.dephase`` and ``channels.monitor`` images, keyed on their
+    observable, so each is built once.
     """
 
-    __slots__ = ("matrix", "_eigensystem", "_images")
+    __slots__ = ("matrix", "_eigensystem", "_spectrum", "_images")
 
     def __init__(self, matrix, *, validate: bool = True):
         arr = np.ascontiguousarray(_as_square_complex(matrix, "density matrix", max_lead=1))
         arr.setflags(write=False)
         self.matrix = arr
-        self._eigensystem = None
+        self._eigensystem = self._spectrum = None
         self._images = {}
         if validate:
             traces = np.trace(arr, axis1=-2, axis2=-1).reshape(-1)
@@ -101,7 +105,10 @@ class DensityOperator:
         return self._eigensystem
 
     def eigenvalues(self) -> np.ndarray:
-        return self.eigensystem()[0]
+        """Cached ascending eigenvalues: a carried spectrum if the state has one, else the solve's."""
+        if self._spectrum is None:
+            self._spectrum = self.eigensystem()[0]
+        return self._spectrum
 
     def __repr__(self):
         return f"DensityOperator(dim={self.dim})"

@@ -15,10 +15,10 @@ import numpy as np
 
 import realmon.reality as reality
 from realmon import sweeps
-from realmon.channels import ComposedChannel, MonitoringChannel, product_monitor, to_superoperator
+from realmon.channels import ComposedChannel, MonitoringChannel, dephase, product_monitor, to_superoperator
 from realmon.circuits import build_monitor_circuit, epsilon_of_strength
 from realmon.config import make_config, resolve_state
-from realmon.linalg import tensor_product
+from realmon.linalg import hermitian_eig, tensor_product
 from realmon.noise import confusion_from_flip
 from realmon.observables import ProjectiveObservable, observable_from_axis, pauli_observable
 from realmon.states import DensityOperator, entropy_of_probabilities
@@ -67,6 +67,13 @@ def composed_product_monitor(bases, epsilon, reverse=False):
 
 CNOT_MAPPING_CHECK = "CNOT mapping vs 1 - sin(theta_m)"
 CNOT_MONOTONE_CHECK = "CNOT mapping monotone (largest eps step)"
+
+
+def carried_spectrum_gap(x, rho) -> float:
+    """Largest gap between ``dephase(x, rho)``'s own ``eigenvalues()``, carried
+    from its outcome weights, and an ascending solve of its matrix."""
+    image = dephase(x, rho)
+    return float(np.abs(image.eigenvalues() - hermitian_eig(image.matrix)[0]).max())
 
 
 def named_check(report, name) -> dict:

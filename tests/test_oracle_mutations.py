@@ -7,7 +7,8 @@ that the check named for it no longer passes:
   compiled circuit stacks, the Kraus split of their isometries, the
   intensity mapping, or the order of the reference stack);
 - verify-cases' four-entropy identity between the sequential and the
-  composed-channel routes;
+  composed-channel routes, and a dephased image's carried spectrum against
+  a solve of its matrix (unsorted weights, or another basis's weights);
 - acceptance criterion 2c, the sign of the probe gain;
 - acceptance criterion 4, the closed-form qubit spectra;
 - the closed-form noisy dilation and the sweep oracle, against a wrong
@@ -30,6 +31,7 @@ from _helpers import (
     CNOT_MAPPING_CHECK,
     bloch_gate_passes,
     bloch_shot_gate,
+    carried_spectrum_gap,
     named_check,
     noisy_dilation_gap,
     probe_gain_sign_check,
@@ -39,14 +41,14 @@ from _helpers import (
     sweep_oracle_gap,
     sweep_shot_gate,
 )
-from realmon import certify, circuits, cli, noise, sweeps, tomography
+from realmon import certify, channels, circuits, cli, noise, sweeps, tomography
 from realmon.certify import certify_circuits
 from realmon.channels import ComposedChannel, Superoperator, product_monitor
 from realmon.circuits import COUPLINGS, Circuit, epsilon_of_strength
 from realmon.config import make_config
 from realmon.observables import stack_observables
 from realmon.sampling import random_density, random_observable
-from realmon.states import stack_states
+from realmon.states import DensityOperator, stack_states
 from realmon.verify import verify_cases
 
 IDENTITY_CHECK = "four-entropy identity (sequential vs composed)"
@@ -131,6 +133,48 @@ def test_perturbed_composed_channel_breaks_the_four_entropy_identity(monkeypatch
     assert {c.name: c.passed for c in verify_cases(0, 20, (2, 3)).checks}[IDENTITY_CHECK]
     apply = ComposedChannel.apply_matrix
     monkeypatch.setattr(ComposedChannel, "apply_matrix", lambda self, mat: apply(self, mat) + 1e-8)
+    report = verify_cases(0, 20, (2, 3))
+    assert {c.name: c.passed for c in report.checks}[IDENTITY_CHECK] is False
+    assert not report.ok
+
+
+class UnsortingNumpy:
+    """numpy as ``channels`` sees it, but with a ``sort`` that hands back its input in order."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def sort(a, axis=-1):
+        return np.asarray(a)
+
+
+def _generic_stack(d, members, seed):
+    rng = np.random.default_rng(seed)
+    instances = [(random_observable(d, rng), random_density(d, rng)) for _ in range(members)]
+    x, rho = (column for column in zip(*instances))
+    return stack_observables(x), stack_states(rho)
+
+
+def test_unsorted_carried_weights_are_caught(monkeypatch):
+    x, rho = _generic_stack(3, 20, 7)
+    assert carried_spectrum_gap(x, rho) <= 2e-15
+    monkeypatch.setattr(channels, "np", UnsortingNumpy())
+    fresh = DensityOperator(rho.matrix, validate=False)  # an empty image memo, so dephase builds again
+    assert carried_spectrum_gap(x, fresh) > 1e-3
+
+
+def test_weights_of_the_transposed_projectors_are_caught(monkeypatch):
+    """Weights Tr(P_j^T rho), which belong to the complex-conjugate basis, carried as the image's spectrum."""
+    x, rho = _generic_stack(3, 20, 8)
+    dephased = channels._dephased
+
+    def transposed_weights(obs, mat):
+        image, weights = dephased(obs, mat)
+        return image, None if weights is None else np.einsum("...kij,...ij->...k", obs.projectors, mat)
+
+    monkeypatch.setattr(channels, "_dephased", transposed_weights)
+    assert carried_spectrum_gap(x, rho) > 1e-3
     report = verify_cases(0, 20, (2, 3))
     assert {c.name: c.passed for c in report.checks}[IDENTITY_CHECK] is False
     assert not report.ok

@@ -213,3 +213,20 @@ def test_distinct_eigenvalues_equal_numpy_uniform_draws(monkeypatch, gap):
             assert ours.bit_generator.state == reference.bit_generator.state
             assert ours.random() == reference.random()
     assert len(draws) - 15 * 40 > (1000 if gap == "large" else 0)  # redraws happened
+
+
+def numpy_round_trip_eigenvalues(d, rng):
+    """The eigenvalue draw in numpy arithmetic: an array ``2u - 1`` and a pairwise gap check."""
+    while True:
+        vals = sorted((2.0 * rng.random(d) - 1.0).tolist())
+        if all(b - a > sampling.MIN_EIGENVALUE_GAP for a, b in zip(vals, vals[1:])):
+            return vals
+
+
+@pytest.mark.parametrize("d", range(2, 17))
+def test_plain_float_eigenvalue_draw_equals_the_numpy_round_trip(d):
+    """10,000 draws in a row: the same values, and the generator left in the same state."""
+    ours, reference = np.random.default_rng(1000 + d), np.random.default_rng(1000 + d)
+    for _ in range(10_000):
+        assert sampling._distinct_eigenvalues(d, ours) == numpy_round_trip_eigenvalues(d, reference)
+    assert ours.bit_generator.state == reference.bit_generator.state

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from _helpers import maximally_mixed
+from realmon import states
 from realmon.sampling import ginibre_density, haar_pure_state, haar_unitary
 from realmon.states import (
     DensityOperator,
@@ -35,6 +36,11 @@ class TestPureState:
     def test_rejects_non_finite_amplitude(self, amplitudes, entry):
         with pytest.raises(ValueError, match=rf"entry \[{entry}\] is not finite"):
             PureState(amplitudes)
+
+    def test_amplitudes_are_read_only(self):
+        psi = PureState([1.0, 0.0])
+        with pytest.raises(ValueError):
+            psi.amplitudes[0] = 0.0
 
 
 class TestDensityOperator:
@@ -153,6 +159,13 @@ class TestStacks:
             assert s.shape == (5,)
             for n, rho in enumerate(members):
                 assert s[n] == von_neumann_entropy(rho)
+
+    def test_stacking_makes_no_eigensolve(self, monkeypatch):
+        # members are states already: the stack is not validated again
+        members = [maximally_mixed(2), DensityOperator(np.diag([1.0, 0.0]).astype(complex))]
+        monkeypatch.setattr(states, "hermitian_eig", lambda m: pytest.fail("stack_states solved a spectrum"))
+        stack = stack_states(members)
+        assert stack.batch == 2 and stack._spectrum is None
 
     def test_single_state_has_no_batch(self):
         assert maximally_mixed(2).batch is None

@@ -594,6 +594,20 @@ class TestEmission:
         assert svg.count("<polyline") == 2
         assert "dR monitored" in svg and "dR probe" in svg
 
+    def test_svg_labels_sit_beside_their_ticks_and_swatches(self):
+        config = make_config("fig1", points=9, epsilon=1.0)
+        svg = render_sweep_chart(run_sweep(config), config)
+        # y-tick labels are the texts on a horizontal grid line's row, 4 px below it
+        rows = {float(y) for y in re.findall(r'<line x1="[^"]*" y1="([^"]*)" x2="[^"]*" y2="\1" stroke="#dddddd"', svg)}
+        ticks = [(float(x), anchor) for x, y, anchor in re.findall(r'<text x="([^"]*)" y="([^"]*)"(?: text-anchor="([^"]*)")?>', svg)
+                 if round(float(y) - 4, 1) in rows]
+        assert len(ticks) == len(rows) >= 2
+        assert all(anchor == "end" and x < svg_mod.MARGIN_L for x, anchor in ticks)  # ends left of the axis
+        # each legend label starts right of the swatch drawn on its row
+        swatches = re.findall(r'<line x1="([^"]*)" y1="[^"]*" x2="([^"]*)" [^>]*stroke-width="2"/>\n<text x="([^"]*)" y="[^"]*">([^<]*)</text>', svg)
+        assert [label for *_, label in swatches] == ["dR monitored", "dR probe"]
+        assert all(float(x1) < float(x2) < float(text_x) for x1, x2, text_x, _ in swatches)
+
     @pytest.mark.parametrize("scenario", ["fig1", "fig4a"])
     def test_svg_polylines_are_the_records_mapped_onto_the_plot_box(self, scenario):
         config = make_config(scenario, points=9)
@@ -772,13 +786,13 @@ class TestVerifyAndCertifyAPI:
         [
             (
                 ["2", "3", "4"],
-                "0b32e0e6892027999c68931a4effc3d9e6f453387289a040053aa36582793dd2",
-                "028af909997ace7c5958163331bb9d1c22b4f846fbbe930261ab12fdc9f13db3",
+                "8571a5f5b761a6aa16a8f2ec7d4832137d367558c75a49af4387b9cd83b0e13b",
+                "5c1d9c4753ea6b1518ff92c87d600e335107924d180b92991d4c9f6543bade4e",
             ),
             (
                 ["4", "5"],
-                "5206050e808796fea4a838c06d72cce414b32110d09188e023f059f8de3781c0",
-                "1a8ed6d30e3bf6e2c5c765e4ba6497058b7a6a5880751e3232f129d815e02d3a",
+                "c8cbbd01cf6bf41705a5f3ddf8be70b9b8badd0277307f0466da873b4ed56450",
+                "f37572f7d20c31643a8f865a9dd4d6ce40bab82baf9dedd6369206f7ff758c13",
             ),
         ],
         ids=["dims-2-3-4", "dims-4-5"],
