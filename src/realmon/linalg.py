@@ -7,8 +7,10 @@ diagonal to within ``OFFDIAG_TOL`` answered from their diagonal, so
 diagonal states (basis states, the maximally mixed state) keep exact
 spectra.  It takes one ``(d, d)`` matrix or an ``(N, d, d)`` stack; a
 single matrix is solved as a stack of one, and each member of a stack gets
-the same answer it would get alone.  ``tensor_product`` and
-``partial_trace`` take stacks with any number of leading axes.
+the same answer it would get alone.  Entropies need spectra only, so
+``vectors=False`` runs the same driver for eigenvalues alone.
+``tensor_product`` and ``partial_trace`` take stacks with any number of
+leading axes.
 """
 
 from __future__ import annotations
@@ -128,7 +130,7 @@ def partial_trace(m, dims, keep) -> np.ndarray:
     return reduced.reshape(arr.shape[:-2] + (d_keep, d_keep))
 
 
-def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eig(m, vectors: bool = True) -> tuple[np.ndarray, np.ndarray] | np.ndarray:
     """Eigendecomposition of a finite Hermitian matrix or of an (N, d, d) stack.
 
     Returns ``(w, v)`` with eigenvalues ``w`` ascending and eigenvector
@@ -139,6 +141,11 @@ def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:
     stable-sorted, and its ``v`` the matching identity columns; otherwise
     LAPACK decides the column order among exactly tied eigenvalues.  Each
     member of a stack gets bitwise the answer it gets alone.
+
+    ``vectors=False`` returns ``w`` alone, from the same driver run for
+    eigenvalues only (``numpy.linalg.eigvalsh``), with the same checks and
+    diagonal shortcut.  At d = 2 it equals the full solve's ``w`` bitwise;
+    at larger d it may differ in the last bits.
     """
     arr = _as_square_complex(m, max_lead=1)
     finite = np.isfinite(arr)
@@ -156,25 +163,32 @@ def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:
     offdiag.reshape(len(a), -1)[:, :: d + 1] = 0.0
     full = offdiag.max(axis=(1, 2)) >= OFFDIAG_TOL
     if full.all():
-        w, v = _lapack_eig(a)
+        parts = _lapack_eig(a, vectors)
     else:
-        w, v = _diagonal_eig(a)
+        parts = _diagonal_eig(a, vectors)
         if full.any():
-            w[full], v[full] = _lapack_eig(a[full])
-    return w.reshape(arr.shape[:-1]), v.reshape(arr.shape)
+            for part, solved in zip(parts, _lapack_eig(a[full], vectors)):
+                part[full] = solved
+    w = parts[0].reshape(arr.shape[:-1])
+    return (w, parts[1].reshape(arr.shape)) if vectors else w
 
 
-def _lapack_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``eigh`` of a Hermitian stack, each column's largest component made real positive."""
+def _lapack_eig(a: np.ndarray, vectors: bool) -> tuple[np.ndarray, ...]:
+    """``(w, v)`` from ``eigh`` of a Hermitian stack, each column's largest
+    component made real positive; ``(w,)`` from ``eigvalsh`` without vectors."""
+    if not vectors:
+        return (np.linalg.eigvalsh(a),)
     w, v = np.linalg.eigh(a)
     n, d = w.shape
     z = v[np.arange(n)[:, None], np.abs(v).argmax(axis=1), np.arange(d)]
     return w, v * (z.conj() / np.abs(z))[:, None, :]
 
 
-def _diagonal_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The stable-sorted real diagonals of a stack, with permuted identity columns."""
+def _diagonal_eig(a: np.ndarray, vectors: bool) -> tuple[np.ndarray, ...]:
+    """The stable-sorted real diagonals of a stack, with permuted identity columns if ``vectors``."""
     w = a.diagonal(axis1=1, axis2=2).real
     order = np.argsort(w, axis=1, kind="stable")
-    columns = np.swapaxes(np.eye(a.shape[-1], dtype=complex)[order], 1, 2)
-    return w[np.arange(len(w))[:, None], order], columns
+    w = w[np.arange(len(w))[:, None], order]
+    if not vectors:
+        return (w,)
+    return w, np.swapaxes(np.eye(a.shape[-1], dtype=complex)[order], 1, 2)

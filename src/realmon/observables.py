@@ -87,6 +87,11 @@ class ProjectiveObservable:
             raise ValueError(f"projectors {i},{j} violate orthogonal idempotence")
         if np.abs(projs.sum(axis=-3) - np.eye(self.dim)).max() > COMPLETENESS_TOL:
             raise ValueError("projectors do not resolve the identity")
+        traces = projs.trace(axis1=-2, axis2=-1).real
+        empty = np.rint(traces) < 1
+        if empty.any():
+            *member, j = np.argwhere(empty)[0]
+            raise ValueError(f"projector {j} has trace {traces[(*member, j)]:.3g}: an outcome needs rank >= 1")
         close = np.triu(np.abs(values[..., :, None] - values[..., None, :]) <= DEGENERACY_TOL, 1)
         if close.any():
             *member, i, j = np.argwhere(close)[0]

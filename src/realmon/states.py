@@ -33,7 +33,9 @@ class PureState:
     __slots__ = ("amplitudes",)
 
     def __init__(self, amplitudes):
-        arr = np.asarray(amplitudes, dtype=complex).reshape(-1)
+        arr = np.asarray(amplitudes, dtype=complex)
+        if arr.ndim != 1:
+            raise DimensionError(f"state vector must be 1-D, got shape {arr.shape}")
         if arr.size < 1:
             raise DimensionError("state vector must have at least one amplitude")
         finite = np.isfinite(arr)
@@ -63,13 +65,15 @@ class DensityOperator:
     by default, and its eigensolve rejects a Hermiticity defect above 1e-10;
     channel code that produces states valid by construction passes
     ``validate=False`` to skip the eigensolve.  The spectrum is computed
-    lazily and cached in ``_spectrum``, so validation and entropy share one
-    solve; ``channels.dephase`` fills that slot from a nondegenerate
-    observable's outcome weights, so the image's ``eigenvalues()`` (and
-    entropy) makes no solve, while ``eigensystem()`` still solves when the
-    vectors are asked for.  Likewise ``_images`` keeps the state's
-    ``channels.dephase`` and ``channels.monitor`` images, keyed on their
-    observable, so each is built once.
+    lazily, by a values-only solve, and cached in ``_spectrum``, so
+    validation and entropy share one solve; ``channels.dephase`` fills that
+    slot from a nondegenerate observable's outcome weights, so the image's
+    ``eigenvalues()`` (and entropy) makes no solve.  ``eigensystem()``
+    solves for the vectors only when they are asked for, and caches them
+    apart; a spectrum asked for after it is taken from it.  Likewise
+    ``_images`` keeps the state's ``channels.dephase`` and
+    ``channels.monitor`` images, keyed on their observable, so each is built
+    once.
     """
 
     __slots__ = ("matrix", "_eigensystem", "_spectrum", "_images")
@@ -105,9 +109,13 @@ class DensityOperator:
         return self._eigensystem
 
     def eigenvalues(self) -> np.ndarray:
-        """Cached ascending eigenvalues: a carried spectrum if the state has one, else the solve's."""
+        """Cached ascending eigenvalues: a carried spectrum if the state has one,
+        else a cached eigensystem's, else a values-only solve's."""
         if self._spectrum is None:
-            self._spectrum = self.eigensystem()[0]
+            if self._eigensystem is not None:
+                self._spectrum = self._eigensystem[0]
+            else:
+                self._spectrum = hermitian_eig(self.matrix, vectors=False)
         return self._spectrum
 
     def __repr__(self):

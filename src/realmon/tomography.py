@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from .config import DEFAULT_READOUT_FLIP, DEFAULT_SHOTS, MAX_SEED, MAX_SEEDS, MAX_SHOTS, check_integer, resolve_state
-from .linalg import DimensionError, dagger
+from .linalg import DimensionError, dagger, hermitian_eig
 from .noise import apply_readout_noise, check_probabilities, confusion_from_flip, sample_shots
 from .observables import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
 from .states import DensityOperator
@@ -87,17 +87,21 @@ def reconstruct_state(bloch) -> DensityOperator:
 
     An ``(x, y, z)`` vector gives one state, an (N, 3) array a stack.  Shot
     noise can push the Bloch norm above 1; a member's negative eigenvalue is
-    then clamped to zero and its spectrum renormalized to unit trace.
+    then clamped to zero and its spectrum renormalized to unit trace.  The
+    stack's spectrum comes from a values-only solve, kept on the result when
+    nothing is repaired; eigenvectors are solved only for the members that
+    are, each bitwise as it would be alone.
     """
     rx, ry, rz = np.moveaxis(np.asarray(bloch, dtype=float), -1, 0)[..., None, None]
     rho = DensityOperator(0.5 * (IDENTITY_2 + rx * SIGMA_X + ry * SIGMA_Y + rz * SIGMA_Z), validate=False)
-    w, v = rho.eigensystem()  # kept on rho, so its entropy needs no second solve
-    negative = w[..., 0] < 0.0
+    negative = rho.eigenvalues()[..., 0] < 0.0
     if negative.any():
+        w, v = hermitian_eig(rho.matrix[negative])
         w = np.clip(w, 0.0, None)
         w = w / w.sum(axis=-1, keepdims=True)
-        repaired = (v * w[..., None, :]) @ dagger(v)
-        rho = DensityOperator(np.where(negative[..., None, None], repaired, rho.matrix), validate=False)
+        matrix = rho.matrix.copy()
+        matrix[negative] = (v * w[..., None, :]) @ dagger(v)
+        rho = DensityOperator(matrix, validate=False)
     return rho
 
 

@@ -2,8 +2,8 @@
 
 The acceptance checks and shot-statistics gates that a mutation test also
 runs live here, so that both tests run the same check.  They look
-``realmon.reality`` functions up at call time, so a fault patched into that
-module reaches them.
+``realmon.reality`` and ``realmon.tomography`` functions up at call time, so
+a fault patched into those modules reaches them.
 """
 
 import functools
@@ -14,13 +14,21 @@ import os
 import numpy as np
 
 import realmon.reality as reality
-from realmon import sweeps
+from realmon import sweeps, tomography
 from realmon.channels import ComposedChannel, MonitoringChannel, dephase, product_monitor, to_superoperator
 from realmon.circuits import build_monitor_circuit, epsilon_of_strength
 from realmon.config import make_config, resolve_state
 from realmon.linalg import hermitian_eig, tensor_product
 from realmon.noise import confusion_from_flip
-from realmon.observables import ProjectiveObservable, observable_from_axis, pauli_observable
+from realmon.observables import (
+    IDENTITY_2,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    ProjectiveObservable,
+    observable_from_axis,
+    pauli_observable,
+)
 from realmon.states import DensityOperator, entropy_of_probabilities
 from realmon.sweeps import run_sweep
 from realmon.tomography import estimate_pauli
@@ -74,6 +82,27 @@ def carried_spectrum_gap(x, rho) -> float:
     from its outcome weights, and an ascending solve of its matrix."""
     image = dephase(x, rho)
     return float(np.abs(image.eigenvalues() - hermitian_eig(image.matrix)[0]).max())
+
+
+def random_bloch(lengths, rng) -> np.ndarray:
+    """(N, 3) Bloch vectors of the given N lengths, in random directions."""
+    r = rng.standard_normal((len(lengths), 3))
+    return r * (np.asarray(lengths) / np.linalg.norm(r, axis=1))[:, None]
+
+
+def bloch_matrices(r) -> np.ndarray:
+    """The (N, 2, 2) matrices (I + r . sigma)/2 of an (N, 3) stack of Bloch vectors."""
+    rx, ry, rz = np.moveaxis(np.asarray(r, dtype=float), -1, 0)[..., None, None]
+    return 0.5 * (IDENTITY_2 + rx * SIGMA_X + ry * SIGMA_Y + rz * SIGMA_Z)
+
+
+def repair_gap(bloch) -> float:
+    """Largest entry of |``reconstruct_state(bloch)`` - (I + r' . sigma)/2| over a
+    stack of Bloch vectors r, where r' is r cut to unit length if longer: the
+    closed form of the clamp-and-renormalize repair."""
+    r = np.asarray(bloch, dtype=float)
+    expected = bloch_matrices(r / np.maximum(np.linalg.norm(r, axis=-1, keepdims=True), 1.0))
+    return float(np.abs(tomography.reconstruct_state(bloch).matrix - expected).max())
 
 
 def named_check(report, name) -> dict:

@@ -151,17 +151,17 @@ class TestRankOneDephasing:
         assert np.abs(alone - unit_superoperator(single.projectors, d)).max() <= 1e-15
 
     @pytest.mark.parametrize(
-        "projectors",
+        "projectors, validate",
         [
-            # passes validation with as many outcomes as dimensions, but I has rank 2
-            np.array([np.eye(2), np.zeros((2, 2))], dtype=complex),
+            # as many outcomes as dimensions, but I has rank 2; validation rejects the zero projector
+            (np.array([np.eye(2), np.zeros((2, 2))], dtype=complex), False),
             # a rank-2 projector and its rank-1 complement at d = 3, in a rotated basis
-            ROTATION @ np.array([np.diag([1.0, 1.0, 0.0]), np.diag([0.0, 0.0, 1.0])]) @ ROTATION.conj().T,
+            (ROTATION @ np.array([np.diag([1.0, 1.0, 0.0]), np.diag([0.0, 0.0, 1.0])]) @ ROTATION.conj().T, True),
         ],
         ids=["identity-and-zero", "rank-2-at-d3"],
     )
-    def test_degenerate_observables_keep_the_outcome_sum_bitwise(self, projectors):
-        x = ProjectiveObservable([1.0, 2.0], projectors)
+    def test_degenerate_observables_keep_the_outcome_sum_bitwise(self, projectors, validate):
+        x = ProjectiveObservable([1.0, 2.0], projectors, validate=validate)
         assert not x.is_nondegenerate
         rng = np.random.default_rng(6)
         for mat in (ginibre_density(x.dim, rng).matrix, rng.standard_normal((4, x.dim, x.dim)) + 0j):
@@ -582,9 +582,9 @@ def counting(monkeypatch, module, name, counts):
     original = getattr(module, name)
     counts[name] = 0
 
-    def wrapper(*args):
+    def wrapper(*args, **kwargs):
         counts[name] += 1
-        return original(*args)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, wrapper)
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from _helpers import bloch_matrices, random_bloch
 from realmon.linalg import (
     DimensionError,
     NonHermitianError,
@@ -297,3 +298,60 @@ class TestHermitianEigStack:
     def test_rejects_non_square_or_deeper_stacks(self, shape):
         with pytest.raises(DimensionError):
             hermitian_eig(np.zeros(shape, dtype=complex))
+
+
+def density_stack(d, n, rng):
+    """n unit-trace states G G† / Tr at dimension d."""
+    g = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+    m = g @ g.conj().swapaxes(1, 2)
+    return m / np.trace(m, axis1=1, axis2=2).real[:, None, None]
+
+
+class TestValuesOnly:
+    """``hermitian_eig(m, vectors=False)``: the same driver, run for eigenvalues alone."""
+
+    @pytest.mark.parametrize("kind", ["random", "near-unit-bloch", "near-diagonal"])
+    def test_equals_the_full_solve_bitwise_at_d2(self, kind):
+        rng = np.random.default_rng(31)
+        if kind == "random":
+            m = np.stack([random_hermitian(2, rng) for _ in range(2000)])
+        elif kind == "near-unit-bloch":
+            m = bloch_matrices(random_bloch(1.0 + rng.uniform(-1e-9, 1e-9, 2000), rng))
+        else:
+            m = np.diag([0.3, 0.7]) + 1e-12 * np.stack([random_hermitian(2, rng) for _ in range(2000)])
+        assert np.array_equal(hermitian_eig(m, vectors=False), hermitian_eig(m)[0])
+
+    @pytest.mark.parametrize("d", range(3, 9))
+    def test_within_rounding_of_the_full_solve_above_d2(self, d):
+        m = density_stack(d, 500, np.random.default_rng(40 + d))
+        w = hermitian_eig(m, vectors=False)
+        assert w.shape == (500, d) and np.all(np.diff(w, axis=1) >= 0)
+        assert np.abs(w - hermitian_eig(m)[0]).max() <= 2e-15
+
+    def test_diagonal_members_keep_exact_sorted_spectra(self):
+        near = np.diag([0.5, 0.2, 0.3]).astype(complex)
+        near[0, 1], near[1, 0] = 3e-17j, -3e-17j
+        assert np.array_equal(hermitian_eig(near, vectors=False), [0.2, 0.3, 0.5])
+        stack = np.stack([np.diag([0.7, 0.3]), SX / 2 + I2 / 2, np.diag([0.25, 0.75])]).astype(complex)
+        w = hermitian_eig(stack, vectors=False)
+        assert np.array_equal(w[[0, 2]], [[0.3, 0.7], [0.25, 0.75]])
+
+    def test_members_match_single_solves_bitwise(self):
+        rng = np.random.default_rng(22)
+        for d in (2, 3, 4):
+            members = [random_hermitian(d, rng) for _ in range(5)]
+            members.insert(2, np.diag(rng.standard_normal(d)).astype(complex))
+            w = hermitian_eig(np.stack(members), vectors=False)
+            for n, m in enumerate(members):
+                assert np.array_equal(w[n], hermitian_eig(m, vectors=False))
+            assert hermitian_eig(members[0], vectors=False).shape == (d,)
+
+    def test_keeps_every_check(self):
+        bad = np.full((2, 2), 0.5, dtype=complex)
+        bad[0, 1] = bad[1, 0] = math.nan
+        with pytest.raises(ValueError, match=r"entry \[0, 1\] is not finite"):
+            hermitian_eig(bad, vectors=False)
+        with pytest.raises(NonHermitianError):
+            hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex), vectors=False)
+        with pytest.raises(DimensionError):
+            hermitian_eig(np.zeros((2, 2, 2, 2), dtype=complex), vectors=False)

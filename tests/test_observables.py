@@ -112,6 +112,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="identity"):
             ProjectiveObservable((1.0,), (np.diag([1.0, 0.0]).astype(complex),))
 
+    def test_rejects_a_zero_projector(self):
+        # complete, orthogonal and idempotent, but outcome 2.0 is not in the spectrum of matrix() = I
+        with pytest.raises(ValueError, match="projector 1 has trace 0"):
+            ProjectiveObservable((1.0, 2.0), (np.eye(2), np.zeros((2, 2))))
+        z = pauli_observable("z")
+        with pytest.raises(ValueError, match="projector 0 has trace 0"):
+            ProjectiveObservable([z.eigenvalues] * 2, [z.projectors, [np.zeros((2, 2)), np.eye(2)]])
+
 
 class TestCommutes:
     def test_with_identity_observable(self):

@@ -14,13 +14,16 @@ that the check named for it no longer passes:
 - the closed-form noisy dilation and the sweep oracle, against a wrong
   depolarizing rate, pair or readout shrink;
 - the two shot-statistics gates, against samplers that repeat one generator
-  state, reuse one repeat's counts or draw half the shots.
+  state, reuse one repeat's counts or draw half the shots;
+- tomography's spectrum repair against its closed form, when the repair
+  picks the wrong members or is skipped.
 
 A refactor that merges the two sides of a check, or that checks only part
 of a stack, makes one of these pass silently and fails here.
 """
 
 import copy
+import inspect
 import math
 from dataclasses import replace
 
@@ -35,7 +38,9 @@ from _helpers import (
     named_check,
     noisy_dilation_gap,
     probe_gain_sign_check,
+    random_bloch,
     reality,
+    repair_gap,
     scenario1_grid,
     sweep_gate_passes,
     sweep_oracle_gap,
@@ -309,3 +314,28 @@ def test_broken_shot_sampler_fails_the_statistical_gate(monkeypatch, mutant, gat
     run, passes = SHOT_GATES[gate]
     monkeypatch.setattr(tomography, "sample_shots", SHOT_MUTANTS[mutant]())
     assert not passes(run())
+
+
+def source_mutant(func, old, new):
+    """``func`` recompiled in its own module's namespace with every ``old`` in its source replaced by ``new``."""
+    source = inspect.getsource(func)
+    assert old in source
+    namespace = dict(func.__globals__)
+    exec(compile(source.replace(old, new), inspect.getsourcefile(func), "exec"), namespace)
+    return namespace[func.__name__]
+
+
+REPAIR_MUTANTS = {
+    "repairs-the-non-negative-members": ("[negative]", "[~negative]"),
+    "skips-the-repair": ("if negative.any():", "if False:"),
+}
+
+
+@pytest.mark.parametrize("mutant", REPAIR_MUTANTS)
+def test_misdirected_or_skipped_repair_fails_the_closed_form(monkeypatch, mutant):
+    rng = np.random.default_rng(33)
+    bloch = random_bloch(rng.uniform(0.5, 1.05, 400), rng)
+    assert 0 < (np.linalg.norm(bloch, axis=1) > 1.0).sum() < 400 and repair_gap(bloch) <= 1e-14
+    faulty = source_mutant(tomography.reconstruct_state, *REPAIR_MUTANTS[mutant])
+    monkeypatch.setattr(tomography, "reconstruct_state", faulty)
+    assert repair_gap(bloch) > 1e-4

@@ -5,6 +5,8 @@ import pytest
 
 from _helpers import maximally_mixed
 from realmon import states
+from realmon.config import STATE_PRESETS
+from realmon.linalg import DimensionError
 from realmon.sampling import ginibre_density, haar_pure_state, haar_unitary
 from realmon.states import (
     DensityOperator,
@@ -41,6 +43,12 @@ class TestPureState:
         psi = PureState([1.0, 0.0])
         with pytest.raises(ValueError):
             psi.amplitudes[0] = 0.0
+
+    @pytest.mark.parametrize("amplitudes", [np.eye(2) / math.sqrt(2), [[1.0, 0.0]], 1.0], ids=["matrix", "row", "scalar"])
+    def test_rejects_non_vector_amplitudes(self, amplitudes):
+        # a flattened (2, 2) array would pass as a 4-dimensional state
+        with pytest.raises(DimensionError, match=r"must be 1-D, got shape \("):
+            PureState(amplitudes)
 
 
 class TestDensityOperator:
@@ -146,6 +154,42 @@ class TestEntropy:
         for d in (2, 3, 4, 8):
             rho = ginibre_density(d, rng)
             assert 0.0 <= von_neumann_entropy(rho) <= math.log2(d) + 1e-12
+
+
+class TestSpectrumSolves:
+    """Spectra come from a values-only solve; vectors are solved only when asked for."""
+
+    def spy(self, monkeypatch):
+        calls, solve = [], states.hermitian_eig
+        monkeypatch.setattr(states, "hermitian_eig", lambda m, **kw: calls.append(kw) or solve(m, **kw))
+        return calls
+
+    def test_validation_and_entropy_share_one_values_only_solve(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        rho = DensityOperator(ginibre_density(3, np.random.default_rng(8)).matrix)
+        von_neumann_entropy(rho)
+        assert calls == [{"vectors": False}]
+        w, v = rho.eigensystem()
+        assert calls == [{"vectors": False}, {}] and rho.eigensystem() is rho.eigensystem()
+        assert np.abs(w - rho.eigenvalues()).max() <= 2e-15
+
+    def test_spectrum_after_the_eigensystem_reuses_it(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        rho = DensityOperator(ginibre_density(4, np.random.default_rng(9)).matrix, validate=False)
+        w, _ = rho.eigensystem()
+        assert rho.eigenvalues() is w and calls == [{}]
+
+    @pytest.mark.parametrize("name", sorted(STATE_PRESETS))
+    def test_presets_keep_exact_spectra(self, name):
+        rho = DensityOperator(STATE_PRESETS[name])
+        expected = [0.5, 0.5] if name == "mixed" else [0.0, 1.0]
+        assert np.array_equal(rho.eigenvalues(), expected)
+        assert von_neumann_entropy(rho) == (1.0 if name == "mixed" else 0.0)
+
+    def test_diagonal_states_keep_exact_spectra(self):
+        stack = np.stack([np.diag([0.75, 0.25]), np.diag([0.0, 1.0]), np.eye(2) / 2]).astype(complex)
+        assert np.array_equal(DensityOperator(stack).eigenvalues(), [[0.25, 0.75], [0.0, 1.0], [0.5, 0.5]])
+        assert np.array_equal(maximally_mixed(4).eigenvalues(), np.full(4, 0.25))
 
 
 class TestStacks:

@@ -786,13 +786,13 @@ class TestVerifyAndCertifyAPI:
         [
             (
                 ["2", "3", "4"],
-                "8571a5f5b761a6aa16a8f2ec7d4832137d367558c75a49af4387b9cd83b0e13b",
-                "5c1d9c4753ea6b1518ff92c87d600e335107924d180b92991d4c9f6543bade4e",
+                "b367a877af2df3c357cfc5f5008926ddad0fff34f5a42976a72ebbd2ec615146",
+                "5404c62122a135df1bbad584ba74ae13b64569e0ac355297b96c7bdf74d543d6",
             ),
             (
                 ["4", "5"],
                 "c8cbbd01cf6bf41705a5f3ddf8be70b9b8badd0277307f0466da873b4ed56450",
-                "f37572f7d20c31643a8f865a9dd4d6ce40bab82baf9dedd6369206f7ff758c13",
+                "1e1e362a2c5e1e87053fcc3c4de3e69aa444be221ad19fe06cd4f0f2cb2abd45",
             ),
         ],
         ids=["dims-2-3-4", "dims-4-5"],
