@@ -1,9 +1,10 @@
 """Reality and irreality of quantum observables under weak non-revealed monitoring.
 
-Core layers: dense complex linear algebra with one LAPACK-backed Hermitian
-eigensolver (``linalg``), validated states and entropies (``states``),
-projective observables (``observables``), the monitoring channel, which
-dephases at intensity 1, with a superoperator oracle (``channels``),
+Core layers: dense complex linear algebra with one Hermitian eigensolver,
+closed-form for qubits and LAPACK-backed above (``linalg``), validated
+states and entropies (``states``), projective observables
+(``observables``), the monitoring channel, which dephases at intensity 1,
+with a superoperator oracle (``channels``),
 reality-variation measures and the closed-form Bloch-vector oracle for
 every qubit sweep path, noise included (``reality``),
 ancilla-dilation circuits with noise (``circuits``, ``noise``),

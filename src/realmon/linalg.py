@@ -1,14 +1,15 @@
 """Dense complex-matrix primitives sized for Hilbert dimensions up to 16.
 
 Everything here is pure: inputs are never mutated and outputs are fresh
-arrays.  ``hermitian_eig`` is the package's one eigensolver: LAPACK's
-Hermitian driver (``numpy.linalg.eigh``), with matrices that are already
-diagonal to within ``OFFDIAG_TOL`` answered from their diagonal, so
-diagonal states (basis states, the maximally mixed state) keep exact
-spectra.  It takes one ``(d, d)`` matrix or an ``(N, d, d)`` stack; a
-single matrix is solved as a stack of one, and each member of a stack gets
-the same answer it would get alone.  Entropies need spectra only, so
-``vectors=False`` runs the same driver for eigenvalues alone.
+arrays.  ``hermitian_eig`` is the package's one eigensolver.  A 2x2
+matrix (every qubit state) is solved in closed form, with no LAPACK call;
+a larger one goes to LAPACK's Hermitian solver (``numpy.linalg.eigh``).
+Matrices that are already diagonal to within ``OFFDIAG_TOL`` are answered
+from their diagonal, so diagonal states (basis states, the maximally
+mixed state) keep exact spectra.  It takes one ``(d, d)`` matrix or an
+``(N, d, d)`` stack; a single matrix is solved as a stack of one, and each
+member of a stack gets the same answer it would get alone.  Entropies need
+spectra only, so ``vectors=False`` skips the eigenvectors.
 ``tensor_product`` and ``partial_trace`` take stacks with any number of
 leading axes.
 """
@@ -138,14 +139,16 @@ def hermitian_eig(m, vectors: bool = True) -> tuple[np.ndarray, np.ndarray] | np
     global phase of each column is fixed by making its largest-magnitude
     component real and positive.  If every off-diagonal entry of a matrix is
     below ``OFFDIAG_TOL`` in magnitude, its ``w`` is the real diagonal,
-    stable-sorted, and its ``v`` the matching identity columns; otherwise
-    LAPACK decides the column order among exactly tied eigenvalues.  Each
-    member of a stack gets bitwise the answer it gets alone.
+    stable-sorted, and its ``v`` the matching identity columns.  Otherwise a
+    2x2 matrix [[p, b], [b*, q]] has ``w`` = (p + q)/2 -+ hypot((p - q)/2, |b|)
+    in closed form, and a larger one is solved by LAPACK, which decides the
+    column order among exactly tied eigenvalues.  Each member of a stack
+    gets bitwise the answer it gets alone.
 
-    ``vectors=False`` returns ``w`` alone, from the same driver run for
-    eigenvalues only (``numpy.linalg.eigvalsh``), with the same checks and
-    diagonal shortcut.  At d = 2 it equals the full solve's ``w`` bitwise;
-    at larger d it may differ in the last bits.
+    ``vectors=False`` returns ``w`` alone, with the same checks and diagonal
+    shortcut: at d = 2 the closed form's ``w``, bitwise; at larger d from
+    LAPACK's eigenvalue-only routine (``numpy.linalg.eigvalsh``), which may
+    differ from the full solve's in the last bits.
     """
     arr = _as_square_complex(m, max_lead=1)
     finite = np.isfinite(arr)
@@ -163,25 +166,54 @@ def hermitian_eig(m, vectors: bool = True) -> tuple[np.ndarray, np.ndarray] | np
     offdiag.reshape(len(a), -1)[:, :: d + 1] = 0.0
     full = offdiag.max(axis=(1, 2)) >= OFFDIAG_TOL
     if full.all():
-        parts = _lapack_eig(a, vectors)
+        parts = _full_eig(a, vectors)
     else:
         parts = _diagonal_eig(a, vectors)
         if full.any():
-            for part, solved in zip(parts, _lapack_eig(a[full], vectors)):
+            for part, solved in zip(parts, _full_eig(a[full], vectors)):
                 part[full] = solved
     w = parts[0].reshape(arr.shape[:-1])
     return (w, parts[1].reshape(arr.shape)) if vectors else w
 
 
-def _lapack_eig(a: np.ndarray, vectors: bool) -> tuple[np.ndarray, ...]:
-    """``(w, v)`` from ``eigh`` of a Hermitian stack, each column's largest
-    component made real positive; ``(w,)`` from ``eigvalsh`` without vectors."""
+def _full_eig(a: np.ndarray, vectors: bool) -> tuple[np.ndarray, ...]:
+    """``(w, v)`` of a Hermitian stack with each column's largest component
+    made real positive, or ``(w,)`` without vectors.  A 2x2 stack is solved
+    in closed form (``_qubit_eig``); larger ones by LAPACK, ``eigh`` or
+    ``eigvalsh``."""
+    if a.shape[-1] == 2:
+        return _qubit_eig(a, vectors)
     if not vectors:
         return (np.linalg.eigvalsh(a),)
     w, v = np.linalg.eigh(a)
-    n, d = w.shape
+    return w, _fix_phases(v)
+
+
+def _qubit_eig(a: np.ndarray, vectors: bool) -> tuple[np.ndarray, ...]:
+    """Closed-form ``(w, v)``, or ``(w,)``, of a stack of 2x2 Hermitian
+    matrices [[p, b], [b*, q]] with b != 0: w = mid -+ rad, where mid and h
+    are the half-sum and half-difference of p and q and rad = hypot(h, |b|)."""
+    p, q, b = a[:, 0, 0].real, a[:, 1, 1].real, a[:, 0, 1]
+    mid, h, b_abs = 0.5 * (p + q), 0.5 * (p - q), np.hypot(b.real, b.imag)
+    rad = np.hypot(h, b_abs)
+    w = np.stack((mid - rad, mid + rad), axis=1)
+    if not vectors:
+        return (w,)
+    # (rad + h, b*) and (b, rad - h) both span the null space of a - (mid + rad) I;
+    # take the one whose rad +- h is rad + |h|, which cannot cancel
+    top = h >= 0.0
+    upper = np.stack((np.where(top, rad + h, b), np.where(top, b.conj(), rad - h)), axis=1)
+    upper /= np.hypot(rad + np.abs(h), b_abs)[:, None]
+    lower = np.stack((-upper[:, 1], upper[:, 0]), axis=1).conj()
+    return w, _fix_phases(np.stack((lower, upper), axis=2))
+
+
+def _fix_phases(v: np.ndarray) -> np.ndarray:
+    """Eigenvector columns of a stack, each scaled by the phase that makes
+    its largest-magnitude component real and positive."""
+    n, d = v.shape[0], v.shape[-1]
     z = v[np.arange(n)[:, None], np.abs(v).argmax(axis=1), np.arange(d)]
-    return w, v * (z.conj() / np.abs(z))[:, None, :]
+    return v * (z.conj() / np.abs(z))[:, None, :]
 
 
 def _diagonal_eig(a: np.ndarray, vectors: bool) -> tuple[np.ndarray, ...]:

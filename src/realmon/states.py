@@ -68,21 +68,18 @@ class DensityOperator:
     lazily, by a values-only solve, and cached in ``_spectrum``, so
     validation and entropy share one solve; ``channels.dephase`` fills that
     slot from a nondegenerate observable's outcome weights, so the image's
-    ``eigenvalues()`` (and entropy) makes no solve.  ``eigensystem()``
-    solves for the vectors only when they are asked for, and caches them
-    apart; a spectrum asked for after it is taken from it.  Likewise
-    ``_images`` keeps the state's ``channels.dephase`` and
-    ``channels.monitor`` images, keyed on their observable, so each is built
-    once.
+    ``eigenvalues()`` (and entropy) makes no solve.  Likewise ``_images``
+    keeps the state's ``channels.dephase`` and ``channels.monitor`` images,
+    keyed on their observable, so each is built once.
     """
 
-    __slots__ = ("matrix", "_eigensystem", "_spectrum", "_images")
+    __slots__ = ("matrix", "_spectrum", "_images")
 
     def __init__(self, matrix, *, validate: bool = True):
         arr = np.ascontiguousarray(_as_square_complex(matrix, "density matrix", max_lead=1))
         arr.setflags(write=False)
         self.matrix = arr
-        self._eigensystem = self._spectrum = None
+        self._spectrum = None
         self._images = {}
         if validate:
             traces = np.trace(arr, axis1=-2, axis2=-1).reshape(-1)
@@ -102,20 +99,10 @@ class DensityOperator:
         """Number of states in a stack; None for a single state."""
         return self.matrix.shape[0] if self.matrix.ndim == 3 else None
 
-    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cached ascending eigenvalues and eigenvector columns (per member of a stack)."""
-        if self._eigensystem is None:
-            self._eigensystem = hermitian_eig(self.matrix)
-        return self._eigensystem
-
     def eigenvalues(self) -> np.ndarray:
-        """Cached ascending eigenvalues: a carried spectrum if the state has one,
-        else a cached eigensystem's, else a values-only solve's."""
+        """Cached ascending eigenvalues: a carried spectrum if the state has one, else a values-only solve's."""
         if self._spectrum is None:
-            if self._eigensystem is not None:
-                self._spectrum = self._eigensystem[0]
-            else:
-                self._spectrum = hermitian_eig(self.matrix, vectors=False)
+            self._spectrum = hermitian_eig(self.matrix, vectors=False)
         return self._spectrum
 
     def __repr__(self):

@@ -2,10 +2,11 @@
 
 The acceptance checks and shot-statistics gates that a mutation test also
 runs live here, so that both tests run the same check.  They look
-``realmon.reality`` and ``realmon.tomography`` functions up at call time, so
-a fault patched into those modules reaches them.
+``realmon.reality``, ``realmon.tomography`` and ``realmon.linalg`` functions
+up at call time, so a fault patched into those modules reaches them.
 """
 
+import decimal
 import functools
 import json
 import math
@@ -14,7 +15,7 @@ import os
 import numpy as np
 
 import realmon.reality as reality
-from realmon import sweeps, tomography
+from realmon import linalg, sweeps, tomography
 from realmon.channels import ComposedChannel, MonitoringChannel, dephase, product_monitor, to_superoperator
 from realmon.circuits import build_monitor_circuit, epsilon_of_strength
 from realmon.config import make_config, resolve_state
@@ -103,6 +104,75 @@ def repair_gap(bloch) -> float:
     r = np.asarray(bloch, dtype=float)
     expected = bloch_matrices(r / np.maximum(np.linalg.norm(r, axis=-1, keepdims=True), 1.0))
     return float(np.abs(tomography.reconstruct_state(bloch).matrix - expected).max())
+
+
+EPS = np.finfo(float).eps
+# The bounds of qubit_kernel_errors.  On random 2x2 members LAPACK's own
+# eigenvalues lie up to 5.9 eps·‖A‖ from exact (100,000 members), so the
+# kernel is held to 4 eps·‖A‖ against exact arithmetic but to 8 against
+# eigvalsh (6.7 seen over 500,000 members); eigh's eigenprojectors lie up
+# to 12.3 eps·‖A‖/gap from the kernel's over the same members.
+QUBIT_KERNEL_BOUNDS = {
+    "values-only": 0.0,
+    "exact": 4.0,
+    "lapack": 8.0,
+    "vectors": 16.0,
+    "residual": 1e-15,
+    "orthonormality": 1e-15,
+}
+
+
+def exact_qubit_spectra(m) -> np.ndarray:
+    """The (N, 2) eigenvalues mid -+ sqrt(h^2 + |b|^2) of an (N, 2, 2)
+    Hermitian stack, in 50-digit decimal arithmetic on its float entries."""
+    out = []
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        entries = (m[:, 0, 0].real, m[:, 1, 1].real, m[:, 0, 1].real, m[:, 0, 1].imag)
+        for p, q, br, bi in zip(*(x.tolist() for x in entries)):
+            p, q, br, bi = map(decimal.Decimal, (p, q, br, bi))
+            mid, h = (p + q) / 2, (p - q) / 2
+            rad = (h * h + br * br + bi * bi).sqrt()
+            out.append((float(mid - rad), float(mid + rad)))
+    return np.array(out)
+
+
+def qubit_kernel_errors(m) -> dict:
+    """The worst errors of the 2x2 eigensolver kernel ``linalg._qubit_eig``
+    over an (N, 2, 2) Hermitian stack whose members all have a nonzero
+    off-diagonal entry, keyed as ``QUBIT_KERNEL_BOUNDS``.
+
+    With ‖A‖ a member's largest |eigenvalue| and gap its eigenvalue gap:
+    "values-only" is the gap between the values-only and the full answer's
+    eigenvalues; "exact" and "lapack" are the eigenvalue errors against exact
+    arithmetic and against ``numpy.linalg.eigvalsh``, in units of eps·‖A‖;
+    "vectors" is the eigenprojector gap to ``numpy.linalg.eigh``'s, in units
+    of eps·‖A‖/gap; "residual" is ‖Av - λv‖/‖A‖ and "orthonormality" the
+    largest entry of |V†V - I|.
+    """
+    w, v = linalg._qubit_eig(m, True)
+    (values,) = linalg._qubit_eig(m, False)
+    exact = exact_qubit_spectra(m)
+    norm = np.abs(exact).max(axis=1)
+    gap = exact[:, 1] - exact[:, 0]
+
+    def projectors(vectors):
+        return np.einsum("nik,njk->nkij", vectors, vectors.conj())
+
+    return {
+        "values-only": float(np.abs(values - w).max()),
+        "exact": float((np.abs(w - exact).max(axis=1) / norm).max() / EPS),
+        "lapack": float((np.abs(w - np.linalg.eigvalsh(m)).max(axis=1) / norm).max() / EPS),
+        "vectors": float(
+            (np.abs(projectors(v) - projectors(np.linalg.eigh(m)[1])).max(axis=(1, 2, 3)) * gap / norm).max() / EPS
+        ),
+        "residual": float(np.linalg.norm((m @ v - v * w[:, None, :]) / norm[:, None, None], axis=1).max()),
+        "orthonormality": float(np.abs(np.swapaxes(v, 1, 2).conj() @ v - np.eye(2)).max()),
+    }
+
+
+def qubit_kernel_passes(errors) -> bool:
+    return all(errors[key] <= bound for key, bound in QUBIT_KERNEL_BOUNDS.items())
 
 
 def named_check(report, name) -> dict:

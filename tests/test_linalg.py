@@ -1,18 +1,26 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from _helpers import bloch_matrices, random_bloch
+from _helpers import EPS, bloch_matrices, qubit_kernel_errors, qubit_kernel_passes, random_bloch
+from realmon import cli, tomography
+from realmon.config import make_config
 from realmon.linalg import (
+    OFFDIAG_TOL,
     DimensionError,
     NonHermitianError,
+    _qubit_eig,
     common_batch,
+    dagger,
     hermitian_eig,
     operators,
     partial_trace,
     tensor_product,
 )
+from realmon.sweeps import run_sweep
+from realmon.verify import verify_cases
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -131,6 +139,14 @@ class TestPartialTrace:
         for i in range(2):
             for j in range(3):
                 assert np.array_equal(out[i, j], partial_trace(stack[i, j], [2, 2, 2], keep=[0, 2]))
+
+    def test_unit_subsystems_are_allowed(self):
+        m = random_hermitian(3, np.random.default_rng(6))
+        assert np.array_equal(partial_trace(m, [1, 3], keep=1), m)
+        assert np.array_equal(partial_trace(m, [3, 1], keep=0), m)
+        assert np.array_equal(partial_trace(m, [3, 1], keep=1), [[np.trace(m)]])
+        with pytest.raises(DimensionError, match="must be positive"):
+            partial_trace(m, [3, 0, 1], keep=0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
@@ -252,6 +268,18 @@ class TestHermitianEig:
         assert np.array_equal(w, [0.2, 0.3, 0.5])
         assert np.array_equal(v, np.eye(3)[:, [1, 2, 0]])
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_every_off_diagonal_position_is_solved(self, d):
+        for i, j in itertools.combinations(range(d), 2):
+            m = np.diag(np.arange(1.0, d + 1)).astype(complex)
+            m[i, j], m[j, i] = 0.3j, -0.3j
+            assert np.abs(hermitian_eig(m)[0] - np.linalg.eigvalsh(m)).max() <= 1e-14, (i, j)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_maximally_mixed_state_gives_identity_columns(self, d):
+        w, v = hermitian_eig(np.eye(d, dtype=complex) / d)
+        assert np.array_equal(w, np.full(d, 1 / d)) and np.array_equal(v, np.eye(d))
+
     def test_one_by_one(self):
         w, v = hermitian_eig(np.array([[0.7 + 0j]]))
         assert np.array_equal(w, [0.7])
@@ -308,7 +336,7 @@ def density_stack(d, n, rng):
 
 
 class TestValuesOnly:
-    """``hermitian_eig(m, vectors=False)``: the same driver, run for eigenvalues alone."""
+    """``hermitian_eig(m, vectors=False)``: the same solve, run for eigenvalues alone."""
 
     @pytest.mark.parametrize("kind", ["random", "near-unit-bloch", "near-diagonal"])
     def test_equals_the_full_solve_bitwise_at_d2(self, kind):
@@ -355,3 +383,108 @@ class TestValuesOnly:
             hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex), vectors=False)
         with pytest.raises(DimensionError):
             hermitian_eig(np.zeros((2, 2, 2, 2), dtype=complex), vectors=False)
+
+
+def qubit_kernel_stacks():
+    """Named (N, 2, 2) Hermitian stacks, every member with an off-diagonal entry."""
+    rng = np.random.default_rng(34)
+
+    def hermitian(n):
+        g = rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2))
+        return (g + dagger(g)) / 2
+
+    def with_entries(h, b, mid=0.3):
+        m = np.empty((len(b), 2, 2), dtype=complex)
+        m[:, 0, 0], m[:, 1, 1], m[:, 0, 1], m[:, 1, 0] = mid + h, mid - h, b, np.conj(b)
+        return m
+
+    def phases(n):
+        return np.exp(2j * np.pi * rng.random(n))
+
+    real_b, imaginary_b = hermitian(2000), hermitian(2000)
+    real_b[:, 0, 1] = real_b[:, 1, 0] = real_b[:, 0, 1].real
+    imaginary_b[:, 0, 1] = 1j * imaginary_b[:, 0, 1].imag
+    imaginary_b[:, 1, 0] = imaginary_b[:, 0, 1].conj()
+    overshoot = 1.0 + rng.choice([-1e-12, 1e-12], 2000)  # tomography's Bloch vectors just off the unit sphere
+    return {
+        "random": hermitian(10_000),
+        "unit-bloch": bloch_matrices(random_bloch(overshoot, rng)),
+        "at-offdiag-tol": np.concatenate(
+            [with_entries(h, 1.01 * OFFDIAG_TOL * phases(500)) for h in (0.0, 1e-14, -1e-14)]
+        ),
+        "h-dominant": np.concatenate([with_entries(h, 1e-9 * phases(1000), mid=0.0) for h in (1.0, -1.0)]),
+        "real-b": real_b,
+        "imaginary-b": imaginary_b,
+        "scaled-1e150": 1e150 * hermitian(1000),
+        "scaled-1e-150": 1e-150 * hermitian(1000),
+    }
+
+
+QUBIT_STACKS = qubit_kernel_stacks()
+
+
+class TestQubitKernel:
+    """The closed-form 2x2 kernel, held to numpy's LAPACK called directly and
+    to exact arithmetic.  Overflow, underflow and invalid values raise."""
+
+    @pytest.mark.parametrize("name", QUBIT_STACKS)
+    def test_within_bounds_of_lapack_and_exact_arithmetic(self, name):
+        with np.errstate(all="raise"):
+            errors = qubit_kernel_errors(QUBIT_STACKS[name])
+        assert qubit_kernel_passes(errors), errors
+
+    def test_the_stacks_reach_both_vector_branches_and_the_tolerance(self):
+        h = {name: 0.5 * (m[:, 0, 0] - m[:, 1, 1]).real for name, m in QUBIT_STACKS.items()}
+        assert (h["h-dominant"] > 0).sum() == (h["h-dominant"] < 0).sum() == 1000
+        assert np.abs(h["at-offdiag-tol"].reshape(3, 500) - [[0.0], [1e-14], [-1e-14]]).max() <= 1e-16
+        offdiag = np.abs(QUBIT_STACKS["at-offdiag-tol"][:, 0, 1])
+        assert np.all((offdiag >= OFFDIAG_TOL) & (offdiag <= 1.02 * OFFDIAG_TOL))
+        assert not QUBIT_STACKS["real-b"][:, 0, 1].imag.any() and not QUBIT_STACKS["imaginary-b"][:, 0, 1].real.any()
+
+    # OFFDIAG_TOL is absolute, so hermitian_eig answers the 1e-150 stack from its diagonal
+    @pytest.mark.parametrize("name", [name for name in QUBIT_STACKS if name != "scaled-1e-150"])
+    def test_hermitian_eig_hands_off_diagonal_members_to_the_kernel(self, name):
+        m = QUBIT_STACKS[name]
+        w, v = _qubit_eig(m, True)
+        full = hermitian_eig(m)
+        assert np.array_equal(full[0], w) and np.array_equal(full[1], v)
+        assert np.array_equal(hermitian_eig(m, vectors=False), w)
+
+    @pytest.mark.parametrize("name", QUBIT_STACKS)
+    def test_largest_component_of_each_column_is_real_positive(self, name):
+        _, v = _qubit_eig(QUBIT_STACKS[name], True)
+        size = np.abs(v)
+        # where both components tie, rounding in the phase fix may leave either one the larger
+        largest = size >= (1.0 - 4 * EPS) * size.max(axis=1, keepdims=True)
+        real_positive = (v.real > 0.0) & (np.abs(v.imag) <= 1e-15 * v.real)
+        assert np.all((largest & real_positive).any(axis=1))
+
+    @pytest.mark.parametrize("name", QUBIT_STACKS)
+    def test_kernel_members_match_single_solves_bitwise(self, name):
+        m = QUBIT_STACKS[name][:1000]
+        w, v = _qubit_eig(m, True)
+        (values,) = _qubit_eig(m, False)
+        for n in range(len(m)):
+            w1, v1 = _qubit_eig(m[n : n + 1], True)
+            assert np.array_equal(w[n], w1[0]) and np.array_equal(v[n], v1[0])
+            assert np.array_equal(values[n], _qubit_eig(m[n : n + 1], False)[0][0])
+
+    def test_qubit_paths_make_no_lapack_call(self, monkeypatch, capsys):
+        calls, repaired = [], []
+
+        def spy(name, solve):
+            return lambda *args, **kw: calls.append(name) or solve(*args, **kw)
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
+        reconstruct = tomography.hermitian_eig
+        monkeypatch.setattr(
+            tomography, "hermitian_eig", lambda m, **kw: repaired.append(len(m)) or reconstruct(m, **kw)
+        )
+        run_sweep(make_config("fig4a", path="noisy"))
+        run_sweep(make_config("fig4a", path="circuit"))
+        assert cli.main(["tomo-sim", "--seeds", "200"]) == 0
+        capsys.readouterr()
+        assert repaired == [200] and calls == []  # tomo-sim of |+> at exact readout repairs every member
+        verify_cases(0, 5, (3,))
+        assert calls  # d = 3 still goes to LAPACK

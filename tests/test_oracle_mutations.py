@@ -16,7 +16,10 @@ that the check named for it no longer passes:
 - the two shot-statistics gates, against samplers that repeat one generator
   state, reuse one repeat's counts or draw half the shots;
 - tomography's spectrum repair against its closed form, when the repair
-  picks the wrong members or is skipped.
+  picks the wrong members or is skipped;
+- the closed-form 2x2 eigensolver kernel against LAPACK and exact
+  arithmetic, and the repair through it, when the kernel takes the wrong
+  eigenvector branch, emits descending eigenvalues or drops a conjugate.
 
 A refactor that merges the two sides of a check, or that checks only part
 of a stack, makes one of these pass silently and fails here.
@@ -38,6 +41,8 @@ from _helpers import (
     named_check,
     noisy_dilation_gap,
     probe_gain_sign_check,
+    qubit_kernel_errors,
+    qubit_kernel_passes,
     random_bloch,
     reality,
     repair_gap,
@@ -46,7 +51,7 @@ from _helpers import (
     sweep_oracle_gap,
     sweep_shot_gate,
 )
-from realmon import certify, channels, circuits, cli, noise, sweeps, tomography
+from realmon import certify, channels, circuits, cli, linalg, noise, sweeps, tomography
 from realmon.certify import certify_circuits
 from realmon.channels import ComposedChannel, Superoperator, product_monitor
 from realmon.circuits import COUPLINGS, Circuit, epsilon_of_strength
@@ -338,4 +343,23 @@ def test_misdirected_or_skipped_repair_fails_the_closed_form(monkeypatch, mutant
     assert 0 < (np.linalg.norm(bloch, axis=1) > 1.0).sum() < 400 and repair_gap(bloch) <= 1e-14
     faulty = source_mutant(tomography.reconstruct_state, *REPAIR_MUTANTS[mutant])
     monkeypatch.setattr(tomography, "reconstruct_state", faulty)
+    assert repair_gap(bloch) > 1e-4
+
+
+KERNEL_MUTANTS = {
+    "vector-branch-flipped": ("top = h >= 0.0", "top = h < 0.0"),
+    "eigenvalues-descending": ("(mid - rad, mid + rad)", "(mid + rad, mid - rad)"),
+    "conj-dropped-on-b": ("b.conj()", "b"),
+}
+
+
+@pytest.mark.parametrize("mutant", KERNEL_MUTANTS)
+def test_faulty_qubit_kernel_fails_its_bounds_and_the_repair(monkeypatch, mutant):
+    rng = np.random.default_rng(34)
+    g = rng.standard_normal((2000, 2, 2)) + 1j * rng.standard_normal((2000, 2, 2))
+    stack = (g + np.swapaxes(g, 1, 2).conj()) / 2
+    bloch = random_bloch(rng.uniform(0.5, 1.05, 400), rng)
+    assert qubit_kernel_passes(qubit_kernel_errors(stack)) and repair_gap(bloch) <= 1e-14
+    monkeypatch.setattr(linalg, "_qubit_eig", source_mutant(linalg._qubit_eig, *KERNEL_MUTANTS[mutant]))
+    assert not qubit_kernel_passes(qubit_kernel_errors(stack))
     assert repair_gap(bloch) > 1e-4

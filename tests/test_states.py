@@ -6,7 +6,7 @@ import pytest
 from _helpers import maximally_mixed
 from realmon import states
 from realmon.config import STATE_PRESETS
-from realmon.linalg import DimensionError
+from realmon.linalg import DimensionError, hermitian_eig
 from realmon.sampling import ginibre_density, haar_pure_state, haar_unitary
 from realmon.states import (
     DensityOperator,
@@ -157,7 +157,7 @@ class TestEntropy:
 
 
 class TestSpectrumSolves:
-    """Spectra come from a values-only solve; vectors are solved only when asked for."""
+    """Spectra come from one values-only solve, cached on the state."""
 
     def spy(self, monkeypatch):
         calls, solve = [], states.hermitian_eig
@@ -168,16 +168,9 @@ class TestSpectrumSolves:
         calls = self.spy(monkeypatch)
         rho = DensityOperator(ginibre_density(3, np.random.default_rng(8)).matrix)
         von_neumann_entropy(rho)
+        assert calls == [{"vectors": False}] and rho.eigenvalues() is rho.eigenvalues()
+        assert np.abs(hermitian_eig(rho.matrix)[0] - rho.eigenvalues()).max() <= 2e-15
         assert calls == [{"vectors": False}]
-        w, v = rho.eigensystem()
-        assert calls == [{"vectors": False}, {}] and rho.eigensystem() is rho.eigensystem()
-        assert np.abs(w - rho.eigenvalues()).max() <= 2e-15
-
-    def test_spectrum_after_the_eigensystem_reuses_it(self, monkeypatch):
-        calls = self.spy(monkeypatch)
-        rho = DensityOperator(ginibre_density(4, np.random.default_rng(9)).matrix, validate=False)
-        w, _ = rho.eigensystem()
-        assert rho.eigenvalues() is w and calls == [{}]
 
     @pytest.mark.parametrize("name", sorted(STATE_PRESETS))
     def test_presets_keep_exact_spectra(self, name):

@@ -391,8 +391,8 @@ class TestBatchedEngineMatchesPerPointLoop:
 
 
 # sha256 of outputs recorded before a noisy sweep drew all of its repeats in one call
-FIG4A_NOISY_CSV_SHA256 = "37d6494df559906d6ff6f50fdeb89e87153160d062553683fda3d2c5cf2f98f6"
-FIG4A_NOISY_JSON_SHA256 = "879c10ac1f902e7e7532ece507d44062f17e7546df8e789c913c1938466d8fc4"
+FIG4A_NOISY_CSV_SHA256 = "e271144d8d3f93eef1202baccb4b78e48044ef47fcf01215c4f333e92ca11abc"
+FIG4A_NOISY_JSON_SHA256 = "01a57e289f7582ce2d0411a2d0d8e7d09b151b26988e1b96572de7efe3fa3c39"
 TOMO_SIM_NOISY_5000_SEEDS_SHA256 = "70290346d18fed0f24b0056e02c321c77129c5e0be058c81a3a5501bcaf13571"
 
 
@@ -786,8 +786,8 @@ class TestVerifyAndCertifyAPI:
         [
             (
                 ["2", "3", "4"],
-                "b367a877af2df3c357cfc5f5008926ddad0fff34f5a42976a72ebbd2ec615146",
-                "5404c62122a135df1bbad584ba74ae13b64569e0ac355297b96c7bdf74d543d6",
+                "1248bf2f31dd66ba9b428c3399a125c5af4acd541355081c8dcb5ea26aec3e51",
+                "05e7827ebad14c9121d0ed3a528a76c787557e7db468b561b2dc8049793614c3",
             ),
             (
                 ["4", "5"],

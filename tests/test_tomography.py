@@ -307,7 +307,7 @@ class TestRepairSolves:
 
     def test_repair_matches_the_closed_form(self):
         rng = np.random.default_rng(12)
-        # eigh's rounding of the repaired members: up to 1.4e-15 seen over 30 seeds
+        # the rounding of the repaired members' eigenvectors: up to 6.7e-16 seen over 30 seeds
         assert repair_gap(bloch_with_overlong(2000, list(range(0, 2000, 3)), rng)) <= 1e-14
 
 
