@@ -1,7 +1,8 @@
 """Reality and irreality of quantum observables under weak non-revealed monitoring.
 
 Core layers: dense complex linear algebra with one Hermitian eigensolver,
-closed-form for qubits and LAPACK-backed above (``linalg``), validated
+which solves spectra only, closed-form for qubits and LAPACK-backed above
+(``linalg``), validated
 states and entropies (``states``), projective observables
 (``observables``), the monitoring channel, which dephases at intensity 1,
 with a superoperator oracle (``channels``),

@@ -1,15 +1,16 @@
 """Dense complex-matrix primitives sized for Hilbert dimensions up to 16.
 
 Everything here is pure: inputs are never mutated and outputs are fresh
-arrays.  ``hermitian_eig`` is the package's one eigensolver.  A 2x2
-matrix (every qubit state) is solved in closed form, with no LAPACK call;
-a larger one goes to LAPACK's Hermitian solver (``numpy.linalg.eigh``).
-Matrices that are already diagonal to within ``OFFDIAG_TOL`` are answered
-from their diagonal, so diagonal states (basis states, the maximally
-mixed state) keep exact spectra.  It takes one ``(d, d)`` matrix or an
-``(N, d, d)`` stack; a single matrix is solved as a stack of one, and each
-member of a stack gets the same answer it would get alone.  Entropies need
-spectra only, so ``vectors=False`` skips the eigenvectors.
+arrays.  ``hermitian_eig`` is the package's one eigensolver, and it solves
+spectra only, since every quantity realmon reports is a difference of
+entropies.  A 2x2 matrix (every qubit state) is solved in closed form, with
+no LAPACK call; a larger one goes to LAPACK's eigenvalue-only Hermitian
+solver (``numpy.linalg.eigvalsh``).  A matrix whose off-diagonal entries
+are all at most ``OFFDIAG_TOL`` times its largest entry in magnitude is
+answered from its diagonal, so diagonal states (basis states, the
+maximally mixed state) keep exact spectra.  It takes one ``(d, d)`` matrix
+or an ``(N, d, d)`` stack; a single matrix is solved as a stack of one, and
+each member of a stack gets the same answer it would get alone.
 ``tensor_product`` and ``partial_trace`` take stacks with any number of
 leading axes.
 """
@@ -131,96 +132,55 @@ def partial_trace(m, dims, keep) -> np.ndarray:
     return reduced.reshape(arr.shape[:-2] + (d_keep, d_keep))
 
 
-def hermitian_eig(m, vectors: bool = True) -> tuple[np.ndarray, np.ndarray] | np.ndarray:
-    """Eigendecomposition of a finite Hermitian matrix or of an (N, d, d) stack.
+def hermitian_eig(m) -> np.ndarray:
+    """Ascending eigenvalues of a finite Hermitian matrix or of an (N, d, d) stack.
 
-    Returns ``(w, v)`` with eigenvalues ``w`` ascending and eigenvector
-    columns ``v[:, k]`` (``w[n]`` and ``v[n]`` for member n of a stack).  The
-    global phase of each column is fixed by making its largest-magnitude
-    component real and positive.  If every off-diagonal entry of a matrix is
-    below ``OFFDIAG_TOL`` in magnitude, its ``w`` is the real diagonal,
-    stable-sorted, and its ``v`` the matching identity columns.  Otherwise a
-    2x2 matrix [[p, b], [b*, q]] has ``w`` = (p + q)/2 -+ hypot((p - q)/2, |b|)
-    in closed form, and a larger one is solved by LAPACK, which decides the
-    column order among exactly tied eigenvalues.  Each member of a stack
-    gets bitwise the answer it gets alone.
-
-    ``vectors=False`` returns ``w`` alone, with the same checks and diagonal
-    shortcut: at d = 2 the closed form's ``w``, bitwise; at larger d from
-    LAPACK's eigenvalue-only routine (``numpy.linalg.eigvalsh``), which may
-    differ from the full solve's in the last bits.
+    Returns ``w`` of shape (d,), or (N, d) with ``w[n]`` for member n of a
+    stack.  If no off-diagonal entry of a matrix exceeds ``OFFDIAG_TOL``
+    times its largest entry in magnitude, its ``w`` is the real diagonal,
+    stable-sorted.  Otherwise a 2x2 matrix [[p, b], [b*, q]] has ``w`` =
+    (p + q)/2 -+ hypot((p - q)/2, |b|) in closed form, and a larger one is
+    solved by LAPACK's eigenvalue-only routine (``numpy.linalg.eigvalsh``).
+    Each member of a stack gets bitwise the answer it gets alone.
     """
     arr = _as_square_complex(m, max_lead=1)
     finite = np.isfinite(arr)
     if not finite.all():
         entry = tuple(int(i) for i in np.argwhere(~finite)[0])
         raise ValueError(f"matrix entry {list(entry)} is not finite: {arr[entry]!r}")
-    defect = hermiticity_defect(arr)
+    adjoint = dagger(arr)
+    defect = float(np.abs(arr - adjoint).max())
     if defect > HERMITIAN_TOL:
         raise NonHermitianError(
             f"matrix is not Hermitian: max |m - m†| = {defect:.3e} exceeds {HERMITIAN_TOL:.0e}"
         )
     d = arr.shape[-1]
-    a = ((arr + dagger(arr)) / 2.0).reshape(-1, d, d)
-    offdiag = np.abs(a)
-    offdiag.reshape(len(a), -1)[:, :: d + 1] = 0.0
-    full = offdiag.max(axis=(1, 2)) >= OFFDIAG_TOL
+    a = ((arr + adjoint) / 2.0).reshape(-1, d, d)
+    # entry magnitudes entry-major, (d*d, N), so each reduction runs along the stack
+    size = np.ascontiguousarray(np.abs(a).reshape(len(a), -1).T)
+    largest = size.max(axis=0)
+    size[:: d + 1] = 0.0
+    full = size.max(axis=0) > OFFDIAG_TOL * largest
     if full.all():
-        parts = _full_eig(a, vectors)
+        w = _full_eig(a)
     else:
-        parts = _diagonal_eig(a, vectors)
+        w = np.sort(a.diagonal(axis1=1, axis2=2).real, axis=1, kind="stable")
         if full.any():
-            for part, solved in zip(parts, _full_eig(a[full], vectors)):
-                part[full] = solved
-    w = parts[0].reshape(arr.shape[:-1])
-    return (w, parts[1].reshape(arr.shape)) if vectors else w
+            w[full] = _full_eig(a[full])
+    return w.reshape(arr.shape[:-1])
 
 
-def _full_eig(a: np.ndarray, vectors: bool) -> tuple[np.ndarray, ...]:
-    """``(w, v)`` of a Hermitian stack with each column's largest component
-    made real positive, or ``(w,)`` without vectors.  A 2x2 stack is solved
-    in closed form (``_qubit_eig``); larger ones by LAPACK, ``eigh`` or
-    ``eigvalsh``."""
-    if a.shape[-1] == 2:
-        return _qubit_eig(a, vectors)
-    if not vectors:
-        return (np.linalg.eigvalsh(a),)
-    w, v = np.linalg.eigh(a)
-    return w, _fix_phases(v)
+def _full_eig(a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian stack: closed form at d = 2
+    (``_qubit_eig``), LAPACK's ``eigvalsh`` above."""
+    return _qubit_eig(a) if a.shape[-1] == 2 else np.linalg.eigvalsh(a)
 
 
-def _qubit_eig(a: np.ndarray, vectors: bool) -> tuple[np.ndarray, ...]:
-    """Closed-form ``(w, v)``, or ``(w,)``, of a stack of 2x2 Hermitian
-    matrices [[p, b], [b*, q]] with b != 0: w = mid -+ rad, where mid and h
-    are the half-sum and half-difference of p and q and rad = hypot(h, |b|)."""
+def _qubit_eig(a: np.ndarray) -> np.ndarray:
+    """Closed-form ascending eigenvalues of a stack of 2x2 Hermitian matrices
+    [[p, b], [b*, q]]: mid -+ rad, where mid and h are the half-sum and
+    half-difference of p and q and rad = hypot(h, |b|)."""
     p, q, b = a[:, 0, 0].real, a[:, 1, 1].real, a[:, 0, 1]
-    mid, h, b_abs = 0.5 * (p + q), 0.5 * (p - q), np.hypot(b.real, b.imag)
-    rad = np.hypot(h, b_abs)
-    w = np.stack((mid - rad, mid + rad), axis=1)
-    if not vectors:
-        return (w,)
-    # (rad + h, b*) and (b, rad - h) both span the null space of a - (mid + rad) I;
-    # take the one whose rad +- h is rad + |h|, which cannot cancel
-    top = h >= 0.0
-    upper = np.stack((np.where(top, rad + h, b), np.where(top, b.conj(), rad - h)), axis=1)
-    upper /= np.hypot(rad + np.abs(h), b_abs)[:, None]
-    lower = np.stack((-upper[:, 1], upper[:, 0]), axis=1).conj()
-    return w, _fix_phases(np.stack((lower, upper), axis=2))
-
-
-def _fix_phases(v: np.ndarray) -> np.ndarray:
-    """Eigenvector columns of a stack, each scaled by the phase that makes
-    its largest-magnitude component real and positive."""
-    n, d = v.shape[0], v.shape[-1]
-    z = v[np.arange(n)[:, None], np.abs(v).argmax(axis=1), np.arange(d)]
-    return v * (z.conj() / np.abs(z))[:, None, :]
-
-
-def _diagonal_eig(a: np.ndarray, vectors: bool) -> tuple[np.ndarray, ...]:
-    """The stable-sorted real diagonals of a stack, with permuted identity columns if ``vectors``."""
-    w = a.diagonal(axis1=1, axis2=2).real
-    order = np.argsort(w, axis=1, kind="stable")
-    w = w[np.arange(len(w))[:, None], order]
-    if not vectors:
-        return (w,)
-    return w, np.swapaxes(np.eye(a.shape[-1], dtype=complex)[order], 1, 2)
+    mid, h = 0.5 * (p + q), 0.5 * (p - q)
+    rad = np.hypot(h, np.hypot(b.real, b.imag))
+    return np.stack((mid - rad, mid + rad), axis=1)

@@ -65,10 +65,12 @@ class DensityOperator:
     by default, and its eigensolve rejects a Hermiticity defect above 1e-10;
     channel code that produces states valid by construction passes
     ``validate=False`` to skip the eigensolve.  The spectrum is computed
-    lazily, by a values-only solve, and cached in ``_spectrum``, so
-    validation and entropy share one solve; ``channels.dephase`` fills that
-    slot from a nondegenerate observable's outcome weights, so the image's
-    ``eigenvalues()`` (and entropy) makes no solve.  Likewise ``_images``
+    lazily, by ``hermitian_eig`` (which solves eigenvalues only), and cached
+    in ``_spectrum``, so validation and entropy share one solve;
+    ``channels.dephase`` fills that slot from a nondegenerate observable's
+    outcome weights, so the image's ``eigenvalues()`` (and entropy) makes no
+    solve, and ``tomography.reconstruct_state`` fills it with (0, 1) for
+    each member it repairs to a pure state.  Likewise ``_images``
     keeps the state's ``channels.dephase`` and ``channels.monitor`` images,
     keyed on their observable, so each is built once.
     """
@@ -100,9 +102,9 @@ class DensityOperator:
         return self.matrix.shape[0] if self.matrix.ndim == 3 else None
 
     def eigenvalues(self) -> np.ndarray:
-        """Cached ascending eigenvalues: a carried spectrum if the state has one, else a values-only solve's."""
+        """Cached ascending eigenvalues: a carried spectrum if the state has one, else ``hermitian_eig``'s."""
         if self._spectrum is None:
-            self._spectrum = hermitian_eig(self.matrix, vectors=False)
+            self._spectrum = hermitian_eig(self.matrix)
         return self._spectrum
 
     def __repr__(self):

@@ -4,10 +4,12 @@ Mirrors a hardware pipeline that reads one qubit: rotate the x, y and z
 Pauli axes onto the computational basis in one stacked product, optionally
 push the three rows of outcome probabilities through the qubit's 2x2
 readout ``confusion`` matrix, sample all three axes' counts in one draw, and
-rebuild the state from the empirical Bloch vector with an eigenvalue
-clamp-and-renormalize repair.  A shot count of zero is the infinite-shot
-sentinel (exact expectations).  Both steps take one state or a stack; a
-stack draws all of its counts from one generator, member after member.
+rebuild the state from the empirical Bloch vector, repairing an overlong
+one to the pure state along it (for a qubit, the eigenvalue
+clamp-and-renormalize repair needs no eigenvectors).  A shot count of
+zero is the infinite-shot sentinel (exact expectations).  Both steps take
+one state or a stack; a stack draws all of its counts from one generator,
+member after member.
 ``estimate_pauli`` also takes a repeat count: the probabilities are
 computed once and every repeat of the stack is drawn in the same call.
 
@@ -27,7 +29,7 @@ import math
 import numpy as np
 
 from .config import DEFAULT_READOUT_FLIP, DEFAULT_SHOTS, MAX_SEED, MAX_SEEDS, MAX_SHOTS, check_integer, resolve_state
-from .linalg import DimensionError, dagger, hermitian_eig
+from .linalg import DimensionError
 from .noise import apply_readout_noise, check_probabilities, confusion_from_flip, sample_shots
 from .observables import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
 from .states import DensityOperator
@@ -86,23 +88,29 @@ def reconstruct_state(bloch) -> DensityOperator:
     """Bloch-vector reconstruction (I + r . sigma)/2 with spectrum repair.
 
     An ``(x, y, z)`` vector gives one state, an (N, 3) array a stack.  Shot
-    noise can push the Bloch norm above 1; a member's negative eigenvalue is
-    then clamped to zero and its spectrum renormalized to unit trace.  The
-    stack's spectrum comes from a values-only solve, kept on the result when
-    nothing is repaired; eigenvectors are solved only for the members that
-    are, each bitwise as it would be alone.
+    noise can push the Bloch norm above 1, and a member whose solved lower
+    eigenvalue is then negative is repaired: clamping that eigenvalue to
+    zero and renormalizing the spectrum to unit trace gives the pure state
+    along r, (I + r/|r| . sigma)/2, with spectrum exactly (0, 1).  The
+    result carries its spectrum, so a reconstruction and its entropy make
+    one values-only solve, repaired or not.
     """
-    rx, ry, rz = np.moveaxis(np.asarray(bloch, dtype=float), -1, 0)[..., None, None]
-    rho = DensityOperator(0.5 * (IDENTITY_2 + rx * SIGMA_X + ry * SIGMA_Y + rz * SIGMA_Z), validate=False)
-    negative = rho.eigenvalues()[..., 0] < 0.0
+    r = np.asarray(bloch, dtype=float)
+    rho = DensityOperator(_bloch_matrices(r), validate=False)
+    w = rho.eigenvalues()
+    negative = w[..., 0] < 0.0
     if negative.any():
-        w, v = hermitian_eig(rho.matrix[negative])
-        w = np.clip(w, 0.0, None)
-        w = w / w.sum(axis=-1, keepdims=True)
         matrix = rho.matrix.copy()
-        matrix[negative] = (v * w[..., None, :]) @ dagger(v)
+        matrix[negative] = _bloch_matrices(r[negative] / np.linalg.norm(r[negative], axis=-1, keepdims=True))
         rho = DensityOperator(matrix, validate=False)
+        rho._spectrum = np.where(negative[..., None], (0.0, 1.0), w)
     return rho
+
+
+def _bloch_matrices(r: np.ndarray) -> np.ndarray:
+    """(I + r . sigma)/2 for a Bloch vector, or for each row of an (N, 3) stack."""
+    rx, ry, rz = np.moveaxis(r, -1, 0)[..., None, None]
+    return 0.5 * (IDENTITY_2 + rx * SIGMA_X + ry * SIGMA_Y + rz * SIGMA_Z)
 
 
 def reconstructions(rho: DensityOperator, shots: int, repeats: int, seed: int, confusion: np.ndarray | None = None):

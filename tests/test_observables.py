@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from _helpers import observable_on_qubit
-from realmon.linalg import DimensionError, dagger, hermitian_eig, tensor_product
+from realmon.linalg import DimensionError, dagger, tensor_product
 from realmon.observables import (
     DEGENERACY_TOL,
     DegenerateObservableError,
@@ -25,7 +25,7 @@ from realmon.sampling import random_commuting_pair, random_observable
 def observable_from_hermitian(m):
     """Spectral decomposition of a Hermitian matrix, eigenvalues within
     ``DEGENERACY_TOL`` merged into one projector."""
-    w, v = hermitian_eig(m)
+    w, v = np.linalg.eigh(m)
     groups = [[0]]
     for k in range(1, len(w)):
         if w[k] - w[groups[-1][-1]] <= DEGENERACY_TOL:

@@ -16,10 +16,11 @@ that the check named for it no longer passes:
 - the two shot-statistics gates, against samplers that repeat one generator
   state, reuse one repeat's counts or draw half the shots;
 - tomography's spectrum repair against its closed form, when the repair
-  picks the wrong members or is skipped;
+  picks the wrong members, is skipped, leaves the carried spectrum
+  unrepaired or does not normalize the Bloch vector;
 - the closed-form 2x2 eigensolver kernel against LAPACK and exact
-  arithmetic, and the repair through it, when the kernel takes the wrong
-  eigenvector branch, emits descending eigenvalues or drops a conjugate.
+  arithmetic, and the repair through it, when the kernel emits descending
+  eigenvalues.
 
 A refactor that merges the two sides of a check, or that checks only part
 of a stack, makes one of these pass silently and fails here.
@@ -333,6 +334,8 @@ def source_mutant(func, old, new):
 REPAIR_MUTANTS = {
     "repairs-the-non-negative-members": ("[negative]", "[~negative]"),
     "skips-the-repair": ("if negative.any():", "if False:"),
+    "spectrum-left-unrepaired": ("np.where(negative[..., None], (0.0, 1.0), w)", "w"),
+    "r-not-normalized": ("r[negative] / np.linalg.norm(r[negative], axis=-1, keepdims=True)", "r[negative]"),
 }
 
 
@@ -347,9 +350,7 @@ def test_misdirected_or_skipped_repair_fails_the_closed_form(monkeypatch, mutant
 
 
 KERNEL_MUTANTS = {
-    "vector-branch-flipped": ("top = h >= 0.0", "top = h < 0.0"),
     "eigenvalues-descending": ("(mid - rad, mid + rad)", "(mid + rad, mid - rad)"),
-    "conj-dropped-on-b": ("b.conj()", "b"),
 }
 
 

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from _helpers import bloch_matrices, maximally_mixed, random_bloch, repair_gap
-from realmon import states, tomography
+from realmon import linalg
 from realmon.config import DEFAULT_READOUT_FLIP
-from realmon.linalg import DimensionError, dagger, hermitian_eig
+from realmon.linalg import DimensionError, dagger
 from realmon.noise import confusion_from_flip
 from realmon.sampling import ginibre_density, haar_pure_state
 from realmon.observables import SIGMA_X, SIGMA_Y, SIGMA_Z
@@ -261,9 +261,10 @@ def bloch_with_overlong(n, overlong, rng):
 
 
 def full_stack_repair(bloch) -> np.ndarray:
-    """The repair from every member's eigensystem, kept where the lowest eigenvalue is negative."""
+    """The clamp-and-renormalize repair from ``numpy.linalg.eigh``'s eigensystem
+    of every member, kept where the lowest eigenvalue is negative."""
     raw = bloch_matrices(bloch)
-    w, v = hermitian_eig(raw)
+    w, v = np.linalg.eigh(raw)
     negative = w[:, 0] < 0.0
     w = np.clip(w, 0.0, None)
     w = w / w.sum(axis=-1, keepdims=True)
@@ -271,43 +272,44 @@ def full_stack_repair(bloch) -> np.ndarray:
 
 
 class TestRepairSolves:
-    """A reconstruction solves values only, and vectors only for the members it repairs."""
+    """A reconstruction and its entropy make one values-only solve, however many members are repaired."""
 
     def spy(self, monkeypatch):
         calls = []
-        for module in (states, tomography):
-            monkeypatch.setattr(
-                module, "hermitian_eig", lambda m, _solve=module.hermitian_eig, **kw: calls.append((m, kw)) or _solve(m, **kw)
-            )
+        monkeypatch.setattr(linalg, "_qubit_eig", lambda a, _solve=linalg._qubit_eig: calls.append(a.shape) or _solve(a))
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, lambda *args, _name=name, **kw: pytest.fail(f"{_name} called"))
         return calls
 
-    def test_no_negative_member_makes_one_values_only_solve(self, monkeypatch):
-        bloch = bloch_with_overlong(300, [], np.random.default_rng(3))
+    @pytest.mark.parametrize("overlong", [[], [0], [5, 6, 7, 299], list(range(0, 300, 2)), list(range(300))])
+    def test_one_solve_per_reconstruction_and_entropy(self, monkeypatch, overlong):
+        bloch = bloch_with_overlong(300, overlong, np.random.default_rng(len(overlong)))
+        expected = full_stack_repair(bloch)
         calls = self.spy(monkeypatch)
         rec = reconstruct_state(bloch)
         von_neumann_entropy(rec)
-        assert [(m.shape, kw) for m, kw in calls] == [((300, 2, 2), {"vectors": False})]
-        assert np.array_equal(rec.matrix, full_stack_repair(bloch))
-
-    @pytest.mark.parametrize("overlong", [[0], [5, 6, 7, 299], list(range(0, 300, 2)), list(range(300))])
-    def test_vectors_are_solved_for_the_negative_members_only(self, monkeypatch, overlong):
-        bloch = bloch_with_overlong(300, overlong, np.random.default_rng(len(overlong)))
-        calls = self.spy(monkeypatch)
-        rec = reconstruct_state(bloch)
-        (stack, values_kw), (repaired, vectors_kw) = calls
-        assert values_kw == {"vectors": False} and vectors_kw == {}
-        assert np.array_equal(repaired, stack[overlong])
-        assert np.array_equal(rec.matrix, full_stack_repair(bloch))
+        assert calls == [(300, 2, 2)]
+        unrepaired = np.setdiff1d(np.arange(300), overlong)
+        assert np.array_equal(rec.matrix[unrepaired], expected[unrepaired])
+        assert np.abs(rec.matrix - expected).max() <= 1e-14  # eigh's own rounding: up to 1.1e-15 seen
 
     def test_a_single_overlong_state_is_repaired_as_a_stack_of_one(self, monkeypatch):
+        bloch = (1.02, 0.0, 0.0)
+        expected = full_stack_repair(np.array([bloch]))[0]
         calls = self.spy(monkeypatch)
-        rec = reconstruct_state((1.02, 0.0, 0.0))
-        assert [(m.shape, kw) for m, kw in calls] == [((2, 2), {"vectors": False}), ((1, 2, 2), {})]
-        assert rec.matrix.shape == (2, 2) and np.array_equal(rec.matrix, full_stack_repair(np.array([[1.02, 0.0, 0.0]]))[0])
+        rec = reconstruct_state(bloch)
+        assert von_neumann_entropy(rec) == 0.0 and calls == [(1, 2, 2)]
+        assert rec.matrix.shape == (2, 2) and np.abs(rec.matrix - expected).max() <= 1e-14
+
+    def test_repaired_members_have_entropy_exactly_zero(self):
+        bloch = bloch_with_overlong(2000, list(range(2000)), np.random.default_rng(14))
+        rec = reconstruct_state(bloch)
+        assert np.array_equal(rec.eigenvalues(), np.tile([0.0, 1.0], (2000, 1)))
+        assert np.array_equal(von_neumann_entropy(rec), np.zeros(2000))
 
     def test_repair_matches_the_closed_form(self):
         rng = np.random.default_rng(12)
-        # the rounding of the repaired members' eigenvectors: up to 6.7e-16 seen over 30 seeds
+        # rounding of r/|r| and of the unrepaired members' solves: up to 2.2e-16 seen over 30 seeds
         assert repair_gap(bloch_with_overlong(2000, list(range(0, 2000, 3)), rng)) <= 1e-14
 
 
