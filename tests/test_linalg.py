@@ -400,6 +400,15 @@ class TestQubitKernel:
         assert np.array_equal(hermitian_eig(m), _qubit_eig(m))
 
     @pytest.mark.parametrize("name", QUBIT_STACKS)
+    def test_power_of_two_scaling_scales_each_spectrum_exactly(self, name):
+        # the off-diagonal tolerance is relative, so scaling moves no member between the diagonal and the kernel
+        m = QUBIT_STACKS[name]
+        w = hermitian_eig(m)
+        for scale in (2.0**-40, 2.0**40):
+            with np.errstate(all="raise"):
+                assert np.array_equal(hermitian_eig(scale * m), scale * w), scale
+
+    @pytest.mark.parametrize("name", QUBIT_STACKS)
     def test_kernel_members_match_single_solves_bitwise(self, name):
         m = QUBIT_STACKS[name][:1000]
         w = _qubit_eig(m)
