@@ -13,15 +13,15 @@ channel acts on a (d, d) matrix or an (N, d, d) stack; each member's image
 equals its image alone, and ``to_superoperator`` extracts a stack the way
 it extracts a circuit stack.  Dephasing in a nondegenerate observable's
 rank-one projectors is the pinching sum_j Tr(P_j M) P_j (Bhatia, *Matrix
-Analysis*, GTM 169): two einsums over the outcome weights Tr(P_j M), for
-any M.  A degenerate observable sums the products P_j M P_j, two batched
-matrix products per outcome.
+Analysis*, GTM 169): one einsum for the outcome weights Tr(P_j M), for
+any M, then the observable's ``weighted_sum``.  A degenerate observable
+sums the products P_j M P_j, two batched matrix products per outcome.
 
 ``dephase`` and ``monitor`` memoize their images on the source
 ``DensityOperator``: a repeated call returns the same image object, and
 with it the image's cached spectrum.  A nondegenerate ``dephase`` image is
-diagonal in x's eigenbasis, so its spectrum is its sorted outcome weights
-and it carries them, with no eigensolve; ``monitor`` images are solved.
+diagonal in x's eigenbasis, so it is built with its sorted outcome weights
+as its ``spectrum=``, with no eigensolve; ``monitor`` images are solved.
 Both key on the observable object itself (it hashes by identity),
 ``monitor`` also on the intensity's value, since callers pass mutable
 arrays; ``monitor`` builds its image from ``dephase``.  Channel objects
@@ -52,7 +52,7 @@ def _dephased(x: ProjectiveObservable, mat: np.ndarray) -> tuple[np.ndarray, np.
     if not x.is_nondegenerate:
         return sum(projs[..., j, :, :] @ mat @ projs[..., j, :, :] for j in range(x.n_outcomes)), None
     weights = np.einsum("...kij,...ji->...k", projs, mat)
-    return np.einsum("...k,...kij->...ij", weights, projs), weights
+    return x.weighted_sum(weights), weights
 
 
 def _blend(epsilon, mat: np.ndarray, dephased: np.ndarray) -> np.ndarray:
@@ -132,10 +132,8 @@ def dephase(x: ProjectiveObservable, rho: DensityOperator) -> DensityOperator:
     key = ("dephase", x)
     if key not in rho._images:
         image, weights = _dephased(x, rho.matrix)
-        out = DensityOperator(image, validate=False)
-        if weights is not None:  # diagonal in x's eigenbasis, with the weights on its diagonal
-            out._spectrum = np.sort(weights.real, axis=-1)
-        rho._images[key] = out
+        spectrum = None if weights is None else np.sort(weights.real, axis=-1)
+        rho._images[key] = DensityOperator(image, validate=False, spectrum=spectrum)
     return rho._images[key]
 
 

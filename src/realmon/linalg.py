@@ -11,8 +11,8 @@ answered from its diagonal, so diagonal states (basis states, the
 maximally mixed state) keep exact spectra.  It takes one ``(d, d)`` matrix
 or an ``(N, d, d)`` stack; a single matrix is solved as a stack of one, and
 each member of a stack gets the same answer it would get alone.
-``tensor_product`` and ``partial_trace`` take stacks with any number of
-leading axes.
+``tensor_product``, ``partial_trace`` and ``ket_projectors`` take stacks
+with any number of leading axes.
 """
 
 from __future__ import annotations
@@ -72,6 +72,11 @@ def operators(mat):
 def dagger(m) -> np.ndarray:
     """Conjugate transpose (of each member of a stack)."""
     return np.swapaxes(np.asarray(m), -1, -2).conj()
+
+
+def ket_projectors(kets) -> np.ndarray:
+    """Rank-one projectors |c><c| of the kets along the last axis: (..., d) kets give (..., d, d)."""
+    return kets[..., :, None] * kets.conj()[..., None, :]
 
 
 def hermiticity_defect(m) -> float:

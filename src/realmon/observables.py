@@ -8,7 +8,8 @@ eigenvalues with (N, k, d, d) projectors, one per member of a state stack.
 ``observable_from_axis`` builds one qubit observable from numbers or a
 stack from (N,) angle arrays, through the same code;
 ``observable_from_basis`` builds one from a (d, d) basis or a stack from
-(N, d, d) bases.
+(N, d, d) bases, both through ``linalg.ket_projectors``.  ``weighted_sum``
+is the one sum_j w_j P_j: an operator, an eigenstate mixture, a dephasing.
 ``commutes`` and ``is_mutually_unbiased`` take one observable or a stack on
 either side, through the same code, and answer per member.
 """
@@ -21,7 +22,7 @@ import math
 import numpy as np
 
 from .config import check_choice, check_numbers
-from .linalg import DimensionError, common_batch, hermiticity_defect, within_tol
+from .linalg import DimensionError, common_batch, hermiticity_defect, ket_projectors, within_tol
 
 PROJECTOR_TOL = 1e-10
 COMPLETENESS_TOL = 1e-10
@@ -119,13 +120,13 @@ class ProjectiveObservable:
             self._nondegenerate = bool((ranks == 1).all())
         return self._nondegenerate
 
+    def weighted_sum(self, weights) -> np.ndarray:
+        """sum_j w_j P_j: (k,) or (N, k) weights, one observable or a stack; leading axes broadcast."""
+        return np.einsum("...k,...kij->...ij", weights, self.projectors)
+
     def matrix(self) -> np.ndarray:
         """Reconstruct the Hermitian operator sum_j x_j P_j, (N, d, d) for a stack."""
-        values = np.asarray(self.eigenvalues)
-        out = np.zeros(self.projectors.shape[:-3] + (self.dim, self.dim), dtype=complex)
-        for j in range(self.n_outcomes):
-            out += values[..., j, None, None] * self.projectors[..., j, :, :]
-        return out
+        return self.weighted_sum(self.eigenvalues)
 
     def __repr__(self):
         return f"ProjectiveObservable(dim={self.dim}, eigenvalues={self.eigenvalues})"
@@ -155,8 +156,7 @@ def observable_from_axis(theta, phi=0.0) -> ProjectiveObservable:
     theta, phi = np.broadcast_arrays(*angles)
     c, s, ph = np.cos(0.5 * theta), np.sin(0.5 * theta), np.exp(1j * phi)
     kets = np.stack((np.stack((c, ph * s), axis=-1), np.stack((-s, ph * c), axis=-1)), axis=-2)
-    projs = kets[..., :, None] * kets.conj()[..., None, :]
-    return ProjectiveObservable(np.broadcast_to((1.0, -1.0), theta.shape + (2,)), projs, validate=False)
+    return ProjectiveObservable(np.broadcast_to((1.0, -1.0), theta.shape + (2,)), ket_projectors(kets), validate=False)
 
 
 def commutes(x: ProjectiveObservable, x2: ProjectiveObservable) -> bool | np.ndarray:
@@ -190,9 +190,7 @@ def observable_from_basis(columns: np.ndarray, eigenvalues) -> ProjectiveObserva
 
     (N, d, d) columns with (N, k) eigenvalues give a stack of N.
     """
-    kets = np.swapaxes(columns, -1, -2)
-    projs = kets[..., :, :, None] * np.conj(kets)[..., :, None, :]
-    return ProjectiveObservable(eigenvalues, projs, validate=False)
+    return ProjectiveObservable(eigenvalues, ket_projectors(np.swapaxes(columns, -1, -2)), validate=False)
 
 
 def standard_mub_observables(d: int) -> tuple[ProjectiveObservable, ...]:

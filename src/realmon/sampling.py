@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import DimensionError, common_batch
+from .linalg import DimensionError, common_batch, ket_projectors
 from .observables import ProjectiveObservable, observable_from_basis, standard_mub_observables
 from .states import DensityOperator, PureState
 
@@ -151,8 +151,7 @@ def random_density(d: int, rng: np.random.Generator | None = None, *, draws=None
     m = np.empty((len(records), d, d), dtype=complex)
     if pure.any():
         vectors = _complex(np.array([z for is_pure, z in records if is_pure]))
-        amps = np.stack([_pure_state(v).amplitudes for v in vectors])
-        m[pure] = amps[:, :, None] * np.conj(amps)[:, None, :]
+        m[pure] = ket_projectors(np.stack([_pure_state(v).amplitudes for v in vectors]))
     if not pure.all():
         m[~pure] = _ginibre(_complex(np.array([z for is_pure, z in records if not is_pure])))
     return _one_or_stack(DensityOperator(m, validate=False), draws)
@@ -201,7 +200,7 @@ def random_probabilities(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def mixture_of_eigenstates(obs: ProjectiveObservable, probs) -> DensityOperator:
-    """Diagonal-in-the-eigenbasis state sum_j p_j P_j (rank-1 projectors), summed in outcome order.
+    """Diagonal-in-the-eigenbasis state sum_j p_j P_j (rank-1 projectors), normalised to unit trace.
 
     (N, k) probabilities, or a stack of N observables, give a stack of N
     states; given both, they must have one member count.
@@ -209,9 +208,7 @@ def mixture_of_eigenstates(obs: ProjectiveObservable, probs) -> DensityOperator:
     probs = np.asarray(probs, dtype=float)
     if probs.ndim not in (1, 2) or probs.shape[-1] != obs.n_outcomes:
         raise DimensionError("need one probability per projector")
-    n = common_batch({"observables": obs, "probability rows": len(probs) if probs.ndim == 2 else None})
-    m = np.zeros((() if n is None else (n,)) + (obs.dim, obs.dim), dtype=complex)
-    for j in range(obs.n_outcomes):
-        m += probs[..., j, None, None] * obs.projectors[..., j, :, :]
+    common_batch({"observables": obs, "probability rows": len(probs) if probs.ndim == 2 else None})
+    m = obs.weighted_sum(probs)
     m /= np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
     return DensityOperator(m, validate=False)

@@ -4,14 +4,15 @@ Entropy is measured in bits (base-2 logarithm) throughout, so a qubit has
 at most 1 bit and a dimension-d system at most log2(d) bits.  A
 ``DensityOperator`` holds one (d, d) state or an (N, d, d) stack of states
 of one dimension; the entropy of a stack is the array of its members'
-entropies, each equal to the entropy of that member alone.
+entropies, each equal to the entropy of that member alone.  A state's
+spectrum is solved once and cached, or carried in through ``spectrum=``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linalg import DimensionError, _as_square_complex, hermitian_eig
+from .linalg import DimensionError, _as_square_complex, hermitian_eig, ket_projectors
 
 TRACE_TOL = 1e-10
 NEGATIVITY_TOL = 1e-9
@@ -63,25 +64,25 @@ class DensityOperator:
     ``matrix`` is (d, d) for one state and (N, d, d) for a stack of N.
     Validation (trace 1e-10, min eigenvalue >= -1e-9, for every member) runs
     by default, and its eigensolve rejects a Hermiticity defect above 1e-10;
-    channel code that produces states valid by construction passes
-    ``validate=False`` to skip the eigensolve.  The spectrum is computed
-    lazily, by ``hermitian_eig`` (which solves eigenvalues only), and cached
-    in ``_spectrum``, so validation and entropy share one solve;
-    ``channels.dephase`` fills that slot from a nondegenerate observable's
-    outcome weights, so the image's ``eigenvalues()`` (and entropy) makes no
-    solve, and ``tomography.reconstruct_state`` fills it with (0, 1) for
-    each member it repairs to a pure state.  Likewise ``_images``
+    code that produces states valid by construction passes ``validate=False``
+    to skip the eigensolve.  The ascending spectrum, shape
+    ``matrix.shape[:-1]``, is computed lazily by ``hermitian_eig`` (which
+    solves eigenvalues only) and cached, so validation and entropy share one
+    solve.  A producer that already knows the spectrum passes it as
+    ``spectrum=``, and the state then makes no solve for it.  ``_images``
     keeps the state's ``channels.dephase`` and ``channels.monitor`` images,
     keyed on their observable, so each is built once.
     """
 
     __slots__ = ("matrix", "_spectrum", "_images")
 
-    def __init__(self, matrix, *, validate: bool = True):
+    def __init__(self, matrix, *, validate: bool = True, spectrum=None):
         arr = np.ascontiguousarray(_as_square_complex(matrix, "density matrix", max_lead=1))
+        if spectrum is not None and np.shape(spectrum) != arr.shape[:-1]:
+            raise DimensionError(f"spectrum must have shape {arr.shape[:-1]}, got shape {np.shape(spectrum)}")
         arr.setflags(write=False)
         self.matrix = arr
-        self._spectrum = None
+        self._spectrum = spectrum
         self._images = {}
         if validate:
             traces = np.trace(arr, axis1=-2, axis2=-1).reshape(-1)
@@ -118,8 +119,7 @@ def stack_states(states) -> DensityOperator:
 
 def density_from_pure(psi: PureState) -> DensityOperator:
     """Rank-1 projector onto ``psi``."""
-    amp = psi.amplitudes
-    return DensityOperator(np.outer(amp, amp.conj()), validate=False)
+    return DensityOperator(ket_projectors(psi.amplitudes), validate=False)
 
 
 def entropy_of_probabilities(probs):

@@ -29,7 +29,7 @@ import math
 import numpy as np
 
 from .config import DEFAULT_READOUT_FLIP, DEFAULT_SHOTS, MAX_SEED, MAX_SEEDS, MAX_SHOTS, check_integer, resolve_state
-from .linalg import DimensionError
+from .linalg import DimensionError, hermitian_eig
 from .noise import apply_readout_noise, check_probabilities, confusion_from_flip, sample_shots
 from .observables import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
 from .states import DensityOperator
@@ -87,24 +87,24 @@ def estimate_pauli(
 def reconstruct_state(bloch) -> DensityOperator:
     """Bloch-vector reconstruction (I + r . sigma)/2 with spectrum repair.
 
-    An ``(x, y, z)`` vector gives one state, an (N, 3) array a stack.  Shot
-    noise can push the Bloch norm above 1, and a member whose solved lower
-    eigenvalue is then negative is repaired: clamping that eigenvalue to
-    zero and renormalizing the spectrum to unit trace gives the pure state
-    along r, (I + r/|r| . sigma)/2, with spectrum exactly (0, 1).  The
-    result carries its spectrum, so a reconstruction and its entropy make
-    one values-only solve, repaired or not.
+    An ``(x, y, z)`` vector gives one state, an (N, 3) array (N >= 1) a
+    stack; any other shape is a ``DimensionError``.  Shot noise can push the
+    Bloch norm above 1, and a member whose solved lower eigenvalue is then
+    negative is repaired in place: clamping that eigenvalue to zero and
+    renormalizing the spectrum to unit trace gives the pure state along r,
+    (I + r/|r| . sigma)/2, with spectrum exactly (0, 1).  The state is built
+    once, carrying its spectrum, so it and its entropy make one solve.
     """
     r = np.asarray(bloch, dtype=float)
-    rho = DensityOperator(_bloch_matrices(r), validate=False)
-    w = rho.eigenvalues()
+    if r.ndim not in (1, 2) or r.shape[-1] != 3 or not r.size:
+        raise DimensionError(f"Bloch vector must have shape (3,) or (N, 3) with N >= 1, got shape {r.shape}")
+    matrix = _bloch_matrices(r)
+    w = hermitian_eig(matrix)
     negative = w[..., 0] < 0.0
     if negative.any():
-        matrix = rho.matrix.copy()
         matrix[negative] = _bloch_matrices(r[negative] / np.linalg.norm(r[negative], axis=-1, keepdims=True))
-        rho = DensityOperator(matrix, validate=False)
-        rho._spectrum = np.where(negative[..., None], (0.0, 1.0), w)
-    return rho
+        w = np.where(negative[..., None], (0.0, 1.0), w)
+    return DensityOperator(matrix, validate=False, spectrum=w)
 
 
 def _bloch_matrices(r: np.ndarray) -> np.ndarray:

@@ -43,6 +43,12 @@ PRESET_BLOCH = {
 }
 
 
+def same_bits(a, b) -> bool:
+    """Equal shapes and equal bytes, so signed zeros must match too."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def maximally_mixed(d):
     """The maximally mixed state I/d."""
     return DensityOperator(np.eye(d, dtype=complex) / d, validate=False)

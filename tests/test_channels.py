@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from _helpers import carried_spectrum_gap, composed_product_monitor, maximally_mixed
+from _helpers import carried_spectrum_gap, composed_product_monitor, maximally_mixed, same_bits
 from realmon.channels import (
     ComposedChannel,
     MonitoringChannel,
@@ -525,12 +525,6 @@ class TestStacks:
     def test_intensity_error_names_the_first_value_outside_the_range(self, epsilon, named):
         with pytest.raises(ValueError, match=named):
             MonitoringChannel(SZ, epsilon)
-
-
-def same_bits(a, b) -> bool:
-    """Equal shapes and equal bytes, so signed zeros must match too."""
-    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestAngleArrays:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from _helpers import bloch_matrices, qubit_kernel_errors, qubit_kernel_passes, random_bloch
+from _helpers import bloch_matrices, qubit_kernel_errors, qubit_kernel_passes, random_bloch, same_bits
 from realmon import cli
 from realmon.config import make_config
 from realmon.linalg import (
@@ -15,6 +15,7 @@ from realmon.linalg import (
     common_batch,
     dagger,
     hermitian_eig,
+    ket_projectors,
     operators,
     partial_trace,
     tensor_product,
@@ -30,6 +31,29 @@ SZ = np.diag([1.0, -1.0]).astype(complex)
 def random_hermitian(d, rng):
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return (g + g.conj().T) / 2
+
+
+def outer_projectors(kets):
+    """|c><c| of each ket along the last axis, one ``np.outer`` per ket: the oracle of ``ket_projectors``."""
+    flat = kets.reshape(-1, kets.shape[-1])
+    return np.array([np.outer(c, c.conj()) for c in flat]).reshape(kets.shape + kets.shape[-1:])
+
+
+class TestKetProjectors:
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_equals_one_outer_product_per_ket_bitwise(self, d):
+        rng = np.random.default_rng(600 + d)
+        for shape in ((d,), (5, d), (3, d, d)):
+            kets = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            kets[..., 0] = 0.0  # zero amplitudes: the signed zeros of their products must match too
+            kets[..., -1] = -kets[..., -1].real
+            projectors = ket_projectors(kets)
+            assert projectors.shape == shape + (d,) and same_bits(projectors, outer_projectors(kets))
+
+    def test_a_unit_ket_gives_a_hermitian_idempotent_projector(self):
+        c = np.array([0.6, 0.8j])
+        p = ket_projectors(c)
+        assert np.abs(p @ p - p).max() <= 1e-15 and np.array_equal(p, dagger(p)) and np.trace(p).real == 1.0
 
 
 class TestTensorProduct:

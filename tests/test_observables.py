@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from _helpers import observable_on_qubit
+from _helpers import observable_on_qubit, same_bits
 from realmon.linalg import DimensionError, dagger, tensor_product
 from realmon.observables import (
     DEGENERACY_TOL,
@@ -19,7 +19,7 @@ from realmon.observables import (
     stack_observables,
     standard_mub_observables,
 )
-from realmon.sampling import random_commuting_pair, random_observable
+from realmon.sampling import draw_observable, random_commuting_pair, random_observable
 
 
 def observable_from_hermitian(m):
@@ -200,6 +200,37 @@ class TestProjectorArrays:
     def test_degenerate_observable_detected(self):
         assert not observable_on_qubit(2, 0, 0.0, 0.0).is_nondegenerate
         assert pauli_observable("x").is_nondegenerate
+
+
+def outcome_loop(weights, projectors):
+    """sum_j w_j P_j accumulated one outcome at a time into zeros: the oracle of ``weighted_sum``."""
+    weights = np.asarray(weights)
+    lead = np.broadcast_shapes(weights.shape[:-1], projectors.shape[:-3])
+    out = np.zeros(lead + projectors.shape[-2:], dtype=complex)
+    for j in range(projectors.shape[-3]):
+        out += weights[..., j, None, None] * projectors[..., j, :, :]
+    return out
+
+
+class TestWeightedSum:
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_equals_the_outcome_loop_bitwise(self, d):
+        rng = np.random.default_rng(700 + d)
+        stack = random_observable(d, draws=[draw_observable(d, rng) for _ in range(5)])
+        single = random_observable(d, rng)
+        sparse = rng.random((5, d)) * (rng.random((5, d)) < 0.5)  # exact zero weights, and -0.0 below
+        # real weights, as the operator and a mixture pass; dephasing's complex
+        # weights took this same einsum before it moved here
+        for x in (single, stack):
+            for w in (rng.standard_normal(d), rng.standard_normal((5, d)), sparse, -sparse):
+                assert same_bits(x.weighted_sum(w), outcome_loop(w, x.projectors))
+            assert same_bits(x.matrix(), outcome_loop(x.eigenvalues, x.projectors))
+
+    @pytest.mark.parametrize("d", (2, 3))
+    def test_exact_projectors_keep_their_zeros(self, d):
+        for x in standard_mub_observables(d):
+            for w in (np.arange(d, dtype=float), -np.ones(d), np.zeros(d), np.full(d, -0.0)):
+                assert same_bits(x.weighted_sum(w), outcome_loop(w, x.projectors))
 
 
 class TestStackObservables:

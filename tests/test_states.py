@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -171,6 +172,23 @@ class TestSpectrumSolves:
         assert calls == [(3, 3)] and rho.eigenvalues() is rho.eigenvalues()
         assert np.array_equal(hermitian_eig(rho.matrix), rho.eigenvalues())
         assert calls == [(3, 3)]
+
+    def test_a_carried_spectrum_makes_no_solve(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        matrix = np.stack([np.eye(2) / 2, np.diag([0.0, 1.0])]).astype(complex)
+        w = np.array([[0.5, 0.5], [0.0, 1.0]])
+        rho = DensityOperator(matrix, spectrum=w)  # validation reads the carried spectrum
+        assert rho.eigenvalues() is w and von_neumann_entropy(rho).tolist() == [1.0, 0.0]
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "matrix_shape, spectrum_shape",
+        [((2, 2), (3,)), ((2, 2), (1, 2)), ((2, 2), ()), ((4, 2, 2), (2,)), ((4, 2, 2), (4, 3)), ((4, 2, 2), (3, 2))],
+    )
+    def test_a_carried_spectrum_of_the_wrong_shape_is_refused(self, matrix_shape, spectrum_shape):
+        matrix = np.broadcast_to(np.eye(2) / 2, matrix_shape)
+        with pytest.raises(DimensionError, match=re.escape(f"got shape {spectrum_shape}")):
+            DensityOperator(matrix, validate=False, spectrum=np.full(spectrum_shape, 0.5))
 
     @pytest.mark.parametrize("name", sorted(STATE_PRESETS))
     def test_presets_keep_exact_spectra(self, name):

@@ -552,6 +552,11 @@ class TestOneBuildPerStack:
 
 
 class TestEmission:
+    def test_tick_labels_take_an_exponent_from_100_up_and_below_0_01(self):
+        assert svg_mod._fmt_tick(100.0) == "1.0e+02" and svg_mod._fmt_tick(-100.0) == "-1.0e+02"
+        assert svg_mod._fmt_tick(99.99) == "99.99"
+        assert svg_mod._fmt_tick(0.01) == "0.01" and svg_mod._fmt_tick(0.00999) == "1.0e-02"
+
     def test_csv_header_is_the_record_fields(self):
         expected = "theta_m,epsilon,dR_X,dR_Xp,S_rho,S_mon,S_probe,S_probe_mon,case,path,se_dR_X,se_dR_Xp"
         assert CSV_HEADER == expected

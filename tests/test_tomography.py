@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -243,6 +244,16 @@ class TestReconstruct:
         rec = reconstruct_state((1.02, 0.0, 0.0))
         assert np.abs(rec.matrix - PLUS.matrix).max() <= 1e-12
         assert min(rec.eigenvalues()) >= -1e-15
+
+    @pytest.mark.parametrize(
+        "bloch",
+        [(0.1, 0.2), np.zeros((5, 2)), np.zeros((5, 4)), 0.5, np.zeros((0, 3)), np.zeros((2, 2, 3))],
+        ids=["pair", "stack-of-pairs", "stack-of-4-vectors", "scalar", "empty-stack", "3-D"],
+    )
+    def test_malformed_bloch_input_is_refused_by_its_shape(self, bloch):
+        message = f"Bloch vector must have shape (3,) or (N, 3) with N >= 1, got shape {np.shape(bloch)}"
+        with pytest.raises(DimensionError, match=re.escape(message)):
+            reconstruct_state(bloch)
 
     def test_always_valid_state(self):
         rng = np.random.default_rng(0)
