@@ -2,7 +2,7 @@
 
 Core layers: dense complex linear algebra with one Hermitian eigensolver,
 which solves spectra only, closed-form for qubits and LAPACK-backed above
-(``linalg``), validated
+and the qubit Pauli and Bloch primitives (``linalg``), validated
 states and entropies (``states``), projective observables
 (``observables``), the monitoring channel, which dephases at intensity 1,
 with a superoperator oracle (``channels``),

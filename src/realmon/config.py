@@ -8,12 +8,14 @@ the CLI's entry points down to the channels, observables, circuits, noise
 and tomography, is checked by the same four checkers, each raising
 ``ConfigError("<name>: ...")``, so the CLI maps every rejection to exit
 code 3: ``check_integer``, ``check_number``, its stack form
-``check_numbers`` and ``check_choice``.  ``validate`` adds
-only its cross-field rules: the grid range each ``grid_kind`` admits
+``check_numbers`` and ``check_choice``.  ``validate`` adds only its
+cross-field rules: the grid range each ``grid_kind`` admits
 (``GRID_RANGES``), and that an ``axis_theta`` grid needs a
-``sweep_target``.  Output paths and state specs are checked here too.  This
-module imports only ``linalg`` and ``states``, the layers below the domain
-modules, which take their checks and shared defaults from here.
+``sweep_target``.  Output paths and state specs are checked here too; a
+preset state is its Bloch vector r in ``PRESET_BLOCH``, and its matrix in
+``STATE_PRESETS`` is ``linalg.bloch_matrices(r)``.  This module imports
+only ``linalg`` and ``states``, the layers below the domain modules, which
+take their checks and shared defaults from here.
 
 Grid semantics per scenario: the fig4 presets sweep the strength angle
 theta_m (intensity follows from the coupling); the fig1/fig2 presets sweep
@@ -31,7 +33,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .linalg import DimensionError
+from .linalg import DimensionError, bloch_matrices
 from .states import DensityOperator, PureState, density_from_pure
 
 # Scenario presets: the fields each one sets, and the stop of its evenly
@@ -102,15 +104,11 @@ MAX_SEEDS = 1_000_000
 # peaks near 83 MB RSS and takes about 0.6 s, process start included.
 MAX_RESOLUTION = 1_000
 
-STATE_PRESETS = {
-    "plus": np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex),
-    "minus": np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex),
-    "iplus": np.array([[0.5, -0.5j], [0.5j, 0.5]], dtype=complex),
-    "iminus": np.array([[0.5, 0.5j], [-0.5j, 0.5]], dtype=complex),
-    "zero": np.diag([1.0, 0.0]).astype(complex),
-    "one": np.diag([0.0, 1.0]).astype(complex),
-    "mixed": np.eye(2, dtype=complex) / 2.0,
+PRESET_BLOCH = {
+    "plus": (1, 0, 0), "minus": (-1, 0, 0), "iplus": (0, 1, 0), "iminus": (0, -1, 0),
+    "zero": (0, 0, 1), "one": (0, 0, -1), "mixed": (0, 0, 0),
 }
+STATE_PRESETS = {name: bloch_matrices(r) for name, r in PRESET_BLOCH.items()}
 
 
 class ConfigError(ValueError):

@@ -13,6 +13,9 @@ or an ``(N, d, d)`` stack; a single matrix is solved as a stack of one, and
 each member of a stack gets the same answer it would get alone.
 ``tensor_product``, ``partial_trace`` and ``ket_projectors`` take stacks
 with any number of leading axes.
+
+The qubit primitives sit here, below every other layer: the read-only Pauli
+matrices (``SIGMA_X`` .. ``IDENTITY_2``) and ``bloch_matrices``, the one (I + r . sigma)/2.
 """
 
 from __future__ import annotations
@@ -24,6 +27,13 @@ import numpy as np
 
 HERMITIAN_TOL = 1e-10
 OFFDIAG_TOL = 1e-13
+
+SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
+SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+IDENTITY_2 = np.eye(2, dtype=complex)
+for _m in (SIGMA_X, SIGMA_Y, SIGMA_Z, IDENTITY_2):
+    _m.setflags(write=False)
 
 
 class DimensionError(ValueError):
@@ -77,6 +87,12 @@ def dagger(m) -> np.ndarray:
 def ket_projectors(kets) -> np.ndarray:
     """Rank-one projectors |c><c| of the kets along the last axis: (..., d) kets give (..., d, d)."""
     return kets[..., :, None] * kets.conj()[..., None, :]
+
+
+def bloch_matrices(r) -> np.ndarray:
+    """(I + r . sigma)/2 for a (3,) Bloch vector, or for each row of an (N, 3) stack."""
+    rx, ry, rz = np.moveaxis(np.asarray(r, dtype=float), -1, 0)[..., None, None]
+    return 0.5 * (IDENTITY_2 + rx * SIGMA_X + ry * SIGMA_Y + rz * SIGMA_Z)
 
 
 def hermiticity_defect(m) -> float:

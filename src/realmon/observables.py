@@ -11,7 +11,8 @@ stack from (N,) angle arrays, through the same code;
 (N, d, d) bases, both through ``linalg.ket_projectors``.  ``weighted_sum``
 is the one sum_j w_j P_j: an operator, an eigenstate mixture, a dephasing.
 ``commutes`` and ``is_mutually_unbiased`` take one observable or a stack on
-either side, through the same code, and answer per member.
+either side, through the same code, and answer per member.  The Pauli
+matrices ``SIGMA_X`` .. ``IDENTITY_2`` are ``linalg``'s, exported here.
 """
 
 from __future__ import annotations
@@ -22,20 +23,14 @@ import math
 import numpy as np
 
 from .config import check_choice, check_numbers
-from .linalg import DimensionError, common_batch, hermiticity_defect, ket_projectors, within_tol
+from .linalg import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z  # noqa: F401  (re-exported for users of this module)
+from .linalg import DimensionError, bloch_matrices, common_batch, hermiticity_defect, ket_projectors, within_tol
 
 PROJECTOR_TOL = 1e-10
 COMPLETENESS_TOL = 1e-10
 DEGENERACY_TOL = 1e-9
 COMMUTE_TOL = 1e-10
 MU_TOL = 1e-9
-
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-IDENTITY_2 = np.eye(2, dtype=complex)
-for _m in (SIGMA_X, SIGMA_Y, SIGMA_Z, IDENTITY_2):
-    _m.setflags(write=False)
 
 
 class DegenerateObservableError(ValueError):
@@ -203,8 +198,7 @@ def standard_mub_observables(d: int) -> tuple[ProjectiveObservable, ...]:
     """
     if d == 2:
         return tuple(
-            ProjectiveObservable((1.0, -1.0), ((IDENTITY_2 + sigma) / 2, (IDENTITY_2 - sigma) / 2), validate=False)
-            for sigma in (SIGMA_Z, SIGMA_X, SIGMA_Y)
+            ProjectiveObservable((1.0, -1.0), bloch_matrices([e, -e]), validate=False) for e in np.eye(3)[[2, 0, 1]]
         )
     if d == 3:
         # column k of Fourier-type basis m has entries omega^(m j^2 + j k) / sqrt(3)

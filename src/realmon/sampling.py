@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import DimensionError, common_batch, ket_projectors
+from .linalg import DimensionError, common_batch, dagger, ket_projectors
 from .observables import ProjectiveObservable, observable_from_basis, standard_mub_observables
 from .states import DensityOperator, PureState
 
@@ -57,9 +57,8 @@ def _haar_unitaries(z: np.ndarray) -> np.ndarray:
 
 def _ginibre(g: np.ndarray) -> np.ndarray:
     """G G† / Tr for complex Gaussian matrices (..., d, d), symmetrised to be exactly Hermitian."""
-    g_dag = np.conj(g).swapaxes(-1, -2)
-    m = g @ g_dag
-    m = (m + np.conj(m).swapaxes(-1, -2)) / 2.0
+    m = g @ dagger(g)
+    m = (m + dagger(m)) / 2.0
     m /= np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
     return m
 
@@ -186,9 +185,8 @@ def random_mu_pair(
         raise DimensionError(f"no mutually unbiased bases stored for dimension {d}")
     z, values_a, values_b = _fields(_records(draw_pair, d, rng, draws))
     w = _haar_unitaries(_complex(z))[:, None]
-    w_dag = np.conj(w).swapaxes(-1, -2)
     pair = tuple(
-        ProjectiveObservable(values, w @ base.projectors @ w_dag, validate=False)
+        ProjectiveObservable(values, w @ base.projectors @ dagger(w), validate=False)
         for base, values in zip(bases, (values_a, values_b))
     )
     return _one_or_stack(pair, draws)

@@ -4,9 +4,9 @@ Mirrors a hardware pipeline that reads one qubit: rotate the x, y and z
 Pauli axes onto the computational basis in one stacked product, optionally
 push the three rows of outcome probabilities through the qubit's 2x2
 readout ``confusion`` matrix, sample all three axes' counts in one draw, and
-rebuild the state from the empirical Bloch vector, repairing an overlong
-one to the pure state along it (for a qubit, the eigenvalue
-clamp-and-renormalize repair needs no eigenvectors).  A shot count of
+rebuild the state from the empirical Bloch vector (``linalg.bloch_matrices``),
+repairing an overlong one to the pure state along it (for a qubit, the
+eigenvalue clamp-and-renormalize repair needs no eigenvectors).  A shot count of
 zero is the infinite-shot sentinel (exact expectations).  Both steps take
 one state or a stack; a stack draws all of its counts from one generator,
 member after member.
@@ -29,9 +29,8 @@ import math
 import numpy as np
 
 from .config import DEFAULT_READOUT_FLIP, DEFAULT_SHOTS, MAX_SEED, MAX_SEEDS, MAX_SHOTS, check_integer, resolve_state
-from .linalg import DimensionError, hermitian_eig
+from .linalg import IDENTITY_2, DimensionError, bloch_matrices, dagger, hermitian_eig
 from .noise import apply_readout_noise, check_probabilities, confusion_from_flip, sample_shots
-from .observables import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
 from .states import DensityOperator
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
@@ -39,7 +38,7 @@ _HADAMARD = np.array([[_SQRT1_2, _SQRT1_2], [_SQRT1_2, -_SQRT1_2]], dtype=comple
 _SDG = np.array([[1.0, 0.0], [0.0, -1j]], dtype=complex)
 # R sigma_axis R† = sigma_z, so diag(R rho R†) are the axis outcome probabilities (x, y, z).
 _AXIS_ROTATIONS = np.stack((_HADAMARD, _HADAMARD @ _SDG, IDENTITY_2))
-_AXIS_ROTATIONS_DAG = _AXIS_ROTATIONS.conj().transpose(0, 2, 1)
+_AXIS_ROTATIONS_DAG = dagger(_AXIS_ROTATIONS)
 SEED_CHUNK = 4096  # states per draw in reconstructions
 
 
@@ -98,19 +97,13 @@ def reconstruct_state(bloch) -> DensityOperator:
     r = np.asarray(bloch, dtype=float)
     if r.ndim not in (1, 2) or r.shape[-1] != 3 or not r.size:
         raise DimensionError(f"Bloch vector must have shape (3,) or (N, 3) with N >= 1, got shape {r.shape}")
-    matrix = _bloch_matrices(r)
+    matrix = bloch_matrices(r)
     w = hermitian_eig(matrix)
     negative = w[..., 0] < 0.0
     if negative.any():
-        matrix[negative] = _bloch_matrices(r[negative] / np.linalg.norm(r[negative], axis=-1, keepdims=True))
+        matrix[negative] = bloch_matrices(r[negative] / np.linalg.norm(r[negative], axis=-1, keepdims=True))
         w = np.where(negative[..., None], (0.0, 1.0), w)
     return DensityOperator(matrix, validate=False, spectrum=w)
-
-
-def _bloch_matrices(r: np.ndarray) -> np.ndarray:
-    """(I + r . sigma)/2 for a Bloch vector, or for each row of an (N, 3) stack."""
-    rx, ry, rz = np.moveaxis(r, -1, 0)[..., None, None]
-    return 0.5 * (IDENTITY_2 + rx * SIGMA_X + ry * SIGMA_Y + rz * SIGMA_Z)
 
 
 def reconstructions(rho: DensityOperator, shots: int, repeats: int, seed: int, confusion: np.ndarray | None = None):

@@ -7,11 +7,17 @@ import pytest
 from _helpers import bloch_matrices, qubit_kernel_errors, qubit_kernel_passes, random_bloch, same_bits
 from realmon import cli
 from realmon.config import make_config
+from realmon import observables
 from realmon.linalg import (
+    IDENTITY_2,
     OFFDIAG_TOL,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
     DimensionError,
     NonHermitianError,
     _qubit_eig,
+    bloch_matrices,
     common_batch,
     dagger,
     hermitian_eig,
@@ -185,6 +191,24 @@ class TestPartialTrace:
         with pytest.raises(DimensionError, match="out of range"):
             partial_trace(np.eye(4), [2, 2], keep=keep)
         assert partial_trace(np.eye(4), [2, 2], keep=1).shape == (2, 2)
+
+
+class TestQubitPrimitives:
+    def test_pauli_matrices_are_read_only_and_observables_exports_the_same_objects(self):
+        for name, m in (("SIGMA_X", SIGMA_X), ("SIGMA_Y", SIGMA_Y), ("SIGMA_Z", SIGMA_Z), ("IDENTITY_2", IDENTITY_2)):
+            assert getattr(observables, name) is m and not m.flags.writeable
+        assert np.array_equal(SIGMA_X @ SIGMA_Y, 1j * SIGMA_Z) and np.array_equal(SIGMA_Z @ SIGMA_Z, IDENTITY_2)
+
+    def test_bloch_matrices_entries_and_stack_rows_bitwise(self):
+        rng = np.random.default_rng(37)
+        r = rng.uniform(-1.0, 1.0, (20, 3))
+        r[:3] = np.eye(3)
+        stack = bloch_matrices(r)
+        x, y, z = r.T
+        expected = np.stack([[1 + z, x - 1j * y], [x + 1j * y, 1 - z]]).transpose(2, 0, 1) / 2
+        assert stack.shape == (20, 2, 2) and np.abs(stack - expected).max() <= 1e-16
+        assert same_bits(stack, [bloch_matrices(row) for row in r])
+        assert same_bits([bloch_matrices(r[0].tolist())], [stack[0]])  # a list is a vector too
 
 
 class Sized:
