@@ -31,6 +31,8 @@ COMPLETENESS_TOL = 1e-10
 DEGENERACY_TOL = 1e-9
 COMMUTE_TOL = 1e-10
 MU_TOL = 1e-9
+# the qubit MU bases z, x, y: projectors (I +- e . sigma)/2 onto the Bloch vectors +-e, built once
+_PAULI_PROJECTORS = bloch_matrices(np.stack((np.eye(3), -np.eye(3)), axis=1)[[2, 0, 1]])
 
 
 class DegenerateObservableError(ValueError):
@@ -197,9 +199,7 @@ def standard_mub_observables(d: int) -> tuple[ProjectiveObservable, ...]:
     dimensions have MU bases.
     """
     if d == 2:
-        return tuple(
-            ProjectiveObservable((1.0, -1.0), bloch_matrices([e, -e]), validate=False) for e in np.eye(3)[[2, 0, 1]]
-        )
+        return tuple(ProjectiveObservable((1.0, -1.0), p, validate=False) for p in _PAULI_PROJECTORS)
     if d == 3:
         # column k of Fourier-type basis m has entries omega^(m j^2 + j k) / sqrt(3)
         omega = cmath.exp(2j * cmath.pi / 3)
