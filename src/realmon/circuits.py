@@ -163,13 +163,16 @@ def build_monitor_circuit(bases, strength, coupling: str = "CZ", depolarizing: f
     ``strength`` is the ancilla preparation angle theta_m in [0, pi/2].  One
     ancilla per system qubit, so the circuit width is twice the qubit count;
     each pair depolarizes at rate ``depolarizing`` after its coupling gate.
-    Any of these angles given as an (N,) array makes a stack of N circuits,
-    member k built from the k-th entries.
+    Any of these angles given as an (N,) array, list or tuple makes a stack of
+    N circuits, member k built from the k-th entries.
     """
     epsilon_of_strength(coupling, strength)  # checks the coupling and the strength range
     n = len(bases)
     if n < 1:
         raise DimensionError("need at least one system qubit")
+    # checked here, so that list and tuple angles reach u3_adjoint_params as arrays
+    bases = [(check_numbers("theta", t, -math.inf, math.inf), check_numbers("phi", p, -math.inf, math.inf))
+             for t, p in bases]
     rotate = [Gate("U3", (q,), (theta_b, phi_b, 0.0)) for q, (theta_b, phi_b) in enumerate(bases)]
     unrotate = [Gate("U3", (q,), u3_adjoint_params(theta_b, phi_b, 0.0)) for q, (theta_b, phi_b) in enumerate(bases)]
     prepare = [Gate("U3", (n + q,), (strength, 0.0, 0.0)) for q in range(n)]

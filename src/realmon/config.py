@@ -109,6 +109,8 @@ PRESET_BLOCH = {
     "zero": (0, 0, 1), "one": (0, 0, -1), "mixed": (0, 0, 0),
 }
 STATE_PRESETS = {name: bloch_matrices(r) for name, r in PRESET_BLOCH.items()}
+for _m in STATE_PRESETS.values():
+    _m.setflags(write=False)
 
 
 class ConfigError(ValueError):

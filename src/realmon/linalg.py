@@ -51,6 +51,8 @@ def _as_square_complex(m, name="matrix", max_lead=None) -> np.ndarray:
     lead_ok = arr.ndim >= 2 and (max_lead is None or arr.ndim - 2 <= max_lead)
     if not lead_ok or arr.shape[-1] != arr.shape[-2] or arr.shape[-1] < 1:
         raise DimensionError(f"{name} must be a square 2-D array or a stack of them, got shape {arr.shape}")
+    if not arr.size:
+        raise DimensionError(f"{name} stack must have at least one member, got shape {arr.shape}")
     return arr
 
 
@@ -61,10 +63,13 @@ def common_batch(operands) -> int | None:
     ``dim`` and ``batch``, or to bare member counts (None for a single
     operand).  The objects must share one dimension and the stacks one size: a
     stack of one is a stack, not broadcast against N.  A mismatch raises one
-    ``DimensionError`` that names every size, e.g. "5 observables vs 3 states".
+    ``DimensionError`` that names every size, e.g. "5 observables vs 3 states",
+    and so does a stack of none, e.g. "0 intensities".
     """
     dims = {name: op.dim for name, op in operands.items() if hasattr(op, "dim")}
     sizes = {name: n for name, op in operands.items() if (n := getattr(op, "batch", op)) is not None}
+    if 0 in sizes.values():
+        raise DimensionError(f"a stack needs at least one member, got 0 {next(x for x, n in sizes.items() if n == 0)}")
     if len(set(dims.values())) > 1:
         raise DimensionError("dimensions differ: " + " vs ".join(f"{d}-dimensional {x}" for x, d in dims.items()))
     if len(set(sizes.values())) > 1:
@@ -90,7 +95,7 @@ def ket_projectors(kets) -> np.ndarray:
 
 
 def bloch_matrices(r) -> np.ndarray:
-    """(I + r . sigma)/2 for a (3,) Bloch vector, or for each row of an (N, 3) stack."""
+    """(I + r . sigma)/2 for a (3,) Bloch vector, or for each row of an (N, 3) or (..., 3) stack."""
     rx, ry, rz = np.moveaxis(np.asarray(r, dtype=float), -1, 0)[..., None, None]
     return 0.5 * (IDENTITY_2 + rx * SIGMA_X + ry * SIGMA_Y + rz * SIGMA_Z)
 

@@ -76,8 +76,8 @@ def sample_shots(probabilities, n_shots: int, rng) -> np.ndarray:
     Each distinct row of the stack is checked once; ``n_shots`` is >= 1.
     """
     p = _validated_probabilities(probabilities)
-    if p.ndim < 2:
-        raise DimensionError(f"probabilities must be an (N, ..., m) stack, got shape {p.shape}")
+    if p.ndim < 2 or not p.size:
+        raise DimensionError(f"probabilities must be an (N, ..., m) stack with N >= 1, got shape {p.shape}")
     check_integer("n_shots", n_shots, 1, MAX_SHOTS)
     if not isinstance(rng, np.random.Generator) and (isinstance(rng, bool) or not isinstance(rng, numbers.Integral)):
         raise TypeError(

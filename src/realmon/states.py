@@ -61,7 +61,8 @@ class PureState:
 class DensityOperator:
     """Hermitian, unit-trace, positive-semidefinite operator, or a stack of them.
 
-    ``matrix`` is (d, d) for one state and (N, d, d) for a stack of N.
+    ``matrix`` is (d, d) for one state and (N, d, d) for a stack of N (N >= 1),
+    a read-only copy, so the caller's array is neither frozen nor aliased.
     Validation (trace 1e-10, min eigenvalue >= -1e-9, for every member) runs
     by default, and its eigensolve rejects a Hermiticity defect above 1e-10;
     code that produces states valid by construction passes ``validate=False``
@@ -77,7 +78,7 @@ class DensityOperator:
     __slots__ = ("matrix", "_spectrum", "_images")
 
     def __init__(self, matrix, *, validate: bool = True, spectrum=None):
-        arr = np.ascontiguousarray(_as_square_complex(matrix, "density matrix", max_lead=1))
+        arr = _as_square_complex(np.array(matrix, dtype=complex, order="C"), "density matrix", max_lead=1)
         if spectrum is not None and np.shape(spectrum) != arr.shape[:-1]:
             raise DimensionError(f"spectrum must have shape {arr.shape[:-1]}, got shape {np.shape(spectrum)}")
         arr.setflags(write=False)
@@ -113,8 +114,11 @@ class DensityOperator:
 
 
 def stack_states(states) -> DensityOperator:
-    """One (N, d, d) stack of N single states of one dimension."""
-    return DensityOperator(np.stack([s.matrix for s in states]), validate=False)
+    """One (N, d, d) stack of N >= 1 single states of one dimension."""
+    members = [s.matrix for s in states]
+    if not members:
+        raise DimensionError("a state stack needs at least one state")
+    return DensityOperator(np.stack(members), validate=False)
 
 
 def density_from_pure(psi: PureState) -> DensityOperator:

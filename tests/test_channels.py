@@ -564,6 +564,16 @@ class TestAngleArrays:
             assert alone.batch is None
             assert same_bits(stack[k], to_superoperator(alone).matrix)
 
+    def test_list_tuple_and_array_bases_give_bitwise_equal_circuits(self):
+        # list and tuple angles once raised a TypeError in u3_adjoint_params (-pi - phi)
+        theta, phi = [0.1, 0.2, -1.3], [0.0, 0.7, 2.0]
+        forms = [(theta, phi), (tuple(theta), tuple(phi)), (np.array(theta), np.array(phi))]
+        built = [build_monitor_circuit([basis, (0.4, -0.2)], 0.5) for basis in forms]
+        assert all(c.batch == 3 for c in built)
+        assert all(same_bits(c.isometry, built[2].isometry) for c in built[:2])
+        alone = build_monitor_circuit([(theta[1], phi[1]), (0.4, -0.2)], 0.5).isometry
+        assert same_bits(built[0].isometry[1], alone)
+
     def test_one_basis_with_an_intensity_array_is_a_stack(self):
         eps = np.array([0.0, 0.4, 1.0])
         stack = to_superoperator(product_monitor([(0.3, 0.1)], eps)).matrix

@@ -3,17 +3,23 @@ checked by config's checkers: a bad value is a ``ConfigError`` that starts
 with the parameter's name, and a stack of the wrong shape a ``DimensionError``."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from realmon.channels import MonitoringChannel, product_monitor
 from realmon.circuits import Circuit, Gate, build_monitor_circuit, epsilon_of_strength, strength_of_epsilon
-from realmon.config import MAX_SEED, ConfigError, check_number, check_numbers, resolve_state
-from realmon.linalg import DimensionError
+from realmon.config import MAX_SEED, ConfigError, check_number, check_numbers, make_config, resolve_state
+from realmon.linalg import DimensionError, hermitian_eig
 from realmon.noise import confusion_from_flip, sample_shots
-from realmon.observables import observable_from_axis, pauli_observable
-from realmon.tomography import reconstructions
+from realmon.observables import observable_from_axis, pauli_observable, stack_observables
+from realmon.reality import delta_reality_monitored, reality_report
+from realmon.sampling import mixture_of_eigenstates
+from realmon.states import DensityOperator, PureState, stack_states
+from realmon.svg import render_line_chart
+from realmon.sweeps import emit_json
+from realmon.tomography import estimate_pauli, reconstruct_state, reconstructions
 
 SZ = pauli_observable("z")
 U3 = Gate("U3", (0,), (0.3, 0.0, 0.0))
@@ -62,6 +68,7 @@ INTEGERS_AND_CHOICES = {
     "build_monitor_circuit-coupling": (lambda v: build_monitor_circuit([(0.0, 0.0)], 0.5, v), "coupling", ("U3",)),
     "Gate-kind": (lambda v: Gate(v, (0, 1)), "kind", ("SWAP", None, 3)),
     "pauli_observable-axis": (pauli_observable, "axis", (1, "X", "w")),
+    "emit_json-records": (lambda v: emit_json(v, make_config("fig4a", points=2), "unwritten.json"), "records", ([],)),
     # a generator checks when first advanced, before its first draw
     "reconstructions-repeats": (
         lambda v: next(reconstructions(resolve_state("plus"), 8, v, 0)),
@@ -108,6 +115,55 @@ def test_a_nan_basis_angle_never_gives_nan_output():
     for build in (product_monitor, build_monitor_circuit):
         with pytest.raises(ConfigError, match="^theta: "):
             build([(math.nan, 0.0)], 0.5)
+
+
+PLUS = resolve_state("plus")
+NO_MEMBERS = "a stack needs at least one member, got 0 "
+# entry point: (call, the error it raises, the start of its message), for an
+# empty or misshapen operand; each error names the operand
+REFUSED = {
+    # zero-member stacks and empty lists, each a DimensionError
+    "DensityOperator": (lambda: DensityOperator(np.zeros((0, 2, 2))), DimensionError, "density matrix stack must"),
+    "hermitian_eig": (lambda: hermitian_eig(np.zeros((0, 3, 3))), DimensionError, "matrix stack must have"),
+    "delta_reality_monitored": (
+        lambda: delta_reality_monitored(SZ, np.array([]), PLUS), DimensionError, NO_MEMBERS + "intensities",
+    ),
+    "reality_report": (
+        lambda: reality_report(SZ, pauli_observable("x"), np.array([]), PLUS), DimensionError, NO_MEMBERS + "intensities",
+    ),
+    "MonitoringChannel": (lambda: MonitoringChannel(SZ, []), DimensionError, NO_MEMBERS + "intensities"),
+    "build_monitor_circuit-angles": (
+        lambda: build_monitor_circuit([(np.array([]), np.array([]))], 0.5), DimensionError, NO_MEMBERS + "members of gate",
+    ),
+    "estimate_pauli": (
+        lambda: estimate_pauli(DensityOperator(np.zeros((0, 2, 2)), validate=False), 8, 0),
+        DimensionError,
+        "density matrix stack must",
+    ),
+    "sample_shots": (lambda: sample_shots(np.zeros((0, 2)), 5, 0), DimensionError, "probabilities must be an (N, ..., m)"),
+    "stack_states": (lambda: stack_states([]), DimensionError, "a state stack needs at least one state"),
+    "observable_from_axis": (lambda: observable_from_axis(np.array([])), DimensionError, "need one projector per"),
+    "reconstruct_state": (lambda: reconstruct_state(np.zeros((0, 3))), DimensionError, "Bloch vector must have shape"),
+    "stack_observables": (lambda: stack_observables([]), DimensionError, "an observable stack needs at least one"),
+    "PureState": (lambda: PureState([]), DimensionError, "state vector must have at least one amplitude"),
+    "build_monitor_circuit-bases": (lambda: build_monitor_circuit([], 0.5), DimensionError, "need at least one system"),
+    "product_monitor": (lambda: product_monitor([], 0.5), DimensionError, "need at least one qubit basis"),
+    "render_line_chart": (lambda: render_line_chart([]), ValueError, "need at least one series"),
+    # misshapen operands
+    "render_line_chart-lengths": (
+        lambda: render_line_chart([("a", [0.0, 1.0], [0.5], None)]), ValueError, "series 'a' has mismatched lengths",
+    ),
+    "Gate-CZ-one-qubit": (lambda: Gate("CZ", (0,)), ValueError, "CZ takes two qubits and no angles"),
+    "Gate-CNOT-angles": (lambda: Gate("CNOT", (0, 1), (0.5,)), ValueError, "CNOT takes two qubits and no angles"),
+    "mixture_of_eigenstates": (lambda: mixture_of_eigenstates(SZ, [1.0]), DimensionError, "need one probability per"),
+}
+
+
+@pytest.mark.parametrize("entry", REFUSED)
+def test_every_empty_or_misshapen_operand_is_refused_by_name(entry):
+    call, error, message = REFUSED[entry]
+    with pytest.raises(error, match="^" + re.escape(message)):
+        call()
 
 
 class TestCheckNumbers:

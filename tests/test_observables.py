@@ -269,6 +269,8 @@ class TestStackObservables:
             ("overlap", "projectors 0,1 violate orthogonal"),
             ("incomplete", "identity"),
             ("close", "eigenvalues 1.0 and 1.0000000001 closer"),
+            ("short", "need one projector per eigenvalue"),
+            ("not-square", r"projectors must be square matrices, got shape \(2, 1\)"),
         ],
     )
     def test_one_bad_member_fails_the_whole_stack(self, fault, message):
@@ -282,8 +284,12 @@ class TestStackObservables:
             projs[1] = np.full((2, 2, 2), 0.5)
         elif fault == "incomplete":
             projs[1] = (np.diag([1.0, 0.0]), np.zeros((2, 2)))
-        else:
+        elif fault == "close":
             values[1] = (1.0, 1.0 + 1e-10)
+        elif fault == "short":
+            values = values[:, :1]
+        else:
+            projs = projs[..., :1]
         with pytest.raises(ValueError, match=message):
             ProjectiveObservable(values, projs)
 

@@ -6,7 +6,7 @@ import pytest
 
 from _helpers import maximally_mixed
 from realmon import states
-from realmon.config import STATE_PRESETS
+from realmon.config import STATE_PRESETS, resolve_state
 from realmon.linalg import DimensionError, hermitian_eig
 from realmon.sampling import ginibre_density, haar_pure_state, haar_unitary
 from realmon.states import (
@@ -75,6 +75,22 @@ class TestDensityOperator:
         m = np.array([[0.5, math.nan], [math.nan, 0.5]], dtype=complex)
         with pytest.raises(ValueError, match="not finite"):
             DensityOperator(m)
+
+    def test_the_callers_array_is_copied_not_frozen(self):
+        m = np.eye(2, dtype=complex) / 2
+        rho = DensityOperator(m)
+        assert rho.matrix is not m and m.flags.writeable and not rho.matrix.flags.writeable
+        m[0, 0] = 0.3  # once "assignment destination is read-only"
+        assert rho.matrix[0, 0] == 0.5 and von_neumann_entropy(rho) == 1.0
+
+    @pytest.mark.parametrize("name", sorted(STATE_PRESETS))
+    def test_presets_are_read_only_where_defined_and_copied_per_state(self, name):
+        preset = STATE_PRESETS[name]
+        assert not preset.flags.writeable
+        with pytest.raises(ValueError):
+            preset[0, 0] = 0.0
+        rho = resolve_state(name)
+        assert rho.matrix is not preset and np.array_equal(rho.matrix, preset)
 
     def test_matrix_is_read_only(self):
         rho = maximally_mixed(2)

@@ -1199,6 +1199,10 @@ class TestCLI:
             ({"scenario": "fig4a", "out": "a\0b.csv"}, "out"),
             ({"scenario": "fig1", "epsilon": 10**400}, "epsilon"),
             ({"scenario": "fig4a", "monitor_axis": [10**400, 0.0]}, "monitor_axis"),
+            ({"scenario": "fig4a", "state": [1, 0]}, "state: expected preset name or angle dict, got list"),
+            ({"grid_kind": "axis_theta", "grid_values": [0.0, 1.0]}, "sweep_target: axis_theta sweeps need"),
+            (None, "cannot read config"),  # None: no file is written
+            ([{"scenario": "fig4a"}], "must hold a JSON object"),
         ],
         ids=[
             "grid-theta_m-nan", "grid-epsilon-inf", "grid-axis_theta-nan", "flips-above-one",
@@ -1209,14 +1213,16 @@ class TestCLI:
             "monitor-axis-bools", "depolarizing-bool", "flips-bool", "state-theta-bool",
             "state-unknown-angle-key", "out-empty", "svg-empty", "json-out-empty",
             "grid-scalar", "grid-bool", "sweep-target-nan", "sweep-target-object", "out-nul-byte",
-            "epsilon-int-beyond-float", "monitor-axis-int-beyond-float",
+            "epsilon-int-beyond-float", "monitor-axis-int-beyond-float", "state-list", "axis-theta-without-target",
+            "config-missing", "config-not-an-object",
         ],
     )
     def test_malformed_config_field_exit_code(self, tmp_path, capsys, fields, name):
         import realmon.cli as cli_mod
 
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(fields))
+        if fields is not None:
+            path.write_text(json.dumps(fields))
         assert cli_mod.main(["sweep", "--config", str(path), "--points", "3"]) == 3
         assert name in capsys.readouterr().err
 
