@@ -1,7 +1,7 @@
 """Reality and irreality of quantum observables under weak non-revealed monitoring.
 
 Core layers: dense complex linear algebra with one Hermitian eigensolver,
-which solves spectra only, closed-form for qubits and LAPACK-backed above
+which solves spectra only, closed-form for qubits and LAPACK-backed above,
 and the qubit Pauli and Bloch primitives (``linalg``), validated
 states and entropies (``states``), projective observables
 (``observables``), the monitoring channel, which dephases at intensity 1,

@@ -14,8 +14,8 @@ each member of a stack gets the same answer it would get alone.
 ``tensor_product``, ``partial_trace`` and ``ket_projectors`` take stacks
 with any number of leading axes.
 
-The qubit primitives sit here, below every other layer: the read-only Pauli
-matrices (``SIGMA_X`` .. ``IDENTITY_2``) and ``bloch_matrices``, the one (I + r . sigma)/2.
+The qubit primitives sit here, below every other layer: the read-only
+Pauli matrices ``SIGMA_X`` .. ``IDENTITY_2``, and ``bloch_matrices``, the one (I + r . sigma)/2.
 """
 
 from __future__ import annotations

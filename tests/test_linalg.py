@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from _helpers import bloch_matrices, qubit_kernel_errors, qubit_kernel_passes, random_bloch, same_bits
+from _helpers import qubit_kernel_errors, qubit_kernel_passes, random_bloch, same_bits
 from realmon import cli
 from realmon.config import make_config
 from realmon import observables
